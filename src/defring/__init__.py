@@ -10,6 +10,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
+from .errors import DefringError, InternalInconsistencyError
 from .galois import GaloisRing, GaloisRingSpec, default_irreducible, is_prime
 from .groups import (FiniteGroup, abelianization, build_group, cyclic, dihedral,
                      direct_product, extend_and_verify_hom, from_cayley_table,
@@ -24,10 +25,9 @@ from .local_ring import (CapExceededError, FiniteLocalRing, Ideal,
 from .matrices import Matrix
 from .polys import Poly, PolyParseError, buchberger, grevlex_key, grlex_key, parse_poly
 from .presentations import IntegerPolynomialPresentation, r_alpha_presentation
-from .presented import (EtaleReport, InternalInconsistencyError, QFiberAlgebra,
-                        etale_check, groebner_basis, nilpotent_witness,
-                        omega_rank, q_fiber, trace_form, verify_presented_hom,
-                        w_membership_check)
+from .presented import (EtaleReport, QFiberAlgebra, etale_check, groebner_basis,
+                        nilpotent_witness, omega_rank, q_fiber, trace_form,
+                        verify_presented_hom, w_membership_check)
 from .representation import (DefSet, Lift, MarandaCertificate, Representation,
                              are_strictly_equivalent, def_set, derivation_check,
                              enumerate_lifts, hom_family, hom_vs_derivation,

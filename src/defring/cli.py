@@ -22,6 +22,7 @@ produce byte-identical reports.  Exit codes: 0 success, 2 failing verdict,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
+from .errors import DefringError
 from .galois import is_prime
 from .groups import FiniteGroup, build_group, p_part
 from .local_ring import (DEFAULT_DEGREE_CAP, DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP,
@@ -424,13 +426,20 @@ def cache_lookup(spec: JobSpec) -> Optional[Dict]:
 
 
 def cache_store(spec: JobSpec, report: Dict, exit_code: int) -> None:
+    """Best-effort and atomic: a per-process temp file in CACHE_DIR, then os.replace.
+
+    A failed write leaves neither a partial report nor the temp file behind.
+    """
+    path = _cache_path(spec)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(CACHE_DIR, exist_ok=True)
-        path = _cache_path(spec)
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump({"report": report, "exit_code": exit_code}, fh)
-    except OSError:
-        pass  # caching is best-effort
+        os.replace(tmp, path)
+    except OSError:  # caching is best-effort; drop the partial temp file
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 # -- entry point -------------------------------------------------------------------------------
@@ -478,17 +487,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report, code = run_job(spec)
             if not args.no_cache:
                 cache_store(spec, report, code)
-    except (JobParseError, ValueError, ArithmeticError, OSError) as exc:
+        text_out = render_report(report)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text_out)
+        else:
+            sys.stdout.write(text_out)
+    except (DefringError, ValueError, ArithmeticError, OSError) as exc:
         err = {"tool": "defring", "version": __version__, "error": str(exc)}
         sys.stderr.write(render_report(err))
         return 1
-
-    text_out = render_report(report)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text_out)
-    else:
-        sys.stdout.write(text_out)
     return code
 
 

@@ -1,9 +1,9 @@
 """Finite groups as Cayley tables with canonical generating sets.
 
-Groups are concrete multiplication tables, not presentations; homomorphism
-checking is all-pairs verification, which is trivially affordable at the
-orders handled here and needs no coset enumeration.  Canonical generating
-sets per family keep lift-enumeration sizes reproducible.
+Groups are concrete multiplication tables, not presentations; a homomorphism
+is checked on the edges of the Cayley graph, which is exact and needs no coset
+enumeration.  Canonical generating sets per family keep lift-enumeration sizes
+reproducible.
 """
 
 from __future__ import annotations
@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .galois import is_prime
 
 MAX_ORDER = 2000
-EXHAUSTIVE_ASSOC_ORDER = 256
 
 
 class GroupConstructionError(ValueError):
@@ -24,7 +23,12 @@ class GroupConstructionError(ValueError):
 
 
 class FiniteGroup:
-    """Group law on indices 0..n-1 with identity 0, generators, and shortest words."""
+    """Group law on indices 0..n-1 with generators and shortest words.
+
+    `tree` lists the breadth-first spanning tree of the Cayley graph as
+    (element, parent, generator index) triples in order of word length, so
+    that element = parent * generators[generator index].
+    """
 
     def __init__(self, table: Sequence[Sequence[int]], generators: Sequence[int],
                  name: str = "", element_names: Optional[Sequence[str]] = None,
@@ -37,36 +41,46 @@ class FiniteGroup:
         self.element_names = tuple(element_names) if element_names is not None \
             else tuple(f"g{i}" for i in range(self.n))
         if validate:
-            self._validate_axioms()
+            self._check_latin_square()
         self.identity = self._find_identity()
-        self.inverse = self._compute_inverses()
         self.generators = tuple(dict.fromkeys(generators))  # dedupe, keep order
-        self.words = self._word_table()
+        self.words, self.tree = self._word_table()
+        if validate:
+            self._check_associative()
+        self.inverse = self._compute_inverses()
 
     # -- construction checks --------------------------------------------------
 
-    def _validate_axioms(self) -> None:
+    def _check_latin_square(self) -> None:
         n = self.n
-        for row in self.table:
-            if len(row) != n or any(not (0 <= x < n) for x in row):
-                raise GroupConstructionError("malformed Cayley table")
-        if n <= EXHAUSTIVE_ASSOC_ORDER:
-            triples = range(n)
-        else:
-            # sampled associativity above the exhaustive threshold
-            step = max(1, n // 64)
-            triples = range(0, n, step)
+        full = set(range(n))
+        if any(len(row) != n for row in self.table) or any(
+                set(line) != full for line in self.table + tuple(zip(*self.table))):
+            raise GroupConstructionError(
+                f"Cayley table rows and columns must be permutations of 0..{n - 1}")
+
+    def _check_associative(self) -> None:
+        """Light's test: (x s) y = x (s y) for all x, y and each generator s in S.
+
+        Exact, in O(n^2 |S|).  The elements a with (x a) y = x (a y) for all
+        x, y include the identity and are closed under products: for two such
+        a, b, (x (ab)) y = ((xa) b) y = (xa)(by) = x (a (by)) = x ((ab) y).
+        Right multiplication by S reaches every element from the identity (the
+        word table checks this first), so every element associates.  S is a
+        greedy subset of the generators, which `from_cayley_table` defaults to
+        all elements.
+        """
         t = self.table
-        for a in triples:
-            for b in range(n):
-                for c in range(n):
-                    if t[t[a][b]][c] != t[a][t[b][c]]:
-                        raise GroupConstructionError(
-                            f"associativity fails at ({a},{b},{c})")
-        # latin-square property gives inverses once identity exists
-        for row in self.table:
-            if len(set(row)) != n:
-                raise GroupConstructionError("Cayley table rows must be permutations")
+        gens, _ = greedy_generators(self.generators, self.identity,
+                                    lambda x, s: t[x][s])
+        for s in gens:
+            ts = t[s]
+            for x in range(self.n):
+                tx = t[x]
+                if tuple(map(tx.__getitem__, ts)) != t[tx[s]]:
+                    y = next(y for y in range(self.n) if t[tx[s]][y] != tx[ts[y]])
+                    raise GroupConstructionError(
+                        f"associativity fails at ({x},{s},{y})")
 
     def _find_identity(self) -> int:
         for e in range(self.n):
@@ -76,21 +90,20 @@ class FiniteGroup:
         raise GroupConstructionError("no identity element")
 
     def _compute_inverses(self) -> Tuple[int, ...]:
-        inv = [0] * self.n
-        for a in range(self.n):
-            found = None
-            for b in range(self.n):
-                if self.table[a][b] == self.identity:
-                    found = b
-                    break
-            if found is None or self.table[found][a] != self.identity:
+        e = self.identity
+        inv = []
+        for a, row in enumerate(self.table):
+            b = row.index(e) if e in row else None
+            if b is None or self.table[b][a] != e:
                 raise GroupConstructionError(f"element {a} has no two-sided inverse")
-            inv[a] = found
+            inv.append(b)
         return tuple(inv)
 
-    def _word_table(self) -> Tuple[Tuple[int, ...], ...]:
-        """Shortest word in the generators for each element (breadth-first)."""
+    def _word_table(self) -> Tuple[Tuple[Tuple[int, ...], ...],
+                                   Tuple[Tuple[int, int, int], ...]]:
+        """Shortest word in the generators for each element, and the tree it spans."""
         words: Dict[int, Tuple[int, ...]] = {self.identity: ()}
+        tree = []
         frontier = [self.identity]
         while frontier:
             nxt = []
@@ -99,11 +112,12 @@ class FiniteGroup:
                     y = self.table[x][g]
                     if y not in words:
                         words[y] = words[x] + (gi,)
+                        tree.append((y, x, gi))
                         nxt.append(y)
             frontier = nxt
         if len(words) != self.n:
             raise GroupConstructionError("generators do not generate the group")
-        return tuple(words[x] for x in range(self.n))
+        return tuple(words[x] for x in range(self.n)), tuple(tree)
 
     # -- group operations ------------------------------------------------------
 
@@ -233,17 +247,17 @@ def from_cayley_table(table: Sequence[Sequence[int]],
 
 def build_group(kind: str, params: Sequence[int] = ()) -> FiniteGroup:
     kind = kind.lower()
-    if kind in ("cyclic", "c"):
-        return cyclic(params[0])
-    if kind in ("dihedral", "d"):
-        return dihedral(params[0])
-    if kind in ("symmetric", "s"):
-        return symmetric(params[0])
     if kind in ("quaternion8", "q8"):
         return quaternion8()
     if kind == "klein4":
         return direct_product(cyclic(2), cyclic(2))
-    raise GroupConstructionError(f"unknown group family {kind!r}")
+    family = {"cyclic": cyclic, "c": cyclic, "dihedral": dihedral, "d": dihedral,
+              "symmetric": symmetric, "s": symmetric}.get(kind)
+    if family is None:
+        raise GroupConstructionError(f"unknown group family {kind!r}")
+    if not params:
+        raise GroupConstructionError(f"group family {kind!r} needs a 'param'")
+    return family(params[0])
 
 
 # -- utilities ------------------------------------------------------------------------
@@ -356,23 +370,59 @@ def abelianization(G: FiniteGroup) -> List[int]:
     return sorted(invariants)
 
 
+def greedy_generators(elements: Iterable, one, mul: Callable) -> Tuple[list, set]:
+    """A generating subset S of `elements`, taken greedily in order, and its closure.
+
+    The closure is the smallest set containing `one` and closed under
+    x -> mul(x, s) for s in S; an element joins S when it is not yet in the
+    closure of the elements before it.  Each closure step multiplies old
+    elements by the new generator only and new elements by all of S, so the
+    total cost is about |closure| * |S| products.
+    """
+    gens: list = []
+    closure = {one}
+    for s in elements:
+        if s in closure:
+            continue
+        gens.append(s)
+        fresh = [y for y in (mul(x, s) for x in list(closure)) if y not in closure]
+        closure.update(fresh)
+        while fresh:
+            x = fresh.pop()
+            for g in gens:
+                y = mul(x, g)
+                if y not in closure:
+                    closure.add(y)
+                    fresh.append(y)
+    return gens, closure
+
+
 def extend_and_verify_hom(G: FiniteGroup, one, generator_images: Sequence):
-    """Extend generator images along the word table and verify all |G|^2 pairs.
+    """Extend generator images along the spanning tree and verify the Cayley edges.
+
+    Each image is one product from its tree parent, phi(y) = phi(y g^-1) phi(g),
+    in order of word length.  Then phi(a) phi(g) = phi(ag) is checked on the
+    |G| * ngen Cayley edges, skipping the |G| - 1 tree edges, which hold by
+    construction.  This is exact: given every edge, induction on the word
+    length of b = b'g gives phi(a) phi(b) = phi(a) phi(b') phi(g)
+    = phi(ab') phi(g) = phi(ab), using only associativity of the target and
+    phi(e) = one.
 
     The target needs only `*` and `==` (ring elements, matrices, or another
     group wrapped accordingly).  Returns (images, None) on success or
-    (None, (a, b)) with the first violated pair.
+    (None, (a, g)) with the first violated edge, g a generator.
     """
     if len(generator_images) != len(G.generators):
         raise ValueError("one image per generator required")
     images = [None] * G.n
-    for x in range(G.n):
-        acc = one
-        for gi in G.words[x]:
-            acc = acc * generator_images[gi]
-        images[x] = acc
+    images[G.identity] = one
+    tree_edges = set()
+    for y, parent, gi in G.tree:
+        images[y] = images[parent] * generator_images[gi]
+        tree_edges.add((parent, gi))
     for a in range(G.n):
-        for b in range(G.n):
-            if images[a] * images[b] != images[G.table[a][b]]:
-                return None, (a, b)
+        for gi, g in enumerate(G.generators):
+            if (a, gi) not in tree_edges and \
+                    images[a] * generator_images[gi] != images[G.table[a][g]]:
+                return None, (a, g)
     return images, None

@@ -20,6 +20,7 @@ from itertools import product
 from math import prod
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .errors import DefringError
 from .galois import GaloisRing, GRElt, default_irreducible
 from .linalg import HowellForm, LinearMapSolver, QuotientModule
 from .polys import Monomial, Poly, grlex_key, mono_mul
@@ -30,11 +31,11 @@ DEFAULT_MAP_CAP = 10 ** 7
 DEFAULT_DEGREE_CAP = 16
 
 
-class CapExceededError(RuntimeError):
+class CapExceededError(DefringError, RuntimeError):
     """An enumeration would exceed its configured cap; caps are never silently sampled."""
 
 
-class NotFiniteAtCapError(RuntimeError):
+class NotFiniteAtCapError(DefringError, RuntimeError):
     """The truncated presentation has no finite monomial basis within the degree cap."""
 
 

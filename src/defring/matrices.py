@@ -68,11 +68,6 @@ class Matrix:
     def transfer(self, target: FiniteLocalRing, fn) -> "Matrix":
         return Matrix(target, [[fn(a) for a in row] for row in self.rows])
 
-    def is_identity(self) -> bool:
-        one, zero = self.ring.one, self.ring.zero
-        return all(self.rows[i][j] == (one if i == j else zero)
-                   for i in range(self.n) for j in range(self.n))
-
     def is_invertible(self) -> bool:
         try:
             self.inverse()

@@ -175,18 +175,6 @@ class Poly:
             bits = max(bits, c.numerator.bit_length(), c.denominator.bit_length())
         return bits
 
-    def content_normalized(self) -> "Poly":
-        """Integer-primitive scalar multiple with positive leading coefficient (grevlex)."""
-        if self.is_zero():
-            return self
-        from math import gcd, lcm
-        den = lcm(*[c.denominator for c in self.terms.values()])
-        num = gcd(*[abs(c.numerator) for c in self.terms.values()])
-        out = self.scale(Fraction(den, num))
-        if out.leading_coeff() < 0:
-            out = out.scale(-1)
-        return out
-
     def sorted_terms(self, key: Callable = grevlex_key, reverse: bool = True):
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
 

@@ -24,11 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .polys import (Monomial, Poly, buchberger, grevlex_key, mono_divides,
                     mono_mul, normal_form)
 from .presentations import IntegerPolynomialPresentation
+from .errors import InternalInconsistencyError
 from .local_ring import ring_from_truncated_presentation, NotFiniteAtCapError
-
-
-class InternalInconsistencyError(RuntimeError):
-    """The two reducedness criteria disagreed; signals an implementation bug."""
 
 
 DEFAULT_VARIABLE_GUARD = 6

@@ -3,9 +3,10 @@
 A residual representation lives over the residue field (packaged as a rank-1
 FiniteLocalRing); its lifts to a finite local ring R are enumerated generator
 by generator through the fibers of the entrywise reduction, then verified on
-all group-element pairs.  Strict equivalence is conjugation by matrices
-congruent to the identity modulo the maximal ideal, and deformation sets are
-the orbit partitions with canonical (lexicographically least) representatives.
+the edges of the group's Cayley graph.  Strict equivalence is conjugation by
+matrices congruent to the identity modulo the maximal ideal, and deformation
+sets are the orbit partitions with canonical (lexicographically least)
+representatives.
 
 The averaging operator sums g-translates of an approximate intertwiner and
 divides by the group order; when p divides the order this costs p-adic
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .groups import FiniteGroup, extend_and_verify_hom, p_part
+from .errors import InternalInconsistencyError
+from .groups import FiniteGroup, extend_and_verify_hom, greedy_generators, p_part
 from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, CapExceededError,
                          FiniteLocalRing, Ideal, RingElement, RingHom,
                          exact_divide, ideal_span, maximal_ideal, quotient_ring,
@@ -200,14 +202,13 @@ def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
 def are_strictly_equivalent(l1: Lift, l2: Lift,
                             cap: int = DEFAULT_ELEMENT_CAP
                             ) -> Tuple[bool, Optional[Matrix]]:
-    """Search the kernel group for K with rho1 = K rho2 K^{-1}."""
+    """Search the kernel group for K with rho1 = K rho2 K^{-1}, i.e. rho1 K = K rho2."""
     ring = l1.rep.ring
     if ring is not l2.rep.ring:
         raise ValueError("lifts live over different rings")
     gens = l1.rep.group.generators
     for K in kernel_group(ring, l1.rep.n, cap):
-        Kinv = K.inverse()
-        if all(l1.rep.matrix(g) == K * l2.rep.matrix(g) * Kinv for g in gens):
+        if all(l1.rep.matrix(g) * K == K * l2.rep.matrix(g) for g in gens):
             return True, K
     return False, None
 
@@ -228,24 +229,47 @@ class DefSet:
 def def_set(rhobar: Representation, ring: FiniteLocalRing,
             cap_maps: int = DEFAULT_MAP_CAP,
             cap_elements: int = DEFAULT_ELEMENT_CAP) -> DefSet:
+    """Lifts up to strict equivalence, with canonical (key-least) representatives.
+
+    Orbits are found by breadth-first search over a greedy generating set S
+    of the kernel group, conjugating only the generator matrices: the orbit
+    of a lift is its closure under conjugation by S, at |lifts| * |S|
+    conjugations in total.
+    """
     lifts = enumerate_lifts(rhobar, ring, cap_maps)
     index: Dict[Tuple[int, ...], int] = {l.key(): i for i, l in enumerate(lifts)}
     kg = kernel_group(ring, rhobar.n, cap_elements)
+    S, closure = greedy_generators(kg, Matrix.identity(ring, rhobar.n),
+                                   Matrix.__mul__)
+    if len(closure) != len(kg):
+        raise InternalInconsistencyError(
+            f"kernel-group generators close to {len(closure)} matrices, "
+            f"not {len(kg)}")
+    conjugators = [(K, K.inverse()) for K in S]
     seen = [False] * len(lifts)
     reps: List[Lift] = []
     sizes: List[int] = []
     for i, l in enumerate(lifts):
         if seen[i]:
             continue
-        orbit = set()
-        for K in kg:
-            orbit.add(index[l.rep.conjugate(K).key()])
-        for j in orbit:
-            seen[j] = True
-        best = min(orbit)
-        reps.append(lifts[best])
-        sizes.append(len(orbit))
-    assert sum(sizes) == len(lifts)
+        # lifts are in key order and earlier orbits are closed, so i is the
+        # least index in its orbit
+        seen[i] = True
+        frontier = [l.rep.gen_matrices]
+        size = 1
+        while frontier:
+            gens = frontier.pop()
+            for K, Kinv in conjugators:
+                conj = [K * M * Kinv for M in gens]
+                j = index[tuple(x for M in conj for x in M.key())]
+                if not seen[j]:
+                    seen[j] = True
+                    size += 1
+                    frontier.append(conj)
+        reps.append(l)
+        sizes.append(size)
+    if sum(sizes) != len(lifts):
+        raise InternalInconsistencyError("orbit sizes do not add up to the lift count")
     return DefSet(reps, sizes, len(lifts))
 
 
@@ -276,7 +300,7 @@ def tangent_space(rhobar: Representation,
         c //= q
         t += 1
     if c != 1:
-        raise RuntimeError(
+        raise InternalInconsistencyError(
             f"tangent count {count} is not a power of q={q}; implementation bug")
     return ds, t
 
@@ -358,11 +382,11 @@ def maranda_average(rho1: Representation, rho2: Representation,
         B0, prec = B, N
     for h in range(G.n):
         if not (rho1.matrix(h) * B0).agrees_at(B0 * rho2.matrix(h), prec):
-            raise RuntimeError("averaging failed to produce an intertwiner; bug")
+            raise InternalInconsistencyError("averaging failed to produce an intertwiner; bug")
     for i, row in enumerate((B0 - one).rows):
         for e in row:
             if e.is_unit():
-                raise RuntimeError("averaged intertwiner left I_n + M_n(m_R); bug")
+                raise InternalInconsistencyError("averaged intertwiner left I_n + M_n(m_R); bug")
     return MarandaCertificate(B0, prec, r)
 
 
@@ -393,8 +417,7 @@ def maranda_decide(l1: Lift, l2: Lift,
     red2 = [project(l2.rep.matrix(g)) for g in G.generators]
     witness = None
     for Kbar in kernel_group(Rbar, n, cap):
-        Kinv = Kbar.inverse()
-        if all(a == Kbar * b * Kinv for a, b in zip(red1, red2)):
+        if all(a * Kbar == Kbar * b for a, b in zip(red1, red2)):
             witness = Kbar
             break
     if witness is None:
@@ -436,7 +459,7 @@ def normalize_intertwiner(rho1: Representation, rho2: Representation,
     for row in (B0 - one).rows:
         for e in row:
             if e.is_unit():
-                raise RuntimeError("normalization left I_n + M_n(m_R); bug")
+                raise InternalInconsistencyError("normalization left I_n + M_n(m_R); bug")
     return u, B0
 
 
@@ -572,7 +595,7 @@ def hom_family(incl: RingHom, d_values: Sequence[RingElement],
         images = [fi + cs * d for fi, d in zip(incl.basis_images, d_values)]
         hom = RingHom(incl.source, S, images)
         if not hom.verify():
-            raise RuntimeError("family member failed homomorphism verification; bug")
+            raise InternalInconsistencyError("family member failed homomorphism verification; bug")
         out.append(hom)
     distinct = len({h.key() for h in out})
     return out, distinct

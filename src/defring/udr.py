@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .errors import InternalInconsistencyError
 from .groups import FiniteGroup, abelianization, p_part
 from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, FiniteLocalRing,
                          Ideal, RingElement, maximal_ideal,
@@ -149,7 +150,7 @@ def order_lower_bound(pres: IntegerPolynomialPresentation,
         if lvl <= precision - 3:
             lvl2 = level_at(precision + 1)
             if lvl2 != lvl:
-                raise RuntimeError(
+                raise InternalInconsistencyError(
                     f"membership level unstable across precisions "
                     f"({lvl} vs {lvl2}); bug")
             return OrderBoundResult(

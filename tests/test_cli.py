@@ -226,3 +226,83 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     payload["report"]["result"]["reduced"] = False
     open(path, "w").write(json.dumps(payload))
     assert cli.cache_lookup(spec) is None
+
+
+# -- error contract: every failure is a JSON error report with exit 1 --------------------
+
+CAP_JOB = """\
+ring {
+  p = 2
+  precision = 2
+}
+group {
+  family = symmetric
+  param = 3
+}
+rep {
+  dimension = 2
+}
+"""
+
+NOT_FINITE_JOB = """\
+ring {
+  p = 2
+  precision = 2
+  vars = X, Y
+  relations = X*Y
+}
+"""
+
+NO_PARAM_JOB = """\
+ring {
+  p = 2
+  precision = 2
+}
+group {
+  family = cyclic
+}
+"""
+
+
+@pytest.mark.parametrize("command, text, flags, message", [
+    ("defcount", CAP_JOB, ["--cap-maps", "10"], "exceed the cap 10"),
+    ("fingerprint", NOT_FINITE_JOB, [], "not finite at this cap"),
+    ("defcount", NO_PARAM_JOB, [], "needs a 'param'"),
+    ("etale-check", ETALE_PASS_JOB, ["--output", "{tmp}/missing/report.json"],
+     "No such file or directory"),
+], ids=["cap-exceeded", "not-finite-at-cap", "group-without-param",
+        "unwritable-output"])
+def test_error_paths_report_json(tmp_path, command, text, flags, message):
+    job = tmp_path / "job.txt"
+    job.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "defring.cli", command, str(job), "--no-cache",
+         *[f.format(tmp=tmp_path) for f in flags]], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["tool"] == "defring" and message in err["error"]
+    assert proc.stdout == ""
+
+
+def test_cache_store_failure_leaves_no_partial_file(tmp_path, monkeypatch):
+    import defring.cli as cli
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(cli, "CACHE_DIR", str(cache))
+    spec = JobSpec(command="etale-check",
+                   blocks=parse_job_blocks(ETALE_PASS_JOB))
+    report, code = run_job(spec)
+
+    def failing_dump(obj, fh):
+        fh.write('{"report": {"tool": "def')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", failing_dump)
+    cli.cache_store(spec, report, code)
+    assert os.listdir(cache) == []
+    assert cli.cache_lookup(spec) is None
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "CACHE_DIR", str(cache))
+    cli.cache_store(spec, report, code)
+    assert os.listdir(cache) == [os.path.basename(cli._cache_path(spec))]
+    assert cli.cache_lookup(spec)["report"] == report

@@ -99,3 +99,77 @@ def test_extend_and_verify_hom_group_to_group():
 def _is_even(G: FiniteGroup, a: int) -> bool:
     # in S3 the odd permutations are exactly the three transpositions (order 2)
     return G.order_of(a) != 2
+
+
+# a loop of order 5 (a Latin square with identity 0) that is not associative
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+def _loop_times_cyclic(loop, m):
+    """The direct product loop x C_m, element (a, b) at index a * m + b."""
+    n = len(loop)
+    return [[loop[a][c] * m + (b + d) % m for c in range(n) for d in range(m)]
+            for a in range(n) for b in range(m)]
+
+
+def test_light_test_rejects_small_nonassociative_loop():
+    for gens in ([1, 2], None):
+        with pytest.raises(GroupConstructionError, match="associativity"):
+            from_cayley_table(LOOP5, gens)
+
+
+def test_light_test_rejects_large_nonassociative_loop():
+    table = _loop_times_cyclic(LOOP5, 53)
+    assert len(table) == 265 > 256
+    with pytest.raises(GroupConstructionError, match="associativity"):
+        from_cayley_table(table)
+    # the same construction over a group is accepted
+    S3 = symmetric(3)
+    G = from_cayley_table(_loop_times_cyclic(S3.table, 50))
+    assert G.n == 300 and G.identity == 0
+
+
+def test_non_latin_and_non_generating_tables_rejected():
+    with pytest.raises(GroupConstructionError, match="permutations"):
+        from_cayley_table([[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # columns repeat
+    with pytest.raises(GroupConstructionError, match="generate"):
+        from_cayley_table(cyclic(4).table, [2])
+
+
+def test_build_group_without_param_rejected():
+    for family in ("cyclic", "dihedral", "symmetric"):
+        with pytest.raises(GroupConstructionError, match="param"):
+            build_group(family)
+
+
+def test_extend_and_verify_hom_reports_a_violated_cayley_edge():
+    G = symmetric(3)
+    R = build_galois_ring(3, 2, 1)
+    images, failure = extend_and_verify_hom(G, R.one, [-R.one, -R.one])
+    assert images is None
+    a, g = failure
+    assert g in G.generators
+    # the edge is really violated: rebuild the images along the words
+    phi = []
+    for x in range(G.n):
+        acc = R.one
+        for _ in G.words[x]:
+            acc = acc * -R.one
+        phi.append(acc)
+    assert phi[a] * -R.one != phi[G.table[a][g]]
+
+
+def test_image_of_an_identity_generator_is_checked():
+    # dihedral(1) lists the trivial rotation as its first generator
+    G = dihedral(1)
+    assert G.identity in G.generators
+    R = build_galois_ring(2, 2, 1)
+    gi = G.generators.index(G.identity)
+    images = [R.one, R.one]
+    assert extend_and_verify_hom(G, R.one, images)[1] is None
+    images[gi] = -R.one
+    assert extend_and_verify_hom(G, R.one, images)[0] is None

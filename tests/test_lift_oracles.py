@@ -1,0 +1,221 @@
+"""The fast lift engine against the brute-force routes it replaced.
+
+`all_pairs_hom` extends generator images word by word and checks all |G|^2
+element pairs; `full_sweep_def_set` conjugates every lift's full matrix table
+by every kernel-group element.  Both are kept here only as oracles: the
+library checks Cayley edges and walks orbits by kernel-group generators, and
+must agree with them on every accept/reject decision and every DefSet field.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+from typing import Dict, List, Tuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from defring.groups import (build_group, cyclic, dihedral, extend_and_verify_hom,
+                            quaternion8, symmetric)
+from defring.local_ring import (build_galois_ring, maximal_ideal,
+                                ring_from_truncated_presentation)
+from defring.matrices import Matrix
+from defring.presentations import IntegerPolynomialPresentation
+from defring.representation import (DefSet, Lift, Representation,
+                                    are_strictly_equivalent, def_set,
+                                    enumerate_lifts, kernel_group, residual_rep,
+                                    trivial_residual_rep)
+
+
+def all_pairs_hom(G, one, generator_images):
+    images = []
+    for x in range(G.n):
+        acc = one
+        for gi in G.words[x]:
+            acc = acc * generator_images[gi]
+        images.append(acc)
+    for a in range(G.n):
+        for b in range(G.n):
+            if images[a] * images[b] != images[G.table[a][b]]:
+                return None, (a, b)
+    return images, None
+
+
+def full_sweep_def_set(rhobar: Representation, ring) -> DefSet:
+    lifts = enumerate_lifts(rhobar, ring)
+    index: Dict[Tuple[int, ...], int] = {l.key(): i for i, l in enumerate(lifts)}
+    kg = kernel_group(ring, rhobar.n)
+    seen = [False] * len(lifts)
+    reps: List[Lift] = []
+    sizes: List[int] = []
+    for i, l in enumerate(lifts):
+        if seen[i]:
+            continue
+        orbit = {index[l.rep.conjugate(K).key()] for K in kg}
+        for j in orbit:
+            seen[j] = True
+        reps.append(lifts[min(orbit)])
+        sizes.append(len(orbit))
+    return DefSet(reps, sizes, len(lifts))
+
+
+def _dual_numbers(p):
+    pres = IntegerPolynomialPresentation.parse(p, ["e"], ["e^2"])
+    return ring_from_truncated_presentation(pres, 1)
+
+
+GROUPS = [cyclic(1), cyclic(2), cyclic(3), cyclic(4), cyclic(6), dihedral(2),
+          dihedral(3), dihedral(4), symmetric(2), symmetric(3), quaternion8(),
+          build_group("klein4")]
+RINGS = [build_galois_ring(2, 1, 1), build_galois_ring(2, 2, 1),
+         build_galois_ring(2, 3, 1), build_galois_ring(3, 1, 1),
+         build_galois_ring(3, 2, 1), _dual_numbers(2), _dual_numbers(3)]
+
+
+def _matrix(ring, n, entries):
+    return Matrix(ring, [[ring.from_int(entries[i * n + j]) for j in range(n)]
+                         for i in range(n)])
+
+
+@st.composite
+def generator_images(draw):
+    """Random images over a small ring: arbitrary matrices, or perturbations
+    of the identity by the maximal ideal (the lift candidates of the trivial
+    representation, of which many are homomorphisms)."""
+    G = draw(st.sampled_from(GROUPS))
+    ring = draw(st.sampled_from(RINGS))
+    n = draw(st.integers(1, 2))
+    one = Matrix.identity(ring, n)
+    m_elems = maximal_ideal(ring).enumerate_elements()
+    images = []
+    for _ in G.generators:
+        if draw(st.booleans()):
+            entries = draw(st.lists(st.integers(0, ring.size - 1),
+                                    min_size=n * n, max_size=n * n))
+            images.append(_matrix(ring, n, entries))
+        else:
+            offsets = draw(st.lists(st.sampled_from(m_elems),
+                                    min_size=n * n, max_size=n * n))
+            images.append(one + Matrix(ring, [offsets[i * n:(i + 1) * n]
+                                              for i in range(n)]))
+    return G, one, images
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_images())
+def test_cayley_edges_agree_with_all_pairs(case):
+    G, one, images = case
+    fast, fast_fail = extend_and_verify_hom(G, one, images)
+    slow, slow_fail = all_pairs_hom(G, one, images)
+    assert fast == slow
+    assert (fast_fail is None) == (slow_fail is None)
+    if fast_fail is not None:
+        a, g = fast_fail
+        assert g in G.generators and 0 <= a < G.n
+
+
+def _candidates(rhobar, ring):
+    """Every generator tuple in the fibers of the reduction, as enumerate_lifts sees them."""
+    n = rhobar.n
+    m_elems = maximal_ideal(ring).enumerate_elements()
+    offsets = [Matrix(ring, [list(c[i * n:(i + 1) * n]) for i in range(n)])
+               for c in product(m_elems, repeat=n * n)]
+    fibers = []
+    for g in rhobar.group.generators:
+        base = rhobar.matrix(g).transfer(
+            ring, lambda e: ring.unity_lift(e.coeffs[0]))
+        fibers.append([base + z for z in offsets])
+    return product(*fibers)
+
+
+S3_STANDARD = [[0, 1, 1, 0], [0, 1, 1, 1]]
+
+
+def _rhobar(group, k, n, images):
+    if images is None:
+        return trivial_residual_rep(group, k, n)
+    return residual_rep(group, k, [_matrix(k, n, e) for e in images])
+
+
+@pytest.mark.parametrize("group, ring, images, accepted", [
+    (dihedral(4), _dual_numbers(2), None, 256),      # every candidate is a lift
+    (symmetric(3), build_galois_ring(2, 2, 1), None, 16),
+    (symmetric(3), build_galois_ring(2, 2, 1), S3_STANDARD, 8),
+])
+def test_cayley_edges_agree_on_every_candidate(group, ring, images, accepted):
+    rhobar = _rhobar(group, ring.residue_ring, 2, images)
+    one = Matrix.identity(ring, 2)
+    count = 0
+    for tup in _candidates(rhobar, ring):
+        fast, _ = extend_and_verify_hom(group, one, list(tup))
+        slow, _ = all_pairs_hom(group, one, list(tup))
+        assert fast == slow
+        count += fast is not None
+    assert count == accepted
+
+
+# -- deformation sets ---------------------------------------------------------------------
+
+SMALL_CASES = [  # (group, ring, dimension) on which the oracle's full sweep stays cheap
+    (G, R, n) for G in GROUPS for R in RINGS for n in (1, 2)
+    if n == 1 or maximal_ideal(R).size <= 2 and (len(G.generators) <= 1 or G.n == 6)
+]
+
+
+@st.composite
+def residual_reps(draw):
+    """A random residual representation over the residue field, or the trivial one."""
+    G, ring, n = draw(st.sampled_from(SMALL_CASES))
+    k = ring.residue_ring
+    images = [_matrix(k, n, draw(st.lists(st.integers(0, k.size - 1),
+                                          min_size=n * n, max_size=n * n)))
+              for _ in G.generators]
+    one = Matrix.identity(k, n)
+    if all(M.is_invertible() for M in images) and \
+            extend_and_verify_hom(G, one, images)[1] is None:
+        return residual_rep(G, k, images), ring
+    return trivial_residual_rep(G, k, n), ring
+
+
+@settings(max_examples=60, deadline=None)
+@given(residual_reps())
+def test_orbit_search_agrees_with_full_sweep(case):
+    rhobar, ring = case
+    fast = def_set(rhobar, ring)
+    slow = full_sweep_def_set(rhobar, ring)
+    assert fast == slow
+    assert [l.key() for l in fast.representatives] == \
+        [l.key() for l in slow.representatives]
+    assert fast.orbit_sizes == slow.orbit_sizes
+    assert fast.total_lifts == slow.total_lifts
+    assert fast.class_count == slow.class_count
+
+
+@pytest.mark.parametrize("group, images, orbit_sizes", [
+    (symmetric(3), S3_STANDARD, [8]),
+    (cyclic(4), [[1, 1, 0, 1]], [4, 4, 4, 4]),
+])
+def test_orbit_search_agrees_on_nontrivial_orbits(group, images, orbit_sizes):
+    ring = build_galois_ring(2, 2, 1)
+    rhobar = _rhobar(group, ring.residue_ring, 2, images)
+    fast = def_set(rhobar, ring)
+    assert fast == full_sweep_def_set(rhobar, ring)
+    assert fast.orbit_sizes == orbit_sizes
+
+
+def test_strict_equivalence_matches_orbits():
+    """are_strictly_equivalent(l1, l2) holds exactly when l1, l2 share an orbit."""
+    ring = build_galois_ring(2, 2, 1)
+    rhobar = _rhobar(cyclic(4), ring.residue_ring, 2, [[1, 1, 0, 1]])
+    lifts = enumerate_lifts(rhobar, ring)
+    kg = kernel_group(ring, 2)
+    orbit_of = {}
+    for l in lifts:
+        orbit_of[l.key()] = min(l.rep.conjugate(K).key() for K in kg)
+    for l1 in lifts:
+        for l2 in lifts:
+            same, K = are_strictly_equivalent(l1, l2)
+            assert same == (orbit_of[l1.key()] == orbit_of[l2.key()])
+            if same:
+                assert l2.rep.conjugate(K) == l1.rep

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from defring.groups import cyclic, direct_product, quaternion8, symmetric
+from defring.groups import (cyclic, dihedral, direct_product, quaternion8,
+                            symmetric)
 from defring.local_ring import (build_galois_ring, ideal_span, identity_hom,
                                 maximal_ideal, ring_from_truncated_presentation)
 from defring.matrices import Matrix
@@ -54,6 +55,14 @@ def test_lift_counts_one_dimensional():
         assert len(lifts) == expected, (G.name, R.label)
         # rank 1 over a commutative ring: conjugation is trivial
         assert def_set(rhobar, R).class_count == expected
+
+
+def test_identity_generator_does_not_multiply_lifts():
+    # dihedral(1) is C2 with the trivial rotation as an extra generator; its
+    # lifts must not be counted once per image of that generator
+    R = zmod(2, 2)
+    ds = def_set(trivial_residual_rep(dihedral(1), R), R)
+    assert (ds.total_lifts, ds.orbit_sizes) == (2, [1, 1])
 
 
 def test_lift_reduction_mismatch_rejected():
