@@ -15,12 +15,13 @@ Two modes:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import product
 from math import prod
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DefringError
+from .errors import DefringError, InternalInconsistencyError
 from .galois import GaloisRing, GRElt, default_irreducible
 from .linalg import HowellForm, LinearMapSolver, QuotientModule
 from .polys import Monomial, Poly, grlex_key, mono_mul
@@ -66,6 +67,16 @@ class RingElement:
         self.coeffs: Tuple[GRElt, ...] = ring._canon(coeffs)
         self.prec = ring.base.m if prec is None else prec
 
+    @classmethod
+    def _canonical(cls, ring: "FiniteLocalRing", coeffs: Tuple[GRElt, ...],
+                   prec: int) -> "RingElement":
+        """Wrap coefficients that are already canonical, skipping `_canon`."""
+        x = cls.__new__(cls)
+        x.ring = ring
+        x.coeffs = coeffs
+        x.prec = prec
+        return x
+
     def _wrap(self, coeffs, prec):
         return RingElement(self.ring, coeffs, prec)
 
@@ -84,8 +95,9 @@ class RingElement:
         return self._wrap([W.neg(a) for a in self.coeffs], self.prec)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
-        return self._wrap(self.ring._mul_coeffs(self.coeffs, other.coeffs),
-                          min(self.prec, other.prec))
+        ring = self.ring
+        return RingElement._canonical(ring, ring._product(self.coeffs, other.coeffs),
+                                      min(self.prec, other.prec))
 
     def __pow__(self, e: int) -> "RingElement":
         out = self.ring.one
@@ -142,8 +154,6 @@ class FiniteLocalRing:
                  presentation: Optional[IntegerPolynomialPresentation] = None,
                  validate: bool = True,
                  label: str = ""):
-        if mode not in ("finite", "precision"):
-            raise ValueError(f"unknown mode {mode!r}")
         self.base = base
         self.N = len(orders)
         self.orders = tuple(orders)
@@ -151,50 +161,107 @@ class FiniteLocalRing:
         self.residue_coeffs = tuple(residue_coeffs)
         self.basis_names = tuple(basis_names)
         self.basis_monos = tuple(basis_monos) if basis_monos is not None else None
-        self.mode = mode
         self.presentation = presentation
         self.label = label or f"ring(N={self.N}, base={base!r})"
         self.size = prod((base.p ** c) ** base.r for c in self.orders)
+        self._compile()
+        self._set_mode(mode, one_coeffs, generators)
+        if validate:
+            self._validate()
+
+    def _set_mode(self, mode: str, one_coeffs: Sequence[GRElt],
+                  generators: Sequence[Sequence[GRElt]]) -> None:
+        """Set the mode and everything that refers back to this ring object."""
+        if mode not in ("finite", "precision"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "precision" and any(c != self.base.m for c in self.orders):
+            raise RingConstructionError(
+                "precision model requires a torsion-free truncation "
+                "(p-torsion detected in the basis)")
+        self.mode = mode
         self.one = RingElement(self, one_coeffs)
-        self.zero = RingElement(self, [base.zero] * self.N)
+        self.zero = RingElement(self, [self.base.zero] * self.N)
         self.generators: Tuple[RingElement, ...] = tuple(
             RingElement(self, g) for g in generators)
         self._max_ideal: Optional[Ideal] = None
         self._residue_ring: Optional[FiniteLocalRing] = None
-        if mode == "precision" and any(c != base.m for c in self.orders):
-            raise RingConstructionError(
-                "precision model requires a torsion-free truncation "
-                "(p-torsion detected in the basis)")
-        if validate:
-            self._validate()
+        self._twins: Dict[str, FiniteLocalRing] = {}
+
+    def with_mode(self, mode: str) -> "FiniteLocalRing":
+        """The same ring data in another mode (e.g. the exact finite twin of a
+        precision model).  The twin shares the compiled tables and is cached."""
+        if mode == self.mode:
+            return self
+        twin = self._twins.get(mode)
+        if twin is None:
+            twin = copy.copy(self)
+            twin._set_mode(mode, self.one.coeffs, [g.coeffs for g in self.generators])
+            twin._twins[self.mode] = self
+            self._twins[mode] = twin
+        return twin
 
     # -- canonicalization and arithmetic kernels ---------------------------
 
     def _canon(self, coeffs: Sequence[GRElt]) -> Tuple[GRElt, ...]:
-        p = self.base.p
-        out = []
-        for a, c in zip(coeffs, self.orders):
-            pc = p ** c
-            out.append(tuple(x % pc for x in a))
-        return tuple(out)
+        return tuple([tuple([x % pc for x in a]) for a, pc in zip(coeffs, self._moduli)])
 
-    def _mul_coeffs(self, a: Sequence[GRElt], b: Sequence[GRElt]) -> List[GRElt]:
+    def _compile(self) -> None:
+        """Sparse structure constants over Z on the flat coordinates I = r*i + u
+        (the module generator Y^u e_i): `_table[I][J]` lists the (K, s) with
+        s != 0 and Y^u e_i * Y^v e_j = sum s * Y^w e_k, K = r*k + w.  A product
+        is then integer multiply-adds, reduced once per output coordinate
+        modulo `_mods[K]` = p^{c_k}; `_moduli[k]` = p^{c_k} per basis vector."""
         W = self.base
-        zero = W.zero
-        out = [zero] * self.N
-        table = self.mul_table
-        for i, ai in enumerate(a):
-            if ai == zero:
-                continue
-            row = table[i]
-            for j, bj in enumerate(b):
-                if bj == zero:
-                    continue
-                cij = W.mul(ai, bj)
-                for k, s in enumerate(row[j]):
-                    if s != zero:
-                        out[k] = W.add(out[k], W.mul(cij, s))
-        return out
+        r = W.r
+        monos = [tuple(int(t == u) for t in range(r)) for u in range(r)]
+        n = self.N * r
+        table = [[[] for _ in range(n)] for _ in range(n)]
+        for i, row in enumerate(self.mul_table):
+            for j, vec in enumerate(row):
+                for k, s in enumerate(vec):
+                    if s == W.zero:
+                        continue
+                    for u in range(r):
+                        for v in range(r):
+                            t = W.mul(W.mul(monos[u], monos[v]), s)
+                            table[r * i + u][r * j + v].extend(
+                                (r * k + w, c) for w, c in enumerate(t) if c)
+        self._table = tuple(tuple(tuple(e) for e in row) for row in table)
+        self._moduli = tuple(W.p ** c for c in self.orders)
+        self._mods = tuple(pc for pc in self._moduli for _ in range(r))
+
+    def _pack(self, flat: Sequence[int]) -> Tuple[GRElt, ...]:
+        """Flat coordinates -> the tuple-of-r-tuples coefficient shape."""
+        r = self.base.r
+        if r == 1:
+            return tuple([(c,) for c in flat])
+        return tuple([tuple(flat[k:k + r]) for k in range(0, len(flat), r)])
+
+    def _product(self, a: Tuple[GRElt, ...], b: Tuple[GRElt, ...]) -> Tuple[GRElt, ...]:
+        """Canonical coefficients of the product of two canonical vectors."""
+        table = self._table
+        if self.base.r == 1:
+            nzb = [(j, y) for j, (y,) in enumerate(b) if y]
+            acc = [0] * self.N
+            for i, (x,) in enumerate(a):
+                if x:
+                    row = table[i]
+                    for j, y in nzb:
+                        xy = x * y
+                        for k, s in row[j]:
+                            acc[k] += xy * s
+            return self._pack([v % md for v, md in zip(acc, self._mods)])
+        fa = [c for t in a for c in t]
+        nzb = [(J, y) for J, y in enumerate(c for t in b for c in t) if y]
+        acc = [0] * len(fa)
+        for I, x in enumerate(fa):
+            if x:
+                row = table[I]
+                for J, y in nzb:
+                    xy = x * y
+                    for K, s in row[J]:
+                        acc[K] += xy * s
+        return self._pack([v % md for v, md in zip(acc, self._mods)])
 
     # -- element constructors ----------------------------------------------
 
@@ -335,17 +402,6 @@ class FiniteLocalRing:
         e = max(1, self.N) * self.base.m
         return (x ** (1 << (e - 1).bit_length())).is_zero()
 
-    def nilpotency_index(self, x: RingElement) -> Optional[int]:
-        """Least e with x^e = 0, or None if x is not nilpotent."""
-        if not self._is_nilpotent(x):
-            return None
-        e = 1
-        y = x
-        while not y.is_zero():
-            y = y * x
-            e += 1
-        return e
-
     # -- display --------------------------------------------------------------
 
     def describe_element(self, x: RingElement) -> str:
@@ -399,25 +455,41 @@ class Ideal:
     def is_zero(self) -> bool:
         return self.size == 1
 
+    def elements(self) -> Iterator[RingElement]:
+        """All ideal elements, streamed in no particular order.
+
+        Layered sums: each element is a partial sum plus one multiple of the
+        next Howell row, so every element costs one vector add per row.
+        """
+        ring = self.ring
+        W = ring.base
+        mods = ring._mods
+        layers = []
+        for j, row in zip(self.form.pivot_cols, self.form.rows):
+            span = W.p ** (ring.orders[j] - self.form.pivot_vals[j])
+            multiples = []
+            for q in product(range(span), repeat=W.r):
+                flat = [c for a in row for c in W.mul(q, a)]
+                multiples.append([c % md for c, md in zip(flat, mods)])
+            layers.append(multiples)
+        prec = W.m
+
+        def walk(depth: int, acc: List[int]) -> Iterator[RingElement]:
+            if depth == len(layers):
+                yield RingElement._canonical(ring, ring._pack(acc), prec)
+                return
+            for v in layers[depth]:
+                yield from walk(depth + 1, [(x + y) % md for x, y, md in zip(acc, v, mods)])
+
+        return walk(0, [0] * len(mods))
+
     def enumerate_elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> List[RingElement]:
         """All ideal elements, in coefficient-vector lexicographic order."""
         if self.size > cap:
             raise CapExceededError(f"ideal has {self.size} elements, above the cap {cap}")
-        W = self.ring.base
-        p, r = W.p, W.r
-        coeff_ranges = []
-        for j, row in zip(self.form.pivot_cols, self.form.rows):
-            span = p ** (self.ring.orders[j] - self.form.pivot_vals[j])
-            coeff_ranges.append([tuple(c) for c in product(range(span), repeat=r)])
-        out = []
-        for combo in product(*coeff_ranges):
-            acc = [W.zero] * self.ring.N
-            for q, row in zip(combo, self.form.rows):
-                for k in range(self.ring.N):
-                    acc[k] = W.add(acc[k], W.mul(q, row[k]))
-            out.append(RingElement(self.ring, acc))
+        out = sorted(self.elements(), key=lambda x: x.key())
         assert len(out) == self.size
-        return sorted(out, key=lambda x: x.key())
+        return out
 
     def product(self, other: "Ideal") -> "Ideal":
         gens = [a * b for a in self.module_basis for b in other.module_basis]
@@ -563,8 +635,7 @@ def ring_from_truncated_presentation(
     W = GaloisRing(pres.p, m, pres.r, h)
     t = pres.nvars
     if t == 0:
-        ring = build_galois_ring(pres.p, m, pres.r, h)
-        return ring if mode == "finite" else _as_precision(ring, pres)
+        return build_galois_ring(pres.p, m, pres.r, h).with_mode(mode)
 
     def monomials_upto(d: int) -> List[Monomial]:
         out = []
@@ -693,15 +764,6 @@ def ring_from_truncated_presentation(
         basis_monos=basis_monos, mode=mode, presentation=pres,
         label=f"(Z/{pres.p}^{m})[{','.join(pres.names)}]/({rel_str})")
     return ring
-
-
-def _as_precision(ring: FiniteLocalRing, pres) -> FiniteLocalRing:
-    return FiniteLocalRing(
-        base=ring.base, orders=ring.orders, mul_table=ring.mul_table,
-        one_coeffs=ring.one.coeffs, residue_coeffs=ring.residue_coeffs,
-        generators=[g.coeffs for g in ring.generators],
-        basis_names=ring.basis_names, basis_monos=ring.basis_monos,
-        mode="precision", presentation=pres, validate=False, label=ring.label)
 
 
 # -- quotients ----------------------------------------------------------------------
@@ -854,8 +916,22 @@ class RingFingerprint:
 
 
 def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFingerprint:
+    """Characteristic, sizes, Hilbert sequence, and the counts of elements by
+    additive order and by nilpotency index.
+
+    No count enumerates R.  The additive group is the direct sum of the
+    (Z/p^{c_j})^r, so #{x : p^e x = 0} = prod_j p^{r min(e, c_j)} and the
+    number of elements of order exactly p^e is the difference of consecutive
+    such products.  Units are never nilpotent, so nilpotency indices are
+    counted over m only, by walking x, x^2, ... until the power is zero; since
+    m^L = 0 for L = len(hilbert), a walk longer than L is an inconsistency
+    and raises.  `cap` bounds the size of R, as if R were enumerated.
+    """
     if ring.mode != "finite":
         raise ValueError("fingerprints are defined for exact finite rings only")
+    if ring.size > cap:
+        raise CapExceededError(
+            f"ring has {ring.size} elements, above the cap {cap}")
     W = ring.base
     p = W.p
     char = p ** max((c - W.val(x) for c, x in zip(ring.orders, ring.one.coeffs)
@@ -867,6 +943,10 @@ def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFi
     q = ring.residue_field.size
     while power.size > 1:
         nxt = power.product(mx)
+        if nxt.size == power.size:
+            raise InternalInconsistencyError(
+                f"m^{len(hilbert)} = m^{len(hilbert) + 1} != 0: the kernel of the "
+                "reduction is not nilpotent, so the ring is not local")
         ratio = power.size // nxt.size
         dim = 0
         while ratio > 1:
@@ -874,21 +954,29 @@ def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFi
             dim += 1
         hilbert.append(dim)
         power = nxt
-    order_counts: Dict[int, int] = {}
+    killed = [prod(p ** (W.r * min(e, c)) for c in ring.orders)
+              for e in range(max(ring.orders, default=0) + 1)]
+    order_counts = [(p ** e, killed[e] - (killed[e - 1] if e else 0))
+                    for e in range(len(killed))]
+    bound = len(hilbert)
     nil_counts: Dict[int, int] = {}
-    for x in ring.enumerate_elements(cap):
-        exps = [c - W.val(a) for c, a in zip(ring.orders, x.coeffs) if a != W.zero]
-        addord = p ** max(exps) if exps else 1
-        order_counts[addord] = order_counts.get(addord, 0) + 1
-        idx = ring.nilpotency_index(x)
-        if idx is not None:
-            nil_counts[idx] = nil_counts.get(idx, 0) + 1
+    for x in mx.elements():
+        e = 1
+        y = x
+        while not y.is_zero():
+            if e == bound:
+                raise InternalInconsistencyError(
+                    f"{ring.describe_element(x)} in m has x^{bound} != 0 "
+                    f"although m^{bound} = 0")
+            y = y * x
+            e += 1
+        nil_counts[e] = nil_counts.get(e, 0) + 1
     return RingFingerprint(
         characteristic=char,
         size=ring.size,
         maximal_ideal_size=mx.size,
         hilbert=tuple(hilbert),
-        additive_order_counts=tuple(sorted(order_counts.items())),
+        additive_order_counts=tuple(order_counts),
         nilpotency_index_counts=tuple(sorted(nil_counts.items())),
     )
 

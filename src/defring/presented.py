@@ -21,8 +21,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .polys import (Monomial, Poly, buchberger, grevlex_key, mono_divides,
-                    mono_mul, normal_form)
+from .polys import (CoefficientSwellError, IntegralityError, Monomial, Poly,
+                    buchberger, grevlex_key, mono_divides, mono_mul, normal_form)
 from .presentations import IntegerPolynomialPresentation
 from .errors import InternalInconsistencyError
 from .local_ring import ring_from_truncated_presentation, NotFiniteAtCapError
@@ -369,7 +369,7 @@ def verify_presented_hom(source: IntegerPolynomialPresentation,
         mapped = f.substitute(list(images))
         try:
             nf = normal_form(mapped, A.gb, grevlex_key, deny_denominator_prime=p)
-        except Exception as exc:  # IntegralityError from the division
+        except (IntegralityError, CoefficientSwellError) as exc:
             raise IntegralityObstruction(
                 f"p-denominator during reduction of {f.render(source.names)}: {exc}"
             ) from exc

@@ -55,14 +55,16 @@ class Representation:
                               images: Sequence[Matrix]) -> "Representation":
         n = images[0].n if images else 1
         one = Matrix.identity(ring, n)
+        # The Cayley-edge check makes phi multiplicative with phi(e) = I, so
+        # every image is invertible without a further test: for g of order
+        # ord, phi(g^(ord-1)) * phi(g) = phi(e) = I, and a one-sided inverse of
+        # a square matrix over a commutative ring is two-sided.  A singular
+        # generator image therefore fails as a violated Cayley edge.
         mats, fail = extend_and_verify_hom(group, one, list(images))
         if fail is not None:
             raise RepresentationError(
                 f"generator images do not define a homomorphism; first violated "
                 f"pair {fail}")
-        for g, M in enumerate(mats):
-            if not M.is_invertible():
-                raise RepresentationError(f"image of element {g} is singular")
         return cls(group, ring, n, mats)
 
     def matrix(self, g: int) -> Matrix:
@@ -315,21 +317,6 @@ class MarandaCertificate:
     p_exponent: int  # r with |G| = p^r s
 
 
-def _finite_twin(ring: FiniteLocalRing) -> FiniteLocalRing:
-    """The same structure-constant data as an exact finite ring."""
-    if ring.mode == "finite":
-        return ring
-    if getattr(ring, "_finite_twin_cache", None) is None:
-        ring._finite_twin_cache = FiniteLocalRing(
-            base=ring.base, orders=ring.orders, mul_table=ring.mul_table,
-            one_coeffs=ring.one.coeffs, residue_coeffs=ring.residue_coeffs,
-            generators=[g.coeffs for g in ring.generators],
-            basis_names=ring.basis_names, basis_monos=ring.basis_monos,
-            mode="finite", presentation=ring.presentation, validate=False,
-            label=ring.label + " (exact)")
-    return ring._finite_twin_cache
-
-
 def order_ideal(ring: FiniteLocalRing, group: FiniteGroup) -> Ideal:
     """The ideal J = |G| * m_R."""
     return scale_ideal(group.n, maximal_ideal(ring))
@@ -401,7 +388,7 @@ def maranda_decide(l1: Lift, l2: Lift,
     ring = l1.rep.ring
     G = l1.rep.group
     n = l1.rep.n
-    Rf = _finite_twin(ring)
+    Rf = ring.with_mode("finite")
 
     def to_finite(x: RingElement) -> RingElement:
         return Rf.element(x.coeffs)

@@ -21,7 +21,7 @@ from .polys import Poly
 from .presentations import IntegerPolynomialPresentation
 from .presented import EtaleReport, etale_check, q_fiber, verify_presented_hom
 from .representation import (DefSet, Lift, Representation, are_strictly_equivalent,
-                             def_set, maranda_decide, _finite_twin)
+                             def_set, maranda_decide)
 from .local_ring import quotient_ring
 
 INTERPRET_FAIL = "NOT a universal deformation ring (nor a quotient-class member)"
@@ -240,7 +240,7 @@ def finiteness_bound_check(rhobar: Representation, ring: FiniteLocalRing,
     G = rhobar.group
     p = ring.base.p
     r, _ = p_part(G, p)
-    Rf = _finite_twin(ring)
+    Rf = ring.with_mode("finite")
     J = scale_ideal(G.n, maximal_ideal(Rf))
     surj = quotient_ring(Rf, J)
     Rbar = surj.target

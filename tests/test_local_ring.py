@@ -1,16 +1,23 @@
 from __future__ import annotations
 
-import pytest
+from functools import lru_cache
+from typing import Dict, Tuple
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from defring.errors import InternalInconsistencyError
+from defring.galois import GaloisRing
 from defring.local_ring import (CapExceededError, FiniteLocalRing, Ideal,
                                 NonUnitError, NotFiniteAtCapError,
                                 PrecisionExhaustedError, RingConstructionError,
-                                ZeroDivisorError, build_galois_ring,
+                                RingElement, ZeroDivisorError, build_galois_ring,
                                 exact_divide, fingerprint, hom_enumerate,
                                 ideal_span, identity_hom, is_zero_divisor,
                                 maximal_ideal, quotient_ring,
                                 ring_from_truncated_presentation, scale_ideal)
-from defring.presentations import IntegerPolynomialPresentation
+from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
 
 
 def _pres(p, names, rels, r=1):
@@ -210,6 +217,27 @@ def test_fingerprint_equal_for_equal_construction():
     assert fingerprint(z4_eps()) == fingerprint(z4_eps())
 
 
+def test_fingerprint_cap_is_explicit():
+    R = z4_eps()
+    with pytest.raises(CapExceededError, match="ring has 16 elements, above the cap 15"):
+        fingerprint(R, cap=R.size - 1)
+    assert fingerprint(R, cap=R.size).size == 16
+
+
+def test_fingerprint_rejects_a_non_nilpotent_kernel():
+    # F_2 x F_2 with reduction onto the first factor, built without the
+    # locality check: m = (e2) is idempotent, so m^i never reaches 0
+    W = GaloisRing(2, 1, 1)
+    one, zero = W.one, W.zero
+    R = FiniteLocalRing(
+        base=W, orders=[1, 1],
+        mul_table=[[[one, zero], [zero, zero]], [[zero, zero], [zero, one]]],
+        one_coeffs=[one, one], residue_coeffs=[one, zero], generators=[],
+        basis_names=["e1", "e2"], validate=False)
+    with pytest.raises(InternalInconsistencyError):
+        fingerprint(R)
+
+
 # -- homomorphism enumeration ------------------------------------------------
 
 
@@ -261,3 +289,153 @@ def test_identity_hom_verifies():
         assert h.verify()
         x = R.from_int(3)
         assert h(x) == x
+
+
+# -- fast routes against the brute-force oracles they replaced ----------------
+#
+# `dense_product` is the former dense N^2 * N kernel: products in W, then
+# canonicalisation.  `fingerprint_oracle` is the former fingerprint: every
+# element of R, its additive order read off its coefficients, and its
+# nilpotency index by a power-of-two nilpotency test followed by a power walk.
+
+
+def dense_product(ring: FiniteLocalRing, a, b) -> Tuple:
+    W = ring.base
+    zero = W.zero
+    out = [zero] * ring.N
+    for i, ai in enumerate(a):
+        if ai == zero:
+            continue
+        for j, bj in enumerate(b):
+            if bj == zero:
+                continue
+            cij = W.mul(ai, bj)
+            for k, s in enumerate(ring.mul_table[i][j]):
+                if s != zero:
+                    out[k] = W.add(out[k], W.mul(cij, s))
+    return ring.element(out).coeffs
+
+
+def _nilpotency_index_oracle(ring: FiniteLocalRing, x: RingElement):
+    if not ring._is_nilpotent(x):
+        return None
+    e, y = 1, x
+    while not y.is_zero():
+        assert e < 2 * ring.N * ring.base.m, "x^(2^k) = 0 but the power walk runs on"
+        y = y * x
+        e += 1
+    return e
+
+
+def fingerprint_oracle(ring: FiniteLocalRing) -> Dict:
+    W = ring.base
+    orders: Dict[int, int] = {}
+    nil: Dict[int, int] = {}
+    for x in ring.enumerate_elements(10 ** 6):
+        exps = [c - W.val(a) for c, a in zip(ring.orders, x.coeffs) if a != W.zero]
+        addord = W.p ** max(exps) if exps else 1
+        orders[addord] = orders.get(addord, 0) + 1
+        idx = _nilpotency_index_oracle(ring, x)
+        if idx is not None:
+            nil[idx] = nil.get(idx, 0) + 1
+    return {"additive_order_counts": tuple(sorted(orders.items())),
+            "nilpotency_index_counts": tuple(sorted(nil.items()))}
+
+
+ORACLE_RINGS = {
+    "Z/8": lambda: build_galois_ring(2, 3, 1),
+    "Z/27": lambda: build_galois_ring(3, 3, 1),
+    "GR(4,2)": lambda: build_galois_ring(2, 2, 2),
+    "F2[e]": f2_eps,
+    "F3[e]": lambda: ring_from_truncated_presentation(_pres(3, ["e"], ["e^2"]), 1),
+    "(Z/4)[e]": z4_eps,
+    "(Z/8)[X]/(X^2,2X)": lambda: ring_from_truncated_presentation(
+        _pres(2, ["X"], ["X^2", "2*X"]), 3),
+    "r_alpha(1)": lambda: ring_from_truncated_presentation(r_alpha_presentation(1, 2), 1),
+    "GR(8,2)[X]/(X^2-2)": lambda: ring_from_truncated_presentation(
+        _pres(2, ["X"], ["X^2 - 2"], r=2), 3),
+}
+
+
+@lru_cache(maxsize=None)
+def oracle_ring(name: str) -> FiniteLocalRing:
+    return ORACLE_RINGS[name]()
+
+
+def _element(ring: FiniteLocalRing, draw) -> RingElement:
+    coeff = st.integers(0, ring.base.q - 1)
+    vec = st.lists(st.tuples(*[coeff] * ring.base.r), min_size=ring.N, max_size=ring.N)
+    return ring.element(draw(vec))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_RINGS)), st.data())
+def test_product_matches_dense_oracle(name, data):
+    R = oracle_ring(name)
+    x = _element(R, data.draw)
+    y = _element(R, data.draw)
+    xy = x * y
+    assert xy.coeffs == dense_product(R, x.coeffs, y.coeffs)
+    assert xy.coeffs == R._canon(xy.coeffs)  # products come out canonical
+    assert all(len(c) == R.base.r for c in xy.coeffs)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+def test_fingerprint_matches_all_elements_oracle(name):
+    R = oracle_ring(name)
+    fp = fingerprint(R)
+    oracle = fingerprint_oracle(R)
+    assert fp.additive_order_counts == oracle["additive_order_counts"]
+    assert fp.nilpotency_index_counts == oracle["nilpotency_index_counts"]
+    assert sum(n for _, n in fp.nilpotency_index_counts) == fp.maximal_ideal_size
+
+
+QUOTIENT_BASES = ["(Z/4)[e]", "(Z/8)[X]/(X^2,2X)", "GR(4,2)", "Z/27", "F3[e]"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(QUOTIENT_BASES), st.data())
+def test_fingerprint_of_random_quotients_matches_oracle(name, data):
+    # quotients by random ideals give rings with mixed additive orders
+    R = oracle_ring(name)
+    gens = [_element(R, data.draw) for _ in range(data.draw(st.integers(1, 2)))]
+    I = ideal_span(R, [g for g in gens if not g.is_unit()] or [R.zero])
+    Q = quotient_ring(R, I).target
+    fp = fingerprint(Q)
+    oracle = fingerprint_oracle(Q)
+    assert fp.additive_order_counts == oracle["additive_order_counts"]
+    assert fp.nilpotency_index_counts == oracle["nilpotency_index_counts"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(set(ORACLE_RINGS) - {"r_alpha(1)", "GR(8,2)[X]/(X^2-2)"})),
+       st.data())
+def test_ideal_enumeration_matches_membership_filter(name, data):
+    R = oracle_ring(name)
+    gens = [_element(R, data.draw) for _ in range(data.draw(st.integers(0, 2)))]
+    I = ideal_span(R, gens)
+    expected = [x for x in R.enumerate_elements() if I.contains(x)]
+    assert [x.key() for x in I.enumerate_elements()] == [x.key() for x in expected]
+
+
+@pytest.mark.parametrize("name", ["r_alpha(1)", "GR(8,2)[X]/(X^2-2)"])
+def test_maximal_ideal_enumeration_matches_membership_filter(name):
+    R = oracle_ring(name)
+    m = maximal_ideal(R)
+    expected = [x.key() for x in R.enumerate_elements() if m.contains(x)]
+    assert [x.key() for x in m.enumerate_elements()] == expected
+
+
+def test_with_mode_shares_tables_and_round_trips():
+    R = ring_from_truncated_presentation(_pres(2, ["X"], ["X^2 - 2"]), 4, mode="precision")
+    F = R.with_mode("finite")
+    assert F.mode == "finite" and R.mode == "precision"
+    assert F._table is R._table
+    assert R.with_mode("finite") is F and F.with_mode("precision") is R
+    assert R.with_mode("precision") is R
+    assert F.one.ring is F and F.generators[0].ring is F
+    x = F.generators[0]
+    assert (x * x).coeffs == (R.generators[0] * R.generators[0]).coeffs
+    with pytest.raises(RingConstructionError):
+        ring_from_truncated_presentation(
+            _pres(2, ["X"], ["X^2", "2*X"]), 3).with_mode("precision")

@@ -8,7 +8,8 @@ import pytest
 
 from defring.polys import Poly, parse_poly
 from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
-from defring.presented import (InternalInconsistencyError, etale_check,
+from defring.presented import (IntegralityObstruction,
+                               InternalInconsistencyError, etale_check,
                                nilpotent_witness, omega_rank, q_fiber,
                                trace_form, verify_presented_hom,
                                w_membership_check)
@@ -197,6 +198,27 @@ def test_verify_presented_hom_rejects_unit_constant_terms():
     src = _pres(2, ["X"], ["X^2"])
     tgt = _pres(2, ["T"], ["T^2"])
     assert not verify_presented_hom(src, tgt, [parse_poly("T + 1", ["T"])])
+
+
+def test_verify_presented_hom_reports_p_denominators():
+    # the reduced basis of 2T^2 - T over Q is T^2 - T/2, so reducing X^2 -> T^2
+    # divides by p = 2
+    src = _pres(2, ["X"], ["X^2"])
+    tgt = _pres(2, ["T"], ["2*T^2 - T"])
+    with pytest.raises(IntegralityObstruction):
+        verify_presented_hom(src, tgt, [parse_poly("T", ["T"])])
+
+
+def test_verify_presented_hom_lets_unrelated_errors_propagate(monkeypatch):
+    import defring.presented as presented
+
+    def broken_normal_form(*args, **kwargs):
+        raise KeyError("not an integrality failure")
+
+    monkeypatch.setattr(presented, "normal_form", broken_normal_form)
+    with pytest.raises(KeyError):
+        verify_presented_hom(_pres(2, ["X"], ["X^2"]), _pres(2, ["T"], ["T^2"]),
+                             [parse_poly("T", ["T"])])
 
 
 # -- W-membership ------------------------------------------------------------

@@ -83,6 +83,17 @@ def test_lift_reduction_mismatch_rejected():
             cyclic(2), R9, [Matrix(R9, [[R9.from_int(1)]])]), sign_bar)
 
 
+def test_singular_generator_image_rejected():
+    # no separate invertibility test: the Cayley edges reject singular images
+    R = zmod(2, 2)
+    with pytest.raises(RepresentationError):  # [[2]]^2 = 0 != 1 over Z/4
+        Representation.from_generator_images(cyclic(2), R, [Matrix(R, [[R.from_int(2)]])])
+    one, zero = R.from_int(1), R.from_int(0)
+    with pytest.raises(RepresentationError):  # a rank-one idempotent is not I
+        Representation.from_generator_images(
+            cyclic(2), R, [Matrix(R, [[one, zero], [zero, zero]])])
+
+
 def test_sign_rep_s3_over_z9_single_class():
     G = symmetric(3)
     k = build_galois_ring(3, 1, 1)
