@@ -27,13 +27,12 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import DefringError
-from .galois import is_prime
-from .groups import FiniteGroup, build_group, p_part
+from .groups import FiniteGroup, build_group
 from .local_ring import (DEFAULT_DEGREE_CAP, DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP,
                          FiniteLocalRing, build_galois_ring, fingerprint,
                          hom_enumerate, ring_from_truncated_presentation)

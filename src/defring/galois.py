@@ -15,6 +15,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
+from .errors import InternalInconsistencyError
+
 GRElt = Tuple[int, ...]
 
 
@@ -244,7 +246,8 @@ class GaloisRing:
         two = self.from_int(2)
         for _ in range(max(1, self.m.bit_length())):
             y = self.mul(y, self.sub(two, self.mul(a, y)))
-        assert self.mul(a, y) == self.one
+        if self.mul(a, y) != self.one:
+            raise InternalInconsistencyError("Newton iteration did not reach the inverse")
         return y
 
     def unit_part(self, a: GRElt) -> Tuple[int, GRElt]:

@@ -8,9 +8,7 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
-from math import gcd
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .galois import is_prime

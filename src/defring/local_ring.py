@@ -22,9 +22,9 @@ from math import prod
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DefringError, InternalInconsistencyError
-from .galois import GaloisRing, GRElt, default_irreducible
+from .galois import GaloisRing, GRElt
 from .linalg import HowellForm, LinearMapSolver, QuotientModule
-from .polys import Monomial, Poly, grlex_key, mono_mul
+from .polys import Monomial, grlex_key, mono_mul
 from .presentations import IntegerPolynomialPresentation
 
 DEFAULT_ELEMENT_CAP = 10 ** 6
@@ -490,7 +490,8 @@ class Ideal:
         if self.size > cap:
             raise CapExceededError(f"ideal has {self.size} elements, above the cap {cap}")
         out = sorted(self.elements(), key=lambda x: x.key())
-        assert len(out) == self.size
+        if len(out) != self.size:
+            raise InternalInconsistencyError("ideal enumeration missed elements")
         return out
 
     def product(self, other: "Ideal") -> "Ideal":
@@ -888,7 +889,8 @@ def exact_divide(b: RingElement, a: RingElement) -> RingElement:
     if x is None:
         raise ZeroDivisorError("dividend is not divisible by the divisor")
     out = ring.element(x)
-    assert a * out == b
+    if a * out != b:
+        raise InternalInconsistencyError("exact quotient does not multiply back")
     return out
 
 

@@ -7,7 +7,7 @@ carry a deterministic flat integer key for canonical orderings.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .local_ring import FiniteLocalRing, NonUnitError, RingElement
 

@@ -8,7 +8,7 @@ ring obtained from the polynomial quotient, either through its rational fiber
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .galois import is_prime

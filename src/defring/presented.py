@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .polys import (CoefficientSwellError, IntegralityError, Monomial, Poly,
                     buchberger, grevlex_key, mono_divides, mono_mul, normal_form)
@@ -44,77 +45,69 @@ def groebner_basis(pres: IntegerPolynomialPresentation,
 # -- rational linear algebra helpers ---------------------------------------------
 
 
-def _row_reduce(rows: List[List[Fraction]]) -> Tuple[int, List[List[Fraction]]]:
-    """In-place fraction Gaussian elimination; returns (rank, echelon rows)."""
-    if not rows:
-        return 0, []
-    ncols = len(rows[0])
-    rank = 0
+def _echelon(mat: Sequence[Sequence[Fraction]]
+             ) -> Tuple[List[List[int]], List[int], Fraction]:
+    """Fraction-free (Bareiss) forward elimination of a rational matrix.
+
+    Each row is first multiplied by the lcm of its denominators, which keeps
+    the rank and the row space and scales the determinant by that lcm.  The
+    integer elimination divides exactly by the previous pivot (Bareiss 1968),
+    so entries stay minors of the input instead of growing as fractions.
+
+    Returns the nonzero echelon rows, their pivot columns (the rank is their
+    number) and, for a square matrix, its determinant: the signed last pivot
+    divided by the row scalings, or 0 below full rank.
+    """
+    rows = []
+    scale = 1
+    for r in mat:
+        m = lcm(*(x.denominator for x in r))
+        scale *= m
+        rows.append([x.numerator * (m // x.denominator) for x in r])
+    ncols = len(rows[0]) if rows else 0
+    pivots: List[int] = []
+    sign, prev = 1, 1
     for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
+        k = len(pivots)
+        if k == len(rows):
+            break
+        piv = next((i for i in range(k, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank, rows[:rank]
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        top = rows[k][col:]
+        p = top[0]
+        for row in rows[k + 1:]:
+            c = row[col]
+            if c:
+                row[col:] = [(p * a - c * b) // prev for a, b in zip(row[col:], top)]
+            elif p != prev:
+                row[col:] = [p * a // prev for a in row[col:]]
+        prev = p
+        pivots.append(col)
+    rank = len(pivots)
+    det = Fraction(sign * prev, scale) if rank == len(rows) else Fraction(0)
+    return rows[:rank], pivots, det
 
 
-def _determinant(mat: List[List[Fraction]]) -> Fraction:
-    n = len(mat)
-    rows = [list(r) for r in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = Fraction(1) / rows[col][col]
-        for i in range(col + 1, n):
-            if rows[i][col] != 0:
-                c = rows[i][col] * inv
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[col])]
-    return det
+def _kernel_basis(mat: Sequence[Sequence[Fraction]]) -> Iterator[List[Fraction]]:
+    """Basis of the right kernel, one vector per free column of the echelon form.
 
-
-def _kernel_basis(mat: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Basis of the right kernel of a square symmetric matrix."""
-    n = len(mat)
-    rows = [list(r) for r in mat]
-    rank, ech = _row_reduce(rows)
-    pivots = []
-    for r in ech:
-        for j, x in enumerate(r):
-            if x != 0:
-                pivots.append(j)
-                break
-    free = [j for j in range(n) if j not in pivots]
-    out = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, pj in zip(ech, pivots):
-            v[pj] = -r[f]
-        out.append(v)
-    return out
+    Each vector sets its free variable to 1 and the others to 0 and solves
+    for the pivot variables by back-substitution, so it is the vector read
+    off the reduced row echelon form.
+    """
+    ech, pivots, _ = _echelon(mat)
+    n = len(mat[0]) if mat else 0
+    for free in (j for j in range(n) if j not in pivots):
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
+        for row, pc in reversed(list(zip(ech, pivots))):
+            vec[pc] = -sum((row[j] * vec[j] for j in range(pc + 1, n)),
+                           Fraction(0)) / row[pc]
+        yield vec
 
 
 # -- the rational fiber -------------------------------------------------------------
@@ -128,6 +121,10 @@ class QFiberAlgebra:
     gb: List[Poly]
     basis: List[Monomial]
     _mult: Dict[Tuple[int, int], Dict[int, Fraction]] = field(default_factory=dict)
+    _trace: Optional[Tuple[List[List[Fraction]], Fraction]] = None
+
+    def __post_init__(self):
+        self._pos = {mo: i for i, mo in enumerate(self.basis)}
 
     @property
     def dim(self) -> int:
@@ -136,13 +133,9 @@ class QFiberAlgebra:
     def normal_form(self, f: Poly) -> Poly:
         return normal_form(f, self.gb, grevlex_key)
 
-    def coords(self, f: Poly) -> List[Fraction]:
-        nf = self.normal_form(f)
-        pos = {mo: i for i, mo in enumerate(self.basis)}
-        vec = [Fraction(0)] * self.dim
-        for mo, c in nf.terms.items():
-            vec[pos[mo]] = c
-        return vec
+    def coords(self, f: Poly) -> Dict[int, Fraction]:
+        """The nonzero coordinates of the normal form of f on the basis."""
+        return {self._pos[mo]: c for mo, c in self.normal_form(f).terms.items()}
 
     def element(self, vec: Sequence[Fraction]) -> Poly:
         out = Poly.zero(self.pres.nvars)
@@ -155,28 +148,20 @@ class QFiberAlgebra:
         key = (i, j) if i <= j else (j, i)
         if key not in self._mult:
             prod_mono = mono_mul(self.basis[key[0]], self.basis[key[1]])
-            vec = self.coords(Poly.from_monomial(self.pres.nvars, prod_mono))
-            self._mult[key] = {u: c for u, c in enumerate(vec) if c}
+            self._mult[key] = self.coords(Poly.from_monomial(self.pres.nvars, prod_mono))
         return self._mult[key]
 
-    def mult_matrix(self, f: Poly) -> List[List[Fraction]]:
-        """Matrix of multiplication by f on the standard-monomial basis (columns = images)."""
-        n = self.dim
-        cols = []
-        for j, mo in enumerate(self.basis):
-            g = f * Poly.from_monomial(self.pres.nvars, mo)
-            cols.append(self.coords(g))
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
 
-
-def q_fiber(pres: IntegerPolynomialPresentation,
-            bit_cap: int = 4096) -> Optional[QFiberAlgebra]:
+def q_fiber(pres: IntegerPolynomialPresentation, bit_cap: int = 4096,
+            gb: Optional[List[Poly]] = None) -> Optional[QFiberAlgebra]:
     """The finite-dimensional rational fiber, or None if infinite-dimensional.
 
+    `gb` is the basis from `groebner_basis(pres)` when the caller already has it.
     Finiteness criterion: every variable has a pure power among the Groebner
     leading terms (with the zero algebra as the degenerate unit-ideal case).
     """
-    gb = groebner_basis(pres, bit_cap=bit_cap)
+    if gb is None:
+        gb = groebner_basis(pres, bit_cap=bit_cap)
     t = pres.nvars
     if any(g.degree() == 0 for g in gb):
         return QFiberAlgebra(pres, gb, [])
@@ -190,23 +175,20 @@ def q_fiber(pres: IntegerPolynomialPresentation,
         if d is None:
             return None
         bounds.append(d)
-    basis = []
-    ranges = [range(b) for b in bounds] if t else [range(1)]
-    for exps in product(*ranges):
-        mo = tuple(exps)[:t] if t else ()
-        if t == 0:
-            mo = ()
-        if not any(mono_divides(lm, mo) for lm in lms):
-            basis.append(mo)
+    basis = [mo for mo in product(*(range(b) for b in bounds))
+             if not any(mono_divides(lm, mo) for lm in lms)]
     basis.sort(key=grevlex_key)
     return QFiberAlgebra(pres, gb, basis)
 
 
 def trace_form(A: QFiberAlgebra) -> Tuple[List[List[Fraction]], Fraction]:
-    """Gram matrix T_ij = trace(mult by b_i*b_j) and its exact determinant."""
+    """Gram matrix T_ij = trace(mult by b_i*b_j) and its exact determinant.
+
+    Computed once per algebra; later calls return the same pair.
+    """
+    if A._trace is not None:
+        return A._trace
     n = A.dim
-    if n == 0:
-        return [], Fraction(1)
     # trace of multiplication by each basis element
     basis_traces = []
     for u in range(n):
@@ -220,13 +202,17 @@ def trace_form(A: QFiberAlgebra) -> Tuple[List[List[Fraction]], Fraction]:
             tij = sum((c * basis_traces[u] for u, c in A.mult_coords(i, j).items()),
                       Fraction(0))
             gram[i][j] = gram[j][i] = tij
-    return gram, _determinant(gram)
+    A._trace = gram, _echelon(gram)[2]
+    return A._trace
 
 
 def omega_rank(pres: IntegerPolynomialPresentation, A: QFiberAlgebra) -> int:
     """dim_Q of the differential module of A over Q, by the Jacobian presentation.
 
     The module is the cokernel of A^s -> A^t, e_k -> (df_k/dX_1, ..., df_k/dX_t).
+    Its row for f_k and basis element b_j holds NF(df_k/dX_i * b_j), taken
+    from the multiplication table: normal forms are linear and g - NF(g) lies
+    in the ideal, so NF(g * b_j) = sum_u NF(g)_u NF(b_u * b_j).
     """
     t = pres.nvars
     n = A.dim
@@ -234,15 +220,15 @@ def omega_rank(pres: IntegerPolynomialPresentation, A: QFiberAlgebra) -> int:
         return 0
     rows = []
     for f in pres.relations:
-        partials = [f.derivative(i) for i in range(t)]
-        for mo in A.basis:
-            bm = Poly.from_monomial(t, mo)
-            row: List[Fraction] = []
-            for g in partials:
-                row.extend(A.coords(g * bm))
+        partials = [A.coords(f.derivative(i)) for i in range(t)]
+        for j in range(n):
+            row = [Fraction(0)] * (t * n)
+            for i, g in enumerate(partials):
+                for u, c in g.items():
+                    for v, d in A.mult_coords(u, j).items():
+                        row[i * n + v] += c * d
             rows.append(row)
-    rank, _ = _row_reduce(rows)
-    return n * t - rank
+    return n * t - len(_echelon(rows)[1])
 
 
 def nilpotent_witness(A: QFiberAlgebra) -> Tuple[Poly, int]:
@@ -252,8 +238,6 @@ def nilpotent_witness(A: QFiberAlgebra) -> Tuple[Poly, int]:
         raise ValueError("algebra is reduced; it has no nonzero nilpotents")
     for vec in _kernel_basis(gram):
         x = A.element(vec)
-        if x.is_zero():
-            continue
         power = x
         for e in range(2, A.dim + 1):
             power = A.normal_form(power * x)
@@ -300,13 +284,14 @@ def etale_check(pres: IntegerPolynomialPresentation,
     Dual-route reducedness: the trace-form determinant and the Jacobian
     cokernel rank are computed independently and must agree.
     """
-    A = q_fiber(pres, bit_cap=bit_cap)
+    gb = groebner_basis(pres, bit_cap=bit_cap)
+    gb_strs = tuple(g.render(pres.names) for g in gb)
+    A = q_fiber(pres, gb=gb)
     if A is None:
-        gb = groebner_basis(pres, bit_cap=bit_cap)
         return EtaleReport(
             finite_dimensional=False, dim=None, trace_det=None,
             omega_rank=None, reduced=None, verdict="FAIL_NOT_FINITE",
-            groebner=tuple(g.render(pres.names) for g in gb),
+            groebner=gb_strs,
             note="some variable has no pure power among the leading terms")
     gram, det = trace_form(A)
     om = omega_rank(pres, A)
@@ -315,7 +300,6 @@ def etale_check(pres: IntegerPolynomialPresentation,
         raise InternalInconsistencyError(
             f"trace form (det={det}) and differential module (rank={om}) "
             "disagree on reducedness")
-    gb_strs = tuple(g.render(pres.names) for g in A.gb)
     if A.dim == 0:
         return EtaleReport(
             finite_dimensional=True, dim=0, trace_det=det, omega_rank=om,
@@ -329,7 +313,9 @@ def etale_check(pres: IntegerPolynomialPresentation,
     acc = Poly.constant(pres.nvars, Fraction(1))
     for _ in range(power):
         acc = A.normal_form(acc * wit)
-    assert acc.is_zero()
+    if not acc.is_zero():
+        raise InternalInconsistencyError(
+            f"nilpotent witness does not vanish at power {power}")
     return EtaleReport(True, A.dim, det, om, False, "FAIL_NOT_REDUCED",
                        (wit.render(pres.names), power), gb_strs)
 

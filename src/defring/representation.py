@@ -23,8 +23,7 @@ from .errors import InternalInconsistencyError
 from .groups import FiniteGroup, extend_and_verify_hom, greedy_generators, p_part
 from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, CapExceededError,
                          FiniteLocalRing, Ideal, RingElement, RingHom,
-                         exact_divide, ideal_span, maximal_ideal, quotient_ring,
-                         scale_ideal)
+                         exact_divide, maximal_ideal, quotient_ring, scale_ideal)
 from .matrices import Matrix
 
 
@@ -562,7 +561,8 @@ def square_zero_extension(ring: FiniteLocalRing, ann: Ideal,
               f"{ring.size // ann.size})]")
     incl = RingHom(ring, S, [S.element(list(ring.basis_element(i).coeffs) + zeroM)
                              for i in range(N)])
-    assert incl.verify()
+    if not incl.verify():
+        raise InternalInconsistencyError("inclusion into the extension is not a ring map")
     eps_basis = [S.basis_element(N + a) for a in range(NM)]
     return S, incl, eps_basis
 

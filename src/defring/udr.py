@@ -8,20 +8,19 @@ certifies that a ring actually occurs as a universal deformation ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError
 from .groups import FiniteGroup, abelianization, p_part
 from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, FiniteLocalRing,
-                         Ideal, RingElement, maximal_ideal,
+                         RingElement, maximal_ideal,
                          ring_from_truncated_presentation, scale_ideal)
-from .matrices import Matrix
 from .polys import Poly
 from .presentations import IntegerPolynomialPresentation
 from .presented import EtaleReport, etale_check, q_fiber, verify_presented_hom
-from .representation import (DefSet, Lift, Representation, are_strictly_equivalent,
-                             def_set, maranda_decide)
+from .representation import (Lift, Representation, are_strictly_equivalent, def_set,
+                             maranda_decide)
 from .local_ring import quotient_ring
 
 INTERPRET_FAIL = "NOT a universal deformation ring (nor a quotient-class member)"

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import defring.presented as presented
+from defring.cli import main
 from defring.polys import Poly, parse_poly
 from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
 from defring.presented import (IntegralityObstruction,
@@ -92,7 +97,10 @@ def _random_presentation(rng: random.Random) -> IntegerPolynomialPresentation:
             extra.append(f"{rng.choice([-3, -2, -1, 1, 2, 3])}*{mono}")
         tail = (" + " + " + ".join(extra)) if extra else ""
         rels.append(f"{nm}^{a}{tail}")
-    pres = _pres(p, names, rels)
+    try:
+        pres = _pres(p, names, rels)
+    except ValueError:  # the noise cancelled a relation to zero
+        return _random_presentation(rng)
     # keep only presentations that actually have a finite, nonzero fiber
     A = q_fiber(pres)
     if A is None or A.dim == 0:
@@ -177,6 +185,226 @@ def test_quotient_monotonicity_on_pass_presentations():
         if A is None or A.dim == 0:
             continue
         assert etale_check(pres).verdict == "PASS"
+
+
+# -- one elimination against the Fraction Gauss-Jordan oracles ----------------
+#
+# The three eliminations below are the former library routines, kept as
+# oracles for the fraction-free `_echelon` and the back-substitution kernel.
+
+
+def _row_reduce(rows):
+    """Fraction Gauss-Jordan elimination in place; returns (rank, reduced rows)."""
+    if not rows:
+        return 0, []
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(rank, len(rows)):
+            if rows[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = Fraction(1) / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank, rows[:rank]
+
+
+def _determinant(mat):
+    n = len(mat)
+    rows = [list(r) for r in mat]
+    det = Fraction(1)
+    for col in range(n):
+        piv = None
+        for i in range(col, n):
+            if rows[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = Fraction(1) / rows[col][col]
+        for i in range(col + 1, n):
+            if rows[i][col] != 0:
+                c = rows[i][col] * inv
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[col])]
+    return det
+
+
+def _gauss_jordan_kernel(mat):
+    """Basis of the right kernel of a square matrix (the former `_kernel_basis`)."""
+    n = len(mat)
+    rows = [list(r) for r in mat]
+    rank, ech = _row_reduce(rows)
+    pivots = []
+    for r in ech:
+        for j, x in enumerate(r):
+            if x != 0:
+                pivots.append(j)
+                break
+    free = [j for j in range(n) if j not in pivots]
+    out = []
+    for f in free:
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for r, pj in zip(ech, pivots):
+            v[pj] = -r[f]
+        out.append(v)
+    return out
+
+
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**90)))
+
+
+@st.composite
+def _matrices(draw, square=False):
+    """Rational matrices, square or rectangular, with zero rows and columns,
+    rank deficiency (as products B*C through a narrow middle) and large
+    numerators and denominators."""
+    m = draw(st.integers(0, 6))
+    n = m if square else draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        return [[draw(_entries) for _ in range(n)] for _ in range(m)]
+    k = draw(st.integers(0, max(0, min(m, n) - 1)))
+    b = [[draw(_entries) for _ in range(k)] for _ in range(m)]
+    c = [[draw(_entries) for _ in range(n)] for _ in range(k)]
+    return [[sum((b[i][l] * c[l][j] for l in range(k)), Fraction(0))
+             for j in range(n)] for i in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_echelon_rank_and_pivots_match_gauss_jordan(mat):
+    rank, reduced = _row_reduce([list(r) for r in mat])
+    ech, pivots, _det = presented._echelon(mat)
+    assert len(pivots) == rank == len(ech)
+    assert pivots == [next(j for j, x in enumerate(r) if x) for r in reduced]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices(square=True))
+def test_echelon_determinant_matches_gauss_jordan(mat):
+    assert presented._echelon(mat)[2] == _determinant(mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices(square=True))
+def test_kernel_basis_matches_gauss_jordan(mat):
+    assert list(presented._kernel_basis(mat)) == _gauss_jordan_kernel(mat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices())
+def test_kernel_basis_spans_the_kernel_of_rectangular_matrices(mat):
+    ncols = len(mat[0]) if mat else 0
+    kernel = list(presented._kernel_basis(mat))
+    assert len(kernel) == ncols - _row_reduce([list(r) for r in mat])[0]
+    for v in kernel:
+        assert all(sum((a * x for a, x in zip(row, v)), Fraction(0)) == 0 for row in mat)
+
+
+def _omega_rank_by_normal_forms(pres, A):
+    """The former Jacobian rows: one normal form per relation, basis element and variable."""
+    t, n = pres.nvars, A.dim
+    if t == 0 or n == 0:
+        return 0
+    rows = []
+    for f in pres.relations:
+        partials = [f.derivative(i) for i in range(t)]
+        for mo in A.basis:
+            bm = Poly.from_monomial(t, mo)
+            row = []
+            for g in partials:
+                block = [Fraction(0)] * n
+                for u, c in A.coords(g * bm).items():
+                    block[u] = c
+                row.extend(block)
+            rows.append(row)
+    return n * t - _row_reduce(rows)[0]
+
+
+# non-reduced fibers and the witness each one reported before the change
+NONREDUCED = {
+    "X^2": (_pres(2, ["X"], ["X^2"]), ("X", 2)),
+    "r_alpha(0)": (r_alpha_presentation(0, 2), ("Y", 5)),
+    "r_alpha(1)": (r_alpha_presentation(1, 2), ("Y", 5)),
+    "r_alpha(2)": (r_alpha_presentation(2, 2), ("Y", 5)),
+    "cubics": (_pres(2, ["X", "Y", "Z"], ["X^3 - Y*Z", "Y^3 - X*Z", "Z^3 - X*Y"]),
+               ("Y^2*Z^2 - X^2", 3)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_omega_rank_from_table_matches_normal_form_rows(seed):
+    pres = _random_presentation(random.Random(seed))
+    A = q_fiber(pres)
+    assert omega_rank(pres, A) == _omega_rank_by_normal_forms(pres, A)
+
+
+@pytest.mark.parametrize("name", NONREDUCED)
+def test_omega_rank_from_table_on_nonreduced_fibers(name):
+    pres, _witness = NONREDUCED[name]
+    A = q_fiber(pres)
+    rank = omega_rank(pres, A)
+    assert rank > 0
+    assert rank == _omega_rank_by_normal_forms(pres, A)
+
+
+@pytest.mark.parametrize("name", NONREDUCED)
+def test_nonreduced_witnesses_unchanged(name):
+    pres, witness = NONREDUCED[name]
+    rep = etale_check(pres)
+    assert rep.verdict == "FAIL_NOT_REDUCED"
+    assert rep.witness == witness
+
+
+def test_trace_form_is_computed_once_per_algebra():
+    A = q_fiber(_pres(2, ["X"], ["X^3 - X^2"]))
+    assert trace_form(A) is trace_form(A)
+
+
+def test_infinite_fiber_runs_buchberger_once(monkeypatch):
+    calls = []
+    original = presented.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(presented, "buchberger", counting)
+    rep = etale_check(_pres(2, ["X", "Y"], ["X*Y - 2"]))
+    assert rep.verdict == "FAIL_NOT_FINITE"
+    assert len(calls) == 1
+
+
+def test_witness_certification_failure_is_a_json_error(monkeypatch, tmp_path, capsys):
+    # a witness whose claimed power does not vanish must stop the run
+    monkeypatch.setattr(presented, "nilpotent_witness",
+                        lambda A: (parse_poly("X", ["X"]), 1))
+    pres = _pres(2, ["X"], ["X^2"])
+    with pytest.raises(InternalInconsistencyError, match="does not vanish"):
+        etale_check(pres)
+    job = tmp_path / "job.txt"
+    job.write_text("presentation {\n  p = 2\n  vars = X\n  relations = X^2\n}\n")
+    assert main(["etale-check", str(job), "--no-cache"]) == 1
+    assert "does not vanish" in json.loads(capsys.readouterr().err)["error"]
 
 
 # -- presented homomorphisms -------------------------------------------------
