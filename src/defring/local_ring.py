@@ -151,7 +151,6 @@ class FiniteLocalRing:
                  basis_names: Sequence[str],
                  basis_monos: Optional[Sequence[Monomial]] = None,
                  mode: str = "finite",
-                 presentation: Optional[IntegerPolynomialPresentation] = None,
                  validate: bool = True,
                  label: str = ""):
         self.base = base
@@ -161,7 +160,6 @@ class FiniteLocalRing:
         self.residue_coeffs = tuple(residue_coeffs)
         self.basis_names = tuple(basis_names)
         self.basis_monos = tuple(basis_monos) if basis_monos is not None else None
-        self.presentation = presentation
         self.label = label or f"ring(N={self.N}, base={base!r})"
         self.size = prod((base.p ** c) ** base.r for c in self.orders)
         self._compile()
@@ -764,7 +762,7 @@ def ring_from_truncated_presentation(
         base=W, orders=orders, mul_table=mul_table, one_coeffs=one_coeffs,
         residue_coeffs=residue_coeffs, generators=gen_coeffs,
         basis_names=[names_of(mo) for mo in basis_monos],
-        basis_monos=basis_monos, mode=mode, presentation=pres,
+        basis_monos=basis_monos, mode=mode,
         label=f"(Z/{pres.p}^{m})[{','.join(pres.names)}]/({rel_str})")
     return ring
 
@@ -828,7 +826,6 @@ def quotient_ring(ring: FiniteLocalRing, ideal: Ideal) -> RingSurjection:
         basis_monos=([ring.basis_monos[j] for j in live]
                      if ring.basis_monos is not None else None),
         mode="finite",
-        presentation=None,
         label=f"{ring.label}/(ideal of size {ideal.size})")
 
     def project(x: RingElement) -> RingElement:

@@ -1,14 +1,17 @@
 """Exact multivariate polynomials over Q, monomial orders, and Buchberger's algorithm.
 
 Monomials are exponent tuples; polynomials map monomials to Fractions.
-Gröbner bases are computed for the degrevlex order with the normal selection
-strategy, fully interreduced and monic, so the output is the canonical reduced
-basis of the ideal.
+Division and Gröbner bases use one fixed order, degrevlex (`grevlex_key`):
+Gröbner bases are computed with the normal selection strategy, fully
+interreduced and monic, so the output is the canonical reduced basis of the
+ideal.  `grlex_key` remains for callers that sort monomials themselves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, le, neg, sub
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
@@ -19,7 +22,7 @@ class CoefficientSwellError(ArithmeticError):
 
 
 def grevlex_key(mono: Monomial):
-    return (sum(mono), tuple(-e for e in reversed(mono)))
+    return (sum(mono), tuple(map(neg, reversed(mono))))
 
 
 def grlex_key(mono: Monomial):
@@ -59,6 +62,14 @@ class Poly:
                 c = Fraction(c)
                 if c:
                     self.terms[m] = c
+
+    @classmethod
+    def _wrap(cls, nvars: int, terms: Dict[Monomial, Fraction]) -> "Poly":
+        """Adopt a dict of nonzero Fractions as the terms, without converting it."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
@@ -327,82 +338,126 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
 # -- division and Buchberger -------------------------------------------------
 
 
-def normal_form(f: Poly, basis: Sequence[Poly], key: Callable = grevlex_key,
+def normal_form(f: Poly, basis: Sequence[Poly],
                 deny_denominator_prime: Optional[int] = None,
                 bit_cap: Optional[int] = None) -> Poly:
-    """Full multivariate division remainder of f by basis (every term reduced)."""
-    lms = [(g.leading_monomial(key), g.leading_coeff(key), g) for g in basis if not g.is_zero()]
+    """Full multivariate division remainder of f by basis (every term reduced).
+
+    Each step takes the degrevlex-leading term of what is left and either
+    cancels it with the first basis element whose leading monomial divides
+    it, or moves it to the remainder.  What is left is one coefficient dict
+    whose monomials sit on a heap keyed (-degree, reversed monomial), so the
+    heap minimum is the degrevlex maximum; an entry whose monomial has since
+    cancelled or been reduced is stale and skipped.
+
+    The caps are checked on f and then, after each step, on the coefficients
+    that step created or changed: every other coefficient left was checked
+    when it was made, so a capped input fails at the same step with the same
+    error as a check of everything left.
+    """
+    divisors = []
+    for g in basis:
+        if g.terms:
+            lm = g.leading_monomial()
+            divisors.append((lm, g.terms[lm],
+                             [(m, -c) for m, c in g.terms.items() if m != lm]))
+    checked = deny_denominator_prime is not None or bit_cap is not None
+    work = dict(f.terms)
+    if checked:
+        _check_coefficients(work.values(), deny_denominator_prime, bit_cap)
+    heap = [(-sum(m), m[::-1], m) for m in work]
+    heapify(heap)
     remainder: Dict[Monomial, Fraction] = {}
-    work = Poly(f.nvars, dict(f.terms))
-
-    def check(poly: Poly):
-        if deny_denominator_prime is not None:
-            for c in poly.terms.values():
-                if c.denominator % deny_denominator_prime == 0:
-                    raise IntegralityError(
-                        f"denominator divisible by p={deny_denominator_prime} "
-                        "in an intermediate normal form")
-        if bit_cap is not None and poly.max_coeff_bits() > bit_cap:
-            raise CoefficientSwellError(
-                f"coefficient exceeds {bit_cap}-bit cap during reduction")
-
-    check(work)
-    while not work.is_zero():
-        lt_m = work.leading_monomial(key)
-        lt_c = work.terms[lt_m]
-        for lm, lc, g in lms:
-            if mono_divides(lm, lt_m):
-                work = work - g.mul_term(mono_div(lt_m, lm), lt_c / lc)
-                check(work)
+    while heap:
+        m = heappop(heap)[2]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        for lm, lc, neg_tail in divisors:
+            if all(map(le, lm, m)):
                 break
         else:
-            remainder[lt_m] = lt_c
-            del work.terms[lt_m]
-    return Poly(f.nvars, remainder)
+            remainder[m] = c
+            continue
+        q = c if lc == 1 else c / lc
+        shift = tuple(map(sub, m, lm))
+        changed = []
+        for tm, tc in neg_tail:
+            nm = tuple(map(add, tm, shift))
+            old = work.get(nm)
+            if old is None:
+                new = q * tc
+                heappush(heap, (-sum(nm), nm[::-1], nm))
+            else:
+                new = old + q * tc
+                if not new:
+                    del work[nm]
+                    continue
+            work[nm] = new
+            changed.append(new)
+        if checked:
+            _check_coefficients(changed, deny_denominator_prime, bit_cap)
+    return Poly._wrap(f.nvars, remainder)
+
+
+def _check_coefficients(coeffs: Iterable[Fraction], deny_denominator_prime: Optional[int],
+                        bit_cap: Optional[int]) -> None:
+    if deny_denominator_prime is not None:
+        for c in coeffs:
+            if c.denominator % deny_denominator_prime == 0:
+                raise IntegralityError(
+                    f"denominator divisible by p={deny_denominator_prime} "
+                    "in an intermediate normal form")
+    if bit_cap is not None:
+        for c in coeffs:
+            if c.numerator.bit_length() > bit_cap or c.denominator.bit_length() > bit_cap:
+                raise CoefficientSwellError(
+                    f"coefficient exceeds {bit_cap}-bit cap during reduction")
 
 
 class IntegralityError(ArithmeticError):
     """p-integrality of a symbolic computation could not be certified."""
 
 
-def s_polynomial(f: Poly, g: Poly, key: Callable = grevlex_key) -> Poly:
-    lmf, lmg = f.leading_monomial(key), g.leading_monomial(key)
+def s_polynomial(f: Poly, g: Poly) -> Poly:
+    lmf, lmg = f.leading_monomial(), g.leading_monomial()
     l = mono_lcm(lmf, lmg)
-    return (f.mul_term(mono_div(l, lmf), Fraction(1) / f.leading_coeff(key))
-            - g.mul_term(mono_div(l, lmg), Fraction(1) / g.leading_coeff(key)))
+    return (f.mul_term(mono_div(l, lmf), Fraction(1) / f.terms[lmf])
+            - g.mul_term(mono_div(l, lmg), Fraction(1) / g.terms[lmg]))
 
 
-def buchberger(gens: Iterable[Poly], key: Callable = grevlex_key,
-               bit_cap: int = 4096) -> List[Poly]:
-    """Reduced Gröbner basis, monic, sorted by leading monomial (ascending)."""
-    basis: List[Poly] = []
-    for g in gens:
-        if not g.is_zero():
-            basis.append(g.monic(key))
-    basis.sort(key=lambda g: key(g.leading_monomial(key)))
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+def buchberger(gens: Iterable[Poly], bit_cap: int = 4096) -> List[Poly]:
+    """Reduced Gröbner basis, monic, sorted by leading monomial (ascending).
 
-    def pair_key(ij):
-        i, j = ij
-        l = mono_lcm(basis[i].leading_monomial(key), basis[j].leading_monomial(key))
-        return (mono_deg(l), key(l), i, j)
+    S-pairs are taken in the order of the key (deg lcm, grevlex_key(lcm), i, j)
+    from a heap; pairs whose leading monomials are coprime reduce to zero and
+    are never queued.  Reductions look up the module-level `s_polynomial` and
+    `normal_form` at call time, so a wrapper installed on either name sees
+    every call.
+    """
+    basis = sorted((g.monic() for g in gens if not g.is_zero()),
+                   key=lambda g: grevlex_key(g.leading_monomial()))
+    lms = [g.leading_monomial() for g in basis]
+    pairs: List[Tuple[int, tuple, int, int]] = []
 
+    def queue_pairs(k: int) -> None:
+        for i in range(k):
+            l = mono_lcm(lms[i], lms[k])
+            if l != mono_mul(lms[i], lms[k]):
+                heappush(pairs, (sum(l), grevlex_key(l), i, k))
+
+    for k in range(len(basis)):
+        queue_pairs(k)
     while pairs:
-        pairs.sort(key=pair_key)
-        i, j = pairs.pop(0)
-        f, g = basis[i], basis[j]
-        lmf, lmg = f.leading_monomial(key), g.leading_monomial(key)
-        if mono_lcm(lmf, lmg) == mono_mul(lmf, lmg):
-            continue  # coprime leading monomials reduce to zero
-        r = normal_form(s_polynomial(f, g, key), basis, key, bit_cap=bit_cap)
+        _, _, i, j = heappop(pairs)
+        r = normal_form(s_polynomial(basis[i], basis[j]), basis, bit_cap=bit_cap)
         if not r.is_zero():
-            r = r.monic(key)
+            r = r.monic()
             basis.append(r)
-            k = len(basis) - 1
-            pairs.extend((t, k) for t in range(k))
+            lms.append(r.leading_monomial())
+            queue_pairs(len(basis) - 1)
 
     # minimalize: drop elements whose leading monomial is divisible by another's
-    lms = [g.leading_monomial(key) for g in basis]
     minimal = []
     seen_lms = set()
     for i, g in enumerate(basis):
@@ -417,8 +472,8 @@ def buchberger(gens: Iterable[Poly], key: Callable = grevlex_key,
     reduced: List[Poly] = []
     for idx, g in enumerate(minimal):
         others = [h for jdx, h in enumerate(minimal) if jdx != idx]
-        r = normal_form(g, others, key, bit_cap=bit_cap)
+        r = normal_form(g, others, bit_cap=bit_cap)
         if not r.is_zero():
-            reduced.append(r.monic(key))
-    reduced.sort(key=lambda g: key(g.leading_monomial(key)))
+            reduced.append(r.monic())
+    reduced.sort(key=lambda g: grevlex_key(g.leading_monomial()))
     return reduced

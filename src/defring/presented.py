@@ -39,7 +39,7 @@ def groebner_basis(pres: IntegerPolynomialPresentation,
         raise ValueError(
             f"presentations with more than {DEFAULT_VARIABLE_GUARD} variables "
             "are outside the supported desk scale")
-    return buchberger(list(pres.relations), grevlex_key, bit_cap=bit_cap)
+    return buchberger(list(pres.relations), bit_cap=bit_cap)
 
 
 # -- rational linear algebra helpers ---------------------------------------------
@@ -120,7 +120,7 @@ class QFiberAlgebra:
     pres: IntegerPolynomialPresentation
     gb: List[Poly]
     basis: List[Monomial]
-    _mult: Dict[Tuple[int, int], Dict[int, Fraction]] = field(default_factory=dict)
+    _nf: Dict[Monomial, Dict[int, Fraction]] = field(default_factory=dict)
     _trace: Optional[Tuple[List[List[Fraction]], Fraction]] = None
 
     def __post_init__(self):
@@ -131,7 +131,7 @@ class QFiberAlgebra:
         return len(self.basis)
 
     def normal_form(self, f: Poly) -> Poly:
-        return normal_form(f, self.gb, grevlex_key)
+        return normal_form(f, self.gb)
 
     def coords(self, f: Poly) -> Dict[int, Fraction]:
         """The nonzero coordinates of the normal form of f on the basis."""
@@ -144,12 +144,40 @@ class QFiberAlgebra:
                 out = out + Poly(self.pres.nvars, {mo: c})
         return out
 
+    def _monomial_coords(self, mo: Monomial) -> Dict[int, Fraction]:
+        """Coordinates of the normal form of the monomial mo, memoised.
+
+        A basis monomial is read off.  A border monomial (mo / X_v a basis
+        monomial for some v) is normal-formed once.  Any other mo is X_v * mo'
+        with mo' outside the basis; normal forms are linear and g - NF(g)
+        lies in the ideal, so NF(mo) = sum_u NF(mo')_u NF(X_v b_u), where
+        each X_v b_u is a basis or a border monomial (standard monomials are
+        closed under division).
+        """
+        pos = self._pos.get(mo)
+        if pos is not None:
+            return {pos: Fraction(1)}
+        out = self._nf.get(mo)
+        if out is None:
+            cofactors = [(v, mo[:v] + (e - 1,) + mo[v + 1:])
+                         for v, e in enumerate(mo) if e]
+            if any(rest in self._pos for _, rest in cofactors):
+                out = self.coords(Poly.from_monomial(self.pres.nvars, mo))
+            else:
+                v, rest = cofactors[0]
+                acc: Dict[int, Fraction] = {}
+                for u, c in self._monomial_coords(rest).items():
+                    bu = self.basis[u]
+                    row = self._monomial_coords(bu[:v] + (bu[v] + 1,) + bu[v + 1:])
+                    for k, d in row.items():
+                        acc[k] = acc[k] + c * d if k in acc else c * d
+                out = {k: c for k, c in acc.items() if c}
+            self._nf[mo] = out
+        return out
+
     def mult_coords(self, i: int, j: int) -> Dict[int, Fraction]:
-        key = (i, j) if i <= j else (j, i)
-        if key not in self._mult:
-            prod_mono = mono_mul(self.basis[key[0]], self.basis[key[1]])
-            self._mult[key] = self.coords(Poly.from_monomial(self.pres.nvars, prod_mono))
-        return self._mult[key]
+        """Coordinates of b_i * b_j."""
+        return self._monomial_coords(mono_mul(self.basis[i], self.basis[j]))
 
 
 def q_fiber(pres: IntegerPolynomialPresentation, bit_cap: int = 4096,
@@ -354,7 +382,7 @@ def verify_presented_hom(source: IntegerPolynomialPresentation,
     for f in source.relations:
         mapped = f.substitute(list(images))
         try:
-            nf = normal_form(mapped, A.gb, grevlex_key, deny_denominator_prime=p)
+            nf = normal_form(mapped, A.gb, deny_denominator_prime=p)
         except (IntegralityError, CoefficientSwellError) as exc:
             raise IntegralityObstruction(
                 f"p-denominator during reduction of {f.render(source.names)}: {exc}"

@@ -4,9 +4,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from defring.polys import (Poly, PolyParseError, buchberger, grevlex_key,
-                           grlex_key, normal_form, parse_poly, s_polynomial)
+import defring.polys as polys
+from defring.polys import (CoefficientSwellError, IntegralityError, Poly,
+                           PolyParseError, buchberger, grevlex_key, grlex_key,
+                           mono_div, mono_divides, normal_form, parse_poly,
+                           s_polynomial)
+from defring.presentations import IntegerPolynomialPresentation
 
 
 def _to_sympy(f: Poly, syms):
@@ -112,8 +118,105 @@ def test_s_polynomial_reduces_in_gb():
 
 
 def test_normal_form_denominator_guard():
-    from defring.polys import IntegralityError
     names = ["X"]
     basis = [parse_poly("2*X - 1", names)]
     with pytest.raises(IntegralityError):
         normal_form(parse_poly("X", names), basis, deny_denominator_prime=2)
+
+
+# -- in-place division against the former Poly-rebuilding division ------------
+
+
+def _normal_form_by_rebuilding(f, basis, deny_denominator_prime=None, bit_cap=None):
+    """The former `normal_form`: rescans for the leading term and rebuilds the
+    whole remaining polynomial at every step, checking every coefficient."""
+    lms = [(g.leading_monomial(), g.leading_coeff(), g) for g in basis if not g.is_zero()]
+    remainder = {}
+    work = Poly(f.nvars, dict(f.terms))
+
+    def check(poly):
+        if deny_denominator_prime is not None:
+            for c in poly.terms.values():
+                if c.denominator % deny_denominator_prime == 0:
+                    raise IntegralityError(
+                        f"denominator divisible by p={deny_denominator_prime} "
+                        "in an intermediate normal form")
+        if bit_cap is not None and poly.max_coeff_bits() > bit_cap:
+            raise CoefficientSwellError(
+                f"coefficient exceeds {bit_cap}-bit cap during reduction")
+
+    check(work)
+    while not work.is_zero():
+        lt_m = work.leading_monomial()
+        lt_c = work.terms[lt_m]
+        for lm, lc, g in lms:
+            if mono_divides(lm, lt_m):
+                work = work - g.mul_term(mono_div(lt_m, lm), lt_c / lc)
+                check(work)
+                break
+        else:
+            remainder[lt_m] = lt_c
+            del work.terms[lt_m]
+    return Poly(f.nvars, remainder)
+
+
+_coeffs = st.one_of(st.integers(-4, 4).map(Fraction),
+                    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)))
+
+
+@st.composite
+def _division_problems(draw):
+    """A polynomial and a list of divisors in 1 to 3 variables: usually not a
+    Groebner basis, so which divisor reduces a term changes the remainder;
+    sometimes with a zero divisor or a repeated leading monomial."""
+    nvars = draw(st.integers(1, 3))
+    monos = st.tuples(*[st.integers(0, 3)] * nvars)
+
+    def poly(max_terms):
+        return Poly(nvars, draw(st.dictionaries(monos, _coeffs, max_size=max_terms)))
+
+    f = poly(8)
+    basis = [poly(4) for _ in range(draw(st.integers(0, 4)))]
+    return f, basis
+
+
+def _outcome(nf, f, basis, **caps):
+    try:
+        return list(nf(f, basis, **caps).terms.items())
+    except (IntegralityError, CoefficientSwellError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_division_problems(), st.one_of(st.none(), st.sampled_from([2, 3, 5])),
+       st.one_of(st.none(), st.integers(1, 10)))
+def test_normal_form_matches_rebuilding_division(problem, prime, cap):
+    # the same remainder with its terms in the same (descending) order, or
+    # the same error
+    f, basis = problem
+    caps = {"deny_denominator_prime": prime, "bit_cap": cap}
+    assert (_outcome(normal_form, f, basis, **caps)
+            == _outcome(_normal_form_by_rebuilding, f, basis, **caps))
+
+
+KATSURA4 = ["A + 2*B + 2*C + 2*D + 2*E - 1",
+            "A^2 - A + 2*B^2 + 2*C^2 + 2*D^2 + 2*E^2",
+            "2*A*B + 2*B*C - B + 2*C*D + 2*D*E",
+            "2*A*C + B^2 + 2*B*D + 2*C*E - C",
+            "2*A*D + 2*B*C + 2*B*E - D"]
+
+
+def test_buchberger_s_pair_count_on_katsura4(monkeypatch):
+    # the S-pair selection order fixes how many pairs are reduced
+    calls = []
+    original = polys.s_polynomial
+
+    def counting(f, g):
+        calls.append(1)
+        return original(f, g)
+
+    monkeypatch.setattr(polys, "s_polynomial", counting)
+    pres = IntegerPolynomialPresentation.parse(2, list("ABCDE"), KATSURA4)
+    gb = buchberger(pres.relations)
+    assert len(calls) == 49
+    assert len(gb) == 13

@@ -3,15 +3,17 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import defring.polys as polys
 import defring.presented as presented
 from defring.cli import main
-from defring.polys import Poly, parse_poly
+from defring.polys import Poly, mono_mul, parse_poly
 from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
 from defring.presented import (IntegralityObstruction,
                                InternalInconsistencyError, etale_check,
@@ -373,6 +375,59 @@ def test_nonreduced_witnesses_unchanged(name):
     rep = etale_check(pres)
     assert rep.verdict == "FAIL_NOT_REDUCED"
     assert rep.witness == witness
+
+
+KATSURA3 = _pres(2, ["A", "B", "C", "D"],
+                 ["A + 2*B + 2*C + 2*D - 1", "A^2 - A + 2*B^2 + 2*C^2 + 2*D^2",
+                  "2*A*B + 2*B*C - B + 2*C*D", "2*A*C + B^2 + 2*B*D - C"])
+
+
+def _mult_coords_by_normal_form(A, i, j):
+    """The former `mult_coords`: the normal form of each product b_i * b_j."""
+    return A.coords(Poly.from_monomial(A.pres.nvars, mono_mul(A.basis[i], A.basis[j])))
+
+
+def _assert_mult_table_matches_normal_forms(pres):
+    A = q_fiber(pres)
+    for i in range(A.dim):
+        for j in range(A.dim):
+            assert A.mult_coords(i, j) == _mult_coords_by_normal_form(A, i, j), (i, j)
+
+
+@pytest.mark.parametrize("name", ["katsura-3", *NONREDUCED])
+def test_mult_table_matches_normal_forms(name):
+    pres = KATSURA3 if name == "katsura-3" else NONREDUCED[name][0]
+    _assert_mult_table_matches_normal_forms(pres)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_mult_table_matches_normal_forms_on_random_presentations(seed):
+    _assert_mult_table_matches_normal_forms(_random_presentation(random.Random(seed)))
+
+
+def test_fiber_reaches_the_traced_module_functions(monkeypatch):
+    # per-layer tracing wraps polys.normal_form and polys.s_polynomial by
+    # replacing every defring module attribute bound to them, so Buchberger
+    # and the fiber must look both names up at call time
+    calls = {"normal_form": 0, "s_polynomial": 0}
+    for name in calls:
+        original = getattr(polys, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.startswith("defring")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counting)
+    gb = presented.groebner_basis(KATSURA3)
+    assert calls["s_polynomial"] > 0 and calls["normal_form"] > 0
+    before = calls["normal_form"]
+    trace_form(q_fiber(KATSURA3, gb=gb))
+    assert calls["normal_form"] > before
+    assert etale_check(KATSURA3).verdict == "PASS"
 
 
 def test_trace_form_is_computed_once_per_algebra():
