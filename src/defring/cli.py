@@ -34,14 +34,16 @@ from . import __version__
 from .errors import DefringError
 from .groups import FiniteGroup, build_group
 from .local_ring import (DEFAULT_DEGREE_CAP, DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP,
-                         FiniteLocalRing, build_galois_ring, fingerprint,
-                         hom_enumerate, ring_from_truncated_presentation)
+                         CapExceededError, FiniteLocalRing, build_galois_ring,
+                         fingerprint, hom_enumerate,
+                         ring_from_truncated_presentation)
 from .matrices import Matrix
 from .polys import PolyParseError, parse_poly
 from .presentations import IntegerPolynomialPresentation
 from .presented import etale_check, w_membership_check
 from .representation import (Lift, Representation, def_set, maranda_decide,
-                             residual_rep, tangent_space, trivial_residual_rep)
+                             residual_rep, tangent_dimension,
+                             trivial_residual_rep)
 from .udr import necessary_condition, order_lower_bound
 
 CACHE_DIR = os.path.join(os.path.expanduser("~"), ".cache", "defring")
@@ -305,11 +307,12 @@ def run_job(spec: JobSpec) -> Tuple[Dict, int]:
         ring = _ring_from(_require(blocks, "ring"), spec)
         group = _group_from(_require(blocks, "group"))
         rhobar = _residual_from(blocks, group, ring)
-        ds, t = tangent_space(rhobar, spec.cap_maps)
+        t = tangent_dimension(rhobar)
+        q = ring.residue_field.size
         result = {
             "group": group.name,
-            "q": ring.residue_field.size,
-            "class_count": ds.class_count,
+            "q": q,
+            "class_count": q ** t,
             "dimension": t,
         }
         return _report(spec, "the tangent count is q^t for the tangent "
@@ -406,6 +409,21 @@ def _verify_cached(spec: JobSpec, report: Dict) -> bool:
         if result.get("claim_divisor") != result.get("p", 0) ** (
                 result.get("level", -1) + 1):
             return False
+    if spec.command == "tangent":
+        q, t, count = (result.get(k) for k in ("q", "dimension", "class_count"))
+        # q >= 2 bounds t by the bit length of the count before q ** t is taken
+        if not (isinstance(count, int) and isinstance(q, int) and q >= 2
+                and isinstance(t, int) and 0 <= t <= count.bit_length()
+                and count == q ** t):
+            return False
+    if spec.command == "defcount":
+        sizes = result.get("orbit_sizes")
+        reps = result.get("representatives")
+        if not (isinstance(sizes, list) and isinstance(reps, list)
+                and all(isinstance(s, int) for s in sizes)
+                and sum(sizes) == result.get("lift_count")
+                and len(sizes) == len(reps) == result.get("class_count")):
+            return False
     return True
 
 
@@ -494,6 +512,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.write(text_out)
     except (DefringError, ValueError, ArithmeticError, OSError) as exc:
         err = {"tool": "defring", "version": __version__, "error": str(exc)}
+        if isinstance(exc, CapExceededError):
+            err.update(cap=exc.cap, needed=exc.needed, limit=exc.limit)
         sys.stderr.write(render_report(err))
         return 1
     return code

@@ -33,7 +33,18 @@ DEFAULT_DEGREE_CAP = 16
 
 
 class CapExceededError(DefringError, RuntimeError):
-    """An enumeration would exceed its configured cap; caps are never silently sampled."""
+    """An enumeration would exceed its configured cap; caps are never silently sampled.
+
+    `cap` names the limit ("cap_maps" or "cap_elements", after the CLI flag
+    that sets it), `needed` is the exact size of the search and `limit` the
+    cap's value.
+    """
+
+    def __init__(self, message: str, *, cap: str, needed: int, limit: int):
+        super().__init__(message)
+        self.cap = cap
+        self.needed = needed
+        self.limit = limit
 
 
 class NotFiniteAtCapError(DefringError, RuntimeError):
@@ -341,7 +352,8 @@ class FiniteLocalRing:
         """All elements in coefficient-vector lexicographic order."""
         if self.size > cap:
             raise CapExceededError(
-                f"ring has {self.size} elements, above the cap {cap}")
+                f"ring has {self.size} elements, above the cap {cap}",
+                cap="cap_elements", needed=self.size, limit=cap)
         p, r = self.base.p, self.base.r
         ranges = []
         for c in self.orders:
@@ -486,7 +498,9 @@ class Ideal:
     def enumerate_elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> List[RingElement]:
         """All ideal elements, in coefficient-vector lexicographic order."""
         if self.size > cap:
-            raise CapExceededError(f"ideal has {self.size} elements, above the cap {cap}")
+            raise CapExceededError(
+                f"ideal has {self.size} elements, above the cap {cap}",
+                cap="cap_elements", needed=self.size, limit=cap)
         out = sorted(self.elements(), key=lambda x: x.key())
         if len(out) != self.size:
             raise InternalInconsistencyError("ideal enumeration missed elements")
@@ -932,7 +946,8 @@ def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFi
         raise ValueError("fingerprints are defined for exact finite rings only")
     if ring.size > cap:
         raise CapExceededError(
-            f"ring has {ring.size} elements, above the cap {cap}")
+            f"ring has {ring.size} elements, above the cap {cap}",
+            cap="cap_elements", needed=ring.size, limit=cap)
     W = ring.base
     p = W.p
     char = p ** max((c - W.val(x) for c, x in zip(ring.orders, ring.one.coeffs)
@@ -1003,7 +1018,8 @@ def hom_enumerate(source: FiniteLocalRing, target: FiniteLocalRing,
     mt = maximal_ideal(target)
     if mt.size ** t > cap:
         raise CapExceededError(
-            f"{mt.size ** t} candidate maps exceed the cap {cap}")
+            f"{mt.size ** t} candidate maps exceed the cap {cap}",
+            cap="cap_maps", needed=mt.size ** t, limit=cap)
     m_elems = mt.enumerate_elements() if t else []
     cands_per_gen = []
     for g in source.generators:

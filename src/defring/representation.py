@@ -6,7 +6,9 @@ by generator through the fibers of the entrywise reduction, then verified on
 the edges of the group's Cayley graph.  Strict equivalence is conjugation by
 matrices congruent to the identity modulo the maximal ideal, and deformation
 sets are the orbit partitions with canonical (lexicographically least)
-representatives.
+representatives.  The tangent dimension dim H^1(G, ad rhobar) is solved for
+by linear algebra over the residue field; enumerating the classes over k[eps]
+stays as its oracle.
 
 The averaging operator sums g-translates of an approximate intertwiner and
 divides by the group order; when p divides the order this costs p-adic
@@ -21,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError
 from .groups import FiniteGroup, extend_and_verify_hom, greedy_generators, p_part
+from .linalg import HowellForm
 from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, CapExceededError,
                          FiniteLocalRing, Ideal, RingElement, RingHom,
                          exact_divide, maximal_ideal, quotient_ring, scale_ideal)
@@ -143,7 +146,9 @@ def kernel_group(ring: FiniteLocalRing, n: int,
     m = maximal_ideal(ring)
     total = m.size ** (n * n)
     if total > cap:
-        raise CapExceededError(f"kernel group has {total} matrices, above the cap {cap}")
+        raise CapExceededError(
+            f"kernel group has {total} matrices, above the cap {cap}",
+            cap="cap_elements", needed=total, limit=cap)
     m_elems = m.enumerate_elements()
     one = Matrix.identity(ring, n)
     out = []
@@ -175,7 +180,8 @@ def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
     fiber_size = m.size ** (n * n)
     if ngen and fiber_size ** ngen > cap:
         raise CapExceededError(
-            f"{fiber_size ** ngen} candidate lifts exceed the cap {cap}")
+            f"{fiber_size ** ngen} candidate lifts exceed the cap {cap}",
+            cap="cap_maps", needed=fiber_size ** ngen, limit=cap)
     m_elems = m.enumerate_elements()
     offsets = []
     for combo in product(m_elems, repeat=n * n):
@@ -304,6 +310,76 @@ def tangent_space(rhobar: Representation,
         raise InternalInconsistencyError(
             f"tangent count {count} is not a power of q={q}; implementation bug")
     return ds, t
+
+
+def tangent_dimension(rhobar: Representation) -> int:
+    """dim_k H^1(G, ad rhobar), the tangent dimension, by linear algebra over k.
+
+    A lift to k[eps] is rho(g) = s(rhobar(g)) + eps X_g, and it is a
+    homomorphism iff rhobar(a) X_g + X_a rhobar(g) = X_ag on every Cayley edge
+    (a, g).  The X_y are built along the group's spanning tree as linear forms
+    in the ngen * n^2 entries of the generator unknowns, and each non-tree
+    edge (the edge set of `extend_and_verify_hom`) gives n^2 equations, whose
+    solution space is Z^1.  Conjugation by 1 + eps Y moves (X_g) by
+    (Y rhobar(g) - rhobar(g) Y), and these span B^1.  The classes over k[eps]
+    number q^t with t = dim Z^1 - dim B^1; `tangent_space` enumerates them.
+    """
+    G = rhobar.group
+    n = rhobar.n
+    W = rhobar.ring.base
+    if W.m != 1:
+        raise RepresentationError("the tangent space is defined over the residue field")
+    add, sub, mul, zero = W.add, W.sub, W.mul, W.zero
+    nn = n * n
+    D = len(G.generators) * nn
+    mats = [[[e.coeffs[0] for e in row] for row in M.rows]
+            for M in rhobar.matrices]
+
+    def edge(Xa: List[List], a: int, gi: int) -> List[List]:
+        """Entries of X_a rhobar(g) + rhobar(a) U_gi, row-major, as linear forms."""
+        A, B = mats[a], mats[G.generators[gi]]
+        out = []
+        for i in range(n):
+            for j in range(n):
+                form = [zero] * D
+                for k in range(n):
+                    if B[k][j] != zero:
+                        form = [add(x, mul(B[k][j], y))
+                                for x, y in zip(form, Xa[i * n + k])]
+                for k in range(n):
+                    col = gi * nn + k * n + j
+                    form[col] = add(form[col], A[i][k])
+                out.append(form)
+        return out
+
+    X: List[Optional[List[List]]] = [None] * G.n
+    X[G.identity] = [[zero] * D for _ in range(nn)]
+    tree_edges = set()
+    for y, parent, gi in G.tree:
+        X[y] = edge(X[parent], parent, gi)
+        tree_edges.add((parent, gi))
+    cocycle_rows = []
+    for a in range(G.n):
+        for gi, g in enumerate(G.generators):
+            if (a, gi) not in tree_edges:
+                for lhs, rhs in zip(edge(X[a], a, gi), X[G.table[a][g]]):
+                    cocycle_rows.append([sub(x, y) for x, y in zip(lhs, rhs)])
+    # Y = E_jk: (Y B - B Y)_ic = [i = j] B_kc - B_ij [k = c]
+    coboundary_rows = []
+    for j in range(n):
+        for k in range(n):
+            row = []
+            for g in G.generators:
+                B = mats[g]
+                for i in range(n):
+                    for c in range(n):
+                        v = B[k][c] if i == j else zero
+                        row.append(sub(v, B[i][j]) if k == c else v)
+            coboundary_rows.append(row)
+    # over the field k every Howell pivot is a unit, so pivots count the rank
+    z1 = D - len(HowellForm(W, cocycle_rows, D).rows)
+    b1 = len(HowellForm(W, coboundary_rows, D).rows)
+    return z1 - b1
 
 
 # -- averaging -----------------------------------------------------------------------------

@@ -285,6 +285,78 @@ def test_error_paths_report_json(tmp_path, command, text, flags, message):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command, text, flag, fields, message", [
+    ("defcount", CAP_JOB, "--cap-maps", ("cap_maps", 256, 5),
+     "256 candidate lifts exceed the cap 5"),  # 16 candidates per generator
+    ("fingerprint", DEFCOUNT_JOB, "--cap-elements", ("cap_elements", 8, 5),
+     "ring has 8 elements, above the cap 5"),  # Z/8
+], ids=["cap-maps", "cap-elements"])
+def test_cap_errors_carry_structured_fields(tmp_path, command, text, flag,
+                                            fields, message):
+    job = tmp_path / "job.txt"
+    job.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "defring.cli", command, str(job), "--no-cache",
+         flag, "5"], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == message
+    assert (err["cap"], err["needed"], err["limit"]) == fields
+
+
+TANGENT_D4_JOB = """\
+ring {
+  p = 2
+  precision = 1
+}
+group {
+  family = dihedral
+  param = 4
+}
+rep {
+  dimension = 2
+}
+"""
+
+
+def test_tangent_reads_no_map_cap(tmp_path):
+    # the tangent dimension is solved for, so nothing is enumerated to cap
+    code, text = _main_run(tmp_path, "tangent", TANGENT_D4_JOB)
+    assert code == 0
+    capped_code, capped = _main_run(tmp_path, "tangent", TANGENT_D4_JOB,
+                                    "--cap-maps", "1")
+    assert capped_code == 0
+    result = json.loads(text)["result"]
+    assert json.loads(capped)["result"] == result
+    assert result == {"group": "D4", "q": 2, "class_count": 256, "dimension": 8}
+
+
+@pytest.mark.parametrize("command, text, field, value", [
+    ("tangent", TANGENT_D4_JOB, "class_count", 128),
+    ("defcount", DEFCOUNT_JOB, "orbit_sizes", [1, 1, 1, 2]),
+    ("defcount", DEFCOUNT_JOB, "class_count", 3),
+], ids=["tangent-count", "defcount-orbits", "defcount-classes"])
+def test_tampered_cached_report_is_recomputed(tmp_path, monkeypatch, command,
+                                              text, field, value):
+    import defring.cli as cli
+    monkeypatch.setattr(cli, "CACHE_DIR", str(tmp_path / "cache"))
+    job = tmp_path / "job.txt"
+    job.write_text(text)
+    out = tmp_path / "out.json"
+    assert main([command, str(job), "--output", str(out)]) == 0
+    fresh = out.read_text()
+    spec = JobSpec(command=command, blocks=parse_job_blocks(text))
+    path = cli._cache_path(spec)
+    payload = json.loads(open(path).read())
+    payload["report"]["result"][field] = value
+    open(path, "w").write(json.dumps(payload))
+    assert cli.cache_lookup(spec) is None
+    assert main([command, str(job), "--output", str(out)]) == 0
+    assert out.read_text() == fresh
+    assert cli.cache_lookup(spec)["report"] == json.loads(fresh)
+
+
 def test_cache_store_failure_leaves_no_partial_file(tmp_path, monkeypatch):
     import defring.cli as cli
     cache = tmp_path / "cache"

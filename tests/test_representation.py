@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
-from defring.groups import (cyclic, dihedral, direct_product, quaternion8,
-                            symmetric)
+from defring.groups import (abelianization, cyclic, dihedral, direct_product,
+                            quaternion8, symmetric)
 from defring.local_ring import (build_galois_ring, ideal_span, identity_hom,
                                 maximal_ideal, ring_from_truncated_presentation)
 from defring.matrices import Matrix
@@ -15,8 +17,8 @@ from defring.representation import (Lift, MarandaPreconditionError,
                                     hom_family, hom_vs_derivation, kernel_group,
                                     maranda_average, maranda_decide,
                                     normalize_intertwiner, residual_rep,
-                                    square_zero_extension, tangent_space,
-                                    trivial_residual_rep,
+                                    square_zero_extension, tangent_dimension,
+                                    tangent_space, trivial_residual_rep,
                                     unique_deformation_check)
 
 
@@ -153,17 +155,66 @@ def test_tangent_dimensions():
 
 
 def test_tangent_counts_are_q_powers_across_corpus():
-    groups = [cyclic(2), cyclic(3), direct_product(cyclic(2), cyclic(2)),
-              symmetric(3), quaternion8()]
-    checked = 0
+    # the acceptance corpus, then the two n = 2 tangent jobs of the benchmark,
+    # Klein-4 over F4 (r = 2) and D1, whose rotation generator is the identity;
+    # the cohomological dimension must equal the enumerated one
+    klein4 = direct_product(cyclic(2), cyclic(2))
+    f2 = build_galois_ring(2, 1, 1)
+    reps = [trivial_residual_rep(G, build_galois_ring(p, 1, 1))
+            for G in (cyclic(2), cyclic(3), klein4, symmetric(3), quaternion8())
+            for p in (2, 3)]
+    reps += [trivial_residual_rep(dihedral(4), f2, 2),
+             trivial_residual_rep(cyclic(4), f2, 2),
+             trivial_residual_rep(klein4, build_galois_ring(2, 1, 2)),
+             trivial_residual_rep(dihedral(1), f2)]
+    assert len(reps) == 14
+    for rhobar in reps:
+        ds, t = tangent_space(rhobar)  # raises if not a q-power
+        assert ds.class_count == rhobar.ring.size ** t
+        assert tangent_dimension(rhobar) == t, rhobar
+
+
+def test_tangent_dimension_matches_enumeration_on_every_gl2_f2_rep():
+    # every generator-image tuple in M_2(F2) that defines a representation,
+    # so non-trivial ones such as the standard representation of S3 too
+    k = build_galois_ring(2, 1, 1)
+    mats = [Matrix(k, [[k.from_int(a), k.from_int(b)],
+                       [k.from_int(c), k.from_int(d)]])
+            for a, b, c, d in product(range(2), repeat=4)]
+    counts = {}
+    for G in (cyclic(2), cyclic(3), cyclic(4),
+              direct_product(cyclic(2), cyclic(2)), symmetric(3)):
+        counts[G.name] = 0
+        for images in product(mats, repeat=len(G.generators)):
+            try:
+                rhobar = residual_rep(G, k, list(images))
+            except RepresentationError:
+                continue
+            counts[G.name] += 1
+            assert tangent_dimension(rhobar) == tangent_space(rhobar)[1], \
+                (G.name, images)
+    # |Hom(G, GL_2(F2))|, GL_2(F2) being S3
+    assert counts == {"C2": 4, "C3": 3, "C4": 4, "C2xC2": 10, "S3": 10}
+
+
+def test_tangent_dimension_of_trivial_rep_is_hom_from_abelianization():
+    # for trivial rhobar, H^1 = Hom(G^ab, k)^(n^2), and Hom(Z/d, k) is k when
+    # p | d and 0 otherwise
+    klein4 = direct_product(cyclic(2), cyclic(2))
+    groups = [cyclic(1), cyclic(2), cyclic(6), klein4, symmetric(3),
+              symmetric(4), dihedral(1), dihedral(3), dihedral(4),
+              quaternion8(), direct_product(cyclic(2), cyclic(4))]
     for G in groups:
-        for p in (2, 3):
-            k = build_galois_ring(p, 1, 1)
-            rhobar = trivial_residual_rep(G, k)
-            ds, t = tangent_space(rhobar)  # raises if not a q-power
-            assert ds.class_count == k.size ** t
-            checked += 1
-    assert checked >= 10
+        for p, r in ((2, 1), (3, 1), (2, 2)):
+            k = build_galois_ring(p, 1, r)
+            for n in (1, 2):
+                expected = n * n * sum(1 for d in abelianization(G) if d % p == 0)
+                assert tangent_dimension(trivial_residual_rep(G, k, n)) == expected, \
+                    (G.name, p, r, n)
+    f2, f4 = build_galois_ring(2, 1, 1), build_galois_ring(2, 1, 2)
+    assert [tangent_dimension(trivial_residual_rep(G, k, n))
+            for G, k, n in ((dihedral(4), f2, 2), (cyclic(4), f2, 2),
+                            (klein4, f4, 1))] == [8, 4, 2]
 
 
 # -- Maranda averaging -------------------------------------------------------

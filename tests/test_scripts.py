@@ -49,3 +49,36 @@ def test_etale_survey_script():
                 + (f"  witness {witness}" if witness else "")
                 for ring, verdict, dim, status, witness in ETALE_SURVEY]
     assert proc.stdout.splitlines() == expected, proc.stdout
+
+
+
+# per prime: the rings Z/p^2, Z/p^3 and F_p[eps], then per group its tangent
+# dimension and its lift count over each ring (every class is one lift, the
+# representation being one-dimensional)
+CENSUS = {
+    2: (["Z/4", "Z/8", "(Z/2^1)[e]/(e^2)"],
+        [("C2", 1, [2, 4, 2]), ("C3", 0, [1, 1, 1]), ("C4", 1, [2, 4, 2]),
+         ("C2xC2", 2, [4, 16, 4])]),
+    3: (["Z/9", "Z/27", "(Z/3^1)[e]/(e^2)"],
+        [("C2", 0, [1, 1, 1]), ("C3", 1, [3, 3, 3]), ("C4", 0, [1, 1, 1]),
+         ("C2xC2", 0, [1, 1, 1])]),
+}
+
+
+def test_deformation_census_script():
+    # the script checks the enumerated tangent dimension against dim H^1
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "deformation_census.py"),
+         "--max-group-order", "4"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    expected = []
+    for p, (rings, rows) in CENSUS.items():
+        expected.append(f"== p = {p} ==")
+        for group, t, lifts in rows:
+            expected.append("  " + " | ".join(
+                [f"{group:<8} tangent dim {t}"]
+                + [f"{ring}: {c} lifts / {c} classes" for ring, c in zip(rings, lifts)]))
+        expected.append("")
+    assert proc.stdout.splitlines() == expected, proc.stdout
