@@ -424,6 +424,19 @@ def _verify_cached(spec: JobSpec, report: Dict) -> bool:
                 and sum(sizes) == result.get("lift_count")
                 and len(sizes) == len(reps) == result.get("class_count")):
             return False
+    if spec.command == "hom-count":
+        images = result.get("images")
+        if not (isinstance(images, list) and result.get("count") == len(images)):
+            return False
+    if spec.command == "fingerprint":
+        for total, counts in (("size", "additive_order_counts"),
+                              ("maximal_ideal_size", "nilpotency_index_counts")):
+            pairs = result.get(counts)
+            if not (isinstance(pairs, list)
+                    and all(isinstance(c, list) and len(c) == 2
+                            and isinstance(c[1], int) for c in pairs)
+                    and sum(c[1] for c in pairs) == result.get(total)):
+                return False
     return True
 
 

@@ -543,6 +543,24 @@ def maximal_ideal(ring: FiniteLocalRing) -> Ideal:
     return ring._max_ideal
 
 
+def m_adic_filtration(ring: FiniteLocalRing) -> List[Ideal]:
+    """The powers [m, m^2, ..., m^L = 0] of the maximal ideal.
+
+    Raises when m^i = m^{i+1} != 0: the kernel of the reduction is then not
+    nilpotent, which a validated ring rules out.
+    """
+    mx = maximal_ideal(ring)
+    powers = [mx]
+    while powers[-1].size > 1:
+        nxt = powers[-1].product(mx)
+        if nxt.size == powers[-1].size:
+            raise InternalInconsistencyError(
+                f"m^{len(powers)} = m^{len(powers) + 1} != 0: the kernel of the "
+                "reduction is not nilpotent, so the ring is not local")
+        powers.append(nxt)
+    return powers
+
+
 # -- ring homomorphisms ----------------------------------------------------------
 
 
@@ -952,24 +970,18 @@ def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFi
     p = W.p
     char = p ** max((c - W.val(x) for c, x in zip(ring.orders, ring.one.coeffs)
                      if x != W.zero), default=0)
-    mx = maximal_ideal(ring)
+    filtration = m_adic_filtration(ring)
+    mx = filtration[0]
     # Hilbert sequence dim_k m^i / m^{i+1}
     hilbert = [1]
-    power = mx
     q = ring.residue_field.size
-    while power.size > 1:
-        nxt = power.product(mx)
-        if nxt.size == power.size:
-            raise InternalInconsistencyError(
-                f"m^{len(hilbert)} = m^{len(hilbert) + 1} != 0: the kernel of the "
-                "reduction is not nilpotent, so the ring is not local")
-        ratio = power.size // nxt.size
+    for upper, lower in zip(filtration, filtration[1:]):
+        ratio = upper.size // lower.size
         dim = 0
         while ratio > 1:
             ratio //= q
             dim += 1
         hilbert.append(dim)
-        power = nxt
     killed = [prod(p ** (W.r * min(e, c)) for c in ring.orders)
               for e in range(max(ring.orders, default=0) + 1)]
     order_counts = [(p ** e, killed[e] - (killed[e - 1] if e else 0))

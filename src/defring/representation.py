@@ -1,14 +1,15 @@
 """Lifts of residual representations, deformation sets, and averaging.
 
 A residual representation lives over the residue field (packaged as a rank-1
-FiniteLocalRing); its lifts to a finite local ring R are enumerated generator
-by generator through the fibers of the entrywise reduction, then verified on
-the edges of the group's Cayley graph.  Strict equivalence is conjugation by
-matrices congruent to the identity modulo the maximal ideal, and deformation
-sets are the orbit partitions with canonical (lexicographically least)
-representatives.  The tangent dimension dim H^1(G, ad rhobar) is solved for
-by linear algebra over the residue field; enumerating the classes over k[eps]
-stays as its oracle.
+FiniteLocalRing); its lifts to a finite local ring R are solved for layer by
+layer over the m-adic filtration, from the Cayley-edge equations over k, and
+every lift is verified on the edges of the group's Cayley graph (testing
+every tuple in the fibers of the reduction is kept as a test oracle).
+Strict equivalence is conjugation by matrices congruent to the identity
+modulo the maximal ideal, and deformation sets are the orbit partitions with
+canonical (lexicographically least) representatives.  The tangent dimension
+dim H^1(G, ad rhobar) is solved for by linear algebra over the residue field;
+enumerating the classes over k[eps] stays as its oracle.
 
 The averaging operator sums g-translates of an approximate intertwiner and
 divides by the group order; when p divides the order this costs p-adic
@@ -23,10 +24,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError
 from .groups import FiniteGroup, extend_and_verify_hom, greedy_generators, p_part
-from .linalg import HowellForm
+from .galois import GRElt
+from .linalg import HowellForm, LinearMapSolver, submodule_size
 from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, CapExceededError,
                          FiniteLocalRing, Ideal, RingElement, RingHom,
-                         exact_divide, maximal_ideal, quotient_ring, scale_ideal)
+                         exact_divide, m_adic_filtration, maximal_ideal,
+                         quotient_ring, scale_ideal)
 from .matrices import Matrix
 
 
@@ -165,40 +168,119 @@ def _section_matrix(ring: FiniteLocalRing, Mbar: Matrix) -> Matrix:
                          for row in Mbar.rows])
 
 
+def _span(W, gens: Sequence[List[GRElt]], size: int) -> List[List[GRElt]]:
+    """Every W-linear combination of gens, vectors of the given length, W a field."""
+    out = [[W.zero] * size]
+    for z in gens:
+        out = [[W.add(x, W.mul(c, y)) for x, y in zip(v, z)]
+               for v in out for c in W.elements()]
+    return out
+
+
+def _edge_defects(G: FiniteGroup, one: Matrix, gens: Sequence[Matrix],
+                  edges: Sequence[Tuple[int, int]]) -> List[Matrix]:
+    """phi(a) phi(g) - phi(ag) on the given edges, phi built along the tree."""
+    table = [one] * G.n
+    for y, parent, gi in G.tree:
+        table[y] = table[parent] * gens[gi]
+    return [table[a] * gens[gi] - table[G.table[a][G.generators[gi]]]
+            for a, gi in edges]
+
+
+def _layer_basis(upper: Ideal, lower: Ideal) -> List[RingElement]:
+    """Elements of upper = m^i whose classes are a k-basis of m^i / m^{i+1}.
+
+    Taken greedily from upper's module basis: W acts on the layer through
+    k = W/p, so each kept element multiplies the span's size by q.
+    """
+    ring = upper.ring
+    rows = [list(x.coeffs) for x in lower.module_basis]
+    size = lower.size
+    basis = []
+    for b in upper.module_basis:
+        grown = submodule_size(ring.base, rows + [list(b.coeffs)], ring.N, ring.orders)
+        if grown > size:
+            basis.append(b)
+            rows.append(list(b.coeffs))
+            size = grown
+    if size != upper.size:
+        raise InternalInconsistencyError("layer basis does not span m^i / m^(i+1)")
+    return basis
+
+
 def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
                     cap: int = DEFAULT_MAP_CAP) -> List[Lift]:
     """All lifts of the residual representation, in canonical key order.
 
-    Per generator, the fiber of the reduction is (entrywise lift) + M_n(m_R);
-    candidate tuples are extended along group words and kept when every
-    element pair multiplies correctly.
+    Solved layer by layer along the m-adic filtration R/m -> R/m^2 -> ... ->
+    R/m^L = R (Mazur 1989, 1.2).  With b_1..b_d a k-basis of I = m^i/m^{i+1},
+    a lift P mod m^i plus offsets X_g = sum_j b_j x_{g,j} in M_n(m^i) is a
+    homomorphism mod m^{i+1} iff delta_j + E(x_j) = 0 for every j, since
+    I m lies in m^{i+1}: E is the cocycle map of `_cocycle_system` and
+    delta_j the b_j-coordinate of P's defect on the non-tree Cayley edges.
+    So P lifts iff every -delta_j is in the image of E, and then its lifts
+    are a particular solution plus Z^1 in each coordinate.  Every final lift
+    is built and checked on every Cayley edge by `extend_and_verify_hom`.
+    The cap bounds |M_n(m)|^ngen, the candidate space the lifts lie in.
     """
     G = rhobar.group
     n = rhobar.n
-    m = maximal_ideal(ring)
+    filtration = m_adic_filtration(ring)
     ngen = len(G.generators)
-    fiber_size = m.size ** (n * n)
+    fiber_size = filtration[0].size ** (n * n)
     if ngen and fiber_size ** ngen > cap:
         raise CapExceededError(
             f"{fiber_size ** ngen} candidate lifts exceed the cap {cap}",
             cap="cap_maps", needed=fiber_size ** ngen, limit=cap)
-    m_elems = m.enumerate_elements()
-    offsets = []
-    for combo in product(m_elems, repeat=n * n):
-        offsets.append(Matrix(ring, [[combo[i * n + j] for j in range(n)]
-                                     for i in range(n)]))
-    candidates_per_gen = []
-    for g in G.generators:
-        base = _section_matrix(ring, rhobar.matrix(g))
-        candidates_per_gen.append([base + z for z in offsets])
+    k = rhobar.ring.base
+    W = ring.base
+    nn = n * n
+    D = ngen * nn
+    edges, rows = _cocycle_system(rhobar)
+    solver = LinearMapSolver(k, [[row[u] for row in rows] for u in range(D)], len(rows))
+    cocycles = _span(k, solver.kernel_generators(), D)
     one = Matrix.identity(ring, n)
+    partial = [[_section_matrix(ring, rhobar.matrix(g)) for g in G.generators]]
+    for upper, lower in zip(filtration, filtration[1:]):
+        basis = _layer_basis(upper, lower)
+        d = len(basis)
+        coords = LinearMapSolver(W, [list(x.coeffs) for x in basis]
+                                 + [list(x.coeffs) for x in lower.module_basis],
+                                 ring.N, ring.orders)
+        # multiples[j][c] = s(c) b_j, the offset entry for coordinate c at b_j
+        multiples = [{c: ring.unity_lift(c) * b for c in k.elements()} for b in basis]
+        lifted = []
+        for gens in partial:
+            delta = []  # per equation, the d coordinates of the defect entry
+            for M in _edge_defects(G, one, gens, edges):
+                for e in (x for row in M.rows for x in row):
+                    w = coords.solve(list(e.coeffs))
+                    if w is None:
+                        raise InternalInconsistencyError(
+                            "a partial lift's Cayley-edge defect is not in m^i")
+                    delta.append([W.reduce(c) for c in w[:d]])
+            options = []
+            for j in range(d):
+                x = solver.solve([k.neg(c[j]) for c in delta])
+                if x is None:
+                    break
+                # the entries s(x_j[u]) b_j of each solution x_j = x + z, z in Z^1
+                options.append([[multiples[j][k.add(a, c)] for a, c in zip(x, z)]
+                                for z in cocycles])
+            else:
+                for choice in product(*options):
+                    # entry u of X, generator-major and row-major, is sum_j s(x_j[u]) b_j
+                    X = [sum(entries[1:], entries[0]) for entries in zip(*choice)]
+                    lifted.append([M + Matrix(ring, [X[u:u + n] for u in
+                                                     range(gi * nn, (gi + 1) * nn, n)])
+                                   for gi, M in enumerate(gens)])
+        partial = lifted
     lifts = []
-    for tup in product(*candidates_per_gen):
-        mats, fail = extend_and_verify_hom(G, one, list(tup))
+    for gens in partial:
+        mats, fail = extend_and_verify_hom(G, one, gens)
         if fail is not None:
-            continue
-        rep = Representation(G, ring, n, mats)
-        lifts.append(Lift(rep, rhobar))
+            raise InternalInconsistencyError(f"solved lift fails the Cayley edge {fail}")
+        lifts.append(Lift(Representation(G, ring, n, mats), rhobar))
     lifts.sort(key=lambda l: l.key())
     return lifts
 
@@ -312,23 +394,21 @@ def tangent_space(rhobar: Representation,
     return ds, t
 
 
-def tangent_dimension(rhobar: Representation) -> int:
-    """dim_k H^1(G, ad rhobar), the tangent dimension, by linear algebra over k.
+def _cocycle_system(rhobar: Representation
+                    ) -> Tuple[List[Tuple[int, int]], List[List[GRElt]]]:
+    """The Cayley-edge equations of Z^1(G, ad rhobar), over k.
 
-    A lift to k[eps] is rho(g) = s(rhobar(g)) + eps X_g, and it is a
-    homomorphism iff rhobar(a) X_g + X_a rhobar(g) = X_ag on every Cayley edge
-    (a, g).  The X_y are built along the group's spanning tree as linear forms
-    in the ngen * n^2 entries of the generator unknowns, and each non-tree
-    edge (the edge set of `extend_and_verify_hom`) gives n^2 equations, whose
-    solution space is Z^1.  Conjugation by 1 + eps Y moves (X_g) by
-    (Y rhobar(g) - rhobar(g) Y), and these span B^1.  The classes over k[eps]
-    number q^t with t = dim Z^1 - dim B^1; `tangent_space` enumerates them.
+    A lift s(rhobar(g)) + X_g over a square-zero layer is a homomorphism iff
+    rhobar(a) X_g + X_a rhobar(g) = X_ag on every Cayley edge (a, g).  The
+    X_y are built along the group's spanning tree as linear forms in the
+    ngen * n^2 entries of the generator unknowns, so the tree edges hold by
+    construction.  Returns the non-tree edges (a, generator index), in the
+    order `extend_and_verify_hom` checks them, and per edge the n^2 rows of
+    X_a rhobar(g) + rhobar(a) X_g - X_ag, row-major.
     """
     G = rhobar.group
     n = rhobar.n
     W = rhobar.ring.base
-    if W.m != 1:
-        raise RepresentationError("the tangent space is defined over the residue field")
     add, sub, mul, zero = W.add, W.sub, W.mul, W.zero
     nn = n * n
     D = len(G.generators) * nn
@@ -358,23 +438,45 @@ def tangent_dimension(rhobar: Representation) -> int:
     for y, parent, gi in G.tree:
         X[y] = edge(X[parent], parent, gi)
         tree_edges.add((parent, gi))
-    cocycle_rows = []
+    edges = []
+    rows = []
     for a in range(G.n):
         for gi, g in enumerate(G.generators):
             if (a, gi) not in tree_edges:
+                edges.append((a, gi))
                 for lhs, rhs in zip(edge(X[a], a, gi), X[G.table[a][g]]):
-                    cocycle_rows.append([sub(x, y) for x, y in zip(lhs, rhs)])
+                    rows.append([sub(x, y) for x, y in zip(lhs, rhs)])
+    return edges, rows
+
+
+def tangent_dimension(rhobar: Representation) -> int:
+    """dim_k H^1(G, ad rhobar), the tangent dimension, by linear algebra over k.
+
+    A lift to k[eps] is rho(g) = s(rhobar(g)) + eps X_g, and it is a
+    homomorphism iff the cocycle equations of `_cocycle_system` hold; their
+    solution space is Z^1.  Conjugation by 1 + eps Y moves (X_g) by
+    (Y rhobar(g) - rhobar(g) Y), and these span B^1.  The classes over k[eps]
+    number q^t with t = dim Z^1 - dim B^1; `tangent_space` enumerates them.
+    """
+    G = rhobar.group
+    n = rhobar.n
+    W = rhobar.ring.base
+    if W.m != 1:
+        raise RepresentationError("the tangent space is defined over the residue field")
+    D = len(G.generators) * n * n
+    _, cocycle_rows = _cocycle_system(rhobar)
+    gen_mats = [[[e.coeffs[0] for e in row] for row in M.rows]
+                for M in rhobar.gen_matrices]
     # Y = E_jk: (Y B - B Y)_ic = [i = j] B_kc - B_ij [k = c]
     coboundary_rows = []
     for j in range(n):
         for k in range(n):
             row = []
-            for g in G.generators:
-                B = mats[g]
+            for B in gen_mats:
                 for i in range(n):
                     for c in range(n):
-                        v = B[k][c] if i == j else zero
-                        row.append(sub(v, B[i][j]) if k == c else v)
+                        v = B[k][c] if i == j else W.zero
+                        row.append(W.sub(v, B[i][j]) if k == c else v)
             coboundary_rows.append(row)
     # over the field k every Howell pivot is a unit, so pivots count the rank
     z1 = D - len(HowellForm(W, cocycle_rows, D).rows)

@@ -332,11 +332,41 @@ def test_tangent_reads_no_map_cap(tmp_path):
     assert result == {"group": "D4", "q": 2, "class_count": 256, "dimension": 8}
 
 
+HOM_COUNT_JOB = """\
+source {
+  p = 2
+  precision = 3
+  vars = X
+  relations = X^2 - 2
+}
+target {
+  p = 2
+  precision = 3
+  vars = X
+  relations = X^2 - 2
+}
+"""
+
+FINGERPRINT_JOB = """\
+ring {
+  p = 2
+  precision = 3
+}
+"""
+
+
 @pytest.mark.parametrize("command, text, field, value", [
     ("tangent", TANGENT_D4_JOB, "class_count", 128),
     ("defcount", DEFCOUNT_JOB, "orbit_sizes", [1, 1, 1, 2]),
     ("defcount", DEFCOUNT_JOB, "class_count", 3),
-], ids=["tangent-count", "defcount-orbits", "defcount-classes"])
+    ("hom-count", HOM_COUNT_JOB, "count", 99),
+    ("hom-count", HOM_COUNT_JOB, "images", []),
+    ("fingerprint", FINGERPRINT_JOB, "size", 7),
+    ("fingerprint", FINGERPRINT_JOB, "maximal_ideal_size", 3),
+    ("fingerprint", FINGERPRINT_JOB, "nilpotency_index_counts", [[1, 1], [2, 1]]),
+], ids=["tangent-count", "defcount-orbits", "defcount-classes", "hom-count",
+        "hom-images", "fingerprint-size", "fingerprint-m-size",
+        "fingerprint-nilpotency"])
 def test_tampered_cached_report_is_recomputed(tmp_path, monkeypatch, command,
                                               text, field, value):
     import defring.cli as cli

@@ -1,14 +1,17 @@
 """The fast lift engine against the brute-force routes it replaced.
 
 `all_pairs_hom` extends generator images word by word and checks all |G|^2
-element pairs; `full_sweep_def_set` conjugates every lift's full matrix table
-by every kernel-group element.  Both are kept here only as oracles: the
-library checks Cayley edges and walks orbits by kernel-group generators, and
-must agree with them on every accept/reject decision and every DefSet field.
+element pairs; `candidate_lifts` tests every generator tuple in the fibers of
+the reduction; `full_sweep_def_set` conjugates every lift's full matrix table
+by every kernel-group element.  They are kept here only as oracles: the
+library checks Cayley edges, solves for lifts layer by layer over the m-adic
+filtration and walks orbits by kernel-group generators, and must agree with
+them on every accept/reject decision, every lift and every DefSet field.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Dict, List, Tuple
 
@@ -18,14 +21,15 @@ from hypothesis import strategies as st
 
 from defring.groups import (build_group, cyclic, dihedral, extend_and_verify_hom,
                             quaternion8, symmetric)
-from defring.local_ring import (build_galois_ring, maximal_ideal,
+from defring.local_ring import (build_galois_ring, ideal_span, m_adic_filtration,
+                                maximal_ideal, quotient_ring,
                                 ring_from_truncated_presentation)
 from defring.matrices import Matrix
 from defring.presentations import IntegerPolynomialPresentation
 from defring.representation import (DefSet, Lift, Representation,
-                                    are_strictly_equivalent, def_set,
-                                    enumerate_lifts, kernel_group, residual_rep,
-                                    trivial_residual_rep)
+                                    RepresentationError, are_strictly_equivalent,
+                                    def_set, enumerate_lifts, kernel_group,
+                                    residual_rep, trivial_residual_rep)
 
 
 def all_pairs_hom(G, one, generator_images):
@@ -129,6 +133,15 @@ def _candidates(rhobar, ring):
     return product(*fibers)
 
 
+def candidate_lifts(rhobar, ring):
+    """Keys of the candidate tuples that pass the Cayley-edge check, in key
+    order: the enumeration that `enumerate_lifts` replaced."""
+    one = Matrix.identity(ring, rhobar.n)
+    return sorted(tuple(x for M in tup for x in M.key())
+                  for tup in _candidates(rhobar, ring)
+                  if extend_and_verify_hom(rhobar.group, one, list(tup))[1] is None)
+
+
 S3_STANDARD = [[0, 1, 1, 0], [0, 1, 1, 1]]
 
 
@@ -142,6 +155,9 @@ def _rhobar(group, k, n, images):
     (dihedral(4), _dual_numbers(2), None, 256),      # every candidate is a lift
     (symmetric(3), build_galois_ring(2, 2, 1), None, 16),
     (symmetric(3), build_galois_ring(2, 2, 1), S3_STANDARD, 8),
+    (symmetric(3), _dual_numbers(2), S3_STANDARD, 8),
+    (cyclic(4), build_galois_ring(2, 2, 1), [[1, 1, 0, 1]], 16),
+    (cyclic(3), _dual_numbers(2), [[0, 1, 1, 1]], 4),
 ])
 def test_cayley_edges_agree_on_every_candidate(group, ring, images, accepted):
     rhobar = _rhobar(group, ring.residue_ring, 2, images)
@@ -153,6 +169,9 @@ def test_cayley_edges_agree_on_every_candidate(group, ring, images, accepted):
         assert fast == slow
         count += fast is not None
     assert count == accepted
+    lifts = [l.key() for l in enumerate_lifts(rhobar, ring)]
+    assert len(lifts) == accepted
+    assert lifts == candidate_lifts(rhobar, ring)
 
 
 # -- deformation sets ---------------------------------------------------------------------
@@ -219,3 +238,78 @@ def test_strict_equivalence_matches_orbits():
             assert same == (orbit_of[l1.key()] == orbit_of[l2.key()])
             if same:
                 assert l2.rep.conjugate(K) == l1.rep
+
+
+# -- lifts solved layer by layer ------------------------------------------------------------
+
+
+def _truncated(p, names, rels, m, r=1):
+    return ring_from_truncated_presentation(
+        IntegerPolynomialPresentation.parse(p, names, rels, r), m)
+
+
+LIFT_RINGS = [  # r = 1 and 2, chains of 1, 2 and 5 layers, a non-principal m
+    build_galois_ring(2, 2, 1), build_galois_ring(2, 3, 1),
+    build_galois_ring(3, 2, 1), build_galois_ring(2, 2, 2),
+    _dual_numbers(2), _dual_numbers(3), _truncated(2, ["e"], ["e^2"], 1, r=2),
+    _truncated(2, ["t"], ["t^3"], 1), _truncated(2, ["X"], ["X^2", "2*X"], 2),
+    _truncated(2, ["X"], ["X^2 - 2"], 3),
+]
+LIFT_GROUPS = [cyclic(1), cyclic(2), cyclic(3), cyclic(4), dihedral(1),
+               build_group("klein4"), symmetric(3), quaternion8()]
+LIFT_CASES = [  # at most 1024 candidates each, so the oracle stays cheap
+    (G, R, n) for G in LIFT_GROUPS for R in LIFT_RINGS for n in (1, 2)
+    if maximal_ideal(R).size ** (n * n * len(G.generators)) <= 1024
+]
+
+
+@lru_cache(maxsize=None)
+def _residual_reps(G, k, n):
+    """Every residual representation of G of dimension n over the field k."""
+    mats = [Matrix(k, [[k.from_base(c) for c in row[i * n:(i + 1) * n]]
+                       for i in range(n)])
+            for row in product(k.base.elements(), repeat=n * n)]
+    reps = []
+    for images in product(mats, repeat=len(G.generators)):
+        try:
+            reps.append(residual_rep(G, k, list(images)))
+        except RepresentationError:
+            pass
+    return reps
+
+
+@st.composite
+def lift_problems(draw):
+    """Any residual representation over the residue field of a random ring."""
+    G, ring, n = draw(st.sampled_from(LIFT_CASES))
+    return draw(st.sampled_from(_residual_reps(G, ring.residue_ring, n))), ring
+
+
+def test_lift_cases_cover_layers_and_nontrivial_reps():
+    depths = {len(m_adic_filtration(R)) for _, R, _ in LIFT_CASES}
+    assert depths == {2, 3, 6}  # [m, ..., m^L = 0] for L = 2, 3, 6
+    assert {R.base.r for _, R, _ in LIFT_CASES} == {1, 2}
+    assert any(n == 2 and len(G.generators) == 2 for G, _, n in LIFT_CASES)
+    assert len(_residual_reps(symmetric(3), build_galois_ring(2, 1, 1), 2)) == 10
+
+
+@settings(max_examples=80, deadline=None)
+@given(lift_problems())
+def test_solved_lifts_agree_with_candidate_enumeration(case):
+    rhobar, ring = case
+    assert [l.key() for l in enumerate_lifts(rhobar, ring)] == \
+        candidate_lifts(rhobar, ring)
+
+
+def test_partial_lift_dies_at_a_layer():
+    # over F2[t]/(t^3): 1 + t has order 2 mod t^2, but (1 + t)^2 = 1 + t^2
+    R = _truncated(2, ["t"], ["t^3"], 1)
+    t = R.generators[0]
+    x = R.one + t
+    mod_t2 = quotient_ring(R, ideal_span(R, [t * t]))
+    assert mod_t2.project(x * x) == mod_t2.target.one
+    assert x * x == R.one + t * t
+    rhobar = trivial_residual_rep(cyclic(2), R.residue_ring)
+    lifts = enumerate_lifts(rhobar, R)
+    assert [l.key() for l in lifts] == candidate_lifts(rhobar, R) == \
+        sorted([R.one.key(), (R.one + t * t).key()])

@@ -15,7 +15,7 @@ from defring.local_ring import (CapExceededError, FiniteLocalRing, Ideal,
                                 RingElement, ZeroDivisorError, build_galois_ring,
                                 exact_divide, fingerprint, hom_enumerate,
                                 ideal_span, identity_hom, is_zero_divisor,
-                                maximal_ideal, quotient_ring,
+                                m_adic_filtration, maximal_ideal, quotient_ring,
                                 ring_from_truncated_presentation, scale_ideal)
 from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
 
@@ -234,8 +234,42 @@ def test_fingerprint_rejects_a_non_nilpotent_kernel():
         mul_table=[[[one, zero], [zero, zero]], [[zero, zero], [zero, one]]],
         one_coeffs=[one, one], residue_coeffs=[one, zero], generators=[],
         basis_names=["e1", "e2"], validate=False)
-    with pytest.raises(InternalInconsistencyError):
+    message = (r"m\^1 = m\^2 != 0: the kernel of the reduction is not "
+               r"nilpotent, so the ring is not local")
+    with pytest.raises(InternalInconsistencyError, match=message):
+        m_adic_filtration(R)
+    with pytest.raises(InternalInconsistencyError, match=message):
         fingerprint(R)
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("Z/8", [4, 2, 1]), ("GR(4,2)", [4, 1]), ("(Z/8)[X]/(X^2,2X)", [8, 2, 1]),
+    ("r_alpha(1)", [4096, 1024, 128, 8, 1]),
+])
+def test_m_adic_filtration_and_hilbert_sequence(name, sizes, monkeypatch):
+    R = oracle_ring(name)
+    powers = m_adic_filtration(R)
+    assert [I.size for I in powers] == sizes
+    assert powers[0] is maximal_ideal(R)
+    for upper, lower in zip(powers, powers[1:]):
+        assert all(upper.contains(x) for x in lower.module_basis)
+        assert all(lower.contains(x * y) for x in upper.module_basis
+                   for y in powers[0].module_basis)
+    # fingerprint reads the same powers: one product per nonzero power
+    calls = []
+    product = Ideal.product
+    monkeypatch.setattr(Ideal, "product",
+                        lambda self, other: calls.append(1) or product(self, other))
+    hilbert = fingerprint(R).hilbert
+    assert len(calls) == len(sizes) - 1
+    q = R.residue_field.size
+    assert [q ** d for d in hilbert[1:]] == [a // b for a, b in zip(sizes, sizes[1:])]
+
+
+def test_m_adic_filtration_of_a_field():
+    k = build_galois_ring(3, 1, 2)
+    assert [I.size for I in m_adic_filtration(k)] == [1]
+    assert fingerprint(k).hilbert == (1,)
 
 
 # -- homomorphism enumeration ------------------------------------------------

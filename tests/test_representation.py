@@ -21,6 +21,8 @@ from defring.representation import (Lift, MarandaPreconditionError,
                                     tangent_space, trivial_residual_rep,
                                     unique_deformation_check)
 
+from test_lift_oracles import candidate_lifts
+
 
 def _pres(p, names, rels, r=1):
     return IntegerPolynomialPresentation.parse(p, names, rels, r)
@@ -140,6 +142,23 @@ def test_kernel_group_size():
 # -- tangent spaces ----------------------------------------------------------
 
 
+def _assert_tangent_routes_agree(rhobar):
+    """tangent_dimension against the enumerated classes over k[eps].
+
+    `tangent_space` reaches the Cayley-edge rows that `tangent_dimension`
+    solves through `enumerate_lifts`, so the lifts it starts from are also
+    checked against the brute-force candidate enumeration.
+    """
+    k = rhobar.ring
+    keps = ring_from_truncated_presentation(
+        _pres(k.base.p, ["e"], ["e^2"], k.base.r), 1, h=k.base.h)
+    assert [l.key() for l in enumerate_lifts(rhobar, keps)] == \
+        candidate_lifts(rhobar, keps), rhobar
+    ds, t = tangent_space(rhobar)  # raises if the count is not a q-power
+    assert ds.class_count == k.size ** t
+    assert tangent_dimension(rhobar) == t, rhobar
+
+
 def test_tangent_dimensions():
     cases = [
         (trivial_residual_rep(cyclic(2), zmod(2, 1)), 2, 1),
@@ -169,9 +188,7 @@ def test_tangent_counts_are_q_powers_across_corpus():
              trivial_residual_rep(dihedral(1), f2)]
     assert len(reps) == 14
     for rhobar in reps:
-        ds, t = tangent_space(rhobar)  # raises if not a q-power
-        assert ds.class_count == rhobar.ring.size ** t
-        assert tangent_dimension(rhobar) == t, rhobar
+        _assert_tangent_routes_agree(rhobar)
 
 
 def test_tangent_dimension_matches_enumeration_on_every_gl2_f2_rep():
@@ -191,8 +208,7 @@ def test_tangent_dimension_matches_enumeration_on_every_gl2_f2_rep():
             except RepresentationError:
                 continue
             counts[G.name] += 1
-            assert tangent_dimension(rhobar) == tangent_space(rhobar)[1], \
-                (G.name, images)
+            _assert_tangent_routes_agree(rhobar)
     # |Hom(G, GL_2(F2))|, GL_2(F2) being S3
     assert counts == {"C2": 4, "C3": 3, "C4": 4, "C2xC2": 10, "S3": 10}
 
