@@ -40,11 +40,12 @@ from .local_ring import (DEFAULT_DEGREE_CAP, DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CA
 from .matrices import Matrix
 from .polys import PolyParseError, parse_poly
 from .presentations import IntegerPolynomialPresentation
-from .presented import etale_check, w_membership_check
+from .presented import W_VERDICTS, etale_check, w_membership_check
 from .representation import (Lift, Representation, def_set, maranda_decide,
                              residual_rep, tangent_dimension,
                              trivial_residual_rep)
-from .udr import necessary_condition, order_lower_bound
+from .udr import (INTERPRET_FAIL, INTERPRET_PASS, necessary_condition,
+                  order_lower_bound)
 
 CACHE_DIR = os.path.join(os.path.expanduser("~"), ".cache", "defring")
 
@@ -391,6 +392,15 @@ def _cache_path(spec: JobSpec) -> str:
     return os.path.join(CACHE_DIR, spec.content_hash() + ".json")
 
 
+def _etale_report_holds(result: Dict) -> bool:
+    """A PASS is reduced and finite-dimensional; a FAIL_NOT_REDUCED has a witness."""
+    verdict = result.get("verdict")
+    if verdict == "PASS" and not (result.get("reduced") and
+                                  result.get("finite_dimensional")):
+        return False
+    return not (verdict == "FAIL_NOT_REDUCED" and result.get("witness") is None)
+
+
 def _verify_cached(spec: JobSpec, report: Dict) -> bool:
     """Cheap structural re-verification of a cached report."""
     if report.get("job_hash") != spec.content_hash():
@@ -398,12 +408,23 @@ def _verify_cached(spec: JobSpec, report: Dict) -> bool:
     if report.get("version") != __version__ or report.get("command") != spec.command:
         return False
     result = report.get("result", {})
-    if spec.command in ("etale-check",):
-        verdict = result.get("verdict")
-        if verdict == "PASS" and not (result.get("reduced") and
-                                      result.get("finite_dimensional")):
+    if spec.command == "etale-check" and not _etale_report_holds(result):
+        return False
+    if spec.command == "necessary-condition":
+        etale = result.get("etale_report")
+        if not (isinstance(etale, dict) and _etale_report_holds(etale)
+                and result.get("interpretation") == (
+                    INTERPRET_PASS if etale.get("verdict") == "PASS" else INTERPRET_FAIL)):
             return False
-        if verdict == "FAIL_NOT_REDUCED" and result.get("witness") is None:
+    if spec.command == "maranda-check":
+        equivalent = result.get("equivalent")
+        if not (isinstance(equivalent, bool)
+                and equivalent == isinstance(result.get("certificate"), dict)):
+            return False
+    if spec.command == "w-check":
+        flags = (result.get("finite_dimensional"), result.get("torsion_free_at_precision"))
+        if not any(flags == key and result.get("verdict") == verdict
+                   for key, verdict in W_VERDICTS.items()):
             return False
     if spec.command == "order-bound":
         if result.get("claim_divisor") != result.get("p", 0) ** (

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DefringError, InternalInconsistencyError
 from .galois import GaloisRing, GRElt
-from .linalg import HowellForm, LinearMapSolver, QuotientModule
+from .linalg import HowellForm, LinearMapSolver, QuotientModule, submodule_size
 from .polys import Monomial, grlex_key, mono_mul
 from .presentations import IntegerPolynomialPresentation
 
@@ -238,6 +238,24 @@ class FiniteLocalRing:
         self._table = tuple(tuple(tuple(e) for e in row) for row in table)
         self._moduli = tuple(W.p ** c for c in self.orders)
         self._mods = tuple(pc for pc in self._moduli for _ in range(r))
+        self._pair_products: Optional[Tuple[Tuple[Tuple[int, ...], ...], ...]] = None
+
+    def _basis_products(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        """e_i * e_j on the flat coordinates, canonical, for homomorphism
+        checks; built on first use."""
+        if self._pair_products is None:
+            r = self.base.r
+            rows = []
+            for i in range(self.N):
+                row = []
+                for j in range(self.N):
+                    flat = [0] * len(self._mods)
+                    for K, s in self._table[r * i][r * j]:
+                        flat[K] += s
+                    row.append(tuple(v % md for v, md in zip(flat, self._mods)))
+                rows.append(tuple(row))
+            self._pair_products = tuple(rows)
+        return self._pair_products
 
     def _pack(self, flat: Sequence[int]) -> Tuple[GRElt, ...]:
         """Flat coordinates -> the tuple-of-r-tuples coefficient shape."""
@@ -561,6 +579,27 @@ def m_adic_filtration(ring: FiniteLocalRing) -> List[Ideal]:
     return powers
 
 
+def _layer_basis(upper: Ideal, lower: Ideal) -> List[RingElement]:
+    """Elements of upper = m^i whose classes are a k-basis of m^i / m^{i+1}.
+
+    Taken greedily from upper's module basis: W acts on the layer through
+    k = W/p, so each kept element multiplies the span's size by q.
+    """
+    ring = upper.ring
+    rows = [list(x.coeffs) for x in lower.module_basis]
+    size = lower.size
+    basis = []
+    for b in upper.module_basis:
+        grown = submodule_size(ring.base, rows + [list(b.coeffs)], ring.N, ring.orders)
+        if grown > size:
+            basis.append(b)
+            rows.append(list(b.coeffs))
+            size = grown
+    if size != upper.size:
+        raise InternalInconsistencyError("layer basis does not span m^i / m^(i+1)")
+    return basis
+
+
 # -- ring homomorphisms ----------------------------------------------------------
 
 
@@ -579,16 +618,40 @@ class RingHom:
         qt = target.base.q
         if tuple(c % qt for c in source.base.h) != target.base.h:
             raise ValueError("incompatible residue polynomials")
+        self._rows: Optional[Tuple[Tuple[Tuple[int, int], ...], ...]] = None
 
-    def _map_base(self, c: GRElt) -> GRElt:
-        qt = self.target.base.q
-        return tuple(x % qt for x in c)
+    def _image(self, flat: Sequence[int]) -> Tuple[GRElt, ...]:
+        """Canonical target coefficients of the image of a source vector given
+        on the flat coordinates I = r*i + u.
+
+        The map is compiled on first use: row I lists the nonzero flat
+        coordinates (K, c) of Y^u * img_i, which W scales coefficient by
+        coefficient.  A W_S-coordinate maps to W_T by reduction mod p^{m_T},
+        which every target modulus p^{c_k} divides, so integer multiply-adds
+        and one reduction per output coordinate give the image, as in
+        `FiniteLocalRing._product`.
+        """
+        T = self.target
+        if self._rows is None:
+            W = T.base
+            monos = [tuple(int(t == u) for t in range(W.r)) for u in range(W.r)]
+            rows = []
+            for img in self.basis_images:
+                for mono in monos:
+                    y = T._canon([W.mul(mono, a) for a in img.coeffs])
+                    rows.append(tuple((K, c) for K, c in
+                                      enumerate(c for a in y for c in a) if c))
+            self._rows = tuple(rows)
+        acc = [0] * len(T._mods)
+        for x, row in zip(flat, self._rows):
+            if x:
+                for K, c in row:
+                    acc[K] += x * c
+        return T._pack([v % md for v, md in zip(acc, T._mods)])
 
     def apply(self, x: RingElement) -> RingElement:
-        out = self.target.zero
-        for c, img in zip(x.coeffs, self.basis_images):
-            out = out + img * self.target.from_base(self._map_base(c))
-        return RingElement(self.target, out.coeffs, x.prec)
+        return RingElement._canonical(
+            self.target, self._image([c for a in x.coeffs for c in a]), x.prec)
 
     def __call__(self, x: RingElement) -> RingElement:
         return self.apply(x)
@@ -602,11 +665,11 @@ class RingHom:
                 return False
         if self.apply(S.one) != T.one:
             return False
+        products = S._basis_products()
         for i in range(S.N):
             for j in range(i, S.N):
                 lhs = self.basis_images[i] * self.basis_images[j]
-                rhs = self.apply(S.basis_element(i) * S.basis_element(j))
-                if lhs != rhs:
+                if lhs.coeffs != self._image(products[i][j]):
                     return False
         return True
 
@@ -1012,6 +1075,76 @@ def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFi
 # -- homomorphism enumeration -----------------------------------------------------------
 
 
+def _layer_offsets(upper: Ideal, lower: Ideal) -> List[RingElement]:
+    """The q^d sums s(c_1) b_1 + ... + s(c_d) b_d, c in k^d, over the layer
+    basis b of upper / lower: one representative of each coset of lower in
+    upper (s is the unity lift of the residue field)."""
+    ring = upper.ring
+    out = [ring.zero]
+    for b in _layer_basis(upper, lower):
+        multiples = [ring.unity_lift(c) * b for c in ring.residue_field.elements()]
+        out = [x + y for x in out for y in multiples]
+    return out
+
+
+def _hom_from_generators(source: FiniteLocalRing, target: FiniteLocalRing,
+                         images: Sequence[RingElement]) -> Optional[RingHom]:
+    """The homomorphism sending the designated generators to `images`, or None.
+
+    The basis images are the generators' monomial expressions evaluated at
+    `images`; the map must pass `RingHom.verify` and send each generator to
+    its image, which enforces the generator relations and avoids counting a
+    map twice.
+    """
+    basis_images = []
+    for mo in source.basis_monos:
+        img = target.one
+        for z, e in zip(images, mo):
+            if e:
+                img = img * (z ** e)
+        basis_images.append(img)
+    hom = RingHom(source, target, basis_images)
+    if hom.verify() and all(hom.apply(g) == z for g, z in zip(source.generators, images)):
+        return hom
+    return None
+
+
+def _hom_levels(source: FiniteLocalRing, target: FiniteLocalRing,
+                filtration: Sequence[Ideal]
+                ) -> Iterator[List[Tuple[Tuple[RingElement, ...], RingHom]]]:
+    """The search of `hom_enumerate`, one level of [m, m^2, ..., m^L = 0] at a time.
+
+    Level i yields the generator tuples z in T whose images in T/m^i pass
+    `_hom_from_generators`, each with that homomorphism S -> T/m^i; level L
+    works in T itself.  Level 1 tests the unity lifts of the generators'
+    residues; level i + 1 adds to each survivor of level i every tuple of
+    `_layer_offsets` of m^i / m^{i+1}.  The search stops after an empty level.
+    """
+    t = len(source.generators)
+    survivors = [tuple(target.unity_lift(source.reduce_element(g))
+                       for g in source.generators)]
+    for i, ideal in enumerate(filtration):
+        candidates = survivors
+        if i:
+            offsets = _layer_offsets(filtration[i - 1], ideal)
+            candidates = [tuple(z + o for z, o in zip(zs, choice))
+                          for zs in survivors for choice in product(offsets, repeat=t)]
+        ring, project = target, None
+        if not ideal.is_zero():
+            surjection = quotient_ring(target, ideal)
+            ring, project = surjection.target, surjection.project
+        level = []
+        for zs in candidates:
+            hom = _hom_from_generators(
+                source, ring, zs if project is None else [project(z) for z in zs])
+            if hom is not None:
+                level.append((zs, hom))
+        yield level
+        if not level:
+            return
+        survivors = [zs for zs, _ in level]
+
+
 def hom_enumerate(source: FiniteLocalRing, target: FiniteLocalRing,
                   cap: int = DEFAULT_MAP_CAP) -> List[RingHom]:
     """All local base-algebra homomorphisms source -> target, in canonical order.
@@ -1019,6 +1152,15 @@ def hom_enumerate(source: FiniteLocalRing, target: FiniteLocalRing,
     Requires the source to carry monomial expressions of its basis in the
     designated generators.  Homomorphisms exist only when the target
     characteristic divides the source characteristic.
+
+    The maps are the tuples z in (unity lift + m_T)^t, t generators, that
+    pass `_hom_from_generators`.  A homomorphism S -> T reduces to one
+    S -> T/m^i, and each element of m_T is one sum of layer offsets, so
+    `_hom_levels` finds exactly these tuples while pruning every partial
+    tuple that fails modulo some m^i (Mazur 1989, 1.2, for lifts over
+    small extensions).  The cap bounds the candidate space |m_T|^t;
+    |m_T| is also held to the default element cap, as when m_T was
+    enumerated.
     """
     if source.basis_monos is None:
         raise ValueError("source ring carries no generator expressions for its basis")
@@ -1032,28 +1174,12 @@ def hom_enumerate(source: FiniteLocalRing, target: FiniteLocalRing,
         raise CapExceededError(
             f"{mt.size ** t} candidate maps exceed the cap {cap}",
             cap="cap_maps", needed=mt.size ** t, limit=cap)
-    m_elems = mt.enumerate_elements() if t else []
-    cands_per_gen = []
-    for g in source.generators:
-        base_img = target.unity_lift(source.reduce_element(g))
-        cands_per_gen.append([base_img + z for z in m_elems])
-    out = []
-    for tup in product(*cands_per_gen):
-        imgs = []
-        ok = True
-        for mo in source.basis_monos:
-            img = target.one
-            for gi, e in zip(tup, mo):
-                if e:
-                    img = img * (gi ** e)
-            imgs.append(img)
-        hom = RingHom(source, target, imgs)
-        if not hom.verify():
-            continue
-        # the hom must send each designated generator to its chosen candidate;
-        # this enforces the generator relations and avoids double-counting
-        if any(hom.apply(g) != z for g, z in zip(source.generators, tup)):
-            continue
-        out.append(hom)
-    out.sort(key=lambda h: h.key())
-    return out
+    if t and mt.size > DEFAULT_ELEMENT_CAP:
+        raise CapExceededError(
+            f"ideal has {mt.size} elements, above the cap {DEFAULT_ELEMENT_CAP}",
+            cap="cap_elements", needed=mt.size, limit=DEFAULT_ELEMENT_CAP)
+    homs: List[RingHom] = []
+    for level in _hom_levels(source, target, m_adic_filtration(target)):
+        homs = [hom for _, hom in level]
+    homs.sort(key=lambda h: h.key())
+    return homs

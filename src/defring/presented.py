@@ -395,6 +395,15 @@ def verify_presented_hom(source: IntegerPolynomialPresentation,
 # -- membership in the finite-flat class ----------------------------------------------
 
 
+# the verdict of `w_membership_check`, by (finite_dimensional, torsion_free_at_precision)
+W_VERDICTS = {
+    (False, None): "not a finitely generated module",
+    (True, None): "undecided",
+    (True, True): "finitely generated with trivial p-torsion (precision-certified)",
+    (True, False): "has nontrivial p-torsion",
+}
+
+
 @dataclass
 class WMembershipReport:
     finite_dimensional: bool
@@ -424,22 +433,21 @@ def w_membership_check(pres: IntegerPolynomialPresentation,
     A = q_fiber(pres)
     if A is None:
         return WMembershipReport(
-            False, None, precision, "not a finitely generated module",
+            False, None, precision, W_VERDICTS[False, None],
             "rational fiber is infinite-dimensional")
     try:
         R = ring_from_truncated_presentation(pres, precision)
     except NotFiniteAtCapError:
         return WMembershipReport(
-            True, None, precision, "undecided",
+            True, None, precision, W_VERDICTS[True, None],
             "truncation did not stabilize at the degree cap")
     free = all(c == precision for c in R.orders)
     if free:
         return WMembershipReport(
-            True, True, precision,
-            "finitely generated with trivial p-torsion (precision-certified)",
+            True, True, precision, W_VERDICTS[True, True],
             f"no p-torsion detected at precision {precision}; torsion above "
             f"p^{precision} would be invisible at this precision")
     return WMembershipReport(
-        True, False, precision, "has nontrivial p-torsion",
+        True, False, precision, W_VERDICTS[True, False],
         "truncation basis contains an element of additive order below "
         f"p^{precision}: exact p-torsion witnessed")

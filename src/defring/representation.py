@@ -25,11 +25,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InternalInconsistencyError
 from .groups import FiniteGroup, extend_and_verify_hom, greedy_generators, p_part
 from .galois import GRElt
-from .linalg import HowellForm, LinearMapSolver, submodule_size
+from .linalg import HowellForm, LinearMapSolver
 from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, CapExceededError,
                          FiniteLocalRing, Ideal, RingElement, RingHom,
-                         exact_divide, m_adic_filtration, maximal_ideal,
-                         quotient_ring, scale_ideal)
+                         _layer_basis, exact_divide, m_adic_filtration,
+                         maximal_ideal, quotient_ring, scale_ideal)
 from .matrices import Matrix
 
 
@@ -185,27 +185,6 @@ def _edge_defects(G: FiniteGroup, one: Matrix, gens: Sequence[Matrix],
         table[y] = table[parent] * gens[gi]
     return [table[a] * gens[gi] - table[G.table[a][G.generators[gi]]]
             for a, gi in edges]
-
-
-def _layer_basis(upper: Ideal, lower: Ideal) -> List[RingElement]:
-    """Elements of upper = m^i whose classes are a k-basis of m^i / m^{i+1}.
-
-    Taken greedily from upper's module basis: W acts on the layer through
-    k = W/p, so each kept element multiplies the span's size by q.
-    """
-    ring = upper.ring
-    rows = [list(x.coeffs) for x in lower.module_basis]
-    size = lower.size
-    basis = []
-    for b in upper.module_basis:
-        grown = submodule_size(ring.base, rows + [list(b.coeffs)], ring.N, ring.orders)
-        if grown > size:
-            basis.append(b)
-            rows.append(list(b.coeffs))
-            size = grown
-    if size != upper.size:
-        raise InternalInconsistencyError("layer basis does not span m^i / m^(i+1)")
-    return basis
 
 
 def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
@@ -653,11 +632,7 @@ def derivation_check(f: RingHom, ideal: Ideal,
         if not ideal.contains(v):
             return False
 
-    def D(x: RingElement) -> RingElement:
-        out = T.zero
-        for c, v in zip(x.coeffs, values):
-            out = out + v * T.from_base(f._map_base(c))
-        return out
+    D = RingHom(S, T, values).apply  # base-linear, given on the basis
 
     for i in range(S.N):
         ei = S.basis_element(i)

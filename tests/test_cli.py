@@ -354,6 +354,16 @@ ring {
 }
 """
 
+W_CHECK_JOB = """\
+presentation {
+  p = 5
+  vars = X
+  relations = X^2 - 5*X
+}
+"""
+
+ETALE_FAIL_REPORT = {"verdict": "FAIL_NOT_REDUCED", "witness": None}
+
 
 @pytest.mark.parametrize("command, text, field, value", [
     ("tangent", TANGENT_D4_JOB, "class_count", 128),
@@ -364,11 +374,21 @@ ring {
     ("fingerprint", FINGERPRINT_JOB, "size", 7),
     ("fingerprint", FINGERPRINT_JOB, "maximal_ideal_size", 3),
     ("fingerprint", FINGERPRINT_JOB, "nilpotency_index_counts", [[1, 1], [2, 1]]),
+    ("maranda-check", MARANDA_JOB, "certificate", None),
+    ("maranda-check", MARANDA_JOB, "equivalent", False),
+    ("w-check", W_CHECK_JOB, "verdict", "undecided"),
+    ("w-check", W_CHECK_JOB, "torsion_free_at_precision", False),
+    ("necessary-condition", ETALE_PASS_JOB, ("etale_report", "reduced"), False),
+    ("necessary-condition", ETALE_PASS_JOB, "etale_report", ETALE_FAIL_REPORT),
+    ("necessary-condition", ETALE_PASS_JOB, "interpretation", "universal"),
 ], ids=["tangent-count", "defcount-orbits", "defcount-classes", "hom-count",
         "hom-images", "fingerprint-size", "fingerprint-m-size",
-        "fingerprint-nilpotency"])
+        "fingerprint-nilpotency", "maranda-certificate", "maranda-equivalent",
+        "w-check-verdict", "w-check-torsion", "necessary-etale-reduced",
+        "necessary-etale-witness", "necessary-interpretation"])
 def test_tampered_cached_report_is_recomputed(tmp_path, monkeypatch, command,
                                               text, field, value):
+    """`field` names a key of the result, or a path of keys into it."""
     import defring.cli as cli
     monkeypatch.setattr(cli, "CACHE_DIR", str(tmp_path / "cache"))
     job = tmp_path / "job.txt"
@@ -379,7 +399,12 @@ def test_tampered_cached_report_is_recomputed(tmp_path, monkeypatch, command,
     spec = JobSpec(command=command, blocks=parse_job_blocks(text))
     path = cli._cache_path(spec)
     payload = json.loads(open(path).read())
-    payload["report"]["result"][field] = value
+    *parents, key = field if isinstance(field, tuple) else (field,)
+    result = payload["report"]["result"]
+    for name in parents:
+        result = result[name]
+    assert result[key] != value
+    result[key] = value
     open(path, "w").write(json.dumps(payload))
     assert cli.cache_lookup(spec) is None
     assert main([command, str(job), "--output", str(out)]) == 0

@@ -7,6 +7,13 @@ by every kernel-group element.  They are kept here only as oracles: the
 library checks Cayley edges, solves for lifts layer by layer over the m-adic
 filtration and walks orbits by kernel-group generators, and must agree with
 them on every accept/reject decision, every lift and every DefSet field.
+
+For ring homomorphisms, `candidate_homs` tests every tuple of generator
+images in (unity lift + m_T)^t, and `reference_apply` sums the images of the
+basis through ring arithmetic; the library searches layer by layer over the
+target's m-adic filtration and applies a homomorphism as one compiled
+integer map, and must return the same maps in the same order and the same
+images.
 """
 
 from __future__ import annotations
@@ -16,12 +23,13 @@ from itertools import product
 from typing import Dict, List, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from defring.groups import (build_group, cyclic, dihedral, extend_and_verify_hom,
                             quaternion8, symmetric)
-from defring.local_ring import (build_galois_ring, ideal_span, m_adic_filtration,
+from defring.local_ring import (RingHom, _hom_levels, build_galois_ring,
+                                hom_enumerate, ideal_span, m_adic_filtration,
                                 maximal_ideal, quotient_ring,
                                 ring_from_truncated_presentation)
 from defring.matrices import Matrix
@@ -313,3 +321,177 @@ def test_partial_lift_dies_at_a_layer():
     lifts = enumerate_lifts(rhobar, R)
     assert [l.key() for l in lifts] == candidate_lifts(rhobar, R) == \
         sorted([R.one.key(), (R.one + t * t).key()])
+
+
+# -- homomorphisms searched layer by layer ---------------------------------------------------
+
+
+def reference_apply(hom, x):
+    """The image of x through ring arithmetic: sum of c_i * img_i, c_i mapped to W_T."""
+    T = hom.target
+    out = T.zero
+    for c, img in zip(x.coeffs, hom.basis_images):
+        out = out + img * T.from_base(tuple(v % T.base.q for v in c))
+    return T.element(out.coeffs, x.prec)
+
+
+def reference_verify(hom):
+    """`RingHom.verify` on basis pairs, with `reference_apply`."""
+    S, T = hom.source, hom.target
+    for i in range(S.N):
+        if not hom.basis_images[i].scale_int(S.base.p ** S.orders[i]).is_zero():
+            return False
+    if reference_apply(hom, S.one) != T.one:
+        return False
+    return all(hom.basis_images[i] * hom.basis_images[j] ==
+               reference_apply(hom, S.basis_element(i) * S.basis_element(j))
+               for i in range(S.N) for j in range(i, S.N))
+
+
+def candidate_homs(source, target):
+    """Keys of the homomorphisms among all |m_T|^t generator tuples, in key
+    order: the enumeration that `hom_enumerate` replaced."""
+    if (source.base.p, source.base.r) != (target.base.p, target.base.r):
+        return []
+    if source.base.m < target.base.m:
+        return []
+    m_elems = maximal_ideal(target).enumerate_elements() if source.generators else []
+    cands_per_gen = [[target.unity_lift(source.reduce_element(g)) + z for z in m_elems]
+                     for g in source.generators]
+    out = []
+    for tup in product(*cands_per_gen):
+        imgs = []
+        for mo in source.basis_monos:
+            img = target.one
+            for gi, e in zip(tup, mo):
+                if e:
+                    img = img * (gi ** e)
+            imgs.append(img)
+        hom = RingHom(source, target, imgs)
+        if reference_verify(hom) and all(reference_apply(hom, g) == z
+                                         for g, z in zip(source.generators, tup)):
+            out.append(hom.key())
+    return sorted(out)
+
+
+HOM_RINGS = [  # r = 1 and 2, p = 2 and 3, torsion, t = 0, 1, 2 generators
+    build_galois_ring(2, 2, 1), build_galois_ring(2, 1, 2),
+    _truncated(2, ["X"], ["X - 2"], 2), _truncated(2, ["X"], ["X - 2"], 3),
+    _truncated(2, ["e"], ["e^2"], 1), _truncated(2, ["e"], ["e^2"], 2),
+    _truncated(2, ["e"], ["e^2", "2*e"], 2), _truncated(2, ["t"], ["t^3"], 1),
+    _truncated(2, ["X"], ["X^2 - 2"], 2), _truncated(2, ["X"], ["X^2 - 2"], 3),
+    _truncated(2, ["X", "Y"], ["X^2", "X*Y", "Y^2"], 1),
+    _truncated(2, ["X", "Y"], ["X^2", "X*Y", "Y^2"], 2),
+    _truncated(2, ["e"], ["e^2"], 1, r=2), _truncated(2, ["X"], ["X^2 - 2"], 2, r=2),
+    _truncated(3, ["X"], ["X - 3"], 2), _truncated(3, ["X"], ["X^2 - 3"], 2),
+    _truncated(3, ["e"], ["e^2", "3*e"], 2),
+]
+HOM_CASES = [  # the oracle tests at most 1024 candidate tuples
+    (S, T) for S in HOM_RINGS for T in HOM_RINGS
+    if S.base.p == T.base.p and S.base.r == T.base.r
+    and maximal_ideal(T).size ** len(S.generators) <= 1024
+]
+
+
+def test_hom_cases_cover_the_search():
+    assert {S.base.r for S, _ in HOM_CASES} == {1, 2}
+    assert {len(S.generators) for S, _ in HOM_CASES} == {0, 1, 2}
+    assert any(S.base.m > T.base.m for S, T in HOM_CASES)  # target precision below
+    assert any(S.base.m < T.base.m for S, T in HOM_CASES)  # no base map
+    assert any(S is not T and S.base.m == T.base.m for S, T in HOM_CASES)
+    assert any(len(set(S.orders)) > 1 for S, _ in HOM_CASES)  # torsion source
+    assert max(len(m_adic_filtration(T)) for _, T in HOM_CASES) == 6
+
+
+def test_layered_homs_agree_with_candidate_product_on_every_case():
+    found = 0
+    for source, target in HOM_CASES:
+        homs = [h.key() for h in hom_enumerate(source, target)]
+        assert homs == candidate_homs(source, target)
+        found += len(homs)
+    assert found == 805
+
+
+def _terms(p, coeffs, var):
+    """p*c_i*var^i for the nonzero c_i, as text."""
+    powers = ["", f"*{var}"] + [f"*{var}^{i}" for i in range(2, len(coeffs))]
+    return "".join(f" + {p * c}{x}" for c, x in zip(coeffs, powers) if c)
+
+
+@st.composite
+def random_local_ring(draw, p, r):
+    """(Z/p^m)[vars]/(relations) with each relation a monomial plus p times
+    lower terms, so the variables are nilpotent mod p and the ring is local
+    with residue field F_{p^r}; one variable, or two at m = 1."""
+    digits = st.integers(0, p - 1)
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 3))
+        d = draw(st.integers(1, 3 if p ** (r * m) <= 8 else 2))
+        rels = [f"X^{d}" + _terms(p, draw(st.lists(digits, min_size=d, max_size=d)), "X")]
+        if m > 1 and draw(st.booleans()):
+            rels.append(f"{p ** draw(st.integers(1, m - 1))}*X")  # p-torsion
+        names = ["X"]
+    else:
+        m = 1
+        a, b, c = draw(st.lists(digits, min_size=3, max_size=3))
+        rels = [f"X^2 + {p * a}*Y", f"X*Y + {p * b}", f"Y^2 + {p * c}*X"]
+        names = ["X", "Y"]
+    return _truncated(p, names, rels, m, r)
+
+
+@st.composite
+def hom_problems(draw):
+    """A random source and target over the same residue field, at most 1024
+    candidate tuples; the target is the source itself a third of the time."""
+    p, r = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    source = draw(random_local_ring(p, r))
+    target = source if draw(st.integers(0, 2)) == 0 else draw(random_local_ring(p, r))
+    assume(maximal_ideal(target).size ** len(source.generators) <= 1024)
+    return source, target
+
+
+@settings(max_examples=80, deadline=None)
+@given(hom_problems())
+def test_layered_homs_agree_with_candidate_product(case):
+    source, target = case
+    assert [h.key() for h in hom_enumerate(source, target)] == \
+        candidate_homs(source, target)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hom_problems(), st.data())
+def test_flat_apply_matches_reference(case, data):
+    # any basis images, homomorphism or not: apply is linear either way
+    source, target = case
+    assume(source.base.m >= target.base.m)
+
+    def element(ring):
+        coeff = st.integers(0, ring.base.q - 1)
+        coeffs = data.draw(st.lists(st.tuples(*[coeff] * ring.base.r),
+                                    min_size=ring.N, max_size=ring.N))
+        return ring.element(coeffs, data.draw(st.integers(1, ring.base.m)))
+
+    hom = RingHom(source, target, [element(target) for _ in range(source.N)])
+    for _ in range(3):
+        x = element(source)
+        fast, slow = hom.apply(x), reference_apply(hom, x)
+        assert fast == slow and fast.prec == slow.prec == x.prec
+    assert hom.verify() == reference_verify(hom)
+
+
+def test_hom_levels_prune_partial_maps():
+    # X -> z with z^2 = 2 in (Z/2^6)[X]/(X^2 - 2): m^i = (X^i), so each layer
+    # adds one coordinate over F_2 and each survivor of level i has two
+    # candidates at level i + 1.  Level 2 keeps z = 0 and z = X; at level 3,
+    # modulo m^3 = (2X), z = 0 and z = 2 die (z^2 = 0 or 4, not 2) while X
+    # and 2 + X live on; from level 8 on, 16 of the 32 candidates die each time
+    R = _truncated(2, ["X"], ["X^2 - 2"], 6)
+    filtration = m_adic_filtration(R)
+    assert [I.size for I in filtration] == [2 ** (11 - i) for i in range(12)]
+    levels = list(_hom_levels(R, R, filtration))
+    counts = [len(level) for level in levels]
+    assert counts == [1, 2, 2, 4, 4, 8, 16, 16, 16, 16, 16, 16]
+    tested = [1] + [2 * n for n in counts[:-1]]
+    assert sum(tested) == 203 and tested[2] == 4 and counts[2] == 2
+    assert sorted(h.key() for _, h in levels[-1]) == \
+        [h.key() for h in hom_enumerate(R, R)] == candidate_homs(R, R)

@@ -305,16 +305,35 @@ def test_hom_z4eps_tors_to_z4():
 
 
 def test_hom_char_obstruction():
-    # no local maps Z/4[e] -> F_2[e] ... actually those exist (reduce mod 2);
-    # the genuinely empty direction is F_2[e] -> with larger m requiring unit
+    # the residue primes differ (F_2[e] lies over p = 2, Z/9 over p = 3), so
+    # there is no base map at all and the search returns no homomorphisms
     assert hom_enumerate(f2_eps(), build_galois_ring(3, 2, 1)) == []
 
 
 def test_hom_cap_is_explicit():
+    # the cap bounds the candidate space |m_T|^t: m = (2, X, Y) has 4 * 8 * 8
+    # elements and there are t = 2 generators
     R = ring_from_truncated_presentation(
         _pres(2, ["X", "Y"], ["X^2", "Y^2", "X*Y"]), 3)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError,
+                       match="^65536 candidate maps exceed the cap 10$") as exc:
         hom_enumerate(R, R, cap=10)
+    assert (exc.value.cap, exc.value.needed, exc.value.limit) == ("cap_maps", 65536, 10)
+    with pytest.raises(CapExceededError, match="^8 candidate maps exceed the cap 7$"):
+        hom_enumerate(z4_eps(), z4_eps(), cap=7)
+    assert len(hom_enumerate(z4_eps(), z4_eps(), cap=8)) == 8
+
+
+def test_hom_element_cap_on_the_maximal_ideal():
+    # |m_T| = 2^20 is held to the default element cap even when the map cap
+    # admits the 2^20 candidates, as when m_T was enumerated
+    S = ring_from_truncated_presentation(_pres(2, ["X"], ["X - 2"]), 21)
+    T = build_galois_ring(2, 21, 1)
+    with pytest.raises(CapExceededError,
+                       match="^ideal has 1048576 elements, above the cap 1000000$") as exc:
+        hom_enumerate(S, T, cap=2 ** 20)
+    assert (exc.value.cap, exc.value.needed, exc.value.limit) == \
+        ("cap_elements", 2 ** 20, 10 ** 6)
 
 
 def test_identity_hom_verifies():
