@@ -28,8 +28,9 @@ from .galois import GRElt
 from .linalg import HowellForm, LinearMapSolver
 from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, CapExceededError,
                          FiniteLocalRing, Ideal, RingElement, RingHom,
-                         _layer_basis, exact_divide, m_adic_filtration,
-                         maximal_ideal, quotient_ring, scale_ideal)
+                         RingSurjection, _layer_basis, exact_divide,
+                         m_adic_filtration, maximal_ideal, quotient_ring,
+                         scale_ideal)
 from .matrices import Matrix
 
 
@@ -82,16 +83,6 @@ class Representation:
     def key(self) -> Tuple[int, ...]:
         return tuple(x for M in self.gen_matrices for x in M.key())
 
-    def full_key(self) -> Tuple[int, ...]:
-        return tuple(x for M in self.matrices for x in M.key())
-
-    def reduction(self) -> "Representation":
-        """Entrywise reduction to the residue ring."""
-        k = self.ring.residue_ring
-        mats = [M.transfer(k, self.ring.reduce_to_residue_ring)
-                for M in self.matrices]
-        return Representation(self.group, k, self.n, mats)
-
     def conjugate(self, K: Matrix) -> "Representation":
         Kinv = K.inverse()
         return Representation(self.group, self.ring, self.n,
@@ -102,7 +93,7 @@ class Representation:
                 and self.ring is other.ring and self.matrices == other.matrices)
 
     def __hash__(self):
-        return hash(self.full_key())
+        return hash(self.key())
 
     def __repr__(self):
         return (f"Representation({self.group.name} -> GL_{self.n}"
@@ -135,8 +126,13 @@ class Lift:
     rhobar: Representation
 
     def __post_init__(self):
-        red = self.rep.reduction()
-        if red.full_key() != self.rhobar.full_key():
+        # Generators suffice: rep and rhobar are homomorphisms (every constructor
+        # verifies through extend_and_verify_hom or derives from a verified one),
+        # reduction R -> k is a ring map, and homomorphisms agreeing on generators agree.
+        R = self.rep.ring
+        red = [M.transfer(R.residue_ring, R.reduce_to_residue_ring)
+               for M in self.rep.gen_matrices]
+        if tuple(x for M in red for x in M.key()) != self.rhobar.key():
             raise RepresentationError("reduction does not match the residual representation")
 
     def key(self) -> Tuple[int, ...]:
@@ -177,14 +173,13 @@ def _span(W, gens: Sequence[List[GRElt]], size: int) -> List[List[GRElt]]:
     return out
 
 
-def _edge_defects(G: FiniteGroup, one: Matrix, gens: Sequence[Matrix],
-                  edges: Sequence[Tuple[int, int]]) -> List[Matrix]:
-    """phi(a) phi(g) - phi(ag) on the given edges, phi built along the tree."""
+def _edge_defects(G: FiniteGroup, one: Matrix, gens: Sequence[Matrix]) -> List[Matrix]:
+    """phi(a) phi(g) - phi(ag) on the edges off the tree, phi built along it."""
     table = [one] * G.n
     for y, parent, gi in G.tree:
         table[y] = table[parent] * gens[gi]
     return [table[a] * gens[gi] - table[G.table[a][G.generators[gi]]]
-            for a, gi in edges]
+            for a, gi in G.edges]
 
 
 def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
@@ -215,7 +210,7 @@ def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
     W = ring.base
     nn = n * n
     D = ngen * nn
-    edges, rows = _cocycle_system(rhobar)
+    rows = _cocycle_system(rhobar)
     solver = LinearMapSolver(k, [[row[u] for row in rows] for u in range(D)], len(rows))
     cocycles = _span(k, solver.kernel_generators(), D)
     one = Matrix.identity(ring, n)
@@ -231,7 +226,7 @@ def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
         lifted = []
         for gens in partial:
             delta = []  # per equation, the d coordinates of the defect entry
-            for M in _edge_defects(G, one, gens, edges):
+            for M in _edge_defects(G, one, gens):
                 for e in (x for row in M.rows for x in row):
                     w = coords.solve(list(e.coeffs))
                     if w is None:
@@ -267,18 +262,27 @@ def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
 # -- strict equivalence and deformation sets -----------------------------------------------
 
 
+def kernel_conjugator(ring: FiniteLocalRing, n: int, gens1: Sequence[Matrix],
+                      gens2: Sequence[Matrix],
+                      cap: int = DEFAULT_ELEMENT_CAP) -> Optional[Matrix]:
+    """The first K of `kernel_group(ring, n)` with a K = K b for every pair
+    (a, b) of `zip(gens1, gens2)`, or None.  n is explicit because a group
+    without generators gives no matrix to read it from."""
+    for K in kernel_group(ring, n, cap):
+        if all(a * K == K * b for a, b in zip(gens1, gens2)):
+            return K
+    return None
+
+
 def are_strictly_equivalent(l1: Lift, l2: Lift,
                             cap: int = DEFAULT_ELEMENT_CAP
                             ) -> Tuple[bool, Optional[Matrix]]:
     """Search the kernel group for K with rho1 = K rho2 K^{-1}, i.e. rho1 K = K rho2."""
-    ring = l1.rep.ring
-    if ring is not l2.rep.ring:
+    if l1.rep.ring is not l2.rep.ring:
         raise ValueError("lifts live over different rings")
-    gens = l1.rep.group.generators
-    for K in kernel_group(ring, l1.rep.n, cap):
-        if all(l1.rep.matrix(g) * K == K * l2.rep.matrix(g) for g in gens):
-            return True, K
-    return False, None
+    K = kernel_conjugator(l1.rep.ring, l1.rep.n, l1.rep.gen_matrices,
+                          l2.rep.gen_matrices, cap)
+    return K is not None, K
 
 
 @dataclass
@@ -373,17 +377,15 @@ def tangent_space(rhobar: Representation,
     return ds, t
 
 
-def _cocycle_system(rhobar: Representation
-                    ) -> Tuple[List[Tuple[int, int]], List[List[GRElt]]]:
+def _cocycle_system(rhobar: Representation) -> List[List[GRElt]]:
     """The Cayley-edge equations of Z^1(G, ad rhobar), over k.
 
     A lift s(rhobar(g)) + X_g over a square-zero layer is a homomorphism iff
     rhobar(a) X_g + X_a rhobar(g) = X_ag on every Cayley edge (a, g).  The
     X_y are built along the group's spanning tree as linear forms in the
     ngen * n^2 entries of the generator unknowns, so the tree edges hold by
-    construction.  Returns the non-tree edges (a, generator index), in the
-    order `extend_and_verify_hom` checks them, and per edge the n^2 rows of
-    X_a rhobar(g) + rhobar(a) X_g - X_ag, row-major.
+    construction.  Returns, per edge (a, generator index) of `G.edges`, the
+    n^2 rows of X_a rhobar(g) + rhobar(a) X_g - X_ag, row-major.
     """
     G = rhobar.group
     n = rhobar.n
@@ -413,19 +415,13 @@ def _cocycle_system(rhobar: Representation
 
     X: List[Optional[List[List]]] = [None] * G.n
     X[G.identity] = [[zero] * D for _ in range(nn)]
-    tree_edges = set()
     for y, parent, gi in G.tree:
         X[y] = edge(X[parent], parent, gi)
-        tree_edges.add((parent, gi))
-    edges = []
     rows = []
-    for a in range(G.n):
-        for gi, g in enumerate(G.generators):
-            if (a, gi) not in tree_edges:
-                edges.append((a, gi))
-                for lhs, rhs in zip(edge(X[a], a, gi), X[G.table[a][g]]):
-                    rows.append([sub(x, y) for x, y in zip(lhs, rhs)])
-    return edges, rows
+    for a, gi in G.edges:
+        for lhs, rhs in zip(edge(X[a], a, gi), X[G.table[a][G.generators[gi]]]):
+            rows.append([sub(x, y) for x, y in zip(lhs, rhs)])
+    return rows
 
 
 def tangent_dimension(rhobar: Representation) -> int:
@@ -443,7 +439,7 @@ def tangent_dimension(rhobar: Representation) -> int:
     if W.m != 1:
         raise RepresentationError("the tangent space is defined over the residue field")
     D = len(G.generators) * n * n
-    _, cocycle_rows = _cocycle_system(rhobar)
+    cocycle_rows = _cocycle_system(rhobar)
     gen_mats = [[[e.coeffs[0] for e in row] for row in M.rows]
                 for M in rhobar.gen_matrices]
     # Y = E_jk: (Y B - B Y)_ic = [i = j] B_kc - B_ij [k = c]
@@ -476,6 +472,16 @@ class MarandaCertificate:
 def order_ideal(ring: FiniteLocalRing, group: FiniteGroup) -> Ideal:
     """The ideal J = |G| * m_R."""
     return scale_ideal(group.n, maximal_ideal(ring))
+
+
+def mod_order_ideal(ring: FiniteLocalRing, group: FiniteGroup) -> RingSurjection:
+    """R -> R/J with J = |G| * m_R, built on the exact finite twin of R; its
+    `project` takes and its `section` returns elements of R itself."""
+    Rf = ring.with_mode("finite")
+    surj = quotient_ring(Rf, order_ideal(Rf, group))
+    return RingSurjection(ring, surj.target,
+                          lambda x: surj.project(Rf.element(x.coeffs)),
+                          lambda xbar: ring.element(surj.section(xbar).coeffs))
 
 
 def maranda_average(rho1: Representation, rho2: Representation,
@@ -541,33 +547,14 @@ def maranda_decide(l1: Lift, l2: Lift,
     The reductions mod J = |G| m_R are compared by finite search; a positive
     answer is certified by lifting the quotient conjugator and averaging.
     """
-    ring = l1.rep.ring
-    G = l1.rep.group
-    n = l1.rep.n
-    Rf = ring.with_mode("finite")
-
-    def to_finite(x: RingElement) -> RingElement:
-        return Rf.element(x.coeffs)
-
-    Jf = scale_ideal(G.n, maximal_ideal(Rf))
-    surj = quotient_ring(Rf, Jf)
-    Rbar = surj.target
-
-    def project(M: Matrix) -> Matrix:
-        return M.transfer(Rbar, lambda e: surj.project(to_finite(e)))
-
-    red1 = [project(l1.rep.matrix(g)) for g in G.generators]
-    red2 = [project(l2.rep.matrix(g)) for g in G.generators]
-    witness = None
-    for Kbar in kernel_group(Rbar, n, cap):
-        if all(a * Kbar == Kbar * b for a, b in zip(red1, red2)):
-            witness = Kbar
-            break
+    surj = mod_order_ideal(l1.rep.ring, l1.rep.group)
+    red1, red2 = ([M.transfer(surj.target, surj.project) for M in l.rep.gen_matrices]
+                  for l in (l1, l2))
+    witness = kernel_conjugator(surj.target, l1.rep.n, red1, red2, cap)
     if witness is None:
         return False, None
-    A = witness.transfer(ring, lambda e: ring.element(surj.section(e).coeffs))
-    cert = maranda_average(l1.rep, l2.rep, A)
-    return True, cert
+    A = witness.transfer(l1.rep.ring, surj.section)
+    return True, maranda_average(l1.rep, l2.rep, A)
 
 
 def normalize_intertwiner(rho1: Representation, rho2: Representation,

@@ -19,9 +19,8 @@ from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, FiniteLocalRing,
 from .polys import Poly
 from .presentations import IntegerPolynomialPresentation
 from .presented import EtaleReport, etale_check, q_fiber, verify_presented_hom
-from .representation import (Lift, Representation, are_strictly_equivalent, def_set,
-                             maranda_decide)
-from .local_ring import quotient_ring
+from .representation import (Lift, Representation, def_set, kernel_conjugator,
+                             maranda_decide, mod_order_ideal)
 
 INTERPRET_FAIL = "NOT a universal deformation ring (nor a quotient-class member)"
 INTERPRET_PASS = "necessary condition satisfied - universality unknown"
@@ -235,30 +234,28 @@ def finiteness_bound_check(rhobar: Representation, ring: FiniteLocalRing,
                            cap_elements: int = DEFAULT_ELEMENT_CAP,
                            cap_maps: int = DEFAULT_MAP_CAP) -> FinitenessBoundReport:
     """|Def(R/J)| bounds |Def(R)| because reduction mod J = |G| m_R is injective
-    on deformation classes; injectivity is verified on the supplied lifts."""
+    on deformation classes (the averaging argument of `maranda_average`).
+
+    Each pair of supplied lifts is decided by `maranda_decide` and by
+    `kernel_conjugator` on the projections to R/J; both decide over R/J by the
+    same scan, so `injective_on_instances` is True whenever this returns and
+    injectivity is not tested against an independent decision over R.
+    """
     G = rhobar.group
-    p = ring.base.p
-    r, _ = p_part(G, p)
-    Rf = ring.with_mode("finite")
-    J = scale_ideal(G.n, maximal_ideal(Rf))
-    surj = quotient_ring(Rf, J)
+    r, _ = p_part(G, ring.base.p)
+    surj = mod_order_ideal(ring, G)
     Rbar = surj.target
     ds_bar = def_set(rhobar, Rbar, cap_maps, cap_elements)
-
-    def project_lift(l: Lift) -> Lift:
-        mats = [M.transfer(Rbar, lambda e: surj.project(Rf.element(e.coeffs)))
-                for M in l.rep.matrices]
-        return Lift(Representation(G, Rbar, l.rep.n, mats), rhobar)
-
+    projected = [[M.transfer(Rbar, surj.project) for M in l.rep.gen_matrices]
+                 for l in lifts]
     pairs = 0
     injective = True
-    projected = [project_lift(l) for l in lifts]
     for i in range(len(lifts)):
         for j in range(i + 1, len(lifts)):
             pairs += 1
             over_r, _cert = maranda_decide(lifts[i], lifts[j], cap_elements)
-            mod_j, _k = are_strictly_equivalent(projected[i], projected[j],
-                                                cap_elements)
+            mod_j = kernel_conjugator(Rbar, rhobar.n, projected[i], projected[j],
+                                      cap_elements) is not None
             if over_r != mod_j:
                 injective = False
     return FinitenessBoundReport(

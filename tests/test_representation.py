@@ -87,6 +87,36 @@ def test_lift_reduction_mismatch_rejected():
             cyclic(2), R9, [Matrix(R9, [[R9.from_int(1)]])]), sign_bar)
 
 
+def test_lift_with_one_mismatched_generator_rejected():
+    # only the generators are compared: D4's rotation reduces correctly, its
+    # reflection does not
+    G = dihedral(4)
+    R = zmod(2, 2)
+    k = R.residue_ring
+    swap = Matrix(k, [[k.zero, k.one], [k.one, k.zero]])
+    rhobar = residual_rep(G, k, [Matrix.identity(k, 2), swap])
+    trivial = Representation.from_generator_images(
+        G, R, [Matrix.identity(R, 2), Matrix.identity(R, 2)])
+    with pytest.raises(RepresentationError):
+        Lift(trivial, rhobar)
+    R_swap = Matrix(R, [[R.zero, R.one], [R.one, R.zero]])
+    Lift(Representation.from_generator_images(
+        G, R, [Matrix.identity(R, 2), R_swap]), rhobar)  # fine: reductions agree
+
+
+def test_strict_equivalence_on_c1_returns_the_identity():
+    # C1 has no generators, so the conjugator search cannot read n off them
+    G = cyclic(1)
+    R = zmod_prec(2, 4)
+    k = R.residue_ring
+    for n in (1, 2):
+        rhobar = Representation(G, k, n, [Matrix.identity(k, n)])
+        lift = Lift(Representation(G, R, n, [Matrix.identity(R, n)]), rhobar)
+        assert are_strictly_equivalent(lift, lift) == (True, Matrix.identity(R, n))
+        eq, cert = maranda_decide(lift, lift)
+        assert eq and cert.B0 == Matrix.identity(R, n)
+
+
 def test_singular_generator_image_rejected():
     # no separate invertibility test: the Cayley edges reject singular images
     R = zmod(2, 2)
