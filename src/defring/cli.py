@@ -34,9 +34,8 @@ from . import __version__
 from .errors import DefringError
 from .groups import FiniteGroup, build_group
 from .local_ring import (DEFAULT_DEGREE_CAP, DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP,
-                         CapExceededError, FiniteLocalRing, build_galois_ring,
-                         fingerprint, hom_enumerate,
-                         ring_from_truncated_presentation)
+                         CapExceededError, FiniteLocalRing, fingerprint,
+                         hom_enumerate, ring_from_truncated_presentation)
 from .matrices import Matrix
 from .polys import PolyParseError, parse_poly
 from .presentations import IntegerPolynomialPresentation
@@ -176,22 +175,11 @@ def _presentation_from(block: Dict[str, str]) -> IntegerPolynomialPresentation:
 
 
 def _ring_from(block: Dict[str, str], spec: JobSpec) -> FiniteLocalRing:
-    p = _int(block, "p")
-    r = _int(block, "r", 1)
     m = spec.precision if spec.precision is not None \
         else _int(block, "precision", 4)
-    mode = block.get("mode", "finite")
-    names = [v.strip() for v in block.get("vars", "").split(",") if v.strip()]
-    if not names:
-        ring = build_galois_ring(p, m, r)
-        if mode == "precision":
-            pres = IntegerPolynomialPresentation(p, (), (), r)
-            return ring_from_truncated_presentation(
-                pres, m, mode="precision", degree_cap=spec.degree_cap)
-        return ring
-    pres = _presentation_from({**block, "p": str(p), "r": str(r)})
     return ring_from_truncated_presentation(
-        pres, m, mode=mode, degree_cap=spec.degree_cap)
+        _presentation_from(block), m, mode=block.get("mode", "finite"),
+        degree_cap=spec.degree_cap)
 
 
 def _group_from(block: Dict[str, str]) -> FiniteGroup:

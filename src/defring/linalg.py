@@ -21,7 +21,12 @@ Vec = List[GRElt]
 
 
 class HowellForm:
-    """Canonical basis of the span of `rows` inside (W/p^{c_1}) x ... x (W/p^{c_n})."""
+    """Canonical basis of the span of `rows` inside (W/p^{c_1}) x ... x (W/p^{c_n}).
+
+    `size` is the span's cardinality.  The quotient module by the span has the
+    coordinates `live_coords` on the `live` columns, of order exponents
+    `quotient_orders()`.
+    """
 
     def __init__(self, ring: GaloisRing, rows: Sequence[Sequence[GRElt]], ncols: int,
                  ambient_orders: Optional[Sequence[int]] = None):
@@ -101,6 +106,11 @@ class HowellForm:
         self.pivot_vals: dict[int, int] = pivval
         self.rows: List[Vec] = [pivots[j] for j in cols]
         self._pivots = pivots
+        # the quotient's coordinates: the columns of nonzero order; a column
+        # without a pivot has the full order m
+        self.live: Tuple[int, ...] = tuple([j for j in range(n)
+                                            if j not in pivval or pivval[j] > 0])
+        self.size = prod([(p ** (self.ambient_orders[j] - pivval[j])) ** W.r for j in cols])
 
     def reduce(self, vec: Sequence[GRElt]) -> Vec:
         """Canonical representative of vec modulo the span (and ambient orders)."""
@@ -121,6 +131,12 @@ class HowellForm:
                 out[k] = W.sub(out[k], W.mul(q, prow[k]))
         return out
 
+    def live_coords(self, vec: Sequence[GRElt]) -> Vec:
+        """Coordinates of vec in the quotient module: its canonical
+        representative on the live columns (the others reduce to zero)."""
+        red = self.reduce(vec)
+        return [red[j] for j in self.live]
+
     def contains(self, vec: Sequence[GRElt]) -> bool:
         zero = self.ring.zero
         return all(e == zero for e in self.reduce(vec))
@@ -129,34 +145,6 @@ class HowellForm:
         """Order exponent of each coordinate in the quotient module."""
         return tuple(self.pivot_vals.get(j, self.ambient_orders[j])
                      for j in range(self.ncols))
-
-
-class QuotientModule:
-    """The ambient module modulo the span of the given rows, with canonical coordinates."""
-
-    def __init__(self, ring: GaloisRing, rows: Sequence[Sequence[GRElt]], ncols: int,
-                 ambient_orders: Optional[Sequence[int]] = None):
-        self.ring = ring
-        self.ncols = ncols
-        self.form = HowellForm(ring, rows, ncols, ambient_orders)
-        self.orders = self.form.quotient_orders()
-        self.live: Tuple[int, ...] = tuple(j for j, c in enumerate(self.orders) if c > 0)
-        self.size = prod((ring.p ** c) ** ring.r for c in self.orders)
-
-    def nf(self, vec: Sequence[GRElt]) -> Vec:
-        return self.form.reduce(vec)
-
-    def is_zero(self, vec: Sequence[GRElt]) -> bool:
-        return self.form.contains(vec)
-
-
-def submodule_size(ring: GaloisRing, rows: Sequence[Sequence[GRElt]], ncols: int,
-                   ambient_orders: Optional[Sequence[int]] = None) -> int:
-    """Cardinality of the span inside the ambient module."""
-    ambient = ambient_orders if ambient_orders is not None else (ring.m,) * ncols
-    total = prod((ring.p ** c) ** ring.r for c in ambient)
-    q = QuotientModule(ring, rows, ncols, ambient)
-    return total // q.size
 
 
 class LinearMapSolver:

@@ -19,11 +19,11 @@ import copy
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DefringError, InternalInconsistencyError
 from .galois import GaloisRing, GRElt
-from .linalg import HowellForm, LinearMapSolver, QuotientModule, submodule_size
+from .linalg import HowellForm, LinearMapSolver
 from .polys import Monomial, grlex_key, mono_mul
 from .presentations import IntegerPolynomialPresentation
 
@@ -349,20 +349,11 @@ class FiniteLocalRing:
     # -- units --------------------------------------------------------------
 
     def invert(self, x: RingElement) -> RingElement:
+        """The y with x*y = 1, solved from the multiplication-by-x map; it keeps
+        x's precision."""
         if not x.is_unit():
             raise NonUnitError(f"{self.describe_element(x)} is not a unit")
-        k = self.residue_field
-        c = self.reduce_element(x)
-        cinv = k.pow(c, k.size - 2) if k.size > 2 else c
-        y = self.unity_lift(cinv)
-        two = self.from_int(2)
-        for _ in range(8 * max(1, self.base.m)):
-            err = self.one - x * y
-            if err.is_zero():
-                return self.element(y.coeffs, x.prec)
-            y = y * (two - x * y)
-        raise RingConstructionError("unit inversion failed to converge "
-                                    "(ring is not local?)")
+        return self.element(_mult_map_solver(x).solve(self.one.coeffs), x.prec)
 
     # -- enumeration ---------------------------------------------------------
 
@@ -467,10 +458,7 @@ class Ideal:
         self.form = HowellForm(ring.base, rows, ring.N, ring.orders)
         self.module_basis: Tuple[RingElement, ...] = tuple(
             RingElement(ring, row) for row in self.form.rows)
-        p, r = ring.base.p, ring.base.r
-        self.size = prod(
-            p ** ((ring.orders[j] - self.form.pivot_vals[j]) * r)
-            for j in self.form.pivot_cols)
+        self.size = self.form.size
 
     def contains(self, x: RingElement) -> bool:
         return self.form.contains(list(x.coeffs))
@@ -590,7 +578,7 @@ def _layer_basis(upper: Ideal, lower: Ideal) -> List[RingElement]:
     size = lower.size
     basis = []
     for b in upper.module_basis:
-        grown = submodule_size(ring.base, rows + [list(b.coeffs)], ring.N, ring.orders)
+        grown = HowellForm(ring.base, rows + [list(b.coeffs)], ring.N, ring.orders).size
         if grown > size:
             basis.append(b)
             rows.append(list(b.coeffs))
@@ -726,12 +714,17 @@ def ring_from_truncated_presentation(
 
     The basis consists of standard monomials in graded lexicographic order; the
     designated generators are the variable images.  Infinite-dimensionality at
-    the cap is an explicit error, never a silent truncation.
+    the cap is an explicit error, never a silent truncation.  With no variables
+    the ring is GR(p^m, r), and relations are an error.
     """
-    W = GaloisRing(pres.p, m, pres.r, h)
     t = pres.nvars
     if t == 0:
+        if pres.relations:
+            raise RingConstructionError(
+                "relations need variables: without them the ring is GR(p^m, r), "
+                "and the precision sets p^m")
         return build_galois_ring(pres.p, m, pres.r, h).with_mode(mode)
+    W = GaloisRing(pres.p, m, pres.r, h)
 
     def monomials_upto(d: int) -> List[Monomial]:
         out = []
@@ -765,14 +758,14 @@ def ring_from_truncated_presentation(
                     j = col_index[mono_mul(mu, mo)]
                     row[j] = W.add(row[j], W.from_int(int_of(c)))
                 rows.append(row)
-        module = QuotientModule(W, rows, len(cols))
-        live_cols = list(module.live)
-        if not live_cols:
+        form = HowellForm(W, rows, len(cols))
+        if not form.live:
             raise RingConstructionError(
                 "presentation collapses to the zero ring at this precision")
-        live_monos = [cols[j] for j in live_cols]
+        qorders = form.quotient_orders()
+        live_monos = [cols[j] for j in form.live]
         max_live_deg = max(sum(mo) for mo in live_monos)
-        sig = (tuple(live_monos), tuple(module.orders[j] for j in live_cols))
+        sig = (tuple(live_monos), tuple(qorders[j] for j in form.live))
         if 2 * max_live_deg <= d and sig == prev_sig:
             break
         prev_sig = sig
@@ -782,18 +775,13 @@ def ring_from_truncated_presentation(
             f"monomial basis did not stabilize within degree cap {degree_cap}; "
             "not finite at this cap")
 
-    # basis in ascending graded-lex order
-    order_pairs = sorted(((cols[j], module.orders[j], j) for j in live_cols),
-                         key=lambda x: grlex_key(x[0]))
-    basis_monos = [mo for mo, _, _ in order_pairs]
-    orders = [o for _, o, _ in order_pairs]
+    # basis in ascending graded-lex order: the live columns, reversed
+    basis_monos = live_monos[::-1]
+    orders = [qorders[j] for j in reversed(form.live)]
     N = len(basis_monos)
-    col_of_basis = {mo: col_index[mo] for mo in basis_monos}
-    basis_pos = {mo: i for i, mo in enumerate(basis_monos)}
 
     def nf_coeffs(vec_cols: List[GRElt]) -> List[GRElt]:
-        red = module.nf(vec_cols)
-        return [red[col_of_basis[mo]] for mo in basis_monos]
+        return form.live_coords(vec_cols)[::-1]
 
     def mono_vec(mo: Monomial) -> List[GRElt]:
         v = [W.zero] * len(cols)
@@ -867,69 +855,47 @@ def ring_from_truncated_presentation(
 
 @dataclass
 class RingSurjection:
-    """A quotient ring together with the natural surjection and a canonical section."""
+    """A quotient ring R/I, the natural surjection and a canonical section.
+
+    The coordinates of R/I are those of R on the live columns of I's Howell
+    form, so `project` reads only the coefficients of its argument.
+    """
 
     source: FiniteLocalRing
     target: FiniteLocalRing
-    _project: Callable[[RingElement], RingElement]
-    _section: Callable[[RingElement], RingElement]
+    form: HowellForm
 
     def project(self, x: RingElement) -> RingElement:
-        return self._project(x)
+        return self.target.element(self.form.live_coords(x.coeffs))
 
     def section(self, xbar: RingElement) -> RingElement:
-        return self._section(xbar)
+        full = [self.source.base.zero] * self.source.N
+        for c, j in zip(xbar.coeffs, self.form.live):
+            full[j] = c
+        return self.source.element(full)
 
 
 def quotient_ring(ring: FiniteLocalRing, ideal: Ideal) -> RingSurjection:
-    """R/I with structure constants on the canonical complement basis."""
+    """R/I, an exact finite ring, with structure constants on the canonical
+    complement basis."""
     if not ideal.is_proper():
         raise ValueError("cannot quotient by the unit ideal")
-    W = ring.base
-    orders = ideal.form.quotient_orders()
-    live = [j for j, c in enumerate(orders) if c > 0]
-    pos = {j: i for i, j in enumerate(live)}
-    N2 = len(live)
-
-    def compress(x: RingElement) -> List[GRElt]:
-        red = ideal.form.reduce(list(x.coeffs))
-        return [red[j] for j in live]
-
-    def expand(coeffs: Sequence[GRElt]) -> RingElement:
-        full = [W.zero] * ring.N
-        for c, j in zip(coeffs, live):
-            full[j] = c
-        return RingElement(ring, full)
-
-    mul_table = []
-    for a in range(N2):
-        row = []
-        ea = expand([W.one if i == a else W.zero for i in range(N2)])
-        for b in range(N2):
-            eb = expand([W.one if i == b else W.zero for i in range(N2)])
-            row.append(compress(ea * eb))
-        mul_table.append(row)
-    one2 = compress(ring.one)
-    residue2 = [ring.reduce_element(expand([W.one if i == a else W.zero
-                                            for i in range(N2)]))
-                for a in range(N2)]
+    form = ideal.form
+    live = form.live
+    orders = form.quotient_orders()
+    basis = [ring.basis_element(j) for j in live]
     target = FiniteLocalRing(
-        base=W, orders=[orders[j] for j in live], mul_table=mul_table,
-        one_coeffs=one2, residue_coeffs=residue2,
-        generators=[compress(g) for g in ring.generators],
+        base=ring.base, orders=[orders[j] for j in live],
+        mul_table=[[form.live_coords((a * b).coeffs) for b in basis] for a in basis],
+        one_coeffs=form.live_coords(ring.one.coeffs),
+        residue_coeffs=[ring.reduce_element(a) for a in basis],
+        generators=[form.live_coords(g.coeffs) for g in ring.generators],
         basis_names=[ring.basis_names[j] for j in live],
         basis_monos=([ring.basis_monos[j] for j in live]
                      if ring.basis_monos is not None else None),
         mode="finite",
         label=f"{ring.label}/(ideal of size {ideal.size})")
-
-    def project(x: RingElement) -> RingElement:
-        return target.element(compress(x))
-
-    def section(xbar: RingElement) -> RingElement:
-        return expand(xbar.coeffs)
-
-    return RingSurjection(ring, target, project, section)
+    return RingSurjection(ring, target, form)
 
 
 # -- division and zero-divisors --------------------------------------------------------

@@ -28,9 +28,8 @@ from .galois import GRElt
 from .linalg import HowellForm, LinearMapSolver
 from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, CapExceededError,
                          FiniteLocalRing, Ideal, RingElement, RingHom,
-                         RingSurjection, _layer_basis, exact_divide,
-                         m_adic_filtration, maximal_ideal, quotient_ring,
-                         scale_ideal)
+                         _layer_basis, exact_divide, m_adic_filtration,
+                         maximal_ideal, quotient_ring, scale_ideal)
 from .matrices import Matrix
 
 
@@ -474,16 +473,6 @@ def order_ideal(ring: FiniteLocalRing, group: FiniteGroup) -> Ideal:
     return scale_ideal(group.n, maximal_ideal(ring))
 
 
-def mod_order_ideal(ring: FiniteLocalRing, group: FiniteGroup) -> RingSurjection:
-    """R -> R/J with J = |G| * m_R, built on the exact finite twin of R; its
-    `project` takes and its `section` returns elements of R itself."""
-    Rf = ring.with_mode("finite")
-    surj = quotient_ring(Rf, order_ideal(Rf, group))
-    return RingSurjection(ring, surj.target,
-                          lambda x: surj.project(Rf.element(x.coeffs)),
-                          lambda xbar: ring.element(surj.section(xbar).coeffs))
-
-
 def maranda_average(rho1: Representation, rho2: Representation,
                     A: Matrix) -> MarandaCertificate:
     """Average the approximate intertwiner A into an exact one (at reduced precision).
@@ -547,7 +536,7 @@ def maranda_decide(l1: Lift, l2: Lift,
     The reductions mod J = |G| m_R are compared by finite search; a positive
     answer is certified by lifting the quotient conjugator and averaging.
     """
-    surj = mod_order_ideal(l1.rep.ring, l1.rep.group)
+    surj = quotient_ring(l1.rep.ring, order_ideal(l1.rep.ring, l1.rep.group))
     red1, red2 = ([M.transfer(surj.target, surj.project) for M in l.rep.gen_matrices]
                   for l in (l1, l2))
     witness = kernel_conjugator(surj.target, l1.rep.n, red1, red2, cap)
@@ -660,15 +649,11 @@ def square_zero_extension(ring: FiniteLocalRing, ann: Ideal,
     if ann.ring is not ring:
         raise ValueError("annihilator ideal must live in the base ring")
     W = ring.base
-    qorders = ann.form.quotient_orders()
-    live = [j for j, c in enumerate(qorders) if c > 0]
+    live = ann.form.live
     NM = len(live)
     N = ring.N
+    qorders = ann.form.quotient_orders()
     orders = list(ring.orders) + [qorders[j] for j in live]
-
-    def mod_coords(x: RingElement) -> List:
-        red = ann.form.reduce(list(x.coeffs))
-        return [red[j] for j in live]
 
     zeroN = [W.zero] * N
     zeroM = [W.zero] * NM
@@ -681,10 +666,10 @@ def square_zero_extension(ring: FiniteLocalRing, ann: Ideal,
                 row.append(list(prod_r.coeffs) + zeroM)
             elif i < N <= j:
                 prod_r = ring.basis_element(i) * ring.basis_element(live[j - N])
-                row.append(zeroN + mod_coords(prod_r))
+                row.append(zeroN + ann.form.live_coords(prod_r.coeffs))
             elif j < N <= i:
                 prod_r = ring.basis_element(live[i - N]) * ring.basis_element(j)
-                row.append(zeroN + mod_coords(prod_r))
+                row.append(zeroN + ann.form.live_coords(prod_r.coeffs))
             else:
                 row.append(zeroN + zeroM)
         mul_table.append(row)

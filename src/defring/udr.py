@@ -14,13 +14,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InternalInconsistencyError
 from .groups import FiniteGroup, abelianization, p_part
 from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, FiniteLocalRing,
-                         RingElement, maximal_ideal,
+                         RingElement, maximal_ideal, quotient_ring,
                          ring_from_truncated_presentation, scale_ideal)
 from .polys import Poly
 from .presentations import IntegerPolynomialPresentation
 from .presented import EtaleReport, etale_check, q_fiber, verify_presented_hom
 from .representation import (Lift, Representation, def_set, kernel_conjugator,
-                             maranda_decide, mod_order_ideal)
+                             maranda_decide, order_ideal)
 
 INTERPRET_FAIL = "NOT a universal deformation ring (nor a quotient-class member)"
 INTERPRET_PASS = "necessary condition satisfied - universality unknown"
@@ -243,7 +243,7 @@ def finiteness_bound_check(rhobar: Representation, ring: FiniteLocalRing,
     """
     G = rhobar.group
     r, _ = p_part(G, ring.base.p)
-    surj = mod_order_ideal(ring, G)
+    surj = quotient_ring(ring, order_ideal(ring, G))
     Rbar = surj.target
     ds_bar = def_set(rhobar, Rbar, cap_maps, cap_elements)
     projected = [[M.transfer(Rbar, surj.project) for M in l.rep.gen_matrices]

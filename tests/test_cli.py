@@ -263,6 +263,14 @@ group {
 }
 """
 
+RELATIONS_WITHOUT_VARS_JOB = """\
+ring {
+  p = 2
+  precision = 3
+  relations = 5
+}
+"""
+
 
 @pytest.mark.parametrize("command, text, flags, message", [
     ("defcount", CAP_JOB, ["--cap-maps", "10"], "exceed the cap 10"),
@@ -270,8 +278,9 @@ group {
     ("defcount", NO_PARAM_JOB, [], "needs a 'param'"),
     ("etale-check", ETALE_PASS_JOB, ["--output", "{tmp}/missing/report.json"],
      "No such file or directory"),
+    ("fingerprint", RELATIONS_WITHOUT_VARS_JOB, [], "relations need variables"),
 ], ids=["cap-exceeded", "not-finite-at-cap", "group-without-param",
-        "unwritable-output"])
+        "unwritable-output", "relations-without-vars"])
 def test_error_paths_report_json(tmp_path, command, text, flags, message):
     job = tmp_path / "job.txt"
     job.write_text(text)

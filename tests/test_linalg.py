@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defring.galois import GaloisRing
-from defring.linalg import HowellForm, LinearMapSolver, QuotientModule, submodule_size
+from defring.linalg import HowellForm, LinearMapSolver
 
 
 def _span(ring: GaloisRing, rows, ncols):
@@ -56,7 +56,12 @@ def test_howell_membership_matches_bruteforce_span():
         for vec in itertools.product([ring.from_int(c) for c in range(8)],
                                      repeat=ncols):
             assert H.contains(vec) == (vec in span)
-        assert submodule_size(ring, rows, ncols) == len(span)
+        assert H.size == len(span)
+        # column j is dead iff the span holds a vector whose first nonzero
+        # entry is a unit at j: reduction then clears j in every vector
+        dead = {j for j in range(ncols) for v in span
+                if all(e == ring.zero for e in v[:j]) and ring.val(v[j]) == 0}
+        assert H.live == tuple(j for j in range(ncols) if j not in dead)
 
 
 def test_howell_reduce_is_canonical():
@@ -88,12 +93,14 @@ def test_quotient_orders_of_p_times_identity():
 def test_quotient_module_normal_form_idempotent():
     ring = GaloisRing(2, 2, 1)
     rows = [(ring.from_int(2), ring.from_int(1), ring.zero)]
-    Q = QuotientModule(ring, rows, 3)
+    H = HowellForm(ring, rows, 3)
     for vec in itertools.product([ring.from_int(c) for c in range(4)], repeat=3):
-        nf = Q.nf(vec)
-        assert Q.nf(nf) == nf
+        nf = H.reduce(vec)
+        assert H.reduce(nf) == nf
         diff = tuple(ring.sub(a, b) for a, b in zip(vec, nf))
-        assert Q.form.contains(diff)
+        assert H.contains(diff)
+        assert H.live_coords(vec) == [nf[j] for j in H.live]
+        assert all(nf[j] == ring.zero for j in range(3) if j not in H.live)
 
 
 def test_solver_solution_and_kernel():

@@ -177,6 +177,17 @@ def test_invert_non_unit_raises():
         R.invert(R.from_int(2))
 
 
+@pytest.mark.parametrize("mode", ["finite", "precision"])
+def test_invert_every_unit(mode):
+    R = ring_from_truncated_presentation(_pres(2, ["X"], ["X^2 - 2"]), 3, mode=mode)
+    units = [x for x in R.enumerate_elements() if x.is_unit()]
+    assert len(units) == 32
+    for x in units:
+        for prec in (3, 2):
+            y = R.invert(R.element(x.coeffs, prec))
+            assert x * y == R.one and y.prec == prec
+
+
 # -- enumeration caps --------------------------------------------------------
 
 

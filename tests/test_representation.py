@@ -7,7 +7,8 @@ import pytest
 from defring.groups import (abelianization, cyclic, dihedral, direct_product,
                             quaternion8, symmetric)
 from defring.local_ring import (build_galois_ring, ideal_span, identity_hom,
-                                maximal_ideal, ring_from_truncated_presentation)
+                                maximal_ideal, quotient_ring,
+                                ring_from_truncated_presentation)
 from defring.matrices import Matrix
 from defring.presentations import IntegerPolynomialPresentation
 from defring.representation import (Lift, MarandaPreconditionError,
@@ -16,7 +17,8 @@ from defring.representation import (Lift, MarandaPreconditionError,
                                     derivation_check, enumerate_lifts,
                                     hom_family, hom_vs_derivation, kernel_group,
                                     maranda_average, maranda_decide,
-                                    normalize_intertwiner, residual_rep,
+                                    normalize_intertwiner, order_ideal,
+                                    residual_rep,
                                     square_zero_extension, tangent_dimension,
                                     tangent_space, trivial_residual_rep,
                                     unique_deformation_check)
@@ -337,6 +339,25 @@ def test_maranda_decide_two_dimensional():
     l_triv = Lift(Representation.from_generator_images(G, R, [I2]), rhobar)
     eq, _ = maranda_decide(l_diag, l_triv, cap=10 ** 6)
     assert not eq
+
+
+def test_quotient_by_order_ideal_does_not_depend_on_mode():
+    # R/J with J = |G| m_R, for C2 and Z2[sqrt 2] at precision 6: m = (X), J = (X^3)
+    R = ring_from_truncated_presentation(_pres(2, ["X"], ["X^2 - 2"]), 6,
+                                         mode="precision")
+    Rf = R.with_mode("finite")
+    G = cyclic(2)
+    surj = quotient_ring(R, order_ideal(R, G))
+    twin = quotient_ring(Rf, order_ideal(Rf, G))
+    assert surj.target.mul_table == twin.target.mul_table
+    assert surj.target.label == twin.target.label
+    assert surj.target.orders == twin.target.orders == (2, 1)
+    for a, b in product(range(8), repeat=2):
+        x = R.element([(a,), (b,)])
+        assert surj.project(x).coeffs == twin.project(Rf.element(x.coeffs)).coeffs
+    for xbar in surj.target.enumerate_elements():
+        lifted = surj.section(xbar)
+        assert lifted.ring is R and surj.project(lifted) == xbar
 
 
 # -- intertwiner normalization -----------------------------------------------
