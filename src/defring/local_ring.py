@@ -111,14 +111,19 @@ class RingElement:
                                       min(self.prec, other.prec))
 
     def __pow__(self, e: int) -> "RingElement":
-        out = self.ring.one
+        """Square and multiply, with no product by the unity and no square
+        beyond the top bit of e."""
+        if not e:
+            return self.ring.one
+        out = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if not e:
+                return out
+            base = base * base
 
     def scale_int(self, n: int) -> "RingElement":
         W = self.ring.base
@@ -377,45 +382,92 @@ class FiniteLocalRing:
     # -- validation ----------------------------------------------------------
 
     def _validate(self):
+        """Check that the table is a commutative unital ring, local with the
+        claimed residue field, without visiting all N^3 basis triples.
+
+        The product is W-bilinear once it respects the additive orders, so
+        each law need only hold on a spanning set.  Torsion, commutativity
+        and unity are read off the basis products.  Associativity is Light's
+        test, as for group tables: the g with (x g) y = x (g y) for all x, y
+        form a W-submodule that contains 1 and is closed under products (for
+        two such a, b, (x (ab)) y = ((xa) b) y = (xa)(by) = x (a (by)) =
+        x ((ab) y)).  So it holds everywhere once it holds for a set S whose
+        left-nested products with 1 span R (`_spanning_generators`); with
+        commutativity the test on g is (g e_i) e_j = (g e_j) e_i for i < j.
+        Given associativity, the g with red(g y) = red(g) red(y) for all y
+        are, by the same argument, a W-submodule closed under products, so
+        the reduction is tested on S times the basis only.
+        """
         W = self.base
         k = self.residue_field
-        zero = W.zero
-        basis = self.basis
-        # additive orders are consistent with the table: p^{c_i} e_i = 0 is
-        # built into canonicalization; check the table respects torsion
-        for i in range(self.N):
-            for j in range(self.N):
-                prod_ij = basis[i] * basis[j]
-                cij = min(self.orders[i], self.orders[j])
-                killed = prod_ij.scale_int(W.p ** cij)
-                if not killed.is_zero():
+        p = W.p
+        N = self.N
+        mods = self._mods
+        pairs = self._basis_products()
+        for i in range(N):
+            for j in range(N):
+                pc = p ** min(self.orders[i], self.orders[j])
+                if any(pc * v % md for v, md in zip(pairs[i][j], mods)):
                     raise RingConstructionError(
                         f"structure constants violate additive orders at ({i},{j})")
-        # ring laws on all basis triples
-        for i in range(self.N):
-            for j in range(self.N):
-                if (basis[i] * basis[j]) != (basis[j] * basis[i]):
+        for i in range(N):
+            for j in range(i + 1, N):
+                if pairs[i][j] != pairs[j][i]:
                     raise RingConstructionError(f"multiplication not commutative at ({i},{j})")
-                if (self.one * basis[j]).coeffs != basis[j].coeffs:
-                    raise RingConstructionError("unity fails on basis")
-                for l in range(self.N):
-                    if ((basis[i] * basis[j]) * basis[l]) != (basis[i] * (basis[j] * basis[l])):
-                        raise RingConstructionError(
-                            f"multiplication not associative at ({i},{j},{l})")
-        # reduction is a surjective ring homomorphism
+        basis = self.basis
+        for b in basis:
+            if (self.one * b).coeffs != b.coeffs:
+                raise RingConstructionError("unity fails on basis")
         if self.reduce_element(self.one) != k.one:
             raise RingConstructionError("reduction does not send 1 to 1")
-        for i in range(self.N):
-            for j in range(self.N):
-                lhs = k.mul(self.reduce_element(basis[i]), self.reduce_element(basis[j]))
-                if lhs != self.reduce_element(basis[i] * basis[j]):
-                    raise RingConstructionError("reduction is not multiplicative")
+        red = [self.reduce_element(b) for b in basis]
+        for g in self._spanning_generators():
+            ge = [g * b for b in basis]
+            for i in range(N):
+                for j in range(i + 1, N):
+                    if ge[i] * basis[j] != ge[j] * basis[i]:
+                        raise RingConstructionError(
+                            f"multiplication not associative: (g e_{i}) e_{j} != "
+                            f"(g e_{j}) e_{i} for g = {self.describe_element(g)}")
+            rg = self.reduce_element(g)
+            if any(self.reduce_element(x) != k.mul(rg, rb) for x, rb in zip(ge, red)):
+                raise RingConstructionError("reduction is not multiplicative")
         # locality: the kernel of reduction is spanned by nilpotents
         for g in maximal_ideal(self).module_basis:
             if not self._is_nilpotent(g):
                 raise RingConstructionError(
                     "kernel of reduction contains a non-nilpotent element; "
                     "the ring is not local with the claimed residue field")
+
+    def _spanning_generators(self) -> List[RingElement]:
+        """Elements whose left-nested products with 1 span R as a W-module.
+
+        The designated generators, when every basis monomial X^mu is 1 (for
+        mu = 0) or the product X_v * X^(mu - e_v) of a generator and another
+        basis monomial, one product per basis element; by induction on the
+        degree every basis element is then a nested product.  Otherwise (no
+        monomials, as for square-zero extensions, or a monomial whose factors
+        are not basis elements) the whole basis, which spans R by itself.
+        """
+        basis = self.basis
+        monos = self.basis_monos
+        if monos is None or any(len(mo) != len(self.generators) for mo in monos):
+            return basis
+        index = {mo: i for i, mo in enumerate(monos)}
+        for b, mo in zip(basis, monos):
+            if not any(mo):
+                if self.one.coeffs != b.coeffs:
+                    return basis
+                continue
+            for v, e in enumerate(mo):
+                prev = index.get(mo[:v] + (e - 1,) + mo[v + 1:]) if e else None
+                if prev is not None:
+                    break
+            else:
+                return basis
+            if (self.generators[v] * basis[prev]).coeffs != b.coeffs:
+                return basis
+        return list(self.generators)
 
     def _is_nilpotent(self, x: RingElement) -> bool:
         # x nilpotent iff x^(N*m) = 0: the residue dimension bounds the mod-p
@@ -449,13 +501,23 @@ class Ideal:
     """Ideal of a FiniteLocalRing, stored with an echelonized module basis."""
 
     def __init__(self, ring: FiniteLocalRing, generators: Sequence[RingElement]):
+        """The ideal generated by `generators`: the W-span of the e_i * g."""
+        basis = ring.basis
+        self._span(ring, generators, [b * g for g in generators for b in basis])
+
+    @classmethod
+    def _module_span(cls, ring: FiniteLocalRing, elements: Sequence[RingElement]) -> "Ideal":
+        """The W-span of `elements`, which the caller knows to be an ideal."""
+        ideal = cls.__new__(cls)
+        ideal._span(ring, elements, elements)
+        return ideal
+
+    def _span(self, ring: FiniteLocalRing, generators: Sequence[RingElement],
+              spanning: Sequence[RingElement]) -> None:
         self.ring = ring
         self.generators = tuple(generators)
-        rows = []
-        for g in generators:
-            for i in range(ring.N):
-                rows.append(list((ring.basis_element(i) * g).coeffs))
-        self.form = HowellForm(ring.base, rows, ring.N, ring.orders)
+        self.form = HowellForm(ring.base, [list(x.coeffs) for x in spanning],
+                               ring.N, ring.orders)
         self.module_basis: Tuple[RingElement, ...] = tuple(
             RingElement(ring, row) for row in self.form.rows)
         self.size = self.form.size
@@ -513,8 +575,11 @@ class Ideal:
         return out
 
     def product(self, other: "Ideal") -> "Ideal":
+        """I*J, the W-span of the products of the two module bases: a sum of
+        products xy with x in I, y in J expands into them, and the span is
+        already an ideal, since r(ab) = (ra)b with ra in I."""
         gens = [a * b for a in self.module_basis for b in other.module_basis]
-        return Ideal(self.ring, gens)
+        return Ideal._module_span(self.ring, gens)
 
     def __repr__(self):
         return f"Ideal(size={self.size} in {self.ring.label})"
@@ -529,12 +594,17 @@ def scale_ideal(n: int, ideal: Ideal) -> Ideal:
 
 
 def maximal_ideal(ring: FiniteLocalRing) -> Ideal:
-    """Kernel of the reduction to the residue field (= the set of non-units)."""
+    """Kernel of the reduction to the residue field (= the set of non-units).
+
+    x is in the kernel iff its coefficients reduce into the kernel of the
+    k-linear map (y_j) -> sum y_j * lambda_j, so the kernel is the W-span of
+    the lifts of that map's kernel and of the p * e_j; the reduction is a ring
+    map, so the span is an ideal.
+    """
     if ring._max_ideal is not None:
         return ring._max_ideal
     W = ring.base
     k = ring.residue_field
-    # kernel of the k-linear map (y_j) -> sum y_j * lambda_j on residue coefficients
     solver = LinearMapSolver(k, [[lam] for lam in ring.residue_coeffs], 1)
     gens = []
     for vec in solver.kernel_generators():
@@ -545,7 +615,7 @@ def maximal_ideal(ring: FiniteLocalRing) -> Ideal:
         coeffs = [W.zero] * ring.N
         coeffs[j] = W.from_int(W.p)
         gens.append(RingElement(ring, coeffs))
-    ring._max_ideal = Ideal(ring, gens)
+    ring._max_ideal = Ideal._module_span(ring, gens)
     return ring._max_ideal
 
 
@@ -883,12 +953,13 @@ def quotient_ring(ring: FiniteLocalRing, ideal: Ideal) -> RingSurjection:
     form = ideal.form
     live = form.live
     orders = form.quotient_orders()
-    basis = [ring.basis_element(j) for j in live]
+    pairs = ring._basis_products()
     target = FiniteLocalRing(
         base=ring.base, orders=[orders[j] for j in live],
-        mul_table=[[form.live_coords((a * b).coeffs) for b in basis] for a in basis],
+        mul_table=[[form.live_coords(ring._pack(pairs[i][j])) for j in live]
+                   for i in live],
         one_coeffs=form.live_coords(ring.one.coeffs),
-        residue_coeffs=[ring.reduce_element(a) for a in basis],
+        residue_coeffs=[ring.reduce_element(ring.basis_element(j)) for j in live],
         generators=[form.live_coords(g.coeffs) for g in ring.generators],
         basis_names=[ring.basis_names[j] for j in live],
         basis_monos=([ring.basis_monos[j] for j in live]
@@ -979,15 +1050,25 @@ class RingFingerprint:
 
 def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFingerprint:
     """Characteristic, sizes, Hilbert sequence, and the counts of elements by
-    additive order and by nilpotency index.
+    additive order and by nilpotency index, without enumerating R or m.
 
-    No count enumerates R.  The additive group is the direct sum of the
-    (Z/p^{c_j})^r, so #{x : p^e x = 0} = prod_j p^{r min(e, c_j)} and the
-    number of elements of order exactly p^e is the difference of consecutive
-    such products.  Units are never nilpotent, so nilpotency indices are
-    counted over m only, by walking x, x^2, ... until the power is zero; since
-    m^L = 0 for L = len(hilbert), a walk longer than L is an inconsistency
-    and raises.  `cap` bounds the size of R, as if R were enumerated.
+    The additive group is the direct sum of the (Z/p^{c_j})^r, so
+    #{x : p^e x = 0} = prod_j p^{r min(e, c_j)}, and the number of elements
+    of order exactly p^e is the difference of consecutive such products.
+
+    Units are never nilpotent, so nilpotency indices are counted over m, by a
+    walk down the m-adic filtration [m, m^2, ..., m^L = 0].  For x in m and
+    d in m^j, (x + d)^e - x^e lies in m^(e-1+j), so x^e depends only on x mod
+    m^(L-e+1).  The walk visits the classes of m mod m, mod m^2, ..., each
+    class's children being its sums with `_layer_offsets`.  At depth j it
+    tests x^(L-j+1), which the class decides.  If the power is zero the walk
+    descends.  Otherwise x^(L-j+2) is zero, since the parent class tested it,
+    so all |m^j| elements of the class have index exactly L-j+2 and are
+    counted without being visited; the representative must then satisfy
+    x^(L-j+2) = 0, and a class that does not raises, as a filtration that is
+    not the m-adic one would make it.  The classes that reach depth L with
+    x = 0 are the zero element, of index 1.  `cap` bounds the size of R, as
+    if R were enumerated.
     """
     if ring.mode != "finite":
         raise ValueError("fingerprints are defined for exact finite rings only")
@@ -1015,19 +1096,26 @@ def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFi
               for e in range(max(ring.orders, default=0) + 1)]
     order_counts = [(p ** e, killed[e] - (killed[e - 1] if e else 0))
                     for e in range(len(killed))]
-    bound = len(hilbert)
+    bound = len(filtration)
     nil_counts: Dict[int, int] = {}
-    for x in mx.elements():
-        e = 1
-        y = x
-        while not y.is_zero():
-            if e == bound:
+    classes = [ring.zero]
+    for j, ideal in enumerate(filtration, 1):
+        e = bound - j + 1
+        survivors = []
+        for x in classes:
+            y = x ** e
+            if y.is_zero():
+                survivors.append(x)
+                continue
+            if not (y * x).is_zero():
                 raise InternalInconsistencyError(
-                    f"{ring.describe_element(x)} in m has x^{bound} != 0 "
-                    f"although m^{bound} = 0")
-            y = y * x
-            e += 1
-        nil_counts[e] = nil_counts.get(e, 0) + 1
+                    f"{ring.describe_element(x)} in m has x^{e} != 0 and "
+                    f"x^{e + 1} != 0 although m^{bound} = 0")
+            nil_counts[e + 1] = nil_counts.get(e + 1, 0) + ideal.size
+        if j < bound:
+            offsets = _layer_offsets(ideal, filtration[j])
+            classes = [x + o for x in survivors for o in offsets]
+    nil_counts[1] = len(survivors)
     return RingFingerprint(
         characteristic=char,
         size=ring.size,

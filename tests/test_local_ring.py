@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Dict, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import defring.local_ring as local_ring
 from defring.errors import InternalInconsistencyError
 from defring.galois import GaloisRing
 from defring.local_ring import (CapExceededError, FiniteLocalRing, Ideal,
@@ -17,7 +19,9 @@ from defring.local_ring import (CapExceededError, FiniteLocalRing, Ideal,
                                 ideal_span, identity_hom, is_zero_divisor,
                                 m_adic_filtration, maximal_ideal, quotient_ring,
                                 ring_from_truncated_presentation, scale_ideal)
+from defring.polys import Poly
 from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
+from defring.representation import square_zero_extension
 
 
 def _pres(p, names, rels, r=1):
@@ -361,6 +365,8 @@ def test_identity_hom_verifies():
 # canonicalisation.  `fingerprint_oracle` is the former fingerprint: every
 # element of R, its additive order read off its coefficients, and its
 # nilpotency index by a power-of-two nilpotency test followed by a power walk.
+# `validate_oracle` is the former table check: every law on all basis pairs
+# and associativity on all N^3 basis triples.
 
 
 def dense_product(ring: FiniteLocalRing, a, b) -> Tuple:
@@ -415,6 +421,8 @@ ORACLE_RINGS = {
     "(Z/4)[e]": z4_eps,
     "(Z/8)[X]/(X^2,2X)": lambda: ring_from_truncated_presentation(
         _pres(2, ["X"], ["X^2", "2*X"]), 3),
+    "F2[X,Y]/(X^2,Y^2)": lambda: ring_from_truncated_presentation(
+        _pres(2, ["X", "Y"], ["X^2", "Y^2"]), 1),
     "r_alpha(1)": lambda: ring_from_truncated_presentation(r_alpha_presentation(1, 2), 1),
     "GR(8,2)[X]/(X^2-2)": lambda: ring_from_truncated_presentation(
         _pres(2, ["X"], ["X^2 - 2"], r=2), 3),
@@ -503,3 +511,241 @@ def test_with_mode_shares_tables_and_round_trips():
     with pytest.raises(RingConstructionError):
         ring_from_truncated_presentation(
             _pres(2, ["X"], ["X^2", "2*X"]), 3).with_mode("precision")
+
+
+# -- ring tables: Light's test against the N^3 triple loop -------------------
+
+
+def validate_oracle(ring: FiniteLocalRing) -> None:
+    """The former `FiniteLocalRing._validate`: torsion, commutativity, unity and
+    reduction on all basis pairs, associativity on all basis triples, and
+    locality on the ideal generated by the kernel's generators."""
+    W = ring.base
+    k = ring.residue_field
+    basis = ring.basis
+    N = ring.N
+    for i in range(N):
+        for j in range(N):
+            killed = (basis[i] * basis[j]).scale_int(
+                W.p ** min(ring.orders[i], ring.orders[j]))
+            if not killed.is_zero():
+                raise RingConstructionError("structure constants violate additive orders")
+    for i in range(N):
+        for j in range(N):
+            if basis[i] * basis[j] != basis[j] * basis[i]:
+                raise RingConstructionError("multiplication not commutative")
+            if (ring.one * basis[j]).coeffs != basis[j].coeffs:
+                raise RingConstructionError("unity fails on basis")
+            for l in range(N):
+                if (basis[i] * basis[j]) * basis[l] != basis[i] * (basis[j] * basis[l]):
+                    raise RingConstructionError("multiplication not associative")
+    if ring.reduce_element(ring.one) != k.one:
+        raise RingConstructionError("reduction does not send 1 to 1")
+    for i in range(N):
+        for j in range(N):
+            lhs = k.mul(ring.reduce_element(basis[i]), ring.reduce_element(basis[j]))
+            if lhs != ring.reduce_element(basis[i] * basis[j]):
+                raise RingConstructionError("reduction is not multiplicative")
+    for g in ideal_span(ring, maximal_ideal(ring).generators).module_basis:
+        if not ring._is_nilpotent(g):
+            raise RingConstructionError("kernel of reduction is not nilpotent")
+
+
+def _verdict(check, ring) -> str:
+    try:
+        check(ring)
+    except RingConstructionError:
+        return "rejected"
+    return "accepted"
+
+
+def _with_table(R: FiniteLocalRing, table, monos=True) -> FiniteLocalRing:
+    return FiniteLocalRing(
+        base=R.base, orders=R.orders, mul_table=table, one_coeffs=R.one.coeffs,
+        residue_coeffs=R.residue_coeffs, generators=[g.coeffs for g in R.generators],
+        basis_names=R.basis_names, basis_monos=R.basis_monos if monos else None,
+        validate=False)
+
+
+@lru_cache(maxsize=None)
+def square_zero_ring(name: str) -> FiniteLocalRing:
+    R = oracle_ring(name)
+    m = maximal_ideal(R)
+    return square_zero_extension(R, m.product(m))[0]
+
+
+# rings with more than one basis element; e_0 is the unity in all of them
+TABLE_RINGS = ["(Z/4)[e]", "(Z/8)[X]/(X^2,2X)", "F2[e]", "F3[e]", "F2[X,Y]/(X^2,Y^2)",
+               "GR(8,2)[X]/(X^2-2)", "r_alpha(1)",
+               "sq:(Z/4)[e]", "sq:F3[e]", "sq:Z/8", "sq:GR(4,2)"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(TABLE_RINGS), st.booleans(), st.data())
+def test_light_test_matches_triple_loop_on_perturbed_tables(name, monos, data):
+    # one structure constant of e_i * e_j and the same of e_j * e_i move by
+    # the same nonzero amount, so the table stays commutative and usually
+    # stops being associative; i, j > 0 leaves the unity's row alone.  The
+    # square-zero extensions carry no monomials, and neither does a table
+    # drawn with monos=False, so Light's test runs over the whole basis there
+    R = square_zero_ring(name[3:]) if name.startswith("sq:") else oracle_ring(name)
+    assert _verdict(validate_oracle, R) == _verdict(FiniteLocalRing._validate, R) == "accepted"
+    W = R.base
+    N = R.N
+    i = data.draw(st.integers(1, N - 1))
+    j = data.draw(st.integers(i, N - 1))
+    k = data.draw(st.integers(0, N - 1))
+    delta = data.draw(st.tuples(*[st.integers(0, W.q - 1)] * W.r).filter(any))
+    table = [[list(v) for v in row] for row in R.mul_table]
+    for a, b in {(i, j), (j, i)}:
+        table[a][b][k] = W.add(table[a][b][k], delta)
+    T = _with_table(R, table, monos)
+    assert _verdict(FiniteLocalRing._validate, T) == _verdict(validate_oracle, T)
+
+
+def _f2(*bits):
+    W = GaloisRing(2, 1, 1)
+    return [W.one if b else W.zero for b in bits]
+
+
+def test_commutative_unital_non_associative_table_is_rejected():
+    # basis 1, x, y over F_2 with x^2 = y^2 = 0 and xy = x: commutative and
+    # unital, but (x y) y = x while x (y y) = 0
+    W = GaloisRing(2, 1, 1)
+    one, x, y, zero = _f2(1, 0, 0), _f2(0, 1, 0), _f2(0, 0, 1), _f2(0, 0, 0)
+    table = [[one, x, y], [x, zero, x], [y, x, zero]]
+    kwargs = dict(base=W, orders=[1, 1, 1], one_coeffs=one,
+                  residue_coeffs=_f2(1, 0, 0), generators=[x, y],
+                  basis_names=["1", "x", "y"])
+    T = FiniteLocalRing(mul_table=table, validate=False, **kwargs)
+    assert _verdict(validate_oracle, T) == "rejected"
+    with pytest.raises(RingConstructionError, match="not associative"):
+        FiniteLocalRing(mul_table=table, **kwargs)
+    # 1, X, X^2 with X^2 * X^2 = X and X * X^2 = 0: every basis monomial is
+    # a generator times another, so Light's test runs over X alone
+    one, X, X2 = _f2(1, 0, 0), _f2(0, 1, 0), _f2(0, 0, 1)
+    table = [[one, X, X2], [X, X2, zero], [X2, zero, X]]
+    kwargs = dict(base=W, orders=[1, 1, 1], one_coeffs=one,
+                  residue_coeffs=_f2(1, 0, 0), generators=[X],
+                  basis_names=["1", "X", "X^2"], basis_monos=[(0,), (1,), (2,)])
+    T = FiniteLocalRing(mul_table=table, validate=False, **kwargs)
+    assert T._spanning_generators() == [T.generators[0]]
+    assert _verdict(validate_oracle, T) == "rejected"
+    with pytest.raises(RingConstructionError, match="not associative"):
+        FiniteLocalRing(mul_table=table, **kwargs)
+    # F_2[X, Y]/(X^2, Y^2) with Y * XY = 1: (Y Y) X = 0 but (Y X) Y = 1, which
+    # only the test on the second generator sees
+    R = oracle_ring("F2[X,Y]/(X^2,Y^2)")
+    assert R.basis_names == ("1", "Y", "X", "X*Y")
+    table = [[list(v) for v in row] for row in R.mul_table]
+    table[1][3] = table[3][1] = _f2(1, 0, 0, 0)
+    T = _with_table(R, table)
+    assert T._spanning_generators() == list(T.generators)
+    assert _verdict(validate_oracle, T) == "rejected"
+    with pytest.raises(RingConstructionError, match="not associative.*for g = Y$"):
+        T._validate()
+
+
+# -- nilpotency by the pruned walk against the element walk ------------------
+
+# (p, m, r, exponents): X^a (and Y^b) keep the ring finite and local, and
+# the ring has at most 4096 elements
+PRESENTATION_SHAPES = [
+    (2, 1, 1, (6,)), (2, 2, 1, (4,)), (2, 3, 1, (3,)), (3, 1, 1, (5,)),
+    (3, 2, 1, (3,)), (5, 1, 1, (4,)), (2, 1, 2, (4,)), (2, 1, 1, (3, 3)),
+    (2, 2, 1, (2, 3)), (3, 1, 1, (2, 3)), (2, 1, 2, (2, 2)),
+]
+
+
+@st.composite
+def local_presentations(draw):
+    p, m, r, exps = draw(st.sampled_from(PRESENTATION_SHAPES))
+    t = len(exps)
+    rels = [Poly(t, {tuple(a if v == u else 0 for v in range(t)): 1})
+            for u, a in enumerate(exps)]
+    monos = [mo for mo in product(range(4), repeat=t) if 1 <= sum(mo) <= 3]
+    for _ in range(draw(st.integers(0, 2))):
+        terms = draw(st.dictionaries(st.sampled_from(monos), st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                     min_size=1, max_size=3))
+        rels.append(Poly(t, terms))
+    names = ("X", "Y")[:t]
+    return IntegerPolynomialPresentation(p, names, tuple(rels), r), m
+
+
+@settings(max_examples=30, deadline=None)
+@given(local_presentations())
+def test_fingerprint_of_random_presentations_matches_oracle(pres_m):
+    pres, m = pres_m
+    R = ring_from_truncated_presentation(pres, m)
+    fp = fingerprint(R)
+    oracle = fingerprint_oracle(R)
+    assert fp.additive_order_counts == oracle["additive_order_counts"]
+    assert fp.nilpotency_index_counts == oracle["nilpotency_index_counts"]
+
+
+def z27_cube_root_3():
+    return ring_from_truncated_presentation(_pres(3, ["X"], ["X^3 - 3"]), 3)
+
+
+@pytest.mark.parametrize("build", [lambda: oracle_ring("r_alpha(1)"), z27_cube_root_3],
+                         ids=["r_alpha(1)", "Z/27[X]/(X^3-3)"])
+def test_fingerprint_rejects_a_filtration_that_skips_a_power(build, monkeypatch):
+    # without m^i the walk's classes still partition m, but the binomial
+    # bound no longer holds, so some class claims an index its
+    # representative does not have
+    R = build()
+    full = m_adic_filtration(R)
+    assert len(full) >= 4
+    for skip in range(1, len(full) - 1):
+        monkeypatch.setattr(local_ring, "m_adic_filtration",
+                            lambda ring, skip=skip: full[:skip] + full[skip + 1:])
+        with pytest.raises(InternalInconsistencyError, match="although m"):
+            fingerprint(R)
+
+
+# -- ideal products from module bases ----------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_RINGS)), st.data())
+def test_ideal_product_matches_ideal_generated_by_products(name, data):
+    R = oracle_ring(name)
+    I, J = (ideal_span(R, [_element(R, data.draw)
+                           for _ in range(data.draw(st.integers(0, 2)))])
+            for _ in range(2))
+    fast = I.product(J)
+    slow = Ideal(R, [a * b for a in I.module_basis for b in J.module_basis])
+    assert [x.coeffs for x in fast.module_basis] == [x.coeffs for x in slow.module_basis]
+    assert fast.size == slow.size
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+def test_maximal_ideal_is_the_ideal_its_generators_generate(name):
+    R = oracle_ring(name)
+    m = maximal_ideal(R)
+    slow = ideal_span(R, m.generators)
+    assert [x.coeffs for x in m.module_basis] == [x.coeffs for x in slow.module_basis]
+
+
+# -- work ceilings: ring products, which do not depend on the machine ----------
+
+
+def _count_products(monkeypatch, fn) -> int:
+    calls = []
+    mul = RingElement.__mul__
+    monkeypatch.setattr(RingElement, "__mul__",
+                        lambda self, other: calls.append(1) or mul(self, other))
+    fn()
+    monkeypatch.setattr(RingElement, "__mul__", mul)
+    return len(calls)
+
+
+def test_ring_product_ceilings(monkeypatch):
+    # the N^3 table check and the element walk took 10,042 products to build
+    # r_alpha(1), and 18,431 and 42,452 for the two fingerprints
+    build = lambda: ring_from_truncated_presentation(r_alpha_presentation(1, 2), 1)
+    assert _count_products(monkeypatch, build) <= 4000
+    R = build()
+    assert _count_products(monkeypatch, lambda: fingerprint(R)) <= 4000
+    Z = z27_cube_root_3()
+    assert _count_products(monkeypatch, lambda: fingerprint(Z)) <= 5000
