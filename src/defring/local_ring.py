@@ -927,20 +927,21 @@ def ring_from_truncated_presentation(
 class RingSurjection:
     """A quotient ring R/I, the natural surjection and a canonical section.
 
-    The coordinates of R/I are those of R on the live columns of I's Howell
-    form, so `project` reads only the coefficients of its argument.
+    The coordinates of R/I are those of R on the live columns of the Howell
+    form of the kernel I, so `project` reads only the coefficients of its
+    argument.
     """
 
     source: FiniteLocalRing
     target: FiniteLocalRing
-    form: HowellForm
+    kernel: Ideal
 
     def project(self, x: RingElement) -> RingElement:
-        return self.target.element(self.form.live_coords(x.coeffs))
+        return self.target.element(self.kernel.form.live_coords(x.coeffs))
 
     def section(self, xbar: RingElement) -> RingElement:
         full = [self.source.base.zero] * self.source.N
-        for c, j in zip(xbar.coeffs, self.form.live):
+        for c, j in zip(xbar.coeffs, self.kernel.form.live):
             full[j] = c
         return self.source.element(full)
 
@@ -966,7 +967,7 @@ def quotient_ring(ring: FiniteLocalRing, ideal: Ideal) -> RingSurjection:
                      if ring.basis_monos is not None else None),
         mode="finite",
         label=f"{ring.label}/(ideal of size {ideal.size})")
-    return RingSurjection(ring, target, form)
+    return RingSurjection(ring, target, ideal)
 
 
 # -- division and zero-divisors --------------------------------------------------------

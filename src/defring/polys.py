@@ -1,7 +1,11 @@
 """Exact multivariate polynomials over Q, monomial orders, and Buchberger's algorithm.
 
-Monomials are exponent tuples; polynomials map monomials to Fractions.
-Division and Gröbner bases use one fixed order, degrevlex (`grevlex_key`):
+Monomials are exponent tuples; a polynomial maps monomials to its coefficients,
+Fractions in lowest terms.  Division runs over Z: the polynomial being reduced
+is held as integer numerators over one common denominator (`Poly.over_z`), and
+each divisor as its primitive integer multiple, so no step normalises a
+Fraction; the caps on a division are still defined on the coefficients in
+lowest terms.  Division and Gröbner bases use one fixed order, degrevlex (`grevlex_key`):
 Gröbner bases are computed with the normal selection strategy, fully
 interreduced and monic, so the output is the canonical reduced basis of the
 ideal.  `grlex_key` remains for callers that sort monomials themselves.
@@ -11,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import add, le, neg, sub
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -50,13 +55,19 @@ def mono_deg(a: Monomial) -> int:
 
 
 class Poly:
-    """Polynomial in a fixed number of variables with Fraction coefficients."""
+    """Polynomial in a fixed number of variables with Fraction coefficients.
 
-    __slots__ = ("nvars", "terms")
+    The terms are never mutated after construction, so the forms derived from
+    them are computed once and cached: `over_z` and the divisor form that
+    `normal_form` reduces by.
+    """
+
+    __slots__ = ("nvars", "terms", "_over_z", "_divisor")
 
     def __init__(self, nvars: int, terms: Optional[Dict[Monomial, Fraction]] = None):
         self.nvars = nvars
         self.terms: Dict[Monomial, Fraction] = {}
+        self._over_z = self._divisor = None
         if terms:
             for m, c in terms.items():
                 c = Fraction(c)
@@ -69,7 +80,35 @@ class Poly:
         out = cls.__new__(cls)
         out.nvars = nvars
         out.terms = terms
+        out._over_z = out._divisor = None
         return out
+
+    def over_z(self) -> Tuple[int, Dict[Monomial, int]]:
+        """(D, numerators): a positive common denominator D of the coefficients
+        and the integer numerators over it, in the order of the terms.
+
+        D is the least common denominator unless `normal_form` made this
+        polynomial, which keeps the denominator its division ended with.
+        """
+        if self._over_z is None:
+            d = lcm(*(c.denominator for c in self.terms.values()))
+            self._over_z = d, {m: c.numerator * (d // c.denominator)
+                               for m, c in self.terms.items()}
+        return self._over_z
+
+    def _divisor_form(self) -> Tuple[Monomial, int, List[Tuple[Monomial, int]]]:
+        """(lm, L, tail): the primitive integer multiple of self, as
+        L*lm - sum(c*m for m, c in tail) with L > 0, which `normal_form`
+        divides by."""
+        if self._divisor is None:
+            lm = self.leading_monomial()
+            nums = self.over_z()[1]
+            g = gcd(*nums.values())
+            if nums[lm] < 0:
+                g = -g
+            self._divisor = (lm, nums[lm] // g,
+                             [(m, -c // g) for m, c in nums.items() if m != lm])
+        return self._divisor
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
@@ -345,44 +384,57 @@ def normal_form(f: Poly, basis: Sequence[Poly],
 
     Each step takes the degrevlex-leading term of what is left and either
     cancels it with the first basis element whose leading monomial divides
-    it, or moves it to the remainder.  What is left is one coefficient dict
-    whose monomials sit on a heap keyed (-degree, reversed monomial), so the
+    it, or moves it to the remainder.  What is left is one dict of integer
+    numerators over a common denominator D, shared with the remainder, and
+    its monomials sit on a heap keyed (-degree, reversed monomial), so the
     heap minimum is the degrevlex maximum; an entry whose monomial has since
-    cancelled or been reduced is stale and skipped.
+    cancelled or been reduced is stale and skipped.  A step by the divisor
+    L*lm - tail (its primitive integer form) that pops the numerator a first
+    scales what is left, the remainder and D by L/gcd(a, L) if L does not
+    divide a, and then adds (a/L) * tail: integer multiply-adds only.  The
+    remainder is returned with coefficients in lowest terms, and with its
+    numerators over D as its `over_z` form.
 
-    The caps are checked on f and then, after each step, on the coefficients
-    that step created or changed: every other coefficient left was checked
-    when it was made, so a capped input fails at the same step with the same
-    error as a check of everything left.
+    The caps are defined on coefficients in lowest terms.  They are checked on
+    f and then, after each step, on the coefficients that step created or
+    changed: every other coefficient left was checked when it was made, and a
+    scaling changes no coefficient in lowest terms, so a capped input fails
+    at the same step with the same error as a check of everything left.
+    Each check first tries a sufficient test on the numerators and D (see
+    `_check_step`), and reduces to lowest terms only when that test fails.
     """
-    divisors = []
-    for g in basis:
-        if g.terms:
-            lm = g.leading_monomial()
-            divisors.append((lm, g.terms[lm],
-                             [(m, -c) for m, c in g.terms.items() if m != lm]))
+    divisors = [g._divisor_form() for g in basis if g.terms]
     checked = deny_denominator_prime is not None or bit_cap is not None
-    work = dict(f.terms)
     if checked:
-        _check_coefficients(work.values(), deny_denominator_prime, bit_cap)
+        _check_coefficients(f.terms.values(), deny_denominator_prime, bit_cap)
+    den, nums = f.over_z()
+    work = dict(nums)
     heap = [(-sum(m), m[::-1], m) for m in work]
     heapify(heap)
-    remainder: Dict[Monomial, Fraction] = {}
+    remainder: Dict[Monomial, int] = {}
     while heap:
         m = heappop(heap)[2]
-        c = work.pop(m, None)
-        if c is None:
+        a = work.pop(m, None)
+        if a is None:
             continue
-        for lm, lc, neg_tail in divisors:
+        for lm, lead, tail in divisors:
             if all(map(le, lm, m)):
                 break
         else:
-            remainder[m] = c
+            remainder[m] = a
             continue
-        q = c if lc == 1 else c / lc
+        if a % lead:
+            s = lead // gcd(a, lead)
+            a *= s
+            den *= s
+            for k in work:
+                work[k] *= s
+            for k in remainder:
+                remainder[k] *= s
+        q = a // lead
         shift = tuple(map(sub, m, lm))
         changed = []
-        for tm, tc in neg_tail:
+        for tm, tc in tail:
             nm = tuple(map(add, tm, shift))
             old = work.get(nm)
             if old is None:
@@ -394,10 +446,51 @@ def normal_form(f: Poly, basis: Sequence[Poly],
                     del work[nm]
                     continue
             work[nm] = new
-            changed.append(new)
+            changed.append(nm)
         if checked:
-            _check_coefficients(changed, deny_denominator_prime, bit_cap)
-    return Poly._wrap(f.nvars, remainder)
+            den = _check_step(work, remainder, den, changed,
+                              deny_denominator_prime, bit_cap)
+    out = Poly._wrap(f.nvars, {m: Fraction(c, den) for m, c in remainder.items()})
+    out._over_z = den, remainder
+    return out
+
+
+def _fits(den: int, nums: Iterable[int], deny_denominator_prime: Optional[int],
+          bit_cap: Optional[int]) -> bool:
+    """A sufficient test that the coefficients nums/den pass both caps in
+    lowest terms: reducing a fraction only divides its numerator and
+    denominator."""
+    if deny_denominator_prime is not None and den % deny_denominator_prime == 0:
+        return False
+    return bit_cap is None or (den.bit_length() <= bit_cap
+                               and all(c.bit_length() <= bit_cap for c in nums))
+
+
+def _check_step(work: Dict[Monomial, int], remainder: Dict[Monomial, int], den: int,
+                changed: List[Monomial], deny_denominator_prime: Optional[int],
+                bit_cap: Optional[int]) -> int:
+    """Check the caps on the changed coefficients work[m]/den; return the
+    denominator to go on with.
+
+    When the sufficient test fails, the content (the gcd of den and every
+    numerator of work and remainder) is divided out and the test is run
+    again; when it still fails, the changed coefficients are checked in
+    lowest terms.
+    """
+    if _fits(den, (work[m] for m in changed), deny_denominator_prime, bit_cap):
+        return den
+    content = gcd(den, *work.values(), *remainder.values())
+    if content > 1:
+        den //= content
+        for k in work:
+            work[k] //= content
+        for k in remainder:
+            remainder[k] //= content
+        if _fits(den, (work[m] for m in changed), deny_denominator_prime, bit_cap):
+            return den
+    _check_coefficients([Fraction(work[m], den) for m in changed],
+                        deny_denominator_prime, bit_cap)
+    return den
 
 
 def _check_coefficients(coeffs: Iterable[Fraction], deny_denominator_prime: Optional[int],

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .polys import (CoefficientSwellError, IntegralityError, Monomial, Poly,
@@ -50,9 +50,8 @@ def _echelon(mat: Sequence[Sequence[Fraction]]
     """Fraction-free (Bareiss) forward elimination of a rational matrix.
 
     Each row is first multiplied by the lcm of its denominators, which keeps
-    the rank and the row space and scales the determinant by that lcm.  The
-    integer elimination divides exactly by the previous pivot (Bareiss 1968),
-    so entries stay minors of the input instead of growing as fractions.
+    the rank and the row space and scales the determinant by that lcm; the
+    integer rows then go to `_bareiss`.
 
     Returns the nonzero echelon rows, their pivot columns (the rank is their
     number) and, for a square matrix, its determinant: the signed last pivot
@@ -64,6 +63,18 @@ def _echelon(mat: Sequence[Sequence[Fraction]]
         m = lcm(*(x.denominator for x in r))
         scale *= m
         rows.append([x.numerator * (m // x.denominator) for x in r])
+    ech, pivots, det = _bareiss(rows)
+    return ech, pivots, Fraction(det, scale)
+
+
+def _bareiss(rows: List[List[int]]) -> Tuple[List[List[int]], List[int], int]:
+    """Fraction-free forward elimination of integer rows, in place.
+
+    The elimination divides exactly by the previous pivot (Bareiss 1968), so
+    entries stay minors of the input instead of growing as fractions.
+    Returns the nonzero echelon rows, their pivot columns and, for a square
+    matrix, its determinant (the signed last pivot), or 0 below full rank.
+    """
     ncols = len(rows[0]) if rows else 0
     pivots: List[int] = []
     sign, prev = 1, 1
@@ -88,8 +99,7 @@ def _echelon(mat: Sequence[Sequence[Fraction]]
         prev = p
         pivots.append(col)
     rank = len(pivots)
-    det = Fraction(sign * prev, scale) if rank == len(rows) else Fraction(0)
-    return rows[:rank], pivots, det
+    return rows[:rank], pivots, sign * prev if rank == len(rows) else 0
 
 
 def _kernel_basis(mat: Sequence[Sequence[Fraction]]) -> Iterator[List[Fraction]]:
@@ -113,14 +123,22 @@ def _kernel_basis(mat: Sequence[Sequence[Fraction]]) -> Iterator[List[Fraction]]
 # -- the rational fiber -------------------------------------------------------------
 
 
+# Integer coordinates (D, {position: numerator}): the coordinates on the
+# standard-monomial basis of one element of the fiber, numerator / D each.
+IntCoords = Tuple[int, Dict[int, int]]
+
+
 @dataclass
 class QFiberAlgebra:
-    """Q[X]/(relations) with a standard-monomial basis and exact rational tables."""
+    """Q[X]/(relations) with a standard-monomial basis and exact rational tables.
+
+    The multiplication table is held over Z, one denominator per row.
+    """
 
     pres: IntegerPolynomialPresentation
     gb: List[Poly]
     basis: List[Monomial]
-    _nf: Dict[Monomial, Dict[int, Fraction]] = field(default_factory=dict)
+    _nf: Dict[Monomial, IntCoords] = field(default_factory=dict)
     _trace: Optional[Tuple[List[List[Fraction]], Fraction]] = None
 
     def __post_init__(self):
@@ -137,6 +155,12 @@ class QFiberAlgebra:
         """The nonzero coordinates of the normal form of f on the basis."""
         return {self._pos[mo]: c for mo, c in self.normal_form(f).terms.items()}
 
+    def int_coords(self, f: Poly) -> IntCoords:
+        """The coordinates of the normal form of f, over the normal form's own
+        common denominator."""
+        den, nums = self.normal_form(f).over_z()
+        return den, {self._pos[mo]: c for mo, c in nums.items()}
+
     def element(self, vec: Sequence[Fraction]) -> Poly:
         out = Poly.zero(self.pres.nvars)
         for c, mo in zip(vec, self.basis):
@@ -144,40 +168,59 @@ class QFiberAlgebra:
                 out = out + Poly(self.pres.nvars, {mo: c})
         return out
 
-    def _monomial_coords(self, mo: Monomial) -> Dict[int, Fraction]:
-        """Coordinates of the normal form of the monomial mo, memoised.
+    def _monomial_coords(self, mo: Monomial) -> IntCoords:
+        """Integer coordinates of the normal form of the monomial mo, memoised.
 
         A basis monomial is read off.  A border monomial (mo / X_v a basis
         monomial for some v) is normal-formed once.  Any other mo is X_v * mo'
         with mo' outside the basis; normal forms are linear and g - NF(g)
         lies in the ideal, so NF(mo) = sum_u NF(mo')_u NF(X_v b_u), where
         each X_v b_u is a basis or a border monomial (standard monomials are
-        closed under division).
+        closed under division).  That sum is taken over Z, over the lcm of
+        the rows' denominators, and every row is stored without content.
         """
         pos = self._pos.get(mo)
         if pos is not None:
-            return {pos: Fraction(1)}
+            return 1, {pos: 1}
         out = self._nf.get(mo)
         if out is None:
             cofactors = [(v, mo[:v] + (e - 1,) + mo[v + 1:])
                          for v, e in enumerate(mo) if e]
             if any(rest in self._pos for _, rest in cofactors):
-                out = self.coords(Poly.from_monomial(self.pres.nvars, mo))
+                out = _primitive(*self.int_coords(Poly.from_monomial(self.pres.nvars, mo)))
             else:
                 v, rest = cofactors[0]
-                acc: Dict[int, Fraction] = {}
-                for u, c in self._monomial_coords(rest).items():
+                den, outer = self._monomial_coords(rest)
+                parts = []
+                for u, c in outer.items():
                     bu = self.basis[u]
-                    row = self._monomial_coords(bu[:v] + (bu[v] + 1,) + bu[v + 1:])
-                    for k, d in row.items():
-                        acc[k] = acc[k] + c * d if k in acc else c * d
-                out = {k: c for k, c in acc.items() if c}
+                    parts.append((c, self._monomial_coords(bu[:v] + (bu[v] + 1,) + bu[v + 1:])))
+                row_den = lcm(*(d for _, (d, _) in parts))
+                acc: Dict[int, int] = {}
+                for c, (d, row) in parts:
+                    c *= row_den // d
+                    for k, x in row.items():
+                        acc[k] = acc[k] + c * x if k in acc else c * x
+                out = _primitive(den * row_den, {k: x for k, x in acc.items() if x})
             self._nf[mo] = out
         return out
 
+    def mult_int_coords(self, i: int, j: int) -> IntCoords:
+        """Integer coordinates of b_i * b_j."""
+        return self._monomial_coords(mono_mul(self.basis[i], self.basis[j]))
+
     def mult_coords(self, i: int, j: int) -> Dict[int, Fraction]:
         """Coordinates of b_i * b_j."""
-        return self._monomial_coords(mono_mul(self.basis[i], self.basis[j]))
+        den, nums = self.mult_int_coords(i, j)
+        return {k: Fraction(x, den) for k, x in nums.items()}
+
+
+def _primitive(den: int, nums: Dict[int, int]) -> IntCoords:
+    """The same coordinates with the content gcd(den, nums) divided out."""
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return den, nums
+    return den // g, {k: x // g for k, x in nums.items()}
 
 
 def q_fiber(pres: IntegerPolynomialPresentation, bit_cap: int = 4096,
@@ -212,24 +255,31 @@ def q_fiber(pres: IntegerPolynomialPresentation, bit_cap: int = 4096,
 def trace_form(A: QFiberAlgebra) -> Tuple[List[List[Fraction]], Fraction]:
     """Gram matrix T_ij = trace(mult by b_i*b_j) and its exact determinant.
 
+    The traces of the basis elements are integers over one common
+    denominator, so each Gram entry is one integer sum made a Fraction once.
     Computed once per algebra; later calls return the same pair.
     """
     if A._trace is not None:
         return A._trace
     n = A.dim
-    # trace of multiplication by each basis element
-    basis_traces = []
+    # trace of multiplication by each basis element: the diagonal entries of
+    # its rows, over the lcm of their denominators
+    diagonals = []
     for u in range(n):
-        tr = Fraction(0)
+        diag = []
         for l in range(n):
-            tr += A.mult_coords(u, l).get(l, Fraction(0))
-        basis_traces.append(tr)
+            den, nums = A.mult_int_coords(u, l)
+            if l in nums:
+                diag.append((den, nums[l]))
+        diagonals.append(diag)
+    trace_den = lcm(*(den for diag in diagonals for den, _ in diag))
+    traces = [sum(x * (trace_den // den) for den, x in diag) for diag in diagonals]
     gram = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            tij = sum((c * basis_traces[u] for u, c in A.mult_coords(i, j).items()),
-                      Fraction(0))
-            gram[i][j] = gram[j][i] = tij
+            den, nums = A.mult_int_coords(i, j)
+            gram[i][j] = gram[j][i] = Fraction(
+                sum(x * traces[u] for u, x in nums.items()), den * trace_den)
     A._trace = gram, _echelon(gram)[2]
     return A._trace
 
@@ -237,26 +287,42 @@ def trace_form(A: QFiberAlgebra) -> Tuple[List[List[Fraction]], Fraction]:
 def omega_rank(pres: IntegerPolynomialPresentation, A: QFiberAlgebra) -> int:
     """dim_Q of the differential module of A over Q, by the Jacobian presentation.
 
-    The module is the cokernel of A^s -> A^t, e_k -> (df_k/dX_1, ..., df_k/dX_t).
-    Its row for f_k and basis element b_j holds NF(df_k/dX_i * b_j), taken
+    The module is the cokernel of A^s -> A^t, e_k -> (df_k/dX_1, ..., df_k/dX_t),
+    whose rows `_jacobian_rows` builds over Z.  Only the rank is read, so each
+    row's denominator is dropped.
+    """
+    if pres.nvars == 0 or A.dim == 0:
+        return 0
+    rows = [row for _den, row in _jacobian_rows(pres, A)]
+    return A.dim * pres.nvars - len(_bareiss(rows)[1])
+
+
+def _jacobian_rows(pres: IntegerPolynomialPresentation, A: QFiberAlgebra
+                   ) -> Iterator[Tuple[int, List[int]]]:
+    """The rows of the Jacobian presentation, each as (D, integer numerators).
+
+    The row for f_k and basis element b_j holds NF(df_k/dX_i * b_j), taken
     from the multiplication table: normal forms are linear and g - NF(g) lies
-    in the ideal, so NF(g * b_j) = sum_u NF(g)_u NF(b_u * b_j).
+    in the ideal, so NF(g * b_j) = sum_u NF(g)_u NF(b_u * b_j).  The sum is
+    taken over Z, over the lcm D of the denominators it adds.
     """
     t = pres.nvars
     n = A.dim
-    if t == 0 or n == 0:
-        return 0
-    rows = []
     for f in pres.relations:
-        partials = [A.coords(f.derivative(i)) for i in range(t)]
+        partials = [A.int_coords(f.derivative(i)) for i in range(t)]
         for j in range(n):
-            row = [Fraction(0)] * (t * n)
-            for i, g in enumerate(partials):
+            parts = []
+            for i, (den, g) in enumerate(partials):
                 for u, c in g.items():
-                    for v, d in A.mult_coords(u, j).items():
-                        row[i * n + v] += c * d
-            rows.append(row)
-    return n * t - len(_echelon(rows)[1])
+                    d, table = A.mult_int_coords(u, j)
+                    parts.append((i * n, c, den * d, table))
+            row_den = lcm(*(d for _, _, d, _ in parts))
+            row = [0] * (t * n)
+            for offset, c, d, table in parts:
+                c *= row_den // d
+                for v, x in table.items():
+                    row[offset + v] += c * x
+            yield row_den, row
 
 
 def nilpotent_witness(A: QFiberAlgebra) -> Tuple[Poly, int]:

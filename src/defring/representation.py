@@ -28,8 +28,9 @@ from .galois import GRElt
 from .linalg import HowellForm, LinearMapSolver
 from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, CapExceededError,
                          FiniteLocalRing, Ideal, RingElement, RingHom,
-                         _layer_basis, exact_divide, m_adic_filtration,
-                         maximal_ideal, quotient_ring, scale_ideal)
+                         RingSurjection, _layer_basis, exact_divide,
+                         m_adic_filtration, maximal_ideal, quotient_ring,
+                         scale_ideal)
 from .matrices import Matrix
 
 
@@ -474,13 +475,13 @@ def order_ideal(ring: FiniteLocalRing, group: FiniteGroup) -> Ideal:
 
 
 def maranda_average(rho1: Representation, rho2: Representation,
-                    A: Matrix) -> MarandaCertificate:
+                    A: Matrix, J: Optional[Ideal] = None) -> MarandaCertificate:
     """Average the approximate intertwiner A into an exact one (at reduced precision).
 
     Requires A in I_n + M_n(m_R) and rho1(g) A = A rho2(g) mod M_n(J) for all g,
-    with J = |G| m_R.  When p | |G| the ring must be a precision model: dividing
-    by |G| costs r = v_p(|G|) digits.  When p does not divide |G| the order is a
-    unit and the result is exact.
+    with J = |G| m_R, built here unless the caller passes it.  When p | |G| the
+    ring must be a precision model: dividing by |G| costs r = v_p(|G|) digits.
+    When p does not divide |G| the order is a unit and the result is exact.
     """
     ring = rho1.ring
     G = rho1.group
@@ -501,7 +502,8 @@ def maranda_average(rho1: Representation, rho2: Representation,
         for e in row:
             if not mR.contains(e):
                 raise ValueError("A must be congruent to the identity mod m_R")
-    J = order_ideal(ring, G)
+    if J is None:
+        J = order_ideal(ring, G)
     for g in range(G.n):
         D = rho1.matrix(g) * A - A * rho2.matrix(g)
         if not all(J.contains(e) for row in D.rows for e in row):
@@ -529,21 +531,24 @@ def maranda_average(rho1: Representation, rho2: Representation,
 
 
 def maranda_decide(l1: Lift, l2: Lift,
-                   cap: int = DEFAULT_ELEMENT_CAP
+                   cap: int = DEFAULT_ELEMENT_CAP,
+                   surj: Optional[RingSurjection] = None
                    ) -> Tuple[bool, Optional[MarandaCertificate]]:
     """Strict equivalence over R, decided over the exact finite quotient R/J.
 
     The reductions mod J = |G| m_R are compared by finite search; a positive
     answer is certified by lifting the quotient conjugator and averaging.
+    `surj` is the surjection R -> R/J when the caller already has it.
     """
-    surj = quotient_ring(l1.rep.ring, order_ideal(l1.rep.ring, l1.rep.group))
+    if surj is None:
+        surj = quotient_ring(l1.rep.ring, order_ideal(l1.rep.ring, l1.rep.group))
     red1, red2 = ([M.transfer(surj.target, surj.project) for M in l.rep.gen_matrices]
                   for l in (l1, l2))
     witness = kernel_conjugator(surj.target, l1.rep.n, red1, red2, cap)
     if witness is None:
         return False, None
     A = witness.transfer(l1.rep.ring, surj.section)
-    return True, maranda_average(l1.rep, l2.rep, A)
+    return True, maranda_average(l1.rep, l2.rep, A, surj.kernel)
 
 
 def normalize_intertwiner(rho1: Representation, rho2: Representation,

@@ -253,7 +253,7 @@ def finiteness_bound_check(rhobar: Representation, ring: FiniteLocalRing,
     for i in range(len(lifts)):
         for j in range(i + 1, len(lifts)):
             pairs += 1
-            over_r, _cert = maranda_decide(lifts[i], lifts[j], cap_elements)
+            over_r, _cert = maranda_decide(lifts[i], lifts[j], cap_elements, surj)
             mod_j = kernel_conjugator(Rbar, rhobar.n, projected[i], projected[j],
                                       cap_elements) is not None
             if over_r != mod_j:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from defring.polys import (CoefficientSwellError, IntegralityError, Poly,
                            mono_div, mono_divides, normal_form, parse_poly,
                            s_polynomial)
 from defring.presentations import IntegerPolynomialPresentation
+from defring.presented import etale_check
 
 
 def _to_sympy(f: Poly, syms):
@@ -124,6 +126,52 @@ def test_normal_form_denominator_guard():
         normal_form(parse_poly("X", names), basis, deny_denominator_prime=2)
 
 
+def _z_over_two():
+    """Z, as a division leaves it: its common denominator is 2, although its
+    coefficient in lowest terms is 1 (X -> Z/2 makes 3Z/2, and Y -> -Z/2
+    brings it back to 2Z/2)."""
+    names = ["X", "Y", "Z"]
+    r = normal_form(parse_poly("X + Y + Z", names),
+                    [parse_poly("2*X - Z", names), parse_poly("2*Y + Z", names)])
+    assert r == parse_poly("Z", names) and r.over_z() == (2, {(0, 0, 1): 2})
+    return r
+
+
+# (f, divisor, caps, remainder in lowest terms or the error type): each
+# division's common denominator fails the sufficient test, and the caps are
+# decided in lowest terms, after the content is divided out or by the
+# fallback that checks the changed coefficients themselves
+CAP_BOUNDARY = {
+    # D = 6 exceeds 2 bits, content 1, but Y/3 and 1/2 fit
+    "bits-in-lowest-terms": (
+        lambda: parse_poly("X", ["X", "Y"]), "6*X - 2*Y - 3", {"bit_cap": 2},
+        {(0, 1): Fraction(1, 3), (0, 0): Fraction(1, 2)}),
+    # D = 2 exceeds 1 bit until the content 2 is divided out
+    "bits-after-content": (_z_over_two, "Z - 1", {"bit_cap": 1},
+                           {(0, 0, 0): Fraction(1)}),
+    # D = 6 is even, but 1/3 has no 2 in its denominator once the content is out
+    "prime-after-content": (_z_over_two, "3*Z - 1", {"deny_denominator_prime": 2},
+                            {(0, 0, 0): Fraction(1, 3)}),
+    # the same division by 2*Z - 1 leaves 1/2
+    "prime-in-lowest-terms": (_z_over_two, "2*Z - 1", {"deny_denominator_prime": 2},
+                              IntegralityError),
+}
+
+
+@pytest.mark.parametrize("name", CAP_BOUNDARY)
+def test_normal_form_caps_at_the_common_denominator(name):
+    make_f, divisor, caps, expected = CAP_BOUNDARY[name]
+    f = make_f()
+    names = ["X", "Y", "Z"][:f.nvars]
+    basis = [parse_poly(divisor, names)]
+    outcome = _outcome(normal_form, f, basis, **caps)
+    assert outcome == _outcome(_normal_form_by_rebuilding, f, basis, **caps)
+    if isinstance(expected, dict):
+        assert outcome == list(expected.items())
+    else:
+        assert outcome[0] is expected
+
+
 # -- in-place division against the former Poly-rebuilding division ------------
 
 
@@ -162,6 +210,10 @@ def _normal_form_by_rebuilding(f, basis, deny_denominator_prime=None, bit_cap=No
 
 _coeffs = st.one_of(st.integers(-4, 4).map(Fraction),
                     st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)))
+# divisor coefficients with larger denominators, so that the common
+# denominator of a division outgrows the small caps
+_divisor_coeffs = st.one_of(_coeffs, st.builds(Fraction, st.integers(-40, 40),
+                                               st.integers(1, 2 ** 12)))
 
 
 @st.composite
@@ -172,11 +224,11 @@ def _division_problems(draw):
     nvars = draw(st.integers(1, 3))
     monos = st.tuples(*[st.integers(0, 3)] * nvars)
 
-    def poly(max_terms):
-        return Poly(nvars, draw(st.dictionaries(monos, _coeffs, max_size=max_terms)))
+    def poly(max_terms, coeffs):
+        return Poly(nvars, draw(st.dictionaries(monos, coeffs, max_size=max_terms)))
 
-    f = poly(8)
-    basis = [poly(4) for _ in range(draw(st.integers(0, 4)))]
+    f = poly(8, _coeffs)
+    basis = [poly(4, _divisor_coeffs) for _ in range(draw(st.integers(0, 4)))]
     return f, basis
 
 
@@ -195,8 +247,12 @@ def test_normal_form_matches_rebuilding_division(problem, prime, cap):
     # the same error
     f, basis = problem
     caps = {"deny_denominator_prime": prime, "bit_cap": cap}
-    assert (_outcome(normal_form, f, basis, **caps)
-            == _outcome(_normal_form_by_rebuilding, f, basis, **caps))
+    outcome = _outcome(normal_form, f, basis, **caps)
+    assert outcome == _outcome(_normal_form_by_rebuilding, f, basis, **caps)
+    if isinstance(outcome, list):
+        # the integer form the remainder carries holds the same coefficients
+        den, nums = normal_form(f, basis, **caps).over_z()
+        assert [(m, Fraction(c, den)) for m, c in nums.items()] == outcome
 
 
 KATSURA4 = ["A + 2*B + 2*C + 2*D + 2*E - 1",
@@ -220,3 +276,22 @@ def test_buchberger_s_pair_count_on_katsura4(monkeypatch):
     gb = buchberger(pres.relations)
     assert len(calls) == 49
     assert len(gb) == 13
+
+
+def test_normal_form_count_on_katsura4(monkeypatch):
+    # the integer division must not change how many reductions run; calls
+    # are counted as the tracer counts them, by replacing every defring
+    # module attribute bound to normal_form
+    calls = []
+    original = polys.normal_form
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("defring") and getattr(module, "normal_form", None) is original:
+            monkeypatch.setattr(module, "normal_form", counting)
+    pres = IntegerPolynomialPresentation.parse(2, list("ABCDE"), KATSURA4)
+    assert etale_check(pres).verdict == "PASS"
+    assert len(calls) == 115

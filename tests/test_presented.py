@@ -341,6 +341,48 @@ def _omega_rank_by_normal_forms(pres, A):
     return n * t - _row_reduce(rows)[0]
 
 
+def _jacobian_rows_by_fractions(pres, A):
+    """The former Jacobian rows: composed from the multiplication table with
+    Fraction multiply-adds, one Fraction per entry."""
+    t, n = pres.nvars, A.dim
+    rows = []
+    for f in pres.relations:
+        partials = [A.coords(f.derivative(i)) for i in range(t)]
+        for j in range(n):
+            row = [Fraction(0)] * (t * n)
+            for i, g in enumerate(partials):
+                for u, c in g.items():
+                    for v, d in A.mult_coords(u, j).items():
+                        row[i * n + v] += c * d
+            rows.append(row)
+    return rows
+
+
+def _trace_form_by_fractions(A):
+    """The former Gram matrix: traces and entries summed as Fractions."""
+    n = A.dim
+    traces = [sum((A.mult_coords(u, l).get(l, Fraction(0)) for l in range(n)), Fraction(0))
+              for u in range(n)]
+    gram = [[sum((c * traces[u] for u, c in A.mult_coords(i, j).items()), Fraction(0))
+             for j in range(n)] for i in range(n)]
+    return gram, _determinant(gram)
+
+
+def _assert_integer_tables_match_fractions(pres):
+    A = q_fiber(pres)
+    oracle_rows = _jacobian_rows_by_fractions(pres, A)
+    assert [[Fraction(x, den) for x in row]
+            for den, row in presented._jacobian_rows(pres, A)] == oracle_rows
+    assert omega_rank(pres, A) == A.dim * pres.nvars - _row_reduce(oracle_rows)[0]
+    assert trace_form(A) == _trace_form_by_fractions(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_integer_tables_match_fraction_composition(seed):
+    _assert_integer_tables_match_fractions(_random_presentation(random.Random(seed)))
+
+
 # non-reduced fibers and the witness each one reported before the change
 NONREDUCED = {
     "X^2": (_pres(2, ["X"], ["X^2"]), ("X", 2)),
@@ -398,6 +440,7 @@ def _assert_mult_table_matches_normal_forms(pres):
 def test_mult_table_matches_normal_forms(name):
     pres = KATSURA3 if name == "katsura-3" else NONREDUCED[name][0]
     _assert_mult_table_matches_normal_forms(pres)
+    _assert_integer_tables_match_fractions(pres)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+import defring.representation as representation
+import defring.udr as udr
+
 from defring.groups import cyclic, symmetric
 from defring.local_ring import build_galois_ring, ring_from_truncated_presentation
 from defring.matrices import Matrix
@@ -129,19 +132,42 @@ def test_one_dim_crosscheck_requires_rank_one():
 # -- finiteness bound --------------------------------------------------------
 
 
-def test_finiteness_bound_c2_over_z16():
-    from defring.presentations import IntegerPolynomialPresentation as P
-    R = ring_from_truncated_presentation(P.parse(2, [], []), 4, mode="precision")
+def _c2_over_z16():
+    R = ring_from_truncated_presentation(_pres(2, [], []), 4, mode="precision")
     G = cyclic(2)
     rhobar = trivial_residual_rep(G, R)
     lifts = [Lift(Representation.from_generator_images(
         G, R, [Matrix(R, [[R.from_int(v)]])]), rhobar) for v in (1, 9, 15, 7)]
+    return rhobar, R, lifts
+
+
+def test_finiteness_bound_c2_over_z16():
+    rhobar, R, lifts = _c2_over_z16()
     rep = finiteness_bound_check(rhobar, R, lifts)
     # R/J = Z/4: classes {1, 3} -> bound 2
     assert rep.bound == 2
     assert rep.p_exponent == 1
     assert rep.pairs_checked == 6
     assert rep.injective_on_instances
+
+
+def test_finiteness_bound_builds_r_mod_j_once(monkeypatch):
+    # one J = |G| m_R and one quotient R/J for all six pairs, including the
+    # averaging of each equivalent pair
+    calls = {"order_ideal": 0, "quotient_ring": 0}
+    for name in calls:
+        original = getattr(representation, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (representation, udr):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    rep = finiteness_bound_check(*_c2_over_z16())
+    assert rep.pairs_checked == 6
+    assert calls == {"order_ideal": 1, "quotient_ring": 1}
 
 
 def test_finiteness_bound_no_lifts_supplied():
