@@ -19,7 +19,7 @@ import copy
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DefringError, InternalInconsistencyError
 from .galois import GaloisRing, GRElt
@@ -88,26 +88,27 @@ class RingElement:
         x.prec = prec
         return x
 
-    def _wrap(self, coeffs, prec):
-        return RingElement(self.ring, coeffs, prec)
+    # Sums, differences and multiples reduce each coordinate once, mod p^{c_k}:
+    # as p^{c_k} divides p^m, that is what reducing in W, then `_canon`, gives.
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        W = self.ring.base
-        return self._wrap([W.add(a, b) for a, b in zip(self.coeffs, other.coeffs)],
-                          min(self.prec, other.prec))
+        return RingElement._canonical(self.ring, tuple([
+            tuple([(x + y) % pc for x, y in zip(a, b)])
+            for a, b, pc in zip(self.coeffs, other.coeffs, self.ring._moduli)]),
+            min(self.prec, other.prec))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        W = self.ring.base
-        return self._wrap([W.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)],
-                          min(self.prec, other.prec))
+        return RingElement._canonical(self.ring, tuple([
+            tuple([(x - y) % pc for x, y in zip(a, b)])
+            for a, b, pc in zip(self.coeffs, other.coeffs, self.ring._moduli)]),
+            min(self.prec, other.prec))
 
     def __neg__(self) -> "RingElement":
-        W = self.ring.base
-        return self._wrap([W.neg(a) for a in self.coeffs], self.prec)
+        return self.scale_int(-1)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         ring = self.ring
-        return RingElement._canonical(ring, ring._product(self.coeffs, other.coeffs),
+        return RingElement._canonical(ring, ring._dot(((self.coeffs, other.coeffs),)),
                                       min(self.prec, other.prec))
 
     def __pow__(self, e: int) -> "RingElement":
@@ -126,8 +127,9 @@ class RingElement:
             base = base * base
 
     def scale_int(self, n: int) -> "RingElement":
-        W = self.ring.base
-        return self._wrap([W.scal(n, a) for a in self.coeffs], self.prec)
+        return RingElement._canonical(self.ring, tuple([
+            tuple([(n * x) % pc for x in a])
+            for a, pc in zip(self.coeffs, self.ring._moduli)]), self.prec)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RingElement) and self.ring is other.ring
@@ -266,35 +268,38 @@ class FiniteLocalRing:
         """Flat coordinates -> the tuple-of-r-tuples coefficient shape."""
         return tuple(zip(*[iter(flat)] * self.base.r))
 
-    def _product(self, a: Tuple[GRElt, ...], b: Tuple[GRElt, ...]) -> Tuple[GRElt, ...]:
-        """Canonical coefficients of the product of two canonical vectors.
-
-        For r = 1 a coefficient is a 1-tuple holding its one flat coordinate,
-        so the loop reads the tuples directly; flattening them first, as the
-        general loop does, makes an r = 1 product about 20% slower.
+    def _dot(self, pairs: Iterable[Tuple[Sequence, Sequence]]) -> Tuple[GRElt, ...]:
+        """Canonical coefficients of sum_k a_k * b_k over canonical vectors:
+        every x * y * s goes into one integer accumulator on the flat
+        coordinates, reduced once per coordinate, so a matrix entry builds no
+        element per term.  For r = 1 a coefficient is a 1-tuple holding its
+        one flat coordinate, so the loop reads the tuples directly; flattening
+        them first, as the general loop does, makes an r = 1 product slower.
         """
         table = self._table
+        acc = [0] * len(self._mods)
         if self.base.r == 1:
-            nzb = [(j, y) for j, (y,) in enumerate(b) if y]
-            acc = [0] * self.N
-            for i, (x,) in enumerate(a):
-                if x:
-                    row = table[i]
-                    for j, y in nzb:
-                        xy = x * y
-                        for k, s in row[j]:
-                            acc[k] += xy * s
-            return self._pack([v % md for v, md in zip(acc, self._mods)])
-        fa = [c for t in a for c in t]
-        nzb = [(J, y) for J, y in enumerate(c for t in b for c in t) if y]
-        acc = [0] * len(fa)
-        for I, x in enumerate(fa):
-            if x:
-                row = table[I]
-                for J, y in nzb:
-                    xy = x * y
-                    for K, s in row[J]:
-                        acc[K] += xy * s
+            for a, b in pairs:
+                nzb = [(j, y) for j, (y,) in enumerate(b) if y]
+                if nzb:
+                    for i, (x,) in enumerate(a):
+                        if x:
+                            row = table[i]
+                            for j, y in nzb:
+                                xy = x * y
+                                for k, s in row[j]:
+                                    acc[k] += xy * s
+        else:
+            for a, b in pairs:
+                nzb = [(J, y) for J, y in enumerate(c for t in b for c in t) if y]
+                if nzb:
+                    for I, x in enumerate([c for t in a for c in t]):
+                        if x:
+                            row = table[I]
+                            for J, y in nzb:
+                                xy = x * y
+                                for K, s in row[J]:
+                                    acc[K] += xy * s
         return self._pack([v % md for v, md in zip(acc, self._mods)])
 
     # -- element constructors ----------------------------------------------
@@ -687,7 +692,7 @@ class RingHom:
         coefficient.  A W_S-coordinate maps to W_T by reduction mod p^{m_T},
         which every target modulus p^{c_k} divides, so integer multiply-adds
         and one reduction per output coordinate give the image, as in
-        `FiniteLocalRing._product`.
+        `FiniteLocalRing._dot`.
         """
         T = self.target
         if self._rows is None:

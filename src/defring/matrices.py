@@ -44,17 +44,19 @@ class Matrix:
                                   for r1, r2 in zip(self.rows, other.rows)])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        n = self.n
+        """Entry (i, j) is one `_dot` over row i and column j, at the least
+        precision in that row, that column and m, as summing from zero gives."""
+        ring = self.ring
+        m = ring.base.m
+        cols = list(zip(*other.rows))
+        col_precs = [min(m, *[b.prec for b in col]) for col in cols]
         out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.ring.zero
-                for k in range(n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix(self.ring, out)
+        for row in self.rows:
+            row_prec = min(m, *[a.prec for a in row])
+            out.append([RingElement._canonical(
+                ring, ring._dot([(a.coeffs, b.coeffs) for a, b in zip(row, col)]),
+                min(row_prec, col_prec)) for col, col_prec in zip(cols, col_precs)])
+        return Matrix(ring, out)
 
     def scale(self, c: RingElement) -> "Matrix":
         return Matrix(self.ring, [[c * a for a in row] for row in self.rows])

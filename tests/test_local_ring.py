@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import defring.local_ring as local_ring
 from defring.errors import InternalInconsistencyError
 from defring.galois import GaloisRing
+from defring.groups import symmetric
 from defring.local_ring import (CapExceededError, FiniteLocalRing, Ideal,
                                 NonUnitError, NotFiniteAtCapError,
                                 PrecisionExhaustedError, RingConstructionError,
@@ -19,9 +20,10 @@ from defring.local_ring import (CapExceededError, FiniteLocalRing, Ideal,
                                 ideal_span, identity_hom, is_zero_divisor,
                                 m_adic_filtration, maximal_ideal, quotient_ring,
                                 ring_from_truncated_presentation, scale_ideal)
+from defring.matrices import Matrix
 from defring.polys import Poly
 from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
-from defring.representation import square_zero_extension
+from defring.representation import def_set, square_zero_extension, trivial_residual_rep
 
 
 def _pres(p, names, rels, r=1):
@@ -452,6 +454,44 @@ def test_product_matches_dense_oracle(name, data):
     assert all(len(c) == R.base.r for c in xy.coeffs)
 
 
+def _element_at(ring: FiniteLocalRing, draw) -> RingElement:
+    """An element whose precision, in a precision-mode ring, is drawn too."""
+    x = _element(ring, draw)
+    if ring.mode == "precision":
+        x = ring.element(x.coeffs, draw(st.integers(1, ring.base.m)))
+    return x
+
+
+# the precision-mode twin of a torsion-free ring, beside the finite rings
+SUM_RINGS = sorted(ORACLE_RINGS) + ["GR(8,2)[X]/(X^2-2), precision"]
+
+
+def sum_ring(name: str) -> FiniteLocalRing:
+    if name.endswith(", precision"):
+        return oracle_ring(name[:-len(", precision")]).with_mode("precision")
+    return oracle_ring(name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SUM_RINGS), st.data(),
+       st.one_of(st.integers(-9, 9), st.integers(-10 ** 40, 10 ** 40)))
+def test_sums_match_galois_ring_oracle(name, data, n):
+    """Flat sums, differences, negation and integer multiples give the
+    coefficients and precision of the GaloisRing operation plus `_canon`."""
+    R = sum_ring(name)
+    W = R.base
+    x = _element_at(R, data.draw)
+    y = _element_at(R, data.draw)
+    both = min(x.prec, y.prec)
+    cases = [(x + y, [W.add(a, b) for a, b in zip(x.coeffs, y.coeffs)], both),
+             (x - y, [W.sub(a, b) for a, b in zip(x.coeffs, y.coeffs)], both),
+             (-x, [W.neg(a) for a in x.coeffs], x.prec),
+             (x.scale_int(n), [W.scal(n, a) for a in x.coeffs], x.prec)]
+    for got, coeffs, prec in cases:
+        assert got.coeffs == R._canon(coeffs)
+        assert got.prec == prec
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
 def test_fingerprint_matches_all_elements_oracle(name):
     R = oracle_ring(name)
@@ -749,3 +789,29 @@ def test_ring_product_ceilings(monkeypatch):
     assert _count_products(monkeypatch, lambda: fingerprint(R)) <= 4000
     Z = z27_cube_root_3()
     assert _count_products(monkeypatch, lambda: fingerprint(Z)) <= 5000
+
+
+def test_matrix_product_ceilings(monkeypatch):
+    # def_set of perfbench's defcount_s3_trivial_z4 job (S3, trivial, dim 2,
+    # over Z/4) takes 524 matrix products.  Summing each entry term by term
+    # made 4,243 element products and built 4,574 elements through `_canon`;
+    # one `_dot` per entry leaves 51 and 154.
+    calls = {"Matrix.__mul__": 0, "RingElement.__mul__": 0, "_canon": 0}
+
+    def count(cls, name, key):
+        fn = getattr(cls, name)
+
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(cls, name, counted)
+
+    R = build_galois_ring(2, 2, 1)
+    rhobar = trivial_residual_rep(symmetric(3), R, 2)
+    count(Matrix, "__mul__", "Matrix.__mul__")
+    count(RingElement, "__mul__", "RingElement.__mul__")
+    count(FiniteLocalRing, "_canon", "_canon")
+    assert def_set(rhobar, R, 10 ** 7, 10 ** 6).class_count == 16
+    assert calls["Matrix.__mul__"] == 524
+    assert calls["RingElement.__mul__"] <= 400
+    assert calls["_canon"] <= 400
