@@ -27,6 +27,17 @@ class Matrix:
                 raise ValueError("matrix must be square")
 
     @classmethod
+    def _adopt(cls, ring: FiniteLocalRing,
+               rows: Tuple[Tuple[RingElement, ...], ...]) -> "Matrix":
+        """Adopt row tuples whose square shape the caller already knows,
+        without copying or checking them."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.n = len(rows)
+        out.rows = rows
+        return out
+
+    @classmethod
     def identity(cls, ring: FiniteLocalRing, n: int) -> "Matrix":
         return cls(ring, [[ring.one if i == j else ring.zero for j in range(n)]
                           for i in range(n)])
@@ -36,12 +47,12 @@ class Matrix:
         return cls(ring, [[ring.zero] * n for _ in range(n)])
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.ring, [[a + b for a, b in zip(r1, r2)]
-                                  for r1, r2 in zip(self.rows, other.rows)])
+        return Matrix._adopt(self.ring, tuple(tuple([a + b for a, b in zip(r1, r2)])
+                                              for r1, r2 in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.ring, [[a - b for a, b in zip(r1, r2)]
-                                  for r1, r2 in zip(self.rows, other.rows)])
+        return Matrix._adopt(self.ring, tuple(tuple([a - b for a, b in zip(r1, r2)])
+                                              for r1, r2 in zip(self.rows, other.rows)))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         """Entry (i, j) is one `_dot` over row i and column j, at the least
@@ -53,10 +64,10 @@ class Matrix:
         out = []
         for row in self.rows:
             row_prec = min(m, *[a.prec for a in row])
-            out.append([RingElement._canonical(
+            out.append(tuple([RingElement._canonical(
                 ring, ring._dot([(a.coeffs, b.coeffs) for a, b in zip(row, col)]),
-                min(row_prec, col_prec)) for col, col_prec in zip(cols, col_precs)])
-        return Matrix(ring, out)
+                min(row_prec, col_prec)) for col, col_prec in zip(cols, col_precs)]))
+        return Matrix._adopt(ring, tuple(out))
 
     def scale(self, c: RingElement) -> "Matrix":
         return Matrix(self.ring, [[c * a for a in row] for row in self.rows])

@@ -87,8 +87,10 @@ class Poly:
         """(D, numerators): a positive common denominator D of the coefficients
         and the integer numerators over it, in the order of the terms.
 
-        D is the least common denominator unless `normal_form` made this
-        polynomial, which keeps the denominator its division ended with.
+        D is the least common denominator unless `normal_form` or
+        `s_polynomial` made this polynomial: a remainder keeps the denominator
+        its division ended with, and S(f, g) carries L_f*L_g, the product of
+        the leading coefficients of the two divisor forms.
         """
         if self._over_z is None:
             d = lcm(*(c.denominator for c in self.terms.values()))
@@ -513,10 +515,30 @@ class IntegralityError(ArithmeticError):
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
-    lmf, lmg = f.leading_monomial(), g.leading_monomial()
+    """x^a*f/lc(f) - x^b*g/lc(g), where x^a*lm(f) = x^b*lm(g) = lcm(lm(f), lm(g)).
+
+    With the divisor forms k*f = L_f*lm_f - T_f and k'*g = L_g*lm_g - T_g the
+    leading terms cancel and S = (L_f*x^b*T_g - L_g*x^a*T_f) / (L_f*L_g), so
+    the numerators are summed over Z and the result carries D = L_f*L_g as
+    its `over_z` denominator.  The terms are in the order the Fraction
+    difference of the two shifted polynomials gives.
+    """
+    lmf, lf, tf = f._divisor_form()
+    lmg, lg, tg = g._divisor_form()
     l = mono_lcm(lmf, lmg)
-    return (f.mul_term(mono_div(l, lmf), Fraction(1) / f.terms[lmf])
-            - g.mul_term(mono_div(l, lmg), Fraction(1) / g.terms[lmg]))
+    a, b = mono_div(l, lmf), mono_div(l, lmg)
+    nums: Dict[Monomial, int] = {tuple(map(add, m, a)): -lg * c for m, c in tf}
+    for m, c in tg:
+        m = tuple(map(add, m, b))
+        s = nums.get(m, 0) + lf * c
+        if s:
+            nums[m] = s
+        else:
+            del nums[m]
+    den = lf * lg
+    out = Poly._wrap(f.nvars, {m: Fraction(c, den) for m, c in nums.items()})
+    out._over_z = den, nums
+    return out
 
 
 def buchberger(gens: Iterable[Poly], bit_cap: int = 4096) -> List[Poly]:

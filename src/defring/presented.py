@@ -102,15 +102,65 @@ def _bareiss(rows: List[List[int]]) -> Tuple[List[List[int]], List[int], int]:
     return rows[:rank], pivots, sign * prev if rank == len(rows) else 0
 
 
-def _kernel_basis(mat: Sequence[Sequence[Fraction]]) -> Iterator[List[Fraction]]:
-    """Basis of the right kernel, one vector per free column of the echelon form.
+# The largest prime below 2^30, so that a product of two residues fits in 60 bits.
+RANK_PRIME = 1073741789
+
+
+def _rank(rows: List[List[int]]) -> int:
+    """Rank over Q of integer rows; `_bareiss`, when it runs, eliminates
+    them in place.
+
+    Every minor modulo RANK_PRIME is the reduction of an integer minor, so
+    the rank modulo the prime is at most the rank over Q, and full rank
+    there is full rank here.  Otherwise `_bareiss` decides: the pass modulo
+    the prime only ever proves full rank, never a deficiency.
+    """
+    if _full_rank_mod_prime(rows):
+        return min(len(rows), len(rows[0]) if rows else 0)
+    return len(_bareiss(rows)[1])
+
+
+def _full_rank_mod_prime(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether the rows have rank min(rows, columns) modulo RANK_PRIME, by
+    Gaussian elimination on a copy.
+
+    Stops once the columns left are too few for a full rank.  Only the pivot
+    row is reduced before a step, so an entry below it grows by less than
+    RANK_PRIME^2 per step and is reduced when its column is searched for a
+    pivot.
+    """
+    prime = RANK_PRIME
+    work = [[x % prime for x in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    full = min(len(work), ncols)
+    rank = 0
+    for col in range(ncols):
+        if rank == full or ncols - col < full - rank:
+            break
+        piv = next((i for i in range(rank, len(work)) if work[i][col] % prime), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        top = work[rank]
+        inv = pow(top[col], -1, prime)
+        top = [x * inv % prime for x in top[col + 1:]]
+        for row in work[rank + 1:]:
+            c = row[col] % prime
+            if c:
+                row[col + 1:] = [a - c * b for a, b in zip(row[col + 1:], top)]
+        rank += 1
+    return rank == full
+
+
+def _kernel_basis(ech: Sequence[Sequence[int]], pivots: Sequence[int],
+                  n: int) -> Iterator[List[Fraction]]:
+    """Basis of the right kernel of a matrix with n columns, from the echelon
+    rows and pivot columns `_echelon` gave for it: one vector per free column.
 
     Each vector sets its free variable to 1 and the others to 0 and solves
     for the pivot variables by back-substitution, so it is the vector read
     off the reduced row echelon form.
     """
-    ech, pivots, _ = _echelon(mat)
-    n = len(mat[0]) if mat else 0
     for free in (j for j in range(n) if j not in pivots):
         vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
@@ -133,6 +183,8 @@ class QFiberAlgebra:
     """Q[X]/(relations) with a standard-monomial basis and exact rational tables.
 
     The multiplication table is held over Z, one denominator per row.
+    `trace_form` fills `_trace` and keeps the echelon rows and pivot columns
+    of the Gram matrix in `_gram_echelon`, which `nilpotent_witness` reads.
     """
 
     pres: IntegerPolynomialPresentation
@@ -140,6 +192,7 @@ class QFiberAlgebra:
     basis: List[Monomial]
     _nf: Dict[Monomial, IntCoords] = field(default_factory=dict)
     _trace: Optional[Tuple[List[List[Fraction]], Fraction]] = None
+    _gram_echelon: Optional[Tuple[List[List[int]], List[int]]] = None
 
     def __post_init__(self):
         self._pos = {mo: i for i, mo in enumerate(self.basis)}
@@ -257,7 +310,8 @@ def trace_form(A: QFiberAlgebra) -> Tuple[List[List[Fraction]], Fraction]:
 
     The traces of the basis elements are integers over one common
     denominator, so each Gram entry is one integer sum made a Fraction once.
-    Computed once per algebra; later calls return the same pair.
+    Computed once per algebra; later calls return the same pair.  The
+    echelon form of the Gram matrix is kept for `nilpotent_witness`.
     """
     if A._trace is not None:
         return A._trace
@@ -280,7 +334,9 @@ def trace_form(A: QFiberAlgebra) -> Tuple[List[List[Fraction]], Fraction]:
             den, nums = A.mult_int_coords(i, j)
             gram[i][j] = gram[j][i] = Fraction(
                 sum(x * traces[u] for u, x in nums.items()), den * trace_den)
-    A._trace = gram, _echelon(gram)[2]
+    ech, pivots, det = _echelon(gram)
+    A._trace = gram, det
+    A._gram_echelon = ech, pivots
     return A._trace
 
 
@@ -289,12 +345,16 @@ def omega_rank(pres: IntegerPolynomialPresentation, A: QFiberAlgebra) -> int:
 
     The module is the cokernel of A^s -> A^t, e_k -> (df_k/dX_1, ..., df_k/dX_t),
     whose rows `_jacobian_rows` builds over Z.  Only the rank is read, so each
-    row's denominator is dropped.
+    row's denominator is dropped.  `_rank` first eliminates modulo a fixed
+    prime: a rank t*n there is a rank t*n over Q, because a minor that is
+    nonzero modulo the prime is nonzero, so a reduced fiber is proved to
+    have a zero module without an exact elimination.  A smaller rank modulo
+    the prime proves nothing, and the exact `_bareiss` elimination decides.
     """
     if pres.nvars == 0 or A.dim == 0:
         return 0
     rows = [row for _den, row in _jacobian_rows(pres, A)]
-    return A.dim * pres.nvars - len(_bareiss(rows)[1])
+    return A.dim * pres.nvars - _rank(rows)
 
 
 def _jacobian_rows(pres: IntegerPolynomialPresentation, A: QFiberAlgebra
@@ -327,10 +387,10 @@ def _jacobian_rows(pres: IntegerPolynomialPresentation, A: QFiberAlgebra
 
 def nilpotent_witness(A: QFiberAlgebra) -> Tuple[Poly, int]:
     """A nonzero nilpotent element (from the trace-form radical) with its vanishing power."""
-    gram, det = trace_form(A)
+    det = trace_form(A)[1]
     if det != 0:
         raise ValueError("algebra is reduced; it has no nonzero nilpotents")
-    for vec in _kernel_basis(gram):
+    for vec in _kernel_basis(*A._gram_echelon, A.dim):
         x = A.element(vec)
         power = x
         for e in range(2, A.dim + 1):

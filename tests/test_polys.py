@@ -119,6 +119,42 @@ def test_s_polynomial_reduces_in_gb():
             assert normal_form(s_polynomial(gb[i], gb[j]), gb).is_zero()
 
 
+def _s_polynomial_by_fractions(f, g):
+    """The former `s_polynomial`: two shifted Fraction multiples, subtracted."""
+    lmf, lmg = f.leading_monomial(), g.leading_monomial()
+    l = polys.mono_lcm(lmf, lmg)
+    return (f.mul_term(mono_div(l, lmf), Fraction(1) / f.terms[lmf])
+            - g.mul_term(mono_div(l, lmg), Fraction(1) / g.terms[lmg]))
+
+
+@st.composite
+def _polynomial_pairs(draw):
+    """Two nonzero polynomials in 1 to 3 variables, not monic and not
+    primitive, sometimes sharing a leading monomial or equal."""
+    nvars = draw(st.integers(1, 3))
+    monos = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeffs = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-2**40, 2**40),
+                                                     st.integers(1, 2**30)))
+    terms = st.dictionaries(monos, coeffs.filter(bool), min_size=1, max_size=6)
+    f = Poly(nvars, draw(terms))
+    g = f if draw(st.integers(0, 9)) == 0 else Poly(nvars, draw(terms))
+    return f, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polynomial_pairs())
+def test_s_polynomial_matches_fraction_oracle(pair):
+    # the same coefficients in the same term order, and an integer form over
+    # the product of the divisor forms' leading coefficients that agrees
+    # with them
+    f, g = pair
+    s = s_polynomial(f, g)
+    assert list(s.terms.items()) == list(_s_polynomial_by_fractions(f, g).terms.items())
+    den, nums = s.over_z()
+    assert den == f._divisor_form()[1] * g._divisor_form()[1] > 0
+    assert [(m, Fraction(c, den)) for m, c in nums.items()] == list(s.terms.items())
+
+
 def test_normal_form_denominator_guard():
     names = ["X"]
     basis = [parse_poly("2*X - 1", names)]

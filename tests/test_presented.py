@@ -20,6 +20,7 @@ from defring.presented import (IntegralityObstruction,
                                nilpotent_witness, omega_rank, q_fiber,
                                trace_form, verify_presented_hom,
                                w_membership_check)
+from test_polys import KATSURA4
 
 
 def _pres(p, names, rels, r=1):
@@ -290,6 +291,12 @@ def _matrices(draw, square=False):
              for j in range(n)] for i in range(m)]
 
 
+def _kernel_basis(mat):
+    """The library kernel basis of mat, read off its `_echelon` form."""
+    ech, pivots, _det = presented._echelon(mat)
+    return list(presented._kernel_basis(ech, pivots, len(mat[0]) if mat else 0))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_matrices())
 def test_echelon_rank_and_pivots_match_gauss_jordan(mat):
@@ -308,14 +315,14 @@ def test_echelon_determinant_matches_gauss_jordan(mat):
 @settings(max_examples=200, deadline=None)
 @given(_matrices(square=True))
 def test_kernel_basis_matches_gauss_jordan(mat):
-    assert list(presented._kernel_basis(mat)) == _gauss_jordan_kernel(mat)
+    assert _kernel_basis(mat) == _gauss_jordan_kernel(mat)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_matrices())
 def test_kernel_basis_spans_the_kernel_of_rectangular_matrices(mat):
     ncols = len(mat[0]) if mat else 0
-    kernel = list(presented._kernel_basis(mat))
+    kernel = _kernel_basis(mat)
     assert len(kernel) == ncols - _row_reduce([list(r) for r in mat])[0]
     for v in kernel:
         assert all(sum((a * x for a, x in zip(row, v)), Fraction(0)) == 0 for row in mat)
@@ -409,6 +416,67 @@ def test_omega_rank_from_table_on_nonreduced_fibers(name):
     rank = omega_rank(pres, A)
     assert rank > 0
     assert rank == _omega_rank_by_normal_forms(pres, A)
+
+
+_int_entries = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-9, 9).map(lambda k: k * presented.RANK_PRIME),
+    st.integers(-2**70, 2**70))
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Integer matrices with zero rows and columns, rank deficiency (as
+    products B*C through a narrow middle) and entries divisible by the rank
+    prime, so that the rank modulo the prime can fall below the rank."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        return [[draw(_int_entries) for _ in range(n)] for _ in range(m)]
+    k = draw(st.integers(0, max(0, min(m, n) - 1)))
+    b = [[draw(_int_entries) for _ in range(k)] for _ in range(m)]
+    c = [[draw(_int_entries) for _ in range(n)] for _ in range(k)]
+    return [[sum(b[i][l] * c[l][j] for l in range(k)) for j in range(n)]
+            for i in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_matrices())
+def test_guarded_rank_matches_bareiss(mat):
+    rank = len(presented._bareiss([list(r) for r in mat])[1])
+    assert presented._rank([list(r) for r in mat]) == rank
+    if presented._full_rank_mod_prime(mat):
+        assert rank == min(len(mat), len(mat[0]) if mat else 0)
+
+
+def test_omega_rank_falls_back_when_the_prime_divides_a_minor():
+    # X^2 - P*X has the distinct roots 0 and P, so its fiber is reduced, but
+    # its Jacobian rows have rank 1 modulo P: only the exact route sees rank 2
+    prime = presented.RANK_PRIME
+    pres = _pres(2, ["X"], [f"X^2 - {prime}*X"])
+    A = q_fiber(pres)
+    rows = [row for _den, row in presented._jacobian_rows(pres, A)]
+    assert rows == [[-prime, 2], [0, prime]]
+    assert not presented._full_rank_mod_prime(rows)
+    assert omega_rank(pres, A) == 0
+    assert etale_check(pres).verdict == "PASS"
+
+
+def test_exact_eliminations_on_katsura4_and_nonreduced_cubics(monkeypatch):
+    # katsura-4 (dim 16, 5 relations in 5 variables) eliminates only its Gram
+    # matrix exactly: the 80 Jacobian rows are proved of full rank modulo
+    # the prime.  The non-reduced cubics (dim 27) eliminate the Gram matrix
+    # once, for the determinant and the witness, and their 81 Jacobian rows,
+    # of rank 69, exactly.
+    row_counts = []
+    original = presented._bareiss
+    monkeypatch.setattr(presented, "_bareiss",
+                        lambda rows: row_counts.append(len(rows)) or original(rows))
+    etale_check(_pres(2, list("ABCDE"), KATSURA4))
+    assert row_counts == [16]
+    row_counts.clear()
+    cubics = NONREDUCED["cubics"][0]
+    assert etale_check(cubics).omega_rank == 81 - 69
+    assert row_counts == [27, 81]
 
 
 @pytest.mark.parametrize("name", NONREDUCED)
