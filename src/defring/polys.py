@@ -6,7 +6,9 @@ is held as integer numerators over one common denominator (`Poly.over_z`), and
 each divisor as its primitive integer multiple, so no step normalises a
 Fraction; the caps on a division are still defined on the coefficients in
 lowest terms.  Division and Gröbner bases use one fixed order, degrevlex (`grevlex_key`):
-Gröbner bases are computed with the normal selection strategy, fully
+Gröbner bases are computed with the normal selection strategy, and the S-pairs
+the Gebauer–Möller criteria prove redundant are dropped before they are
+reduced, so the caps bound every reduction that runs.  The basis is fully
 interreduced and monic, so the output is the canonical reduced basis of the
 ideal.  `grlex_key` remains for callers that sort monomials themselves.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import add, le, neg, sub
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -402,13 +404,19 @@ def normal_form(f: Poly, basis: Sequence[Poly],
     changed: every other coefficient left was checked when it was made, and a
     scaling changes no coefficient in lowest terms, so a capped input fails
     at the same step with the same error as a check of everything left.
-    Each check first tries a sufficient test on the numerators and D (see
-    `_check_step`), and reduces to lowest terms only when that test fails.
+    Each step tracks the largest bit length among the numerators it changed,
+    and `_check_step` runs only when that or D's bit length exceeds the bit
+    cap, or when the denied prime divides D: that is the sufficient test
+    (`_fits`) `_check_step` opens with, so a coefficient that cannot cross a
+    cap costs no call.  `_check_step` reduces to lowest terms only when the
+    test still fails after the content is divided out.
     """
     divisors = [g._divisor_form() for g in basis if g.terms]
-    checked = deny_denominator_prime is not None or bit_cap is not None
+    prime = deny_denominator_prime
+    cap = inf if bit_cap is None else bit_cap
+    checked = prime is not None or bit_cap is not None
     if checked:
-        _check_coefficients(f.terms.values(), deny_denominator_prime, bit_cap)
+        _check_coefficients(f.terms.values(), prime, bit_cap)
     den, nums = f.over_z()
     work = dict(nums)
     heap = [(-sum(m), m[::-1], m) for m in work]
@@ -436,6 +444,7 @@ def normal_form(f: Poly, basis: Sequence[Poly],
         q = a // lead
         shift = tuple(map(sub, m, lm))
         changed = []
+        bits = 0
         for tm, tc in tail:
             nm = tuple(map(add, tm, shift))
             old = work.get(nm)
@@ -449,9 +458,12 @@ def normal_form(f: Poly, basis: Sequence[Poly],
                     continue
             work[nm] = new
             changed.append(nm)
-        if checked:
-            den = _check_step(work, remainder, den, changed,
-                              deny_denominator_prime, bit_cap)
+            b = new.bit_length()
+            if b > bits:
+                bits = b
+        if checked and (bits > cap or den.bit_length() > cap
+                        or prime and den % prime == 0):
+            den = _check_step(work, remainder, den, changed, prime, bit_cap)
     out = Poly._wrap(f.nvars, {m: Fraction(c, den) for m, c in remainder.items()})
     out._over_z = den, remainder
     return out
@@ -545,32 +557,65 @@ def buchberger(gens: Iterable[Poly], bit_cap: int = 4096) -> List[Poly]:
     """Reduced Gröbner basis, monic, sorted by leading monomial (ascending).
 
     S-pairs are taken in the order of the key (deg lcm, grevlex_key(lcm), i, j)
-    from a heap; pairs whose leading monomials are coprime reduce to zero and
-    are never queued.  Reductions look up the module-level `s_polynomial` and
-    `normal_form` at call time, so a wrapper installed on either name sees
-    every call.
+    from a heap.  When an element h joins the basis, the pair set is updated
+    by the Gebauer–Möller criteria (the UPDATE of Becker & Weispfenning,
+    *Gröbner Bases*, §5.5):
+    - a new pair (g, h) is dropped when the lcm of another new pair divides
+      its lcm, keeping one pair of each lcm (M and F); then the pairs with
+      coprime leading monomials are dropped (the product criterion), so a
+      pair that shares its lcm with a coprime pair is dropped too;
+    - a queued pair (i, j) is dropped when lm(h) divides its lcm l and both
+      lcm(lm_i, lm_h) and lcm(lm_j, lm_h) differ from l (the chain criterion);
+      it is skipped when it is popped;
+    - an element whose leading monomial lm(h) divides forms no further pairs,
+      but stays in the basis as a reducer.
+    The syzygy of a dropped pair is a combination of the syzygies of pairs
+    that are reduced or coprime, at most at its lcm, so by Buchberger's
+    criterion the pair is provably redundant, and it is never reduced.  The
+    reduced monic basis is unique, so the result is the one that reducing
+    every pair gives.  `bit_cap` bounds every reduction that runs.
+    Reductions look up the module-level `s_polynomial` and `normal_form` at
+    call time, so a wrapper installed on either name sees every call.
     """
     basis = sorted((g.monic() for g in gens if not g.is_zero()),
                    key=lambda g: grevlex_key(g.leading_monomial()))
     lms = [g.leading_monomial() for g in basis]
-    pairs: List[Tuple[int, tuple, int, int]] = []
+    pairs: List[Tuple[int, tuple, int, int, Monomial]] = []
+    live = set()  # the queued pairs (i, j) that no criterion has dropped
+    formers: List[int] = []  # the elements that still form new pairs
 
-    def queue_pairs(k: int) -> None:
-        for i in range(k):
-            l = mono_lcm(lms[i], lms[k])
-            if l != mono_mul(lms[i], lms[k]):
-                heappush(pairs, (sum(l), grevlex_key(l), i, k))
+    def update(k: int) -> None:
+        h = lms[k]
+        for _, _, i, j, l in pairs:  # the chain criterion
+            if (all(map(le, h, l)) and mono_lcm(lms[i], h) != l
+                    and mono_lcm(lms[j], h) != l):
+                live.discard((i, j))
+        new = [(mono_lcm(lms[i], h), i) for i in formers]
+        kept = []  # M and F; a coprime pair is kept here so that it can drop others
+        for n, (l, i) in enumerate(new):
+            if (l == mono_mul(lms[i], h)
+                    or not any(mono_divides(l2, l) for l2, _ in new[n + 1:])
+                    and not any(mono_divides(l2, l) for l2, _ in kept)):
+                kept.append((l, i))
+        for l, i in kept:
+            if l != mono_mul(lms[i], h):  # the product criterion
+                heappush(pairs, (sum(l), grevlex_key(l), i, k, l))
+                live.add((i, k))
+        formers[:] = [i for i in formers if not mono_divides(h, lms[i])]
+        formers.append(k)
 
     for k in range(len(basis)):
-        queue_pairs(k)
+        update(k)
     while pairs:
-        _, _, i, j = heappop(pairs)
+        _, _, i, j, _ = heappop(pairs)
+        if (i, j) not in live:
+            continue
         r = normal_form(s_polynomial(basis[i], basis[j]), basis, bit_cap=bit_cap)
         if not r.is_zero():
             r = r.monic()
             basis.append(r)
             lms.append(r.leading_monomial())
-            queue_pairs(len(basis) - 1)
+            update(len(basis) - 1)
 
     # minimalize: drop elements whose leading monomial is divisible by another's
     minimal = []

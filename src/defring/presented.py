@@ -182,7 +182,8 @@ IntCoords = Tuple[int, Dict[int, int]]
 class QFiberAlgebra:
     """Q[X]/(relations) with a standard-monomial basis and exact rational tables.
 
-    The multiplication table is held over Z, one denominator per row.
+    The multiplication table is held over Z, one denominator per row, and
+    read by index pair from `_mult`.
     `trace_form` fills `_trace` and keeps the echelon rows and pivot columns
     of the Gram matrix in `_gram_echelon`, which `nilpotent_witness` reads.
     """
@@ -191,6 +192,7 @@ class QFiberAlgebra:
     gb: List[Poly]
     basis: List[Monomial]
     _nf: Dict[Monomial, IntCoords] = field(default_factory=dict)
+    _mult: Dict[Tuple[int, int], IntCoords] = field(default_factory=dict)
     _trace: Optional[Tuple[List[List[Fraction]], Fraction]] = None
     _gram_echelon: Optional[Tuple[List[List[int]], List[int]]] = None
 
@@ -259,8 +261,14 @@ class QFiberAlgebra:
         return out
 
     def mult_int_coords(self, i: int, j: int) -> IntCoords:
-        """Integer coordinates of b_i * b_j."""
-        return self._monomial_coords(mono_mul(self.basis[i], self.basis[j]))
+        """Integer coordinates of b_i * b_j, memoised by the index pair (in
+        either order, as b_i * b_j = b_j * b_i)."""
+        key = (i, j) if i <= j else (j, i)
+        out = self._mult.get(key)
+        if out is None:
+            out = self._mult[key] = self._monomial_coords(
+                mono_mul(self.basis[i], self.basis[j]))
+        return out
 
     def mult_coords(self, i: int, j: int) -> Dict[int, Fraction]:
         """Coordinates of b_i * b_j."""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import pytest
 import sympy
@@ -72,6 +73,13 @@ def test_normal_form_divides_out():
     assert nf == Poly.constant(1, 1)
 
 
+KATSURA4 = ["A + 2*B + 2*C + 2*D + 2*E - 1",
+            "A^2 - A + 2*B^2 + 2*C^2 + 2*D^2 + 2*E^2",
+            "2*A*B + 2*B*C - B + 2*C*D + 2*D*E",
+            "2*A*C + B^2 + 2*B*D + 2*C*E - C",
+            "2*A*D + 2*B*C + 2*B*E - D"]
+
+
 def _gb_against_sympy(relation_texts, names):
     polys = [parse_poly(t, names) for t in relation_texts]
     gb = buchberger(polys)
@@ -96,6 +104,11 @@ def _gb_against_sympy(relation_texts, names):
     (["X^3 - 2*X + 1"], ["X"]),
     (["X*Y - Z", "Y*Z - X", "Z*X - Y"], ["X", "Y", "Z"]),
     (["X^2*Y - 1", "X*Y^2 - X"], ["X", "Y"]),
+    (KATSURA4, list("ABCDE")),
+    # a dense quadric system of the kind the benchmark seeds
+    (["2*X^2 - 2*Y^2 + 2*X*Y - 3*X*Z - 3*Y*Z + 3*X + Y - 3*Z - 1",
+      "-3*X^2 + 2*Y^2 - 2*Z^2 - 3*X*Y - 3*X*Z - 3*Y - 2*Z - 3",
+      "-3*Y^2 + 2*Z^2 + X*Y - 3*X*Z - 2*Y*Z + 2*X + 2*Y + Z - 3"], ["X", "Y", "Z"]),
 ])
 def test_buchberger_matches_sympy(rels, names):
     _gb_against_sympy(rels, names)
@@ -291,15 +304,9 @@ def test_normal_form_matches_rebuilding_division(problem, prime, cap):
         assert [(m, Fraction(c, den)) for m, c in nums.items()] == outcome
 
 
-KATSURA4 = ["A + 2*B + 2*C + 2*D + 2*E - 1",
-            "A^2 - A + 2*B^2 + 2*C^2 + 2*D^2 + 2*E^2",
-            "2*A*B + 2*B*C - B + 2*C*D + 2*D*E",
-            "2*A*C + B^2 + 2*B*D + 2*C*E - C",
-            "2*A*D + 2*B*C + 2*B*E - D"]
-
-
 def test_buchberger_s_pair_count_on_katsura4(monkeypatch):
-    # the S-pair selection order fixes how many pairs are reduced
+    # the S-pair selection order and the Gebauer-Moeller criteria fix how
+    # many pairs are reduced (49 with every pair queued)
     calls = []
     original = polys.s_polynomial
 
@@ -310,7 +317,7 @@ def test_buchberger_s_pair_count_on_katsura4(monkeypatch):
     monkeypatch.setattr(polys, "s_polynomial", counting)
     pres = IntegerPolynomialPresentation.parse(2, list("ABCDE"), KATSURA4)
     gb = buchberger(pres.relations)
-    assert len(calls) == 49
+    assert len(calls) == 28
     assert len(gb) == 13
 
 
@@ -330,4 +337,89 @@ def test_normal_form_count_on_katsura4(monkeypatch):
             monkeypatch.setattr(module, "normal_form", counting)
     pres = IntegerPolynomialPresentation.parse(2, list("ABCDE"), KATSURA4)
     assert etale_check(pres).verdict == "PASS"
-    assert len(calls) == 115
+    assert len(calls) == 94  # 115 with every pair queued
+
+
+# -- the Gebauer-Moeller criteria against the queue of every pair ---------------
+
+
+def _buchberger_all_pairs(gens, bit_cap=4096):
+    """The former `buchberger`: every pair whose leading monomials are not
+    coprime is queued and reduced."""
+    basis = sorted((g.monic() for g in gens if not g.is_zero()),
+                   key=lambda g: grevlex_key(g.leading_monomial()))
+    lms = [g.leading_monomial() for g in basis]
+    pairs = []
+
+    def queue_pairs(k):
+        for i in range(k):
+            l = polys.mono_lcm(lms[i], lms[k])
+            if l != polys.mono_mul(lms[i], lms[k]):
+                heappush(pairs, (sum(l), grevlex_key(l), i, k))
+
+    for k in range(len(basis)):
+        queue_pairs(k)
+    while pairs:
+        _, _, i, j = heappop(pairs)
+        r = normal_form(s_polynomial(basis[i], basis[j]), basis, bit_cap=bit_cap)
+        if not r.is_zero():
+            r = r.monic()
+            basis.append(r)
+            lms.append(r.leading_monomial())
+            queue_pairs(len(basis) - 1)
+    minimal = []
+    seen_lms = set()
+    for i, g in enumerate(basis):
+        if lms[i] in seen_lms:
+            continue
+        if any(j != i and lms[j] != lms[i] and mono_divides(lms[j], lms[i])
+               for j in range(len(basis))):
+            continue
+        seen_lms.add(lms[i])
+        minimal.append(g)
+    reduced = []
+    for idx, g in enumerate(minimal):
+        others = [h for jdx, h in enumerate(minimal) if jdx != idx]
+        r = normal_form(g, others, bit_cap=bit_cap)
+        if not r.is_zero():
+            reduced.append(r.monic())
+    reduced.sort(key=lambda g: grevlex_key(g.leading_monomial()))
+    return reduced
+
+
+@st.composite
+def _generator_systems(draw):
+    """One to three polynomials in 1 to 3 variables, of degree at most 3 with
+    small integer coefficients, sometimes with one of them repeated or
+    scaled."""
+    nvars = draw(st.integers(1, 3))
+    monos = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda m: sum(m) <= 3)
+    terms = st.dictionaries(monos, st.integers(-3, 3).filter(bool), min_size=1, max_size=5)
+    gens = [Poly(nvars, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        g = draw(st.sampled_from(gens))
+        gens.append(g * Poly.constant(nvars, draw(st.sampled_from([1, -2, 3]))))
+    return gens
+
+
+def _terms_in_order(basis):
+    return [list(g.terms.items()) for g in basis]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generator_systems())
+def test_buchberger_matches_all_pairs_queue(gens):
+    # the same reduced basis, term for term and in the same order
+    assert (_terms_in_order(buchberger(gens))
+            == _terms_in_order(_buchberger_all_pairs(gens)))
+
+
+def test_buchberger_bit_cap_still_raises():
+    # the criteria drop only redundant pairs; the reductions that run are
+    # still capped
+    gens = [parse_poly(t, list("ABCDE")) for t in KATSURA4]
+    with pytest.raises(CoefficientSwellError):
+        buchberger(gens, bit_cap=8)
+    with pytest.raises(CoefficientSwellError):
+        _buchberger_all_pairs(gens, bit_cap=8)
+    assert len(buchberger(gens, bit_cap=64)) == 13
