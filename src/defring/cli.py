@@ -144,13 +144,17 @@ def _require(blocks: Dict[str, Dict[str, str]], name: str) -> Dict[str, str]:
     return blocks[name]
 
 
-def _int(block: Dict[str, str], key: str, default: Optional[int] = None) -> int:
+def _key(block: Dict[str, str], key: str) -> str:
     if key not in block:
-        if default is None:
-            raise JobParseError(f"missing key {key!r}", 0, 0)
+        raise JobParseError(f"missing key {key!r}", 0, 0)
+    return block[key]
+
+
+def _int(block: Dict[str, str], key: str, default: Optional[int] = None) -> int:
+    if key not in block and default is not None:
         return default
     try:
-        return int(block[key])
+        return int(_key(block, key))
     except ValueError:
         raise JobParseError(f"key {key!r} must be an integer", 0, 0) from None
 
@@ -331,14 +335,15 @@ def run_job(spec: JobSpec) -> Tuple[Dict, int]:
     if cmd == "order-bound":
         pres = _presentation_from(_require(blocks, "presentation"))
         maps = _require(blocks, "maps")
+        f1_text, f2_text = _key(maps, "f1"), _key(maps, "f2")
         try:
             f1 = [parse_poly(s.strip(), list(pres.names))
-                  for s in maps["f1"].split(";")]
+                  for s in f1_text.split(";")]
             f2 = [parse_poly(s.strip(), list(pres.names))
-                  for s in maps["f2"].split(";")]
+                  for s in f2_text.split(";")]
         except PolyParseError as exc:
             raise JobParseError(f"bad map polynomial: {exc}", 0, 0) from None
-        res = order_lower_bound(pres, f1, f2)
+        res = order_lower_bound(pres, f1, f2, spec.degree_cap)
         return _report(spec, res.claim, res.as_dict()), 0
 
     if cmd == "hom-count":
@@ -365,7 +370,7 @@ def run_job(spec: JobSpec) -> Tuple[Dict, int]:
     if cmd == "w-check":
         pres = _presentation_from(_require(blocks, "presentation"))
         precision = spec.precision if spec.precision is not None else 4
-        rep = w_membership_check(pres, precision)
+        rep = w_membership_check(pres, precision, spec.degree_cap)
         code = 0
         return _report(spec, "finitely generated free module over the base, "
                              "up to the stated precision", rep.as_dict()), code

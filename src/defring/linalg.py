@@ -23,6 +23,11 @@ Vec = List[GRElt]
 class HowellForm:
     """Canonical basis of the span of `rows` inside (W/p^{c_1}) x ... x (W/p^{c_n}).
 
+    Entries are canonical coefficient tuples, integers in [0, p^m).  Each
+    pivot row keeps the list of its nonzero entries, and a row operation runs
+    over that list only: the zero entries of a pivot row, most of them in the
+    sparse rows of a presentation, cost nothing.
+
     `size` is the span's cardinality.  The quotient module by the span has the
     coordinates `live_coords` on the `live` columns, of order exponents
     `quotient_orders()`.
@@ -39,6 +44,7 @@ class HowellForm:
     def _compute(self, pending: List[Vec]) -> None:
         W = self.ring
         m, p, zero = W.m, W.p, W.zero
+        mul, sub = W.mul, W.sub
         n = self.ncols
         for j, c in enumerate(self.ambient_orders):
             if c < m:
@@ -47,18 +53,26 @@ class HowellForm:
                 pending.append(row)
         pivots: dict[int, Vec] = {}
         pivval: dict[int, int] = {}
+        # the nonzero entries (k, e) of each pivot row, k ascending
+        support: dict[int, List[Tuple[int, GRElt]]] = {}
 
         def install(row: Vec, j: int, v: int) -> None:
             _, u = W.unit_part(row[j])
+            nz = [(k, row[k]) for k in range(j, n) if row[k] != zero]
             if u != W.one:
                 ui = W.inv(u)
-                for k in range(j, n):
-                    row[k] = W.mul(ui, row[k])
+                nz = [(k, mul(ui, e)) for k, e in nz]
+                for k, e in nz:
+                    row[k] = e
             pivots[j] = row
             pivval[j] = v
+            support[j] = nz
             if v > 0:
                 extra = W.from_int(p ** (m - v))
-                pending.append([W.mul(extra, e) for e in row])
+                multiple = [zero] * n
+                for k, e in nz:
+                    multiple[k] = mul(extra, e)
+                pending.append(multiple)
 
         while pending:
             row = pending.pop()
@@ -75,9 +89,8 @@ class HowellForm:
                 vj = pivval[j]
                 if v >= vj:
                     q = W.divide_by_p_power(e, vj)
-                    prow = pivots[j]
-                    for k in range(j, n):
-                        row[k] = W.sub(row[k], W.mul(q, prow[k]))
+                    for k, pe in support[j]:
+                        row[k] = sub(row[k], mul(q, pe))
                     # row[j] is now zero; rescan the same column index
                 else:
                     old = pivots[j]
@@ -85,13 +98,13 @@ class HowellForm:
                     pending.append(old)
                     break
 
-        # canonicalize pivot rows against each other
+        # canonicalize pivot rows against each other: row j is reduced by the
+        # rows after it, which are not yet changed, so their supports hold
         cols = sorted(pivots)
-        for j in cols:
+        for i, j in enumerate(cols):
             row = pivots[j]
-            for j2 in cols:
-                if j2 <= j:
-                    continue
+            changed = False
+            for j2 in cols[i + 1:]:
                 e = row[j2]
                 if e == zero:
                     continue
@@ -99,13 +112,15 @@ class HowellForm:
                 q = tuple(c // pv for c in e)
                 if q == zero:
                     continue
-                prow = pivots[j2]
-                for k in range(j2, n):
-                    row[k] = W.sub(row[k], W.mul(q, prow[k]))
+                for k, pe in support[j2]:
+                    row[k] = sub(row[k], mul(q, pe))
+                changed = True
+            if changed:
+                support[j] = [(k, row[k]) for k in range(j, n) if row[k] != zero]
         self.pivot_cols: Tuple[int, ...] = tuple(cols)
         self.pivot_vals: dict[int, int] = pivval
         self.rows: List[Vec] = [pivots[j] for j in cols]
-        self._pivots = pivots
+        self._support = support
         # the quotient's coordinates: the columns of nonzero order; a column
         # without a pivot has the full order m
         self.live: Tuple[int, ...] = tuple([j for j in range(n)
@@ -116,7 +131,7 @@ class HowellForm:
         """Canonical representative of vec modulo the span (and ambient orders)."""
         W = self.ring
         p, zero = W.p, W.zero
-        n = self.ncols
+        mul, sub = W.mul, W.sub
         out = list(vec)
         for j in self.pivot_cols:
             e = out[j]
@@ -126,9 +141,8 @@ class HowellForm:
             q = tuple(c // pv for c in e)
             if q == zero:
                 continue
-            prow = self._pivots[j]
-            for k in range(j, n):
-                out[k] = W.sub(out[k], W.mul(q, prow[k]))
+            for k, pe in self._support[j]:
+                out[k] = sub(out[k], mul(q, pe))
         return out
 
     def live_coords(self, vec: Sequence[GRElt]) -> Vec:

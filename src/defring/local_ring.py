@@ -645,20 +645,71 @@ def m_adic_filtration(ring: FiniteLocalRing) -> List[Ideal]:
 def _layer_basis(upper: Ideal, lower: Ideal) -> List[RingElement]:
     """Elements of upper = m^i whose classes are a k-basis of m^i / m^{i+1}.
 
-    Taken greedily from upper's module basis: W acts on the layer through
-    k = W/p, so each kept element multiplies the span's size by q.
+    Taken greedily from upper's module basis: an element is kept when its
+    class is not in the k-span of the classes kept before it.  The layer is a
+    k-vector space, since p * m^i lies in m^{i+1}, so where upper's form has
+    the pivot p^v, lower's has p^v or, at a jump column, p^(v+1).  Reducing
+    x in m^i by upper's pivot rows at the jump columns and by lower's at the
+    others, with one exact division per column, writes x as the sum of the
+    q_j times upper's row j over the jump columns j plus an element of
+    m^{i+1}; the q_j mod p are the coordinates of x's class, and one
+    elimination over k in the order of the module basis keeps the elements
+    that raise their rank.
     """
     ring = upper.ring
-    rows = [list(x.coeffs) for x in lower.module_basis]
-    size = lower.size
+    W = ring.base
+    k = W.residue_field
+    zero, kzero = W.zero, k.zero
+    upper_rows = dict(zip(upper.form.pivot_cols, upper.form.rows))
+    lower_rows = dict(zip(lower.form.pivot_cols, lower.form.rows))
+    reducers = {}  # column -> (p-exponent, pivot row, coordinate or None)
+    jumps = 0
+    for j in upper.form.pivot_cols:
+        v = upper.form.pivot_vals[j]
+        w = lower.form.pivot_vals.get(j, ring.orders[j])
+        if w == v:
+            reducers[j] = (v, lower_rows[j], None)
+        elif w == v + 1:
+            reducers[j] = (v, upper_rows[j], jumps)
+            jumps += 1
+        else:
+            raise InternalInconsistencyError(
+                "m^(i+1) does not lie between p * m^i and m^i, so m^i / m^(i+1) "
+                "is not a k-vector space")
+
+    def coords(x: RingElement) -> List[GRElt]:
+        vec = list(x.coeffs)
+        out = [kzero] * jumps
+        for j in range(ring.N):
+            e = vec[j]
+            if e == zero:
+                continue
+            if j not in reducers:
+                raise InternalInconsistencyError("layer element is not in m^i")
+            v, prow, at = reducers[j]
+            q = W.divide_by_p_power(e, v)
+            for t in range(j, ring.N):
+                if prow[t] != zero:
+                    vec[t] = W.sub(vec[t], W.mul(q, prow[t]))
+            if at is not None:
+                out[at] = W.reduce(q)
+        return out
+
+    echelon: Dict[int, List[GRElt]] = {}  # leading coordinate -> row, 1 there
     basis = []
     for b in upper.module_basis:
-        grown = HowellForm(ring.base, rows + [list(b.coeffs)], ring.N, ring.orders).size
-        if grown > size:
-            basis.append(b)
-            rows.append(list(b.coeffs))
-            size = grown
-    if size != upper.size:
+        c = coords(b)
+        for lead in sorted(echelon):
+            a = c[lead]
+            if a != kzero:
+                c = [k.sub(x, k.mul(a, y)) for x, y in zip(c, echelon[lead])]
+        lead = next((t for t, a in enumerate(c) if a != kzero), None)
+        if lead is None:
+            continue
+        inv = k.inv(c[lead])
+        echelon[lead] = [k.mul(inv, a) for a in c]
+        basis.append(b)
+    if lower.size * k.size ** len(basis) != upper.size:
         raise InternalInconsistencyError("layer basis does not span m^i / m^(i+1)")
     return basis
 
@@ -779,6 +830,79 @@ def build_galois_ring(p: int, m: int, r: int,
     return ring
 
 
+def _monomials_of_degree(t: int, d: int) -> List[Monomial]:
+    """The monomials of degree d in t variables, ascending in graded-lex order."""
+    out: List[Monomial] = []
+
+    def rec(prefix: Monomial, left: int) -> None:
+        if len(prefix) == t - 1:
+            out.append(prefix + (left,))
+            return
+        for e in range(left + 1):
+            rec(prefix + (e,), left - e)
+    rec((), d)
+    return sorted(out, key=grlex_key)
+
+
+def _truncation_form(pres: IntegerPolynomialPresentation, W: GaloisRing,
+                     degree_cap: int) -> Tuple[HowellForm, List[Monomial]]:
+    """The Howell form of the relations' multiples of degree <= d, over the
+    monomials of degree <= d in descending graded-lex order, at the first d
+    where the live monomials and their orders repeat those of d - 1 and have
+    degree at most d / 2; the form and its columns.
+
+    One form grows across degrees.  The degree-d monomials are the first
+    columns at degree d, and every multiple of degree below d is zero there,
+    so the form at d is the form of the previous form's rows, padded on the
+    left, and the multiples mu * f of degree exactly d.  A Howell form is
+    canonical, so it equals the form of all multiples of degree <= d, row for
+    row.  The previous rows come last, so that they are installed first.
+    """
+    t = pres.nvars
+    rels = []
+    for f in pres.relations:
+        # presentations guarantee integer coefficients
+        rels.append((f.degree(), [(mo, W.from_int(c.numerator))
+                                  for mo, c in f.terms.items()]))
+    zero = W.zero
+    cols: List[Monomial] = []
+    lo = 0  # the least degree not yet among the columns
+    d = max(max((fd for fd, _ in rels), default=0), 1)
+    prev_sig = None
+    form = None
+    while d <= degree_cap:
+        new = [mo for e in range(d, lo - 1, -1)
+               for mo in reversed(_monomials_of_degree(t, e))]
+        cols = new + cols
+        col_index = {mo: i for i, mo in enumerate(cols)}
+        rows = []
+        for fd, terms in rels:
+            for e in range(max(lo - fd, 0), d - fd + 1):
+                for mu in _monomials_of_degree(t, e):
+                    row = [zero] * len(cols)
+                    for mo, c in terms:
+                        row[col_index[mono_mul(mu, mo)]] = c
+                    rows.append(row)
+        if form is not None:
+            pad = [zero] * len(new)
+            rows.extend(pad + r for r in form.rows)
+        form = HowellForm(W, rows, len(cols))
+        if not form.live:
+            raise RingConstructionError(
+                "presentation collapses to the zero ring at this precision")
+        qorders = form.quotient_orders()
+        live_monos = [cols[j] for j in form.live]
+        sig = (tuple(live_monos), tuple(qorders[j] for j in form.live))
+        if 2 * max(sum(mo) for mo in live_monos) <= d and sig == prev_sig:
+            return form, cols
+        prev_sig = sig
+        lo = d + 1
+        d += 1
+    raise NotFiniteAtCapError(
+        f"monomial basis did not stabilize within degree cap {degree_cap}; "
+        "not finite at this cap")
+
+
 def ring_from_truncated_presentation(
         pres: IntegerPolynomialPresentation, m: int, *,
         mode: str = "finite",
@@ -788,9 +912,11 @@ def ring_from_truncated_presentation(
     stabilizes within the degree cap.
 
     The basis consists of standard monomials in graded lexicographic order; the
-    designated generators are the variable images.  Infinite-dimensionality at
-    the cap is an explicit error, never a silent truncation.  With no variables
-    the ring is GR(p^m, r), and relations are an error.
+    designated generators are the variable images.  The relations are reduced
+    by one Howell form that grows across degrees (`_truncation_form`).
+    Infinite-dimensionality at the cap is an explicit error, never a silent
+    truncation.  With no variables the ring is GR(p^m, r), and relations are
+    an error.
     """
     t = pres.nvars
     if t == 0:
@@ -800,55 +926,10 @@ def ring_from_truncated_presentation(
                 "and the precision sets p^m")
         return build_galois_ring(pres.p, m, pres.r, h).with_mode(mode)
     W = GaloisRing(pres.p, m, pres.r, h)
-
-    def monomials_upto(d: int) -> List[Monomial]:
-        out = []
-        def rec(prefix, left, idx):
-            if idx == t - 1:
-                out.append(prefix + (left,))
-                return
-            for e in range(left + 1):
-                rec(prefix + (e,), left - e, idx + 1)
-        for dd in range(d + 1):
-            rec((), dd, 0) if t > 1 else out.append((dd,))
-        return sorted(out, key=grlex_key)
-
-    def int_of(c) -> int:
-        return c.numerator  # presentations guarantee integer coefficients
-
-    max_rel_deg = max((f.degree() for f in pres.relations), default=0)
-    prev_sig = None
-    d = max(max_rel_deg, 1)
-    while d <= degree_cap:
-        mons = monomials_upto(d)
-        # columns in descending graded-lex order: rewrite big monomials into small
-        cols = list(reversed(mons))
-        col_index = {mo: i for i, mo in enumerate(cols)}
-        rows = []
-        for f in pres.relations:
-            fd = f.degree()
-            for mu in monomials_upto(d - fd):
-                row = [W.zero] * len(cols)
-                for mo, c in f.terms.items():
-                    j = col_index[mono_mul(mu, mo)]
-                    row[j] = W.add(row[j], W.from_int(int_of(c)))
-                rows.append(row)
-        form = HowellForm(W, rows, len(cols))
-        if not form.live:
-            raise RingConstructionError(
-                "presentation collapses to the zero ring at this precision")
-        qorders = form.quotient_orders()
-        live_monos = [cols[j] for j in form.live]
-        max_live_deg = max(sum(mo) for mo in live_monos)
-        sig = (tuple(live_monos), tuple(qorders[j] for j in form.live))
-        if 2 * max_live_deg <= d and sig == prev_sig:
-            break
-        prev_sig = sig
-        d += 1
-    else:
-        raise NotFiniteAtCapError(
-            f"monomial basis did not stabilize within degree cap {degree_cap}; "
-            "not finite at this cap")
+    form, cols = _truncation_form(pres, W, degree_cap)
+    col_index = {mo: i for i, mo in enumerate(cols)}
+    qorders = form.quotient_orders()
+    live_monos = [cols[j] for j in form.live]
 
     # basis in ascending graded-lex order: the live columns, reversed
     basis_monos = live_monos[::-1]

@@ -26,7 +26,8 @@ from .polys import (CoefficientSwellError, IntegralityError, Monomial, Poly,
                     buchberger, grevlex_key, mono_divides, mono_mul, normal_form)
 from .presentations import IntegerPolynomialPresentation
 from .errors import InternalInconsistencyError
-from .local_ring import ring_from_truncated_presentation, NotFiniteAtCapError
+from .local_ring import (DEFAULT_DEGREE_CAP, NotFiniteAtCapError,
+                         ring_from_truncated_presentation)
 
 
 DEFAULT_VARIABLE_GUARD = 6
@@ -557,12 +558,14 @@ class WMembershipReport:
 
 
 def w_membership_check(pres: IntegerPolynomialPresentation,
-                       precision: int = 4) -> WMembershipReport:
+                       precision: int = 4,
+                       degree_cap: int = DEFAULT_DEGREE_CAP) -> WMembershipReport:
     """Is the completed algebra a finitely generated free module over the base?
 
     The rank condition is exact (rational fiber).  Freedom from p-torsion is
     tested on the truncation at the given precision and is sound only there:
-    torsion supported above p^precision would go unseen.
+    torsion supported above p^precision would go unseen.  A truncation that
+    does not stabilize within `degree_cap` leaves the verdict undecided.
     """
     A = q_fiber(pres)
     if A is None:
@@ -570,7 +573,7 @@ def w_membership_check(pres: IntegerPolynomialPresentation,
             False, None, precision, W_VERDICTS[False, None],
             "rational fiber is infinite-dimensional")
     try:
-        R = ring_from_truncated_presentation(pres, precision)
+        R = ring_from_truncated_presentation(pres, precision, degree_cap=degree_cap)
     except NotFiniteAtCapError:
         return WMembershipReport(
             True, None, precision, W_VERDICTS[True, None],

@@ -9,12 +9,12 @@ certifies that a ring actually occurs as a universal deformation ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import InternalInconsistencyError
 from .groups import FiniteGroup, abelianization, p_part
-from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, FiniteLocalRing,
-                         RingElement, maximal_ideal, quotient_ring,
+from .local_ring import (DEFAULT_DEGREE_CAP, DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP,
+                         FiniteLocalRing, RingElement, maximal_ideal, quotient_ring,
                          ring_from_truncated_presentation, scale_ideal)
 from .polys import Poly
 from .presentations import IntegerPolynomialPresentation
@@ -105,7 +105,7 @@ def _membership_level(ring: FiniteLocalRing, diffs: Sequence[RingElement],
 
 def order_lower_bound(pres: IntegerPolynomialPresentation,
                       f1_images: Sequence[Poly], f2_images: Sequence[Poly],
-                      degree_cap: Optional[int] = None) -> OrderBoundResult:
+                      degree_cap: int = DEFAULT_DEGREE_CAP) -> OrderBoundResult:
     """Lower bound on the order of any group realizing the ring universally.
 
     Two distinct endomorphisms agreeing to depth p^r * m force p^(r+1) to
@@ -126,8 +126,7 @@ def order_lower_bound(pres: IntegerPolynomialPresentation,
         A.normal_form(a - b).is_zero() is False for a, b in zip(f1_images, f2_images))
 
     def level_at(precision: int) -> int:
-        kwargs = {} if degree_cap is None else {"degree_cap": degree_cap}
-        R = ring_from_truncated_presentation(pres, precision, **kwargs)
+        R = ring_from_truncated_presentation(pres, precision, degree_cap=degree_cap)
         if any(c != precision for c in R.orders):
             raise OrderBoundError(
                 "the ring has p-torsion at this precision; the bound's "

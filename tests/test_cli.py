@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -279,8 +281,11 @@ ring {
     ("etale-check", ETALE_PASS_JOB, ["--output", "{tmp}/missing/report.json"],
      "No such file or directory"),
     ("fingerprint", RELATIONS_WITHOUT_VARS_JOB, [], "relations need variables"),
+    ("order-bound", ORDER_BOUND_JOB.replace("  f2 = -T\n", ""), [], "missing key 'f2'"),
+    ("order-bound", ORDER_BOUND_JOB, ["--degree-cap", "1"], "not finite at this cap"),
 ], ids=["cap-exceeded", "not-finite-at-cap", "group-without-param",
-        "unwritable-output", "relations-without-vars"])
+        "unwritable-output", "relations-without-vars", "map-without-f2",
+        "order-bound-degree-cap"])
 def test_error_paths_report_json(tmp_path, command, text, flags, message):
     job = tmp_path / "job.txt"
     job.write_text(text)
@@ -339,6 +344,21 @@ def test_tangent_reads_no_map_cap(tmp_path):
     result = json.loads(text)["result"]
     assert json.loads(capped)["result"] == result
     assert result == {"group": "D4", "q": 2, "class_count": 256, "dimension": 8}
+
+
+def test_w_check_degree_cap_binds(tmp_path):
+    # katsura-3 has a finite rational fiber, but its reduction mod 2 is not
+    # finite, so the truncation runs to the cap; at the default cap 16 it
+    # takes minutes
+    job = Path(__file__).resolve().parent.parent / "perfbench" / "jobs" / "katsura3.job"
+    start = time.perf_counter()
+    code, text = _main_run(tmp_path, "w-check", job.read_text(),
+                           "--precision", "1", "--degree-cap", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    result = json.loads(text)["result"]
+    assert result["verdict"] == "undecided"
+    assert result["note"] == "truncation did not stabilize at the degree cap"
 
 
 HOM_COUNT_JOB = """\

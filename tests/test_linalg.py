@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 
 from hypothesis import given, settings
@@ -132,3 +134,138 @@ def test_howell_contains_its_generators(raw_rows):
     for row in rows:
         assert H.contains(row)
         assert all(e == ring.zero for e in H.reduce(row))
+
+
+# -- the sparse row operations against the dense form they replaced ------------
+
+
+class DenseHowellForm(HowellForm):
+    """The former HowellForm (oracle): every row operation runs over all
+    columns from the pivot on, zero entries included."""
+
+    def _compute(self, pending):
+        W = self.ring
+        m, p, zero = W.m, W.p, W.zero
+        n = self.ncols
+        for j, c in enumerate(self.ambient_orders):
+            if c < m:
+                row = [zero] * n
+                row[j] = W.from_int(p ** c)
+                pending.append(row)
+        pivots, pivval = {}, {}
+
+        def install(row, j, v):
+            _, u = W.unit_part(row[j])
+            if u != W.one:
+                ui = W.inv(u)
+                for k in range(j, n):
+                    row[k] = W.mul(ui, row[k])
+            pivots[j] = row
+            pivval[j] = v
+            if v > 0:
+                extra = W.from_int(p ** (m - v))
+                pending.append([W.mul(extra, e) for e in row])
+
+        while pending:
+            row = pending.pop()
+            j = 0
+            while j < n:
+                e = row[j]
+                if e == zero:
+                    j += 1
+                    continue
+                v = W.val(e)
+                if j not in pivots:
+                    install(row, j, v)
+                    break
+                vj = pivval[j]
+                if v >= vj:
+                    q = W.divide_by_p_power(e, vj)
+                    prow = pivots[j]
+                    for k in range(j, n):
+                        row[k] = W.sub(row[k], W.mul(q, prow[k]))
+                else:
+                    old = pivots[j]
+                    install(row, j, v)
+                    pending.append(old)
+                    break
+        cols = sorted(pivots)
+        for j in cols:
+            row = pivots[j]
+            for j2 in cols:
+                if j2 <= j or row[j2] == zero:
+                    continue
+                pv = p ** pivval[j2]
+                q = tuple(c // pv for c in row[j2])
+                if q == zero:
+                    continue
+                prow = pivots[j2]
+                for k in range(j2, n):
+                    row[k] = W.sub(row[k], W.mul(q, prow[k]))
+        self.pivot_cols = tuple(cols)
+        self.pivot_vals = pivval
+        self.rows = [pivots[j] for j in cols]
+        self._pivots = pivots
+        self.live = tuple(j for j in range(n) if j not in pivval or pivval[j] > 0)
+        self.size = math.prod((p ** (self.ambient_orders[j] - pivval[j])) ** W.r
+                              for j in cols)
+
+    def reduce(self, vec):
+        W = self.ring
+        out = list(vec)
+        for j in self.pivot_cols:
+            if out[j] == W.zero:
+                continue
+            pv = W.p ** self.pivot_vals[j]
+            q = tuple(c // pv for c in out[j])
+            if q == W.zero:
+                continue
+            prow = self._pivots[j]
+            for k in range(j, self.ncols):
+                out[k] = W.sub(out[k], W.mul(q, prow[k]))
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _galois(p, m, r):
+    return GaloisRing(p, m, r)
+
+
+@st.composite
+def _howell_inputs(draw):
+    """A Galois ring with r in {1, 2}, ambient orders (or none), sparse rows
+    whose entries have every valuation, and vectors to reduce."""
+    W = _galois(draw(st.sampled_from([2, 3])), draw(st.integers(1, 4)),
+                draw(st.integers(1, 2)))
+    n = draw(st.integers(1, 6))
+    orders = draw(st.none() | st.lists(st.integers(1, W.m), min_size=n, max_size=n))
+    unit_or_not = st.tuples(*[st.integers(0, W.q - 1)] * W.r)
+    entry = st.just(W.zero) | st.builds(lambda e, v: W.scal(W.p ** v, e),
+                                        unit_or_not, st.integers(0, W.m - 1))
+    vector = st.lists(entry, min_size=n, max_size=n)
+    rows = draw(st.lists(vector, max_size=7))
+    return W, rows, n, orders, draw(st.lists(vector, min_size=1, max_size=3))
+
+
+def _form_data(H):
+    return (H.pivot_cols, H.pivot_vals, H.rows, H.live, H.size, H.quotient_orders())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_howell_inputs(), st.randoms(use_true_random=False), st.data())
+def test_sparse_howell_matches_dense_reference(inputs, rng, data):
+    W, rows, n, orders, vectors = inputs
+    dense = DenseHowellForm(W, rows, n, orders)
+    H = HowellForm(W, rows, n, orders)
+    assert _form_data(H) == _form_data(dense)
+    for vec in vectors:
+        assert H.reduce(vec) == dense.reduce(vec)
+    # canonical: the same form from the rows in any order ...
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert _form_data(HowellForm(W, shuffled, n, orders)) == _form_data(dense)
+    # ... and from a prefix's form grown by the remaining rows
+    cut = data.draw(st.integers(0, len(rows)))
+    prefix = HowellForm(W, rows[:cut], n, orders)
+    grown = HowellForm(W, rows[cut:] + prefix.rows, n, orders)
+    assert _form_data(grown) == _form_data(dense)
