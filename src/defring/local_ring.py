@@ -862,8 +862,7 @@ def _truncation_form(pres: IntegerPolynomialPresentation, W: GaloisRing,
     rels = []
     for f in pres.relations:
         # presentations guarantee integer coefficients
-        rels.append((f.degree(), [(mo, W.from_int(c.numerator))
-                                  for mo, c in f.terms.items()]))
+        rels.append((f.degree(), [(mo, W.from_int(c)) for mo, c in f.nums.items()]))
     zero = W.zero
     cols: List[Monomial] = []
     lo = 0  # the least degree not yet among the columns

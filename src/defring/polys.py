@@ -1,11 +1,14 @@
 """Exact multivariate polynomials over Q, monomial orders, and Buchberger's algorithm.
 
-Monomials are exponent tuples; a polynomial maps monomials to its coefficients,
-Fractions in lowest terms.  Division runs over Z: the polynomial being reduced
-is held as integer numerators over one common denominator (`Poly.over_z`), and
-each divisor as its primitive integer multiple, so no step normalises a
-Fraction; the caps on a division are still defined on the coefficients in
-lowest terms.  Division and Gröbner bases use one fixed order, degrevlex (`grevlex_key`):
+Monomials are exponent tuples.  A polynomial is held over Z: integer
+numerators over one canonical denominator (`Poly.den`, `Poly.nums`), and
+every operation, division and S-polynomials included, works on that pair
+and divides the content out once (`primitive`).  Fractions are built only
+where a reader asks for them (`Poly.terms`, `render`) or a cap must be
+decided in lowest terms.  Division reduces by each divisor's primitive
+integer multiple, so no step normalises a Fraction; the caps on a division
+are still defined on the coefficients in lowest terms.  Division and Gröbner
+bases use one fixed order, degrevlex (`grevlex_key`):
 Gröbner bases are computed with the normal selection strategy, and the S-pairs
 the Gebauer–Möller criteria prove redundant are dropped before they are
 reduced, so the caps bound every reduction that runs.  The basis is fully
@@ -56,49 +59,53 @@ def mono_deg(a: Monomial) -> int:
     return sum(a)
 
 
-class Poly:
-    """Polynomial in a fixed number of variables with Fraction coefficients.
+def primitive(den: int, nums: Dict) -> Tuple[int, Dict]:
+    """The fraction nums/den (den > 0) with the content gcd(den, *nums)
+    divided out; the keys and their order are kept."""
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return den, nums
+    return den // g, {k: x // g for k, x in nums.items()}
 
-    The terms are never mutated after construction, so the forms derived from
-    them are computed once and cached: `over_z` and the divisor form that
-    `normal_form` reduces by.
+
+class Poly:
+    """Polynomial over Q in a fixed number of variables, held over Z.
+
+    `nums` maps monomials to nonzero integer numerators over the common
+    denominator `den` > 0, with gcd(den, *nums) = 1: den is the lcm of the
+    coefficients' denominators in lowest terms, and the pair is unique.
+    Every operation builds its result through `from_z`, which divides the
+    content out.  The pair is never mutated after construction, so the
+    divisor form that `normal_form` reduces by is computed once and cached.
+    `terms` is a Fraction view for readers such as `render`; no arithmetic
+    reads it.
     """
 
-    __slots__ = ("nvars", "terms", "_over_z", "_divisor")
+    __slots__ = ("nvars", "den", "nums", "_divisor")
 
-    def __init__(self, nvars: int, terms: Optional[Dict[Monomial, Fraction]] = None):
+    def __init__(self, nvars: int, terms: Optional[Dict[Monomial, object]] = None):
+        """The polynomial with the given coefficients, anything `Fraction` accepts."""
+        coeffs = [(m, Fraction(c)) for m, c in terms.items()] if terms else []
+        # over the lcm of the denominators in lowest terms no content is left
+        self.den = lcm(*(c.denominator for _, c in coeffs))
+        self.nums = {m: c.numerator * (self.den // c.denominator) for m, c in coeffs if c}
         self.nvars = nvars
-        self.terms: Dict[Monomial, Fraction] = {}
-        self._over_z = self._divisor = None
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[m] = c
+        self._divisor = None
 
     @classmethod
-    def _wrap(cls, nvars: int, terms: Dict[Monomial, Fraction]) -> "Poly":
-        """Adopt a dict of nonzero Fractions as the terms, without converting it."""
+    def from_z(cls, nvars: int, den: int, nums: Dict[Monomial, int]) -> "Poly":
+        """The polynomial nums/den (den > 0, no numerator zero), with the
+        content divided out; nums is adopted, not copied."""
         out = cls.__new__(cls)
         out.nvars = nvars
-        out.terms = terms
-        out._over_z = out._divisor = None
+        out.den, out.nums = primitive(den, nums)
+        out._divisor = None
         return out
 
-    def over_z(self) -> Tuple[int, Dict[Monomial, int]]:
-        """(D, numerators): a positive common denominator D of the coefficients
-        and the integer numerators over it, in the order of the terms.
-
-        D is the least common denominator unless `normal_form` or
-        `s_polynomial` made this polynomial: a remainder keeps the denominator
-        its division ended with, and S(f, g) carries L_f*L_g, the product of
-        the leading coefficients of the two divisor forms.
-        """
-        if self._over_z is None:
-            d = lcm(*(c.denominator for c in self.terms.values()))
-            self._over_z = d, {m: c.numerator * (d // c.denominator)
-                               for m, c in self.terms.items()}
-        return self._over_z
+    @property
+    def terms(self) -> Dict[Monomial, Fraction]:
+        """The coefficients in lowest terms, in the order of `nums` (a new dict)."""
+        return {m: Fraction(c, self.den) for m, c in self.nums.items()}
 
     def _divisor_form(self) -> Tuple[Monomial, int, List[Tuple[Monomial, int]]]:
         """(lm, L, tail): the primitive integer multiple of self, as
@@ -106,7 +113,7 @@ class Poly:
         divides by."""
         if self._divisor is None:
             lm = self.leading_monomial()
-            nums = self.over_z()[1]
+            nums = self.nums
             g = gcd(*nums.values())
             if nums[lm] < 0:
                 g = -g
@@ -120,63 +127,64 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
-        mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {mono: Fraction(1)})
+        return cls.from_z(nvars, 1, {tuple(1 if j == i else 0 for j in range(nvars)): 1})
 
     @classmethod
     def from_monomial(cls, nvars: int, mono: Monomial, c=1) -> "Poly":
-        return cls(nvars, {mono: Fraction(c)})
+        return cls(nvars, {mono: c})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def degree(self) -> int:
-        return max((mono_deg(m) for m in self.terms), default=-1)
+        return max((mono_deg(m) for m in self.nums), default=-1)
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {m: c * a for m, c in self.nums.items()}
+        for m, c in other.nums.items():
+            s = out.get(m, 0) + c * b
             if s:
                 out[m] = s
             else:
-                out.pop(m, None)
-        return Poly(self.nvars, out)
+                del out[m]
+        return Poly.from_z(self.nvars, den, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Poly.from_z(self.nvars, self.den, {m: -c for m, c in self.nums.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        out: Dict[Monomial, int] = {}
+        for m1, c1 in self.nums.items():
+            for m2, c2 in other.nums.items():
                 m = mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
+                s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
-                    out.pop(m, None)
-        return Poly(self.nvars, out)
+                    del out[m]
+        return Poly.from_z(self.nvars, self.den * other.den, out)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if not c:
-            return Poly(self.nvars)
-        return Poly(self.nvars, {m: c * v for m, v in self.terms.items()})
+        return self.mul_term((0,) * self.nvars, c)
 
     def mul_term(self, mono: Monomial, c) -> "Poly":
         c = Fraction(c)
-        return Poly(self.nvars, {mono_mul(m, mono): c * v for m, v in self.terms.items()})
+        if not c:
+            return Poly(self.nvars)
+        return Poly.from_z(self.nvars, self.den * c.denominator,
+                           {mono_mul(m, mono): v * c.numerator for m, v in self.nums.items()})
 
     def __pow__(self, e: int) -> "Poly":
-        out = Poly.constant(self.nvars, 1)
+        out = Poly.from_z(self.nvars, 1, {(0,) * self.nvars: 1})
         base = self
         while e:
             if e & 1:
@@ -186,42 +194,41 @@ class Poly:
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
+        return isinstance(other, Poly) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def leading_monomial(self, key: Callable = grevlex_key) -> Monomial:
-        return max(self.terms, key=key)
+        return max(self.nums, key=key)
 
     def leading_coeff(self, key: Callable = grevlex_key) -> Fraction:
-        return self.terms[self.leading_monomial(key)]
+        return Fraction(self.nums[self.leading_monomial(key)], self.den)
 
     def monic(self, key: Callable = grevlex_key) -> "Poly":
         if self.is_zero():
             return self
-        lc = self.leading_coeff(key)
-        return self.scale(Fraction(1) / lc)
+        lc = self.nums[self.leading_monomial(key)]
+        nums = self.nums if lc > 0 else {m: -c for m, c in self.nums.items()}
+        return Poly.from_z(self.nvars, abs(lc), nums)
 
     def derivative(self, i: int) -> "Poly":
-        out: Dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            if m[i]:
-                m2 = tuple(e - 1 if j == i else e for j, e in enumerate(m))
-                out[m2] = out.get(m2, Fraction(0)) + c * m[i]
-        return Poly(self.nvars, out)
+        # m -> m / X_i is one-to-one, so no two terms land on one monomial
+        return Poly.from_z(self.nvars, self.den,
+                           {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                            for m, c in self.nums.items() if m[i]})
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Evaluate at images[i] for variable i (images share a common nvars)."""
         nv = images[0].nvars if images else self.nvars
         out = Poly.zero(nv)
-        for m, c in self.terms.items():
-            term = Poly.constant(nv, c)
+        for m, c in self.nums.items():
+            term = Poly.from_z(nv, 1, {(0,) * nv: c})
             for i, e in enumerate(m):
                 if e:
                     term = term * (images[i] ** e)
             out = out + term
-        return out
+        return Poly.from_z(nv, out.den * self.den, out.nums)
 
     def max_coeff_bits(self) -> int:
         bits = 0
@@ -396,14 +403,15 @@ def normal_form(f: Poly, basis: Sequence[Poly],
     L*lm - tail (its primitive integer form) that pops the numerator a first
     scales what is left, the remainder and D by L/gcd(a, L) if L does not
     divide a, and then adds (a/L) * tail: integer multiply-adds only.  The
-    remainder is returned with coefficients in lowest terms, and with its
-    numerators over D as its `over_z` form.
+    remainder's numerators over D go to `Poly.from_z`, which divides the
+    content out.
 
     The caps are defined on coefficients in lowest terms.  They are checked on
-    f and then, after each step, on the coefficients that step created or
-    changed: every other coefficient left was checked when it was made, and a
-    scaling changes no coefficient in lowest terms, so a capped input fails
-    at the same step with the same error as a check of everything left.
+    every coefficient of f and then, after each step, on the coefficients that
+    step created or changed, by the same `_check_step` call: every other
+    coefficient left was checked when it was made, and a scaling changes no
+    coefficient in lowest terms, so a capped input fails at the same step
+    with the same error as a check of everything left.
     Each step tracks the largest bit length among the numerators it changed,
     and `_check_step` runs only when that or D's bit length exceeds the bit
     cap, or when the denied prime divides D: that is the sufficient test
@@ -411,17 +419,17 @@ def normal_form(f: Poly, basis: Sequence[Poly],
     cap costs no call.  `_check_step` reduces to lowest terms only when the
     test still fails after the content is divided out.
     """
-    divisors = [g._divisor_form() for g in basis if g.terms]
+    divisors = [g._divisor_form() for g in basis if g.nums]
     prime = deny_denominator_prime
     cap = inf if bit_cap is None else bit_cap
     checked = prime is not None or bit_cap is not None
+    den = f.den
+    work = dict(f.nums)
+    remainder: Dict[Monomial, int] = {}
     if checked:
-        _check_coefficients(f.terms.values(), prime, bit_cap)
-    den, nums = f.over_z()
-    work = dict(nums)
+        den = _check_step(work, remainder, den, list(work), prime, bit_cap)
     heap = [(-sum(m), m[::-1], m) for m in work]
     heapify(heap)
-    remainder: Dict[Monomial, int] = {}
     while heap:
         m = heappop(heap)[2]
         a = work.pop(m, None)
@@ -464,9 +472,7 @@ def normal_form(f: Poly, basis: Sequence[Poly],
         if checked and (bits > cap or den.bit_length() > cap
                         or prime and den % prime == 0):
             den = _check_step(work, remainder, den, changed, prime, bit_cap)
-    out = Poly._wrap(f.nvars, {m: Fraction(c, den) for m, c in remainder.items()})
-    out._over_z = den, remainder
-    return out
+    return Poly.from_z(f.nvars, den, remainder)
 
 
 def _fits(den: int, nums: Iterable[int], deny_denominator_prime: Optional[int],
@@ -502,13 +508,7 @@ def _check_step(work: Dict[Monomial, int], remainder: Dict[Monomial, int], den: 
             remainder[k] //= content
         if _fits(den, (work[m] for m in changed), deny_denominator_prime, bit_cap):
             return den
-    _check_coefficients([Fraction(work[m], den) for m in changed],
-                        deny_denominator_prime, bit_cap)
-    return den
-
-
-def _check_coefficients(coeffs: Iterable[Fraction], deny_denominator_prime: Optional[int],
-                        bit_cap: Optional[int]) -> None:
+    coeffs = [Fraction(work[m], den) for m in changed]
     if deny_denominator_prime is not None:
         for c in coeffs:
             if c.denominator % deny_denominator_prime == 0:
@@ -520,6 +520,7 @@ def _check_coefficients(coeffs: Iterable[Fraction], deny_denominator_prime: Opti
             if c.numerator.bit_length() > bit_cap or c.denominator.bit_length() > bit_cap:
                 raise CoefficientSwellError(
                     f"coefficient exceeds {bit_cap}-bit cap during reduction")
+    return den
 
 
 class IntegralityError(ArithmeticError):
@@ -531,9 +532,9 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
 
     With the divisor forms k*f = L_f*lm_f - T_f and k'*g = L_g*lm_g - T_g the
     leading terms cancel and S = (L_f*x^b*T_g - L_g*x^a*T_f) / (L_f*L_g), so
-    the numerators are summed over Z and the result carries D = L_f*L_g as
-    its `over_z` denominator.  The terms are in the order the Fraction
-    difference of the two shifted polynomials gives.
+    the numerators are summed over Z, over L_f*L_g, and `Poly.from_z`
+    divides the content out.  The terms are in the order the difference of
+    the two shifted polynomials gives.
     """
     lmf, lf, tf = f._divisor_form()
     lmg, lg, tg = g._divisor_form()
@@ -547,10 +548,7 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
             nums[m] = s
         else:
             del nums[m]
-    den = lf * lg
-    out = Poly._wrap(f.nvars, {m: Fraction(c, den) for m, c in nums.items()})
-    out._over_z = den, nums
-    return out
+    return Poly.from_z(f.nvars, lf * lg, nums)
 
 
 def buchberger(gens: Iterable[Poly], bit_cap: int = 4096) -> List[Poly]:

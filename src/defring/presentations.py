@@ -34,13 +34,12 @@ class IntegerPolynomialPresentation:
                 raise ValueError("relation variable count does not match presentation")
             if f.is_zero():
                 raise ValueError("zero relation in presentation")
-            for c in f.terms.values():
-                if c.denominator != 1:
-                    raise ValueError("relations must have integer coefficients")
+            if f.den != 1:
+                raise ValueError("relations must have integer coefficients")
             rels.append(f)
         # canonical order: by leading monomial, then full term list
         rels.sort(key=lambda f: (grevlex_key(f.leading_monomial()),
-                                 sorted((m, c) for m, c in f.terms.items())))
+                                 sorted(f.nums.items())))
         object.__setattr__(self, "relations", tuple(rels))
 
     @classmethod

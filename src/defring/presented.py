@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .polys import (CoefficientSwellError, IntegralityError, Monomial, Poly,
-                    buchberger, grevlex_key, mono_divides, mono_mul, normal_form)
+                    buchberger, grevlex_key, mono_divides, mono_mul, normal_form,
+                    primitive)
 from .presentations import IntegerPolynomialPresentation
 from .errors import InternalInconsistencyError
 from .local_ring import (DEFAULT_DEGREE_CAP, NotFiniteAtCapError,
@@ -212,10 +213,10 @@ class QFiberAlgebra:
         return {self._pos[mo]: c for mo, c in self.normal_form(f).terms.items()}
 
     def int_coords(self, f: Poly) -> IntCoords:
-        """The coordinates of the normal form of f, over the normal form's own
-        common denominator."""
-        den, nums = self.normal_form(f).over_z()
-        return den, {self._pos[mo]: c for mo, c in nums.items()}
+        """The coordinates of the normal form of f, as integer numerators
+        over its denominator, without content."""
+        nf = self.normal_form(f)
+        return nf.den, {self._pos[mo]: c for mo, c in nf.nums.items()}
 
     def element(self, vec: Sequence[Fraction]) -> Poly:
         out = Poly.zero(self.pres.nvars)
@@ -243,7 +244,7 @@ class QFiberAlgebra:
             cofactors = [(v, mo[:v] + (e - 1,) + mo[v + 1:])
                          for v, e in enumerate(mo) if e]
             if any(rest in self._pos for _, rest in cofactors):
-                out = _primitive(*self.int_coords(Poly.from_monomial(self.pres.nvars, mo)))
+                out = self.int_coords(Poly.from_monomial(self.pres.nvars, mo))
             else:
                 v, rest = cofactors[0]
                 den, outer = self._monomial_coords(rest)
@@ -257,7 +258,7 @@ class QFiberAlgebra:
                     c *= row_den // d
                     for k, x in row.items():
                         acc[k] = acc[k] + c * x if k in acc else c * x
-                out = _primitive(den * row_den, {k: x for k, x in acc.items() if x})
+                out = primitive(den * row_den, {k: x for k, x in acc.items() if x})
             self._nf[mo] = out
         return out
 
@@ -275,14 +276,6 @@ class QFiberAlgebra:
         """Coordinates of b_i * b_j."""
         den, nums = self.mult_int_coords(i, j)
         return {k: Fraction(x, den) for k, x in nums.items()}
-
-
-def _primitive(den: int, nums: Dict[int, int]) -> IntCoords:
-    """The same coordinates with the content gcd(den, nums) divided out."""
-    g = gcd(den, *nums.values())
-    if g == 1:
-        return den, nums
-    return den // g, {k: x // g for k, x in nums.items()}
 
 
 def q_fiber(pres: IntegerPolynomialPresentation, bit_cap: int = 4096,
@@ -505,11 +498,9 @@ def verify_presented_hom(source: IntegerPolynomialPresentation,
         raise ValueError("one image polynomial per source variable required")
     p = source.p
     for g in images:
-        for mo, c in g.terms.items():
-            if c.denominator != 1:
-                raise ValueError("images must have integer coefficients")
-        c0 = g.terms.get((0,) * target.nvars, Fraction(0))
-        if c0.numerator % p != 0:
+        if g.den != 1:
+            raise ValueError("images must have integer coefficients")
+        if g.nums.get((0,) * target.nvars, 0) % p != 0:
             return False
     A = q_fiber(target)
     if A is None:

@@ -79,8 +79,8 @@ class OrderBoundError(ValueError):
 def _eval_poly_in_ring(ring: FiniteLocalRing, f: Poly) -> RingElement:
     """Evaluate an integer polynomial at the ring's designated generators."""
     out = ring.zero
-    for mo, c in f.terms.items():
-        term = ring.from_int(c.numerator)
+    for mo, c in f.nums.items():
+        term = ring.from_int(c)
         for g, e in zip(ring.generators, mo):
             if e:
                 term = term * (g ** e)

@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from defring.cli import (JobParseError, JobSpec, main, parse_job_blocks,
+from defring.cli import (COMMANDS, JobParseError, JobSpec, main, parse_job_blocks,
                          run_job)
 
 ETALE_PASS_JOB = """\
@@ -462,3 +468,96 @@ def test_cache_store_failure_leaves_no_partial_file(tmp_path, monkeypatch):
     cli.cache_store(spec, report, code)
     assert os.listdir(cache) == [os.path.basename(cli._cache_path(spec))]
     assert cli.cache_lookup(spec)["report"] == report
+
+
+# -- the CLI contract under fuzzing ------------------------------------------------------
+
+def _corpus_jobs():
+    """(command, job text) of every fixed job of the benchmark corpus."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import corpus
+    finally:
+        sys.path.remove(perfbench)
+    return [(job.command, Path(job.path).read_text()) for job in corpus.FIXED]
+
+
+FUZZ_JOBS = _corpus_jobs()
+FUZZ_LINES = sorted({line for _, text in FUZZ_JOBS for line in text.splitlines()})
+FUZZ_TOKENS = sorted({tok for line in FUZZ_LINES for tok in line.partition("=")[2].split()}
+                     | {"", "0", "-1", "4", "99"})
+
+
+class _Slow(BaseException):
+    """The alarm of one fuzzed run: a BaseException, so that no handler in
+    the CLI catches it."""
+
+
+def _alarm(signum, frame):
+    raise _Slow
+
+
+@st.composite
+def _mutated_jobs(draw):
+    """A corpus job with one to three line mutations: a line deleted,
+    duplicated, replaced by a corpus line or preceded by one, or (most
+    often) a token of its value replaced by a corpus value token or a small
+    integer; with its own command, or one time in five with any command."""
+    command, text = draw(st.sampled_from(FUZZ_JOBS))
+    if draw(st.integers(0, 4)) == 0:
+        command = draw(st.sampled_from(COMMANDS))
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from(range(len(lines) + 1)))
+        kind = draw(st.sampled_from(["delete", "duplicate", "replace", "insert"]
+                                    + ["token"] * 4))
+        if kind == "insert" or i == len(lines):
+            lines.insert(i, draw(st.sampled_from(FUZZ_LINES)))
+        elif kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "replace" or "=" not in lines[i]:
+            lines[i] = draw(st.sampled_from(FUZZ_LINES))
+        else:
+            key, eq, value = lines[i].partition("=")
+            tokens = value.split() or [""]
+            tokens[draw(st.sampled_from(range(len(tokens))))] = draw(st.sampled_from(FUZZ_TOKENS))
+            lines[i] = f"{key}{eq} {' '.join(tokens)}"
+    return command, "\n".join(lines) + "\n"
+
+
+_SMALL_CAPS = st.fixed_dictionaries({}, optional={
+    "--precision": st.integers(1, 4), "--cap-elements": st.integers(1, 4096),
+    "--cap-maps": st.integers(1, 4096), "--degree-cap": st.integers(1, 8)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_jobs(), _SMALL_CAPS)
+def test_cli_contract_under_fuzzing(job, caps):
+    # a mutated corpus job under small caps: the exit code is 0, 1 or 2,
+    # exit 1 comes with a JSON error report on stderr, and no exception
+    # escapes; a run the alarm stops after a second decides nothing
+    command, text = job
+    argv = [command, "-", "--no-cache", *(str(x) for kv in caps.items() for x in kv)]
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    try:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with mock.patch("sys.stdin", io.StringIO(text)), \
+                    redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    except _Slow:
+        return
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2)
+    if code == 1:
+        report = json.loads(err.getvalue())
+        assert report["tool"] == "defring" and report["error"]
+    else:
+        assert json.loads(out.getvalue())["tool"] == "defring"

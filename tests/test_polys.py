@@ -3,6 +3,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd
 
 import pytest
 import sympy
@@ -157,15 +158,177 @@ def _polynomial_pairs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_polynomial_pairs())
 def test_s_polynomial_matches_fraction_oracle(pair):
-    # the same coefficients in the same term order, and an integer form over
-    # the product of the divisor forms' leading coefficients that agrees
-    # with them
+    # the canonical integer pair, which agrees with the oracle's coefficients
+    # in the same term order
     f, g = pair
     s = s_polynomial(f, g)
-    assert list(s.terms.items()) == list(_s_polynomial_by_fractions(f, g).terms.items())
-    den, nums = s.over_z()
-    assert den == f._divisor_form()[1] * g._divisor_form()[1] > 0
-    assert [(m, Fraction(c, den)) for m, c in nums.items()] == list(s.terms.items())
+    assert s.den > 0 and gcd(s.den, *s.nums.values()) == 1
+    assert ([(m, Fraction(c, s.den)) for m, c in s.nums.items()]
+            == list(_s_polynomial_by_fractions(f, g).terms.items()))
+
+
+# -- the integer representation against the former Fraction Poly ---------------
+
+
+class FractionPoly:
+    """The former `Poly`: Fraction coefficients in lowest terms, rebuilt by
+    every operation."""
+
+    def __init__(self, nvars, terms=None):
+        self.nvars = nvars
+        self.terms = {}
+        for m, c in (terms or {}).items():
+            c = Fraction(c)
+            if c:
+                self.terms[m] = c
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m, Fraction(0)) + c
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+        return FractionPoly(self.nvars, out)
+
+    def __neg__(self):
+        return FractionPoly(self.nvars, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = polys.mono_mul(m1, m2)
+                s = out.get(m, Fraction(0)) + c1 * c2
+                if s:
+                    out[m] = s
+                else:
+                    out.pop(m, None)
+        return FractionPoly(self.nvars, out)
+
+    def scale(self, c):
+        c = Fraction(c)
+        if not c:
+            return FractionPoly(self.nvars)
+        return FractionPoly(self.nvars, {m: c * v for m, v in self.terms.items()})
+
+    def mul_term(self, mono, c):
+        c = Fraction(c)
+        return FractionPoly(self.nvars, {polys.mono_mul(m, mono): c * v
+                                         for m, v in self.terms.items()})
+
+    def __pow__(self, e):
+        out = FractionPoly(self.nvars, {(0,) * self.nvars: 1})
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def __eq__(self, other):
+        return isinstance(other, FractionPoly) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def monic(self):
+        if not self.terms:
+            return self
+        return self.scale(Fraction(1) / self.terms[max(self.terms, key=grevlex_key)])
+
+    def derivative(self, i):
+        out = {}
+        for m, c in self.terms.items():
+            if m[i]:
+                m2 = tuple(e - 1 if j == i else e for j, e in enumerate(m))
+                out[m2] = out.get(m2, Fraction(0)) + c * m[i]
+        return FractionPoly(self.nvars, out)
+
+    def substitute(self, images):
+        nv = images[0].nvars if images else self.nvars
+        out = FractionPoly(nv)
+        for m, c in self.terms.items():
+            term = FractionPoly(nv, {(0,) * nv: c})
+            for i, e in enumerate(m):
+                if e:
+                    term = term * (images[i] ** e)
+            out = out + term
+        return out
+
+
+_rationals = st.one_of(st.integers(-6, 6),
+                       st.builds(Fraction, st.integers(-2 ** 20, 2 ** 20), st.integers(1, 2 ** 12)))
+
+
+@st.composite
+def _representation_cases(draw):
+    """Coefficient dicts (zeros included) in 1 to 3 variables: f, g (sometimes
+    f again), substitution images in 1 to 3 variables, and the arguments of
+    the other operations."""
+    nvars = draw(st.integers(1, 3))
+    monos = st.tuples(*[st.integers(0, 3)] * nvars)
+    terms = st.dictionaries(monos, _rationals, max_size=5)
+    f = draw(terms)
+    g = f if draw(st.integers(0, 4)) == 0 else draw(terms)
+    nv = draw(st.integers(1, 3))
+    images = [draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * nv), _rationals,
+                                   max_size=3)) for _ in range(nvars)]
+    return (nvars, f, g, nv, images, draw(_rationals), draw(monos), draw(st.integers(0, 3)),
+            draw(st.integers(0, nvars - 1)))
+
+
+def _same(p, oracle):
+    # the same coefficients in the same order, and the canonical pair
+    assert list(p.terms.items()) == list(oracle.terms.items())
+    assert p.den > 0 and gcd(p.den, *p.nums.values()) == 1 and all(p.nums.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_representation_cases())
+def test_poly_matches_fraction_oracle(case):
+    nvars, ft, gt, nv, images, c, mono, e, i = case
+    f, g = Poly(nvars, ft), Poly(nvars, gt)
+    of, og = FractionPoly(nvars, ft), FractionPoly(nvars, gt)
+    _same(f, of)
+    _same(f + g, of + og)
+    _same(f - g, of - og)
+    _same(f * g, of * og)
+    _same(f ** e, of ** e)
+    _same(f.scale(c), of.scale(c))
+    _same(f.mul_term(mono, c), of.mul_term(mono, c))
+    _same(f.monic(), of.monic())
+    _same(f.derivative(i), of.derivative(i))
+    _same(f.substitute([Poly(nv, t) for t in images]),
+          of.substitute([FractionPoly(nv, t) for t in images]))
+    assert (f == g) == (of == og)
+    if f == g:
+        assert hash(f) == hash(g)
+    # the same polynomial built with its terms in the reverse order
+    rev = Poly(nvars, dict(reversed(list(f.terms.items()))))
+    assert rev == f and hash(rev) == hash(f)
+
+
+def test_buchberger_builds_no_fraction_on_katsura4(monkeypatch):
+    # no arithmetic reads the Fraction view, so the Groebner basis is
+    # computed without building one Fraction; calls are counted by replacing
+    # the module attribute, as the tracer counts calls
+    calls = []
+    original = polys.Fraction
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    gens = [parse_poly(t, list("ABCDE")) for t in KATSURA4]
+    monkeypatch.setattr(polys, "Fraction", counting)
+    assert len(buchberger(gens)) == 13
+    assert len(calls) == 0
 
 
 def test_normal_form_denominator_guard():
@@ -175,50 +338,47 @@ def test_normal_form_denominator_guard():
         normal_form(parse_poly("X", names), basis, deny_denominator_prime=2)
 
 
-def _z_over_two():
-    """Z, as a division leaves it: its common denominator is 2, although its
-    coefficient in lowest terms is 1 (X -> Z/2 makes 3Z/2, and Y -> -Z/2
-    brings it back to 2Z/2)."""
-    names = ["X", "Y", "Z"]
-    r = normal_form(parse_poly("X + Y + Z", names),
-                    [parse_poly("2*X - Z", names), parse_poly("2*Y + Z", names)])
-    assert r == parse_poly("Z", names) and r.over_z() == (2, {(0, 0, 1): 2})
-    return r
-
-
-# (f, divisor, caps, remainder in lowest terms or the error type): each
+# (f, divisors, caps, remainder in lowest terms or the error type): each
 # division's common denominator fails the sufficient test, and the caps are
 # decided in lowest terms, after the content is divided out or by the
 # fallback that checks the changed coefficients themselves
 CAP_BOUNDARY = {
     # D = 6 exceeds 2 bits, content 1, but Y/3 and 1/2 fit
     "bits-in-lowest-terms": (
-        lambda: parse_poly("X", ["X", "Y"]), "6*X - 2*Y - 3", {"bit_cap": 2},
+        lambda: parse_poly("X", ["X", "Y"]), ["6*X - 2*Y - 3"], {"bit_cap": 2},
         {(0, 1): Fraction(1, 3), (0, 0): Fraction(1, 2)}),
-    # D = 2 exceeds 1 bit until the content 2 is divided out
-    "bits-after-content": (_z_over_two, "Z - 1", {"bit_cap": 1},
-                           {(0, 0, 0): Fraction(1)}),
-    # D = 6 is even, but 1/3 has no 2 in its denominator once the content is out
-    "prime-after-content": (_z_over_two, "3*Z - 1", {"deny_denominator_prime": 2},
-                            {(0, 0, 0): Fraction(1, 3)}),
-    # the same division by 2*Z - 1 leaves 1/2
-    "prime-in-lowest-terms": (_z_over_two, "2*Z - 1", {"deny_denominator_prime": 2},
-                              IntegralityError),
+    # the first divisor leaves (3 + 9Y - 3Y^2) / 3: D = 3 and the numerator
+    # 9 exceed 3 bits until the content 3 is divided out
+    "bits-after-content": (
+        lambda: parse_poly("-X^2*Y^2 + 3*X", ["X", "Y"]),
+        ["-3*X*Y^2 - 2*X*Y + 3", "2*X - 3*Y"], {"bit_cap": 3},
+        {(0, 2): Fraction(-1), (0, 1): Fraction(3), (0, 0): Fraction(1)}),
+    # the division by 2*Z - 1 leaves 1/2: D = 2, content 1
+    "prime-in-lowest-terms": (
+        lambda: parse_poly("Z", ["X", "Y", "Z"]), ["2*Z - 1"],
+        {"deny_denominator_prime": 2}, IntegralityError),
 }
 
 
 @pytest.mark.parametrize("name", CAP_BOUNDARY)
 def test_normal_form_caps_at_the_common_denominator(name):
-    make_f, divisor, caps, expected = CAP_BOUNDARY[name]
+    make_f, divisors, caps, expected = CAP_BOUNDARY[name]
     f = make_f()
     names = ["X", "Y", "Z"][:f.nvars]
-    basis = [parse_poly(divisor, names)]
+    basis = [parse_poly(d, names) for d in divisors]
     outcome = _outcome(normal_form, f, basis, **caps)
     assert outcome == _outcome(_normal_form_by_rebuilding, f, basis, **caps)
     if isinstance(expected, dict):
         assert outcome == list(expected.items())
     else:
         assert outcome[0] is expected
+
+
+def test_check_step_prime_after_content():
+    # 2/6: D = 6 is even, but 1/3 has no 2 in its denominator once the
+    # content is out.  No division of a canonical polynomial reaches this
+    # state, so the step check is called on it directly.
+    assert polys._check_step({(0, 0, 0): 2}, {}, 6, [(0, 0, 0)], 2, None) == 3
 
 
 # -- in-place division against the former Poly-rebuilding division ------------
@@ -253,7 +413,7 @@ def _normal_form_by_rebuilding(f, basis, deny_denominator_prime=None, bit_cap=No
                 break
         else:
             remainder[lt_m] = lt_c
-            del work.terms[lt_m]
+            work = work - Poly.from_monomial(f.nvars, lt_m, lt_c)
     return Poly(f.nvars, remainder)
 
 
@@ -299,9 +459,10 @@ def test_normal_form_matches_rebuilding_division(problem, prime, cap):
     outcome = _outcome(normal_form, f, basis, **caps)
     assert outcome == _outcome(_normal_form_by_rebuilding, f, basis, **caps)
     if isinstance(outcome, list):
-        # the integer form the remainder carries holds the same coefficients
-        den, nums = normal_form(f, basis, **caps).over_z()
-        assert [(m, Fraction(c, den)) for m, c in nums.items()] == outcome
+        # the remainder is held as its canonical integer pair
+        r = normal_form(f, basis, **caps)
+        assert r.den > 0 and gcd(r.den, *r.nums.values()) == 1
+        assert [(m, Fraction(c, r.den)) for m, c in r.nums.items()] == outcome
 
 
 def test_buchberger_s_pair_count_on_katsura4(monkeypatch):
