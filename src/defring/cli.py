@@ -160,7 +160,7 @@ def _int(block: Dict[str, str], key: str, default: Optional[int] = None) -> int:
 
 
 def _check_consistent_p(blocks: Dict[str, Dict[str, str]]) -> None:
-    ps = {name: int(b["p"]) for name, b in blocks.items() if "p" in b}
+    ps = {name: _int(b, "p") for name, b in blocks.items() if "p" in b}
     if len(set(ps.values())) > 1:
         raise JobParseError(
             f"inconsistent primes across blocks: {ps}", 0, 0)
@@ -194,11 +194,19 @@ def _group_from(block: Dict[str, str]) -> FiniteGroup:
     return build_group(family, params)
 
 
-def _matrix_from(text: str, ring: FiniteLocalRing, n: int) -> Matrix:
+def _matrix_from(text: str, ring: FiniteLocalRing, n: int, where: str) -> Matrix:
+    """The n x n integer matrix in `text`, rows separated by ';'; errors name
+    the block and key `where`."""
     rows = []
     for row_text in text.split(";"):
-        entries = [e for e in row_text.replace(",", " ").split() if e]
-        rows.append([ring.from_int(int(e)) for e in entries])
+        row = []
+        for e in row_text.replace(",", " ").split():
+            try:
+                row.append(ring.from_int(int(e)))
+            except ValueError:
+                raise JobParseError(f"{where}: matrix entry {e!r} must be an integer",
+                                    0, 0) from None
+        rows.append(row)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise JobParseError(f"matrix must be {n}x{n}", 0, 0)
     return Matrix(ring, rows)
@@ -217,18 +225,20 @@ def _residual_from(blocks: Dict[str, Dict[str, str]], group: FiniteGroup,
         key = f"gen{i}"
         if key not in rep_block:
             raise JobParseError(f"rep block missing {key!r}", 0, 0)
-        images.append(_matrix_from(rep_block[key], k, n))
+        images.append(_matrix_from(rep_block[key], k, n, f"block 'rep' key {key!r}"))
     return residual_rep(group, k, images)
 
 
-def _lift_from(block: Dict[str, str], rhobar: Representation,
-               ring: FiniteLocalRing) -> Lift:
+def _lift_from(blocks: Dict[str, Dict[str, str]], name: str,
+               rhobar: Representation, ring: FiniteLocalRing) -> Lift:
+    block = _require(blocks, name)
     images = []
     for i in range(1, len(rhobar.group.generators) + 1):
         key = f"gen{i}"
         if key not in block:
             raise JobParseError(f"lift block missing {key!r}", 0, 0)
-        images.append(_matrix_from(block[key], ring, rhobar.n))
+        images.append(_matrix_from(block[key], ring, rhobar.n,
+                                   f"block {name!r} key {key!r}"))
     rep = Representation.from_generator_images(rhobar.group, ring, images)
     return Lift(rep, rhobar)
 
@@ -315,8 +325,8 @@ def run_job(spec: JobSpec) -> Tuple[Dict, int]:
         ring = _ring_from(_require(blocks, "ring"), spec)
         group = _group_from(_require(blocks, "group"))
         rhobar = _residual_from(blocks, group, ring)
-        l1 = _lift_from(_require(blocks, "lift1"), rhobar, ring)
-        l2 = _lift_from(_require(blocks, "lift2"), rhobar, ring)
+        l1 = _lift_from(blocks, "lift1", rhobar, ring)
+        l2 = _lift_from(blocks, "lift2", rhobar, ring)
         equivalent, cert = maranda_decide(l1, l2, spec.cap_elements)
         result = {
             "group": group.name,

@@ -125,7 +125,14 @@ class HowellForm:
         # without a pivot has the full order m
         self.live: Tuple[int, ...] = tuple([j for j in range(n)
                                             if j not in pivval or pivval[j] > 0])
-        self.size = prod([(p ** (self.ambient_orders[j] - pivval[j])) ** W.r for j in cols])
+        self.size = self.size_from(0)
+
+    def size_from(self, col: int) -> int:
+        """Cardinality of the span's elements that vanish on the columns before
+        `col`: by the Howell property, the rows pivoted at or after col span them."""
+        W = self.ring
+        return prod([(W.p ** (self.ambient_orders[j] - self.pivot_vals[j])) ** W.r
+                     for j in self.pivot_cols if j >= col])
 
     def reduce(self, vec: Sequence[GRElt]) -> Vec:
         """Canonical representative of vec modulo the span (and ambient orders)."""

@@ -200,6 +200,7 @@ class FiniteLocalRing:
         self.generators: Tuple[RingElement, ...] = tuple(
             RingElement(self, g) for g in generators)
         self._max_ideal: Optional[Ideal] = None
+        self._layers: Optional[List[Tuple[Ideal, List[RingElement]]]] = None
         self._residue_ring: Optional[FiniteLocalRing] = None
         self._twins: Dict[str, FiniteLocalRing] = {}
 
@@ -640,6 +641,16 @@ def m_adic_filtration(ring: FiniteLocalRing) -> List[Ideal]:
                 "reduction is not nilpotent, so the ring is not local")
         powers.append(nxt)
     return powers
+
+
+def m_adic_layers(ring: FiniteLocalRing) -> List[Tuple[Ideal, List[RingElement]]]:
+    """(m^{i+1}, `_layer_basis` of m^i / m^{i+1}) for each layer of
+    `m_adic_filtration`, built once per ring."""
+    if ring._layers is None:
+        filtration = m_adic_filtration(ring)
+        ring._layers = [(lower, _layer_basis(upper, lower))
+                        for upper, lower in zip(filtration, filtration[1:])]
+    return ring._layers
 
 
 def _layer_basis(upper: Ideal, lower: Ideal) -> List[RingElement]:

@@ -5,11 +5,11 @@ FiniteLocalRing); its lifts to a finite local ring R are solved for layer by
 layer over the m-adic filtration, from the Cayley-edge equations over k, and
 every lift is verified on the edges of the group's Cayley graph (testing
 every tuple in the fibers of the reduction is kept as a test oracle).
-Strict equivalence is conjugation by matrices congruent to the identity
-modulo the maximal ideal, and deformation sets are the orbit partitions with
-canonical (lexicographically least) representatives.  The tangent dimension
-dim H^1(G, ad rhobar) is solved for by linear algebra over the residue field;
-enumerating the classes over k[eps] stays as its oracle.
+Strict equivalence (conjugation by 1 + M_n(m)) is decided by one linear
+solve; deformation sets are the orbit partitions, walked over generators of
+that group, with canonical (key-least) representatives.  The tangent
+dimension dim H^1(G, ad rhobar) is solved for by linear algebra over the
+residue field; enumerating the classes over k[eps] stays as its oracle.
 
 The averaging operator sums g-translates of an approximate intertwiner and
 divides by the group order; when p divides the order this costs p-adic
@@ -23,15 +23,16 @@ from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError
-from .groups import FiniteGroup, extend_and_verify_hom, greedy_generators, p_part
+from .groups import FiniteGroup, extend_and_verify_hom, p_part
 from .galois import GRElt
 from .linalg import HowellForm, LinearMapSolver
 from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, CapExceededError,
                          FiniteLocalRing, Ideal, RingElement, RingHom,
-                         RingSurjection, _layer_basis, exact_divide,
-                         m_adic_filtration, maximal_ideal, quotient_ring,
-                         scale_ideal)
+                         RingSurjection, exact_divide, m_adic_layers,
+                         maximal_ideal, quotient_ring,
+                         ring_from_truncated_presentation, scale_ideal)
 from .matrices import Matrix
+from .presentations import IntegerPolynomialPresentation
 
 
 class RepresentationError(ValueError):
@@ -96,8 +97,7 @@ class Representation:
         return hash(self.key())
 
     def __repr__(self):
-        return (f"Representation({self.group.name} -> GL_{self.n}"
-                f"({self.ring.label}))")
+        return f"Representation({self.group.name} -> GL_{self.n}({self.ring.label}))"
 
 
 def residual_rep(group: FiniteGroup, ring: FiniteLocalRing,
@@ -111,8 +111,7 @@ def residual_rep(group: FiniteGroup, ring: FiniteLocalRing,
 def trivial_residual_rep(group: FiniteGroup, ring: FiniteLocalRing,
                          n: int = 1) -> Representation:
     k = ring.residue_ring
-    images = [Matrix.identity(k, n) for _ in group.generators]
-    return residual_rep(group, k, images)
+    return residual_rep(group, k, [Matrix.identity(k, n) for _ in group.generators])
 
 
 # -- lifts ------------------------------------------------------------------------------
@@ -139,23 +138,24 @@ class Lift:
         return self.rep.key()
 
 
-def kernel_group(ring: FiniteLocalRing, n: int,
-                 cap: int = DEFAULT_ELEMENT_CAP) -> List[Matrix]:
-    """All matrices congruent to the identity modulo the maximal ideal."""
-    m = maximal_ideal(ring)
-    total = m.size ** (n * n)
+def _kernel_group_order(ring: FiniteLocalRing, n: int, cap: int) -> int:
+    """|1 + M_n(m)| = |m|^(n^2), checked against the element cap."""
+    total = maximal_ideal(ring).size ** (n * n)
     if total > cap:
         raise CapExceededError(
             f"kernel group has {total} matrices, above the cap {cap}",
             cap="cap_elements", needed=total, limit=cap)
-    m_elems = m.enumerate_elements()
+    return total
+
+
+def kernel_group(ring: FiniteLocalRing, n: int,
+                 cap: int = DEFAULT_ELEMENT_CAP) -> List[Matrix]:
+    """All matrices congruent to the identity modulo the maximal ideal, in
+    lexicographic order of the entries' keys; the tests' scan oracle."""
+    _kernel_group_order(ring, n, cap)
     one = Matrix.identity(ring, n)
-    out = []
-    for combo in product(m_elems, repeat=n * n):
-        rows = [[one.rows[i][j] + combo[i * n + j] for j in range(n)]
-                for i in range(n)]
-        out.append(Matrix(ring, rows))
-    return out
+    return [one + Matrix(ring, [combo[i:i + n] for i in range(0, n * n, n)])
+            for combo in product(maximal_ideal(ring).enumerate_elements(), repeat=n * n)]
 
 
 def _section_matrix(ring: FiniteLocalRing, Mbar: Matrix) -> Matrix:
@@ -197,26 +197,21 @@ def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
     is built and checked on every Cayley edge by `extend_and_verify_hom`.
     The cap bounds |M_n(m)|^ngen, the candidate space the lifts lie in.
     """
-    G = rhobar.group
-    n = rhobar.n
-    filtration = m_adic_filtration(ring)
+    G, n = rhobar.group, rhobar.n
     ngen = len(G.generators)
-    fiber_size = filtration[0].size ** (n * n)
+    fiber_size = maximal_ideal(ring).size ** (n * n)
     if ngen and fiber_size ** ngen > cap:
         raise CapExceededError(
             f"{fiber_size ** ngen} candidate lifts exceed the cap {cap}",
             cap="cap_maps", needed=fiber_size ** ngen, limit=cap)
-    k = rhobar.ring.base
-    W = ring.base
-    nn = n * n
-    D = ngen * nn
+    k, W = rhobar.ring.base, ring.base
+    nn, D = n * n, ngen * n * n
     rows = _cocycle_system(rhobar)
     solver = LinearMapSolver(k, [[row[u] for row in rows] for u in range(D)], len(rows))
     cocycles = _span(k, solver.kernel_generators(), D)
     one = Matrix.identity(ring, n)
     partial = [[_section_matrix(ring, rhobar.matrix(g)) for g in G.generators]]
-    for upper, lower in zip(filtration, filtration[1:]):
-        basis = _layer_basis(upper, lower)
+    for lower, basis in m_adic_layers(ring):
         d = len(basis)
         coords = LinearMapSolver(W, [list(x.coeffs) for x in basis]
                                  + [list(x.coeffs) for x in lower.module_basis],
@@ -262,22 +257,70 @@ def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
 # -- strict equivalence and deformation sets -----------------------------------------------
 
 
+def _conjugation_form(ring: FiniteLocalRing, n: int, gens1: Sequence[Matrix],
+                      gens2: Sequence[Matrix], entries: Optional[Sequence[RingElement]] = None
+                      ) -> Tuple[HowellForm, int]:
+    """The Howell form of the rows [phi(Y) | Y] in the flat W-coordinates of
+    M_n(R), and the width of the image part, for phi(Y) = (a Y - Y b) over the
+    pairs of `zip(gens1, gens2)` and Y = beta E_ij, beta over `entries` (m's
+    module basis by default).  By the Howell property the rows whose image part
+    is zero span the kernel V of phi.  As phi(beta E_ij)_st = [t = j] beta a_si
+    - [s = i] beta b_jt, each beta costs one product per distinct entry."""
+    W, N, nn = ring.base, ring.N, n * n
+    pairs = list(zip(gens1, gens2))
+    ni = len(pairs) * nn * N
+    blank = [(W.zero,) * N] * nn
+    rows = []
+    distinct = {x for M in (*gens1, *gens2) for row in M.rows for x in row}
+    for beta in maximal_ideal(ring).module_basis if entries is None else entries:
+        times = {x: beta * x for x in distinct}
+        minus = {x: -y for x, y in times.items()}
+        for i, j in product(range(n), repeat=2):
+            row = []
+            for a, b in pairs:
+                block = blank[:]
+                for t in range(n):
+                    block[t * n + j] = times[a.rows[t][i]].coeffs
+                    block[i * n + t] = minus[b.rows[j][t]].coeffs
+                block[i * n + j] = (times[a.rows[i][i]] + minus[b.rows[j][j]]).coeffs
+                row.extend(c for e in block for c in e)
+            y = blank[:]
+            y[i * n + j] = beta.coeffs
+            rows.append(row + [c for e in y for c in e])
+    return HowellForm(W, rows, ni + nn * N, ring.orders * (len(pairs) + 1) * nn), ni
+
+
 def kernel_conjugator(ring: FiniteLocalRing, n: int, gens1: Sequence[Matrix],
                       gens2: Sequence[Matrix],
                       cap: int = DEFAULT_ELEMENT_CAP) -> Optional[Matrix]:
     """The first K of `kernel_group(ring, n)` with a K = K b for every pair
-    (a, b) of `zip(gens1, gens2)`, or None.  n is explicit because a group
-    without generators gives no matrix to read it from."""
-    for K in kernel_group(ring, n, cap):
-        if all(a * K == K * b for a, b in zip(gens1, gens2)):
-            return K
-    return None
+    (a, b) of `zip(gens1, gens2)`, or None, solved for instead of scanned.
+
+    K = 1 + Y solves it iff phi(Y) = a Y - Y b = b - a.  Reducing [a - b | 0]
+    by `_conjugation_form` leaves [a - b - phi(Z) | -Z]; a zero image part
+    means Y = -Z solves it, and as the reduction ends on V's rows, each entry
+    of Y is its least residue modulo its pivot: Y is the least element of
+    Y + V in `kernel_group`'s order.  n is explicit for groups without generators.
+    """
+    _kernel_group_order(ring, n, cap)
+    form, ni = _conjugation_form(ring, n, gens1, gens2)
+    zero, N = ring.base.zero, ring.N
+    red = form.reduce([c for a, b in zip(gens1, gens2) for row in (a - b).rows
+                       for x in row for c in x.coeffs] + [zero] * (n * n * N))
+    if any(e != zero for e in red[:ni]):
+        return None
+    K = Matrix.identity(ring, n) + Matrix(ring, [
+        [RingElement(ring, red[ni + u * N:ni + (u + 1) * N]) for u in range(i, i + n)]
+        for i in range(0, n * n, n)])
+    if not all(a * K == K * b for a, b in zip(gens1, gens2)):
+        raise InternalInconsistencyError("the solved conjugator K fails a K = K b")
+    return K
 
 
 def are_strictly_equivalent(l1: Lift, l2: Lift,
                             cap: int = DEFAULT_ELEMENT_CAP
                             ) -> Tuple[bool, Optional[Matrix]]:
-    """Search the kernel group for K with rho1 = K rho2 K^{-1}, i.e. rho1 K = K rho2."""
+    """The first K of the kernel group with rho1 = K rho2 K^{-1}, i.e. rho1 K = K rho2."""
     if l1.rep.ring is not l2.rep.ring:
         raise ValueError("lifts live over different rings")
     K = kernel_conjugator(l1.rep.ring, l1.rep.n, l1.rep.gen_matrices,
@@ -298,26 +341,38 @@ class DefSet:
         return len(self.representatives)
 
 
+def _layer_generators(ring: FiniteLocalRing, n: int) -> List[Matrix]:
+    """1 + s(y) b E_ac, b over the k-basis of each layer m^i / m^{i+1} (as in
+    `enumerate_lifts`), y over the F_p-basis Y^u of k, s the unity lift.
+    They generate Gamma = 1 + M_n(m): 1 + Y -> Y mod m^{i+1} maps Gamma_i =
+    1 + M_n(m^i) onto the F_p-space M_n(m^i / m^{i+1}) with kernel Gamma_{i+1},
+    which they span, so by downward induction on i they generate each Gamma_i."""
+    r = ring.residue_field.r
+    units = [ring.unity_lift(tuple(int(t == u) for t in range(r))) for u in range(r)]
+    one, zero = Matrix.identity(ring, n), ring.zero
+    return [one + Matrix(ring, [[x if (i, j) == (a, c) else zero for j in range(n)]
+                                for i in range(n)])
+            for _, basis in m_adic_layers(ring) for b in basis for y in units
+            for x in [y * b] for a, c in product(range(n), repeat=2)]
+
+
 def def_set(rhobar: Representation, ring: FiniteLocalRing,
             cap_maps: int = DEFAULT_MAP_CAP,
             cap_elements: int = DEFAULT_ELEMENT_CAP) -> DefSet:
     """Lifts up to strict equivalence, with canonical (key-least) representatives.
 
-    Orbits are found by breadth-first search over a greedy generating set S
-    of the kernel group, conjugating only the generator matrices: the orbit
-    of a lift is its closure under conjugation by S, at |lifts| * |S|
-    conjugations in total.
+    For n = 1 every class is one lift, as R is commutative.  Otherwise each
+    orbit is closed under `_layer_generators`, conjugating only the generator
+    matrices, and must have |Gamma| / |C(rho)| lifts, C(rho) = 1 + V the
+    solutions of rho K = K rho (`_conjugation_form`); Gamma is never listed.
     """
     lifts = enumerate_lifts(rhobar, ring, cap_maps)
+    n = rhobar.n
+    total = _kernel_group_order(ring, n, cap_elements)
+    if n == 1:
+        return DefSet(lifts, [1] * len(lifts), len(lifts))
     index: Dict[Tuple[int, ...], int] = {l.key(): i for i, l in enumerate(lifts)}
-    kg = kernel_group(ring, rhobar.n, cap_elements)
-    S, closure = greedy_generators(kg, Matrix.identity(ring, rhobar.n),
-                                   Matrix.__mul__)
-    if len(closure) != len(kg):
-        raise InternalInconsistencyError(
-            f"kernel-group generators close to {len(closure)} matrices, "
-            f"not {len(kg)}")
-    conjugators = [(K, K.inverse()) for K in S]
+    conjugators = [(K, K.inverse()) for K in _layer_generators(ring, n)]
     seen = [False] * len(lifts)
     reps: List[Lift] = []
     sizes: List[int] = []
@@ -327,19 +382,21 @@ def def_set(rhobar: Representation, ring: FiniteLocalRing,
         # lifts are in key order and earlier orbits are closed, so i is the
         # least index in its orbit
         seen[i] = True
-        frontier = [l.rep.gen_matrices]
-        size = 1
-        while frontier:
-            gens = frontier.pop()
+        orbit = [l.rep.gen_matrices]
+        for gens in orbit:  # the loop reaches the lifts appended during it
             for K, Kinv in conjugators:
                 conj = [K * M * Kinv for M in gens]
                 j = index[tuple(x for M in conj for x in M.key())]
                 if not seen[j]:
                     seen[j] = True
-                    size += 1
-                    frontier.append(conj)
+                    orbit.append(conj)
+        form, ni = _conjugation_form(ring, n, orbit[0], orbit[0])
+        if len(orbit) * form.size_from(ni) != total:
+            raise InternalInconsistencyError(
+                f"an orbit of {len(orbit)} lifts, not |Gamma| / |C(rho)| = {total} / "
+                f"{form.size_from(ni)}")
         reps.append(l)
-        sizes.append(size)
+        sizes.append(len(orbit))
     if sum(sizes) != len(lifts):
         raise InternalInconsistencyError("orbit sizes do not add up to the lift count")
     return DefSet(reps, sizes, len(lifts))
@@ -348,8 +405,7 @@ def def_set(rhobar: Representation, ring: FiniteLocalRing,
 def unique_deformation_check(rhobar: Representation, ring: FiniteLocalRing,
                              **caps) -> bool:
     """For p not dividing |G| there is exactly one deformation class."""
-    p = ring.base.p
-    if rhobar.group.n % p == 0:
+    if rhobar.group.n % ring.base.p == 0:
         raise ValueError("the uniqueness statement requires p not dividing |G|")
     return def_set(rhobar, ring, **caps).class_count == 1
 
@@ -357,17 +413,12 @@ def unique_deformation_check(rhobar: Representation, ring: FiniteLocalRing,
 def tangent_space(rhobar: Representation,
                   cap_maps: int = DEFAULT_MAP_CAP) -> Tuple[DefSet, int]:
     """Deformation classes over k[eps]; the count must be a power of q = |k|."""
-    from .presentations import IntegerPolynomialPresentation
-    from .local_ring import ring_from_truncated_presentation
     k = rhobar.ring
-    pres = IntegerPolynomialPresentation.parse(
-        k.base.p, ["e"], ["e^2"], r=k.base.r)
+    pres = IntegerPolynomialPresentation.parse(k.base.p, ["e"], ["e^2"], r=k.base.r)
     keps = ring_from_truncated_presentation(pres, 1, h=k.base.h)
     ds = def_set(rhobar, keps, cap_maps)
-    q = k.residue_field.size
-    count = ds.class_count
-    t = 0
-    c = count
+    q, count = k.residue_field.size, ds.class_count
+    t, c = 0, count
     while c % q == 0:
         c //= q
         t += 1
@@ -387,12 +438,9 @@ def _cocycle_system(rhobar: Representation) -> List[List[GRElt]]:
     construction.  Returns, per edge (a, generator index) of `G.edges`, the
     n^2 rows of X_a rhobar(g) + rhobar(a) X_g - X_ag, row-major.
     """
-    G = rhobar.group
-    n = rhobar.n
-    W = rhobar.ring.base
+    G, n, W = rhobar.group, rhobar.n, rhobar.ring.base
     add, sub, mul, zero = W.add, W.sub, W.mul, W.zero
-    nn = n * n
-    D = len(G.generators) * nn
+    nn, D = n * n, len(G.generators) * n * n
     mats = [[[e.coeffs[0] for e in row] for row in M.rows]
             for M in rhobar.matrices]
 
@@ -433,29 +481,16 @@ def tangent_dimension(rhobar: Representation) -> int:
     (Y rhobar(g) - rhobar(g) Y), and these span B^1.  The classes over k[eps]
     number q^t with t = dim Z^1 - dim B^1; `tangent_space` enumerates them.
     """
-    G = rhobar.group
-    n = rhobar.n
-    W = rhobar.ring.base
+    G, n, W = rhobar.group, rhobar.n, rhobar.ring.base
     if W.m != 1:
         raise RepresentationError("the tangent space is defined over the residue field")
     D = len(G.generators) * n * n
-    cocycle_rows = _cocycle_system(rhobar)
-    gen_mats = [[[e.coeffs[0] for e in row] for row in M.rows]
-                for M in rhobar.gen_matrices]
-    # Y = E_jk: (Y B - B Y)_ic = [i = j] B_kc - B_ij [k = c]
-    coboundary_rows = []
-    for j in range(n):
-        for k in range(n):
-            row = []
-            for B in gen_mats:
-                for i in range(n):
-                    for c in range(n):
-                        v = B[k][c] if i == j else W.zero
-                        row.append(W.sub(v, B[i][j]) if k == c else v)
-            coboundary_rows.append(row)
-    # over the field k every Howell pivot is a unit, so pivots count the rank
-    z1 = D - len(HowellForm(W, cocycle_rows, D).rows)
-    b1 = len(HowellForm(W, coboundary_rows, D).rows)
+    # B^1 is the image of phi(Y) = rhobar(g) Y - Y rhobar(g), Y in M_n(k); over
+    # the field k every Howell pivot is a unit, so pivots count the ranks
+    form, ni = _conjugation_form(rhobar.ring, n, rhobar.gen_matrices,
+                                 rhobar.gen_matrices, [rhobar.ring.one])
+    z1 = D - len(HowellForm(W, _cocycle_system(rhobar), D).rows)
+    b1 = sum(1 for j in form.pivot_cols if j < ni)
     return z1 - b1
 
 
@@ -483,8 +518,7 @@ def maranda_average(rho1: Representation, rho2: Representation,
     ring must be a precision model: dividing by |G| costs r = v_p(|G|) digits.
     When p does not divide |G| the order is a unit and the result is exact.
     """
-    ring = rho1.ring
-    G = rho1.group
+    ring, G = rho1.ring, rho1.group
     if rho2.ring is not ring or rho2.group is not G:
         raise ValueError("representations must share a group and a ring")
     p = ring.base.p
@@ -498,10 +532,8 @@ def maranda_average(rho1: Representation, rho2: Representation,
         raise ValueError(f"working precision {N} too small for p-exponent {r}")
     mR = maximal_ideal(ring)
     one = Matrix.identity(ring, rho1.n)
-    for i, row in enumerate((A - one).rows):
-        for e in row:
-            if not mR.contains(e):
-                raise ValueError("A must be congruent to the identity mod m_R")
+    if not all(mR.contains(e) for row in (A - one).rows for e in row):
+        raise ValueError("A must be congruent to the identity mod m_R")
     if J is None:
         J = order_ideal(ring, G)
     for g in range(G.n):
@@ -512,8 +544,7 @@ def maranda_average(rho1: Representation, rho2: Representation,
     B = Matrix.zero(ring, rho1.n)
     for g in range(G.n):
         B = B + rho1.matrix(g) * A * rho2.matrix(G.inverse[g])
-    s_inv = ring.invert(ring.from_int(s))
-    B = B.scale(s_inv)
+    B = B.scale(ring.invert(ring.from_int(s)))
     if r > 0:
         pr = ring.from_int(p ** r)
         B0 = B.map_entries(lambda e: exact_divide(e, pr))
@@ -523,10 +554,8 @@ def maranda_average(rho1: Representation, rho2: Representation,
     for h in range(G.n):
         if not (rho1.matrix(h) * B0).agrees_at(B0 * rho2.matrix(h), prec):
             raise InternalInconsistencyError("averaging failed to produce an intertwiner; bug")
-    for i, row in enumerate((B0 - one).rows):
-        for e in row:
-            if e.is_unit():
-                raise InternalInconsistencyError("averaged intertwiner left I_n + M_n(m_R); bug")
+    if any(e.is_unit() for row in (B0 - one).rows for e in row):
+        raise InternalInconsistencyError("averaged intertwiner left I_n + M_n(m_R); bug")
     return MarandaCertificate(B0, prec, r)
 
 
@@ -558,32 +587,23 @@ def normalize_intertwiner(rho1: Representation, rho2: Representation,
     Returns the unit u and B0 in I_n + M_n(m_R) with rho1 = B0 rho2 B0^{-1}.
     The scalar-reduction hypothesis is checked, never assumed.
     """
-    ring = rho1.ring
-    G = rho1.group
+    ring, G = rho1.ring, rho1.group
     for g in G.generators:
         if rho1.matrix(g) * B != B * rho2.matrix(g):
             raise ValueError("B is not an exact intertwiner")
-    k = ring.residue_field
-    n = B.n
+    k, n = ring.residue_field, B.n
     c = ring.reduce_element(B.rows[0][0])
     if c == k.zero:
         raise ValueError("reduction of B is zero on the diagonal; hypothesis violated")
-    for i in range(n):
-        for j in range(n):
-            red = ring.reduce_element(B.rows[i][j])
-            want = c if i == j else k.zero
-            if red != want:
-                raise ValueError(
-                    "reduction of B is not a scalar matrix; hypothesis violated")
+    if any(ring.reduce_element(B.rows[i][j]) != (c if i == j else k.zero)
+           for i in range(n) for j in range(n)):
+        raise ValueError("reduction of B is not a scalar matrix; hypothesis violated")
     # the corner entry is a unit with the right reduction; factoring it out
     # pins B0's corner to exactly 1
     u = B.rows[0][0]
     B0 = B.scale(ring.invert(u))
-    one = Matrix.identity(ring, n)
-    for row in (B0 - one).rows:
-        for e in row:
-            if e.is_unit():
-                raise InternalInconsistencyError("normalization left I_n + M_n(m_R); bug")
+    if any(e.is_unit() for row in (B0 - Matrix.identity(ring, n)).rows for e in row):
+        raise InternalInconsistencyError("normalization left I_n + M_n(m_R); bug")
     return u, B0
 
 
@@ -591,10 +611,8 @@ def normalize_intertwiner(rho1: Representation, rho2: Representation,
 
 
 def _check_square_zero(ideal: Ideal) -> None:
-    for a in ideal.module_basis:
-        for b in ideal.module_basis:
-            if not (a * b).is_zero():
-                raise ValueError("ideal is not square-zero")
+    if not all((a * b).is_zero() for a in ideal.module_basis for b in ideal.module_basis):
+        raise ValueError("ideal is not square-zero")
 
 
 def derivation_check(f: RingHom, ideal: Ideal,
@@ -604,26 +622,16 @@ def derivation_check(f: RingHom, ideal: Ideal,
     Leibniz: D(xy) = f(x) D(y) + D(x) f(y), checked on all basis pairs; the
     square-zero hypothesis on the ideal is verified, not assumed.
     """
-    S = f.source
-    T = f.target
+    S, T = f.source, f.target
     if ideal.ring is not T:
         raise ValueError("ideal must live in the target ring")
     _check_square_zero(ideal)
-    for v in values:
-        if not ideal.contains(v):
-            return False
-
+    if not all(ideal.contains(v) for v in values):
+        return False
     D = RingHom(S, T, values).apply  # base-linear, given on the basis
-
-    for i in range(S.N):
-        ei = S.basis_element(i)
-        for j in range(i, S.N):
-            ej = S.basis_element(j)
-            lhs = D(ei * ej)
-            rhs = f.apply(ei) * values[j] + values[i] * f.apply(ej)
-            if lhs != rhs:
-                return False
-    return True
+    basis = S.basis
+    return all(D(basis[i] * basis[j]) == f.apply(basis[i]) * values[j]
+               + values[i] * f.apply(basis[j]) for i in range(S.N) for j in range(i, S.N))
 
 
 def hom_vs_derivation(f: RingHom, g_images: Sequence[RingElement],
@@ -635,12 +643,10 @@ def hom_vs_derivation(f: RingHom, g_images: Sequence[RingElement],
     """
     _check_square_zero(ideal)
     diffs = [g - fi for g, fi in zip(g_images, f.basis_images)]
-    for d in diffs:
-        if not ideal.contains(d):
-            raise ValueError("g is not congruent to f modulo the ideal")
-    g_hom = RingHom(f.source, f.target, g_images).verify()
-    is_deriv = derivation_check(f, ideal, diffs)
-    return g_hom, is_deriv
+    if not all(ideal.contains(d) for d in diffs):
+        raise ValueError("g is not congruent to f modulo the ideal")
+    return (RingHom(f.source, f.target, g_images).verify(),
+            derivation_check(f, ideal, diffs))
 
 
 def square_zero_extension(ring: FiniteLocalRing, ann: Ideal,
@@ -653,30 +659,25 @@ def square_zero_extension(ring: FiniteLocalRing, ann: Ideal,
     """
     if ann.ring is not ring:
         raise ValueError("annihilator ideal must live in the base ring")
-    W = ring.base
-    live = ann.form.live
+    W, N, live = ring.base, ring.N, ann.form.live
     NM = len(live)
-    N = ring.N
     qorders = ann.form.quotient_orders()
     orders = list(ring.orders) + [qorders[j] for j in live]
 
     zeroN = [W.zero] * N
     zeroM = [W.zero] * NM
+    # basis vector i of S is e_i of R for i < N and eps * e_live[i - N] after
+    idx = list(range(N)) + list(live)
     mul_table = []
     for i in range(N + NM):
         row = []
         for j in range(N + NM):
-            if i < N and j < N:
-                prod_r = ring.basis_element(i) * ring.basis_element(j)
-                row.append(list(prod_r.coeffs) + zeroM)
-            elif i < N <= j:
-                prod_r = ring.basis_element(i) * ring.basis_element(live[j - N])
-                row.append(zeroN + ann.form.live_coords(prod_r.coeffs))
-            elif j < N <= i:
-                prod_r = ring.basis_element(live[i - N]) * ring.basis_element(j)
-                row.append(zeroN + ann.form.live_coords(prod_r.coeffs))
-            else:
+            if i >= N and j >= N:
                 row.append(zeroN + zeroM)
+                continue
+            prod_r = ring.basis_element(idx[i]) * ring.basis_element(idx[j])
+            row.append(list(prod_r.coeffs) + zeroM if max(i, j) < N
+                       else zeroN + ann.form.live_coords(prod_r.coeffs))
         mul_table.append(row)
     one_coeffs = list(ring.one.coeffs) + zeroM
     residue_coeffs = list(ring.residue_coeffs) + [ring.residue_field.zero] * NM
@@ -709,10 +710,9 @@ def hom_family(incl: RingHom, d_values: Sequence[RingElement],
     for C in scalars:
         cs = S.element(list(C.coeffs) + [S.base.zero] * (S.N - incl.source.N)) \
             if C.ring is incl.source else C
-        images = [fi + cs * d for fi, d in zip(incl.basis_images, d_values)]
-        hom = RingHom(incl.source, S, images)
+        hom = RingHom(incl.source, S,
+                      [fi + cs * d for fi, d in zip(incl.basis_images, d_values)])
         if not hom.verify():
             raise InternalInconsistencyError("family member failed homomorphism verification; bug")
         out.append(hom)
-    distinct = len({h.key() for h in out})
-    return out, distinct
+    return out, len({h.key() for h in out})

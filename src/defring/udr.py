@@ -237,8 +237,8 @@ def finiteness_bound_check(rhobar: Representation, ring: FiniteLocalRing,
 
     Each pair of supplied lifts is decided by `maranda_decide` and by
     `kernel_conjugator` on the projections to R/J; both decide over R/J by the
-    same scan, so `injective_on_instances` is True whenever this returns and
-    injectivity is not tested against an independent decision over R.
+    same linear solve, so `injective_on_instances` is True whenever this
+    returns and injectivity is not tested against an independent decision over R.
     """
     G = rhobar.group
     r, _ = p_part(G, ring.base.p)

@@ -289,9 +289,13 @@ ring {
     ("fingerprint", RELATIONS_WITHOUT_VARS_JOB, [], "relations need variables"),
     ("order-bound", ORDER_BOUND_JOB.replace("  f2 = -T\n", ""), [], "missing key 'f2'"),
     ("order-bound", ORDER_BOUND_JOB, ["--degree-cap", "1"], "not finite at this cap"),
+    ("defcount", DEFCOUNT_JOB.replace("p = 2", "p = X"), [],
+     "key 'p' must be an integer"),
+    ("maranda-check", MARANDA_JOB.replace("gen1 = 9", "gen1 = X"), [],
+     "block 'lift2' key 'gen1': matrix entry 'X' must be an integer"),
 ], ids=["cap-exceeded", "not-finite-at-cap", "group-without-param",
         "unwritable-output", "relations-without-vars", "map-without-f2",
-        "order-bound-degree-cap"])
+        "order-bound-degree-cap", "prime-not-an-integer", "lift-entry-not-an-integer"])
 def test_error_paths_report_json(tmp_path, command, text, flags, message):
     job = tmp_path / "job.txt"
     job.write_text(text)
@@ -305,12 +309,21 @@ def test_error_paths_report_json(tmp_path, command, text, flags, message):
     assert proc.stdout == ""
 
 
+MARANDA_C2_INEQUIVALENT_JOB = (Path(__file__).resolve().parent.parent / "perfbench"
+                               / "jobs" / "maranda_c2_inequivalent.job").read_text()
+
+
 @pytest.mark.parametrize("command, text, flag, fields, message", [
     ("defcount", CAP_JOB, "--cap-maps", ("cap_maps", 256, 5),
      "256 candidate lifts exceed the cap 5"),  # 16 candidates per generator
     ("fingerprint", DEFCOUNT_JOB, "--cap-elements", ("cap_elements", 8, 5),
      "ring has 8 elements, above the cap 5"),  # Z/8
-], ids=["cap-maps", "cap-elements"])
+    # the kernel group 1 + M_2(m) is not listed, but its order is still capped
+    ("maranda-check", MARANDA_C2_INEQUIVALENT_JOB, "--cap-elements",
+     ("cap_elements", 256, 5), "kernel group has 256 matrices, above the cap 5"),
+    ("defcount", CAP_JOB, "--cap-elements", ("cap_elements", 16, 5),
+     "kernel group has 16 matrices, above the cap 5"),  # |m| = 2 in Z/4, n = 2
+], ids=["cap-maps", "cap-elements", "maranda-kernel-group", "defcount-kernel-group"])
 def test_cap_errors_carry_structured_fields(tmp_path, command, text, flag,
                                             fields, message):
     job = tmp_path / "job.txt"

@@ -3,10 +3,12 @@
 `all_pairs_hom` extends generator images word by word and checks all |G|^2
 element pairs; `candidate_lifts` tests every generator tuple in the fibers of
 the reduction; `full_sweep_def_set` conjugates every lift's full matrix table
-by every kernel-group element.  They are kept here only as oracles: the
-library checks Cayley edges, solves for lifts layer by layer over the m-adic
-filtration and walks orbits by kernel-group generators, and must agree with
-them on every accept/reject decision, every lift and every DefSet field.
+by every kernel-group element; `_kernel_conjugator_by_scan` tests every
+kernel-group element as a conjugator.  They are kept here only as oracles:
+the library checks Cayley edges, solves for lifts layer by layer over the
+m-adic filtration, solves for the conjugator and walks orbits over the
+kernel group's layer generators, and must agree with them on every
+accept/reject decision, every lift, every conjugator and every DefSet field.
 
 For ring homomorphisms, `candidate_homs` tests every tuple of generator
 images in (unity lift + m_T)^t, and `reference_apply` sums the images of the
@@ -26,6 +28,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import defring.representation as representation
+from defring.errors import InternalInconsistencyError
 from defring.groups import (build_group, cyclic, dihedral, extend_and_verify_hom,
                             quaternion8, symmetric)
 from defring.local_ring import (RingHom, _hom_levels, build_galois_ring,
@@ -36,8 +40,9 @@ from defring.matrices import Matrix
 from defring.presentations import IntegerPolynomialPresentation
 from defring.representation import (DefSet, Lift, Representation,
                                     RepresentationError, are_strictly_equivalent,
-                                    def_set, enumerate_lifts, kernel_group,
-                                    residual_rep, trivial_residual_rep)
+                                    def_set, enumerate_lifts, kernel_conjugator,
+                                    kernel_group, order_ideal, residual_rep,
+                                    trivial_residual_rep)
 
 
 def all_pairs_hom(G, one, generator_images):
@@ -231,6 +236,20 @@ def test_orbit_search_agrees_on_nontrivial_orbits(group, images, orbit_sizes):
     assert fast.orbit_sizes == orbit_sizes
 
 
+@pytest.mark.parametrize("group, ring, images, orbit_sizes", [
+    (cyclic(2), build_galois_ring(2, 2, 2), [[1, 1, 0, 1]], [16]),  # k = F4: both Y^u
+    (symmetric(3), build_galois_ring(2, 3, 1), S3_STANDARD, [64]),  # two layers
+], ids=["gr4-2", "z8"])
+def test_orbit_search_agrees_beyond_one_prime_layer(group, ring, images, orbit_sizes):
+    # over GR(4,2) the walk needs the layer generators 1 + 2Y E_ac as well as
+    # 1 + 2 E_ac (without them the orbit has 4 lifts, not 16), and over Z/8
+    # the generators 1 + 4 E_ac of the second layer (without them, 32, not 64)
+    rhobar = _rhobar(group, ring.residue_ring, 2, images)
+    fast = def_set(rhobar, ring)
+    assert fast == full_sweep_def_set(rhobar, ring)
+    assert fast.orbit_sizes == orbit_sizes
+
+
 def test_strict_equivalence_matches_orbits():
     """are_strictly_equivalent(l1, l2) holds exactly when l1, l2 share an orbit."""
     ring = build_galois_ring(2, 2, 1)
@@ -321,6 +340,177 @@ def test_partial_lift_dies_at_a_layer():
     lifts = enumerate_lifts(rhobar, R)
     assert [l.key() for l in lifts] == candidate_lifts(rhobar, R) == \
         sorted([R.one.key(), (R.one + t * t).key()])
+
+
+# -- strict equivalence solved, orbits walked over layer generators ----------------------------
+
+
+@lru_cache(maxsize=None)
+def _gamma(ring, n):
+    return tuple(kernel_group(ring, n))
+
+
+def _kernel_conjugator_by_scan(ring, n, gens1, gens2):
+    """The first K of the listed kernel group with a K = K b for every pair:
+    the scan that `kernel_conjugator` replaced."""
+    for K in _gamma(ring, n):
+        if all(a * K == K * b for a, b in zip(gens1, gens2)):
+            return K
+    return None
+
+
+def _precision_quotient():
+    """R/J for C2 over the precision model Z2[sqrt 2] at m = 6, J = 2 m: the
+    quotient the `maranda-check` jobs decide over (torsion coordinates)."""
+    R = ring_from_truncated_presentation(
+        IntegerPolynomialPresentation.parse(2, ["X"], ["X^2 - 2"]), 6, mode="precision")
+    return quotient_ring(R, order_ideal(R, cyclic(2))).target
+
+
+CONJUGATOR_RINGS = [  # GR(p^m, r) for p = 2, 3 and r = 1, 2; F2[eps]; five layers;
+    # a precision model; a quotient with coordinates of order below p^m
+    build_galois_ring(2, 2, 1), build_galois_ring(2, 3, 1), build_galois_ring(2, 2, 2),
+    build_galois_ring(3, 2, 1), build_galois_ring(3, 2, 2), _dual_numbers(2),
+    _truncated(2, ["X"], ["X^2 - 2"], 3),
+    ring_from_truncated_presentation(IntegerPolynomialPresentation.parse(2, [], []), 2,
+                                     mode="precision"),
+    _precision_quotient(),
+]
+GAMMA_CAP = 1024  # |Gamma| = |m|^(n^2), so n <= 3 where |m| = 2
+
+
+def _random_element(draw, ring):
+    W = ring.base
+    return ring.element([tuple(draw(st.integers(0, W.q - 1)) for _ in range(W.r))
+                         for _ in range(ring.N)])
+
+
+def _random_matrix(draw, ring, n, lift_like):
+    """A matrix with arbitrary entries, or the unity lift of a random residue
+    matrix plus a matrix over m (a lift candidate)."""
+    m_elems = maximal_ideal(ring).enumerate_elements()
+    if lift_like:
+        k = ring.residue_field
+        entries = [ring.unity_lift(draw(st.sampled_from(list(k.elements()))))
+                   + draw(st.sampled_from(m_elems)) for _ in range(n * n)]
+    else:
+        entries = [_random_element(draw, ring) for _ in range(n * n)]
+    return Matrix(ring, [entries[i:i + n] for i in range(0, n * n, n)])
+
+
+def _random_gamma(draw, ring, n):
+    m_elems = maximal_ideal(ring).enumerate_elements()
+    offsets = [draw(st.sampled_from(m_elems)) for _ in range(n * n)]
+    return Matrix.identity(ring, n) + Matrix(ring, [offsets[i:i + n]
+                                                    for i in range(0, n * n, n)])
+
+
+@st.composite
+def conjugator_problems(draw):
+    """Random pairs of matrix tuples, or a tuple and its conjugate by a random
+    element of Gamma (then a K exists), over a small ring."""
+    ring = draw(st.sampled_from(CONJUGATOR_RINGS))
+    size = maximal_ideal(ring).size
+    n = draw(st.sampled_from([n for n in (1, 2, 3) if size ** (n * n) <= GAMMA_CAP]))
+    count = draw(st.integers(0, 2))
+    lift_like = draw(st.booleans())
+    gens1 = [_random_matrix(draw, ring, n, lift_like) for _ in range(count)]
+    if draw(st.booleans()):
+        K = _random_gamma(draw, ring, n)
+        Kinv = K.inverse()
+        gens2 = [Kinv * a * K for a in gens1]
+    else:
+        gens2 = [_random_matrix(draw, ring, n, lift_like) for _ in range(count)]
+    return ring, n, gens1, gens2
+
+
+def test_conjugator_rings_cover_the_cases():
+    assert {(R.base.p, R.base.r) for R in CONJUGATOR_RINGS} >= {(2, 1), (2, 2), (3, 1), (3, 2)}
+    assert any(R.mode == "precision" for R in CONJUGATOR_RINGS)
+    assert any(min(R.orders) < R.base.m for R in CONJUGATOR_RINGS)
+    assert any(maximal_ideal(R).size ** 9 <= GAMMA_CAP for R in CONJUGATOR_RINGS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(conjugator_problems())
+def test_solved_conjugator_is_the_scanned_one(case):
+    ring, n, gens1, gens2 = case
+    assert kernel_conjugator(ring, n, gens1, gens2) == \
+        _kernel_conjugator_by_scan(ring, n, gens1, gens2)
+
+
+CONJUGATION_CASES = [  # (group, ring, residual images) whose lifts the next test pairs
+    (cyclic(4), build_galois_ring(2, 2, 1), [[1, 1, 0, 1]]),
+    (symmetric(3), build_galois_ring(2, 2, 1), S3_STANDARD),
+    (symmetric(3), build_galois_ring(2, 2, 1), None),
+    (cyclic(3), _dual_numbers(2), [[0, 1, 1, 1]]),
+    (cyclic(2), build_galois_ring(2, 3, 1), None),
+    (cyclic(2), _precision_quotient(), None),
+]
+
+
+@lru_cache(maxsize=None)
+def _case_lifts(index):
+    G, ring, images = CONJUGATION_CASES[index]
+    return tuple(enumerate_lifts(_rhobar(G, ring.residue_ring, 2, images), ring))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, len(CONJUGATION_CASES) - 1), st.data())
+def test_strict_equivalence_of_conjugated_lifts_matches_the_scan(index, data):
+    ring = CONJUGATION_CASES[index][1]
+    lifts = _case_lifts(index)
+    l1 = data.draw(st.sampled_from(lifts))
+    if data.draw(st.booleans()):
+        l2 = Lift(l1.rep.conjugate(_random_gamma(data.draw, ring, 2)), l1.rhobar)
+    else:
+        l2 = data.draw(st.sampled_from(lifts))
+    same, K = are_strictly_equivalent(l1, l2)
+    assert K == _kernel_conjugator_by_scan(ring, 2, l1.rep.gen_matrices,
+                                           l2.rep.gen_matrices)
+    assert same == (K is not None)
+
+
+def test_dropping_a_layer_generator_is_caught_by_the_orbit_count(monkeypatch):
+    # C4 with the unipotent residual image over Z/4 has four orbits of 4 lifts;
+    # without 1 + 2 E_10 the walk closes each under a subgroup whose orbits
+    # have 2 lifts, and the orbit-stabiliser count |Gamma| / |C(rho)| = 4
+    # no longer matches
+    ring = build_galois_ring(2, 2, 1)
+    rhobar = _rhobar(cyclic(4), ring.residue_ring, 2, [[1, 1, 0, 1]])
+    assert def_set(rhobar, ring).orbit_sizes == [4, 4, 4, 4]
+    layer_generators = representation._layer_generators
+    monkeypatch.setattr(representation, "_layer_generators", lambda R, n: [
+        K for K in layer_generators(R, n) if K.rows[1][0].is_zero()])
+    with pytest.raises(InternalInconsistencyError, match="an orbit of 2 lifts"):
+        def_set(rhobar, ring)
+
+
+def test_one_dimensional_def_set_conjugates_nothing(monkeypatch):
+    # n = 1: R is commutative, so every lift is its own class and no matrix
+    # is multiplied or inverted once the lifts are enumerated
+    R = _truncated(2, ["X"], ["X^2 - 2"], 3)
+    rhobar = trivial_residual_rep(quaternion8(), R)
+    solve = representation.enumerate_lifts
+    counts = {"after": 0, "mul": 0, "inverse": 0}
+
+    def enumerate_then_count(*args):
+        lifts = solve(*args)
+        counts["after"] = 1
+        return lifts
+
+    def counted(name, method):
+        def wrapper(*args):
+            counts[name] += counts["after"]
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(representation, "enumerate_lifts", enumerate_then_count)
+    monkeypatch.setattr(Matrix, "__mul__", counted("mul", Matrix.__mul__))
+    monkeypatch.setattr(Matrix, "inverse", counted("inverse", Matrix.inverse))
+    ds = def_set(rhobar, R)
+    assert ds.orbit_sizes == [1] * 64 and ds.class_count == 64
+    assert counts == {"after": 1, "mul": 0, "inverse": 0}
 
 
 # -- homomorphisms searched layer by layer ---------------------------------------------------
