@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -345,46 +345,91 @@ def trace_form(A: QFiberAlgebra) -> Tuple[List[List[Fraction]], Fraction]:
 def omega_rank(pres: IntegerPolynomialPresentation, A: QFiberAlgebra) -> int:
     """dim_Q of the differential module of A over Q, by the Jacobian presentation.
 
-    The module is the cokernel of A^s -> A^t, e_k -> (df_k/dX_1, ..., df_k/dX_t),
-    whose rows `_jacobian_rows` builds over Z.  Only the rank is read, so each
-    row's denominator is dropped.  `_rank` first eliminates modulo a fixed
-    prime: a rank t*n there is a rank t*n over Q, because a minor that is
-    nonzero modulo the prime is nonzero, so a reduced fiber is proved to
-    have a zero module without an exact elimination.  A smaller rank modulo
-    the prime proves nothing, and the exact `_bareiss` elimination decides.
+    The module is the cokernel of A^s -> A^t, e_k -> (df_k/dX_1, ..., df_k/dX_t).
+    With as many relations as variables (s = t) the map is onto exactly when
+    det J is a unit of A, i.e. when the n x n rows of multiplication by det J
+    (`_jacobian_det_rows`) have rank n; full rank modulo RANK_PRIME proves
+    that, because a minor that is nonzero modulo the prime is nonzero.  The
+    determinant costs t * 2^(t-1) polynomial products, so this route is
+    tried only up to t = DEFAULT_VARIABLE_GUARD (192 products).  Every other
+    case, a deficiency modulo the prime included, ranks the t*n columns of
+    the rows `_jacobian_rows` builds over Z (each row's denominator dropped)
+    with `_rank`: a rank t*n modulo the prime is a rank t*n over Q, and a
+    smaller one proves nothing, so the exact `_bareiss` elimination decides.
     """
-    if pres.nvars == 0 or A.dim == 0:
+    t = pres.nvars
+    if t == 0 or A.dim == 0:
+        return 0
+    if (len(pres.relations) == t <= DEFAULT_VARIABLE_GUARD
+            and _full_rank_mod_prime(_jacobian_det_rows(pres, A))):
         return 0
     rows = [row for _den, row in _jacobian_rows(pres, A)]
-    return A.dim * pres.nvars - _rank(rows)
+    return A.dim * t - _rank(rows)
+
+
+def _det(mat: Sequence[Sequence[Poly]]) -> Poly:
+    """The determinant of a nonempty square matrix of polynomials, by Laplace
+    expansion along the rows, memoised over column subsets: the minor on the
+    first m rows and the columns S is computed once for each S of size m,
+    t * 2^(t-1) products for t rows in all."""
+    t = len(mat)
+    nvars = mat[0][0].nvars
+    minors = {(): Poly.constant(nvars, 1)}
+    for k, row in enumerate(mat):
+        above, minors = minors, {}
+        for cols in combinations(range(t), k + 1):
+            acc = Poly.zero(nvars)
+            for idx, j in enumerate(cols):
+                if row[j].nums:
+                    term = row[j] * above[cols[:idx] + cols[idx + 1:]]
+                    acc = acc - term if (k + idx) % 2 else acc + term
+            minors[cols] = acc
+    return minors[tuple(range(t))]
+
+
+def _jacobian_det_rows(pres: IntegerPolynomialPresentation, A: QFiberAlgebra
+                       ) -> List[List[int]]:
+    """The rows over Z of multiplication by det(df_k/dX_i) on A, for a
+    presentation with as many relations as variables, each row's
+    denominator dropped."""
+    t = pres.nvars
+    det = _det([[f.derivative(i) for i in range(t)] for f in pres.relations])
+    return [row for _den, row in _multiplication_rows(A, [A.int_coords(det)])]
 
 
 def _jacobian_rows(pres: IntegerPolynomialPresentation, A: QFiberAlgebra
                    ) -> Iterator[Tuple[int, List[int]]]:
-    """The rows of the Jacobian presentation, each as (D, integer numerators).
-
-    The row for f_k and basis element b_j holds NF(df_k/dX_i * b_j), taken
-    from the multiplication table: normal forms are linear and g - NF(g) lies
-    in the ideal, so NF(g * b_j) = sum_u NF(g)_u NF(b_u * b_j).  The sum is
-    taken over Z, over the lcm D of the denominators it adds.
-    """
+    """The rows of the Jacobian presentation, each as (D, integer numerators):
+    for f_k, the rows of multiplication by (df_k/dX_1, ..., df_k/dX_t)."""
     t = pres.nvars
-    n = A.dim
     for f in pres.relations:
-        partials = [A.int_coords(f.derivative(i)) for i in range(t)]
-        for j in range(n):
-            parts = []
-            for i, (den, g) in enumerate(partials):
-                for u, c in g.items():
-                    d, table = A.mult_int_coords(u, j)
-                    parts.append((i * n, c, den * d, table))
-            row_den = lcm(*(d for _, _, d, _ in parts))
-            row = [0] * (t * n)
-            for offset, c, d, table in parts:
-                c *= row_den // d
-                for v, x in table.items():
-                    row[offset + v] += c * x
-            yield row_den, row
+        yield from _multiplication_rows(
+            A, [A.int_coords(f.derivative(i)) for i in range(t)])
+
+
+def _multiplication_rows(A: QFiberAlgebra, factors: Sequence[IntCoords]
+                         ) -> Iterator[Tuple[int, List[int]]]:
+    """For each basis element b_j, the coordinates of (g_1 b_j, ..., g_m b_j)
+    for the factors g_i, as (D, integer numerators), one block of n per g_i.
+
+    They are taken from the multiplication table: normal forms are linear
+    and g - NF(g) lies in the ideal, so NF(g * b_j) = sum_u NF(g)_u NF(b_u * b_j).
+    The sum is taken over Z, over the lcm D of the denominators it adds.
+    """
+    n = A.dim
+    for j in range(n):
+        parts = []
+        for i, (den, g) in enumerate(factors):
+            for u, c in g.items():
+                d, table = A.mult_int_coords(u, j)
+                parts.append((i * n, c, den * d, table))
+        row_den = lcm(*(d for _, _, d, _ in parts))
+        row = [0] * (len(factors) * n)
+        for offset, c, d, table in parts:
+            c *= row_den // d
+            for v, x in table.items():
+                row[offset + v] += c * x
+        yield row_den, row
 
 
 def nilpotent_witness(A: QFiberAlgebra) -> Tuple[Poly, int]:

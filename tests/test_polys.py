@@ -498,7 +498,10 @@ def test_normal_form_count_on_katsura4(monkeypatch):
             monkeypatch.setattr(module, "normal_form", counting)
     pres = IntegerPolynomialPresentation.parse(2, list("ABCDE"), KATSURA4)
     assert etale_check(pres).verdict == "PASS"
-    assert len(calls) == 94  # 115 with every pair queued
+    # 94 before the determinant route, whose one normal form of det J
+    # replaces the 25 of the Jacobian's partial derivatives; 115 with every
+    # pair queued
+    assert len(calls) == 70
 
 
 # -- the Gebauer-Moeller criteria against the queue of every pair ---------------

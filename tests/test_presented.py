@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -457,8 +458,112 @@ def test_omega_rank_falls_back_when_the_prime_divides_a_minor():
     rows = [row for _den, row in presented._jacobian_rows(pres, A)]
     assert rows == [[-prime, 2], [0, prime]]
     assert not presented._full_rank_mod_prime(rows)
+    # det J = 2X - P has the same rows, so the determinant route declines too
+    assert presented._jacobian_det_rows(pres, A) == rows
     assert omega_rank(pres, A) == 0
     assert etale_check(pres).verdict == "PASS"
+
+
+def test_omega_rank_falls_back_to_bareiss_when_the_determinant_route_declines(monkeypatch):
+    prime = presented.RANK_PRIME
+    pres = _pres(2, ["X"], [f"X^2 - {prime}*X"])
+    A = q_fiber(pres)
+    row_counts = []
+    original = presented._bareiss
+    monkeypatch.setattr(presented, "_bareiss",
+                        lambda rows: row_counts.append(len(rows)) or original(rows))
+    assert omega_rank(pres, A) == 0
+    assert row_counts == [2]
+    assert etale_check(pres).verdict == "PASS"
+
+
+def test_determinant_route_eliminates_one_n_by_n_matrix_on_katsura4(monkeypatch):
+    row_counts = []
+    original = presented._full_rank_mod_prime
+    monkeypatch.setattr(presented, "_full_rank_mod_prime",
+                        lambda rows: row_counts.append(len(rows)) or original(rows))
+    assert etale_check(_pres(2, list("ABCDE"), KATSURA4)).omega_rank == 0
+    assert row_counts == [16]
+
+
+def test_non_square_presentations_skip_the_determinant_route(monkeypatch):
+    def refuse(mat):
+        raise AssertionError("the determinant route ran on a non-square presentation")
+
+    monkeypatch.setattr(presented, "_det", refuse)
+    pres = r_alpha_presentation(1, 2)
+    assert (len(pres.relations), pres.nvars) == (8, 2)
+    assert etale_check(pres).verdict == "FAIL_NOT_REDUCED"
+
+
+def test_dual_route_disagreement_is_still_raised_after_the_determinant_route(monkeypatch):
+    # the determinant route proves the module of katsura-3 zero; a trace form
+    # claimed degenerate must then stop the run
+    monkeypatch.setattr(presented, "trace_form", lambda A: ([], Fraction(0)))
+    with pytest.raises(InternalInconsistencyError, match="disagree on reducedness"):
+        etale_check(KATSURA3)
+
+
+def _leibniz_det(mat):
+    """The determinant as the signed sum over permutations, one product each."""
+    t = len(mat)
+    nvars = mat[0][0].nvars
+    out = Poly.zero(nvars)
+    for perm in itertools.permutations(range(t)):
+        inversions = sum(perm[i] > perm[j] for i in range(t) for j in range(i + 1, t))
+        term = Poly.constant(nvars, -1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * mat[i][j]
+        out = out + term
+    return out
+
+
+@st.composite
+def _poly_matrices(draw):
+    """Square matrices (t <= 4) of polynomials in X, Y with small integer
+    coefficients, a few of them rational, and some zero entries."""
+    t = draw(st.integers(1, 4))
+    monos = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
+
+    def entry():
+        if draw(st.integers(0, 3)) == 0:
+            return Poly.zero(2)
+        coeffs = {mo: Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 1, 2, 3])))
+                  for mo in draw(st.lists(st.sampled_from(monos), max_size=3))}
+        return Poly(2, coeffs)
+
+    return [[entry() for _ in range(t)] for _ in range(t)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_matrices())
+def test_laplace_determinant_matches_leibniz(mat):
+    assert presented._det(mat) == _leibniz_det(mat)
+
+
+@st.composite
+def _square_presentations(draw):
+    """Presentations with as many relations as variables: those of
+    `_random_presentation`, reduced or not, and the non-reduced repeated
+    factor U^2 (U - a), U = X + c*Y, beside Y^2 - b."""
+    if draw(st.booleans()):
+        return _random_presentation(random.Random(draw(st.integers(0, 2**32 - 1))))
+    a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
+    X, Y = Poly.variable(2, 0), Poly.variable(2, 1)
+    u = X + Y.scale(c)
+    rels = (u * u * (u - Poly.constant(2, a)), Y * Y - Poly.constant(2, b))
+    return IntegerPolynomialPresentation(draw(st.sampled_from([2, 3, 5])), ("X", "Y"), rels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_square_presentations())
+def test_determinant_route_agrees_with_the_full_jacobian_rank(pres):
+    A = q_fiber(pres)
+    t, n = pres.nvars, A.dim
+    if presented._full_rank_mod_prime(presented._jacobian_det_rows(pres, A)):
+        rows = [row for _den, row in presented._jacobian_rows(pres, A)]
+        assert presented._rank(rows) == t * n
+    assert omega_rank(pres, A) == _omega_rank_by_normal_forms(pres, A)
 
 
 def test_exact_eliminations_on_katsura4_and_nonreduced_cubics(monkeypatch):
