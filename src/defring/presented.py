@@ -16,10 +16,11 @@ fiber or a finite truncation.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import isqrt, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .polys import (CoefficientSwellError, IntegralityError, Monomial, Poly,
@@ -106,38 +107,53 @@ def _bareiss(rows: List[List[int]]) -> Tuple[List[List[int]], List[int], int]:
 
 # The largest prime below 2^30, so that a product of two residues fits in 60 bits.
 RANK_PRIME = 1073741789
+# Numerators and denominators up to this bound lift uniquely from their
+# residues modulo RANK_PRIME, as 2 * bound^2 < RANK_PRIME.
+_LIFT_BOUND = isqrt((RANK_PRIME - 1) // 2)
 
 
 def _rank(rows: List[List[int]]) -> int:
-    """Rank over Q of integer rows; `_bareiss`, when it runs, eliminates
-    them in place.
+    """Rank over Q of integer rows, certified from their echelon form modulo
+    RANK_PRIME; `_bareiss`, when it runs, eliminates them in place.
 
-    Every minor modulo RANK_PRIME is the reduction of an integer minor, so
-    the rank modulo the prime is at most the rank over Q, and full rank
-    there is full rank here.  Otherwise `_bareiss` decides: the pass modulo
-    the prime only ever proves full rank, never a deficiency.
+    Every minor modulo the prime is the reduction of an integer minor, so
+    the rank r modulo the prime is at most the rank over Q, and full rank
+    there is full rank here.  Below full rank, `_kernel_certified` lifts one
+    kernel vector per free column to Z and checks it exactly; if all pass,
+    the kernel over Q has dimension at least columns - r, so the rank is r.
+    Any failure leaves the rank to `_bareiss`: the prime alone never proves
+    a deficiency.
     """
-    if _full_rank_mod_prime(rows):
-        return min(len(rows), len(rows[0]) if rows else 0)
+    ech, pivots = _echelon_mod_prime(rows)
+    if (len(pivots) == min(len(rows), len(rows[0]) if rows else 0)
+            or _kernel_certified(rows, ech, pivots)):
+        return len(pivots)
     return len(_bareiss(rows)[1])
 
 
 def _full_rank_mod_prime(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether the rows have rank min(rows, columns) modulo RANK_PRIME, by
-    Gaussian elimination on a copy.
+    """Whether the rows have rank min(rows, columns) modulo RANK_PRIME."""
+    return len(_echelon_mod_prime(rows)[1]) == min(len(rows), len(rows[0]) if rows else 0)
 
-    Stops once the columns left are too few for a full rank.  Only the pivot
-    row is reduced before a step, so an entry below it grows by less than
-    RANK_PRIME^2 per step and is reduced when its column is searched for a
-    pivot.
+
+def _echelon_mod_prime(rows: Sequence[Sequence[int]]
+                       ) -> Tuple[List[List[int]], List[int]]:
+    """Gaussian elimination modulo RANK_PRIME on a copy of integer rows.
+
+    Returns the echelon rows, each scaled to 1 at its pivot and reduced
+    modulo the prime from there on, and their pivot columns (the rank
+    modulo the prime is their number).  Only the pivot row is reduced
+    before a step, and only its nonzero entries update the rows below, so an
+    entry there grows by less than RANK_PRIME^2 per step and is reduced when
+    its column is searched for a pivot.
     """
     prime = RANK_PRIME
     work = [[x % prime for x in row] for row in rows]
     ncols = len(work[0]) if work else 0
-    full = min(len(work), ncols)
-    rank = 0
+    pivots: List[int] = []
     for col in range(ncols):
-        if rank == full or ncols - col < full - rank:
+        rank = len(pivots)
+        if rank == len(work):
             break
         piv = next((i for i in range(rank, len(work)) if work[i][col] % prime), None)
         if piv is None:
@@ -145,13 +161,64 @@ def _full_rank_mod_prime(rows: Sequence[Sequence[int]]) -> bool:
         work[rank], work[piv] = work[piv], work[rank]
         top = work[rank]
         inv = pow(top[col], -1, prime)
-        top = [x * inv % prime for x in top[col + 1:]]
+        top[col:] = [x * inv % prime for x in top[col:]]
+        tail = [(j, b) for j, b in enumerate(top[col + 1:], col + 1) if b]
         for row in work[rank + 1:]:
             c = row[col] % prime
             if c:
-                row[col + 1:] = [a - c * b for a, b in zip(row[col + 1:], top)]
-        rank += 1
-    return rank == full
+                for j, b in tail:
+                    row[j] -= c * b
+        pivots.append(col)
+    return work[:len(pivots)], pivots
+
+
+def _kernel_certified(rows: Sequence[Sequence[int]], ech: Sequence[Sequence[int]],
+                      pivots: Sequence[int]) -> bool:
+    """Whether one integer vector per free column of the echelon form
+    modulo RANK_PRIME proves a kernel over Q of dimension columns - rank.
+
+    The vector of the free column f is 1 at f and 0 at the other free
+    columns (so the vectors are independent), and back-substitution modulo
+    the prime fills the pivot columns left of f.  Each entry is lifted to a
+    fraction with numerator and denominator at most _LIFT_BOUND by the
+    half-extended Euclidean algorithm (rational reconstruction), the
+    denominators are cleared, and every row times the vector must be 0 over
+    Z, summed over the rows' nonzero entries.  False at the first entry
+    without a lift or the first nonzero product.
+    """
+    prime, bound = RANK_PRIME, _LIFT_BOUND
+    ncols = len(rows[0])
+    columns: List[List[Tuple[int, int]]] = [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                columns[j].append((i, x))
+    free = sorted(set(range(ncols)) - set(pivots))
+    for f in free:
+        vec = {f: 1}
+        for k in reversed(range(bisect(pivots, f))):
+            row = ech[k]
+            x = -sum(row[j] * y for j, y in vec.items()) % prime
+            if x:
+                vec[pivots[k]] = x
+        lifted = {}
+        for j, x in vec.items():
+            r0, r1, s0, s1 = prime, x, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if abs(s1) > bound:
+                return False
+            lifted[j] = (r1, s1)
+        den = lcm(*(d for _, d in lifted.values()))
+        acc: Dict[int, int] = {}
+        for j, (n, d) in lifted.items():
+            y = n * (den // d)
+            for i, x in columns[j]:
+                acc[i] = acc.get(i, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
 
 
 def _kernel_basis(ech: Sequence[Sequence[int]], pivots: Sequence[int],
@@ -354,8 +421,10 @@ def omega_rank(pres: IntegerPolynomialPresentation, A: QFiberAlgebra) -> int:
     tried only up to t = DEFAULT_VARIABLE_GUARD (192 products).  Every other
     case, a deficiency modulo the prime included, ranks the t*n columns of
     the rows `_jacobian_rows` builds over Z (each row's denominator dropped)
-    with `_rank`: a rank t*n modulo the prime is a rank t*n over Q, and a
-    smaller one proves nothing, so the exact `_bareiss` elimination decides.
+    with `_rank`: a rank r modulo the prime is at most the rank over Q, and
+    it is the rank over Q once t*n - r kernel vectors, lifted from the
+    prime by rational reconstruction, pass an exact product with the rows;
+    if any fails, the exact `_bareiss` elimination decides.
     """
     t = pres.nvars
     if t == 0 or A.dim == 0:

@@ -386,7 +386,10 @@ def def_set(rhobar: Representation, ring: FiniteLocalRing,
         for gens in orbit:  # the loop reaches the lifts appended during it
             for K, Kinv in conjugators:
                 conj = [K * M * Kinv for M in gens]
-                j = index[tuple(x for M in conj for x in M.key())]
+                j = index.get(tuple(x for M in conj for x in M.key()))
+                if j is None:
+                    raise InternalInconsistencyError(
+                        f"the orbit of lift {i} reaches a conjugate that is not a lift")
                 if not seen[j]:
                     seen[j] = True
                     orbit.append(conj)

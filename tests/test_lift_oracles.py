@@ -20,8 +20,10 @@ images.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 from typing import Dict, List, Tuple
 
 import pytest
@@ -29,6 +31,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import defring.representation as representation
+from defring.cli import main
 from defring.errors import InternalInconsistencyError
 from defring.groups import (build_group, cyclic, dihedral, extend_and_verify_hom,
                             quaternion8, symmetric)
@@ -484,6 +487,21 @@ def test_dropping_a_layer_generator_is_caught_by_the_orbit_count(monkeypatch):
         K for K in layer_generators(R, n) if K.rows[1][0].is_zero()])
     with pytest.raises(InternalInconsistencyError, match="an orbit of 2 lifts"):
         def_set(rhobar, ring)
+
+
+def test_a_conjugate_outside_the_lifts_is_reported_without_a_traceback(monkeypatch,
+                                                                      capsys):
+    # 1 + E_01 lies outside Gamma = 1 + M_2(m), so conjugating a lift of the
+    # S3 standard representation by it leaves the lifts of rhobar; the walk
+    # must report that as an inconsistency, not as a bare KeyError
+    layer_generators = representation._layer_generators
+    monkeypatch.setattr(representation, "_layer_generators", lambda R, n: (
+        layer_generators(R, n) + [Matrix(R, [[R.one, R.one], [R.zero, R.one]])]))
+    job = (Path(__file__).resolve().parent.parent / "perfbench" / "jobs"
+           / "defcount_s3_standard_z4.job")
+    assert main(["defcount", str(job), "--no-cache"]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == "the orbit of lift 0 reaches a conjugate that is not a lift"
 
 
 def test_one_dimensional_def_set_conjugates_nothing(monkeypatch):

@@ -449,6 +449,51 @@ def test_guarded_rank_matches_bareiss(mat):
         assert rank == min(len(mat), len(mat[0]) if mat else 0)
 
 
+@st.composite
+def _sparse_deficient_matrices(draw):
+    """Integer matrices up to 30 x 30 whose rows either have at most three
+    nonzero entries or are integer combinations of two such rows drawn
+    before, so most fall below full rank.  The entries are small, or, in
+    about half of the matrices, those of `_int_entries`: some are multiples
+    of the rank prime or too large to lift from their residues."""
+    m, n = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    entries = draw(st.sampled_from([st.integers(-9, 9), _int_entries]))
+    base, rows = [], []
+    for _ in range(m):
+        if len(base) >= 2 and draw(st.booleans()):
+            a, b = draw(st.permutations(range(len(base))))[:2]
+            c, d = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([c * x + d * y for x, y in zip(base[a], base[b])])
+        else:
+            row = [0] * n
+            for j in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+                row[j] = draw(entries)
+            base.append(row)
+            rows.append(row)
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_deficient_matrices())
+def test_certified_rank_matches_bareiss_on_sparse_deficient_matrices(mat):
+    assert presented._rank([list(r) for r in mat]) == len(presented._bareiss(mat)[1])
+
+
+def test_rank_falls_back_when_the_kernel_entries_exceed_the_lift_bound(monkeypatch):
+    # rank 1 over Q and modulo the prime; the kernel vector (-99991, 100003, 0)
+    # has entries above the bound sqrt((P - 1) / 2) that rational
+    # reconstruction can lift, so only `_bareiss` can prove the deficiency
+    mat = [[100003, 99991, 1], [200006, 199982, 2]]
+    assert presented._echelon_mod_prime(mat)[1] == [0]
+    assert not presented._kernel_certified(mat, *presented._echelon_mod_prime(mat))
+    row_counts = []
+    original = presented._bareiss
+    monkeypatch.setattr(presented, "_bareiss",
+                        lambda rows: row_counts.append(len(rows)) or original(rows))
+    assert presented._rank(mat) == 1
+    assert row_counts == [2]
+
+
 def test_omega_rank_falls_back_when_the_prime_divides_a_minor(monkeypatch):
     # X^2 - P*X has the distinct roots 0 and P, so its fiber is reduced, but
     # its Jacobian rows have rank 1 modulo P: only the exact route sees rank 2
@@ -458,6 +503,8 @@ def test_omega_rank_falls_back_when_the_prime_divides_a_minor(monkeypatch):
     rows = [row for _den, row in presented._jacobian_rows(pres, A)]
     assert rows == [[-prime, 2], [0, prime]]
     assert not presented._full_rank_mod_prime(rows)
+    # the kernel vector modulo P, (1, 0), is no kernel vector over Z
+    assert not presented._kernel_certified(rows, *presented._echelon_mod_prime(rows))
     # det J = 2X - P has the same rows, so the determinant route declines too
     assert presented._jacobian_det_rows(pres, A) == rows
     row_counts = []
@@ -560,10 +607,10 @@ def test_determinant_route_agrees_with_the_full_jacobian_rank(pres):
 
 def test_exact_eliminations_on_katsura4_and_nonreduced_cubics(monkeypatch):
     # katsura-4 (dim 16, 5 relations in 5 variables) eliminates only its Gram
-    # matrix exactly: the 80 Jacobian rows are proved of full rank modulo
+    # matrix exactly: its determinant rows are proved of full rank modulo
     # the prime.  The non-reduced cubics (dim 27) eliminate the Gram matrix
-    # once, for the determinant and the witness, and their 81 Jacobian rows,
-    # of rank 69, exactly.
+    # once, for the determinant and the witness; the rank 69 of their 81
+    # Jacobian rows is certified by 12 kernel vectors checked over Z.
     row_counts = []
     original = presented._bareiss
     monkeypatch.setattr(presented, "_bareiss",
@@ -573,7 +620,7 @@ def test_exact_eliminations_on_katsura4_and_nonreduced_cubics(monkeypatch):
     row_counts.clear()
     cubics = NONREDUCED["cubics"][0]
     assert etale_check(cubics).omega_rank == 81 - 69
-    assert row_counts == [27, 81]
+    assert row_counts == [27]
 
 
 @pytest.mark.parametrize("name", NONREDUCED)
