@@ -31,8 +31,7 @@ class FiniteGroup:
     """
 
     def __init__(self, table: Sequence[Sequence[int]], generators: Sequence[int],
-                 name: str = "", element_names: Optional[Sequence[str]] = None,
-                 validate: bool = True):
+                 name: str = "", element_names: Optional[Sequence[str]] = None):
         self.n = len(table)
         if self.n == 0 or self.n > MAX_ORDER:
             raise GroupConstructionError(f"group order must be in 1..{MAX_ORDER}")
@@ -40,13 +39,11 @@ class FiniteGroup:
         self.name = name or f"group-of-order-{self.n}"
         self.element_names = tuple(element_names) if element_names is not None \
             else tuple(f"g{i}" for i in range(self.n))
-        if validate:
-            self._check_latin_square()
+        self._check_latin_square()
         self.identity = self._find_identity()
         self.generators = tuple(dict.fromkeys(generators))  # dedupe, keep order
         self.words, self.tree, self.edges = self._word_table()
-        if validate:
-            self._check_associative()
+        self._check_associative()
         self.inverse = self._compute_inverses()
 
     # -- construction checks --------------------------------------------------
@@ -278,23 +275,11 @@ def p_part(G: FiniteGroup, p: int) -> Tuple[int, int]:
     return r, s
 
 
-def _subgroup_closure(G: FiniteGroup, seed: Sequence[int]) -> frozenset:
-    elems = set(seed) | {G.identity}
-    frontier = list(elems)
-    while frontier:
-        x = frontier.pop()
-        for y in list(elems):
-            for z in (G.table[x][y], G.table[y][x]):
-                if z not in elems:
-                    elems.add(z)
-                    frontier.append(z)
-    return frozenset(elems)
-
-
 def commutator_subgroup(G: FiniteGroup) -> frozenset:
     comms = {G.table[G.table[a][b]][G.table[G.inverse[a]][G.inverse[b]]]
              for a in range(G.n) for b in range(G.n)}
-    return _subgroup_closure(G, comms)
+    _, closure = greedy_generators(sorted(comms), G.identity, lambda x, s: G.table[x][s])
+    return frozenset(closure)
 
 
 def abelianization(G: FiniteGroup) -> List[int]:

@@ -6,7 +6,7 @@ reduction map onto the residue field, and designated algebra generators.  This
 uniform shape makes ideals, quotients, enumeration and homomorphism search all
 plain linear algebra over the chain ring W.
 
-Two modes:
+Two modes, fixed when a ring is built:
   * "finite": an honest finite ring; everything is exact.
   * "precision": the ring models a characteristic-zero local ring at working
     precision m.  Elements carry a known-precision exponent; division by p
@@ -15,7 +15,6 @@ Two modes:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -180,42 +179,23 @@ class FiniteLocalRing:
         self.basis_monos = tuple(basis_monos) if basis_monos is not None else None
         self.label = label or f"ring(N={self.N}, base={base!r})"
         self.size = prod((base.p ** c) ** base.r for c in self.orders)
-        self._compile()
-        self._set_mode(mode, one_coeffs, generators)
-        if validate:
-            self._validate()
-
-    def _set_mode(self, mode: str, one_coeffs: Sequence[GRElt],
-                  generators: Sequence[Sequence[GRElt]]) -> None:
-        """Set the mode and everything that refers back to this ring object."""
         if mode not in ("finite", "precision"):
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == "precision" and any(c != self.base.m for c in self.orders):
+        if mode == "precision" and any(c != base.m for c in self.orders):
             raise RingConstructionError(
                 "precision model requires a torsion-free truncation "
                 "(p-torsion detected in the basis)")
         self.mode = mode
+        self._compile()
         self.one = RingElement(self, one_coeffs)
-        self.zero = RingElement(self, [self.base.zero] * self.N)
+        self.zero = RingElement(self, [base.zero] * self.N)
         self.generators: Tuple[RingElement, ...] = tuple(
             RingElement(self, g) for g in generators)
         self._max_ideal: Optional[Ideal] = None
         self._layers: Optional[List[Tuple[Ideal, List[RingElement]]]] = None
         self._residue_ring: Optional[FiniteLocalRing] = None
-        self._twins: Dict[str, FiniteLocalRing] = {}
-
-    def with_mode(self, mode: str) -> "FiniteLocalRing":
-        """The same ring data in another mode (e.g. the exact finite twin of a
-        precision model).  The twin shares the compiled tables and is cached."""
-        if mode == self.mode:
-            return self
-        twin = self._twins.get(mode)
-        if twin is None:
-            twin = copy.copy(self)
-            twin._set_mode(mode, self.one.coeffs, [g.coeffs for g in self.generators])
-            twin._twins[self.mode] = self
-            self._twins[mode] = twin
-        return twin
+        if validate:
+            self._validate()
 
     # -- canonicalization and arithmetic kernels ---------------------------
 
@@ -823,8 +803,10 @@ def identity_hom(ring: FiniteLocalRing) -> RingHom:
 
 
 def build_galois_ring(p: int, m: int, r: int,
-                      h: Optional[Sequence[int]] = None) -> FiniteLocalRing:
-    """GR(p^m, r) = W(F_{p^r}) / p^m as a FiniteLocalRing of rank 1 over itself."""
+                      h: Optional[Sequence[int]] = None,
+                      mode: str = "finite") -> FiniteLocalRing:
+    """GR(p^m, r) = W(F_{p^r}) / p^m as a FiniteLocalRing of rank 1 over itself,
+    in either mode."""
     W = GaloisRing(p, m, r, h)
     k = W.residue_field
     ring = FiniteLocalRing(
@@ -835,7 +817,7 @@ def build_galois_ring(p: int, m: int, r: int,
         generators=[],
         basis_names=["1"],
         basis_monos=[()],
-        mode="finite",
+        mode=mode,
         label=f"GR({p}^{m},{r})" if r > 1 else f"Z/{p ** m}",
     )
     return ring
@@ -934,7 +916,7 @@ def ring_from_truncated_presentation(
             raise RingConstructionError(
                 "relations need variables: without them the ring is GR(p^m, r), "
                 "and the precision sets p^m")
-        return build_galois_ring(pres.p, m, pres.r, h).with_mode(mode)
+        return build_galois_ring(pres.p, m, pres.r, h, mode)
     W = GaloisRing(pres.p, m, pres.r, h)
     form, cols = _truncation_form(pres, W, degree_cap)
     col_index = {mo: i for i, mo in enumerate(cols)}
@@ -954,18 +936,6 @@ def ring_from_truncated_presentation(
         v[col_index[mo]] = W.one
         return v
 
-    mul_table = []
-    for i, mi in enumerate(basis_monos):
-        row = []
-        for j, mj in enumerate(basis_monos):
-            row.append(nf_coeffs(mono_vec(mono_mul(mi, mj))))
-        mul_table.append(row)
-    one_coeffs = nf_coeffs(mono_vec((0,) * t))
-
-    # residue images of the variables: for each X_i, the unique c in F_q with
-    # X_i - c nilpotent; existence is exactly locality with residue field k
-    k = W.residue_field
-
     def names_of(mo: Monomial) -> str:
         fs = []
         for nm, e in zip(pres.names, mo):
@@ -975,23 +945,31 @@ def ring_from_truncated_presentation(
                 fs.append(f"{nm}^{e}")
         return "*".join(fs) if fs else "1"
 
-    proto = FiniteLocalRing(
-        base=W, orders=orders, mul_table=mul_table, one_coeffs=one_coeffs,
-        residue_coeffs=[k.zero] * N, generators=[],
+    # the residue map is not known yet: the ring is built unvalidated, its
+    # residue map set from the search below, and only then validated
+    k = W.residue_field
+    rel_str = "; ".join(pres.relation_strings())
+    ring = FiniteLocalRing(
+        base=W, orders=orders,
+        mul_table=[[nf_coeffs(mono_vec(mono_mul(mi, mj))) for mj in basis_monos]
+                   for mi in basis_monos],
+        one_coeffs=nf_coeffs(mono_vec((0,) * t)),
+        residue_coeffs=[k.zero] * N,
+        generators=[nf_coeffs(mono_vec(tuple(int(j == i) for j in range(t))))
+                    for i in range(t)],
         basis_names=[names_of(mo) for mo in basis_monos],
-        basis_monos=basis_monos, mode="finite", validate=False)
+        basis_monos=basis_monos, mode=mode, validate=False,
+        label=f"(Z/{pres.p}^{m})[{','.join(pres.names)}]/({rel_str})")
+
+    # residue images of the variables: for each X_i, the unique c in F_q with
+    # X_i - c nilpotent; existence is exactly locality with residue field k
     var_images = []
-    for i in range(t):
-        mo = tuple(1 if j == i else 0 for j in range(t))
-        x = proto.element(nf_coeffs(mono_vec(mo)))
-        found = None
-        for c in k.elements():
-            if proto._is_nilpotent(x - proto.from_base(W.lift(c))):
-                found = c
-                break
+    for x, name in zip(ring.generators, pres.names):
+        found = next((c for c in k.elements()
+                      if ring._is_nilpotent(x - ring.from_base(W.lift(c)))), None)
         if found is None:
             raise RingConstructionError(
-                f"variable {pres.names[i]} has no residue in F_{{{k.size}}}; "
+                f"variable {name} has no residue in F_{{{k.size}}}; "
                 "quotient is not local with the expected residue field")
         var_images.append(found)
     residue_coeffs = []
@@ -1000,19 +978,8 @@ def ring_from_truncated_presentation(
         for c, e in zip(var_images, mo):
             lam = k.mul(lam, k.pow(c, e))
         residue_coeffs.append(lam)
-
-    gen_coeffs = []
-    for i in range(t):
-        mo = tuple(1 if j == i else 0 for j in range(t))
-        gen_coeffs.append(nf_coeffs(mono_vec(mo)))
-
-    rel_str = "; ".join(pres.relation_strings())
-    ring = FiniteLocalRing(
-        base=W, orders=orders, mul_table=mul_table, one_coeffs=one_coeffs,
-        residue_coeffs=residue_coeffs, generators=gen_coeffs,
-        basis_names=[names_of(mo) for mo in basis_monos],
-        basis_monos=basis_monos, mode=mode,
-        label=f"(Z/{pres.p}^{m})[{','.join(pres.names)}]/({rel_str})")
+    ring.residue_coeffs = tuple(residue_coeffs)
+    ring._validate()
     return ring
 
 
@@ -1179,16 +1146,8 @@ def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFi
                      if x != W.zero), default=0)
     filtration = m_adic_filtration(ring)
     mx = filtration[0]
-    # Hilbert sequence dim_k m^i / m^{i+1}
-    hilbert = [1]
-    q = ring.residue_field.size
-    for upper, lower in zip(filtration, filtration[1:]):
-        ratio = upper.size // lower.size
-        dim = 0
-        while ratio > 1:
-            ratio //= q
-            dim += 1
-        hilbert.append(dim)
+    # the Hilbert sequence dim_k m^i / m^{i+1} is read off the layer bases
+    bases = [_layer_basis(upper, lower) for upper, lower in zip(filtration, filtration[1:])]
     killed = [prod(p ** (W.r * min(e, c)) for c in ring.orders)
               for e in range(max(ring.orders, default=0) + 1)]
     order_counts = [(p ** e, killed[e] - (killed[e - 1] if e else 0))
@@ -1210,14 +1169,14 @@ def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFi
                     f"x^{e + 1} != 0 although m^{bound} = 0")
             nil_counts[e + 1] = nil_counts.get(e + 1, 0) + ideal.size
         if j < bound:
-            offsets = _layer_offsets(ideal, filtration[j])
+            offsets = _layer_offsets(ring, bases[j - 1])
             classes = [x + o for x in survivors for o in offsets]
     nil_counts[1] = len(survivors)
     return RingFingerprint(
         characteristic=char,
         size=ring.size,
         maximal_ideal_size=mx.size,
-        hilbert=tuple(hilbert),
+        hilbert=(1, *map(len, bases)),
         additive_order_counts=tuple(order_counts),
         nilpotency_index_counts=tuple(sorted(nil_counts.items())),
     )
@@ -1226,13 +1185,12 @@ def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFi
 # -- homomorphism enumeration -----------------------------------------------------------
 
 
-def _layer_offsets(upper: Ideal, lower: Ideal) -> List[RingElement]:
-    """The q^d sums s(c_1) b_1 + ... + s(c_d) b_d, c in k^d, over the layer
-    basis b of upper / lower: one representative of each coset of lower in
-    upper (s is the unity lift of the residue field)."""
-    ring = upper.ring
+def _layer_offsets(ring: FiniteLocalRing, basis: Sequence[RingElement]) -> List[RingElement]:
+    """The q^d sums s(c_1) b_1 + ... + s(c_d) b_d, c in k^d, over a layer
+    basis b of m^i / m^{i+1} (`_layer_basis`): one representative of each
+    coset of m^{i+1} in m^i (s is the unity lift of the residue field)."""
     out = [ring.zero]
-    for b in _layer_basis(upper, lower):
+    for b in basis:
         multiples = [ring.unity_lift(c) * b for c in ring.residue_field.elements()]
         out = [x + y for x in out for y in multiples]
     return out
@@ -1277,7 +1235,7 @@ def _hom_levels(source: FiniteLocalRing, target: FiniteLocalRing,
     for i, ideal in enumerate(filtration):
         candidates = survivors
         if i:
-            offsets = _layer_offsets(filtration[i - 1], ideal)
+            offsets = _layer_offsets(target, _layer_basis(filtration[i - 1], ideal))
             candidates = [tuple(z + o for z, o in zip(zs, choice))
                           for zs in survivors for choice in product(offsets, repeat=t)]
         ring, project = target, None

@@ -75,9 +75,6 @@ class Matrix:
     def scale_int(self, m: int) -> "Matrix":
         return Matrix(self.ring, [[a.scale_int(m) for a in row] for row in self.rows])
 
-    def map_entries(self, fn) -> "Matrix":
-        return Matrix(self.ring, [[fn(a) for a in row] for row in self.rows])
-
     def transfer(self, target: FiniteLocalRing, fn) -> "Matrix":
         return Matrix(target, [[fn(a) for a in row] for row in self.rows])
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, inf, lcm
 from operator import add, le, neg, sub
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
 
@@ -199,16 +199,16 @@ class Poly:
     def __hash__(self):
         return hash((self.den, frozenset(self.nums.items())))
 
-    def leading_monomial(self, key: Callable = grevlex_key) -> Monomial:
-        return max(self.nums, key=key)
+    def leading_monomial(self) -> Monomial:
+        return max(self.nums, key=grevlex_key)
 
-    def leading_coeff(self, key: Callable = grevlex_key) -> Fraction:
-        return Fraction(self.nums[self.leading_monomial(key)], self.den)
+    def leading_coeff(self) -> Fraction:
+        return Fraction(self.nums[self.leading_monomial()], self.den)
 
-    def monic(self, key: Callable = grevlex_key) -> "Poly":
+    def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        lc = self.nums[self.leading_monomial(key)]
+        lc = self.nums[self.leading_monomial()]
         nums = self.nums if lc > 0 else {m: -c for m, c in self.nums.items()}
         return Poly.from_z(self.nvars, abs(lc), nums)
 
@@ -236,14 +236,15 @@ class Poly:
             bits = max(bits, c.numerator.bit_length(), c.denominator.bit_length())
         return bits
 
-    def sorted_terms(self, key: Callable = grevlex_key, reverse: bool = True):
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
+    def sorted_terms(self):
+        """The terms, descending in degrevlex."""
+        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
-    def render(self, names: Sequence[str], key: Callable = grevlex_key) -> str:
+    def render(self, names: Sequence[str]) -> str:
         if self.is_zero():
             return "0"
         parts = []
-        for m, c in self.sorted_terms(key):
+        for m, c in self.sorted_terms():
             factors = []
             for i, e in enumerate(m):
                 if e == 1:

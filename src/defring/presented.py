@@ -35,14 +35,14 @@ from .local_ring import (DEFAULT_DEGREE_CAP, NotFiniteAtCapError,
 DEFAULT_VARIABLE_GUARD = 6
 
 
-def groebner_basis(pres: IntegerPolynomialPresentation,
-                   bit_cap: int = 4096) -> List[Poly]:
-    """Reduced monic degrevlex Groebner basis of the relation ideal over Q."""
+def groebner_basis(pres: IntegerPolynomialPresentation) -> List[Poly]:
+    """Reduced monic degrevlex Groebner basis of the relation ideal over Q,
+    under `buchberger`'s default coefficient cap."""
     if pres.nvars > DEFAULT_VARIABLE_GUARD:
         raise ValueError(
             f"presentations with more than {DEFAULT_VARIABLE_GUARD} variables "
             "are outside the supported desk scale")
-    return buchberger(list(pres.relations), bit_cap=bit_cap)
+    return buchberger(list(pres.relations))
 
 
 # -- rational linear algebra helpers ---------------------------------------------
@@ -345,7 +345,7 @@ class QFiberAlgebra:
         return {k: Fraction(x, den) for k, x in nums.items()}
 
 
-def q_fiber(pres: IntegerPolynomialPresentation, bit_cap: int = 4096,
+def q_fiber(pres: IntegerPolynomialPresentation,
             gb: Optional[List[Poly]] = None) -> Optional[QFiberAlgebra]:
     """The finite-dimensional rational fiber, or None if infinite-dimensional.
 
@@ -354,7 +354,7 @@ def q_fiber(pres: IntegerPolynomialPresentation, bit_cap: int = 4096,
     leading terms (with the zero algebra as the degenerate unit-ideal case).
     """
     if gb is None:
-        gb = groebner_basis(pres, bit_cap=bit_cap)
+        gb = groebner_basis(pres)
     t = pres.nvars
     if any(g.degree() == 0 for g in gb):
         return QFiberAlgebra(pres, gb, [])
@@ -547,14 +547,13 @@ class EtaleReport:
         }
 
 
-def etale_check(pres: IntegerPolynomialPresentation,
-                bit_cap: int = 4096) -> EtaleReport:
+def etale_check(pres: IntegerPolynomialPresentation) -> EtaleReport:
     """Decide whether the rational fiber is a finite product of field extensions.
 
     Dual-route reducedness: the trace-form determinant and the Jacobian
     cokernel rank are computed independently and must agree.
     """
-    gb = groebner_basis(pres, bit_cap=bit_cap)
+    gb = groebner_basis(pres)
     gb_strs = tuple(g.render(pres.names) for g in gb)
     A = q_fiber(pres, gb=gb)
     if A is None:

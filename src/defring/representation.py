@@ -550,7 +550,7 @@ def maranda_average(rho1: Representation, rho2: Representation,
     B = B.scale(ring.invert(ring.from_int(s)))
     if r > 0:
         pr = ring.from_int(p ** r)
-        B0 = B.map_entries(lambda e: exact_divide(e, pr))
+        B0 = B.transfer(ring, lambda e: exact_divide(e, pr))
         prec = N - r
     else:
         B0, prec = B, N
@@ -652,8 +652,7 @@ def hom_vs_derivation(f: RingHom, g_images: Sequence[RingElement],
             derivation_check(f, ideal, diffs))
 
 
-def square_zero_extension(ring: FiniteLocalRing, ann: Ideal,
-                          eps_name: str = "eps"
+def square_zero_extension(ring: FiniteLocalRing, ann: Ideal
                           ) -> Tuple[FiniteLocalRing, RingHom, List[RingElement]]:
     """S = R + eps*(R/ann) with eps^2 = 0; returns (S, inclusion, eps-part basis).
 
@@ -685,13 +684,12 @@ def square_zero_extension(ring: FiniteLocalRing, ann: Ideal,
     one_coeffs = list(ring.one.coeffs) + zeroM
     residue_coeffs = list(ring.residue_coeffs) + [ring.residue_field.zero] * NM
     gen_coeffs = [list(g.coeffs) + zeroM for g in ring.generators]
-    names = list(ring.basis_names) + [f"{eps_name}*{ring.basis_names[j]}"
-                                      for j in live]
+    names = list(ring.basis_names) + [f"eps*{ring.basis_names[j]}" for j in live]
     S = FiniteLocalRing(
         base=W, orders=orders, mul_table=mul_table, one_coeffs=one_coeffs,
         residue_coeffs=residue_coeffs, generators=gen_coeffs,
         basis_names=names, basis_monos=None, mode="finite",
-        label=f"{ring.label}[+{eps_name}*(module of size "
+        label=f"{ring.label}[+eps*(module of size "
               f"{ring.size // ann.size})]")
     incl = RingHom(ring, S, [S.element(list(ring.basis_element(i).coeffs) + zeroM)
                              for i in range(N)])

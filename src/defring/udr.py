@@ -40,11 +40,10 @@ class NecessaryConditionVerdict:
         }
 
 
-def necessary_condition(pres: IntegerPolynomialPresentation,
-                        bit_cap: int = 4096) -> NecessaryConditionVerdict:
+def necessary_condition(pres: IntegerPolynomialPresentation) -> NecessaryConditionVerdict:
     """One-sided decision: a universal deformation ring must have finite etale
     rational fiber; failure excludes the ring, success decides nothing more."""
-    rep = etale_check(pres, bit_cap=bit_cap)
+    rep = etale_check(pres)
     interp = INTERPRET_PASS if rep.verdict == "PASS" else INTERPRET_FAIL
     return NecessaryConditionVerdict(
         rep, interp,

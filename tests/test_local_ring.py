@@ -70,6 +70,10 @@ def test_presentation_with_torsion_relation():
     x = R.generators[0]
     assert (x * x).is_zero()
     assert x.scale_int(2).is_zero()
+    # X has additive order 2 < 8, so no precision model exists
+    with pytest.raises(RingConstructionError, match="requires a torsion-free truncation"):
+        ring_from_truncated_presentation(
+            _pres(2, ["X"], ["X^2", "2*X"]), 3, mode="precision")
 
 
 def test_infinite_presentation_raises():
@@ -79,8 +83,28 @@ def test_infinite_presentation_raises():
 
 def test_non_local_presentation_raises():
     # X^2 - X has idempotents: Z/4[X]/(X^2 - X) = Z/4 x Z/4 is not local
-    with pytest.raises(RingConstructionError):
-        ring_from_truncated_presentation(_pres(2, ["X"], ["X^2 - X"]), 2)
+    for mode in ("finite", "precision"):
+        with pytest.raises(RingConstructionError, match="variable X has no residue"):
+            ring_from_truncated_presentation(_pres(2, ["X"], ["X^2 - X"]), 2, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["finite", "precision"])
+@pytest.mark.parametrize("names, rels", [(["X"], ["X^2 - 2"]), ([], [])],
+                         ids=["sqrt2", "no-variables"])
+def test_presented_ring_compiles_its_table_once(names, rels, mode, monkeypatch):
+    # the residue search runs on the ring that is returned, so its table is
+    # compiled once, in the mode the ring keeps
+    compiled = []
+    original = FiniteLocalRing._compile
+
+    def counting(ring):
+        compiled.append(ring)
+        original(ring)
+
+    monkeypatch.setattr(FiniteLocalRing, "_compile", counting)
+    R = ring_from_truncated_presentation(_pres(2, names, rels), 3, mode=mode)
+    assert compiled == [R]
+    assert R.mode == mode
 
 
 def test_zero_ring_raises():
@@ -462,13 +486,15 @@ def _element_at(ring: FiniteLocalRing, draw) -> RingElement:
     return x
 
 
-# the precision-mode twin of a torsion-free ring, beside the finite rings
+# a precision-mode ring, beside the finite rings
 SUM_RINGS = sorted(ORACLE_RINGS) + ["GR(8,2)[X]/(X^2-2), precision"]
 
 
+@lru_cache(maxsize=None)
 def sum_ring(name: str) -> FiniteLocalRing:
-    if name.endswith(", precision"):
-        return oracle_ring(name[:-len(", precision")]).with_mode("precision")
+    if name == "GR(8,2)[X]/(X^2-2), precision":
+        return ring_from_truncated_presentation(
+            _pres(2, ["X"], ["X^2 - 2"], r=2), 3, mode="precision")
     return oracle_ring(name)
 
 
@@ -536,21 +562,6 @@ def test_maximal_ideal_enumeration_matches_membership_filter(name):
     m = maximal_ideal(R)
     expected = [x.key() for x in R.enumerate_elements() if m.contains(x)]
     assert [x.key() for x in m.enumerate_elements()] == expected
-
-
-def test_with_mode_shares_tables_and_round_trips():
-    R = ring_from_truncated_presentation(_pres(2, ["X"], ["X^2 - 2"]), 4, mode="precision")
-    F = R.with_mode("finite")
-    assert F.mode == "finite" and R.mode == "precision"
-    assert F._table is R._table
-    assert R.with_mode("finite") is F and F.with_mode("precision") is R
-    assert R.with_mode("precision") is R
-    assert F.one.ring is F and F.generators[0].ring is F
-    x = F.generators[0]
-    assert (x * x).coeffs == (R.generators[0] * R.generators[0]).coeffs
-    with pytest.raises(RingConstructionError):
-        ring_from_truncated_presentation(
-            _pres(2, ["X"], ["X^2", "2*X"]), 3).with_mode("precision")
 
 
 # -- ring tables: Light's test against the N^3 triple loop -------------------

@@ -345,7 +345,7 @@ def test_quotient_by_order_ideal_does_not_depend_on_mode():
     # R/J with J = |G| m_R, for C2 and Z2[sqrt 2] at precision 6: m = (X), J = (X^3)
     R = ring_from_truncated_presentation(_pres(2, ["X"], ["X^2 - 2"]), 6,
                                          mode="precision")
-    Rf = R.with_mode("finite")
+    Rf = ring_from_truncated_presentation(_pres(2, ["X"], ["X^2 - 2"]), 6)
     G = cyclic(2)
     surj = quotient_ring(R, order_ideal(R, G))
     twin = quotient_ring(Rf, order_ideal(Rf, G))
@@ -426,7 +426,7 @@ def test_hom_vs_derivation_booleans_agree():
 def test_square_zero_extension_and_family():
     # S = Z/8 + eps*(Z/8): the family x + C*eps*x over the truncated Witt ring
     R = zmod(2, 3)
-    S, incl, eps_basis = square_zero_extension(R, ideal_span(R, []), "eps")
+    S, incl, eps_basis = square_zero_extension(R, ideal_span(R, []))
     assert S.size == 8 * 8
     eps = eps_basis[0]
     assert (eps * eps).is_zero()
@@ -440,7 +440,7 @@ def test_hom_family_with_nonzero_derivation():
     # basis {1, X}, derivation D(1) = 0, D(X) = eps*X-part
     R = ring_from_truncated_presentation(_pres(2, ["X"], ["X^2"]), 3)
     ann = ideal_span(R, [R.generators[0]])  # R/(X) = Z/8
-    S, incl, eps_basis = square_zero_extension(R, ann, "eps")
+    S, incl, eps_basis = square_zero_extension(R, ann)
     # D kills 1 and sends X to eps (the generator of the module part)
     d_values = [S.zero, eps_basis[0]]
     assert derivation_check(incl, ideal_span(S, eps_basis), d_values)
