@@ -330,9 +330,6 @@ class FiniteLocalRing:
             out = k.add(out, k.mul(W.reduce(a), lam))
         return out
 
-    def reduce_to_residue_ring(self, x: RingElement) -> RingElement:
-        return self.residue_ring.element([self.reduce_element(x)])
-
     def unity_lift(self, c: GRElt) -> RingElement:
         """Canonical section of the reduction: c times the unity."""
         return self.from_base(self.base.lift(c))

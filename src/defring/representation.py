@@ -128,10 +128,13 @@ class Lift:
         # Generators suffice: rep and rhobar are homomorphisms (every constructor
         # verifies through extend_and_verify_hom or derives from a verified one),
         # reduction R -> k is a ring map, and homomorphisms agreeing on generators agree.
+        # An entry of rhobar lives in the rank-1 ring k, so coeffs[0] is its
+        # residue; the reductions are compared one entry at a time.
         R = self.rep.ring
-        red = [M.transfer(R.residue_ring, R.reduce_to_residue_ring)
-               for M in self.rep.gen_matrices]
-        if tuple(x for M in red for x in M.key()) != self.rhobar.key():
+        reduced = [R.reduce_element(x) for M in self.rep.gen_matrices
+                   for row in M.rows for x in row]
+        if reduced != [e.coeffs[0] for M in self.rhobar.gen_matrices
+                       for row in M.rows for e in row]:
             raise RepresentationError("reduction does not match the residual representation")
 
     def key(self) -> Tuple[int, ...]:
@@ -341,19 +344,59 @@ class DefSet:
         return len(self.representatives)
 
 
-def _layer_generators(ring: FiniteLocalRing, n: int) -> List[Matrix]:
-    """1 + s(y) b E_ac, b over the k-basis of each layer m^i / m^{i+1} (as in
-    `enumerate_lifts`), y over the F_p-basis Y^u of k, s the unity lift.
+def _layer_generators(ring: FiniteLocalRing, n: int) -> List[Tuple[int, int, RingElement]]:
+    """The triples (a, c, x) of the generators K = 1 + x E_ac, x = s(y) b, b
+    over the k-basis of each layer m^i / m^{i+1} (as in `enumerate_lifts`), y
+    over the F_p-basis Y^u of k, s the unity lift; `_conjugate_in_place` acts
+    by K as one row update and one column update, so no K is built.
     They generate Gamma = 1 + M_n(m): 1 + Y -> Y mod m^{i+1} maps Gamma_i =
     1 + M_n(m^i) onto the F_p-space M_n(m^i / m^{i+1}) with kernel Gamma_{i+1},
     which they span, so by downward induction on i they generate each Gamma_i."""
     r = ring.residue_field.r
     units = [ring.unity_lift(tuple(int(t == u) for t in range(r))) for u in range(r)]
-    one, zero = Matrix.identity(ring, n), ring.zero
-    return [one + Matrix(ring, [[x if (i, j) == (a, c) else zero for j in range(n)]
-                                for i in range(n)])
-            for _, basis in m_adic_layers(ring) for b in basis for y in units
+    return [(a, c, x) for _, basis in m_adic_layers(ring) for b in basis for y in units
             for x in [y * b] for a, c in product(range(n), repeat=2)]
+
+
+def _conjugate_in_place(ring: FiniteLocalRing, a: int, c: int, x: RingElement):
+    """The map taking a list of matrices, each a list of row lists, to their
+    conjugates by K = 1 + x E_ac in place: one row update and one column
+    update per matrix, with no matrix product or inverse.  For a != c,
+    K^{-1} = 1 - x E_ac, so row a gains x (row c), then column c loses
+    (column a) x.  For a = c, K is diagonal with the unit u = 1 + x at a:
+    row a is scaled by u, then column a by u^{-1}, inverted once here.  Each
+    scaling is memoised by the entry's coefficients, as `_conjugation_form`
+    memoises its products: a walk meets few distinct entries."""
+    if a == c:
+        u = ring.one + x
+        up, down = _memoised_scaling(u), _memoised_scaling(ring.invert(u))
+
+        def conjugate(mats: List[List[List[RingElement]]]) -> None:
+            for M in mats:
+                M[a] = [up(e) for e in M[a]]
+                for row in M:
+                    row[a] = down(row[a])
+        return conjugate
+    times = _memoised_scaling(x)
+
+    def conjugate(mats: List[List[List[RingElement]]]) -> None:
+        for M in mats:
+            M[a] = [e + times(f) for e, f in zip(M[a], M[c])]
+            for row in M:
+                row[c] = row[c] - times(row[a])
+    return conjugate
+
+
+def _memoised_scaling(s: RingElement):
+    """e -> s e, memoised by e's coefficients."""
+    memo: Dict[Tuple[GRElt, ...], RingElement] = {}
+
+    def scaled(e: RingElement) -> RingElement:
+        y = memo.get(e.coeffs)
+        if y is None:
+            y = memo[e.coeffs] = s * e
+        return y
+    return scaled
 
 
 def def_set(rhobar: Representation, ring: FiniteLocalRing,
@@ -363,8 +406,10 @@ def def_set(rhobar: Representation, ring: FiniteLocalRing,
 
     For n = 1 every class is one lift, as R is commutative.  Otherwise each
     orbit is closed under `_layer_generators`, conjugating only the generator
-    matrices, and must have |Gamma| / |C(rho)| lifts, C(rho) = 1 + V the
-    solutions of rho K = K rho (`_conjugation_form`); Gamma is never listed.
+    matrices, each generator acting as one row update and one column update
+    (`_conjugate_in_place`, no matrix product or inverse), and must have
+    |Gamma| / |C(rho)| lifts, C(rho) = 1 + V the solutions of rho K = K rho
+    (`_conjugation_form`); Gamma is never listed.
     """
     lifts = enumerate_lifts(rhobar, ring, cap_maps)
     n = rhobar.n
@@ -372,7 +417,8 @@ def def_set(rhobar: Representation, ring: FiniteLocalRing,
     if n == 1:
         return DefSet(lifts, [1] * len(lifts), len(lifts))
     index: Dict[Tuple[int, ...], int] = {l.key(): i for i, l in enumerate(lifts)}
-    conjugators = [(K, K.inverse()) for K in _layer_generators(ring, n)]
+    conjugations = [_conjugate_in_place(ring, a, c, x)
+                    for a, c, x in _layer_generators(ring, n)]
     seen = [False] * len(lifts)
     reps: List[Lift] = []
     sizes: List[int] = []
@@ -382,18 +428,20 @@ def def_set(rhobar: Representation, ring: FiniteLocalRing,
         # lifts are in key order and earlier orbits are closed, so i is the
         # least index in its orbit
         seen[i] = True
-        orbit = [l.rep.gen_matrices]
+        orbit = [[M.rows for M in l.rep.gen_matrices]]
         for gens in orbit:  # the loop reaches the lifts appended during it
-            for K, Kinv in conjugators:
-                conj = [K * M * Kinv for M in gens]
-                j = index.get(tuple(x for M in conj for x in M.key()))
+            for conjugate in conjugations:
+                conj = [[list(row) for row in M] for M in gens]
+                conjugate(conj)
+                j = index.get(tuple(v for M in conj for row in M for e in row
+                                    for v in e.key()))
                 if j is None:
                     raise InternalInconsistencyError(
                         f"the orbit of lift {i} reaches a conjugate that is not a lift")
                 if not seen[j]:
                     seen[j] = True
                     orbit.append(conj)
-        form, ni = _conjugation_form(ring, n, orbit[0], orbit[0])
+        form, ni = _conjugation_form(ring, n, l.rep.gen_matrices, l.rep.gen_matrices)
         if len(orbit) * form.size_from(ni) != total:
             raise InternalInconsistencyError(
                 f"an orbit of {len(orbit)} lifts, not |Gamma| / |C(rho)| = {total} / "

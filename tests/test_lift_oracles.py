@@ -474,34 +474,114 @@ def test_strict_equivalence_of_conjugated_lifts_matches_the_scan(index, data):
     assert same == (K is not None)
 
 
+ORBIT_WALK_RINGS = [  # Z/4, (Z/8)[X]/(X^2 - 2), GR(4, 2) with r = 2, a precision model
+    build_galois_ring(2, 2, 1), _truncated(2, ["X"], ["X^2 - 2"], 3),
+    build_galois_ring(2, 2, 2),
+    ring_from_truncated_presentation(
+        IntegerPolynomialPresentation.parse(2, ["X"], ["X^2 - 2"]), 4, mode="precision"),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ORBIT_WALK_RINGS), st.data())
+def test_in_place_conjugation_is_the_matrix_conjugation(ring, data):
+    # every layer generator, a = c included, acts on random matrices of
+    # M_2(R) as K M K^{-1}; each conjugation runs twice, so its memoised
+    # scalings are read back as well as filled
+    triples = representation._layer_generators(ring, 2)
+    assert {a == c for a, c, _ in triples} == {True, False}
+    mats = [Matrix(ring, [[_random_element(data.draw, ring) for _ in range(2)]
+                          for _ in range(2)]) for _ in range(3)]
+    one, zero = Matrix.identity(ring, 2), ring.zero
+    for a, c, x in triples:
+        K = one + Matrix(ring, [[x if (i, j) == (a, c) else zero for j in range(2)]
+                                for i in range(2)])
+        expected = [K * M * K.inverse() for M in mats]
+        conjugate = representation._conjugate_in_place(ring, a, c, x)
+        for _ in range(2):
+            rows = [[list(row) for row in M.rows] for M in mats]
+            conjugate(rows)
+            assert [Matrix(ring, M) for M in rows] == expected
+
+
 def test_dropping_a_layer_generator_is_caught_by_the_orbit_count(monkeypatch):
     # C4 with the unipotent residual image over Z/4 has four orbits of 4 lifts;
-    # without 1 + 2 E_10 the walk closes each under a subgroup whose orbits
-    # have 2 lifts, and the orbit-stabiliser count |Gamma| / |C(rho)| = 4
-    # no longer matches
+    # without 1 + 2 E_10, the triple (1, 0, 2), the walk closes each under a
+    # subgroup whose orbits have 2 lifts, and the orbit-stabiliser count
+    # |Gamma| / |C(rho)| = 4 no longer matches
     ring = build_galois_ring(2, 2, 1)
     rhobar = _rhobar(cyclic(4), ring.residue_ring, 2, [[1, 1, 0, 1]])
     assert def_set(rhobar, ring).orbit_sizes == [4, 4, 4, 4]
     layer_generators = representation._layer_generators
     monkeypatch.setattr(representation, "_layer_generators", lambda R, n: [
-        K for K in layer_generators(R, n) if K.rows[1][0].is_zero()])
+        g for g in layer_generators(R, n) if g[:2] != (1, 0)])
     with pytest.raises(InternalInconsistencyError, match="an orbit of 2 lifts"):
         def_set(rhobar, ring)
 
 
 def test_a_conjugate_outside_the_lifts_is_reported_without_a_traceback(monkeypatch,
                                                                       capsys):
-    # 1 + E_01 lies outside Gamma = 1 + M_2(m), so conjugating a lift of the
-    # S3 standard representation by it leaves the lifts of rhobar; the walk
-    # must report that as an inconsistency, not as a bare KeyError
+    # 1 + E_01, the triple (0, 1, 1), lies outside Gamma = 1 + M_2(m), so
+    # conjugating a lift of the S3 standard representation by it leaves the
+    # lifts of rhobar; the walk must report that as an inconsistency, not as
+    # a bare KeyError
     layer_generators = representation._layer_generators
     monkeypatch.setattr(representation, "_layer_generators", lambda R, n: (
-        layer_generators(R, n) + [Matrix(R, [[R.one, R.one], [R.zero, R.one]])]))
+        layer_generators(R, n) + [(0, 1, R.one)]))
     job = (Path(__file__).resolve().parent.parent / "perfbench" / "jobs"
            / "defcount_s3_standard_z4.job")
     assert main(["defcount", str(job), "--no-cache"]) == 1
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == "the orbit of lift 0 reaches a conjugate that is not a lift"
+
+
+def test_a_wrong_solved_conjugator_is_caught_by_the_product_check(monkeypatch, capsys):
+    # the Howell reduction is made to answer Y + e_0 E_01 for the conjugator's
+    # offset Y; for a = b = diag(1, -1), phi(E_01) = a E_01 - E_01 b = 2 E_01
+    # is nonzero over Z/4 and over the R/J of the maranda-check jobs, so the
+    # check a K = K b must reject the answer
+    conjugation_form = representation._conjugation_form
+
+    def shifted_form(ring, n, gens1, gens2, entries=None):
+        form, ni = conjugation_form(ring, n, gens1, gens2, entries)
+        reduce = form.reduce
+
+        def shifted(vec):
+            red = reduce(vec)
+            red[ni + ring.N] = ring.base.add(red[ni + ring.N], ring.base.one)
+            return red
+        form.reduce = shifted
+        return form, ni
+
+    monkeypatch.setattr(representation, "_conjugation_form", shifted_form)
+    ring = build_galois_ring(2, 2, 1)
+    a = _matrix(ring, 2, [1, 0, 0, 3])
+    with pytest.raises(InternalInconsistencyError,
+                       match="the solved conjugator K fails a K = K b"):
+        kernel_conjugator(ring, 2, [a], [a])
+    job = (Path(__file__).resolve().parent.parent / "perfbench" / "jobs"
+           / "maranda_c2_equivalent.job")
+    assert main(["maranda-check", str(job), "--no-cache"]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == "the solved conjugator K fails a K = K b"
+
+
+def test_a_solved_lift_off_a_cayley_edge_is_caught_by_the_final_check(monkeypatch, capsys):
+    # with every Cayley-edge defect reported as zero, the layer solve takes
+    # s(rhobar) plus cocycles for the lifts of the S3 standard representation
+    # over Z/4, but s(rhobar)(g2)^3 = [[1, 2], [2, 3]] is not 1, so the final
+    # check of every lift on the Cayley edges must reject them
+    monkeypatch.setattr(representation, "_edge_defects",
+                        lambda G, one, gens: [one - one for _ in G.edges])
+    ring = build_galois_ring(2, 2, 1)
+    rhobar = _rhobar(symmetric(3), ring.residue_ring, 2, S3_STANDARD)
+    with pytest.raises(InternalInconsistencyError, match="solved lift fails the Cayley edge"):
+        enumerate_lifts(rhobar, ring)
+    job = (Path(__file__).resolve().parent.parent / "perfbench" / "jobs"
+           / "defcount_s3_standard_z4.job")
+    assert main(["defcount", str(job), "--no-cache"]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err.startswith("solved lift fails the Cayley edge")
 
 
 def test_one_dimensional_def_set_conjugates_nothing(monkeypatch):
