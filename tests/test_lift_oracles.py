@@ -584,11 +584,9 @@ def test_a_solved_lift_off_a_cayley_edge_is_caught_by_the_final_check(monkeypatc
     assert err.startswith("solved lift fails the Cayley edge")
 
 
-def test_one_dimensional_def_set_conjugates_nothing(monkeypatch):
-    # n = 1: R is commutative, so every lift is its own class and no matrix
-    # is multiplied or inverted once the lifts are enumerated
-    R = _truncated(2, ["X"], ["X^2 - 2"], 3)
-    rhobar = trivial_residual_rep(quaternion8(), R)
+def _def_set_counting_after_lifts(monkeypatch, rhobar, R):
+    """def_set, with the matrix products and inverses it makes once the
+    lifts are enumerated."""
     solve = representation.enumerate_lifts
     counts = {"after": 0, "mul": 0, "inverse": 0}
 
@@ -606,8 +604,27 @@ def test_one_dimensional_def_set_conjugates_nothing(monkeypatch):
     monkeypatch.setattr(representation, "enumerate_lifts", enumerate_then_count)
     monkeypatch.setattr(Matrix, "__mul__", counted("mul", Matrix.__mul__))
     monkeypatch.setattr(Matrix, "inverse", counted("inverse", Matrix.inverse))
-    ds = def_set(rhobar, R)
+    return def_set(rhobar, R), counts
+
+
+def test_one_dimensional_def_set_conjugates_nothing(monkeypatch):
+    # n = 1: R is commutative, so every lift is its own class and no matrix
+    # is multiplied or inverted once the lifts are enumerated
+    R = _truncated(2, ["X"], ["X^2 - 2"], 3)
+    ds, counts = _def_set_counting_after_lifts(monkeypatch,
+                                               trivial_residual_rep(quaternion8(), R), R)
     assert ds.orbit_sizes == [1] * 64 and ds.class_count == 64
+    assert counts == {"after": 1, "mul": 0, "inverse": 0}
+
+
+def test_the_orbit_walk_multiplies_and_inverts_no_matrix(monkeypatch):
+    # n = 2: the walk acts by row and column updates and the orbit-stabiliser
+    # check reads a Howell form, so no matrix is multiplied or inverted once
+    # the lifts are enumerated
+    R = build_galois_ring(2, 2, 1)
+    rhobar = _rhobar(cyclic(4), R.residue_ring, 2, [[1, 1, 0, 1]])
+    ds, counts = _def_set_counting_after_lifts(monkeypatch, rhobar, R)
+    assert ds.orbit_sizes == [4, 4, 4, 4]
     assert counts == {"after": 1, "mul": 0, "inverse": 0}
 
 
