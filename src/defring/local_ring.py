@@ -192,7 +192,7 @@ class FiniteLocalRing:
         self.generators: Tuple[RingElement, ...] = tuple(
             RingElement(self, g) for g in generators)
         self._max_ideal: Optional[Ideal] = None
-        self._layers: Optional[List[Tuple[Ideal, List[RingElement]]]] = None
+        self._layers: Optional[List[Layer]] = None
         self._residue_ring: Optional[FiniteLocalRing] = None
         if validate:
             self._validate()
@@ -620,86 +620,86 @@ def m_adic_filtration(ring: FiniteLocalRing) -> List[Ideal]:
     return powers
 
 
-def m_adic_layers(ring: FiniteLocalRing) -> List[Tuple[Ideal, List[RingElement]]]:
-    """(m^{i+1}, `_layer_basis` of m^i / m^{i+1}) for each layer of
-    `m_adic_filtration`, built once per ring."""
+def m_adic_layers(ring: FiniteLocalRing) -> List["Layer"]:
+    """The `Layer` m^i / m^{i+1} for each step of `m_adic_filtration`, built
+    once per ring for `def_set`'s two readers, `enumerate_lifts` and
+    `_layer_generators`."""
     if ring._layers is None:
         filtration = m_adic_filtration(ring)
-        ring._layers = [(lower, _layer_basis(upper, lower))
-                        for upper, lower in zip(filtration, filtration[1:])]
+        ring._layers = [Layer(upper, lower) for upper, lower in zip(filtration, filtration[1:])]
     return ring._layers
 
 
-def _layer_basis(upper: Ideal, lower: Ideal) -> List[RingElement]:
-    """Elements of upper = m^i whose classes are a k-basis of m^i / m^{i+1}.
+class Layer:
+    """The k-vector space upper / lower, for ideals upper = m^i and lower =
+    m^{i+1} (or any upper * m <= lower <= upper, as p lies in m), read off
+    their two Howell forms.
 
-    Taken greedily from upper's module basis: an element is kept when its
-    class is not in the k-span of the classes kept before it.  The layer is a
-    k-vector space, since p * m^i lies in m^{i+1}, so where upper's form has
-    the pivot p^v, lower's has p^v or, at a jump column, p^(v+1).  Reducing
-    x in m^i by upper's pivot rows at the jump columns and by lower's at the
-    others, with one exact division per column, writes x as the sum of the
-    q_j times upper's row j over the jump columns j plus an element of
-    m^{i+1}; the q_j mod p are the coordinates of x's class, and one
-    elimination over k in the order of the module basis keeps the elements
-    that raise their rank.
+    Where upper's form has the pivot p^v, lower's has p^v or, at a jump
+    column, p^(v+1) (or no pivot and the order v + 1).  Reducing x in upper
+    by upper's pivot row at each jump column and by lower's at the other
+    pivot columns, with one exact division per column, writes x as the sum
+    of the q_j times upper's row j over the jump columns plus an element of
+    lower; the q_j mod p are `coords(x)`.  So the classes of upper's module
+    basis at the jump columns span the layer, and as |upper| / |lower| is q
+    to the number of jumps, they are the k-basis `basis`.  `multiples[j][c]`
+    is s(c) b_j, s the unity lift of the residue field.
     """
-    ring = upper.ring
-    W = ring.base
-    k = W.residue_field
-    zero, kzero = W.zero, k.zero
-    upper_rows = dict(zip(upper.form.pivot_cols, upper.form.rows))
-    lower_rows = dict(zip(lower.form.pivot_cols, lower.form.rows))
-    reducers = {}  # column -> (p-exponent, pivot row, coordinate or None)
-    jumps = 0
-    for j in upper.form.pivot_cols:
-        v = upper.form.pivot_vals[j]
-        w = lower.form.pivot_vals.get(j, ring.orders[j])
-        if w == v:
-            reducers[j] = (v, lower_rows[j], None)
-        elif w == v + 1:
-            reducers[j] = (v, upper_rows[j], jumps)
-            jumps += 1
-        else:
-            raise InternalInconsistencyError(
-                "m^(i+1) does not lie between p * m^i and m^i, so m^i / m^(i+1) "
-                "is not a k-vector space")
 
-    def coords(x: RingElement) -> List[GRElt]:
+    def __init__(self, upper: Ideal, lower: Ideal):
+        ring = self.ring = upper.ring
+        W, k = ring.base, ring.residue_field
+        lower_rows = dict(zip(lower.form.pivot_cols, lower.form.rows))
+        # pivot column -> (p^v, the pivot row's nonzero entries, coordinate or None)
+        self._reducers: Dict[int, Tuple[int, List[Tuple[int, GRElt]], Optional[int]]] = {}
+        self.basis: List[RingElement] = []
+        for j, row, b in zip(upper.form.pivot_cols, upper.form.rows, upper.module_basis):
+            v = upper.form.pivot_vals[j]
+            w = lower.form.pivot_vals.get(j, ring.orders[j])
+            if w == v:
+                row, at = lower_rows[j], None
+            elif w == v + 1:
+                at = len(self.basis)
+                self.basis.append(b)
+            else:
+                raise InternalInconsistencyError(
+                    "m^(i+1) does not lie between p * m^i and m^i, so m^i / m^(i+1) "
+                    "is not a k-vector space")
+            self._reducers[j] = (W.p ** v, [(t, e) for t, e in enumerate(row) if e != W.zero],
+                                 at)
+        if lower.size * k.size ** len(self.basis) != upper.size:
+            raise InternalInconsistencyError("layer basis does not span m^i / m^(i+1)")
+        self.multiples: List[Dict[GRElt, RingElement]] = [
+            {c: ring.unity_lift(c) * b for c in k.elements()} for b in self.basis]
+
+    def coords(self, x: RingElement) -> List[GRElt]:
+        """The k-coordinates of x's class in `basis`; x must lie in upper."""
+        W = self.ring.base
+        zero, sub, mul = W.zero, W.sub, W.mul
         vec = list(x.coeffs)
-        out = [kzero] * jumps
-        for j in range(ring.N):
+        out = [W.residue_field.zero] * len(self.basis)
+        for j in range(len(vec)):
             e = vec[j]
             if e == zero:
                 continue
-            if j not in reducers:
+            reducer = self._reducers.get(j)
+            if reducer is None or any(c % reducer[0] for c in e):
                 raise InternalInconsistencyError("layer element is not in m^i")
-            v, prow, at = reducers[j]
-            q = W.divide_by_p_power(e, v)
-            for t in range(j, ring.N):
-                if prow[t] != zero:
-                    vec[t] = W.sub(vec[t], W.mul(q, prow[t]))
+            pv, support, at = reducer
+            q = tuple(c // pv for c in e)
+            for t, a in support:
+                vec[t] = sub(vec[t], mul(q, a))
             if at is not None:
                 out[at] = W.reduce(q)
         return out
 
-    echelon: Dict[int, List[GRElt]] = {}  # leading coordinate -> row, 1 there
-    basis = []
-    for b in upper.module_basis:
-        c = coords(b)
-        for lead in sorted(echelon):
-            a = c[lead]
-            if a != kzero:
-                c = [k.sub(x, k.mul(a, y)) for x, y in zip(c, echelon[lead])]
-        lead = next((t for t, a in enumerate(c) if a != kzero), None)
-        if lead is None:
-            continue
-        inv = k.inv(c[lead])
-        echelon[lead] = [k.mul(inv, a) for a in c]
-        basis.append(b)
-    if lower.size * k.size ** len(basis) != upper.size:
-        raise InternalInconsistencyError("layer basis does not span m^i / m^(i+1)")
-    return basis
+    def offsets(self) -> List[RingElement]:
+        """The q^d sums s(c_1) b_1 + ... + s(c_d) b_d, c in k^d: one
+        representative of each coset of lower in upper."""
+        out = [self.ring.zero]
+        for multiples in self.multiples:
+            out = [x + y for x in out for y in multiples.values()]
+        return out
 
 
 # -- ring homomorphisms ----------------------------------------------------------
@@ -1121,7 +1121,7 @@ def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFi
     walk down the m-adic filtration [m, m^2, ..., m^L = 0].  For x in m and
     d in m^j, (x + d)^e - x^e lies in m^(e-1+j), so x^e depends only on x mod
     m^(L-e+1).  The walk visits the classes of m mod m, mod m^2, ..., each
-    class's children being its sums with `_layer_offsets`.  At depth j it
+    class's children being its sums with the `Layer.offsets`.  At depth j it
     tests x^(L-j+1), which the class decides.  If the power is zero the walk
     descends.  Otherwise x^(L-j+2) is zero, since the parent class tested it,
     so all |m^j| elements of the class have index exactly L-j+2 and are
@@ -1144,7 +1144,7 @@ def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFi
     filtration = m_adic_filtration(ring)
     mx = filtration[0]
     # the Hilbert sequence dim_k m^i / m^{i+1} is read off the layer bases
-    bases = [_layer_basis(upper, lower) for upper, lower in zip(filtration, filtration[1:])]
+    layers = [Layer(upper, lower) for upper, lower in zip(filtration, filtration[1:])]
     killed = [prod(p ** (W.r * min(e, c)) for c in ring.orders)
               for e in range(max(ring.orders, default=0) + 1)]
     order_counts = [(p ** e, killed[e] - (killed[e - 1] if e else 0))
@@ -1166,31 +1166,20 @@ def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFi
                     f"x^{e + 1} != 0 although m^{bound} = 0")
             nil_counts[e + 1] = nil_counts.get(e + 1, 0) + ideal.size
         if j < bound:
-            offsets = _layer_offsets(ring, bases[j - 1])
+            offsets = layers[j - 1].offsets()
             classes = [x + o for x in survivors for o in offsets]
     nil_counts[1] = len(survivors)
     return RingFingerprint(
         characteristic=char,
         size=ring.size,
         maximal_ideal_size=mx.size,
-        hilbert=(1, *map(len, bases)),
+        hilbert=(1, *(len(layer.basis) for layer in layers)),
         additive_order_counts=tuple(order_counts),
         nilpotency_index_counts=tuple(sorted(nil_counts.items())),
     )
 
 
 # -- homomorphism enumeration -----------------------------------------------------------
-
-
-def _layer_offsets(ring: FiniteLocalRing, basis: Sequence[RingElement]) -> List[RingElement]:
-    """The q^d sums s(c_1) b_1 + ... + s(c_d) b_d, c in k^d, over a layer
-    basis b of m^i / m^{i+1} (`_layer_basis`): one representative of each
-    coset of m^{i+1} in m^i (s is the unity lift of the residue field)."""
-    out = [ring.zero]
-    for b in basis:
-        multiples = [ring.unity_lift(c) * b for c in ring.residue_field.elements()]
-        out = [x + y for x in out for y in multiples]
-    return out
 
 
 def _hom_from_generators(source: FiniteLocalRing, target: FiniteLocalRing,
@@ -1215,8 +1204,7 @@ def _hom_from_generators(source: FiniteLocalRing, target: FiniteLocalRing,
     return None
 
 
-def _hom_levels(source: FiniteLocalRing, target: FiniteLocalRing,
-                filtration: Sequence[Ideal]
+def _hom_levels(source: FiniteLocalRing, target: FiniteLocalRing
                 ) -> Iterator[List[Tuple[Tuple[RingElement, ...], RingHom]]]:
     """The search of `hom_enumerate`, one level of [m, m^2, ..., m^L = 0] at a time.
 
@@ -1224,15 +1212,16 @@ def _hom_levels(source: FiniteLocalRing, target: FiniteLocalRing,
     `_hom_from_generators`, each with that homomorphism S -> T/m^i; level L
     works in T itself.  Level 1 tests the unity lifts of the generators'
     residues; level i + 1 adds to each survivor of level i every tuple of
-    `_layer_offsets` of m^i / m^{i+1}.  The search stops after an empty level.
+    the `Layer.offsets` of m^i / m^{i+1}.  The search stops after an empty level.
     """
+    filtration = m_adic_filtration(target)
     t = len(source.generators)
     survivors = [tuple(target.unity_lift(source.reduce_element(g))
                        for g in source.generators)]
     for i, ideal in enumerate(filtration):
         candidates = survivors
         if i:
-            offsets = _layer_offsets(target, _layer_basis(filtration[i - 1], ideal))
+            offsets = Layer(filtration[i - 1], ideal).offsets()
             candidates = [tuple(z + o for z, o in zip(zs, choice))
                           for zs in survivors for choice in product(offsets, repeat=t)]
         ring, project = target, None
@@ -1285,7 +1274,7 @@ def hom_enumerate(source: FiniteLocalRing, target: FiniteLocalRing,
             f"ideal has {mt.size} elements, above the cap {DEFAULT_ELEMENT_CAP}",
             cap="cap_elements", needed=mt.size, limit=DEFAULT_ELEMENT_CAP)
     homs: List[RingHom] = []
-    for level in _hom_levels(source, target, m_adic_filtration(target)):
+    for level in _hom_levels(source, target):
         homs = [hom for _, hom in level]
     homs.sort(key=lambda h: h.key())
     return homs

@@ -190,15 +190,17 @@ def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
     """All lifts of the residual representation, in canonical key order.
 
     Solved layer by layer along the m-adic filtration R/m -> R/m^2 -> ... ->
-    R/m^L = R (Mazur 1989, 1.2).  With b_1..b_d a k-basis of I = m^i/m^{i+1},
-    a lift P mod m^i plus offsets X_g = sum_j b_j x_{g,j} in M_n(m^i) is a
-    homomorphism mod m^{i+1} iff delta_j + E(x_j) = 0 for every j, since
-    I m lies in m^{i+1}: E is the cocycle map of `_cocycle_system` and
-    delta_j the b_j-coordinate of P's defect on the non-tree Cayley edges.
-    So P lifts iff every -delta_j is in the image of E, and then its lifts
-    are a particular solution plus Z^1 in each coordinate.  Every final lift
-    is built and checked on every Cayley edge by `extend_and_verify_hom`.
-    The cap bounds |M_n(m)|^ngen, the candidate space the lifts lie in.
+    R/m^L = R (Mazur 1989, 1.2).  With b_1..b_d the k-basis of the `Layer`
+    I = m^i/m^{i+1}, a lift P mod m^i plus offsets X_g = sum_j b_j x_{g,j}
+    in M_n(m^i) is a homomorphism mod m^{i+1} iff delta_j + E(x_j) = 0 for
+    every j, since I m lies in m^{i+1}: E is the cocycle map of
+    `_cocycle_system` and delta_j the b_j-coordinate (`Layer.coords`) of
+    P's defect on the non-tree Cayley edges.  So P lifts iff every -delta_j
+    is in the image of E, and then its lifts are a particular solution plus
+    Z^1 in each coordinate, their entries read off `Layer.multiples`.  Every
+    final lift is built and checked on every Cayley edge by
+    `extend_and_verify_hom`.  The cap bounds |M_n(m)|^ngen, the candidate
+    space the lifts lie in.
     """
     G, n = rhobar.group, rhobar.n
     ngen = len(G.generators)
@@ -207,37 +209,26 @@ def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
         raise CapExceededError(
             f"{fiber_size ** ngen} candidate lifts exceed the cap {cap}",
             cap="cap_maps", needed=fiber_size ** ngen, limit=cap)
-    k, W = rhobar.ring.base, ring.base
+    k = rhobar.ring.base
     nn, D = n * n, ngen * n * n
     rows = _cocycle_system(rhobar)
     solver = LinearMapSolver(k, [[row[u] for row in rows] for u in range(D)], len(rows))
     cocycles = _span(k, solver.kernel_generators(), D)
     one = Matrix.identity(ring, n)
     partial = [[_section_matrix(ring, rhobar.matrix(g)) for g in G.generators]]
-    for lower, basis in m_adic_layers(ring):
-        d = len(basis)
-        coords = LinearMapSolver(W, [list(x.coeffs) for x in basis]
-                                 + [list(x.coeffs) for x in lower.module_basis],
-                                 ring.N, ring.orders)
-        # multiples[j][c] = s(c) b_j, the offset entry for coordinate c at b_j
-        multiples = [{c: ring.unity_lift(c) * b for c in k.elements()} for b in basis]
+    for layer in m_adic_layers(ring):
         lifted = []
         for gens in partial:
-            delta = []  # per equation, the d coordinates of the defect entry
-            for M in _edge_defects(G, one, gens):
-                for e in (x for row in M.rows for x in row):
-                    w = coords.solve(list(e.coeffs))
-                    if w is None:
-                        raise InternalInconsistencyError(
-                            "a partial lift's Cayley-edge defect is not in m^i")
-                    delta.append([W.reduce(c) for c in w[:d]])
+            # per equation, the d coordinates of the defect entry
+            delta = [layer.coords(e) for M in _edge_defects(G, one, gens)
+                     for row in M.rows for e in row]
             options = []
-            for j in range(d):
+            for j, multiples in enumerate(layer.multiples):
                 x = solver.solve([k.neg(c[j]) for c in delta])
                 if x is None:
                     break
                 # the entries s(x_j[u]) b_j of each solution x_j = x + z, z in Z^1
-                options.append([[multiples[j][k.add(a, c)] for a, c in zip(x, z)]
+                options.append([[multiples[k.add(a, c)] for a, c in zip(x, z)]
                                 for z in cocycles])
             else:
                 for choice in product(*options):
@@ -345,17 +336,19 @@ class DefSet:
 
 
 def _layer_generators(ring: FiniteLocalRing, n: int) -> List[Tuple[int, int, RingElement]]:
-    """The triples (a, c, x) of the generators K = 1 + x E_ac, x = s(y) b, b
-    over the k-basis of each layer m^i / m^{i+1} (as in `enumerate_lifts`), y
-    over the F_p-basis Y^u of k, s the unity lift; `_conjugate_in_place` acts
-    by K as one row update and one column update, so no K is built.
+    """The triples (a, c, x) of the generators K = 1 + x E_ac, x = s(y) b read
+    off `Layer.multiples`, b over the k-basis of each layer m^i / m^{i+1} (as
+    in `enumerate_lifts`), y over the F_p-basis Y^u of k, s the unity lift;
+    `_conjugate_in_place` acts by K as one row update and one column update,
+    so no K is built.
     They generate Gamma = 1 + M_n(m): 1 + Y -> Y mod m^{i+1} maps Gamma_i =
     1 + M_n(m^i) onto the F_p-space M_n(m^i / m^{i+1}) with kernel Gamma_{i+1},
     which they span, so by downward induction on i they generate each Gamma_i."""
     r = ring.residue_field.r
-    units = [ring.unity_lift(tuple(int(t == u) for t in range(r))) for u in range(r)]
-    return [(a, c, x) for _, basis in m_adic_layers(ring) for b in basis for y in units
-            for x in [y * b] for a, c in product(range(n), repeat=2)]
+    units = [tuple(int(t == u) for t in range(r)) for u in range(r)]
+    return [(a, c, multiples[y]) for layer in m_adic_layers(ring)
+            for multiples in layer.multiples for y in units
+            for a, c in product(range(n), repeat=2)]
 
 
 def _conjugate_in_place(ring: FiniteLocalRing, a: int, c: int, x: RingElement):

@@ -584,6 +584,23 @@ def test_a_solved_lift_off_a_cayley_edge_is_caught_by_the_final_check(monkeypatc
     assert err.startswith("solved lift fails the Cayley edge")
 
 
+def test_a_cayley_edge_defect_off_the_layer_is_caught_by_its_coordinates(monkeypatch,
+                                                                         capsys):
+    # every Cayley-edge defect reported as the identity: its unit entries
+    # are not in m = (2) over Z/4, so the layer's coordinates must refuse them
+    monkeypatch.setattr(representation, "_edge_defects",
+                        lambda G, one, gens: [one for _ in G.edges])
+    ring = build_galois_ring(2, 2, 1)
+    rhobar = _rhobar(symmetric(3), ring.residue_ring, 2, S3_STANDARD)
+    with pytest.raises(InternalInconsistencyError, match="layer element is not in m\\^i"):
+        enumerate_lifts(rhobar, ring)
+    job = (Path(__file__).resolve().parent.parent / "perfbench" / "jobs"
+           / "defcount_s3_standard_z4.job")
+    assert main(["defcount", str(job), "--no-cache"]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == "layer element is not in m^i"
+
+
 def _def_set_counting_after_lifts(monkeypatch, rhobar, R):
     """def_set, with the matrix products and inverses it makes once the
     lifts are enumerated."""
@@ -793,7 +810,7 @@ def test_hom_levels_prune_partial_maps():
     R = _truncated(2, ["X"], ["X^2 - 2"], 6)
     filtration = m_adic_filtration(R)
     assert [I.size for I in filtration] == [2 ** (11 - i) for i in range(12)]
-    levels = list(_hom_levels(R, R, filtration))
+    levels = list(_hom_levels(R, R))
     counts = [len(level) for level in levels]
     assert counts == [1, 2, 2, 4, 4, 8, 16, 16, 16, 16, 16, 16]
     tested = [1] + [2 * n for n in counts[:-1]]

@@ -12,7 +12,7 @@ import defring.local_ring as local_ring
 from defring.errors import InternalInconsistencyError
 from defring.galois import GaloisRing
 from defring.groups import symmetric
-from defring.local_ring import (CapExceededError, FiniteLocalRing, Ideal,
+from defring.local_ring import (CapExceededError, FiniteLocalRing, Ideal, Layer,
                                 NonUnitError, NotFiniteAtCapError,
                                 PrecisionExhaustedError, RingConstructionError,
                                 RingElement, ZeroDivisorError, build_galois_ring,
@@ -281,6 +281,23 @@ def test_fingerprint_rejects_a_non_nilpotent_kernel():
         m_adic_filtration(R)
     with pytest.raises(InternalInconsistencyError, match=message):
         fingerprint(R)
+
+
+def test_layer_rejects_a_gap_of_two_p_powers():
+    # over Z/8, m = (2) has the pivot 2 and the zero ideal none at order 3,
+    # so m / 0 = Z/4 is not a k-vector space
+    R = build_galois_ring(2, 3, 1)
+    with pytest.raises(InternalInconsistencyError, match="not a k-vector space"):
+        Layer(maximal_ideal(R), ideal_span(R, [R.zero]))
+
+
+def test_layer_rejects_a_lower_ideal_outside_the_upper():
+    # in (Z/2)[X]/(X^3), (X) and (X^2) share the pivot at X^2, so no column
+    # jumps, but |(X^2)| = 2 is not |(X)| = 4 times q^0
+    R = ring_from_truncated_presentation(_pres(2, ["X"], ["X^3"]), 1)
+    X = R.generators[0]
+    with pytest.raises(InternalInconsistencyError, match="does not span"):
+        Layer(ideal_span(R, [X * X]), ideal_span(R, [X]))
 
 
 @pytest.mark.parametrize("name, sizes", [

@@ -15,7 +15,7 @@ from defring.polys import (CoefficientSwellError, IntegralityError, Poly,
                            PolyParseError, buchberger, grevlex_key, grlex_key,
                            mono_div, mono_divides, normal_form, parse_poly,
                            s_polynomial)
-from defring.presentations import IntegerPolynomialPresentation
+from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
 from defring.presented import etale_check
 
 
@@ -465,9 +465,8 @@ def test_normal_form_matches_rebuilding_division(problem, prime, cap):
         assert [(m, Fraction(c, r.den)) for m, c in r.nums.items()] == outcome
 
 
-def test_buchberger_s_pair_count_on_katsura4(monkeypatch):
-    # the S-pair selection order and the Gebauer-Moeller criteria fix how
-    # many pairs are reduced (49 with every pair queued)
+def _buchberger_counting_s_pairs(monkeypatch, relations):
+    """The basis `buchberger` returns, and how many S-polynomials it built."""
     calls = []
     original = polys.s_polynomial
 
@@ -476,10 +475,23 @@ def test_buchberger_s_pair_count_on_katsura4(monkeypatch):
         return original(f, g)
 
     monkeypatch.setattr(polys, "s_polynomial", counting)
+    return buchberger(relations), len(calls)
+
+
+def test_buchberger_s_pair_count_on_katsura4(monkeypatch):
+    # the S-pair selection order and the Gebauer-Moeller criteria fix how
+    # many pairs are reduced (49 with every pair queued)
     pres = IntegerPolynomialPresentation.parse(2, list("ABCDE"), KATSURA4)
-    gb = buchberger(pres.relations)
-    assert len(calls) == 28
+    gb, spolys = _buchberger_counting_s_pairs(monkeypatch, pres.relations)
+    assert spolys == 28
     assert len(gb) == 13
+
+
+def test_buchberger_s_pair_count_on_r_alpha1(monkeypatch):
+    # the chain criterion drops two pairs here (9 reduced without it), and
+    # none on katsura-4, so this pin is the one that observes it
+    _, spolys = _buchberger_counting_s_pairs(monkeypatch, r_alpha_presentation(1, 2).relations)
+    assert spolys == 7
 
 
 def test_normal_form_count_on_katsura4(monkeypatch):

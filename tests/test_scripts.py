@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -82,3 +83,22 @@ def test_deformation_census_script():
                 + [f"{ring}: {c} lifts / {c} classes" for ring, c in zip(rings, lifts)]))
         expected.append("")
     assert proc.stdout.splitlines() == expected, proc.stdout
+
+
+def _mutation_probe():
+    spec = importlib.util.spec_from_file_location(
+        "mutation_probe", ROOT / "scripts" / "mutation_probe.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mutation_probe_texts_occur_exactly_once():
+    # the probe itself takes minutes and is not run here; its mutants must
+    # keep pointing at one place each, and at test files that exist
+    probe = _mutation_probe()
+    assert probe.MUTANTS
+    for mutant in probe.MUTANTS:
+        assert probe.occurrences(mutant) == 1, mutant.name
+        assert mutant.new != mutant.old
+        assert all((ROOT / t).is_file() for t in mutant.tests), mutant.name

@@ -1,11 +1,11 @@
-"""Presented rings from one growing Howell form, and layer bases by one
-elimination over the residue field, against the routes they replaced.
+"""Presented rings from one growing Howell form, and layers read off the
+Howell forms of their two ideals, against the routes they replaced.
 
 `truncation_form_from_scratch` is the former degree loop of
 `ring_from_truncated_presentation`: a fresh Howell form of all relation
 multiples of degree <= d at every degree d.  `layer_basis_greedy` is the
-former `_layer_basis`: one Howell form per candidate element, kept when the
-span grows.
+first layer basis: one Howell form per candidate element, kept when the span
+grows; it fixes the dimension a `Layer` must have.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import defring.local_ring as local_ring
 from defring.errors import DefringError
 from defring.galois import GaloisRing
 from defring.linalg import HowellForm
-from defring.local_ring import (NotFiniteAtCapError, _layer_basis, _truncation_form,
+from defring.local_ring import (Layer, NotFiniteAtCapError, _truncation_form,
                                 ideal_span, m_adic_filtration, maximal_ideal,
                                 quotient_ring, ring_from_truncated_presentation)
 from defring.polys import grlex_key, mono_mul
@@ -195,6 +195,26 @@ def _layer_ring(name):
     return R, m_adic_filtration(R)
 
 
+def _check_layer(upper, lower, draw):
+    # the exact contract of a layer: lower's rows and the basis span upper,
+    # the basis has the dimension of the greedy one, and `coords` reads back
+    # the k-coordinates of sum_j s(c_j) b_j + y for y in lower
+    R = upper.ring
+    W, k = R.base, R.residue_field
+    layer = Layer(upper, lower)
+    rows = [list(r) for r in lower.form.rows] + [list(b.coeffs) for b in layer.basis]
+    assert HowellForm(W, rows, R.N, R.orders).rows == upper.form.rows
+    assert len(layer.basis) == len(layer_basis_greedy(upper, lower))
+    elt = st.tuples(*[st.integers(0, k.q - 1)] * k.r)
+    c = [draw(elt) for _ in layer.basis]
+    x = R.zero
+    for g in lower.module_basis:
+        x = x + _element(R, draw) * g
+    for cj, mult in zip(c, layer.multiples):
+        x = x + mult[cj]
+    assert layer.coords(x) == c
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(sorted(LAYER_RINGS)) | presentations(), st.booleans(), st.data())
 def test_layer_basis_matches_greedy_oracle(source, quotient, data):
@@ -223,18 +243,18 @@ def test_layer_basis_matches_greedy_oracle(source, quotient, data):
         gens = [_element(R, data.draw) for _ in range(data.draw(st.integers(1, 2)))]
         upper = ideal_span(R, [g for g in gens if not g.is_unit()] or [R.zero])
         lower = upper.product(maximal_ideal(R))
-    basis = _layer_basis(upper, lower)
-    assert [b.coeffs for b in basis] == [b.coeffs for b in layer_basis_greedy(upper, lower)]
+    _check_layer(upper, lower, data.draw)
 
 
 @pytest.mark.parametrize("name", sorted(SHIFTED_RINGS))
-def test_layer_basis_on_rings_with_shifted_rows(name):
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_layer_basis_on_rings_with_shifted_rows(name, data):
     R, filtration = _layer_ring(name)
     shifted = 0
     for upper, lower in zip(filtration, filtration[1:]):
         for j, g in zip(upper.form.pivot_cols, upper.form.rows):
             if lower.form.pivot_vals.get(j, R.orders[j]) == upper.form.pivot_vals[j]:
                 shifted += not lower.form.contains(g)
-        basis = _layer_basis(upper, lower)
-        assert [b.coeffs for b in basis] == [b.coeffs for b in layer_basis_greedy(upper, lower)]
+        _check_layer(upper, lower, data.draw)
     assert shifted
