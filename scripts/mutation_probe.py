@@ -4,13 +4,17 @@ time, and report whether the test files mapped to each one notice.
 
 Each mutant replaces one exact text, which must occur exactly once in its
 file, in a copy of the repository in a temporary directory.  Its test files
-then run there under a timeout, stopping at the first failure.  A failing
-or timed-out run prints KILLED; a passing run prints SURVIVED, or EQUIVALENT
-when the mutant is known not to change what the code computes.
+then run there under a timeout of TIMEOUT seconds, stopping at the first
+failure.  A run with failing tests (pytest's exit code 1) or out of time
+prints KILLED; a passing run prints SURVIVED, or EQUIVALENT when the mutant
+is known not to change what the code computes; any other exit code, a
+collection or usage error, prints ERROR.  Before the mutants, every mapped
+test file runs once on an unmutated copy, and the probe stops if that fails,
+so a broken environment cannot read as a killed mutant.
 
 Run from anywhere, with pytest and hypothesis installed:
 
-    python3 scripts/mutation_probe.py [--timeout SECONDS]
+    python3 scripts/mutation_probe.py
 
 It takes minutes, so it is not part of the test suite; the suite only checks
 that every mutant's text still occurs exactly once (tests/test_scripts.py).
@@ -18,7 +22,6 @@ that every mutant's text still occurs exactly once (tests/test_scripts.py).
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -28,6 +31,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT = 600.0  # seconds for one run of a mutant's test files
 
 
 class Mutant(NamedTuple):
@@ -52,8 +56,8 @@ MUTANTS = (
            "        if False:",
            ("tests/test_local_ring.py",)),
     Mutant("layer: coordinates below the pivot's valuation accepted", LOCAL_RING,
-           "            if reducer is None or any(c % reducer[0] for c in e):",
-           "            if reducer is None:",
+           "                q = W.divide_by_p_power(e, v)",
+           "                q = tuple(c // W.p ** v for c in e)",
            ("tests/test_lift_oracles.py",)),
     Mutant("enumerate_lifts: final Cayley-edge check deleted", REPRESENTATION,
            "        if fail is not None:\n            raise InternalInconsistencyError("
@@ -73,11 +77,6 @@ MUTANTS = (
            "                live.discard((i, j))",
            "                pass",
            ("tests/test_polys.py",)),
-    Mutant("fingerprint: index-1 count fixed at 1", LOCAL_RING,
-           "    nil_counts[1] = len(survivors)",
-           "    nil_counts[1] = 1",
-           ("tests/test_local_ring.py",),
-           equivalent="only 0 reaches depth L with x = 0, so len(survivors) is 1"),
 )
 
 
@@ -85,39 +84,52 @@ def occurrences(mutant: Mutant) -> int:
     return (ROOT / mutant.path).read_text().count(mutant.old)
 
 
-def run(mutant: Mutant, timeout: float) -> str:
+def pytest(tests: Tuple[str, ...], mutant: Optional[Mutant] = None) -> Optional[int]:
+    """pytest's exit code for the given test files in a fresh copy of the
+    repository with the mutant applied, or None if they ran out of time."""
     with tempfile.TemporaryDirectory(prefix="mutation-probe-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench"))
-        target = copy / mutant.path
-        text = target.read_text()
-        if text.count(mutant.old) != 1:
-            raise SystemExit(f"{mutant.name}: its text does not occur exactly once")
-        target.write_text(text.replace(mutant.old, mutant.new))
+        if mutant is not None:
+            target = copy / mutant.path
+            text = target.read_text()
+            if text.count(mutant.old) != 1:
+                raise SystemExit(f"{mutant.name}: its text does not occur exactly once")
+            target.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                 *mutant.tests],
-                cwd=copy, env=env, capture_output=True, text=True, timeout=timeout)
+            return subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                cwd=copy, env=env, capture_output=True, timeout=TIMEOUT).returncode
         except subprocess.TimeoutExpired:
-            return "KILLED (timeout)"
-    if proc.returncode != 0:
+            return None
+
+
+def verdict(mutant: Mutant) -> str:
+    code = pytest(mutant.tests, mutant)
+    if code is None:
+        return "KILLED (timeout)"
+    if code == 1:
         return "KILLED"
-    return "EQUIVALENT" if mutant.equivalent else "SURVIVED"
+    if code == 0:
+        return "EQUIVALENT" if mutant.equivalent else "SURVIVED"
+    return f"ERROR (exit {code})"
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds allowed for one mutant's test run")
-    args = parser.parse_args()
+    tests = tuple(sorted({t for mutant in MUTANTS for t in mutant.tests}))
+    code = pytest(tests)
+    if code != 0:
+        raise SystemExit(f"the mapped test files do not pass unmutated (pytest exit {code})")
+    errors = 0
     for mutant in MUTANTS:
-        verdict = run(mutant, args.timeout)
-        note = f"  ({mutant.equivalent})" if verdict == "EQUIVALENT" else ""
-        print(f"{verdict:<16}  {mutant.name}  [{', '.join(mutant.tests)}]{note}", flush=True)
+        result = verdict(mutant)
+        errors += result.startswith("ERROR")
+        note = f"  ({mutant.equivalent})" if result == "EQUIVALENT" else ""
+        print(f"{result:<16}  {mutant.name}  [{', '.join(mutant.tests)}]{note}", flush=True)
+    if errors:
+        raise SystemExit(f"{errors} mutant runs ended in a pytest error")
 
 
 if __name__ == "__main__":

@@ -650,7 +650,7 @@ class Layer:
         ring = self.ring = upper.ring
         W, k = ring.base, ring.residue_field
         lower_rows = dict(zip(lower.form.pivot_cols, lower.form.rows))
-        # pivot column -> (p^v, the pivot row's nonzero entries, coordinate or None)
+        # pivot column -> (v, the pivot row's nonzero entries, coordinate or None)
         self._reducers: Dict[int, Tuple[int, List[Tuple[int, GRElt]], Optional[int]]] = {}
         self.basis: List[RingElement] = []
         for j, row, b in zip(upper.form.pivot_cols, upper.form.rows, upper.module_basis):
@@ -665,8 +665,7 @@ class Layer:
                 raise InternalInconsistencyError(
                     "m^(i+1) does not lie between p * m^i and m^i, so m^i / m^(i+1) "
                     "is not a k-vector space")
-            self._reducers[j] = (W.p ** v, [(t, e) for t, e in enumerate(row) if e != W.zero],
-                                 at)
+            self._reducers[j] = (v, [(t, e) for t, e in enumerate(row) if e != W.zero], at)
         if lower.size * k.size ** len(self.basis) != upper.size:
             raise InternalInconsistencyError("layer basis does not span m^i / m^(i+1)")
         self.multiples: List[Dict[GRElt, RingElement]] = [
@@ -682,11 +681,11 @@ class Layer:
             e = vec[j]
             if e == zero:
                 continue
-            reducer = self._reducers.get(j)
-            if reducer is None or any(c % reducer[0] for c in e):
-                raise InternalInconsistencyError("layer element is not in m^i")
-            pv, support, at = reducer
-            q = tuple(c // pv for c in e)
+            try:
+                v, support, at = self._reducers[j]
+                q = W.divide_by_p_power(e, v)
+            except (KeyError, ValueError):
+                raise InternalInconsistencyError("layer element is not in m^i") from None
             for t, a in support:
                 vec[t] = sub(vec[t], mul(q, a))
             if at is not None:
