@@ -73,6 +73,22 @@ MUTANTS = (
            "        if len(orbit) * form.size_from(ni) != total:",
            "        if False:",
            ("tests/test_lift_oracles.py",)),
+    Mutant("_validate: generator locality check skipped", LOCAL_RING,
+           "            if not self._is_nilpotent(x):",
+           "            if False:",
+           ("tests/test_local_ring.py",)),
+    Mutant("_validate: reduction check skipped", LOCAL_RING,
+           "            if any(red(x) != k.mul(rg, lam) for x, lam in zip(ge, self.residue_coeffs)):",
+           "            if False:",
+           ("tests/test_local_ring.py",)),
+    Mutant("_validate: Light's comparison skipped", LOCAL_RING,
+           "                    if self._times_basis(ge[i], j) != self._times_basis(ge[j], i):",
+           "                    if False:",
+           ("tests/test_local_ring.py",)),
+    Mutant("m_adic_filtration: the p a term dropped", LOCAL_RING,
+           "            ring, [a.scale_int(p) for a in basis] + [a * g for a in basis for g in gens])",
+           "            ring, [a * g for a in basis for g in gens])",
+           ("tests/test_local_ring.py",)),
     Mutant("buchberger: chain criterion switched off", "src/defring/polys.py",
            "                live.discard((i, j))",
            "                pass",

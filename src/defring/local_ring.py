@@ -157,6 +157,11 @@ class RingElement:
         return f"<{self.ring.describe_element(self)}>"
 
 
+def _flat(x: RingElement) -> List[int]:
+    """x's coefficients on the flat coordinates I = r*i + u."""
+    return [c for a in x.coeffs for c in a]
+
+
 class FiniteLocalRing:
     """Finite local ring (or precision-m model of a characteristic-zero local ring)."""
 
@@ -230,20 +235,30 @@ class FiniteLocalRing:
 
     def _basis_products(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
         """e_i * e_j on the flat coordinates, canonical, for homomorphism
-        checks; built on first use."""
+        checks and the table check; built on first use."""
         if self._pair_products is None:
-            r = self.base.r
-            rows = []
-            for i in range(self.N):
-                row = []
-                for j in range(self.N):
-                    flat = [0] * len(self._mods)
-                    for K, s in self._table[r * i][r * j]:
-                        flat[K] += s
-                    row.append(tuple(v % md for v, md in zip(flat, self._mods)))
-                rows.append(tuple(row))
-            self._pair_products = tuple(rows)
+            self._pair_products = tuple(
+                tuple(self._times_basis(self._unit(i), j) for j in range(self.N))
+                for i in range(self.N))
         return self._pair_products
+
+    def _unit(self, j: int) -> Tuple[int, ...]:
+        """e_j on the flat coordinates."""
+        flat = [0] * len(self._mods)
+        flat[self.base.r * j] = 1
+        return tuple(flat)
+
+    def _times_basis(self, x: Sequence[int], j: int) -> Tuple[int, ...]:
+        """x * e_j, for x on the flat coordinates, canonical: one integer
+        multiply-add per structure constant of column r*j met by a nonzero
+        coordinate of x, and one reduction per output coordinate."""
+        col = self.base.r * j
+        acc = [0] * len(self._mods)
+        for row, c in zip(self._table, x):
+            if c:
+                for K, s in row[col]:
+                    acc[K] += c * s
+        return tuple([v % md for v, md in zip(acc, self._mods)])
 
     def _pack(self, flat: Sequence[int]) -> Tuple[GRElt, ...]:
         """Flat coordinates -> the tuple-of-r-tuples coefficient shape."""
@@ -379,12 +394,18 @@ class FiniteLocalRing:
         commutativity the test on g is (g e_i) e_j = (g e_j) e_i for i < j.
         Given associativity, the g with red(g y) = red(g) red(y) for all y
         are, by the same argument, a W-submodule closed under products, so
-        the reduction is tested on S times the basis only.
+        the reduction is tested on S times the basis only.  These laws run
+        on the flat integer vectors of `_times_basis`, and the reduction is
+        the k-linear functional sending Y^u e_j to Y^u lambda_j.
+
+        Locality: m = ker(red) is then the ideal generated by p and the
+        `_maximal_generators`, and an ideal generated by nilpotents is nil,
+        so R is local with residue field k once those t elements (t = |S|)
+        are nilpotent.
         """
         W = self.base
         k = self.residue_field
-        p = W.p
-        N = self.N
+        p, r, N = W.p, W.r, self.N
         mods = self._mods
         pairs = self._basis_products()
         for i in range(N):
@@ -397,27 +418,36 @@ class FiniteLocalRing:
             for j in range(i + 1, N):
                 if pairs[i][j] != pairs[j][i]:
                     raise RingConstructionError(f"multiplication not commutative at ({i},{j})")
-        basis = self.basis
-        for b in basis:
-            if (self.one * b).coeffs != b.coeffs:
-                raise RingConstructionError("unity fails on basis")
-        if self.reduce_element(self.one) != k.one:
+        one = _flat(self.one)
+        if any(self._times_basis(one, j) != self._unit(j) for j in range(N)):
+            raise RingConstructionError("unity fails on basis")
+        monos = [tuple(int(t == u) for t in range(r)) for u in range(r)]
+        functional = [k.mul(mono, lam) for lam in self.residue_coeffs for mono in monos]
+
+        def red(x: Sequence[int]) -> GRElt:
+            acc = [0] * r
+            for c, f in zip(x, functional):
+                if c:
+                    for t in range(r):
+                        acc[t] += c * f[t]
+            return tuple([v % p for v in acc])
+
+        if red(one) != k.one:
             raise RingConstructionError("reduction does not send 1 to 1")
-        red = [self.reduce_element(b) for b in basis]
         for g in self._spanning_generators():
-            ge = [g * b for b in basis]
+            gf = _flat(g)
+            ge = [self._times_basis(gf, i) for i in range(N)]
             for i in range(N):
                 for j in range(i + 1, N):
-                    if ge[i] * basis[j] != ge[j] * basis[i]:
+                    if self._times_basis(ge[i], j) != self._times_basis(ge[j], i):
                         raise RingConstructionError(
                             f"multiplication not associative: (g e_{i}) e_{j} != "
                             f"(g e_{j}) e_{i} for g = {self.describe_element(g)}")
-            rg = self.reduce_element(g)
-            if any(self.reduce_element(x) != k.mul(rg, rb) for x, rb in zip(ge, red)):
+            rg = red(gf)
+            if any(red(x) != k.mul(rg, lam) for x, lam in zip(ge, self.residue_coeffs)):
                 raise RingConstructionError("reduction is not multiplicative")
-        # locality: the kernel of reduction is spanned by nilpotents
-        for g in maximal_ideal(self).module_basis:
-            if not self._is_nilpotent(g):
+        for x in self._maximal_generators():
+            if not self._is_nilpotent(x):
                 raise RingConstructionError(
                     "kernel of reduction contains a non-nilpotent element; "
                     "the ring is not local with the claimed residue field")
@@ -432,25 +462,43 @@ class FiniteLocalRing:
         monomials, as for square-zero extensions, or a monomial whose factors
         are not basis elements) the whole basis, which spans R by itself.
         """
-        basis = self.basis
         monos = self.basis_monos
         if monos is None or any(len(mo) != len(self.generators) for mo in monos):
-            return basis
+            return self.basis
         index = {mo: i for i, mo in enumerate(monos)}
-        for b, mo in zip(basis, monos):
+        gens = [_flat(g) for g in self.generators]
+        for j, mo in enumerate(monos):
             if not any(mo):
-                if self.one.coeffs != b.coeffs:
-                    return basis
+                if tuple(_flat(self.one)) != self._unit(j):
+                    return self.basis
                 continue
             for v, e in enumerate(mo):
                 prev = index.get(mo[:v] + (e - 1,) + mo[v + 1:]) if e else None
                 if prev is not None:
                     break
             else:
-                return basis
-            if (self.generators[v] * basis[prev]).coeffs != b.coeffs:
-                return basis
+                return self.basis
+            if self._times_basis(gens[v], prev) != self._unit(j):
+                return self.basis
         return list(self.generators)
+
+    def _maximal_generators(self) -> List[RingElement]:
+        """The nonzero x - s(red x), s the unity lift, for x in
+        `_spanning_generators`; with p they generate m = ker(red) as an ideal
+        when red is a ring map.
+
+        They lie in m, and as red is a ring map, so does the ideal J they
+        generate with p.  Modulo J each x is s(red x), so each nested
+        product of the x with 1, and with them all of R, is congruent to an
+        element of s(k): R/J has at most q elements, and as red maps R onto
+        k, J = ker(red).
+        """
+        out = []
+        for x in self._spanning_generators():
+            y = x - self.unity_lift(self.reduce_element(x))
+            if not y.is_zero():
+                out.append(y)
+        return out
 
     def _is_nilpotent(self, x: RingElement) -> bool:
         # x nilpotent iff x^(N*m) = 0: the residue dimension bounds the mod-p
@@ -486,21 +534,22 @@ class Ideal:
     def __init__(self, ring: FiniteLocalRing, generators: Sequence[RingElement]):
         """The ideal generated by `generators`: the W-span of the e_i * g."""
         basis = ring.basis
-        self._span(ring, generators, [b * g for g in generators for b in basis])
+        self._span(ring, generators, [(b * g).coeffs for g in generators for b in basis])
 
     @classmethod
     def _module_span(cls, ring: FiniteLocalRing, elements: Sequence[RingElement]) -> "Ideal":
         """The W-span of `elements`, which the caller knows to be an ideal."""
         ideal = cls.__new__(cls)
-        ideal._span(ring, elements, elements)
+        ideal._span(ring, elements, [x.coeffs for x in elements])
         return ideal
 
     def _span(self, ring: FiniteLocalRing, generators: Sequence[RingElement],
-              spanning: Sequence[RingElement]) -> None:
+              rows: Sequence[Sequence[GRElt]]) -> None:
+        """Generators as given, and the Howell form of the coefficient
+        vectors `rows`, which span the ideal as a W-module."""
         self.ring = ring
         self.generators = tuple(generators)
-        self.form = HowellForm(ring.base, [list(x.coeffs) for x in spanning],
-                               ring.N, ring.orders)
+        self.form = HowellForm(ring.base, [list(x) for x in rows], ring.N, ring.orders)
         self.module_basis: Tuple[RingElement, ...] = tuple(
             RingElement(ring, row) for row in self.form.rows)
         self.size = self.form.size
@@ -581,37 +630,48 @@ def maximal_ideal(ring: FiniteLocalRing) -> Ideal:
 
     x is in the kernel iff its coefficients reduce into the kernel of the
     k-linear map (y_j) -> sum y_j * lambda_j, so the kernel is the W-span of
-    the lifts of that map's kernel and of the p * e_j; the reduction is a ring
-    map, so the span is an ideal.
+    the lifts of that map's kernel and of the p * e_j, whose Howell form is
+    the ideal's.  The reduction is a ring map, so the span is an ideal, and
+    its `generators` are p and the t `FiniteLocalRing._maximal_generators`,
+    which generate it as an ideal: `_validate` proves them nilpotent and
+    `m_adic_filtration` multiplies by them.
     """
     if ring._max_ideal is not None:
         return ring._max_ideal
     W = ring.base
     k = ring.residue_field
     solver = LinearMapSolver(k, [[lam] for lam in ring.residue_coeffs], 1)
-    gens = []
-    for vec in solver.kernel_generators():
-        if all(e == k.zero for e in vec):
-            continue
-        gens.append(RingElement(ring, [W.lift(e) for e in vec]))
+    rows = [[W.lift(e) for e in vec] for vec in solver.kernel_generators()
+            if any(e != k.zero for e in vec)]
     for j in range(ring.N):
-        coeffs = [W.zero] * ring.N
-        coeffs[j] = W.from_int(W.p)
-        gens.append(RingElement(ring, coeffs))
-    ring._max_ideal = Ideal._module_span(ring, gens)
-    return ring._max_ideal
+        row = [W.zero] * ring.N
+        row[j] = W.from_int(W.p)
+        rows.append(row)
+    ring._max_ideal = ideal = Ideal.__new__(Ideal)
+    ideal._span(ring, [ring.one.scale_int(W.p), *ring._maximal_generators()], rows)
+    return ideal
 
 
 def m_adic_filtration(ring: FiniteLocalRing) -> List[Ideal]:
     """The powers [m, m^2, ..., m^L = 0] of the maximal ideal.
 
+    m is the ideal generated by p and the `_maximal_generators` g (its
+    `generators`), so m^(i+1) = m^i m is the W-span of the p a and the a g
+    for a over m^i's module basis: t ring products per basis element of
+    m^i, not one per basis element of m.  Howell forms are canonical, so
+    each power is the one `Ideal.product` gives.
+
     Raises when m^i = m^{i+1} != 0: the kernel of the reduction is then not
     nilpotent, which a validated ring rules out.
     """
     mx = maximal_ideal(ring)
+    gens = mx.generators[1:]  # the generators after p
+    p = ring.base.p
     powers = [mx]
     while powers[-1].size > 1:
-        nxt = powers[-1].product(mx)
+        basis = powers[-1].module_basis
+        nxt = Ideal._module_span(
+            ring, [a.scale_int(p) for a in basis] + [a * g for a in basis for g in gens])
         if nxt.size == powers[-1].size:
             raise InternalInconsistencyError(
                 f"m^{len(powers)} = m^{len(powers) + 1} != 0: the kernel of the "
@@ -751,8 +811,7 @@ class RingHom:
         return T._pack([v % md for v, md in zip(acc, T._mods)])
 
     def apply(self, x: RingElement) -> RingElement:
-        return RingElement._canonical(
-            self.target, self._image([c for a in x.coeffs for c in a]), x.prec)
+        return RingElement._canonical(self.target, self._image(_flat(x)), x.prec)
 
     def __call__(self, x: RingElement) -> RingElement:
         return self.apply(x)
@@ -945,10 +1004,14 @@ def ring_from_truncated_presentation(
     # residue map set from the search below, and only then validated
     k = W.residue_field
     rel_str = "; ".join(pres.relation_strings())
+    # mono_mul is symmetric: reduce each unordered pair once, and mirror it
+    table: List[List] = [[None] * N for _ in range(N)]
+    for i, mi in enumerate(basis_monos):
+        for j in range(i, N):
+            table[i][j] = table[j][i] = nf_coeffs(mono_vec(mono_mul(mi, basis_monos[j])))
     ring = FiniteLocalRing(
         base=W, orders=orders,
-        mul_table=[[nf_coeffs(mono_vec(mono_mul(mi, mj))) for mj in basis_monos]
-                   for mi in basis_monos],
+        mul_table=table,
         one_coeffs=nf_coeffs(mono_vec((0,) * t)),
         residue_coeffs=[k.zero] * N,
         generators=[nf_coeffs(mono_vec(tuple(int(j == i) for j in range(t))))

@@ -12,6 +12,7 @@ import defring.local_ring as local_ring
 from defring.errors import InternalInconsistencyError
 from defring.galois import GaloisRing
 from defring.groups import symmetric
+from defring.linalg import LinearMapSolver
 from defring.local_ring import (CapExceededError, FiniteLocalRing, Ideal, Layer,
                                 NonUnitError, NotFiniteAtCapError,
                                 PrecisionExhaustedError, RingConstructionError,
@@ -185,6 +186,19 @@ def test_exact_divide_finite():
         exact_divide(e, R.from_int(2))
 
 
+def test_exact_divide_checks_the_quotient(monkeypatch):
+    # a solver answer off by one in the unity's coordinate does not multiply back
+    R = z4_eps()
+    W = R.base
+    solve = LinearMapSolver.solve
+    monkeypatch.setattr(LinearMapSolver, "solve",
+                        lambda self, b: [W.add(c, W.one) if i == 0 else c
+                                         for i, c in enumerate(solve(self, b))])
+    with pytest.raises(InternalInconsistencyError,
+                       match="exact quotient does not multiply back"):
+        exact_divide(R.generators[0], R.from_int(3))
+
+
 def test_exact_divide_precision_mode():
     pres = _pres(2, [], [])
     R = ring_from_truncated_presentation(pres, 4, mode="precision")
@@ -265,16 +279,36 @@ def test_fingerprint_cap_is_explicit():
     assert fingerprint(R, cap=R.size).size == 16
 
 
-def test_fingerprint_rejects_a_non_nilpotent_kernel():
-    # F_2 x F_2 with reduction onto the first factor, built without the
-    # locality check: m = (e2) is idempotent, so m^i never reaches 0
+def f2_times_f2(validate: bool) -> FiniteLocalRing:
+    # F_2 x F_2 with reduction onto the first factor, a ring map whose kernel
+    # (e2) is idempotent
     W = GaloisRing(2, 1, 1)
     one, zero = W.one, W.zero
-    R = FiniteLocalRing(
+    return FiniteLocalRing(
         base=W, orders=[1, 1],
         mul_table=[[[one, zero], [zero, zero]], [[zero, zero], [zero, one]]],
         one_coeffs=[one, one], residue_coeffs=[one, zero], generators=[],
-        basis_names=["e1", "e2"], validate=False)
+        basis_names=["e1", "e2"], validate=validate)
+
+
+def test_validation_rejects_a_product_of_two_fields():
+    # no monomials, so the spanning set is the basis: e1 - s(1) = e2 and
+    # e2 - s(0) = e2, and e2 is not nilpotent
+    with pytest.raises(RingConstructionError, match="the ring is not local"):
+        f2_times_f2(validate=True)
+
+
+def test_validation_rejects_a_reduction_that_is_not_multiplicative():
+    # F_2[e]/(e^2) with e -> 1: red(e e) = 0 but red(e)^2 = 1
+    R = f2_eps()
+    k = R.residue_field
+    with pytest.raises(RingConstructionError, match="reduction is not multiplicative"):
+        _with_table(R, R.mul_table, residue=[k.one, k.one], validate=True)
+
+
+def test_fingerprint_rejects_a_non_nilpotent_kernel():
+    # built without the locality check, m = (e2) never reaches 0
+    R = f2_times_f2(validate=False)
     message = (r"m\^1 = m\^2 != 0: the kernel of the reduction is not "
                r"nilpotent, so the ring is not local")
     with pytest.raises(InternalInconsistencyError, match=message):
@@ -313,13 +347,19 @@ def test_m_adic_filtration_and_hilbert_sequence(name, sizes, monkeypatch):
         assert all(upper.contains(x) for x in lower.module_basis)
         assert all(lower.contains(x * y) for x in upper.module_basis
                    for y in powers[0].module_basis)
-    # fingerprint reads the same powers: one product per nonzero power
-    calls = []
-    product = Ideal.product
-    monkeypatch.setattr(Ideal, "product",
-                        lambda self, other: calls.append(1) or product(self, other))
+    # each power is one span of the p a and the a g, a over the module basis
+    # of the power before and g over m's t generators after p: t products
+    # per basis element, and no product of ideals
+    t = len(powers[0].generators) - 1
+    monkeypatch.setattr(Ideal, "product", None)
+    assert _count_products(monkeypatch, lambda: m_adic_filtration(R)) == \
+        t * sum(len(I.module_basis) for I in powers[:-1])
+    # fingerprint reads the same powers: one span per nonzero power
+    spans = []
+    span = Ideal._span
+    monkeypatch.setattr(Ideal, "_span", lambda self, *args: spans.append(1) or span(self, *args))
     hilbert = fingerprint(R).hilbert
-    assert len(calls) == len(sizes) - 1
+    assert len(spans) == len(sizes) - 1
     q = R.residue_field.size
     assert [q ** d for d in hilbert[1:]] == [a // b for a, b in zip(sizes, sizes[1:])]
 
@@ -587,7 +627,8 @@ def test_maximal_ideal_enumeration_matches_membership_filter(name):
 def validate_oracle(ring: FiniteLocalRing) -> None:
     """The former `FiniteLocalRing._validate`: torsion, commutativity, unity and
     reduction on all basis pairs, associativity on all basis triples, and
-    locality on the ideal generated by the kernel's generators."""
+    locality as the nilpotency of the module basis of the ideal that the
+    kernel of the reduction generates."""
     W = ring.base
     k = ring.residue_field
     basis = ring.basis
@@ -614,7 +655,7 @@ def validate_oracle(ring: FiniteLocalRing) -> None:
             lhs = k.mul(ring.reduce_element(basis[i]), ring.reduce_element(basis[j]))
             if lhs != ring.reduce_element(basis[i] * basis[j]):
                 raise RingConstructionError("reduction is not multiplicative")
-    for g in ideal_span(ring, maximal_ideal(ring).generators).module_basis:
+    for g in ideal_span(ring, maximal_ideal(ring).module_basis).module_basis:
         if not ring._is_nilpotent(g):
             raise RingConstructionError("kernel of reduction is not nilpotent")
 
@@ -627,12 +668,13 @@ def _verdict(check, ring) -> str:
     return "accepted"
 
 
-def _with_table(R: FiniteLocalRing, table, monos=True) -> FiniteLocalRing:
+def _with_table(R: FiniteLocalRing, table, monos=True, residue=None,
+                validate=False) -> FiniteLocalRing:
     return FiniteLocalRing(
         base=R.base, orders=R.orders, mul_table=table, one_coeffs=R.one.coeffs,
-        residue_coeffs=R.residue_coeffs, generators=[g.coeffs for g in R.generators],
-        basis_names=R.basis_names, basis_monos=R.basis_monos if monos else None,
-        validate=False)
+        residue_coeffs=R.residue_coeffs if residue is None else residue,
+        generators=[g.coeffs for g in R.generators], basis_names=R.basis_names,
+        basis_monos=R.basis_monos if monos else None, validate=validate)
 
 
 @lru_cache(maxsize=None)
@@ -648,26 +690,40 @@ TABLE_RINGS = ["(Z/4)[e]", "(Z/8)[X]/(X^2,2X)", "F2[e]", "F3[e]", "F2[X,Y]/(X^2,
                "sq:(Z/4)[e]", "sq:F3[e]", "sq:Z/8", "sq:GR(4,2)"]
 
 
+def table_ring(name: str) -> FiniteLocalRing:
+    return square_zero_ring(name[3:]) if name.startswith("sq:") else oracle_ring(name)
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(TABLE_RINGS), st.booleans(), st.data())
-def test_light_test_matches_triple_loop_on_perturbed_tables(name, monos, data):
+@given(st.sampled_from(TABLE_RINGS), st.booleans(),
+       st.sampled_from(["table", "residue", "both"]), st.data())
+def test_light_test_matches_triple_loop_on_perturbed_tables(name, monos, moved, data):
     # one structure constant of e_i * e_j and the same of e_j * e_i move by
     # the same nonzero amount, so the table stays commutative and usually
     # stops being associative; i, j > 0 leaves the unity's row alone.  The
     # square-zero extensions carry no monomials, and neither does a table
-    # drawn with monos=False, so Light's test runs over the whole basis there
-    R = square_zero_ring(name[3:]) if name.startswith("sq:") else oracle_ring(name)
+    # drawn with monos=False, so Light's test runs over the whole basis
+    # there.  A moved residue coefficient lambda_l usually makes the
+    # reduction fail to be multiplicative, or the ring fail to be local
+    R = table_ring(name)
     assert _verdict(validate_oracle, R) == _verdict(FiniteLocalRing._validate, R) == "accepted"
     W = R.base
     N = R.N
-    i = data.draw(st.integers(1, N - 1))
-    j = data.draw(st.integers(i, N - 1))
-    k = data.draw(st.integers(0, N - 1))
-    delta = data.draw(st.tuples(*[st.integers(0, W.q - 1)] * W.r).filter(any))
     table = [[list(v) for v in row] for row in R.mul_table]
-    for a, b in {(i, j), (j, i)}:
-        table[a][b][k] = W.add(table[a][b][k], delta)
-    T = _with_table(R, table, monos)
+    if moved != "residue":
+        i = data.draw(st.integers(1, N - 1))
+        j = data.draw(st.integers(i, N - 1))
+        k = data.draw(st.integers(0, N - 1))
+        delta = data.draw(st.tuples(*[st.integers(0, W.q - 1)] * W.r).filter(any))
+        for a, b in {(i, j), (j, i)}:
+            table[a][b][k] = W.add(table[a][b][k], delta)
+    residue = list(R.residue_coeffs)
+    if moved != "table":
+        field = R.residue_field
+        l = data.draw(st.integers(0, N - 1))
+        delta = data.draw(st.tuples(*[st.integers(0, W.p - 1)] * W.r).filter(any))
+        residue[l] = field.add(residue[l], delta)
+    T = _with_table(R, table, monos, residue)
     assert _verdict(FiniteLocalRing._validate, T) == _verdict(validate_oracle, T)
 
 
@@ -771,6 +827,41 @@ def test_fingerprint_rejects_a_filtration_that_skips_a_power(build, monkeypatch)
             fingerprint(R)
 
 
+# -- m-adic powers through the generators, against products of ideals --------
+
+
+def filtration_oracle(ring: FiniteLocalRing):
+    """The powers of m as products of ideals, m^(i+1) = m^i * m."""
+    m = maximal_ideal(ring)
+    powers = [m]
+    while powers[-1].size > 1:
+        powers.append(powers[-1].product(m))
+    return powers
+
+
+def _assert_filtration_matches_oracle(R: FiniteLocalRing) -> None:
+    assert ([[x.coeffs for x in I.module_basis] for I in m_adic_filtration(R)]
+            == [[x.coeffs for x in I.module_basis] for I in filtration_oracle(R)])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RINGS) + [n for n in TABLE_RINGS
+                                                         if n.startswith("sq:")])
+def test_m_adic_filtration_matches_ideal_products(name):
+    # the square-zero extensions carry no monomials, so m's generators after
+    # p are the e_j - s(red e_j) over the whole basis
+    R = table_ring(name)
+    if name.startswith("sq:"):
+        assert R._spanning_generators() == R.basis
+    _assert_filtration_matches_oracle(R)
+
+
+@settings(max_examples=20, deadline=None)
+@given(local_presentations())
+def test_m_adic_filtration_of_random_presentations_matches_ideal_products(pres_m):
+    pres, m = pres_m
+    _assert_filtration_matches_oracle(ring_from_truncated_presentation(pres, m))
+
+
 # -- ideal products from module bases ----------------------------------------
 
 
@@ -789,10 +880,22 @@ def test_ideal_product_matches_ideal_generated_by_products(name, data):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
 def test_maximal_ideal_is_the_ideal_its_generators_generate(name):
+    # the generators are p and the x - s(red x), x over the spanning set
     R = oracle_ring(name)
     m = maximal_ideal(R)
+    assert m.generators[0] == R.from_int(R.base.p)
+    assert len(m.generators) <= 1 + len(R._spanning_generators())
     slow = ideal_span(R, m.generators)
     assert [x.coeffs for x in m.module_basis] == [x.coeffs for x in slow.module_basis]
+
+
+def test_ideal_enumeration_checks_its_count(monkeypatch):
+    # a stream that drops one element is caught by the count against |I|
+    m = maximal_ideal(z4_eps())
+    elements = Ideal.elements
+    monkeypatch.setattr(Ideal, "elements", lambda self: list(elements(self))[1:])
+    with pytest.raises(InternalInconsistencyError, match="ideal enumeration missed elements"):
+        m.enumerate_elements()
 
 
 # -- work ceilings: ring products, which do not depend on the machine ----------
@@ -810,13 +913,20 @@ def _count_products(monkeypatch, fn) -> int:
 
 def test_ring_product_ceilings(monkeypatch):
     # the N^3 table check and the element walk took 10,042 products to build
-    # r_alpha(1), and 18,431 and 42,452 for the two fingerprints
+    # r_alpha(1), and 18,431 and 42,452 for the two fingerprints.  Light's
+    # test over the generators and locality over m's module basis took 419
+    # and 940 (and 1,139 for the second fingerprint), while the powers of m
+    # multiplied by all of m's module basis.  Now the table laws run on flat
+    # integer vectors and locality and the powers run over the t = 2
+    # generators: the build's 16 products are the 4 squarings of each of the
+    # residue search's nilpotency tests, X and then Y, and of the same tests
+    # in the locality check
     build = lambda: ring_from_truncated_presentation(r_alpha_presentation(1, 2), 1)
-    assert _count_products(monkeypatch, build) <= 4000
+    assert _count_products(monkeypatch, build) == 16
     R = build()
-    assert _count_products(monkeypatch, lambda: fingerprint(R)) <= 4000
+    assert _count_products(monkeypatch, lambda: fingerprint(R)) == 620
     Z = z27_cube_root_3()
-    assert _count_products(monkeypatch, lambda: fingerprint(Z)) <= 5000
+    assert _count_products(monkeypatch, lambda: fingerprint(Z)) == 1097
 
 
 def test_matrix_product_ceilings(monkeypatch):
