@@ -647,8 +647,9 @@ def maximal_ideal(ring: FiniteLocalRing) -> Ideal:
         row = [W.zero] * ring.N
         row[j] = W.from_int(W.p)
         rows.append(row)
-    ring._max_ideal = ideal = Ideal.__new__(Ideal)
+    ideal = Ideal.__new__(Ideal)
     ideal._span(ring, [ring.one.scale_int(W.p), *ring._maximal_generators()], rows)
+    ring._max_ideal = ideal
     return ideal
 
 
