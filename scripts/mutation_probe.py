@@ -89,6 +89,14 @@ MUTANTS = (
            "            ring, [a.scale_int(p) for a in basis] + [a * g for a in basis for g in gens])",
            "            ring, [a * g for a in basis for g in gens])",
            ("tests/test_local_ring.py",)),
+    Mutant("_matmul: the final reduction modulo _mods dropped", LOCAL_RING,
+           "        return tuple([v % md for v, md in zip(acc, mods)])",
+           "        return tuple(acc)",
+           ("tests/test_matrices.py",)),
+    Mutant("_matmul: the inner index of the right factor not matched", LOCAL_RING,
+           "            rows = tuple(tuple(((t * n + j) * w + J,",
+           "            rows = tuple(tuple(((i * n + j) * w + J,",
+           ("tests/test_matrices.py",)),
     Mutant("buchberger: chain criterion switched off", "src/defring/polys.py",
            "                live.discard((i, j))",
            "                pass",

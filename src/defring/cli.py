@@ -215,11 +215,12 @@ def _matrix_from(text: str, ring: FiniteLocalRing, n: int, where: str) -> Matrix
 def _residual_from(blocks: Dict[str, Dict[str, str]], group: FiniteGroup,
                    ring: FiniteLocalRing) -> Representation:
     k = ring.residue_ring
-    rep_block = blocks.get("rep")
-    if rep_block is None or rep_block.get("kind", "trivial") == "trivial":
-        n = _int(rep_block or {}, "dimension", 1)
-        return trivial_residual_rep(group, k, n)
+    rep_block = blocks.get("rep") or {}
     n = _int(rep_block, "dimension", 1)
+    if n < 1:
+        raise JobParseError(f"block 'rep' key 'dimension' must be at least 1, not {n}", 0, 0)
+    if rep_block.get("kind", "trivial") == "trivial":
+        return trivial_residual_rep(group, k, n)
     images = []
     for i in range(1, len(group.generators) + 1):
         key = f"gen{i}"

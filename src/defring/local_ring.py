@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DefringError, InternalInconsistencyError
 from .galois import GaloisRing, GRElt
@@ -107,7 +107,7 @@ class RingElement:
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         ring = self.ring
-        return RingElement._canonical(ring, ring._dot(((self.coeffs, other.coeffs),)),
+        return RingElement._canonical(ring, ring._mul(self.coeffs, other.coeffs),
                                       min(self.prec, other.prec))
 
     def __pow__(self, e: int) -> "RingElement":
@@ -232,6 +232,7 @@ class FiniteLocalRing:
         self._moduli = tuple(W.p ** c for c in self.orders)
         self._mods = tuple(pc for pc in self._moduli for _ in range(r))
         self._pair_products: Optional[Tuple[Tuple[Tuple[int, ...], ...], ...]] = None
+        self._matrix_tables: Dict[int, Tuple[tuple, Tuple[int, ...]]] = {}
 
     def _basis_products(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
         """e_i * e_j on the flat coordinates, canonical, for homomorphism
@@ -264,39 +265,61 @@ class FiniteLocalRing:
         """Flat coordinates -> the tuple-of-r-tuples coefficient shape."""
         return tuple(zip(*[iter(flat)] * self.base.r))
 
-    def _dot(self, pairs: Iterable[Tuple[Sequence, Sequence]]) -> Tuple[GRElt, ...]:
-        """Canonical coefficients of sum_k a_k * b_k over canonical vectors:
-        every x * y * s goes into one integer accumulator on the flat
-        coordinates, reduced once per coordinate, so a matrix entry builds no
-        element per term.  For r = 1 a coefficient is a 1-tuple holding its
-        one flat coordinate, so the loop reads the tuples directly; flattening
-        them first, as the general loop does, makes an r = 1 product slower.
-        """
+    def _mul(self, a: Sequence[GRElt], b: Sequence[GRElt]) -> Tuple[GRElt, ...]:
+        """Canonical coefficients of a * b over canonical vectors: every
+        x * y * s into one integer accumulator on the flat coordinates,
+        reduced once per coordinate.  For r = 1 a coefficient is a 1-tuple
+        holding its one flat coordinate, so the loop reads the tuples
+        directly: flattening them first makes an r = 1 product slower."""
         table = self._table
         acc = [0] * len(self._mods)
         if self.base.r == 1:
-            for a, b in pairs:
-                nzb = [(j, y) for j, (y,) in enumerate(b) if y]
-                if nzb:
-                    for i, (x,) in enumerate(a):
-                        if x:
-                            row = table[i]
-                            for j, y in nzb:
-                                xy = x * y
-                                for k, s in row[j]:
-                                    acc[k] += xy * s
+            nzb = [(j, y) for j, (y,) in enumerate(b) if y]
+            for i, (x,) in enumerate(a):
+                if x:
+                    row = table[i]
+                    for j, y in nzb:
+                        xy = x * y
+                        for k, s in row[j]:
+                            acc[k] += xy * s
         else:
-            for a, b in pairs:
-                nzb = [(J, y) for J, y in enumerate(c for t in b for c in t) if y]
-                if nzb:
-                    for I, x in enumerate([c for t in a for c in t]):
-                        if x:
-                            row = table[I]
-                            for J, y in nzb:
-                                xy = x * y
-                                for K, s in row[J]:
-                                    acc[K] += xy * s
+            nzb = [(J, y) for J, y in enumerate(c for t in b for c in t) if y]
+            for I, x in enumerate([c for t in a for c in t]):
+                if x:
+                    row = table[I]
+                    for J, y in nzb:
+                        xy = x * y
+                        for K, s in row[J]:
+                            acc[K] += xy * s
         return self._pack([v % md for v, md in zip(acc, self._mods)])
+
+    def _matmul(self, n: int, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
+        """The canonical product of two n x n matrices, each the flat
+        coordinates of its entries in row-major order: with w = len(`_mods`),
+        left coordinate (i n + t) w + I meets the right coordinates
+        (t n + j) w + J with `_table[I][J]` nonempty, adding into the outputs
+        (i n + j) w + K, as compiled from `_table` once per n.  So a product is
+        one integer multiply-add per structure constant of M_n(R) met by two
+        nonzero coordinates, and one reduction per output coordinate."""
+        compiled = self._matrix_tables.get(n)
+        if compiled is None:
+            table, w = self._table, len(self._mods)
+            rows = tuple(tuple(((t * n + j) * w + J, tuple(((i * n + j) * w + K, s)
+                                                           for K, s in table[I][J]))
+                               for j in range(n) for J in range(w) if table[I][J])
+                         for i in range(n) for t in range(n) for I in range(w))
+            compiled = self._matrix_tables[n] = (rows, self._mods * (n * n))
+        rows, mods = compiled
+        acc = [0] * len(mods)
+        for x, row in zip(a, rows):
+            if x:
+                for J, terms in row:
+                    y = b[J]
+                    if y:
+                        xy = x * y
+                        for K, s in terms:
+                            acc[K] += xy * s
+        return tuple([v % md for v, md in zip(acc, mods)])
 
     # -- element constructors ----------------------------------------------
 
@@ -732,11 +755,12 @@ class Layer:
         self.multiples: List[Dict[GRElt, RingElement]] = [
             {c: ring.unity_lift(c) * b for c in k.elements()} for b in self.basis]
 
-    def coords(self, x: RingElement) -> List[GRElt]:
-        """The k-coordinates of x's class in `basis`; x must lie in upper."""
+    def coords(self, coeffs: Sequence[GRElt]) -> List[GRElt]:
+        """The k-coordinates of the class in `basis` of the element x with
+        these canonical coefficients; x must lie in upper."""
         W = self.ring.base
         zero, sub, mul = W.zero, W.sub, W.mul
-        vec = list(x.coeffs)
+        vec = list(coeffs)
         out = [W.residue_field.zero] * len(self.basis)
         for j in range(len(vec)):
             e = vec[j]
@@ -791,7 +815,7 @@ class RingHom:
         coefficient.  A W_S-coordinate maps to W_T by reduction mod p^{m_T},
         which every target modulus p^{c_k} divides, so integer multiply-adds
         and one reduction per output coordinate give the image, as in
-        `FiniteLocalRing._dot`.
+        `FiniteLocalRing._mul`.
         """
         T = self.target
         if self._rows is None:

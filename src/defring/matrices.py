@@ -1,79 +1,93 @@
 """Square matrices over a FiniteLocalRing.
 
+A matrix is one flat tuple of its entries' flat coordinates (the I = r*i + u
+of `FiniteLocalRing._compile`), row-major and entry-major, plus one precision.
+Products run on the compiled structure constants of M_n(R)
+(`FiniteLocalRing._matmul`); sums, differences, equality, keys and hashes act
+on the tuple, and no `RingElement` is built until `rows` is read.
+
 Invertibility over a local ring is detected on the residue field, so Gaussian
-elimination with unit pivots always succeeds for invertible input.  Matrices
-carry a deterministic flat integer key for canonical orderings.
+elimination with unit pivots always succeeds for invertible input.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from itertools import cycle
+from typing import List, Sequence, Tuple
 
-from .local_ring import FiniteLocalRing, NonUnitError, RingElement
+from .local_ring import FiniteLocalRing, GRElt, NonUnitError, RingElement, _flat
 
 
 class Matrix:
-    """Immutable n x n matrix with RingElement entries."""
+    """Immutable n x n matrix over R, stored as its flat coordinate tuple.
 
-    __slots__ = ("ring", "n", "rows")
+    It carries the least precision of its entries (capped at m), and a sum,
+    difference or product the least of its operands'; `rows` is a view whose
+    entries, built on first read, all carry it.  Entries of one precision, as
+    in every matrix the library builds, lose nothing by this; with mixed ones a
+    lower precision can only make `exact_divide` raise earlier, never answer wrongly.
+    """
+
+    __slots__ = ("ring", "n", "flat", "prec", "_rows")
 
     def __init__(self, ring: FiniteLocalRing, rows: Sequence[Sequence[RingElement]]):
-        self.ring = ring
-        self.n = len(rows)
-        self.rows: Tuple[Tuple[RingElement, ...], ...] = tuple(
-            tuple(row) for row in rows)
-        for row in self.rows:
-            if len(row) != self.n:
-                raise ValueError("matrix must be square")
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix must be square")
+        entries = [a for row in rows for a in row]
+        self.ring, self.n, self._rows = ring, n, None
+        self.flat = tuple([x for a in entries for c in a.coeffs for x in c])
+        self.prec = min([ring.base.m] + [a.prec for a in entries])
 
     @classmethod
-    def _adopt(cls, ring: FiniteLocalRing,
-               rows: Tuple[Tuple[RingElement, ...], ...]) -> "Matrix":
-        """Adopt row tuples whose square shape the caller already knows,
-        without copying or checking them."""
+    def _adopt(cls, ring: FiniteLocalRing, n: int, flat: Tuple[int, ...],
+               prec: int) -> "Matrix":
+        """Adopt a canonical flat tuple of n^2 entries without copying or checking it."""
         out = cls.__new__(cls)
-        out.ring = ring
-        out.n = len(rows)
-        out.rows = rows
+        out.ring, out.n, out.flat, out.prec, out._rows = ring, n, flat, prec, None
         return out
 
     @classmethod
     def identity(cls, ring: FiniteLocalRing, n: int) -> "Matrix":
-        return cls(ring, [[ring.one if i == j else ring.zero for j in range(n)]
-                          for i in range(n)])
+        one, zero = _flat(ring.one), _flat(ring.zero)
+        return cls._adopt(ring, n, tuple([x for i in range(n) for j in range(n)
+                                          for x in (one if i == j else zero)]), ring.base.m)
 
     @classmethod
     def zero(cls, ring: FiniteLocalRing, n: int) -> "Matrix":
-        return cls(ring, [[ring.zero] * n for _ in range(n)])
+        return cls._adopt(ring, n, (0,) * (n * n * len(ring._mods)), ring.base.m)
+
+    def entry_coeffs(self) -> List[Tuple[GRElt, ...]]:
+        """Each entry's canonical coefficients, row-major, with no element built."""
+        w = len(self.ring._mods)
+        return [self.ring._pack(self.flat[u:u + w]) for u in range(0, len(self.flat), w)]
+
+    @property
+    def rows(self) -> Tuple[Tuple[RingElement, ...], ...]:
+        """The entries as `RingElement`s at the matrix's precision, built on first read."""
+        if self._rows is None:
+            n = self.n
+            es = [RingElement._canonical(self.ring, c, self.prec) for c in self.entry_coeffs()]
+            self._rows = tuple([tuple(es[i:i + n]) for i in range(0, n * n, n)])
+        return self._rows
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix._adopt(self.ring, tuple(tuple([a + b for a, b in zip(r1, r2)])
-                                              for r1, r2 in zip(self.rows, other.rows)))
+        return Matrix._adopt(self.ring, self.n, tuple([
+            (x + y) % md for x, y, md in zip(self.flat, other.flat, cycle(self.ring._mods))]),
+            min(self.prec, other.prec))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix._adopt(self.ring, tuple(tuple([a - b for a, b in zip(r1, r2)])
-                                              for r1, r2 in zip(self.rows, other.rows)))
+        return Matrix._adopt(self.ring, self.n, tuple([
+            (x - y) % md for x, y, md in zip(self.flat, other.flat, cycle(self.ring._mods))]),
+            min(self.prec, other.prec))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        """Entry (i, j) is one `_dot` over row i and column j, at the least
-        precision in that row, that column and m, as summing from zero gives."""
-        ring = self.ring
-        m = ring.base.m
-        cols = list(zip(*other.rows))
-        col_precs = [min(m, *[b.prec for b in col]) for col in cols]
-        out = []
-        for row in self.rows:
-            row_prec = min(m, *[a.prec for a in row])
-            out.append(tuple([RingElement._canonical(
-                ring, ring._dot([(a.coeffs, b.coeffs) for a, b in zip(row, col)]),
-                min(row_prec, col_prec)) for col, col_prec in zip(cols, col_precs)]))
-        return Matrix._adopt(ring, tuple(out))
+        return Matrix._adopt(self.ring, self.n,
+                             self.ring._matmul(self.n, self.flat, other.flat),
+                             min(self.prec, other.prec))
 
     def scale(self, c: RingElement) -> "Matrix":
         return Matrix(self.ring, [[c * a for a in row] for row in self.rows])
-
-    def scale_int(self, m: int) -> "Matrix":
-        return Matrix(self.ring, [[a.scale_int(m) for a in row] for row in self.rows])
 
     def transfer(self, target: FiniteLocalRing, fn) -> "Matrix":
         return Matrix(target, [[fn(a) for a in row] for row in self.rows])
@@ -112,21 +126,22 @@ class Matrix:
         return Matrix(ring, b)
 
     def agrees_at(self, other: "Matrix", prec: int) -> bool:
-        return all(a.agrees_at(b, prec)
-                   for r1, r2 in zip(self.rows, other.rows)
-                   for a, b in zip(r1, r2))
+        """Coordinate-wise congruence modulo p^prec."""
+        pk = self.ring.base.p ** prec
+        return all((x - y) % pk == 0 for x, y in zip(self.flat, other.flat))
 
     def key(self) -> Tuple[int, ...]:
-        return tuple(x for row in self.rows for a in row for x in a.key())
+        return self.flat
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.ring is other.ring
-                and self.rows == other.rows)
+                and self.flat == other.flat)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.flat)
 
     def __repr__(self):
         body = "; ".join(", ".join(self.ring.describe_element(a) for a in row)
                          for row in self.rows)
         return f"[{body}]"
+

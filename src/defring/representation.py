@@ -19,7 +19,7 @@ precision and therefore requires a precision-model ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import cycle, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError
@@ -28,7 +28,7 @@ from .galois import GRElt
 from .linalg import HowellForm, LinearMapSolver
 from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, CapExceededError,
                          FiniteLocalRing, Ideal, RingElement, RingHom,
-                         RingSurjection, exact_divide, m_adic_layers,
+                         RingSurjection, _flat, exact_divide, m_adic_layers,
                          maximal_ideal, quotient_ring,
                          ring_from_truncated_presentation, scale_ideal)
 from .matrices import Matrix
@@ -161,12 +161,6 @@ def kernel_group(ring: FiniteLocalRing, n: int,
             for combo in product(maximal_ideal(ring).enumerate_elements(), repeat=n * n)]
 
 
-def _section_matrix(ring: FiniteLocalRing, Mbar: Matrix) -> Matrix:
-    """Entrywise unity-lift of a residue-ring matrix into R."""
-    return Matrix(ring, [[ring.unity_lift(e.coeffs[0]) for e in row]
-                         for row in Mbar.rows])
-
-
 def _span(W, gens: Sequence[List[GRElt]], size: int) -> List[List[GRElt]]:
     """Every W-linear combination of gens, vectors of the given length, W a field."""
     out = [[W.zero] * size]
@@ -215,28 +209,32 @@ def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
     solver = LinearMapSolver(k, [[row[u] for row in rows] for u in range(D)], len(rows))
     cocycles = _span(k, solver.kernel_generators(), D)
     one = Matrix.identity(ring, n)
-    partial = [[_section_matrix(ring, rhobar.matrix(g)) for g in G.generators]]
+    size = len(one.flat)
+    # the entrywise unity lifts of rhobar's generator images
+    partial = [[rhobar.matrix(g).transfer(ring, lambda e: ring.unity_lift(e.coeffs[0]))
+                for g in G.generators]]
     for layer in m_adic_layers(ring):
+        flat_multiples = [{c: _flat(e) for c, e in ms.items()} for ms in layer.multiples]
         lifted = []
         for gens in partial:
             # per equation, the d coordinates of the defect entry
-            delta = [layer.coords(e) for M in _edge_defects(G, one, gens)
-                     for row in M.rows for e in row]
+            delta = [layer.coords(c) for M in _edge_defects(G, one, gens)
+                     for c in M.entry_coeffs()]
             options = []
-            for j, multiples in enumerate(layer.multiples):
+            for j, multiples in enumerate(flat_multiples):
                 x = solver.solve([k.neg(c[j]) for c in delta])
                 if x is None:
                     break
-                # the entries s(x_j[u]) b_j of each solution x_j = x + z, z in Z^1
-                options.append([[multiples[k.add(a, c)] for a, c in zip(x, z)]
+                # the flat coordinates of the entries s(x_j[u]) b_j of each
+                # solution x_j = x + z, z in Z^1, generator-major and row-major
+                options.append([[v for a, c in zip(x, z) for v in multiples[k.add(a, c)]]
                                 for z in cocycles])
             else:
                 for choice in product(*options):
-                    # entry u of X, generator-major and row-major, is sum_j s(x_j[u]) b_j
-                    X = [sum(entries[1:], entries[0]) for entries in zip(*choice)]
-                    lifted.append([M + Matrix(ring, [X[u:u + n] for u in
-                                                     range(gi * nn, (gi + 1) * nn, n)])
-                                   for gi, M in enumerate(gens)])
+                    # entry u of X is sum_j s(x_j[u]) b_j
+                    X = [sum(t) % md for t, md in zip(zip(*choice), cycle(ring._mods))]
+                    lifted.append([M + Matrix._adopt(ring, n, tuple(X[u:u + size]), M.prec)
+                                   for M, u in zip(gens, range(0, len(X), size))])
         partial = lifted
     lifts = []
     for gens in partial:
@@ -261,7 +259,7 @@ def _conjugation_form(ring: FiniteLocalRing, n: int, gens1: Sequence[Matrix],
     is zero span the kernel V of phi.  As phi(beta E_ij)_st = [t = j] beta a_si
     - [s = i] beta b_jt, each beta costs one product per distinct entry."""
     W, N, nn = ring.base, ring.N, n * n
-    pairs = list(zip(gens1, gens2))
+    pairs = [(a.rows, b.rows) for a, b in zip(gens1, gens2)]
     ni = len(pairs) * nn * N
     blank = [(W.zero,) * N] * nn
     rows = []
@@ -274,9 +272,9 @@ def _conjugation_form(ring: FiniteLocalRing, n: int, gens1: Sequence[Matrix],
             for a, b in pairs:
                 block = blank[:]
                 for t in range(n):
-                    block[t * n + j] = times[a.rows[t][i]].coeffs
-                    block[i * n + t] = minus[b.rows[j][t]].coeffs
-                block[i * n + j] = (times[a.rows[i][i]] + minus[b.rows[j][j]]).coeffs
+                    block[t * n + j] = times[a[t][i]].coeffs
+                    block[i * n + t] = minus[b[j][t]].coeffs
+                block[i * n + j] = (times[a[i][i]] + minus[b[j][j]]).coeffs
                 row.extend(c for e in block for c in e)
             y = blank[:]
             y[i * n + j] = beta.coeffs
@@ -299,8 +297,8 @@ def kernel_conjugator(ring: FiniteLocalRing, n: int, gens1: Sequence[Matrix],
     _kernel_group_order(ring, n, cap)
     form, ni = _conjugation_form(ring, n, gens1, gens2)
     zero, N = ring.base.zero, ring.N
-    red = form.reduce([c for a, b in zip(gens1, gens2) for row in (a - b).rows
-                       for x in row for c in x.coeffs] + [zero] * (n * n * N))
+    red = form.reduce([c for a, b in zip(gens1, gens2) for e in (a - b).entry_coeffs()
+                       for c in e] + [zero] * (n * n * N))
     if any(e != zero for e in red[:ni]):
         return None
     K = Matrix.identity(ring, n) + Matrix(ring, [

@@ -201,6 +201,20 @@ def test_main_error_path_returns_1(tmp_path, capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("dimension", [0, -1])
+@pytest.mark.parametrize("command, text", [
+    ("defcount", DEFCOUNT_JOB), ("tangent", DEFCOUNT_JOB), ("maranda-check", MARANDA_JOB)],
+    ids=["defcount", "tangent", "maranda-check"])
+def test_rep_dimension_below_one_is_a_parse_error(tmp_path, capsys, command, text,
+                                                  dimension):
+    job = tmp_path / "job.txt"
+    job.write_text(f"{text}rep {{\n  dimension = {dimension}\n}}\n")
+    assert main([command, str(job), "--no-cache"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"].endswith(
+        f"block 'rep' key 'dimension' must be at least 1, not {dimension}")
+
 def test_determinism_across_hashseeds(tmp_path):
     """Byte-identical reports under different PYTHONHASHSEED values."""
     job = tmp_path / "job.txt"

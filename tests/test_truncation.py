@@ -212,7 +212,7 @@ def _check_layer(upper, lower, draw):
         x = x + _element(R, draw) * g
     for cj, mult in zip(c, layer.multiples):
         x = x + mult[cj]
-    assert layer.coords(x) == c
+    assert layer.coords(x.coeffs) == c
 
 
 @settings(max_examples=120, deadline=None)
