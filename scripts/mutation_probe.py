@@ -56,8 +56,8 @@ MUTANTS = (
            "        if False:",
            ("tests/test_local_ring.py",)),
     Mutant("layer: coordinates below the pivot's valuation accepted", LOCAL_RING,
-           "                q = W.divide_by_p_power(e, v)",
-           "                q = tuple(c // W.p ** v for c in e)",
+           "            if reducer is None or any(c % reducer[0] for c in e):",
+           "            if reducer is None:",
            ("tests/test_lift_oracles.py",)),
     Mutant("enumerate_lifts: final Cayley-edge check deleted", REPRESENTATION,
            "        if fail is not None:\n            raise InternalInconsistencyError("
@@ -97,6 +97,14 @@ MUTANTS = (
            "            rows = tuple(tuple(((t * n + j) * w + J,",
            "            rows = tuple(tuple(((i * n + j) * w + J,",
            ("tests/test_matrices.py",)),
+    Mutant("RingElement.__add__: the reduction modulo _mods dropped", LOCAL_RING,
+           "            (x + y) % md for x, y, md in zip(self.flat, other.flat, self.ring._mods)]),",
+           "            x + y for x, y, md in zip(self.flat, other.flat, self.ring._mods)]),",
+           ("tests/test_flat_elements.py",)),
+    Mutant("fingerprint: the walk's x^(e+1) check skipped", LOCAL_RING,
+           "            if not (y * x).is_zero():",
+           "            if False:",
+           ("tests/test_local_ring.py",)),
     Mutant("buchberger: chain criterion switched off", "src/defring/polys.py",
            "                live.discard((i, j))",
            "                pass",

@@ -166,10 +166,18 @@ def _check_consistent_p(blocks: Dict[str, Dict[str, str]]) -> None:
             f"inconsistent primes across blocks: {ps}", 0, 0)
 
 
-def _presentation_from(block: Dict[str, str]) -> IntegerPolynomialPresentation:
+def _presentation_from(blocks: Dict[str, Dict[str, str]],
+                       name: str) -> IntegerPolynomialPresentation:
+    block = _require(blocks, name)
     p = _int(block, "p")
     r = _int(block, "r", 1)
     names = [v.strip() for v in block.get("vars", "").split(",") if v.strip()]
+    for i, v in enumerate(names):
+        # one variable token of `parse_poly`: a letter or _, then letters, digits or _
+        if not ((v[0].isalpha() or v[0] == "_") and all(c.isalnum() or c == "_" for c in v)):
+            raise JobParseError(f"block {name!r} key 'vars': {v!r} is not a variable name", 0, 0)
+        if v in names[:i]:
+            raise JobParseError(f"block {name!r} key 'vars': variable {v!r} is repeated", 0, 0)
     rel_texts = [s.strip() for s in block.get("relations", "").split(";")
                  if s.strip()]
     try:
@@ -178,11 +186,13 @@ def _presentation_from(block: Dict[str, str]) -> IntegerPolynomialPresentation:
         raise JobParseError(f"bad relation: {exc}", 0, 0) from None
 
 
-def _ring_from(block: Dict[str, str], spec: JobSpec) -> FiniteLocalRing:
+def _ring_from(blocks: Dict[str, Dict[str, str]], name: str,
+               spec: JobSpec) -> FiniteLocalRing:
+    block = _require(blocks, name)
     m = spec.precision if spec.precision is not None \
         else _int(block, "precision", 4)
     return ring_from_truncated_presentation(
-        _presentation_from(block), m, mode=block.get("mode", "finite"),
+        _presentation_from(blocks, name), m, mode=block.get("mode", "finite"),
         degree_cap=spec.degree_cap)
 
 
@@ -271,7 +281,7 @@ def run_job(spec: JobSpec) -> Tuple[Dict, int]:
     cmd = spec.command
 
     if cmd == "etale-check":
-        pres = _presentation_from(_require(blocks, "presentation"))
+        pres = _presentation_from(blocks, "presentation")
         rep = etale_check(pres)
         code = 0 if rep.verdict == "PASS" else 2
         return _report(spec, "the rational fiber is a finite etale algebra "
@@ -279,13 +289,13 @@ def run_job(spec: JobSpec) -> Tuple[Dict, int]:
                        rep.as_dict()), code
 
     if cmd == "necessary-condition":
-        pres = _presentation_from(_require(blocks, "presentation"))
+        pres = _presentation_from(blocks, "presentation")
         verdict = necessary_condition(pres)
         code = 0 if verdict.report.verdict == "PASS" else 2
         return _report(spec, verdict.claim, verdict.as_dict()), code
 
     if cmd == "defcount":
-        ring = _ring_from(_require(blocks, "ring"), spec)
+        ring = _ring_from(blocks, "ring", spec)
         group = _group_from(_require(blocks, "group"))
         rhobar = _residual_from(blocks, group, ring)
         ds = def_set(rhobar, ring, spec.cap_maps, spec.cap_elements)
@@ -297,7 +307,7 @@ def run_job(spec: JobSpec) -> Tuple[Dict, int]:
             "class_count": ds.class_count,
             "orbit_sizes": ds.orbit_sizes,
             "representatives": [
-                [[[int(x) for x in e.coeffs[0]] for e in row]
+                [[list(e.flat) for e in row]
                  for row in l.rep.gen_matrices[0].rows]
                 if ring.N == 1 else
                 [[ring.describe_element(e) for e in row]
@@ -308,7 +318,7 @@ def run_job(spec: JobSpec) -> Tuple[Dict, int]:
                              "orbits of lifts", result), 0
 
     if cmd == "tangent":
-        ring = _ring_from(_require(blocks, "ring"), spec)
+        ring = _ring_from(blocks, "ring", spec)
         group = _group_from(_require(blocks, "group"))
         rhobar = _residual_from(blocks, group, ring)
         t = tangent_dimension(rhobar)
@@ -323,7 +333,7 @@ def run_job(spec: JobSpec) -> Tuple[Dict, int]:
                              "dimension t", result), 0
 
     if cmd == "maranda-check":
-        ring = _ring_from(_require(blocks, "ring"), spec)
+        ring = _ring_from(blocks, "ring", spec)
         group = _group_from(_require(blocks, "group"))
         rhobar = _residual_from(blocks, group, ring)
         l1 = _lift_from(blocks, "lift1", rhobar, ring)
@@ -344,7 +354,7 @@ def run_job(spec: JobSpec) -> Tuple[Dict, int]:
                              "equivalence over R/(|G| m)", result), 0
 
     if cmd == "order-bound":
-        pres = _presentation_from(_require(blocks, "presentation"))
+        pres = _presentation_from(blocks, "presentation")
         maps = _require(blocks, "maps")
         f1_text, f2_text = _key(maps, "f1"), _key(maps, "f2")
         try:
@@ -358,8 +368,8 @@ def run_job(spec: JobSpec) -> Tuple[Dict, int]:
         return _report(spec, res.claim, res.as_dict()), 0
 
     if cmd == "hom-count":
-        src = _ring_from(_require(blocks, "source"), spec)
-        tgt = _ring_from(_require(blocks, "target"), spec)
+        src = _ring_from(blocks, "source", spec)
+        tgt = _ring_from(blocks, "target", spec)
         homs = hom_enumerate(src, tgt, spec.cap_maps)
         result = {
             "source": src.label,
@@ -372,14 +382,14 @@ def run_job(spec: JobSpec) -> Tuple[Dict, int]:
                              "exhaustively", result), 0
 
     if cmd == "fingerprint":
-        ring = _ring_from(_require(blocks, "ring"), spec)
+        ring = _ring_from(blocks, "ring", spec)
         fp = fingerprint(ring, spec.cap_elements)
         result = {"ring": ring.label, **fp.as_dict()}
         return _report(spec, "unequal fingerprints certify non-isomorphism",
                        result), 0
 
     if cmd == "w-check":
-        pres = _presentation_from(_require(blocks, "presentation"))
+        pres = _presentation_from(blocks, "presentation")
         precision = spec.precision if spec.precision is not None else 4
         rep = w_membership_check(pres, precision, spec.degree_cap)
         code = 0

@@ -6,6 +6,11 @@ reduction map onto the residue field, and designated algebra generators.  This
 uniform shape makes ideals, quotients, enumeration and homomorphism search all
 plain linear algebra over the chain ring W.
 
+An element is one flat integer tuple (`RingElement.flat`, coordinate r*i + u on
+Y^u e_i, reduced mod p^{c_i} by `FiniteLocalRing._canon`, the one
+canonicalisation); its per-basis coefficients in W are a view for the
+renderers and the Howell forms (`RingElement.coefficients`).
+
 Two modes, fixed when a ring is built:
   * "finite": an honest finite ring; everything is exact.
   * "precision": the ring models a characteristic-zero local ring at working
@@ -67,23 +72,27 @@ class RingConstructionError(ValueError):
 
 
 class RingElement:
-    """Element of a FiniteLocalRing: canonical coefficient vector, optional precision."""
+    """Element of a FiniteLocalRing: a flat tuple of canonical integer
+    coordinates and a precision.  `flat[r*i + u]` is the coordinate on Y^u e_i,
+    reduced mod `ring._mods[r*i + u]` = p^{c_i} (the layout of `_table` and
+    `Matrix.flat`); `coefficients()` is the per-basis view in W.
+    """
 
-    __slots__ = ("ring", "coeffs", "prec")
+    __slots__ = ("ring", "flat", "prec")
 
-    def __init__(self, ring: "FiniteLocalRing", coeffs: Sequence[GRElt],
+    def __init__(self, ring: "FiniteLocalRing", flat: Sequence[int],
                  prec: Optional[int] = None):
         self.ring = ring
-        self.coeffs: Tuple[GRElt, ...] = ring._canon(coeffs)
+        self.flat: Tuple[int, ...] = ring._canon(flat)
         self.prec = ring.base.m if prec is None else prec
 
     @classmethod
-    def _canonical(cls, ring: "FiniteLocalRing", coeffs: Tuple[GRElt, ...],
+    def _canonical(cls, ring: "FiniteLocalRing", flat: Tuple[int, ...],
                    prec: int) -> "RingElement":
-        """Wrap coefficients that are already canonical, skipping `_canon`."""
+        """Wrap coordinates that are already canonical, skipping `_canon`."""
         x = cls.__new__(cls)
         x.ring = ring
-        x.coeffs = coeffs
+        x.flat = flat
         x.prec = prec
         return x
 
@@ -92,14 +101,12 @@ class RingElement:
 
     def __add__(self, other: "RingElement") -> "RingElement":
         return RingElement._canonical(self.ring, tuple([
-            tuple([(x + y) % pc for x, y in zip(a, b)])
-            for a, b, pc in zip(self.coeffs, other.coeffs, self.ring._moduli)]),
+            (x + y) % md for x, y, md in zip(self.flat, other.flat, self.ring._mods)]),
             min(self.prec, other.prec))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         return RingElement._canonical(self.ring, tuple([
-            tuple([(x - y) % pc for x, y in zip(a, b)])
-            for a, b, pc in zip(self.coeffs, other.coeffs, self.ring._moduli)]),
+            (x - y) % md for x, y, md in zip(self.flat, other.flat, self.ring._mods)]),
             min(self.prec, other.prec))
 
     def __neg__(self) -> "RingElement":
@@ -107,7 +114,7 @@ class RingElement:
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         ring = self.ring
-        return RingElement._canonical(ring, ring._mul(self.coeffs, other.coeffs),
+        return RingElement._canonical(ring, ring._mul(self.flat, other.flat),
                                       min(self.prec, other.prec))
 
     def __pow__(self, e: int) -> "RingElement":
@@ -127,39 +134,37 @@ class RingElement:
 
     def scale_int(self, n: int) -> "RingElement":
         return RingElement._canonical(self.ring, tuple([
-            tuple([(n * x) % pc for x in a])
-            for a, pc in zip(self.coeffs, self.ring._moduli)]), self.prec)
+            (n * x) % md for x, md in zip(self.flat, self.ring._mods)]), self.prec)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RingElement) and self.ring is other.ring
-                and self.coeffs == other.coeffs)
+                and self.flat == other.flat)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.flat)
 
     def agrees_at(self, other: "RingElement", prec: int) -> bool:
-        """Coefficient-wise congruence modulo p^prec."""
+        """Coordinate-wise congruence modulo p^prec."""
         pk = self.ring.base.p ** prec
-        return all(tuple(x % pk for x in a) == tuple(y % pk for y in b)
-                   for a, b in zip(self.coeffs, other.coeffs))
+        return all((x - y) % pk == 0 for x, y in zip(self.flat, other.flat))
 
     def is_zero(self) -> bool:
-        return all(a == self.ring.base.zero for a in self.coeffs)
+        return not any(self.flat)
 
     def is_unit(self) -> bool:
-        return self.ring.reduce_element(self) != self.ring.base.residue_field.zero
+        return any(self.ring._residue(self.flat))
 
     def key(self) -> Tuple[int, ...]:
-        """Deterministic flat integer key (coefficient-vector lexicographic order)."""
-        return tuple(x for c in self.coeffs for x in c)
+        """Deterministic flat integer key (coordinate-vector lexicographic order)."""
+        return self.flat
+
+    def coefficients(self) -> List[GRElt]:
+        """The N per-basis coefficients, each an element of W, in a new list."""
+        r, flat = self.ring.base.r, self.flat
+        return [flat[u:u + r] for u in range(0, len(flat), r)]
 
     def __repr__(self):
         return f"<{self.ring.describe_element(self)}>"
-
-
-def _flat(x: RingElement) -> List[int]:
-    """x's coefficients on the flat coordinates I = r*i + u."""
-    return [c for a in x.coeffs for c in a]
 
 
 class FiniteLocalRing:
@@ -179,7 +184,6 @@ class FiniteLocalRing:
         self.N = len(orders)
         self.orders = tuple(orders)
         self.mul_table = tuple(tuple(tuple(v) for v in row) for row in mul_table)
-        self.residue_coeffs = tuple(residue_coeffs)
         self.basis_names = tuple(basis_names)
         self.basis_monos = tuple(basis_monos) if basis_monos is not None else None
         self.label = label or f"ring(N={self.N}, base={base!r})"
@@ -192,10 +196,11 @@ class FiniteLocalRing:
                 "(p-torsion detected in the basis)")
         self.mode = mode
         self._compile()
-        self.one = RingElement(self, one_coeffs)
-        self.zero = RingElement(self, [base.zero] * self.N)
+        self._set_residue(residue_coeffs)
+        self.one = self.element(one_coeffs)
+        self.zero = RingElement._canonical(self, (0,) * len(self._mods), base.m)
         self.generators: Tuple[RingElement, ...] = tuple(
-            RingElement(self, g) for g in generators)
+            self.element(g) for g in generators)
         self._max_ideal: Optional[Ideal] = None
         self._layers: Optional[List[Layer]] = None
         self._residue_ring: Optional[FiniteLocalRing] = None
@@ -204,18 +209,19 @@ class FiniteLocalRing:
 
     # -- canonicalization and arithmetic kernels ---------------------------
 
-    def _canon(self, coeffs: Sequence[GRElt]) -> Tuple[GRElt, ...]:
-        return tuple([tuple([x % pc for x in a]) for a, pc in zip(coeffs, self._moduli)])
+    def _canon(self, flat: Sequence[int]) -> Tuple[int, ...]:
+        """Flat coordinates reduced modulo `_mods`: the canonical form of an element."""
+        return tuple([x % md for x, md in zip(flat, self._mods)])
 
     def _compile(self) -> None:
         """Sparse structure constants over Z on the flat coordinates I = r*i + u
         (the module generator Y^u e_i): `_table[I][J]` lists the (K, s) with
         s != 0 and Y^u e_i * Y^v e_j = sum s * Y^w e_k, K = r*k + w.  A product
         is then integer multiply-adds, reduced once per output coordinate
-        modulo `_mods[K]` = p^{c_k}; `_moduli[k]` = p^{c_k} per basis vector."""
+        modulo `_mods[K]` = p^{c_k}; `_monos[u]` is Y^u in W."""
         W = self.base
         r = W.r
-        monos = [tuple(int(t == u) for t in range(r)) for u in range(r)]
+        monos = self._monos = [tuple(int(t == u) for t in range(r)) for u in range(r)]
         n = self.N * r
         table = [[[] for _ in range(n)] for _ in range(n)]
         for i, row in enumerate(self.mul_table):
@@ -229,8 +235,7 @@ class FiniteLocalRing:
                             table[r * i + u][r * j + v].extend(
                                 (r * k + w, c) for w, c in enumerate(t) if c)
         self._table = tuple(tuple(tuple(e) for e in row) for row in table)
-        self._moduli = tuple(W.p ** c for c in self.orders)
-        self._mods = tuple(pc for pc in self._moduli for _ in range(r))
+        self._mods = tuple(W.p ** c for c in self.orders for _ in range(r))
         self._pair_products: Optional[Tuple[Tuple[Tuple[int, ...], ...], ...]] = None
         self._matrix_tables: Dict[int, Tuple[tuple, Tuple[int, ...]]] = {}
 
@@ -261,37 +266,19 @@ class FiniteLocalRing:
                     acc[K] += c * s
         return tuple([v % md for v, md in zip(acc, self._mods)])
 
-    def _pack(self, flat: Sequence[int]) -> Tuple[GRElt, ...]:
-        """Flat coordinates -> the tuple-of-r-tuples coefficient shape."""
-        return tuple(zip(*[iter(flat)] * self.base.r))
-
-    def _mul(self, a: Sequence[GRElt], b: Sequence[GRElt]) -> Tuple[GRElt, ...]:
-        """Canonical coefficients of a * b over canonical vectors: every
-        x * y * s into one integer accumulator on the flat coordinates,
-        reduced once per coordinate.  For r = 1 a coefficient is a 1-tuple
-        holding its one flat coordinate, so the loop reads the tuples
-        directly: flattening them first makes an r = 1 product slower."""
-        table = self._table
+    def _mul(self, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
+        """The canonical flat coordinates of a * b, for a and b canonical:
+        every x * y * s into one integer accumulator, reduced once per
+        coordinate."""
         acc = [0] * len(self._mods)
-        if self.base.r == 1:
-            nzb = [(j, y) for j, (y,) in enumerate(b) if y]
-            for i, (x,) in enumerate(a):
-                if x:
-                    row = table[i]
-                    for j, y in nzb:
-                        xy = x * y
-                        for k, s in row[j]:
-                            acc[k] += xy * s
-        else:
-            nzb = [(J, y) for J, y in enumerate(c for t in b for c in t) if y]
-            for I, x in enumerate([c for t in a for c in t]):
-                if x:
-                    row = table[I]
-                    for J, y in nzb:
-                        xy = x * y
-                        for K, s in row[J]:
-                            acc[K] += xy * s
-        return self._pack([v % md for v, md in zip(acc, self._mods)])
+        nzb = [(J, y) for J, y in enumerate(b) if y]
+        for row, x in zip(self._table, a):
+            if x:
+                for J, y in nzb:
+                    xy = x * y
+                    for K, s in row[J]:
+                        acc[K] += xy * s
+        return tuple([v % md for v, md in zip(acc, self._mods)])
 
     def _matmul(self, n: int, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
         """The canonical product of two n x n matrices, each the flat
@@ -324,19 +311,18 @@ class FiniteLocalRing:
     # -- element constructors ----------------------------------------------
 
     def element(self, coeffs: Sequence[GRElt], prec: Optional[int] = None) -> RingElement:
-        return RingElement(self, coeffs, prec)
+        """The element with these N per-basis coefficients in W."""
+        return RingElement(self, [c for a in coeffs for c in a], prec)
 
     def from_base(self, c: GRElt, prec: Optional[int] = None) -> RingElement:
         W = self.base
-        return RingElement(self, [W.mul(c, x) for x in self.one.coeffs], prec)
+        return self.element([W.mul(c, x) for x in self.one.coefficients()], prec)
 
     def from_int(self, n: int, prec: Optional[int] = None) -> RingElement:
         return self.from_base(self.base.from_int(n), prec)
 
     def basis_element(self, j: int) -> RingElement:
-        coeffs = [self.base.zero] * self.N
-        coeffs[j] = self.base.one
-        return RingElement(self, coeffs)
+        return RingElement(self, self._unit(j))
 
     @property
     def basis(self) -> List[RingElement]:
@@ -359,14 +345,22 @@ class FiniteLocalRing:
                     self.base.p, 1, self.base.r, self.base.h)
         return self._residue_ring
 
+    def _set_residue(self, residue_coeffs: Sequence[GRElt]) -> None:
+        """The residue map e_j -> lambda_j, and `_functional`, its k-linear
+        functional on the flat coordinates: Y^u e_j -> Y^u lambda_j."""
+        k = self.residue_field
+        self.residue_coeffs = tuple(residue_coeffs)
+        self._functional = tuple(k.mul(mono, lam) for lam in self.residue_coeffs
+                                 for mono in self._monos)
+
+    def _residue(self, flat: Sequence[int]) -> GRElt:
+        """The reduction to F_{p^r} of the element with these flat coordinates."""
+        p, fs = self.base.p, self._functional
+        return tuple([sum(c * f[t] for c, f in zip(flat, fs)) % p for t in range(self.base.r)])
+
     def reduce_element(self, x: RingElement) -> GRElt:
         """Reduction to the residue field F_{p^r}."""
-        k = self.residue_field
-        W = self.base
-        out = k.zero
-        for a, lam in zip(x.coeffs, self.residue_coeffs):
-            out = k.add(out, k.mul(W.reduce(a), lam))
-        return out
+        return self._residue(x.flat)
 
     def unity_lift(self, c: GRElt) -> RingElement:
         """Canonical section of the reduction: c times the unity."""
@@ -379,7 +373,7 @@ class FiniteLocalRing:
         x's precision."""
         if not x.is_unit():
             raise NonUnitError(f"{self.describe_element(x)} is not a unit")
-        return self.element(_mult_map_solver(x).solve(self.one.coeffs), x.prec)
+        return self.element(_mult_map_solver(x).solve(self.one.coefficients()), x.prec)
 
     # -- enumeration ---------------------------------------------------------
 
@@ -389,16 +383,9 @@ class FiniteLocalRing:
             raise CapExceededError(
                 f"ring has {self.size} elements, above the cap {cap}",
                 cap="cap_elements", needed=self.size, limit=cap)
-        p, r = self.base.p, self.base.r
-        ranges = []
-        for c in self.orders:
-            pc = p ** c
-            ranges.extend([range(pc)] * r)
-        out = []
-        for flat in product(*ranges):
-            coeffs = [tuple(flat[j * r:(j + 1) * r]) for j in range(self.N)]
-            out.append(RingElement(self, coeffs))
-        return out
+        m = self.base.m
+        return [RingElement._canonical(self, flat, m)
+                for flat in product(*[range(md) for md in self._mods])]
 
     # -- validation ----------------------------------------------------------
 
@@ -419,16 +406,15 @@ class FiniteLocalRing:
         are, by the same argument, a W-submodule closed under products, so
         the reduction is tested on S times the basis only.  These laws run
         on the flat integer vectors of `_times_basis`, and the reduction is
-        the k-linear functional sending Y^u e_j to Y^u lambda_j.
+        `_residue`, the k-linear functional sending Y^u e_j to Y^u lambda_j.
 
         Locality: m = ker(red) is then the ideal generated by p and the
         `_maximal_generators`, and an ideal generated by nilpotents is nil,
         so R is local with residue field k once those t elements (t = |S|)
         are nilpotent.
         """
-        W = self.base
         k = self.residue_field
-        p, r, N = W.p, W.r, self.N
+        p, N = self.base.p, self.N
         mods = self._mods
         pairs = self._basis_products()
         for i in range(N):
@@ -441,32 +427,21 @@ class FiniteLocalRing:
             for j in range(i + 1, N):
                 if pairs[i][j] != pairs[j][i]:
                     raise RingConstructionError(f"multiplication not commutative at ({i},{j})")
-        one = _flat(self.one)
+        one = self.one.flat
         if any(self._times_basis(one, j) != self._unit(j) for j in range(N)):
             raise RingConstructionError("unity fails on basis")
-        monos = [tuple(int(t == u) for t in range(r)) for u in range(r)]
-        functional = [k.mul(mono, lam) for lam in self.residue_coeffs for mono in monos]
-
-        def red(x: Sequence[int]) -> GRElt:
-            acc = [0] * r
-            for c, f in zip(x, functional):
-                if c:
-                    for t in range(r):
-                        acc[t] += c * f[t]
-            return tuple([v % p for v in acc])
-
+        red = self._residue
         if red(one) != k.one:
             raise RingConstructionError("reduction does not send 1 to 1")
         for g in self._spanning_generators():
-            gf = _flat(g)
-            ge = [self._times_basis(gf, i) for i in range(N)]
+            ge = [self._times_basis(g.flat, i) for i in range(N)]
             for i in range(N):
                 for j in range(i + 1, N):
                     if self._times_basis(ge[i], j) != self._times_basis(ge[j], i):
                         raise RingConstructionError(
                             f"multiplication not associative: (g e_{i}) e_{j} != "
                             f"(g e_{j}) e_{i} for g = {self.describe_element(g)}")
-            rg = red(gf)
+            rg = red(g.flat)
             if any(red(x) != k.mul(rg, lam) for x, lam in zip(ge, self.residue_coeffs)):
                 raise RingConstructionError("reduction is not multiplicative")
         for x in self._maximal_generators():
@@ -489,10 +464,9 @@ class FiniteLocalRing:
         if monos is None or any(len(mo) != len(self.generators) for mo in monos):
             return self.basis
         index = {mo: i for i, mo in enumerate(monos)}
-        gens = [_flat(g) for g in self.generators]
         for j, mo in enumerate(monos):
             if not any(mo):
-                if tuple(_flat(self.one)) != self._unit(j):
+                if self.one.flat != self._unit(j):
                     return self.basis
                 continue
             for v, e in enumerate(mo):
@@ -501,7 +475,7 @@ class FiniteLocalRing:
                     break
             else:
                 return self.basis
-            if self._times_basis(gens[v], prev) != self._unit(j):
+            if self._times_basis(self.generators[v].flat, prev) != self._unit(j):
                 return self.basis
         return list(self.generators)
 
@@ -534,7 +508,7 @@ class FiniteLocalRing:
     def describe_element(self, x: RingElement) -> str:
         W = self.base
         parts = []
-        for a, name in zip(x.coeffs, self.basis_names):
+        for a, name in zip(x.coefficients(), self.basis_names):
             if a == W.zero:
                 continue
             if W.r == 1:
@@ -557,13 +531,14 @@ class Ideal:
     def __init__(self, ring: FiniteLocalRing, generators: Sequence[RingElement]):
         """The ideal generated by `generators`: the W-span of the e_i * g."""
         basis = ring.basis
-        self._span(ring, generators, [(b * g).coeffs for g in generators for b in basis])
+        self._span(ring, generators,
+                   [(b * g).coefficients() for g in generators for b in basis])
 
     @classmethod
     def _module_span(cls, ring: FiniteLocalRing, elements: Sequence[RingElement]) -> "Ideal":
         """The W-span of `elements`, which the caller knows to be an ideal."""
         ideal = cls.__new__(cls)
-        ideal._span(ring, elements, [x.coeffs for x in elements])
+        ideal._span(ring, elements, [x.coefficients() for x in elements])
         return ideal
 
     def _span(self, ring: FiniteLocalRing, generators: Sequence[RingElement],
@@ -572,17 +547,17 @@ class Ideal:
         vectors `rows`, which span the ideal as a W-module."""
         self.ring = ring
         self.generators = tuple(generators)
-        self.form = HowellForm(ring.base, [list(x) for x in rows], ring.N, ring.orders)
+        self.form = HowellForm(ring.base, rows, ring.N, ring.orders)
         self.module_basis: Tuple[RingElement, ...] = tuple(
-            RingElement(ring, row) for row in self.form.rows)
+            ring.element(row) for row in self.form.rows)
         self.size = self.form.size
 
     def contains(self, x: RingElement) -> bool:
-        return self.form.contains(list(x.coeffs))
+        return self.form.contains(x.coefficients())
 
     def reduce(self, x: RingElement) -> RingElement:
         """Canonical coset representative of x modulo the ideal."""
-        return RingElement(self.ring, self.form.reduce(list(x.coeffs)), x.prec)
+        return self.ring.element(self.form.reduce(x.coefficients()), x.prec)
 
     def is_proper(self) -> bool:
         return not self.contains(self.ring.one)
@@ -611,7 +586,7 @@ class Ideal:
 
         def walk(depth: int, acc: List[int]) -> Iterator[RingElement]:
             if depth == len(layers):
-                yield RingElement._canonical(ring, ring._pack(acc), prec)
+                yield RingElement._canonical(ring, tuple(acc), prec)
                 return
             for v in layers[depth]:
                 yield from walk(depth + 1, [(x + y) % md for x, y, md in zip(acc, v, mods)])
@@ -727,15 +702,19 @@ class Layer:
     lower; the q_j mod p are `coords(x)`.  So the classes of upper's module
     basis at the jump columns span the layer, and as |upper| / |lower| is q
     to the number of jumps, they are the k-basis `basis`.  `multiples[j][c]`
-    is s(c) b_j, s the unity lift of the residue field.
+    is s(c) b_j, s the unity lift of the residue field.  The reductions run
+    on flat coordinates: q times a row is the sum of the q_u times the flat
+    coordinates of Y^u times it.
     """
 
     def __init__(self, upper: Ideal, lower: Ideal):
         ring = self.ring = upper.ring
         W, k = ring.base, ring.residue_field
         lower_rows = dict(zip(lower.form.pivot_cols, lower.form.rows))
-        # pivot column -> (v, the pivot row's nonzero entries, coordinate or None)
-        self._reducers: Dict[int, Tuple[int, List[Tuple[int, GRElt]], Optional[int]]] = {}
+        # pivot column -> (p^v, for each u the nonzero flat coordinates (K, c)
+        # of Y^u times the pivot row, coordinate or None)
+        self._reducers: Dict[int, Tuple[int, List[Tuple[Tuple[int, int], ...]],
+                                        Optional[int]]] = {}
         self.basis: List[RingElement] = []
         for j, row, b in zip(upper.form.pivot_cols, upper.form.rows, upper.module_basis):
             v = upper.form.pivot_vals[j]
@@ -749,32 +728,37 @@ class Layer:
                 raise InternalInconsistencyError(
                     "m^(i+1) does not lie between p * m^i and m^i, so m^i / m^(i+1) "
                     "is not a k-vector space")
-            self._reducers[j] = (v, [(t, e) for t, e in enumerate(row) if e != W.zero], at)
+            self._reducers[j] = (W.p ** v, [
+                tuple((W.r * t + w, c) for t, e in enumerate(row) if e != W.zero
+                      for w, c in enumerate(W.mul(mono, e)) if c)
+                for mono in ring._monos], at)
         if lower.size * k.size ** len(self.basis) != upper.size:
             raise InternalInconsistencyError("layer basis does not span m^i / m^(i+1)")
         self.multiples: List[Dict[GRElt, RingElement]] = [
             {c: ring.unity_lift(c) * b for c in k.elements()} for b in self.basis]
 
-    def coords(self, coeffs: Sequence[GRElt]) -> List[GRElt]:
+    def coords(self, flat: Sequence[int]) -> List[GRElt]:
         """The k-coordinates of the class in `basis` of the element x with
-        these canonical coefficients; x must lie in upper."""
+        these canonical flat coordinates; x must lie in upper."""
         W = self.ring.base
-        zero, sub, mul = W.zero, W.sub, W.mul
-        vec = list(coeffs)
+        p, r, pm = W.p, W.r, W.p ** W.m
+        vec = list(flat)
         out = [W.residue_field.zero] * len(self.basis)
-        for j in range(len(vec)):
-            e = vec[j]
-            if e == zero:
+        for I in range(0, len(vec), r):
+            e = [c % pm for c in vec[I:I + r]]
+            if not any(e):
                 continue
-            try:
-                v, support, at = self._reducers[j]
-                q = W.divide_by_p_power(e, v)
-            except (KeyError, ValueError):
-                raise InternalInconsistencyError("layer element is not in m^i") from None
-            for t, a in support:
-                vec[t] = sub(vec[t], mul(q, a))
+            reducer = self._reducers.get(I // r)
+            if reducer is None or any(c % reducer[0] for c in e):
+                raise InternalInconsistencyError("layer element is not in m^i")
+            pv, rows, at = reducer
+            q = [c // pv for c in e]
+            for qu, terms in zip(q, rows):
+                if qu:
+                    for K, c in terms:
+                        vec[K] -= qu * c
             if at is not None:
-                out[at] = W.reduce(q)
+                out[at] = tuple([c % p for c in q])
         return out
 
     def offsets(self) -> List[RingElement]:
@@ -806,9 +790,9 @@ class RingHom:
             raise ValueError("incompatible residue polynomials")
         self._rows: Optional[Tuple[Tuple[Tuple[int, int], ...], ...]] = None
 
-    def _image(self, flat: Sequence[int]) -> Tuple[GRElt, ...]:
-        """Canonical target coefficients of the image of a source vector given
-        on the flat coordinates I = r*i + u.
+    def _image(self, flat: Sequence[int]) -> Tuple[int, ...]:
+        """The canonical flat target coordinates of the image of a source
+        vector given on the flat coordinates I = r*i + u.
 
         The map is compiled on first use: row I lists the nonzero flat
         coordinates (K, c) of Y^u * img_i, which W scales coefficient by
@@ -820,23 +804,21 @@ class RingHom:
         T = self.target
         if self._rows is None:
             W = T.base
-            monos = [tuple(int(t == u) for t in range(W.r)) for u in range(W.r)]
             rows = []
             for img in self.basis_images:
-                for mono in monos:
-                    y = T._canon([W.mul(mono, a) for a in img.coeffs])
-                    rows.append(tuple((K, c) for K, c in
-                                      enumerate(c for a in y for c in a) if c))
+                for mono in T._monos:
+                    y = T._canon([c for a in img.coefficients() for c in W.mul(mono, a)])
+                    rows.append(tuple((K, c) for K, c in enumerate(y) if c))
             self._rows = tuple(rows)
         acc = [0] * len(T._mods)
         for x, row in zip(flat, self._rows):
             if x:
                 for K, c in row:
                     acc[K] += x * c
-        return T._pack([v % md for v, md in zip(acc, T._mods)])
+        return tuple([v % md for v, md in zip(acc, T._mods)])
 
     def apply(self, x: RingElement) -> RingElement:
-        return RingElement._canonical(self.target, self._image(_flat(x)), x.prec)
+        return RingElement._canonical(self.target, self._image(x.flat), x.prec)
 
     def __call__(self, x: RingElement) -> RingElement:
         return self.apply(x)
@@ -854,7 +836,7 @@ class RingHom:
         for i in range(S.N):
             for j in range(i, S.N):
                 lhs = self.basis_images[i] * self.basis_images[j]
-                if lhs.coeffs != self._image(products[i][j]):
+                if lhs.flat != self._image(products[i][j]):
                     return False
         return True
 
@@ -864,7 +846,7 @@ class RingHom:
                 and self.basis_images == other.basis_images)
 
     def __hash__(self):
-        return hash(tuple(x.coeffs for x in self.basis_images))
+        return hash(tuple(x.flat for x in self.basis_images))
 
     def key(self):
         return tuple(x.key() for x in self.basis_images)
@@ -1062,7 +1044,7 @@ def ring_from_truncated_presentation(
         for c, e in zip(var_images, mo):
             lam = k.mul(lam, k.pow(c, e))
         residue_coeffs.append(lam)
-    ring.residue_coeffs = tuple(residue_coeffs)
+    ring._set_residue(residue_coeffs)
     ring._validate()
     return ring
 
@@ -1084,35 +1066,44 @@ class RingSurjection:
     kernel: Ideal
 
     def project(self, x: RingElement) -> RingElement:
-        return self.target.element(self.kernel.form.live_coords(x.coeffs))
+        return self.target.element(self.kernel.form.live_coords(x.coefficients()))
 
     def section(self, xbar: RingElement) -> RingElement:
         full = [self.source.base.zero] * self.source.N
-        for c, j in zip(xbar.coeffs, self.kernel.form.live):
+        for c, j in zip(xbar.coefficients(), self.kernel.form.live):
             full[j] = c
         return self.source.element(full)
 
 
 def quotient_ring(ring: FiniteLocalRing, ideal: Ideal) -> RingSurjection:
     """R/I, an exact finite ring, with structure constants on the canonical
-    complement basis."""
+    complement basis.
+
+    It is built without `_validate`: R was validated, and R/I inherits each
+    law.  Its product is R's on canonical coset representatives, well defined
+    as I is an ideal, so R/I is a commutative ring respecting its quotient
+    orders.  I is proper and R local, so I lies in m: the reduction factors
+    through R/I onto the same k, with kernel m/I, nil as m is.  So R/I is
+    local with residue field k.
+    """
     if not ideal.is_proper():
         raise ValueError("cannot quotient by the unit ideal")
     form = ideal.form
     live = form.live
     orders = form.quotient_orders()
     pairs = ring._basis_products()
+    m = ring.base.m
     target = FiniteLocalRing(
         base=ring.base, orders=[orders[j] for j in live],
-        mul_table=[[form.live_coords(ring._pack(pairs[i][j])) for j in live]
-                   for i in live],
-        one_coeffs=form.live_coords(ring.one.coeffs),
-        residue_coeffs=[ring.reduce_element(ring.basis_element(j)) for j in live],
-        generators=[form.live_coords(g.coeffs) for g in ring.generators],
+        mul_table=[[form.live_coords(RingElement._canonical(ring, pairs[i][j], m)
+                                     .coefficients()) for j in live] for i in live],
+        one_coeffs=form.live_coords(ring.one.coefficients()),
+        residue_coeffs=[ring._residue(ring._unit(j)) for j in live],
+        generators=[form.live_coords(g.coefficients()) for g in ring.generators],
         basis_names=[ring.basis_names[j] for j in live],
         basis_monos=([ring.basis_monos[j] for j in live]
                      if ring.basis_monos is not None else None),
-        mode="finite",
+        mode="finite", validate=False,
         label=f"{ring.label}/(ideal of size {ideal.size})")
     return RingSurjection(ring, target, ideal)
 
@@ -1122,7 +1113,7 @@ def quotient_ring(ring: FiniteLocalRing, ideal: Ideal) -> RingSurjection:
 
 def _mult_map_solver(a: RingElement) -> LinearMapSolver:
     ring = a.ring
-    images = [list((ring.basis_element(i) * a).coeffs) for i in range(ring.N)]
+    images = [(ring.basis_element(i) * a).coefficients() for i in range(ring.N)]
     return LinearMapSolver(ring.base, images, ring.N,
                            image_orders=ring.orders, domain_orders=ring.orders)
 
@@ -1141,28 +1132,28 @@ def exact_divide(b: RingElement, a: RingElement) -> RingElement:
     ring = a.ring
     if ring.mode == "precision":
         W = ring.base
-        s = min(W.val(c) for c in a.coeffs)
+        s = min(W.val(c) for c in a.coefficients())
         if s >= min(a.prec, W.m):
             raise PrecisionExhaustedError("divisor is zero at working precision")
-        unit = ring.element([W.divide_by_p_power(c, s) for c in a.coeffs], a.prec)
+        unit = ring.element([W.divide_by_p_power(c, s) for c in a.coefficients()], a.prec)
         if not unit.is_unit():
             raise ZeroDivisorError(
                 "divisor is not p^s * unit; cannot divide in the precision model")
         pk = W.p ** s
-        if any(x % pk for c in b.coeffs for x in c):
+        if any(x % pk for x in b.flat):
             raise ZeroDivisorError("dividend is not divisible by the divisor")
-        shifted = ring.element([W.divide_by_p_power(c, s) for c in b.coeffs], b.prec)
+        shifted = ring.element([W.divide_by_p_power(c, s) for c in b.coefficients()], b.prec)
         out = shifted * ring.invert(unit)
         prec = min(a.prec, b.prec) - s
         if prec < 1:
             raise PrecisionExhaustedError(
                 f"division by p^{s} exhausts the working precision")
-        return ring.element(out.coeffs, prec)
+        return RingElement(ring, out.flat, prec)
     solver = _mult_map_solver(a)
     if solver.has_nonzero_kernel():
         raise ZeroDivisorError(
             f"{ring.describe_element(a)} is a zero-divisor; exact division undefined")
-    x = solver.solve(list(b.coeffs))
+    x = solver.solve(b.coefficients())
     if x is None:
         raise ZeroDivisorError("dividend is not divisible by the divisor")
     out = ring.element(x)
@@ -1226,7 +1217,7 @@ def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFi
             cap="cap_elements", needed=ring.size, limit=cap)
     W = ring.base
     p = W.p
-    char = p ** max((c - W.val(x) for c, x in zip(ring.orders, ring.one.coeffs)
+    char = p ** max((c - W.val(x) for c, x in zip(ring.orders, ring.one.coefficients())
                      if x != W.zero), default=0)
     filtration = m_adic_filtration(ring)
     mx = filtration[0]

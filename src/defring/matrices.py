@@ -1,7 +1,7 @@
 """Square matrices over a FiniteLocalRing.
 
-A matrix is one flat tuple of its entries' flat coordinates (the I = r*i + u
-of `FiniteLocalRing._compile`), row-major and entry-major, plus one precision.
+A matrix is one flat tuple of its entries' flat coordinates (`RingElement.flat`),
+row-major and entry-major, plus one precision.
 Products run on the compiled structure constants of M_n(R)
 (`FiniteLocalRing._matmul`); sums, differences, equality, keys and hashes act
 on the tuple, and no `RingElement` is built until `rows` is read.
@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import cycle
 from typing import List, Sequence, Tuple
 
-from .local_ring import FiniteLocalRing, GRElt, NonUnitError, RingElement, _flat
+from .local_ring import FiniteLocalRing, NonUnitError, RingElement
 
 
 class Matrix:
@@ -36,7 +36,7 @@ class Matrix:
             raise ValueError("matrix must be square")
         entries = [a for row in rows for a in row]
         self.ring, self.n, self._rows = ring, n, None
-        self.flat = tuple([x for a in entries for c in a.coeffs for x in c])
+        self.flat = tuple([x for a in entries for x in a.flat])
         self.prec = min([ring.base.m] + [a.prec for a in entries])
 
     @classmethod
@@ -49,7 +49,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring: FiniteLocalRing, n: int) -> "Matrix":
-        one, zero = _flat(ring.one), _flat(ring.zero)
+        one, zero = ring.one.flat, ring.zero.flat
         return cls._adopt(ring, n, tuple([x for i in range(n) for j in range(n)
                                           for x in (one if i == j else zero)]), ring.base.m)
 
@@ -57,10 +57,10 @@ class Matrix:
     def zero(cls, ring: FiniteLocalRing, n: int) -> "Matrix":
         return cls._adopt(ring, n, (0,) * (n * n * len(ring._mods)), ring.base.m)
 
-    def entry_coeffs(self) -> List[Tuple[GRElt, ...]]:
-        """Each entry's canonical coefficients, row-major, with no element built."""
+    def entry_coeffs(self) -> List[Tuple[int, ...]]:
+        """Each entry's canonical flat coordinates, row-major, with no element built."""
         w = len(self.ring._mods)
-        return [self.ring._pack(self.flat[u:u + w]) for u in range(0, len(self.flat), w)]
+        return [self.flat[u:u + w] for u in range(0, len(self.flat), w)]
 
     @property
     def rows(self) -> Tuple[Tuple[RingElement, ...], ...]:

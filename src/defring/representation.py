@@ -28,7 +28,7 @@ from .galois import GRElt
 from .linalg import HowellForm, LinearMapSolver
 from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, CapExceededError,
                          FiniteLocalRing, Ideal, RingElement, RingHom,
-                         RingSurjection, _flat, exact_divide, m_adic_layers,
+                         RingSurjection, exact_divide, m_adic_layers,
                          maximal_ideal, quotient_ring,
                          ring_from_truncated_presentation, scale_ideal)
 from .matrices import Matrix
@@ -128,13 +128,11 @@ class Lift:
         # Generators suffice: rep and rhobar are homomorphisms (every constructor
         # verifies through extend_and_verify_hom or derives from a verified one),
         # reduction R -> k is a ring map, and homomorphisms agreeing on generators agree.
-        # An entry of rhobar lives in the rank-1 ring k, so coeffs[0] is its
-        # residue; the reductions are compared one entry at a time.
-        R = self.rep.ring
-        reduced = [R.reduce_element(x) for M in self.rep.gen_matrices
-                   for row in M.rows for x in row]
-        if reduced != [e.coeffs[0] for M in self.rhobar.gen_matrices
-                       for row in M.rows for e in row]:
+        # An entry of rhobar lives in the rank-1 ring k, so its flat coordinates
+        # are its residue; the reductions are compared one entry at a time.
+        residue = self.rep.ring._residue
+        reduced = [residue(c) for M in self.rep.gen_matrices for c in M.entry_coeffs()]
+        if reduced != [c for M in self.rhobar.gen_matrices for c in M.entry_coeffs()]:
             raise RepresentationError("reduction does not match the residual representation")
 
     def key(self) -> Tuple[int, ...]:
@@ -211,23 +209,22 @@ def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
     one = Matrix.identity(ring, n)
     size = len(one.flat)
     # the entrywise unity lifts of rhobar's generator images
-    partial = [[rhobar.matrix(g).transfer(ring, lambda e: ring.unity_lift(e.coeffs[0]))
+    partial = [[rhobar.matrix(g).transfer(ring, lambda e: ring.unity_lift(e.flat))
                 for g in G.generators]]
     for layer in m_adic_layers(ring):
-        flat_multiples = [{c: _flat(e) for c, e in ms.items()} for ms in layer.multiples]
         lifted = []
         for gens in partial:
             # per equation, the d coordinates of the defect entry
             delta = [layer.coords(c) for M in _edge_defects(G, one, gens)
                      for c in M.entry_coeffs()]
             options = []
-            for j, multiples in enumerate(flat_multiples):
+            for j, multiples in enumerate(layer.multiples):
                 x = solver.solve([k.neg(c[j]) for c in delta])
                 if x is None:
                     break
                 # the flat coordinates of the entries s(x_j[u]) b_j of each
                 # solution x_j = x + z, z in Z^1, generator-major and row-major
-                options.append([[v for a, c in zip(x, z) for v in multiples[k.add(a, c)]]
+                options.append([[v for a, c in zip(x, z) for v in multiples[k.add(a, c)].flat]
                                 for z in cocycles])
             else:
                 for choice in product(*options):
@@ -272,12 +269,12 @@ def _conjugation_form(ring: FiniteLocalRing, n: int, gens1: Sequence[Matrix],
             for a, b in pairs:
                 block = blank[:]
                 for t in range(n):
-                    block[t * n + j] = times[a[t][i]].coeffs
-                    block[i * n + t] = minus[b[j][t]].coeffs
-                block[i * n + j] = (times[a[i][i]] + minus[b[j][j]]).coeffs
+                    block[t * n + j] = times[a[t][i]].coefficients()
+                    block[i * n + t] = minus[b[j][t]].coefficients()
+                block[i * n + j] = (times[a[i][i]] + minus[b[j][j]]).coefficients()
                 row.extend(c for e in block for c in e)
             y = blank[:]
-            y[i * n + j] = beta.coeffs
+            y[i * n + j] = beta.coefficients()
             rows.append(row + [c for e in y for c in e])
     return HowellForm(W, rows, ni + nn * N, ring.orders * (len(pairs) + 1) * nn), ni
 
@@ -297,12 +294,12 @@ def kernel_conjugator(ring: FiniteLocalRing, n: int, gens1: Sequence[Matrix],
     _kernel_group_order(ring, n, cap)
     form, ni = _conjugation_form(ring, n, gens1, gens2)
     zero, N = ring.base.zero, ring.N
-    red = form.reduce([c for a, b in zip(gens1, gens2) for e in (a - b).entry_coeffs()
-                       for c in e] + [zero] * (n * n * N))
+    red = form.reduce([c for a, b in zip(gens1, gens2) for row in (a - b).rows
+                       for e in row for c in e.coefficients()] + [zero] * (n * n * N))
     if any(e != zero for e in red[:ni]):
         return None
     K = Matrix.identity(ring, n) + Matrix(ring, [
-        [RingElement(ring, red[ni + u * N:ni + (u + 1) * N]) for u in range(i, i + n)]
+        [ring.element(red[ni + u * N:ni + (u + 1) * N]) for u in range(i, i + n)]
         for i in range(0, n * n, n)])
     if not all(a * K == K * b for a, b in zip(gens1, gens2)):
         raise InternalInconsistencyError("the solved conjugator K fails a K = K b")
@@ -342,10 +339,8 @@ def _layer_generators(ring: FiniteLocalRing, n: int) -> List[Tuple[int, int, Rin
     They generate Gamma = 1 + M_n(m): 1 + Y -> Y mod m^{i+1} maps Gamma_i =
     1 + M_n(m^i) onto the F_p-space M_n(m^i / m^{i+1}) with kernel Gamma_{i+1},
     which they span, so by downward induction on i they generate each Gamma_i."""
-    r = ring.residue_field.r
-    units = [tuple(int(t == u) for t in range(r)) for u in range(r)]
     return [(a, c, multiples[y]) for layer in m_adic_layers(ring)
-            for multiples in layer.multiples for y in units
+            for multiples in layer.multiples for y in ring._monos
             for a, c in product(range(n), repeat=2)]
 
 
@@ -379,13 +374,13 @@ def _conjugate_in_place(ring: FiniteLocalRing, a: int, c: int, x: RingElement):
 
 
 def _memoised_scaling(s: RingElement):
-    """e -> s e, memoised by e's coefficients."""
-    memo: Dict[Tuple[GRElt, ...], RingElement] = {}
+    """e -> s e, memoised by e's flat coordinates."""
+    memo: Dict[Tuple[int, ...], RingElement] = {}
 
     def scaled(e: RingElement) -> RingElement:
-        y = memo.get(e.coeffs)
+        y = memo.get(e.flat)
         if y is None:
-            y = memo[e.coeffs] = s * e
+            y = memo[e.flat] = s * e
         return y
     return scaled
 
@@ -483,7 +478,7 @@ def _cocycle_system(rhobar: Representation) -> List[List[GRElt]]:
     G, n, W = rhobar.group, rhobar.n, rhobar.ring.base
     add, sub, mul, zero = W.add, W.sub, W.mul, W.zero
     nn, D = n * n, len(G.generators) * n * n
-    mats = [[[e.coeffs[0] for e in row] for row in M.rows]
+    mats = [[[e.flat for e in row] for row in M.rows]
             for M in rhobar.matrices]
 
     def edge(Xa: List[List], a: int, gi: int) -> List[List]:
@@ -717,12 +712,12 @@ def square_zero_extension(ring: FiniteLocalRing, ann: Ideal
                 row.append(zeroN + zeroM)
                 continue
             prod_r = ring.basis_element(idx[i]) * ring.basis_element(idx[j])
-            row.append(list(prod_r.coeffs) + zeroM if max(i, j) < N
-                       else zeroN + ann.form.live_coords(prod_r.coeffs))
+            row.append(prod_r.coefficients() + zeroM if max(i, j) < N
+                       else zeroN + ann.form.live_coords(prod_r.coefficients()))
         mul_table.append(row)
-    one_coeffs = list(ring.one.coeffs) + zeroM
+    one_coeffs = ring.one.coefficients() + zeroM
     residue_coeffs = list(ring.residue_coeffs) + [ring.residue_field.zero] * NM
-    gen_coeffs = [list(g.coeffs) + zeroM for g in ring.generators]
+    gen_coeffs = [g.coefficients() + zeroM for g in ring.generators]
     names = list(ring.basis_names) + [f"eps*{ring.basis_names[j]}" for j in live]
     S = FiniteLocalRing(
         base=W, orders=orders, mul_table=mul_table, one_coeffs=one_coeffs,
@@ -730,7 +725,7 @@ def square_zero_extension(ring: FiniteLocalRing, ann: Ideal
         basis_names=names, basis_monos=None, mode="finite",
         label=f"{ring.label}[+eps*(module of size "
               f"{ring.size // ann.size})]")
-    incl = RingHom(ring, S, [S.element(list(ring.basis_element(i).coeffs) + zeroM)
+    incl = RingHom(ring, S, [S.element(ring.basis_element(i).coefficients() + zeroM)
                              for i in range(N)])
     if not incl.verify():
         raise InternalInconsistencyError("inclusion into the extension is not a ring map")
@@ -748,7 +743,7 @@ def hom_family(incl: RingHom, d_values: Sequence[RingElement],
     S = incl.target
     out = []
     for C in scalars:
-        cs = S.element(list(C.coeffs) + [S.base.zero] * (S.N - incl.source.N)) \
+        cs = S.element(C.coefficients() + [S.base.zero] * (S.N - incl.source.N)) \
             if C.ring is incl.source else C
         hom = RingHom(incl.source, S,
                       [fi + cs * d for fi, d in zip(incl.basis_images, d_values)])

@@ -215,6 +215,35 @@ def test_rep_dimension_below_one_is_a_parse_error(tmp_path, capsys, command, tex
     assert json.loads(out.err)["error"].endswith(
         f"block 'rep' key 'dimension' must be at least 1, not {dimension}")
 
+
+def _presentation_block(name, variables):
+    return f"{name} {{\n  p = 2\n  vars = {variables}\n  relations = X^2 - 2\n}}\n"
+
+
+@pytest.mark.parametrize("variables, message", [
+    ("X, X", "variable 'X' is repeated"),
+    ("2", "'2' is not a variable name"),
+    ("X, 1X", "'1X' is not a variable name"),
+    ("X Y", "'X Y' is not a variable name"),
+    ("X, Y-1", "'Y-1' is not a variable name"),
+], ids=["repeated", "integer", "leading-digit", "two-tokens", "operator"])
+@pytest.mark.parametrize("command, blocks", [
+    ("etale-check", ["presentation"]), ("fingerprint", ["ring"]),
+    ("hom-count", ["source", "target"])], ids=["etale-check", "fingerprint", "hom-count"])
+def test_bad_variable_names_are_parse_errors(tmp_path, capsys, command, blocks,
+                                             variables, message):
+    # a repeated name would leave a variable free, and a name that
+    # `parse_poly` reads as another token would change the relations
+    bad = blocks[-1]
+    job = tmp_path / "job.txt"
+    job.write_text("".join(_presentation_block(b, variables if b == bad else "X")
+                           for b in blocks))
+    assert main([command, str(job), "--no-cache"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"].endswith(f"block {bad!r} key 'vars': {message}")
+
+
 def test_determinism_across_hashseeds(tmp_path):
     """Byte-identical reports under different PYTHONHASHSEED values."""
     job = tmp_path / "job.txt"

@@ -144,7 +144,7 @@ def _candidates(rhobar, ring):
     fibers = []
     for g in rhobar.group.generators:
         base = rhobar.matrix(g).transfer(
-            ring, lambda e: ring.unity_lift(e.coeffs[0]))
+            ring, lambda e: ring.unity_lift(e.flat))
         fibers.append([base + z for z in offsets])
     return product(*fibers)
 
@@ -652,9 +652,9 @@ def reference_apply(hom, x):
     """The image of x through ring arithmetic: sum of c_i * img_i, c_i mapped to W_T."""
     T = hom.target
     out = T.zero
-    for c, img in zip(x.coeffs, hom.basis_images):
+    for c, img in zip(x.coefficients(), hom.basis_images):
         out = out + img * T.from_base(tuple(v % T.base.q for v in c))
-    return T.element(out.coeffs, x.prec)
+    return T.element(out.coefficients(), x.prec)
 
 
 def reference_verify(hom):

@@ -9,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import defring.local_ring as local_ring
+import defring.representation as representation
+import defring.udr as udr
+from defring import cli
 from defring.errors import InternalInconsistencyError
 from defring.galois import GaloisRing
 from defring.groups import symmetric
@@ -172,6 +175,30 @@ def test_quotient_by_unit_ideal_rejected():
         quotient_ring(R, ideal_span(R, [R.one]))
 
 
+def test_every_quotient_the_fixed_jobs_build_passes_validate(tmp_path, monkeypatch):
+    # quotient_ring skips `_validate`, as its docstring argues it may; every
+    # quotient the fixed benchmark jobs build must pass it all the same: the
+    # 11 of the Z2[sqrt 2] hom-count's `_hom_levels` and one per Maranda job
+    from test_fixed_reports import CORPUS
+    built = {}
+    original = local_ring.quotient_ring
+
+    def recording(ring, ideal):
+        surjection = original(ring, ideal)
+        built.setdefault(job.name, []).append(surjection.target)
+        return surjection
+
+    for module in (local_ring, representation, udr):
+        monkeypatch.setattr(module, "quotient_ring", recording)
+    for job in CORPUS.FIXED:
+        cli.main(job.argv(str(tmp_path / "report.json"), cache=False))
+    assert {name: len(qs) for name, qs in built.items()} == {
+        "hom-count-z64-sqrt2": 11, "maranda-c2-equivalent": 1, "maranda-c2-inequivalent": 1}
+    for quotients in built.values():
+        for Q in quotients:
+            Q._validate()
+
+
 # -- division ----------------------------------------------------------------
 
 
@@ -228,7 +255,7 @@ def test_invert_every_unit(mode):
     assert len(units) == 32
     for x in units:
         for prec in (3, 2):
-            y = R.invert(R.element(x.coeffs, prec))
+            y = R.invert(R.element(x.coefficients(), prec))
             assert x * y == R.one and y.prec == prec
 
 
@@ -466,7 +493,7 @@ def dense_product(ring: FiniteLocalRing, a, b) -> Tuple:
             for k, s in enumerate(ring.mul_table[i][j]):
                 if s != zero:
                     out[k] = W.add(out[k], W.mul(cij, s))
-    return ring.element(out).coeffs
+    return ring.element(out).flat
 
 
 def _nilpotency_index_oracle(ring: FiniteLocalRing, x: RingElement):
@@ -485,7 +512,7 @@ def fingerprint_oracle(ring: FiniteLocalRing) -> Dict:
     orders: Dict[int, int] = {}
     nil: Dict[int, int] = {}
     for x in ring.enumerate_elements(10 ** 6):
-        exps = [c - W.val(a) for c, a in zip(ring.orders, x.coeffs) if a != W.zero]
+        exps = [c - W.val(a) for c, a in zip(ring.orders, x.coefficients()) if a != W.zero]
         addord = W.p ** max(exps) if exps else 1
         orders[addord] = orders.get(addord, 0) + 1
         idx = _nilpotency_index_oracle(ring, x)
@@ -530,16 +557,16 @@ def test_product_matches_dense_oracle(name, data):
     x = _element(R, data.draw)
     y = _element(R, data.draw)
     xy = x * y
-    assert xy.coeffs == dense_product(R, x.coeffs, y.coeffs)
-    assert xy.coeffs == R._canon(xy.coeffs)  # products come out canonical
-    assert all(len(c) == R.base.r for c in xy.coeffs)
+    assert xy.flat == dense_product(R, x.coefficients(), y.coefficients())
+    assert xy.flat == R._canon(xy.flat)  # products come out canonical
+    assert len(xy.flat) == R.N * R.base.r
 
 
 def _element_at(ring: FiniteLocalRing, draw) -> RingElement:
     """An element whose precision, in a precision-mode ring, is drawn too."""
     x = _element(ring, draw)
     if ring.mode == "precision":
-        x = ring.element(x.coeffs, draw(st.integers(1, ring.base.m)))
+        x = ring.element(x.coefficients(), draw(st.integers(1, ring.base.m)))
     return x
 
 
@@ -566,12 +593,13 @@ def test_sums_match_galois_ring_oracle(name, data, n):
     x = _element_at(R, data.draw)
     y = _element_at(R, data.draw)
     both = min(x.prec, y.prec)
-    cases = [(x + y, [W.add(a, b) for a, b in zip(x.coeffs, y.coeffs)], both),
-             (x - y, [W.sub(a, b) for a, b in zip(x.coeffs, y.coeffs)], both),
-             (-x, [W.neg(a) for a in x.coeffs], x.prec),
-             (x.scale_int(n), [W.scal(n, a) for a in x.coeffs], x.prec)]
+    xs, ys = x.coefficients(), y.coefficients()
+    cases = [(x + y, [W.add(a, b) for a, b in zip(xs, ys)], both),
+             (x - y, [W.sub(a, b) for a, b in zip(xs, ys)], both),
+             (-x, [W.neg(a) for a in xs], x.prec),
+             (x.scale_int(n), [W.scal(n, a) for a in xs], x.prec)]
     for got, coeffs, prec in cases:
-        assert got.coeffs == R._canon(coeffs)
+        assert got.flat == R._canon([c for a in coeffs for c in a])
         assert got.prec == prec
 
 
@@ -643,7 +671,7 @@ def validate_oracle(ring: FiniteLocalRing) -> None:
         for j in range(N):
             if basis[i] * basis[j] != basis[j] * basis[i]:
                 raise RingConstructionError("multiplication not commutative")
-            if (ring.one * basis[j]).coeffs != basis[j].coeffs:
+            if (ring.one * basis[j]).flat != basis[j].flat:
                 raise RingConstructionError("unity fails on basis")
             for l in range(N):
                 if (basis[i] * basis[j]) * basis[l] != basis[i] * (basis[j] * basis[l]):
@@ -671,9 +699,9 @@ def _verdict(check, ring) -> str:
 def _with_table(R: FiniteLocalRing, table, monos=True, residue=None,
                 validate=False) -> FiniteLocalRing:
     return FiniteLocalRing(
-        base=R.base, orders=R.orders, mul_table=table, one_coeffs=R.one.coeffs,
+        base=R.base, orders=R.orders, mul_table=table, one_coeffs=R.one.coefficients(),
         residue_coeffs=R.residue_coeffs if residue is None else residue,
-        generators=[g.coeffs for g in R.generators], basis_names=R.basis_names,
+        generators=[g.coefficients() for g in R.generators], basis_names=R.basis_names,
         basis_monos=R.basis_monos if monos else None, validate=validate)
 
 
@@ -840,8 +868,8 @@ def filtration_oracle(ring: FiniteLocalRing):
 
 
 def _assert_filtration_matches_oracle(R: FiniteLocalRing) -> None:
-    assert ([[x.coeffs for x in I.module_basis] for I in m_adic_filtration(R)]
-            == [[x.coeffs for x in I.module_basis] for I in filtration_oracle(R)])
+    assert ([[x.flat for x in I.module_basis] for I in m_adic_filtration(R)]
+            == [[x.flat for x in I.module_basis] for I in filtration_oracle(R)])
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_RINGS) + [n for n in TABLE_RINGS
@@ -874,7 +902,7 @@ def test_ideal_product_matches_ideal_generated_by_products(name, data):
             for _ in range(2))
     fast = I.product(J)
     slow = Ideal(R, [a * b for a in I.module_basis for b in J.module_basis])
-    assert [x.coeffs for x in fast.module_basis] == [x.coeffs for x in slow.module_basis]
+    assert [x.flat for x in fast.module_basis] == [x.flat for x in slow.module_basis]
     assert fast.size == slow.size
 
 
@@ -886,7 +914,7 @@ def test_maximal_ideal_is_the_ideal_its_generators_generate(name):
     assert m.generators[0] == R.from_int(R.base.p)
     assert len(m.generators) <= 1 + len(R._spanning_generators())
     slow = ideal_span(R, m.generators)
-    assert [x.coeffs for x in m.module_basis] == [x.coeffs for x in slow.module_basis]
+    assert [x.flat for x in m.module_basis] == [x.flat for x in slow.module_basis]
 
 
 def test_ideal_enumeration_checks_its_count(monkeypatch):

@@ -24,24 +24,23 @@ from test_local_ring import _pres, oracle_ring
 
 
 def _dot(ring: FiniteLocalRing, pairs):
-    """Canonical coefficients of sum_k a_k * b_k: every x * y * s of the
-    structure constants into one integer accumulator on the flat
-    coordinates, reduced once per coordinate."""
+    """Canonical flat coordinates of sum_k a_k * b_k: every x * y * s of the
+    structure constants into one integer accumulator, reduced once per
+    coordinate."""
     acc = [0] * len(ring._mods)
     for a, b in pairs:
-        flat_b = [c for t in b for c in t]
-        for I, x in enumerate(c for t in a for c in t):
-            for J, y in enumerate(flat_b):
+        for I, x in enumerate(a):
+            for J, y in enumerate(b):
                 for K, s in ring._table[I][J]:
                     acc[K] += x * y * s
-    return ring._pack([v % md for v, md in zip(acc, ring._mods)])
+    return tuple([v % md for v, md in zip(acc, ring._mods)])
 
 
 def _oracle_product(ring: FiniteLocalRing, A, B):
     m = ring.base.m
     cols = list(zip(*B))
     return [[RingElement._canonical(
-        ring, _dot(ring, [(a.coeffs, b.coeffs) for a, b in zip(row, col)]),
+        ring, _dot(ring, [(a.flat, b.flat) for a, b in zip(row, col)]),
         min(m, *[a.prec for a in row], *[b.prec for b in col])) for col in cols]
         for row in A]
 
@@ -89,7 +88,7 @@ def _rows(ring: FiniteLocalRing, n: int, draw):
 
 
 def _coeffs(rows):
-    return [a.coeffs for row in rows for a in row]
+    return [a.flat for row in rows for a in row]
 
 
 def _agree(M: Matrix, rows) -> bool:
@@ -97,7 +96,7 @@ def _agree(M: Matrix, rows) -> bool:
     view whose canonical entries all carry that precision."""
     return (_coeffs(M.rows) == _coeffs(rows)
             and M.prec == min(a.prec for row in rows for a in row)
-            and all(a.prec == M.prec and a.coeffs == M.ring._canon(a.coeffs)
+            and all(a.prec == M.prec and a.flat == M.ring._canon(a.flat)
                     for row in M.rows for a in row))
 
 

@@ -105,8 +105,8 @@ def _outcome(build):
         R = build()
     except (DefringError, ValueError) as exc:
         return type(exc).__name__, str(exc)
-    return (R.label, R.orders, R.mul_table, R.basis_monos, R.one.coeffs,
-            tuple(g.coeffs for g in R.generators), R.residue_coeffs)
+    return (R.label, R.orders, R.mul_table, R.basis_monos, R.one.flat,
+            tuple(g.flat for g in R.generators), R.residue_coeffs)
 
 
 def _forms_built(route, pres, W, cap):
@@ -165,14 +165,14 @@ def test_truncation_hands_the_forms_only_the_new_multiples(monkeypatch):
 
 def layer_basis_greedy(upper, lower):
     ring = upper.ring
-    rows = [list(x.coeffs) for x in lower.module_basis]
+    rows = [x.coefficients() for x in lower.module_basis]
     size = lower.size
     basis = []
     for b in upper.module_basis:
-        grown = HowellForm(ring.base, rows + [list(b.coeffs)], ring.N, ring.orders).size
+        grown = HowellForm(ring.base, rows + [b.coefficients()], ring.N, ring.orders).size
         if grown > size:
             basis.append(b)
-            rows.append(list(b.coeffs))
+            rows.append(b.coefficients())
             size = grown
     assert size == upper.size
     return basis
@@ -202,7 +202,7 @@ def _check_layer(upper, lower, draw):
     R = upper.ring
     W, k = R.base, R.residue_field
     layer = Layer(upper, lower)
-    rows = [list(r) for r in lower.form.rows] + [list(b.coeffs) for b in layer.basis]
+    rows = [list(r) for r in lower.form.rows] + [b.coefficients() for b in layer.basis]
     assert HowellForm(W, rows, R.N, R.orders).rows == upper.form.rows
     assert len(layer.basis) == len(layer_basis_greedy(upper, lower))
     elt = st.tuples(*[st.integers(0, k.q - 1)] * k.r)
@@ -212,7 +212,7 @@ def _check_layer(upper, lower, draw):
         x = x + _element(R, draw) * g
     for cj, mult in zip(c, layer.multiples):
         x = x + mult[cj]
-    assert layer.coords(x.coeffs) == c
+    assert layer.coords(x.flat) == c
 
 
 @settings(max_examples=120, deadline=None)
