@@ -33,8 +33,8 @@ from .representation import (DefSet, Lift, MarandaCertificate, Representation,
                              enumerate_lifts, hom_family, hom_vs_derivation,
                              kernel_group, maranda_average, maranda_decide,
                              normalize_intertwiner, residual_rep,
-                             square_zero_extension, tangent_space,
-                             trivial_residual_rep, unique_deformation_check)
+                             square_zero_extension, trivial_residual_rep,
+                             unique_deformation_check)
 from .udr import (FinitenessBoundReport, NecessaryConditionVerdict,
                   OneDimCrosscheckReport, OrderBoundError, OrderBoundResult,
                   finiteness_bound_check, necessary_condition,

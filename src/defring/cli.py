@@ -298,7 +298,7 @@ def run_job(spec: JobSpec) -> Tuple[Dict, int]:
         ring = _ring_from(blocks, "ring", spec)
         group = _group_from(_require(blocks, "group"))
         rhobar = _residual_from(blocks, group, ring)
-        ds = def_set(rhobar, ring, spec.cap_maps, spec.cap_elements)
+        ds = def_set(rhobar, ring, spec.cap_maps)
         result = {
             "group": group.name,
             "ring": ring.label,
@@ -338,7 +338,7 @@ def run_job(spec: JobSpec) -> Tuple[Dict, int]:
         rhobar = _residual_from(blocks, group, ring)
         l1 = _lift_from(blocks, "lift1", rhobar, ring)
         l2 = _lift_from(blocks, "lift2", rhobar, ring)
-        equivalent, cert = maranda_decide(l1, l2, spec.cap_elements)
+        equivalent, cert = maranda_decide(l1, l2)
         result = {
             "group": group.name,
             "ring": ring.label,

@@ -175,10 +175,6 @@ class GaloisRing:
             prod[i] = 0
         return tuple(c % q for c in prod[:r])
 
-    def scal(self, c: int, a: GRElt) -> GRElt:
-        q = self.q
-        return tuple((c * x) % q for x in a)
-
     def pow(self, a: GRElt, e: int) -> GRElt:
         res = self.one
         base = a

@@ -128,13 +128,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
-    def order_of(self, a: int) -> int:
-        e, x = 1, a
-        while x != self.identity:
-            x = self.table[x][a]
-            e += 1
-        return e
-
     def elements(self) -> range:
         return range(self.n)
 

@@ -594,7 +594,9 @@ class Ideal:
         return walk(0, [0] * len(mods))
 
     def enumerate_elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> List[RingElement]:
-        """All ideal elements, in coefficient-vector lexicographic order."""
+        """All ideal elements, in coefficient-vector lexicographic order.
+        Only `kernel_group` and the tests' oracles list an ideal; it stays
+        here because `perfbench/tracing.py` wraps it."""
         if self.size > cap:
             raise CapExceededError(
                 f"ideal has {self.size} elements, above the cap {cap}",
@@ -603,13 +605,6 @@ class Ideal:
         if len(out) != self.size:
             raise InternalInconsistencyError("ideal enumeration missed elements")
         return out
-
-    def product(self, other: "Ideal") -> "Ideal":
-        """I*J, the W-span of the products of the two module bases: a sum of
-        products xy with x in I, y in J expands into them, and the span is
-        already an ideal, since r(ab) = (ra)b with ra in I."""
-        gens = [a * b for a in self.module_basis for b in other.module_basis]
-        return Ideal._module_span(self.ring, gens)
 
     def __repr__(self):
         return f"Ideal(size={self.size} in {self.ring.label})"
@@ -658,7 +653,8 @@ def m_adic_filtration(ring: FiniteLocalRing) -> List[Ideal]:
     `generators`), so m^(i+1) = m^i m is the W-span of the p a and the a g
     for a over m^i's module basis: t ring products per basis element of
     m^i, not one per basis element of m.  Howell forms are canonical, so
-    each power is the one `Ideal.product` gives.
+    each power is the one the span of all products of the two module bases
+    gives (the tests' oracle).
 
     Raises when m^i = m^{i+1} != 0: the kernel of the reduction is then not
     nilpotent, which a validated ring rules out.
@@ -681,8 +677,8 @@ def m_adic_filtration(ring: FiniteLocalRing) -> List[Ideal]:
 
 def m_adic_layers(ring: FiniteLocalRing) -> List["Layer"]:
     """The `Layer` m^i / m^{i+1} for each step of `m_adic_filtration`, built
-    once per ring for `def_set`'s two readers, `enumerate_lifts` and
-    `_layer_generators`."""
+    once per ring for its readers: `enumerate_lifts` and `_layer_generators`
+    in `def_set`, `fingerprint` and `_hom_levels`."""
     if ring._layers is None:
         filtration = m_adic_filtration(ring)
         ring._layers = [Layer(upper, lower) for upper, lower in zip(filtration, filtration[1:])]
@@ -709,6 +705,7 @@ class Layer:
 
     def __init__(self, upper: Ideal, lower: Ideal):
         ring = self.ring = upper.ring
+        self.upper, self.lower = upper, lower
         W, k = ring.base, ring.residue_field
         lower_rows = dict(zip(lower.form.pivot_cols, lower.form.rows))
         # pivot column -> (p^v, for each u the nonzero flat coordinates (K, c)
@@ -1219,18 +1216,18 @@ def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFi
     p = W.p
     char = p ** max((c - W.val(x) for c, x in zip(ring.orders, ring.one.coefficients())
                      if x != W.zero), default=0)
-    filtration = m_adic_filtration(ring)
-    mx = filtration[0]
-    # the Hilbert sequence dim_k m^i / m^{i+1} is read off the layer bases
-    layers = [Layer(upper, lower) for upper, lower in zip(filtration, filtration[1:])]
+    # the Hilbert sequence dim_k m^i / m^{i+1} is read off the layer bases,
+    # and the sizes of m, m^2, ..., m^L = 0 off their upper ideals
+    layers = m_adic_layers(ring)
+    sizes = [layer.upper.size for layer in layers] + [1]
     killed = [prod(p ** (W.r * min(e, c)) for c in ring.orders)
               for e in range(max(ring.orders, default=0) + 1)]
     order_counts = [(p ** e, killed[e] - (killed[e - 1] if e else 0))
                     for e in range(len(killed))]
-    bound = len(filtration)
+    bound = len(sizes)
     nil_counts: Dict[int, int] = {}
     classes = [ring.zero]
-    for j, ideal in enumerate(filtration, 1):
+    for j, size in enumerate(sizes, 1):
         e = bound - j + 1
         survivors = []
         for x in classes:
@@ -1242,7 +1239,7 @@ def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFi
                 raise InternalInconsistencyError(
                     f"{ring.describe_element(x)} in m has x^{e} != 0 and "
                     f"x^{e + 1} != 0 although m^{bound} = 0")
-            nil_counts[e + 1] = nil_counts.get(e + 1, 0) + ideal.size
+            nil_counts[e + 1] = nil_counts.get(e + 1, 0) + size
         if j < bound:
             offsets = layers[j - 1].offsets()
             classes = [x + o for x in survivors for o in offsets]
@@ -1250,7 +1247,7 @@ def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFi
     return RingFingerprint(
         characteristic=char,
         size=ring.size,
-        maximal_ideal_size=mx.size,
+        maximal_ideal_size=maximal_ideal(ring).size,
         hilbert=(1, *(len(layer.basis) for layer in layers)),
         additive_order_counts=tuple(order_counts),
         nilpotency_index_counts=tuple(sorted(nil_counts.items())),
@@ -1290,16 +1287,17 @@ def _hom_levels(source: FiniteLocalRing, target: FiniteLocalRing
     `_hom_from_generators`, each with that homomorphism S -> T/m^i; level L
     works in T itself.  Level 1 tests the unity lifts of the generators'
     residues; level i + 1 adds to each survivor of level i every tuple of
-    the `Layer.offsets` of m^i / m^{i+1}.  The search stops after an empty level.
+    the `Layer.offsets` of m^i / m^{i+1}, T/m^{i+1} built from the layer's
+    lower ideal.  The search stops after an empty level.
     """
-    filtration = m_adic_filtration(target)
     t = len(source.generators)
     survivors = [tuple(target.unity_lift(source.reduce_element(g))
                        for g in source.generators)]
-    for i, ideal in enumerate(filtration):
+    ideal = maximal_ideal(target)
+    for layer in [None, *m_adic_layers(target)]:
         candidates = survivors
-        if i:
-            offsets = Layer(filtration[i - 1], ideal).offsets()
+        if layer is not None:
+            offsets, ideal = layer.offsets(), layer.lower
             candidates = [tuple(z + o for z, o in zip(zs, choice))
                           for zs in survivors for choice in product(offsets, repeat=t)]
         ring, project = target, None
@@ -1331,9 +1329,8 @@ def hom_enumerate(source: FiniteLocalRing, target: FiniteLocalRing,
     S -> T/m^i, and each element of m_T is one sum of layer offsets, so
     `_hom_levels` finds exactly these tuples while pruning every partial
     tuple that fails modulo some m^i (Mazur 1989, 1.2, for lifts over
-    small extensions).  The cap bounds the candidate space |m_T|^t;
-    |m_T| is also held to the default element cap, as when m_T was
-    enumerated.
+    small extensions).  The cap bounds the candidate space |m_T|^t; m_T
+    itself is never listed.
     """
     if source.basis_monos is None:
         raise ValueError("source ring carries no generator expressions for its basis")
@@ -1347,10 +1344,6 @@ def hom_enumerate(source: FiniteLocalRing, target: FiniteLocalRing,
         raise CapExceededError(
             f"{mt.size ** t} candidate maps exceed the cap {cap}",
             cap="cap_maps", needed=mt.size ** t, limit=cap)
-    if t and mt.size > DEFAULT_ELEMENT_CAP:
-        raise CapExceededError(
-            f"ideal has {mt.size} elements, above the cap {DEFAULT_ELEMENT_CAP}",
-            cap="cap_elements", needed=mt.size, limit=DEFAULT_ELEMENT_CAP)
     homs: List[RingHom] = []
     for level in _hom_levels(source, target):
         homs = [hom for _, hom in level]

@@ -92,13 +92,6 @@ class Matrix:
     def transfer(self, target: FiniteLocalRing, fn) -> "Matrix":
         return Matrix(target, [[fn(a) for a in row] for row in self.rows])
 
-    def is_invertible(self) -> bool:
-        try:
-            self.inverse()
-            return True
-        except NonUnitError:
-            return False
-
     def inverse(self) -> "Matrix":
         """Gauss-Jordan with unit pivots; raises NonUnitError when singular."""
         n = self.n

@@ -202,9 +202,6 @@ class Poly:
     def leading_monomial(self) -> Monomial:
         return max(self.nums, key=grevlex_key)
 
-    def leading_coeff(self) -> Fraction:
-        return Fraction(self.nums[self.leading_monomial()], self.den)
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self

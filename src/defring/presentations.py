@@ -55,11 +55,6 @@ class IntegerPolynomialPresentation:
     def relation_strings(self) -> Tuple[str, ...]:
         return tuple(f.render(self.names) for f in self.relations)
 
-    def describe(self) -> str:
-        vs = ", ".join(self.names) if self.names else "-"
-        rs = "; ".join(self.relation_strings()) or "-"
-        return f"p={self.p}, r={self.r}, vars=[{vs}], relations=[{rs}]"
-
 
 def r_alpha_presentation(alpha: int, p: int, r: int = 1) -> IntegerPolynomialPresentation:
     """Two-variable family R_alpha: all degree-5 monomials plus X^4 and Y^4 - X^2Y^2 - alpha*X^3Y.

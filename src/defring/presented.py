@@ -20,7 +20,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .polys import (CoefficientSwellError, IntegralityError, Monomial, Poly,
@@ -28,8 +28,8 @@ from .polys import (CoefficientSwellError, IntegralityError, Monomial, Poly,
                     primitive)
 from .presentations import IntegerPolynomialPresentation
 from .errors import InternalInconsistencyError
-from .local_ring import (DEFAULT_DEGREE_CAP, NotFiniteAtCapError,
-                         ring_from_truncated_presentation)
+from .local_ring import (DEFAULT_DEGREE_CAP, DEFAULT_ELEMENT_CAP,
+                         NotFiniteAtCapError, ring_from_truncated_presentation)
 
 
 DEFAULT_VARIABLE_GUARD = 6
@@ -339,11 +339,6 @@ class QFiberAlgebra:
                 mono_mul(self.basis[i], self.basis[j]))
         return out
 
-    def mult_coords(self, i: int, j: int) -> Dict[int, Fraction]:
-        """Coordinates of b_i * b_j."""
-        den, nums = self.mult_int_coords(i, j)
-        return {k: Fraction(x, den) for k, x in nums.items()}
-
 
 def q_fiber(pres: IntegerPolynomialPresentation,
             gb: Optional[List[Poly]] = None) -> Optional[QFiberAlgebra]:
@@ -352,6 +347,9 @@ def q_fiber(pres: IntegerPolynomialPresentation,
     `gb` is the basis from `groebner_basis(pres)` when the caller already has it.
     Finiteness criterion: every variable has a pure power among the Groebner
     leading terms (with the zero algebra as the degenerate unit-ideal case).
+    The basis is read off the box of exponents below those pure powers, so a
+    box of more than `DEFAULT_ELEMENT_CAP` monomials is refused before it is
+    listed.
     """
     if gb is None:
         gb = groebner_basis(pres)
@@ -368,6 +366,11 @@ def q_fiber(pres: IntegerPolynomialPresentation,
         if d is None:
             return None
         bounds.append(d)
+    box = prod(bounds)
+    if box > DEFAULT_ELEMENT_CAP:
+        raise ValueError(
+            f"a rational fiber with up to {box} basis monomials, more "
+            f"than {DEFAULT_ELEMENT_CAP}, is outside the supported desk scale")
     basis = [mo for mo in product(*(range(b) for b in bounds))
              if not any(mono_divides(lm, mo) for lm in lms)]
     basis.sort(key=grevlex_key)

@@ -9,7 +9,7 @@ Strict equivalence (conjugation by 1 + M_n(m)) is decided by one linear
 solve; deformation sets are the orbit partitions, walked over generators of
 that group, with canonical (key-least) representatives.  The tangent
 dimension dim H^1(G, ad rhobar) is solved for by linear algebra over the
-residue field; enumerating the classes over k[eps] stays as its oracle.
+residue field; enumerating the classes over k[eps] is the tests' oracle.
 
 The averaging operator sums g-translates of an approximate intertwiner and
 divides by the group order; when p divides the order this costs p-adic
@@ -29,10 +29,8 @@ from .linalg import HowellForm, LinearMapSolver
 from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, CapExceededError,
                          FiniteLocalRing, Ideal, RingElement, RingHom,
                          RingSurjection, exact_divide, m_adic_layers,
-                         maximal_ideal, quotient_ring,
-                         ring_from_truncated_presentation, scale_ideal)
+                         maximal_ideal, quotient_ring, scale_ideal)
 from .matrices import Matrix
-from .presentations import IntegerPolynomialPresentation
 
 
 class RepresentationError(ValueError):
@@ -85,6 +83,9 @@ class Representation:
         return tuple(x for M in self.gen_matrices for x in M.key())
 
     def conjugate(self, K: Matrix) -> "Representation":
+        # no library route conjugates whole tables (`def_set` walks orbits
+        # by `_conjugate_in_place`); kept because `perfbench/tracing.py`
+        # counts its calls
         Kinv = K.inverse()
         return Representation(self.group, self.ring, self.n,
                               [K * M * Kinv for M in self.matrices])
@@ -139,21 +140,17 @@ class Lift:
         return self.rep.key()
 
 
-def _kernel_group_order(ring: FiniteLocalRing, n: int, cap: int) -> int:
-    """|1 + M_n(m)| = |m|^(n^2), checked against the element cap."""
+def kernel_group(ring: FiniteLocalRing, n: int,
+                 cap: int = DEFAULT_ELEMENT_CAP) -> List[Matrix]:
+    """All |m|^(n^2) matrices congruent to the identity modulo the maximal
+    ideal, in lexicographic order of the entries' keys; the tests' scan
+    oracle.  No library route lists them; it stays here because
+    `perfbench/tracing.py` wraps it."""
     total = maximal_ideal(ring).size ** (n * n)
     if total > cap:
         raise CapExceededError(
             f"kernel group has {total} matrices, above the cap {cap}",
             cap="cap_elements", needed=total, limit=cap)
-    return total
-
-
-def kernel_group(ring: FiniteLocalRing, n: int,
-                 cap: int = DEFAULT_ELEMENT_CAP) -> List[Matrix]:
-    """All matrices congruent to the identity modulo the maximal ideal, in
-    lexicographic order of the entries' keys; the tests' scan oracle."""
-    _kernel_group_order(ring, n, cap)
     one = Matrix.identity(ring, n)
     return [one + Matrix(ring, [combo[i:i + n] for i in range(0, n * n, n)])
             for combo in product(maximal_ideal(ring).enumerate_elements(), repeat=n * n)]
@@ -280,8 +277,7 @@ def _conjugation_form(ring: FiniteLocalRing, n: int, gens1: Sequence[Matrix],
 
 
 def kernel_conjugator(ring: FiniteLocalRing, n: int, gens1: Sequence[Matrix],
-                      gens2: Sequence[Matrix],
-                      cap: int = DEFAULT_ELEMENT_CAP) -> Optional[Matrix]:
+                      gens2: Sequence[Matrix]) -> Optional[Matrix]:
     """The first K of `kernel_group(ring, n)` with a K = K b for every pair
     (a, b) of `zip(gens1, gens2)`, or None, solved for instead of scanned.
 
@@ -291,7 +287,6 @@ def kernel_conjugator(ring: FiniteLocalRing, n: int, gens1: Sequence[Matrix],
     of Y is its least residue modulo its pivot: Y is the least element of
     Y + V in `kernel_group`'s order.  n is explicit for groups without generators.
     """
-    _kernel_group_order(ring, n, cap)
     form, ni = _conjugation_form(ring, n, gens1, gens2)
     zero, N = ring.base.zero, ring.N
     red = form.reduce([c for a, b in zip(gens1, gens2) for row in (a - b).rows
@@ -306,14 +301,12 @@ def kernel_conjugator(ring: FiniteLocalRing, n: int, gens1: Sequence[Matrix],
     return K
 
 
-def are_strictly_equivalent(l1: Lift, l2: Lift,
-                            cap: int = DEFAULT_ELEMENT_CAP
-                            ) -> Tuple[bool, Optional[Matrix]]:
+def are_strictly_equivalent(l1: Lift, l2: Lift) -> Tuple[bool, Optional[Matrix]]:
     """The first K of the kernel group with rho1 = K rho2 K^{-1}, i.e. rho1 K = K rho2."""
     if l1.rep.ring is not l2.rep.ring:
         raise ValueError("lifts live over different rings")
     K = kernel_conjugator(l1.rep.ring, l1.rep.n, l1.rep.gen_matrices,
-                          l2.rep.gen_matrices, cap)
+                          l2.rep.gen_matrices)
     return K is not None, K
 
 
@@ -386,8 +379,7 @@ def _memoised_scaling(s: RingElement):
 
 
 def def_set(rhobar: Representation, ring: FiniteLocalRing,
-            cap_maps: int = DEFAULT_MAP_CAP,
-            cap_elements: int = DEFAULT_ELEMENT_CAP) -> DefSet:
+            cap_maps: int = DEFAULT_MAP_CAP) -> DefSet:
     """Lifts up to strict equivalence, with canonical (key-least) representatives.
 
     For n = 1 every class is one lift, as R is commutative.  Otherwise each
@@ -399,9 +391,9 @@ def def_set(rhobar: Representation, ring: FiniteLocalRing,
     """
     lifts = enumerate_lifts(rhobar, ring, cap_maps)
     n = rhobar.n
-    total = _kernel_group_order(ring, n, cap_elements)
     if n == 1:
         return DefSet(lifts, [1] * len(lifts), len(lifts))
+    total = maximal_ideal(ring).size ** (n * n)
     index: Dict[Tuple[int, ...], int] = {l.key(): i for i, l in enumerate(lifts)}
     conjugations = [_conjugate_in_place(ring, a, c, x)
                     for a, c, x in _layer_generators(ring, n)]
@@ -434,6 +426,8 @@ def def_set(rhobar: Representation, ring: FiniteLocalRing,
                 f"{form.size_from(ni)}")
         reps.append(l)
         sizes.append(len(orbit))
+    # no input reaches this: each lift is marked seen exactly once, as an
+    # orbit's first element or when appended to it, and every lift is marked
     if sum(sizes) != len(lifts):
         raise InternalInconsistencyError("orbit sizes do not add up to the lift count")
     return DefSet(reps, sizes, len(lifts))
@@ -445,24 +439,6 @@ def unique_deformation_check(rhobar: Representation, ring: FiniteLocalRing,
     if rhobar.group.n % ring.base.p == 0:
         raise ValueError("the uniqueness statement requires p not dividing |G|")
     return def_set(rhobar, ring, **caps).class_count == 1
-
-
-def tangent_space(rhobar: Representation,
-                  cap_maps: int = DEFAULT_MAP_CAP) -> Tuple[DefSet, int]:
-    """Deformation classes over k[eps]; the count must be a power of q = |k|."""
-    k = rhobar.ring
-    pres = IntegerPolynomialPresentation.parse(k.base.p, ["e"], ["e^2"], r=k.base.r)
-    keps = ring_from_truncated_presentation(pres, 1, h=k.base.h)
-    ds = def_set(rhobar, keps, cap_maps)
-    q, count = k.residue_field.size, ds.class_count
-    t, c = 0, count
-    while c % q == 0:
-        c //= q
-        t += 1
-    if c != 1:
-        raise InternalInconsistencyError(
-            f"tangent count {count} is not a power of q={q}; implementation bug")
-    return ds, t
 
 
 def _cocycle_system(rhobar: Representation) -> List[List[GRElt]]:
@@ -516,7 +492,7 @@ def tangent_dimension(rhobar: Representation) -> int:
     homomorphism iff the cocycle equations of `_cocycle_system` hold; their
     solution space is Z^1.  Conjugation by 1 + eps Y moves (X_g) by
     (Y rhobar(g) - rhobar(g) Y), and these span B^1.  The classes over k[eps]
-    number q^t with t = dim Z^1 - dim B^1; `tangent_space` enumerates them.
+    number q^t with t = dim Z^1 - dim B^1.
     """
     G, n, W = rhobar.group, rhobar.n, rhobar.ring.base
     if W.m != 1:
@@ -597,7 +573,6 @@ def maranda_average(rho1: Representation, rho2: Representation,
 
 
 def maranda_decide(l1: Lift, l2: Lift,
-                   cap: int = DEFAULT_ELEMENT_CAP,
                    surj: Optional[RingSurjection] = None
                    ) -> Tuple[bool, Optional[MarandaCertificate]]:
     """Strict equivalence over R, decided over the exact finite quotient R/J.
@@ -610,7 +585,7 @@ def maranda_decide(l1: Lift, l2: Lift,
         surj = quotient_ring(l1.rep.ring, order_ideal(l1.rep.ring, l1.rep.group))
     red1, red2 = ([M.transfer(surj.target, surj.project) for M in l.rep.gen_matrices]
                   for l in (l1, l2))
-    witness = kernel_conjugator(surj.target, l1.rep.n, red1, red2, cap)
+    witness = kernel_conjugator(surj.target, l1.rep.n, red1, red2)
     if witness is None:
         return False, None
     A = witness.transfer(l1.rep.ring, surj.section)

@@ -205,7 +205,7 @@ def one_dim_udr_crosscheck(G: FiniteGroup, rhobar: Representation,
     elems = ring.enumerate_elements(cap_elements)
     for pk in p_invs:
         predicted *= sum(1 for x in elems if (x ** pk) == ring.one)
-    ds = def_set(rhobar, ring, cap_maps, cap_elements)
+    ds = def_set(rhobar, ring, cap_maps)
     return OneDimCrosscheckReport(
         predicted=predicted, computed=ds.class_count,
         agree=predicted == ds.class_count, p_part_invariants=p_invs)
@@ -227,7 +227,6 @@ class FinitenessBoundReport:
 
 def finiteness_bound_check(rhobar: Representation, ring: FiniteLocalRing,
                            lifts: Sequence[Lift] = (),
-                           cap_elements: int = DEFAULT_ELEMENT_CAP,
                            cap_maps: int = DEFAULT_MAP_CAP) -> FinitenessBoundReport:
     """|Def(R/J)| bounds |Def(R)| because reduction mod J = |G| m_R is injective
     on deformation classes (the averaging argument of `maranda_average`).
@@ -241,9 +240,9 @@ def finiteness_bound_check(rhobar: Representation, ring: FiniteLocalRing,
     G = rhobar.group
     r, _ = p_part(G, ring.base.p)
     surj = quotient_ring(ring, order_ideal(ring, G))
-    ds_bar = def_set(rhobar, surj.target, cap_maps, cap_elements)
+    ds_bar = def_set(rhobar, surj.target, cap_maps)
     pairs = list(combinations(lifts, 2))
     for l1, l2 in pairs:
-        maranda_decide(l1, l2, cap_elements, surj)
+        maranda_decide(l1, l2, surj)
     return FinitenessBoundReport(bound=ds_bar.class_count, p_exponent=r,
                                  pairs_checked=len(pairs))

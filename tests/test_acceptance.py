@@ -24,9 +24,10 @@ from defring.presented import (etale_check, omega_rank, q_fiber, trace_form)
 from defring.representation import (Lift, Representation, def_set, hom_family,
                                     hom_vs_derivation, kernel_group,
                                     maranda_average, maranda_decide,
-                                    square_zero_extension, tangent_space,
-                                    trivial_residual_rep)
+                                    square_zero_extension, trivial_residual_rep)
 from defring.udr import one_dim_udr_crosscheck, order_lower_bound
+
+from oracles import is_invertible, tangent_space
 
 
 def _pres(p, names, rels, r=1):
@@ -161,7 +162,7 @@ def test_acceptance_3_unique_deformation():
     for G, R in combos:
         for n in (1, 2):
             rhobar = trivial_residual_rep(G, R, n=n)
-            ds = def_set(rhobar, R, 10 ** 7, 10 ** 6)
+            ds = def_set(rhobar, R, 10 ** 7)
             if ds.class_count != 1:
                 ok = False
             tried += 1
@@ -238,7 +239,7 @@ def test_acceptance_5_maranda_round_trip():
         r = 1 if G.n == 2 else 2
         for _ in range(35):
             K = _random_kernel_matrix(rng, R, n, m_elems)
-            if not K.is_invertible():
+            if not is_invertible(K):
                 continue
             rho2 = rho.conjugate(K)
             # rho2 = K rho K^{-1}, so K^{-1} intertwines: rho K^{-1} = K^{-1} rho2

@@ -352,6 +352,34 @@ def test_error_paths_report_json(tmp_path, command, text, flags, message):
     assert proc.stdout == ""
 
 
+HUGE_PURE_POWER_JOB = """\
+presentation {
+  p = 2
+  vars = X
+  relations = X^99999999
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["etale-check", "w-check"])
+def test_huge_pure_power_is_refused_before_the_fiber_is_listed(tmp_path, command):
+    # the fiber's basis would be the 99999999 monomials below X^99999999,
+    # too many to list, so the box size is compared with the cap first
+    job = tmp_path / "job.txt"
+    job.write_text(HUGE_PURE_POWER_JOB)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "defring.cli", command, str(job), "--no-cache"],
+        capture_output=True, text=True)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == (
+        "a rational fiber with up to 99999999 basis monomials, more than "
+        "1000000, is outside the supported desk scale")
+    assert proc.stdout == ""
+
+
 MARANDA_C2_INEQUIVALENT_JOB = (Path(__file__).resolve().parent.parent / "perfbench"
                                / "jobs" / "maranda_c2_inequivalent.job").read_text()
 
@@ -361,12 +389,7 @@ MARANDA_C2_INEQUIVALENT_JOB = (Path(__file__).resolve().parent.parent / "perfben
      "256 candidate lifts exceed the cap 5"),  # 16 candidates per generator
     ("fingerprint", DEFCOUNT_JOB, "--cap-elements", ("cap_elements", 8, 5),
      "ring has 8 elements, above the cap 5"),  # Z/8
-    # the kernel group 1 + M_2(m) is not listed, but its order is still capped
-    ("maranda-check", MARANDA_C2_INEQUIVALENT_JOB, "--cap-elements",
-     ("cap_elements", 256, 5), "kernel group has 256 matrices, above the cap 5"),
-    ("defcount", CAP_JOB, "--cap-elements", ("cap_elements", 16, 5),
-     "kernel group has 16 matrices, above the cap 5"),  # |m| = 2 in Z/4, n = 2
-], ids=["cap-maps", "cap-elements", "maranda-kernel-group", "defcount-kernel-group"])
+], ids=["cap-maps", "cap-elements"])
 def test_cap_errors_carry_structured_fields(tmp_path, command, text, flag,
                                             fields, message):
     job = tmp_path / "job.txt"
@@ -379,6 +402,25 @@ def test_cap_errors_carry_structured_fields(tmp_path, command, text, flag,
     err = json.loads(proc.stderr)
     assert err["error"] == message
     assert (err["cap"], err["needed"], err["limit"]) == fields
+
+
+@pytest.mark.parametrize("command, text, expected", [
+    # |1 + M_2(m)| is 256 over the maranda job's R/J, 16 over Z/4 (|m| = 2)
+    ("maranda-check", MARANDA_C2_INEQUIVALENT_JOB, {"equivalent": False}),
+    ("defcount", CAP_JOB, {"lift_count": 16, "class_count": 16}),
+], ids=["maranda-kernel-group", "defcount-kernel-group"])
+def test_kernel_group_order_reads_no_element_cap(tmp_path, command, text, expected):
+    # the conjugator is solved for and orbits are walked over the layer
+    # generators, so the kernel group is never listed and `--cap-elements`
+    # bounds nothing these commands run: the flag changes only the job hash
+    code, report = _main_run(tmp_path, command, text)
+    assert code == 0
+    capped_code, capped = _main_run(tmp_path, command, text, "--cap-elements", "5")
+    assert capped_code == 0
+    result = json.loads(report)["result"]
+    assert json.loads(capped)["result"] == result
+    assert {key: result[key] for key in expected} == expected
+    assert json.loads(capped)["job_hash"] != json.loads(report)["job_hash"]
 
 
 TANGENT_D4_JOB = """\

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from defring.errors import InternalInconsistencyError
 from defring.galois import GaloisRing, default_irreducible, is_prime
 
 
@@ -53,7 +54,7 @@ def test_unit_part_factorization():
     for n in range(1, 27):
         v, u = W.unit_part(W.from_int(n))
         assert W.is_unit(u)
-        assert W.scal(3 ** v, u) == W.from_int(n)
+        assert W.mul(W.from_int(3 ** v), u) == W.from_int(n)
 
 
 def test_divide_by_p_power_requires_divisibility():
@@ -68,3 +69,16 @@ def test_reduce_lift_roundtrip():
     k = W.residue_field
     for a in k.elements():
         assert W.reduce(W.lift(a)) == a
+
+
+def test_a_wrong_residue_inverse_is_caught_after_newton(monkeypatch):
+    # over Z/9 the residue field's inverse of 2 is made to answer 1, so
+    # Newton's iteration starts off the inverse and stays at 0.  Only this
+    # ring's residue field is patched: patching `pow` for every field makes
+    # the ring checks fail before any CLI route inverts
+    W = GaloisRing(3, 2, 1)
+    k = W.residue_field
+    monkeypatch.setattr(k, "pow", lambda a, e: k.one)
+    with pytest.raises(InternalInconsistencyError,
+                       match="^Newton iteration did not reach the inverse$"):
+        W.inv(W.from_int(2))

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private function, method or class of the package is read somewhere in it.
+"""Every name a library module imports is used in that module, every
+private function, method or class of the package is read somewhere in it,
+and every public one is read outside the tests.
 
 `__init__.py` is skipped by the import check: its imports are the package's
 public names.
@@ -12,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "defring"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "defring"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+READERS = sorted([*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
 
 
 def _imported(tree: ast.AST):
@@ -64,6 +67,38 @@ def unread_private_definitions(sources):
             and node.name not in read]
 
 
+def unread_public_definitions(sources, readers):
+    """(module, name, line) of each public (not underscore-prefixed)
+    function, method or class in `sources` (module name -> text, the
+    library's modules with `__init__.py`) that nothing outside the tests
+    reads.  A definition is read by an ast.Name or ast.Attribute load in a
+    library module, by an import in `__init__.py` (an export), or by a
+    load, an import or a string constant in `readers` (the texts of the
+    scripts and of perfbench, whose tracer names what it wraps by
+    strings)."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    read |= {alias.name for node in ast.walk(trees.get("__init__.py", ast.Module([], [])))
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    for text in readers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [(name, node.name, node.lineno) for name, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -98,3 +133,32 @@ def test_scanner_sees_unread_private_definitions():
                         "bound = obj._method\n")}
     assert unread_private_definitions(sources) == [("a.py", "_Unread", 3),
                                                    ("a.py", "_stored", 6)]
+
+
+def test_no_public_definition_only_tests_read():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_public_definitions(sources, [p.read_text() for p in READERS]) == []
+
+
+def test_scanner_sees_public_definitions_only_tests_read():
+    sources = {"a.py": ("def used():\n"
+                        "    pass\n"
+                        "def exported():\n"
+                        "    pass\n"
+                        "class Unread:\n"
+                        "    def scripted(self):\n"
+                        "        pass\n"
+                        "    def wrapped(self):\n"
+                        "        pass\n"
+                        "    def test_only(self):\n"
+                        "        used()\n"
+                        "    def _private(self):\n"
+                        "        pass\n"),
+               "__init__.py": "from .a import exported\n"}
+    readers = ["from defring.a import Unread\n"
+               "Unread().scripted()\n"
+               "TARGETS = [(Unread, 'wrapped')]\n"]
+    assert unread_public_definitions(sources, readers) == [("a.py", "test_only", 10)]
+    assert unread_public_definitions(sources, []) == [
+        ("a.py", "Unread", 5), ("a.py", "scripted", 6), ("a.py", "wrapped", 8),
+        ("a.py", "test_only", 10)]

@@ -47,6 +47,8 @@ from defring.representation import (DefSet, Lift, Representation,
                                     kernel_group, order_ideal, residual_rep,
                                     trivial_residual_rep)
 
+from oracles import is_invertible
+
 
 def all_pairs_hom(G, one, generator_images):
     images = []
@@ -207,7 +209,7 @@ def residual_reps(draw):
                                           min_size=n * n, max_size=n * n)))
               for _ in G.generators]
     one = Matrix.identity(k, n)
-    if all(M.is_invertible() for M in images) and \
+    if all(is_invertible(M) for M in images) and \
             extend_and_verify_hom(G, one, images)[1] is None:
         return residual_rep(G, k, images), ring
     return trivial_residual_rep(G, k, n), ring

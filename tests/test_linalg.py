@@ -240,7 +240,7 @@ def _howell_inputs(draw):
     n = draw(st.integers(1, 6))
     orders = draw(st.none() | st.lists(st.integers(1, W.m), min_size=n, max_size=n))
     unit_or_not = st.tuples(*[st.integers(0, W.q - 1)] * W.r)
-    entry = st.just(W.zero) | st.builds(lambda e, v: W.scal(W.p ** v, e),
+    entry = st.just(W.zero) | st.builds(lambda e, v: W.mul(W.from_int(W.p ** v), e),
                                         unit_or_not, st.integers(0, W.m - 1))
     vector = st.lists(entry, min_size=n, max_size=n)
     rows = draw(st.lists(vector, max_size=7))

@@ -16,7 +16,8 @@ from defring.errors import InternalInconsistencyError
 from defring.galois import GaloisRing
 from defring.groups import symmetric
 from defring.linalg import LinearMapSolver
-from defring.local_ring import (CapExceededError, FiniteLocalRing, Ideal, Layer,
+from defring.local_ring import (DEFAULT_ELEMENT_CAP, CapExceededError,
+                                FiniteLocalRing, Ideal, Layer,
                                 NonUnitError, NotFiniteAtCapError,
                                 PrecisionExhaustedError, RingConstructionError,
                                 RingElement, ZeroDivisorError, build_galois_ring,
@@ -28,6 +29,8 @@ from defring.matrices import Matrix
 from defring.polys import Poly
 from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
 from defring.representation import def_set, square_zero_extension, trivial_residual_rep
+
+from oracles import ideal_product
 
 
 def _pres(p, names, rels, r=1):
@@ -152,7 +155,7 @@ def test_ideal_size_and_membership():
 def test_ideal_product_matches_power():
     R = z4_eps()
     m = maximal_ideal(R)
-    m2 = m.product(m)
+    m2 = ideal_product(m, m)
     # m = (2, e), m^2 = (4, 2e, e^2) = (2e) ... check via membership
     assert m2.size == 2
     assert m2.contains(R.generators[0].scale_int(2))
@@ -267,6 +270,10 @@ def test_element_cap_is_explicit():
     with pytest.raises(CapExceededError):
         R.enumerate_elements(8)
     assert len(R.enumerate_elements(16)) == 16
+    m = maximal_ideal(R)
+    with pytest.raises(CapExceededError, match="^ideal has 8 elements, above the cap 7$"):
+        m.enumerate_elements(7)
+    assert len(m.enumerate_elements(8)) == 8
 
 
 def test_enumeration_is_sorted_and_complete():
@@ -366,7 +373,7 @@ def test_layer_rejects_a_lower_ideal_outside_the_upper():
     ("r_alpha(1)", [4096, 1024, 128, 8, 1]),
 ])
 def test_m_adic_filtration_and_hilbert_sequence(name, sizes, monkeypatch):
-    R = oracle_ring(name)
+    R = ORACLE_RINGS[name]()  # a fresh ring, with no layers cached
     powers = m_adic_filtration(R)
     assert [I.size for I in powers] == sizes
     assert powers[0] is maximal_ideal(R)
@@ -378,10 +385,10 @@ def test_m_adic_filtration_and_hilbert_sequence(name, sizes, monkeypatch):
     # of the power before and g over m's t generators after p: t products
     # per basis element, and no product of ideals
     t = len(powers[0].generators) - 1
-    monkeypatch.setattr(Ideal, "product", None)
     assert _count_products(monkeypatch, lambda: m_adic_filtration(R)) == \
         t * sum(len(I.module_basis) for I in powers[:-1])
-    # fingerprint reads the same powers: one span per nonzero power
+    # fingerprint reads the same powers through the ring's cached
+    # `m_adic_layers`: one span per nonzero power
     spans = []
     span = Ideal._span
     monkeypatch.setattr(Ideal, "_span", lambda self, *args: spans.append(1) or span(self, *args))
@@ -449,16 +456,17 @@ def test_hom_cap_is_explicit():
     assert len(hom_enumerate(z4_eps(), z4_eps(), cap=8)) == 8
 
 
-def test_hom_element_cap_on_the_maximal_ideal():
-    # |m_T| = 2^20 is held to the default element cap even when the map cap
-    # admits the 2^20 candidates, as when m_T was enumerated
+def test_hom_count_reads_no_element_cap_on_the_maximal_ideal():
+    # |m_T| = 2^20 is above the default element cap, but the layered search
+    # never lists m_T: only the map cap on the 2^20 candidates applies, and
+    # (Z/2^21)[X]/(X - 2) = Z/2^21 has the one map X -> 2
     S = ring_from_truncated_presentation(_pres(2, ["X"], ["X - 2"]), 21)
     T = build_galois_ring(2, 21, 1)
-    with pytest.raises(CapExceededError,
-                       match="^ideal has 1048576 elements, above the cap 1000000$") as exc:
-        hom_enumerate(S, T, cap=2 ** 20)
-    assert (exc.value.cap, exc.value.needed, exc.value.limit) == \
-        ("cap_elements", 2 ** 20, 10 ** 6)
+    assert maximal_ideal(T).size == 2 ** 20 > DEFAULT_ELEMENT_CAP
+    homs = hom_enumerate(S, T, cap=2 ** 20)
+    assert [h.apply(S.generators[0]) for h in homs] == [T.from_int(2)]
+    with pytest.raises(CapExceededError, match="^1048576 candidate maps exceed the cap"):
+        hom_enumerate(S, T, cap=2 ** 20 - 1)
 
 
 def test_identity_hom_verifies():
@@ -597,7 +605,7 @@ def test_sums_match_galois_ring_oracle(name, data, n):
     cases = [(x + y, [W.add(a, b) for a, b in zip(xs, ys)], both),
              (x - y, [W.sub(a, b) for a, b in zip(xs, ys)], both),
              (-x, [W.neg(a) for a in xs], x.prec),
-             (x.scale_int(n), [W.scal(n, a) for a in xs], x.prec)]
+             (x.scale_int(n), [W.mul(W.from_int(n), a) for a in xs], x.prec)]
     for got, coeffs, prec in cases:
         assert got.flat == R._canon([c for a in coeffs for c in a])
         assert got.prec == prec
@@ -709,7 +717,7 @@ def _with_table(R: FiniteLocalRing, table, monos=True, residue=None,
 def square_zero_ring(name: str) -> FiniteLocalRing:
     R = oracle_ring(name)
     m = maximal_ideal(R)
-    return square_zero_extension(R, m.product(m))[0]
+    return square_zero_extension(R, ideal_product(m, m))[0]
 
 
 # rings with more than one basis element; e_0 is the unity in all of them
@@ -849,8 +857,9 @@ def test_fingerprint_rejects_a_filtration_that_skips_a_power(build, monkeypatch)
     full = m_adic_filtration(R)
     assert len(full) >= 4
     for skip in range(1, len(full) - 1):
-        monkeypatch.setattr(local_ring, "m_adic_filtration",
-                            lambda ring, skip=skip: full[:skip] + full[skip + 1:])
+        f = full[:skip] + full[skip + 1:]
+        monkeypatch.setattr(local_ring, "m_adic_layers",
+                            lambda ring, f=f: [Layer(u, l) for u, l in zip(f, f[1:])])
         with pytest.raises(InternalInconsistencyError, match="although m"):
             fingerprint(R)
 
@@ -863,7 +872,7 @@ def filtration_oracle(ring: FiniteLocalRing):
     m = maximal_ideal(ring)
     powers = [m]
     while powers[-1].size > 1:
-        powers.append(powers[-1].product(m))
+        powers.append(ideal_product(powers[-1], m))
     return powers
 
 
@@ -900,7 +909,7 @@ def test_ideal_product_matches_ideal_generated_by_products(name, data):
     I, J = (ideal_span(R, [_element(R, data.draw)
                            for _ in range(data.draw(st.integers(0, 2)))])
             for _ in range(2))
-    fast = I.product(J)
+    fast = ideal_product(I, J)
     slow = Ideal(R, [a * b for a in I.module_basis for b in J.module_basis])
     assert [x.flat for x in fast.module_basis] == [x.flat for x in slow.module_basis]
     assert fast.size == slow.size
@@ -989,7 +998,7 @@ def test_matrix_product_ceilings(monkeypatch):
     count(Matrix, "__mul__", "Matrix.__mul__")
     count(RingElement, "__mul__", "RingElement.__mul__")
     count(FiniteLocalRing, "_canon", "_canon")
-    assert def_set(rhobar, R, 10 ** 7, 10 ** 6).class_count == 16
+    assert def_set(rhobar, R, 10 ** 7).class_count == 16
     assert calls["Matrix.__mul__"] == 204
     assert calls["RingElement.__mul__"] == 84
     assert calls["_canon"] == 15

@@ -387,7 +387,8 @@ def test_check_step_prime_after_content():
 def _normal_form_by_rebuilding(f, basis, deny_denominator_prime=None, bit_cap=None):
     """The former `normal_form`: rescans for the leading term and rebuilds the
     whole remaining polynomial at every step, checking every coefficient."""
-    lms = [(g.leading_monomial(), g.leading_coeff(), g) for g in basis if not g.is_zero()]
+    lms = [(g.leading_monomial(), Fraction(g.nums[g.leading_monomial()], g.den), g)
+           for g in basis if not g.is_zero()]
     remainder = {}
     work = Poly(f.nvars, dict(f.terms))
 

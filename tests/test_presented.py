@@ -44,8 +44,14 @@ VERDICT_VECTORS = [
 ]
 
 
+def _describe(pres) -> str:
+    vs = ", ".join(pres.names) if pres.names else "-"
+    rs = "; ".join(pres.relation_strings()) or "-"
+    return f"p={pres.p}, r={pres.r}, vars=[{vs}], relations=[{rs}]"
+
+
 @pytest.mark.parametrize("pres,expected", VERDICT_VECTORS,
-                         ids=[p.describe() for p, _ in VERDICT_VECTORS])
+                         ids=[_describe(p) for p, _ in VERDICT_VECTORS])
 def test_etale_verdict_vectors(pres, expected):
     rep = etale_check(pres)
     assert rep.verdict == expected
@@ -349,6 +355,12 @@ def _omega_rank_by_normal_forms(pres, A):
     return n * t - _row_reduce(rows)[0]
 
 
+def _mult_coords(A, i, j):
+    """The Fraction view of `mult_int_coords`: the coordinates of b_i * b_j."""
+    den, nums = A.mult_int_coords(i, j)
+    return {k: Fraction(x, den) for k, x in nums.items()}
+
+
 def _jacobian_rows_by_fractions(pres, A):
     """The former Jacobian rows: composed from the multiplication table with
     Fraction multiply-adds, one Fraction per entry."""
@@ -360,7 +372,7 @@ def _jacobian_rows_by_fractions(pres, A):
             row = [Fraction(0)] * (t * n)
             for i, g in enumerate(partials):
                 for u, c in g.items():
-                    for v, d in A.mult_coords(u, j).items():
+                    for v, d in _mult_coords(A, u, j).items():
                         row[i * n + v] += c * d
             rows.append(row)
     return rows
@@ -369,9 +381,9 @@ def _jacobian_rows_by_fractions(pres, A):
 def _trace_form_by_fractions(A):
     """The former Gram matrix: traces and entries summed as Fractions."""
     n = A.dim
-    traces = [sum((A.mult_coords(u, l).get(l, Fraction(0)) for l in range(n)), Fraction(0))
+    traces = [sum((_mult_coords(A, u, l).get(l, Fraction(0)) for l in range(n)), Fraction(0))
               for u in range(n)]
-    gram = [[sum((c * traces[u] for u, c in A.mult_coords(i, j).items()), Fraction(0))
+    gram = [[sum((c * traces[u] for u, c in _mult_coords(A, i, j).items()), Fraction(0))
              for j in range(n)] for i in range(n)]
     return gram, _determinant(gram)
 
@@ -637,7 +649,7 @@ KATSURA3 = _pres(2, ["A", "B", "C", "D"],
 
 
 def _mult_coords_by_normal_form(A, i, j):
-    """The former `mult_coords`: the normal form of each product b_i * b_j."""
+    """The former multiplication table: the normal form of each product b_i * b_j."""
     return A.coords(Poly.from_monomial(A.pres.nvars, mono_mul(A.basis[i], A.basis[j])))
 
 
@@ -645,7 +657,7 @@ def _assert_mult_table_matches_normal_forms(pres):
     A = q_fiber(pres)
     for i in range(A.dim):
         for j in range(A.dim):
-            assert A.mult_coords(i, j) == _mult_coords_by_normal_form(A, i, j), (i, j)
+            assert _mult_coords(A, i, j) == _mult_coords_by_normal_form(A, i, j), (i, j)
 
 
 @pytest.mark.parametrize("name", ["katsura-3", *NONREDUCED])
@@ -779,3 +791,17 @@ def test_w_membership_report_dict():
     d = w_membership_check(_pres(5, ["X"], ["X^2 - 5*X"])).as_dict()
     assert d["precision"] == 4
     assert "finite_dimensional" in d and "note" in d
+
+
+def test_a_radical_without_nilpotents_is_a_json_error(monkeypatch, tmp_path, capsys):
+    # the trace form's kernel is made to offer only the unity, which is not
+    # nilpotent, so the search for a witness must stop the run
+    monkeypatch.setattr(presented, "_kernel_basis",
+                        lambda *args: [[Fraction(1)] + [Fraction(0)] * (args[-1] - 1)])
+    message = "trace form is degenerate but no kernel element is nilpotent"
+    with pytest.raises(InternalInconsistencyError, match=f"^{message}$"):
+        etale_check(_pres(2, ["X"], ["X^2"]))
+    job = tmp_path / "job.txt"
+    job.write_text("presentation {\n  p = 2\n  vars = X\n  relations = X^2\n}\n")
+    assert main(["etale-check", str(job), "--no-cache"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == message

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import defring.representation as representation
+from defring.cli import main
+from defring.errors import InternalInconsistencyError
 from defring.groups import (abelianization, cyclic, dihedral, direct_product,
                             quaternion8, symmetric)
-from defring.local_ring import (build_galois_ring, ideal_span, identity_hom,
+from defring.local_ring import (DEFAULT_ELEMENT_CAP, CapExceededError,
+                                build_galois_ring, ideal_span, identity_hom,
                                 maximal_ideal, quotient_ring,
                                 ring_from_truncated_presentation)
 from defring.matrices import Matrix
@@ -20,9 +26,10 @@ from defring.representation import (Lift, MarandaPreconditionError,
                                     normalize_intertwiner, order_ideal,
                                     residual_rep,
                                     square_zero_extension, tangent_dimension,
-                                    tangent_space, trivial_residual_rep,
+                                    trivial_residual_rep,
                                     unique_deformation_check)
 
+from oracles import is_invertible, tangent_space
 from test_lift_oracles import candidate_lifts
 
 
@@ -154,7 +161,7 @@ def test_two_dimensional_def_set_orbits():
     G = cyclic(2)
     keps = ring_from_truncated_presentation(_pres(2, ["e"], ["e^2"]), 1)
     rhobar = trivial_residual_rep(G, keps.residue_ring, n=2)
-    ds = def_set(rhobar, keps, cap_maps=10 ** 6, cap_elements=10 ** 5)
+    ds = def_set(rhobar, keps, cap_maps=10 ** 6)
     assert ds.total_lifts == sum(ds.orbit_sizes)
     assert ds.class_count >= 1
     # representatives are canonical: least key in each orbit
@@ -168,7 +175,24 @@ def test_kernel_group_size():
     # I + M_2(2Z/4): 2^4 matrices, all invertible
     assert len(kg) == 16
     for K in kg:
-        assert K.is_invertible()
+        assert is_invertible(K)
+    # the oracle lists the group, so its cap binds
+    with pytest.raises(CapExceededError,
+                       match="^kernel group has 16 matrices, above the cap 15$"):
+        kernel_group(R, 2, cap=15)
+
+
+def test_def_set_reads_no_kernel_group_cap():
+    # over Z/64, |1 + M_2(m)| = (2^5)^4 = 2^20 is above the default element
+    # cap, but the orbits are walked over layer generators and the
+    # conjugator is solved for, so the kernel group is never listed
+    R = zmod(2, 6)
+    assert maximal_ideal(R).size ** 4 > DEFAULT_ELEMENT_CAP
+    ds = def_set(trivial_residual_rep(cyclic(2), R, 2), R)
+    assert (ds.total_lifts, ds.class_count) == (6176, 56)
+    l1, l2 = ds.representatives[:2]
+    assert are_strictly_equivalent(l1, l2) == (False, None)
+    assert are_strictly_equivalent(l1, l1) == (True, Matrix.identity(R, 2))
 
 
 # -- tangent spaces ----------------------------------------------------------
@@ -330,14 +354,14 @@ def test_maranda_decide_two_dimensional():
     K = Matrix(R, [[R.from_int(1), R.from_int(2)],
                    [R.from_int(4), R.from_int(1)]])
     l_conj = Lift(l_diag.rep.conjugate(K), rhobar)
-    eq, cert = maranda_decide(l_diag, l_conj, cap=10 ** 6)
+    eq, cert = maranda_decide(l_diag, l_conj)
     assert eq and cert is not None
     g = G.generators[0]
     assert (l_diag.rep.matrix(g) * cert.B0).agrees_at(
         cert.B0 * l_conj.rep.matrix(g), cert.precision)
     # against the identity lift: distinct mod J
     l_triv = Lift(Representation.from_generator_images(G, R, [I2]), rhobar)
-    eq, _ = maranda_decide(l_diag, l_triv, cap=10 ** 6)
+    eq, _ = maranda_decide(l_diag, l_triv)
     assert not eq
 
 
@@ -448,3 +472,98 @@ def test_hom_family_with_nonzero_derivation():
     homs, distinct = hom_family(incl, d_values, scalars)
     assert len(homs) == 4
     assert distinct == 4
+
+
+# -- the averaging and extension-family checks can fail ------------------------
+
+MARANDA_EQUIVALENT_JOB = (Path(__file__).resolve().parent.parent / "perfbench"
+                          / "jobs" / "maranda_c2_equivalent.job")
+
+
+def _maranda_c2_lifts():
+    """diag(1, -1) and its conjugate [[1, -4], [0, -1]] over Z/16, as in
+    the `maranda-check` job over (Z/2^6)[X]/(X^2 - 2)."""
+    R = zmod_prec(2, 4)
+    G = cyclic(2)
+    rhobar = trivial_residual_rep(G, R, n=2)
+    lifts = [Lift(Representation.from_generator_images(G, R, [Matrix(R, [
+        [R.from_int(1), R.from_int(b)], [R.zero, R.from_int(-1)]])]), rhobar)
+        for b in (0, -4)]
+    assert maranda_decide(*lifts)[0]
+    return lifts
+
+
+def test_a_wrong_division_by_the_group_order_is_caught_by_the_intertwining_check(
+        monkeypatch, capsys):
+    # the exact division B / p^r is made to add 1 to the corner entry of
+    # B0; rho1 E_00 - E_00 rho2 = 4 E_01 is nonzero at the certified
+    # precision, so B0 no longer intertwines
+    exact_divide = representation.exact_divide
+    calls = []
+
+    def off_at_the_corner(b, a):
+        calls.append(1)
+        q = exact_divide(b, a)
+        return q + q.ring.one if len(calls) == 1 else q
+
+    monkeypatch.setattr(representation, "exact_divide", off_at_the_corner)
+    with pytest.raises(InternalInconsistencyError,
+                       match="^averaging failed to produce an intertwiner; bug$"):
+        maranda_decide(*_maranda_c2_lifts())
+    calls.clear()
+    assert main(["maranda-check", str(MARANDA_EQUIVALENT_JOB), "--no-cache"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == \
+        "averaging failed to produce an intertwiner; bug"
+
+
+def test_a_zero_average_is_caught_by_the_congruence_check(monkeypatch, capsys):
+    # every exact division answers 0: B0 = 0 intertwines every pair, but it
+    # is not congruent to the identity modulo m
+    monkeypatch.setattr(representation, "exact_divide", lambda b, a: b.ring.zero)
+    with pytest.raises(InternalInconsistencyError,
+                       match="^averaged intertwiner left I_n \\+ M_n\\(m_R\\); bug$"):
+        maranda_decide(*_maranda_c2_lifts())
+    assert main(["maranda-check", str(MARANDA_EQUIVALENT_JOB), "--no-cache"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == \
+        "averaged intertwiner left I_n + M_n(m_R); bug"
+
+
+def test_a_wrong_unit_is_caught_by_the_normalization_check(monkeypatch):
+    # over Z/9 the inverse of the corner unit u = 1 is made to answer 2, so
+    # B0 = 2 I reduces to 2 I, not to the identity; no CLI route normalizes
+    R = zmod(3, 2)
+    one = Matrix.identity(R, 2)
+    lift = Representation.from_generator_images(cyclic(2), R, [one])
+    assert normalize_intertwiner(lift, lift, one)[0] == R.one
+    invert = R.invert
+    monkeypatch.setattr(R, "invert", lambda x: invert(x) * R.from_int(2))
+    with pytest.raises(InternalInconsistencyError,
+                       match="^normalization left I_n \\+ M_n\\(m_R\\); bug$"):
+        normalize_intertwiner(lift, lift, one)
+
+
+def test_a_wrong_inclusion_is_caught_by_the_ring_map_check(monkeypatch):
+    # the inclusion R -> R + eps (R/ann) is built with eps in place of the
+    # image of 1, which is no unital map; no CLI route builds extensions
+    ring_hom = representation.RingHom
+
+    def shifted(source, target, images):
+        if source.N < target.N:
+            images = [target.basis_element(target.N - 1), *images[1:]]
+        return ring_hom(source, target, images)
+
+    monkeypatch.setattr(representation, "RingHom", shifted)
+    R = zmod(2, 3)
+    with pytest.raises(InternalInconsistencyError,
+                       match="^inclusion into the extension is not a ring map$"):
+        square_zero_extension(R, ideal_span(R, []))
+
+
+def test_a_family_from_a_non_derivation_is_caught_by_the_hom_check():
+    # d(1) = eps is no derivation, since every derivation kills 1, so
+    # x -> x + C d(x) sends 1 to 1 + C eps and is not unital
+    R = zmod(2, 3)
+    S, incl, eps_basis = square_zero_extension(R, ideal_span(R, []))
+    with pytest.raises(InternalInconsistencyError,
+                       match="^family member failed homomorphism verification; bug$"):
+        hom_family(incl, [eps_basis[0]], [R.one])

@@ -67,7 +67,7 @@ CENSUS = {
 
 
 def test_deformation_census_script():
-    # the script checks the enumerated tangent dimension against dim H^1
+    # the script checks the classes over k[eps] against q^t, t = dim H^1
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "deformation_census.py"),

@@ -25,6 +25,7 @@ from defring.local_ring import (Layer, NotFiniteAtCapError, _truncation_form,
                                 quotient_ring, ring_from_truncated_presentation)
 from defring.polys import grlex_key, mono_mul
 from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
+from oracles import ideal_product
 from test_local_ring import ORACLE_RINGS, QUOTIENT_BASES, _element
 
 
@@ -242,7 +243,7 @@ def test_layer_basis_matches_greedy_oracle(source, quotient, data):
     else:
         gens = [_element(R, data.draw) for _ in range(data.draw(st.integers(1, 2)))]
         upper = ideal_span(R, [g for g in gens if not g.is_unit()] or [R.zero])
-        lower = upper.product(maximal_ideal(R))
+        lower = ideal_product(upper, maximal_ideal(R))
     _check_layer(upper, lower, data.draw)
 
 

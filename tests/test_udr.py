@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 import defring.representation as representation
 import defring.udr as udr
 
+from defring.cli import main
+from defring.errors import InternalInconsistencyError
 from defring.groups import cyclic, symmetric
 from defring.local_ring import build_galois_ring, ring_from_truncated_presentation
 from defring.matrices import Matrix
@@ -175,3 +180,18 @@ def test_finiteness_bound_no_lifts_supplied():
     rep = finiteness_bound_check(rhobar, R)
     assert rep.pairs_checked == 0
     assert rep.bound >= 1
+
+
+def test_an_unstable_membership_level_is_a_json_error(monkeypatch, capsys):
+    # the level is made to follow the precision, not the ring: level 1 at
+    # precision 4 and 2 at precision 5, which the certification must refuse
+    monkeypatch.setattr(udr, "_membership_level",
+                        lambda ring, diffs, max_level: max_level - 1)
+    message = "membership level unstable across precisions (1 vs 2); bug"
+    with pytest.raises(InternalInconsistencyError, match="^membership level unstable"):
+        order_lower_bound(_pres(2, ["T"], ["T^2 + 4"]), [parse_poly("T", ["T"])],
+                          [parse_poly("-T", ["T"])])
+    job = (Path(__file__).resolve().parent.parent / "perfbench" / "jobs"
+           / "order_bound_t2_plus_4.job")
+    assert main(["order-bound", str(job), "--no-cache"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == message
