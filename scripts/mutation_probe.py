@@ -44,6 +44,8 @@ class Mutant(NamedTuple):
 
 
 LOCAL_RING = "src/defring/local_ring.py"
+POLYS = "src/defring/polys.py"
+PRESENTED = "src/defring/presented.py"
 REPRESENTATION = "src/defring/representation.py"
 
 MUTANTS = (
@@ -105,10 +107,34 @@ MUTANTS = (
            "            if not (y * x).is_zero():",
            "            if False:",
            ("tests/test_local_ring.py",)),
-    Mutant("buchberger: chain criterion switched off", "src/defring/polys.py",
-           "                live.discard((i, j))",
+    Mutant("buchberger: the F5 criterion also reads the current generator's elements", POLYS,
+           "            if not any(all(map(le, e, t)) for e in earlier):",
+           "            if not any(all(map(le, e, t)) for e in lms):",
+           ("tests/test_polys.py",)),
+    Mutant("normal_form: a divisor of equal shifted signature admitted", POLYS,
+           "            if all(map(le, lm, m)) and entry > bound:",
+           "            if all(map(le, lm, m)) and entry >= bound:",
+           ("tests/test_polys.py",)),
+    Mutant("buchberger: a larger shifted signature taken as singular", POLYS,
+           "                       and grevlex_key(tuple(map(add, sigs[i], map(sub, lm, lms[i])))) == key",
+           "                       and grevlex_key(tuple(map(add, sigs[i], map(sub, lm, lms[i])))) >= key",
+           ("tests/test_polys.py",)),
+    Mutant("buchberger: a reduction to zero not recorded as a syzygy", POLYS,
+           "                syzygies.append(t)",
            "                pass",
            ("tests/test_polys.py",)),
+    Mutant("buchberger: a rewriter outside its J-pairs skipped, not reduced", POLYS,
+           "            else:\n                g, u = basis[e], tuple(map(sub, t, sigs[e]))",
+           "            else:\n                continue\n                g, u = basis[e], tuple(map(sub, t, sigs[e]))",
+           ("tests/test_polys.py",)),
+    Mutant("omega_rank: the determinant route's full-rank test skipped", PRESENTED,
+           "            and _full_rank_mod_prime(_jacobian_det_rows(pres, A))):",
+           "            and _jacobian_det_rows(pres, A)):",
+           ("tests/test_presented.py",)),
+    Mutant("_kernel_certified: the exact product with the rows skipped", PRESENTED,
+           "        if any(acc.values()):\n            return False",
+           "        if False:\n            return False",
+           ("tests/test_presented.py",)),
 )
 
 

@@ -1,4 +1,4 @@
-"""Exact multivariate polynomials over Q, monomial orders, and Buchberger's algorithm.
+"""Exact multivariate polynomials over Q, monomial orders, and Gröbner bases.
 
 Monomials are exponent tuples.  A polynomial is held over Z: integer
 numerators over one canonical denominator (`Poly.den`, `Poly.nums`), and
@@ -8,12 +8,21 @@ where a reader asks for them (`Poly.terms`, `render`) or a cap must be
 decided in lowest terms.  Division reduces by each divisor's primitive
 integer multiple, so no step normalises a Fraction; the caps on a division
 are still defined on the coefficients in lowest terms.  Division and Gröbner
-bases use one fixed order, degrevlex (`grevlex_key`):
-Gröbner bases are computed with the normal selection strategy, and the S-pairs
-the Gebauer–Möller criteria prove redundant are dropped before they are
-reduced, so the caps bound every reduction that runs.  The basis is fully
-interreduced and monic, so the output is the canonical reduced basis of the
-ideal.  `grlex_key` remains for callers that sort monomials themselves.
+bases use one fixed order, degrevlex (`grevlex_key`).
+
+Gröbner bases are computed by a signature-based loop (`buchberger`): the
+generators are added one at a time, each polynomial carries a signature,
+position over term, and J-pairs are reduced in increasing signature order
+(Gao, Volny and Wang 2016; Eder and Faugère 2017).  A signature divisible
+by the signature of a known syzygy is never reduced (the F5 criterion and
+the syzygies found on the way), nor is any multiple but the rewriter's of
+each signature, so for a homogeneous regular sequence no reduction gives
+zero, and the caps bound every reduction that runs.  Reductions are regular: `normal_form`
+takes the signatures and refuses a divisor whose shifted signature is not
+smaller.  The basis is then minimalised and interreduced, and the reduced
+monic basis of an ideal is unique, so the output is the canonical reduced
+basis, whatever the loop that found it.  `grlex_key` remains for callers
+that sort monomials themselves.
 """
 
 from __future__ import annotations
@@ -25,6 +34,13 @@ from operator import add, le, neg, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
+
+# The largest degree a power of a polynomial with two or more terms may
+# expand to in `parse_poly`, and the largest rational fiber `q_fiber` lists
+# (`presented.py`): the fiber's trace form costs about dim^3 operations, and
+# `etale-check` of X^1000 - 2, the largest pure power admitted, answers in
+# under a minute.
+DEFAULT_DIMENSION_GUARD = 1000
 
 
 class CoefficientSwellError(ArithmeticError):
@@ -76,12 +92,13 @@ class Poly:
     coefficients' denominators in lowest terms, and the pair is unique.
     Every operation builds its result through `from_z`, which divides the
     content out.  The pair is never mutated after construction, so the
-    divisor form that `normal_form` reduces by is computed once and cached.
+    leading monomial and the divisor form that `normal_form` reduces by are
+    computed once and cached.
     `terms` is a Fraction view for readers such as `render`; no arithmetic
     reads it.
     """
 
-    __slots__ = ("nvars", "den", "nums", "_divisor")
+    __slots__ = ("nvars", "den", "nums", "_divisor", "_lm")
 
     def __init__(self, nvars: int, terms: Optional[Dict[Monomial, object]] = None):
         """The polynomial with the given coefficients, anything `Fraction` accepts."""
@@ -90,7 +107,7 @@ class Poly:
         self.den = lcm(*(c.denominator for _, c in coeffs))
         self.nums = {m: c.numerator * (self.den // c.denominator) for m, c in coeffs if c}
         self.nvars = nvars
-        self._divisor = None
+        self._divisor = self._lm = None
 
     @classmethod
     def from_z(cls, nvars: int, den: int, nums: Dict[Monomial, int]) -> "Poly":
@@ -99,7 +116,7 @@ class Poly:
         out = cls.__new__(cls)
         out.nvars = nvars
         out.den, out.nums = primitive(den, nums)
-        out._divisor = None
+        out._divisor = out._lm = None
         return out
 
     @property
@@ -107,10 +124,11 @@ class Poly:
         """The coefficients in lowest terms, in the order of `nums` (a new dict)."""
         return {m: Fraction(c, self.den) for m, c in self.nums.items()}
 
-    def _divisor_form(self) -> Tuple[Monomial, int, List[Tuple[Monomial, int]]]:
-        """(lm, L, tail): the primitive integer multiple of self, as
+    def _divisor_form(self) -> Tuple[Monomial, int, List[Tuple[Monomial, int]], tuple]:
+        """(lm, L, tail, ()): the primitive integer multiple of self, as
         L*lm - sum(c*m for m, c in tail) with L > 0, which `normal_form`
-        divides by."""
+        divides by, and () as the bound of a divisor that may reduce any
+        term (see `normal_form`)."""
         if self._divisor is None:
             lm = self.leading_monomial()
             nums = self.nums
@@ -118,7 +136,7 @@ class Poly:
             if nums[lm] < 0:
                 g = -g
             self._divisor = (lm, nums[lm] // g,
-                             [(m, -c // g) for m, c in nums.items() if m != lm])
+                             [(m, -c // g) for m, c in nums.items() if m != lm], ())
         return self._divisor
 
     @classmethod
@@ -200,14 +218,19 @@ class Poly:
         return hash((self.den, frozenset(self.nums.items())))
 
     def leading_monomial(self) -> Monomial:
-        return max(self.nums, key=grevlex_key)
+        if self._lm is None:
+            self._lm = max(self.nums, key=grevlex_key)
+        return self._lm
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        lc = self.nums[self.leading_monomial()]
+        lm = self.leading_monomial()
+        lc = self.nums[lm]
         nums = self.nums if lc > 0 else {m: -c for m, c in self.nums.items()}
-        return Poly.from_z(self.nvars, abs(lc), nums)
+        out = Poly.from_z(self.nvars, abs(lc), nums)
+        out._lm = lm
+        return out
 
     def derivative(self, i: int) -> "Poly":
         # m -> m / X_i is one-to-one, so no two terms land on one monomial
@@ -277,7 +300,10 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
     """Parse an integer-coefficient polynomial expression in the given variables.
 
     Supports + - * ^ and parentheses; juxtaposition means multiplication
-    (``5X^2 Y`` == ``5*X^2*Y``).
+    (``5X^2 Y`` == ``5*X^2*Y``).  A power of a base with two or more terms
+    is refused before it is expanded when its degree would exceed
+    DEFAULT_DIMENSION_GUARD; a power of one term stays one term at any
+    degree.
     """
     nvars = len(names)
     index = {n: i for i, n in enumerate(names)}
@@ -352,8 +378,12 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
             if peek() != "int":
                 raise PolyParseError("exponent must be a nonnegative integer",
                                      tokens[pos][2] if pos < len(tokens) else len(text))
-            e = tokens[pos][1]
+            e, at = tokens[pos][1:]
             pos += 1
+            if len(base.nums) > 1 and e * base.degree() > DEFAULT_DIMENSION_GUARD:
+                raise PolyParseError(
+                    f"a power of degree {e * base.degree()}, more than "
+                    f"{DEFAULT_DIMENSION_GUARD}, is outside the supported desk scale", at)
             return base ** e
         return base
 
@@ -388,21 +418,34 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
 
 def normal_form(f: Poly, basis: Sequence[Poly],
                 deny_denominator_prime: Optional[int] = None,
-                bit_cap: Optional[int] = None) -> Poly:
+                bit_cap: Optional[int] = None,
+                signature: Optional[Tuple[Monomial, Sequence[Optional[Monomial]]]] = None
+                ) -> Poly:
     """Full multivariate division remainder of f by basis (every term reduced).
 
     Each step takes the degrevlex-leading term of what is left and either
-    cancels it with the first basis element whose leading monomial divides
-    it, or moves it to the remainder.  What is left is one dict of integer
-    numerators over a common denominator D, shared with the remainder, and
-    its monomials sit on a heap keyed (-degree, reversed monomial), so the
-    heap minimum is the degrevlex maximum; an entry whose monomial has since
-    cancelled or been reduced is stale and skipped.  A step by the divisor
-    L*lm - tail (its primitive integer form) that pops the numerator a first
-    scales what is left, the remainder and D by L/gcd(a, L) if L does not
-    divide a, and then adds (a/L) * tail: integer multiply-adds only.  The
-    remainder's numerators over D go to `Poly.from_z`, which divides the
-    content out.
+    cancels it with the first admissible basis element whose leading
+    monomial divides it, or moves it to the remainder.  What is left is one
+    dict of integer numerators over a common denominator D, shared with the
+    remainder, and its monomials sit on a heap keyed (-degree, reversed
+    monomial, monomial), so the heap minimum is the degrevlex maximum; an
+    entry whose monomial has since cancelled or been reduced is stale and
+    skipped.  A step by the divisor L*lm - tail (its primitive integer form)
+    that pops the numerator a first scales what is left, the remainder and D
+    by L/gcd(a, L) if L does not divide a, and then adds (a/L) * tail:
+    integer multiply-adds only.  The remainder's numerators over D go to
+    `Poly.from_z`, which divides the content out.
+
+    Without `signature` every divisor is admissible.  With `signature` =
+    (t, sigs), sigs parallel to basis, the division is the regular
+    s-reduction of `buchberger`'s signature loop: f has the signature t of
+    the current generator, and basis[i] has a lower generator index when
+    sigs[i] is None (always admissible) or the signature sigs[i] of the
+    current one.  Then basis[i] may reduce the term m only if its shifted
+    signature sigs[i]*m/lm_i is smaller than t, i.e. m < t*lm_i/sigs[i] in
+    degrevlex, which extends to exponent vectors over Z as a group order.
+    Each divisor carries that bound as a heap key, () when unrestricted, and
+    the one admissibility test is that the popped heap entry exceeds it.
 
     The caps are defined on coefficients in lowest terms.  They are checked on
     every coefficient of f and then, after each step, on the coefficients that
@@ -417,7 +460,18 @@ def normal_form(f: Poly, basis: Sequence[Poly],
     cap costs no call.  `_check_step` reduces to lowest terms only when the
     test still fails after the content is divided out.
     """
-    divisors = [g._divisor_form() for g in basis if g.nums]
+    if signature is None:
+        divisors = [g._divisor_form() for g in basis if g.nums]
+    else:
+        t, sigs = signature
+        divisors = []
+        for g, s in zip(basis, sigs):
+            if g.nums:
+                lm, lead, tail, bound = g._divisor_form()
+                if s is not None:
+                    b = tuple([x + y - z for x, y, z in zip(t, lm, s)])
+                    bound = (-sum(b), b[::-1], b)
+                divisors.append((lm, lead, tail, bound))
     prime = deny_denominator_prime
     cap = inf if bit_cap is None else bit_cap
     checked = prime is not None or bit_cap is not None
@@ -429,12 +483,13 @@ def normal_form(f: Poly, basis: Sequence[Poly],
     heap = [(-sum(m), m[::-1], m) for m in work]
     heapify(heap)
     while heap:
-        m = heappop(heap)[2]
+        entry = heappop(heap)
+        m = entry[2]
         a = work.pop(m, None)
         if a is None:
             continue
-        for lm, lead, tail in divisors:
-            if all(map(le, lm, m)):
+        for lm, lead, tail, bound in divisors:
+            if all(map(le, lm, m)) and entry > bound:
                 break
         else:
             remainder[m] = a
@@ -470,7 +525,10 @@ def normal_form(f: Poly, basis: Sequence[Poly],
         if checked and (bits > cap or den.bit_length() > cap
                         or prime and den % prime == 0):
             den = _check_step(work, remainder, den, changed, prime, bit_cap)
-    return Poly.from_z(f.nvars, den, remainder)
+    out = Poly.from_z(f.nvars, den, remainder)
+    if remainder:  # its terms were moved there in descending order
+        out._lm = next(iter(remainder))
+    return out
 
 
 def _fits(den: int, nums: Iterable[int], deny_denominator_prime: Optional[int],
@@ -534,8 +592,8 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
     divides the content out.  The terms are in the order the difference of
     the two shifted polynomials gives.
     """
-    lmf, lf, tf = f._divisor_form()
-    lmg, lg, tg = g._divisor_form()
+    lmf, lf, tf, _ = f._divisor_form()
+    lmg, lg, tg, _ = g._divisor_form()
     l = mono_lcm(lmf, lmg)
     a, b = mono_div(l, lmf), mono_div(l, lmg)
     nums: Dict[Monomial, int] = {tuple(map(add, m, a)): -lg * c for m, c in tf}
@@ -552,66 +610,118 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
 def buchberger(gens: Iterable[Poly], bit_cap: int = 4096) -> List[Poly]:
     """Reduced Gröbner basis, monic, sorted by leading monomial (ascending).
 
-    S-pairs are taken in the order of the key (deg lcm, grevlex_key(lcm), i, j)
-    from a heap.  When an element h joins the basis, the pair set is updated
-    by the Gebauer–Möller criteria (the UPDATE of Becker & Weispfenning,
-    *Gröbner Bases*, §5.5):
-    - a new pair (g, h) is dropped when the lcm of another new pair divides
-      its lcm, keeping one pair of each lcm (M and F); then the pairs with
-      coprime leading monomials are dropped (the product criterion), so a
-      pair that shares its lcm with a coprime pair is dropped too;
-    - a queued pair (i, j) is dropped when lm(h) divides its lcm l and both
-      lcm(lm_i, lm_h) and lcm(lm_j, lm_h) differ from l (the chain criterion);
-      it is skipped when it is popped;
-    - an element whose leading monomial lm(h) divides forms no further pairs,
-      but stays in the basis as a reducer.
-    The syzygy of a dropped pair is a combination of the syzygies of pairs
-    that are reduced or coprime, at most at its lcm, so by Buchberger's
-    criterion the pair is provably redundant, and it is never reduced.  The
-    reduced monic basis is unique, so the result is the one that reducing
-    every pair gives.  `bit_cap` bounds every reduction that runs.
-    Reductions look up the module-level `s_polynomial` and `normal_form` at
-    call time, so a wrapper installed on either name sees every call.
+    A signature-based loop: the RB algorithm of Eder and Faugère ("A survey
+    on signature-based algorithms for computing Gröbner bases", 2017) with
+    the J-pairs of Gao, Volny and Wang ("A new framework for computing
+    Gröbner bases", 2016).  The monic generators, sorted by leading
+    monomial, are added one at a time.  While f_k is added, every element
+    has a signature: those found for f_1..f_{k-1} have a lower generator
+    index, which is smaller than any signature t*e_k of the current one
+    (position over term), and an element found now has the monomial t.
+    f_k itself, reduced by the earlier elements, has the signature 1.
+    A J-pair of two elements has the larger of their shifted signatures
+    (lcm/lm)*sig; J-pairs are taken in increasing degrevlex order of their
+    signature t, and each t once.  Three criteria decide what runs:
+    - a syzygy criterion: t is skipped when the signature of a known
+      syzygy divides it, that is a leading monomial of an earlier element
+      g (the F5 criterion: g*f_k - f_k*g, with the second g written in
+      f_1..f_{k-1}, is a syzygy of signature lm(g)*e_k) or a signature of
+      the current generator that reduced to zero;
+    - a rewrite criterion: of the elements whose signature s divides t, the
+      one whose multiple (t/s)*e has the least leading monomial (the latest
+      added on a tie) is the rewriter, and only its multiple is reduced,
+      as `s_polynomial` of the pair when the rewriter is the pair's member
+      with the larger shifted signature, and as the multiple itself
+      otherwise;
+    - regular s-reduction: `normal_form` with `signature` reduces only by
+      elements of a lower index or with a smaller shifted signature, and a
+      result that is singular top-reducible (an element of the current
+      index whose leading monomial divides its own, at exactly the
+      signature t) is dropped.
+    A signature that survives the criteria and reduces to zero is recorded
+    as a syzygy; a nonzero result joins the basis with the signature t.
+    When no J-pair is left, the elements form a Gröbner basis of the
+    ideal of f_1..f_k (the signature Gröbner basis theorem of both papers),
+    and for a homogeneous regular sequence no signature reduces to zero
+    (nor does one on katsura-3 and katsura-4, whose top-degree forms are a
+    regular sequence).  The elements are then minimalised and interreduced,
+    and the reduced monic basis of an ideal is unique, so the result is the
+    one any other Buchberger algorithm gives, term for term.  `bit_cap`
+    bounds every reduction that runs.  Reductions look up the module-level
+    `s_polynomial` and `normal_form` at call time, so a wrapper installed
+    on either name sees every call.
     """
-    basis = sorted((g.monic() for g in gens if not g.is_zero()),
-                   key=lambda g: grevlex_key(g.leading_monomial()))
-    lms = [g.leading_monomial() for g in basis]
-    pairs: List[Tuple[int, tuple, int, int, Monomial]] = []
-    live = set()  # the queued pairs (i, j) that no criterion has dropped
-    formers: List[int] = []  # the elements that still form new pairs
+    gens = sorted((g.monic() for g in gens if not g.is_zero()),
+                  key=lambda g: grevlex_key(g.leading_monomial()))
+    basis: List[Poly] = []
+    lms: List[Monomial] = []
 
-    def update(k: int) -> None:
-        h = lms[k]
-        for _, _, i, j, l in pairs:  # the chain criterion
-            if (all(map(le, h, l)) and mono_lcm(lms[i], h) != l
-                    and mono_lcm(lms[j], h) != l):
-                live.discard((i, j))
-        new = [(mono_lcm(lms[i], h), i) for i in formers]
-        kept = []  # M and F; a coprime pair is kept here so that it can drop others
-        for n, (l, i) in enumerate(new):
-            if (l == mono_mul(lms[i], h)
-                    or not any(mono_divides(l2, l) for l2, _ in new[n + 1:])
-                    and not any(mono_divides(l2, l) for l2, _ in kept)):
-                kept.append((l, i))
-        for l, i in kept:
-            if l != mono_mul(lms[i], h):  # the product criterion
-                heappush(pairs, (sum(l), grevlex_key(l), i, k, l))
-                live.add((i, k))
-        formers[:] = [i for i in formers if not mono_divides(h, lms[i])]
-        formers.append(k)
+    def append(g: Poly, sig: Monomial) -> None:
+        """Append g with the signature sig of the current generator and
+        queue its J-pairs, less those the F5 criterion drops; `sigs`,
+        `earlier` and `pairs` are the ones the loop below binds for the
+        current generator."""
+        lm = g.leading_monomial()
+        k = len(basis)
+        for i, (lmi, si) in enumerate(zip(lms, sigs)):
+            l = tuple(map(max, lmi, lm))
+            t = tuple(map(add, sig, map(sub, l, lm)))
+            a, b = k, i
+            if si is not None:
+                ti = tuple(map(add, si, map(sub, l, lmi)))
+                if ti == t:
+                    continue  # a singular pair
+                if grevlex_key(ti) > grevlex_key(t):
+                    t, a, b = ti, i, k
+            if not any(all(map(le, e, t)) for e in earlier):
+                heappush(pairs, (grevlex_key(t), t, a, b))
+        basis.append(g)
+        lms.append(lm)
+        sigs.append(sig)
 
-    for k in range(len(basis)):
-        update(k)
-    while pairs:
-        _, _, i, j, _ = heappop(pairs)
-        if (i, j) not in live:
+    for f in gens:
+        lower = len(basis)
+        earlier = lms[:]
+        sigs: List[Optional[Monomial]] = [None] * lower
+        syzygies: List[Monomial] = []  # the signatures that reduced to zero
+        pairs: List[Tuple[tuple, Monomial, int, int]] = []
+        r = normal_form(f, basis, bit_cap=bit_cap)
+        if r.is_zero():
             continue
-        r = normal_form(s_polynomial(basis[i], basis[j]), basis, bit_cap=bit_cap)
-        if not r.is_zero():
-            r = r.monic()
-            basis.append(r)
-            lms.append(r.leading_monomial())
-            update(len(basis) - 1)
+        append(r.monic(), (0,) * f.nvars)
+        while pairs:
+            key, t, a, b = heappop(pairs)
+            members = [(a, b)]
+            while pairs and pairs[0][0] == key:
+                members.append(heappop(pairs)[2:])
+            if any(all(map(le, z, t)) for z in syzygies):
+                continue
+            # the rewriter: of the elements whose signature divides t, the
+            # one whose multiple has the least leading monomial, the latest
+            # one on a tie
+            e, least = None, None
+            for i in range(lower, len(basis)):
+                s = sigs[i]
+                if all(map(le, s, t)):
+                    lead = grevlex_key(tuple(map(add, lms[i], map(sub, t, s))))
+                    if least is None or lead <= least:
+                        e, least = i, lead
+            other = next((j for i, j in members if i == e), None)
+            if other is not None:
+                h = s_polynomial(basis[e], basis[other])
+            else:
+                g, u = basis[e], tuple(map(sub, t, sigs[e]))
+                h = Poly.from_z(g.nvars, g.den, {tuple(map(add, m, u)): c
+                                                 for m, c in g.nums.items()})
+            r = normal_form(h, basis, bit_cap=bit_cap, signature=(t, sigs))
+            if r.is_zero():
+                syzygies.append(t)
+                continue
+            lm = r.leading_monomial()
+            if not any(all(map(le, lms[i], lm))
+                       and grevlex_key(tuple(map(add, sigs[i], map(sub, lm, lms[i])))) == key
+                       for i in range(lower, len(basis))):  # singular top-reducible
+                append(r.monic(), t)
 
     # minimalize: drop elements whose leading monomial is divisible by another's
     minimal = []

@@ -23,9 +23,9 @@ from itertools import combinations, product
 from math import isqrt, lcm, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .polys import (CoefficientSwellError, IntegralityError, Monomial, Poly,
-                    buchberger, grevlex_key, mono_divides, mono_mul, normal_form,
-                    primitive)
+from .polys import (DEFAULT_DIMENSION_GUARD, CoefficientSwellError, IntegralityError,
+                    Monomial, Poly, buchberger, grevlex_key, mono_divides, mono_mul,
+                    normal_form, primitive)
 from .presentations import IntegerPolynomialPresentation
 from .errors import InternalInconsistencyError
 from .local_ring import (DEFAULT_DEGREE_CAP, DEFAULT_ELEMENT_CAP,
@@ -349,7 +349,9 @@ def q_fiber(pres: IntegerPolynomialPresentation,
     leading terms (with the zero algebra as the degenerate unit-ideal case).
     The basis is read off the box of exponents below those pure powers, so a
     box of more than `DEFAULT_ELEMENT_CAP` monomials is refused before it is
-    listed.
+    listed, and a fiber of dimension above `DEFAULT_DIMENSION_GUARD` before
+    any table of it is built: its trace form alone would cost about dim^3
+    operations.
     """
     if gb is None:
         gb = groebner_basis(pres)
@@ -373,6 +375,10 @@ def q_fiber(pres: IntegerPolynomialPresentation,
             f"than {DEFAULT_ELEMENT_CAP}, is outside the supported desk scale")
     basis = [mo for mo in product(*(range(b) for b in bounds))
              if not any(mono_divides(lm, mo) for lm in lms)]
+    if len(basis) > DEFAULT_DIMENSION_GUARD:
+        raise ValueError(
+            f"a rational fiber of dimension {len(basis)}, more than "
+            f"{DEFAULT_DIMENSION_GUARD}, is outside the supported desk scale")
     basis.sort(key=grevlex_key)
     return QFiberAlgebra(pres, gb, basis)
 

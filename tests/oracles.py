@@ -4,17 +4,23 @@ and checks that only tests ask for.
 `tangent_space` enumerates the deformation classes over k[eps], which
 `tangent_dimension` solves for by linear algebra over k; `ideal_product`
 spans all products of two module bases, which `m_adic_filtration` builds
-from the generators of m.
+from the generators of m; `buchberger_gebauer_moeller` is the S-pair loop
+with the Gebauer–Möller criteria that `polys.buchberger`'s signature loop
+replaced.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from heapq import heappop, heappush
+from operator import le
+from typing import Iterable, List, Tuple
 
+import defring.polys as polys
 from defring.errors import InternalInconsistencyError
 from defring.local_ring import (DEFAULT_MAP_CAP, Ideal, NonUnitError,
                                 ring_from_truncated_presentation)
 from defring.matrices import Matrix
+from defring.polys import Monomial, Poly, grevlex_key, mono_divides, mono_lcm, mono_mul
 from defring.presentations import IntegerPolynomialPresentation
 from defring.representation import DefSet, Representation, def_set
 
@@ -51,3 +57,83 @@ def is_invertible(M: Matrix) -> bool:
         return True
     except NonUnitError:
         return False
+
+
+def buchberger_gebauer_moeller(gens: Iterable[Poly], bit_cap: int = 4096) -> List[Poly]:
+    """Reduced Gröbner basis, monic, sorted by leading monomial (ascending),
+    by S-pairs with the Gebauer–Möller criteria.
+
+    S-pairs are taken in the order of the key (deg lcm, grevlex_key(lcm), i, j)
+    from a heap.  When an element h joins the basis, the pair set is updated
+    by the Gebauer–Möller criteria (the UPDATE of Becker & Weispfenning,
+    *Gröbner Bases*, §5.5):
+    - a new pair (g, h) is dropped when the lcm of another new pair divides
+      its lcm, keeping one pair of each lcm (M and F); then the pairs with
+      coprime leading monomials are dropped (the product criterion), so a
+      pair that shares its lcm with a coprime pair is dropped too;
+    - a queued pair (i, j) is dropped when lm(h) divides its lcm l and both
+      lcm(lm_i, lm_h) and lcm(lm_j, lm_h) differ from l (the chain criterion);
+      it is skipped when it is popped;
+    - an element whose leading monomial lm(h) divides forms no further pairs,
+      but stays in the basis as a reducer.
+    `bit_cap` bounds every reduction that runs.  Reductions look up
+    `polys.s_polynomial` and `polys.normal_form` at call time, so a wrapper
+    installed on either name sees every call.
+    """
+    basis = sorted((g.monic() for g in gens if not g.is_zero()),
+                   key=lambda g: grevlex_key(g.leading_monomial()))
+    lms = [g.leading_monomial() for g in basis]
+    pairs: List[Tuple[int, tuple, int, int, Monomial]] = []
+    live = set()  # the queued pairs (i, j) that no criterion has dropped
+    formers: List[int] = []  # the elements that still form new pairs
+
+    def update(k: int) -> None:
+        h = lms[k]
+        for _, _, i, j, l in pairs:  # the chain criterion
+            if (all(map(le, h, l)) and mono_lcm(lms[i], h) != l
+                    and mono_lcm(lms[j], h) != l):
+                live.discard((i, j))
+        new = [(mono_lcm(lms[i], h), i) for i in formers]
+        kept = []  # M and F; a coprime pair is kept here so that it can drop others
+        for n, (l, i) in enumerate(new):
+            if (l == mono_mul(lms[i], h)
+                    or not any(mono_divides(l2, l) for l2, _ in new[n + 1:])
+                    and not any(mono_divides(l2, l) for l2, _ in kept)):
+                kept.append((l, i))
+        for l, i in kept:
+            if l != mono_mul(lms[i], h):  # the product criterion
+                heappush(pairs, (sum(l), grevlex_key(l), i, k, l))
+                live.add((i, k))
+        formers[:] = [i for i in formers if not mono_divides(h, lms[i])]
+        formers.append(k)
+
+    for k in range(len(basis)):
+        update(k)
+    while pairs:
+        _, _, i, j, _ = heappop(pairs)
+        if (i, j) not in live:
+            continue
+        r = polys.normal_form(polys.s_polynomial(basis[i], basis[j]), basis, bit_cap=bit_cap)
+        if not r.is_zero():
+            r = r.monic()
+            basis.append(r)
+            lms.append(r.leading_monomial())
+            update(len(basis) - 1)
+    minimal = []
+    seen_lms = set()
+    for i, g in enumerate(basis):
+        if lms[i] in seen_lms:
+            continue
+        if any(j != i and lms[j] != lms[i] and mono_divides(lms[j], lms[i])
+               for j in range(len(basis))):
+            continue
+        seen_lms.add(lms[i])
+        minimal.append(g)
+    reduced: List[Poly] = []
+    for idx, g in enumerate(minimal):
+        others = [h for jdx, h in enumerate(minimal) if jdx != idx]
+        r = polys.normal_form(g, others, bit_cap=bit_cap)
+        if not r.is_zero():
+            reduced.append(r.monic())
+    reduced.sort(key=lambda g: grevlex_key(g.leading_monomial()))
+    return reduced

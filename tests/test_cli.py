@@ -380,6 +380,30 @@ def test_huge_pure_power_is_refused_before_the_fiber_is_listed(tmp_path, command
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("relation,message", [
+    # the largest fiber admitted, of X^1000 - 2, answers in under a minute
+    ("X^1001 - 2", "a rational fiber of dimension 1001, more than 1000, is outside "
+                   "the supported desk scale"),
+    # expanding (X + 1)^3000 alone took about 19 s
+    ("(X + 1)^3000", "a power of degree 3000, more than 1000, is outside the "
+                     "supported desk scale (at column 9)"),
+    ("X^2 - (X^3 + 2)^334", "a power of degree 1002, more than 1000, is outside the "
+                            "supported desk scale (at column 17)"),
+])
+def test_fibers_and_powers_above_the_dimension_guard_are_refused(tmp_path, relation, message):
+    job = tmp_path / "job.txt"
+    job.write_text(f"presentation {{\n  p = 2\n  vars = X\n  relations = {relation}\n}}\n")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "defring.cli", "etale-check", str(job), "--no-cache"],
+        capture_output=True, text=True)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"].endswith(message)
+    assert proc.stdout == ""
+
+
 MARANDA_C2_INEQUIVALENT_JOB = (Path(__file__).resolve().parent.parent / "perfbench"
                                / "jobs" / "maranda_c2_inequivalent.job").read_text()
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
+from pathlib import Path
 
 import pytest
 import sympy
@@ -17,6 +19,7 @@ from defring.polys import (CoefficientSwellError, IntegralityError, Poly,
                            s_polynomial)
 from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
 from defring.presented import etale_check
+from oracles import buchberger_gebauer_moeller
 
 
 def _to_sympy(f: Poly, syms):
@@ -50,6 +53,19 @@ def test_parse_errors_report_position():
         parse_poly("X^(2)", ["X"])  # exponent must be a literal integer
 
 
+def test_parse_refuses_powers_above_the_dimension_guard():
+    # a power of two or more terms is refused before it is expanded once its
+    # degree exceeds the guard; a power of one term is never expanded term
+    # by term, so it passes at any degree
+    assert polys.DEFAULT_DIMENSION_GUARD == 1000
+    assert parse_poly("(X^10 + 1)^100", ["X"]).degree() == 1000
+    with pytest.raises(PolyParseError, match="a power of degree 1010, more than 1000"):
+        parse_poly("(X^10 + 1)^101", ["X"])
+    with pytest.raises(PolyParseError, match="a power of degree 1002"):
+        parse_poly("(X*Y - 2)^501", ["X", "Y"])
+    assert parse_poly("(2*X^3)^5000", ["X"]).terms == {(15000,): Fraction(2) ** 5000}
+
+
 def test_arithmetic_and_derivative():
     X = Poly.variable(2, 0)
     Y = Poly.variable(2, 1)
@@ -81,9 +97,9 @@ KATSURA4 = ["A + 2*B + 2*C + 2*D + 2*E - 1",
             "2*A*D + 2*B*C + 2*B*E - D"]
 
 
-def _gb_against_sympy(relation_texts, names):
+def _gb_against_sympy(relation_texts, names, bit_cap=4096):
     polys = [parse_poly(t, names) for t in relation_texts]
-    gb = buchberger(polys)
+    gb = buchberger(polys, bit_cap=bit_cap)
     syms = sympy.symbols(names)  # a list in, a list of symbols out
     ref = sympy.groebner([_to_sympy(f, syms) for f in polys], *syms,
                          order="grevlex")
@@ -466,8 +482,8 @@ def test_normal_form_matches_rebuilding_division(problem, prime, cap):
         assert [(m, Fraction(c, r.den)) for m, c in r.nums.items()] == outcome
 
 
-def _buchberger_counting_s_pairs(monkeypatch, relations):
-    """The basis `buchberger` returns, and how many S-polynomials it built."""
+def _counting_s_pairs(monkeypatch, loop, relations):
+    """The basis `loop` returns, and how many S-polynomials it built."""
     calls = []
     original = polys.s_polynomial
 
@@ -476,23 +492,26 @@ def _buchberger_counting_s_pairs(monkeypatch, relations):
         return original(f, g)
 
     monkeypatch.setattr(polys, "s_polynomial", counting)
-    return buchberger(relations), len(calls)
+    return loop(relations), len(calls)
 
 
 def test_buchberger_s_pair_count_on_katsura4(monkeypatch):
-    # the S-pair selection order and the Gebauer-Moeller criteria fix how
-    # many pairs are reduced (49 with every pair queued)
+    # the Gebauer-Moeller loop, now the oracle: its S-pair selection order
+    # and criteria fix how many pairs are reduced (49 with every pair
+    # queued); the signature loop builds 11 S-polynomials
     pres = IntegerPolynomialPresentation.parse(2, list("ABCDE"), KATSURA4)
-    gb, spolys = _buchberger_counting_s_pairs(monkeypatch, pres.relations)
+    gb, spolys = _counting_s_pairs(monkeypatch, buchberger_gebauer_moeller, pres.relations)
     assert spolys == 28
     assert len(gb) == 13
+    assert _counting_s_pairs(monkeypatch, buchberger, pres.relations)[1] == 11
 
 
 def test_buchberger_s_pair_count_on_r_alpha1(monkeypatch):
-    # the chain criterion drops two pairs here (9 reduced without it), and
-    # none on katsura-4, so this pin is the one that observes it
-    _, spolys = _buchberger_counting_s_pairs(monkeypatch, r_alpha_presentation(1, 2).relations)
-    assert spolys == 7
+    # the oracle's chain criterion drops two pairs here (9 reduced without
+    # it), and none on katsura-4, so this pin is the one that observes it
+    relations = r_alpha_presentation(1, 2).relations
+    assert _counting_s_pairs(monkeypatch, buchberger_gebauer_moeller, relations)[1] == 7
+    assert _counting_s_pairs(monkeypatch, buchberger, relations)[1] == 7
 
 
 def test_normal_form_count_on_katsura4(monkeypatch):
@@ -511,13 +530,14 @@ def test_normal_form_count_on_katsura4(monkeypatch):
             monkeypatch.setattr(module, "normal_form", counting)
     pres = IntegerPolynomialPresentation.parse(2, list("ABCDE"), KATSURA4)
     assert etale_check(pres).verdict == "PASS"
-    # 94 before the determinant route, whose one normal form of det J
-    # replaces the 25 of the Jacobian's partial derivatives; 115 with every
-    # pair queued
-    assert len(calls) == 70
+    # 70 with the Gebauer-Moeller loop, whose 41 normal forms the signature
+    # loop's 29 replace; 94 before the determinant route, whose one normal
+    # form of det J replaces the 25 of the Jacobian's partial derivatives;
+    # 115 with every pair queued
+    assert len(calls) == 58
 
 
-# -- the Gebauer-Moeller criteria against the queue of every pair ---------------
+# -- the signature loop and the Gebauer-Moeller oracle against every pair ------
 
 
 def _buchberger_all_pairs(gens, bit_cap=4096):
@@ -586,17 +606,129 @@ def _terms_in_order(basis):
 @settings(max_examples=150, deadline=None)
 @given(_generator_systems())
 def test_buchberger_matches_all_pairs_queue(gens):
-    # the same reduced basis, term for term and in the same order
-    assert (_terms_in_order(buchberger(gens))
-            == _terms_in_order(_buchberger_all_pairs(gens)))
+    # the same reduced basis, term for term and in the same order, from the
+    # signature loop, the queue of every pair and the Gebauer-Moeller loop
+    ours = _terms_in_order(buchberger(gens))
+    assert ours == _terms_in_order(_buchberger_all_pairs(gens))
+    assert ours == _terms_in_order(buchberger_gebauer_moeller(gens))
 
 
 def test_buchberger_bit_cap_still_raises():
-    # the criteria drop only redundant pairs; the reductions that run are
-    # still capped
+    # the criteria skip only signatures that need no reduction; the
+    # reductions that run are still capped
     gens = [parse_poly(t, list("ABCDE")) for t in KATSURA4]
     with pytest.raises(CoefficientSwellError):
         buchberger(gens, bit_cap=8)
     with pytest.raises(CoefficientSwellError):
         _buchberger_all_pairs(gens, bit_cap=8)
     assert len(buchberger(gens, bit_cap=64)) == 13
+
+
+def test_bit_cap_boundary_on_katsura4_matches_the_oracle():
+    # both loops swell on katsura-4 up to a 60-bit cap and answer from 61
+    gens = [parse_poly(t, list("ABCDE")) for t in KATSURA4]
+
+    def outcome(loop, cap):
+        try:
+            return _terms_in_order(loop(gens, bit_cap=cap))
+        except CoefficientSwellError:
+            return None
+
+    for cap in (8, 16, 32, 48, 56, 60, 61, 64):
+        ours = outcome(buchberger, cap)
+        assert ours == outcome(buchberger_gebauer_moeller, cap)
+        assert (ours is None) == (cap <= 60)
+
+
+# -- the signature loop against the Gebauer-Moeller oracle ----------------------
+
+
+def _quadric_relations():
+    """`perfbench/corpus.quadric_relations`, the seeded fiber systems."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import corpus
+    finally:
+        sys.path.remove(perfbench)
+    return corpus.quadric_relations
+
+
+@pytest.mark.parametrize("seed", [2, 5, 37, 97, 131, 301])
+def test_buchberger_matches_oracle_on_seeded_quadrics(seed):
+    quadric_relations = _quadric_relations()
+    rng = random.Random(seed)
+    for _ in range(8):
+        gens = [parse_poly(t, list("XYZ")) for t in quadric_relations(rng)]
+        assert (_terms_in_order(buchberger(gens))
+                == _terms_in_order(buchberger_gebauer_moeller(gens)))
+
+
+KATSURA3 = ["A + 2*B + 2*C + 2*D - 1",
+            "A^2 - A + 2*B^2 + 2*C^2 + 2*D^2",
+            "2*A*B + 2*B*C - B + 2*C*D",
+            "2*A*C + B^2 + 2*B*D - C"]
+
+
+def _counting_reductions(monkeypatch, relations):
+    """The basis `buchberger` returns, and its normal forms as (signed, zero)
+    pairs: whether the call was a regular s-reduction of the signature loop,
+    and whether it gave zero."""
+    calls = []
+    original = polys.normal_form
+
+    def counting(*args, **kwargs):
+        r = original(*args, **kwargs)
+        calls.append(("signature" in kwargs, r.is_zero()))
+        return r
+
+    monkeypatch.setattr(polys, "normal_form", counting)
+    return buchberger(relations), calls
+
+
+@pytest.mark.parametrize("name,relations,zeros", [
+    # 18, 5 and 7 with the Gebauer-Moeller loop
+    ("katsura-4", [parse_poly(t, list("ABCDE")) for t in KATSURA4], 0),
+    ("katsura-3", [parse_poly(t, list("ABCD")) for t in KATSURA3], 0),
+    # the top-degree forms of r_alpha(1)'s relations are not a regular
+    # sequence, so the F5 criterion misses syzygies: 4 of its eight
+    # generators reduce to zero on entry, and 4 signatures after (one of
+    # them the S-polynomial of two monomials, already zero)
+    ("r_alpha(1)", list(r_alpha_presentation(1, 2).relations), 8),
+])
+def test_reductions_to_zero(monkeypatch, name, relations, zeros):
+    gb, calls = _counting_reductions(monkeypatch, relations)
+    assert sum(zero for _, zero in calls) == zeros
+    assert _terms_in_order(gb) == _terms_in_order(buchberger_gebauer_moeller(relations))
+
+
+def test_a_rewriter_outside_its_pairs_is_reduced(monkeypatch):
+    # one signature here has as its rewriter an element that is the larger
+    # member of none of the J-pairs of that signature: the rewriter's own
+    # multiple is reduced, the one normal form of the loop that no
+    # S-polynomial feeds, and the basis is the oracle's and sympy's
+    names = ["X", "Y"]
+    relations = ["X^3 - X", "X^2*Y - 2*X - 1"]
+    gens = [parse_poly(t, names) for t in relations]
+    gb, spolys = _counting_s_pairs(monkeypatch, buchberger, gens)
+    monkeypatch.undo()
+    _, calls = _counting_reductions(monkeypatch, gens)
+    assert (sum(signed for signed, _ in calls), spolys) == (6, 5)
+    monkeypatch.undo()
+    assert _terms_in_order(gb) == _terms_in_order(buchberger_gebauer_moeller(gens))
+    _gb_against_sympy(relations, names)
+
+
+# larger than `_generator_systems` draws: the Gebauer-Moeller loop swells
+# past 512 bits on it (its basis needs 1024), the signature loop needs 192
+SWELLING_SYSTEM = ["-3*X*Z^3 + 2*Y^2*Z - X*Y - Z^2 - 1",
+                   "-X*Y^2*Z - X^2*Z^2 + 3*X*Z^3 + 3*X^2*Z + 3*X*Y*Z + Y*Z^2 + 3*Y^2",
+                   "-X^4 - 2*X^2"]
+
+
+def test_signature_loop_answers_where_the_oracle_swells():
+    gens = [parse_poly(t, list("XYZ")) for t in SWELLING_SYSTEM]
+    with pytest.raises(CoefficientSwellError):
+        buchberger_gebauer_moeller(gens, bit_cap=512)
+    assert len(buchberger(gens, bit_cap=512)) == 14
+    _gb_against_sympy(SWELLING_SYSTEM, list("XYZ"), bit_cap=512)

@@ -21,6 +21,8 @@ from defring.presented import (IntegralityObstruction,
                                nilpotent_witness, omega_rank, q_fiber,
                                trace_form, verify_presented_hom,
                                w_membership_check)
+from oracles import buchberger_gebauer_moeller
+from test_polys import KATSURA3 as KATSURA3_RELATIONS
 from test_polys import KATSURA4
 
 
@@ -116,6 +118,15 @@ def _random_presentation(rng: random.Random) -> IntegerPolynomialPresentation:
     if A is None or A.dim == 0:
         return _random_presentation(rng)
     return pres
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_buchberger_matches_gebauer_moeller_on_random_presentations(seed):
+    # the signature loop's reduced basis is the oracle's, term for term
+    relations = _random_presentation(random.Random(seed)).relations
+    assert ([list(g.terms.items()) for g in polys.buchberger(relations)]
+            == [list(g.terms.items()) for g in buchberger_gebauer_moeller(relations)])
 
 
 def test_trace_and_jacobian_routes_agree_on_random_presentations():
@@ -643,9 +654,7 @@ def test_nonreduced_witnesses_unchanged(name):
     assert rep.witness == witness
 
 
-KATSURA3 = _pres(2, ["A", "B", "C", "D"],
-                 ["A + 2*B + 2*C + 2*D - 1", "A^2 - A + 2*B^2 + 2*C^2 + 2*D^2",
-                  "2*A*B + 2*B*C - B + 2*C*D", "2*A*C + B^2 + 2*B*D - C"])
+KATSURA3 = _pres(2, list("ABCD"), KATSURA3_RELATIONS)
 
 
 def _mult_coords_by_normal_form(A, i, j):
