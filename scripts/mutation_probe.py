@@ -135,6 +135,24 @@ MUTANTS = (
            "        if any(acc.values()):\n            return False",
            "        if False:\n            return False",
            ("tests/test_presented.py",)),
+    Mutant("_monomial_coords: a leading monomial's tail not divided by L", PRESENTED,
+           "                    out = lead, {self._pos[m]: c for m, c in tail}",
+           "                    out = 1, {self._pos[m]: c for m, c in tail}",
+           ("tests/test_presented.py",)),
+    Mutant("_monomial_coords: the base case taken for every border monomial", PRESENTED,
+           "            g = self._leading.get(mo)\n            if g is not None:",
+           "            g = next((h for lm, h in self._leading.items() if mono_divides(lm, mo)),"
+           " None)\n            if g is not None and any(e and mo[:v] + (e - 1,) + mo[v + 1:]"
+           " in self._pos for v, e in enumerate(mo)):",
+           ("tests/test_presented.py",)),
+    Mutant("_conjugate_in_place: a = c takes the a != c update", REPRESENTATION,
+           "    if a == c:\n        u = ring.one + x",
+           "    if False:\n        u = ring.one + x",
+           ("tests/test_lift_oracles.py", "tests/test_representation.py")),
+    Mutant("_hom_from_generators: the generator test skipped", LOCAL_RING,
+           "    if hom.verify() and all(hom.apply(g) == z for g, z in zip(source.generators, images)):",
+           "    if hom.verify():",
+           ("tests/test_local_ring.py",)),
 )
 
 

@@ -29,14 +29,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, inf, lcm
+from math import comb, gcd, inf, lcm
 from operator import add, le, neg, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
 
 # The largest degree a power of a polynomial with two or more terms may
-# expand to in `parse_poly`, and the largest rational fiber `q_fiber` lists
+# expand to in `parse_poly` (which also refuses such a power if it may have
+# more terms than this plus one), and the largest rational fiber `q_fiber` lists
 # (`presented.py`): the fiber's trace form costs about dim^3 operations, and
 # `etale-check` of X^1000 - 2, the largest pure power admitted, answers in
 # under a minute.
@@ -302,7 +303,12 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
     Supports + - * ^ and parentheses; juxtaposition means multiplication
     (``5X^2 Y`` == ``5*X^2*Y``).  A power of a base with two or more terms
     is refused before it is expanded when its degree would exceed
-    DEFAULT_DIMENSION_GUARD; a power of one term stays one term at any
+    DEFAULT_DIMENSION_GUARD, or when it may have more than
+    DEFAULT_DIMENSION_GUARD + 1 terms: the e-th power of s terms in v
+    variables of degree d has at most min(C(e+s-1, s-1), C(e*d+v, v))
+    terms, the monomials of degree e in the s terms and those of degree at
+    most e*d in the v variables, so (X + 1)^1000 passes and
+    (X + Y + Z)^80 does not.  A power of one term stays one term at any
     degree.
     """
     nvars = len(names)
@@ -380,10 +386,19 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
                                      tokens[pos][2] if pos < len(tokens) else len(text))
             e, at = tokens[pos][1:]
             pos += 1
-            if len(base.nums) > 1 and e * base.degree() > DEFAULT_DIMENSION_GUARD:
-                raise PolyParseError(
-                    f"a power of degree {e * base.degree()}, more than "
-                    f"{DEFAULT_DIMENSION_GUARD}, is outside the supported desk scale", at)
+            s = len(base.nums)
+            if s > 1:
+                d = base.degree()
+                if e * d > DEFAULT_DIMENSION_GUARD:
+                    raise PolyParseError(
+                        f"a power of degree {e * d}, more than "
+                        f"{DEFAULT_DIMENSION_GUARD}, is outside the supported desk scale", at)
+                v = sum(any(m[i] for m in base.nums) for i in range(nvars))
+                terms = min(comb(e + s - 1, s - 1), comb(e * d + v, v))
+                if terms > DEFAULT_DIMENSION_GUARD + 1:
+                    raise PolyParseError(
+                        f"a power of up to {terms} terms, more than "
+                        f"{DEFAULT_DIMENSION_GUARD + 1}, is outside the supported desk scale", at)
             return base ** e
         return base
 

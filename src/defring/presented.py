@@ -252,7 +252,11 @@ class QFiberAlgebra:
     """Q[X]/(relations) with a standard-monomial basis and exact rational tables.
 
     The multiplication table is held over Z, one denominator per row, and
-    read by index pair from `_mult`.
+    read by index pair from `_mult`.  It is read off the reduced Groebner
+    basis `gb` with no division (`_monomial_coords`, the change of basis of
+    Faugere, Gianni, Lazard and Mora 1993): a leading monomial's row is its
+    basis element's tail, and every other row a sum of earlier rows in the
+    term order.  `_leading` maps each leading monomial to its element.
     `trace_form` fills `_trace` and keeps the echelon rows and pivot columns
     of the Gram matrix in `_gram_echelon`, which `nilpotent_witness` reads.
     """
@@ -267,6 +271,7 @@ class QFiberAlgebra:
 
     def __post_init__(self):
         self._pos = {mo: i for i, mo in enumerate(self.basis)}
+        self._leading = {g.leading_monomial(): g for g in self.gb}
 
     @property
     def dim(self) -> int:
@@ -293,27 +298,50 @@ class QFiberAlgebra:
         return out
 
     def _monomial_coords(self, mo: Monomial) -> IntCoords:
-        """Integer coordinates of the normal form of the monomial mo, memoised.
+        """Integer coordinates of the normal form of the monomial mo, memoised,
+        by one recursion on the term order and no polynomial division (the
+        change of basis of Faugere, Gianni, Lazard and Mora 1993; the
+        multiplication matrices of Cox, Little and O'Shea, Using Algebraic
+        Geometry, ch. 2).
 
-        A basis monomial is read off.  A border monomial (mo / X_v a basis
-        monomial for some v) is normal-formed once.  Any other mo is X_v * mo'
-        with mo' outside the basis; normal forms are linear and g - NF(g)
-        lies in the ideal, so NF(mo) = sum_u NF(mo')_u NF(X_v b_u), where
-        each X_v b_u is a basis or a border monomial (standard monomials are
-        closed under division).  That sum is taken over Z, over the lcm of
-        the rows' denominators, and every row is stored without content.
+        A basis monomial is read off.  The leading monomial l of a basis
+        element g is the base case: g's primitive integer form is
+        L*l - sum(c*m), so NF(l) = sum(c*m) / L, read off g's tail, which
+        holds for a basis that is not monic too.  Any other mo outside the
+        basis is a proper multiple of a leading monomial, so it is X_v * mo'
+        with mo' outside the basis too; normal forms are linear and
+        g - NF(g) lies in the ideal, so NF(mo) = sum_u NF(mo')_u NF(X_v b_u),
+        and each X_v b_u is smaller than X_v mo' = mo.  That sum is taken
+        over Z, over the lcm of the rows' denominators, and every row is
+        stored without content.  A tail monomial outside the basis means
+        the basis is not reduced, and raises InternalInconsistencyError, as
+        does a monomial outside the basis that no leading monomial divides.
         """
         pos = self._pos.get(mo)
         if pos is not None:
             return 1, {pos: 1}
         out = self._nf.get(mo)
         if out is None:
-            cofactors = [(v, mo[:v] + (e - 1,) + mo[v + 1:])
-                         for v, e in enumerate(mo) if e]
-            if any(rest in self._pos for _, rest in cofactors):
-                out = self.int_coords(Poly.from_monomial(self.pres.nvars, mo))
+            g = self._leading.get(mo)
+            if g is not None:
+                # the divisor form is primitive: gcd(L, *c) = 1
+                _lm, lead, tail, _bound = g._divisor_form()
+                try:
+                    out = lead, {self._pos[m]: c for m, c in tail}
+                except KeyError:
+                    raise InternalInconsistencyError(
+                        "a tail monomial of the Groebner basis lies outside the "
+                        "standard monomials: the basis is not reduced") from None
             else:
-                v, rest = cofactors[0]
+                for v, e in enumerate(mo):
+                    rest = mo[:v] + (e - 1,) + mo[v + 1:]
+                    if e and rest not in self._pos:
+                        break
+                else:
+                    raise InternalInconsistencyError(
+                        f"the monomial {mo} lies outside the standard monomials but "
+                        "is neither a leading monomial of the Groebner basis nor a "
+                        "proper multiple of one")
                 den, outer = self._monomial_coords(rest)
                 parts = []
                 for u, c in outer.items():

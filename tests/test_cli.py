@@ -404,6 +404,24 @@ def test_fibers_and_powers_above_the_dimension_guard_are_refused(tmp_path, relat
     assert proc.stdout == ""
 
 
+def test_a_power_of_too_many_terms_is_refused(tmp_path):
+    # expanding (X + Y + Z)^80, 3321 terms, took about 7.7 s
+    job = tmp_path / "job.txt"
+    job.write_text("presentation {\n  p = 2\n  vars = X, Y, Z\n"
+                   "  relations = (X + Y + Z)^80; Y^2; Z^2\n}\n")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "defring.cli", "etale-check", str(job), "--no-cache"],
+        capture_output=True, text=True)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"].endswith(
+        "a power of up to 3321 terms, more than 1001, is outside the supported desk "
+        "scale (at column 13)")
+    assert proc.stdout == ""
+
+
 MARANDA_C2_INEQUIVALENT_JOB = (Path(__file__).resolve().parent.parent / "perfbench"
                                / "jobs" / "maranda_c2_inequivalent.job").read_text()
 

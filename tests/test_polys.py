@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
@@ -64,6 +65,32 @@ def test_parse_refuses_powers_above_the_dimension_guard():
     with pytest.raises(PolyParseError, match="a power of degree 1002"):
         parse_poly("(X*Y - 2)^501", ["X", "Y"])
     assert parse_poly("(2*X^3)^5000", ["X"]).terms == {(15000,): Fraction(2) ** 5000}
+
+
+def test_parse_refuses_powers_with_more_terms_than_the_dimension_guard():
+    # the e-th power of s terms in v variables of degree d has at most
+    # min(C(e+s-1, s-1), C(e*d+v, v)) terms; a power is refused before it is
+    # expanded when that exceeds the guard plus one.  Expanding (X + Y + Z)^80,
+    # 3321 terms, took about 7.7 s.
+    names = ["X", "Y", "Z"]
+    assert len(parse_poly("(X + 1)^1000", names).nums) == 1001
+    assert len(parse_poly("(X*Y - 2)^500", names).nums) == 501
+    assert len(parse_poly("(X^10 + 1)^100", names).nums) == 101
+    assert len(parse_poly("(X + Y + Z)^43", names).nums) == 990
+    start = time.perf_counter()
+    with pytest.raises(PolyParseError, match=r"a power of up to 3321 terms, more than 1001, "
+                                             r"is outside the supported desk scale \(at column 13\)"):
+        parse_poly("(X + Y + Z)^80", names)
+    with pytest.raises(PolyParseError, match="a power of up to 1035 terms"):
+        parse_poly("(X + Y + Z)^44", names)
+    # C(e*d+v, v) bounds a base of many terms in few variables: the 6 terms
+    # of (X + Y + 1)^2 in its 2 variables
+    with pytest.raises(PolyParseError, match="a power of up to 1326 terms"):
+        parse_poly("((X + Y + 1)^2)^25", names)
+    assert time.perf_counter() - start < 1.0
+    # the degree guard still speaks first
+    with pytest.raises(PolyParseError, match="a power of degree 1600"):
+        parse_poly("(X + Y + Z)^1600", names)
 
 
 def test_arithmetic_and_derivative():
@@ -530,11 +557,13 @@ def test_normal_form_count_on_katsura4(monkeypatch):
             monkeypatch.setattr(module, "normal_form", counting)
     pres = IntegerPolynomialPresentation.parse(2, list("ABCDE"), KATSURA4)
     assert etale_check(pres).verdict == "PASS"
-    # 70 with the Gebauer-Moeller loop, whose 41 normal forms the signature
-    # loop's 29 replace; 94 before the determinant route, whose one normal
-    # form of det J replaces the 25 of the Jacobian's partial derivatives;
-    # 115 with every pair queued
-    assert len(calls) == 58
+    # the signature loop's 29 and the one of det J: the multiplication table
+    # is read off the reduced basis, where it normal-formed its 28 border
+    # monomials before (58); 70 with the Gebauer-Moeller loop, whose 41
+    # normal forms the signature loop's 29 replace; 94 before the
+    # determinant route, whose one normal form of det J replaces the 25 of
+    # the Jacobian's partial derivatives; 115 with every pair queued
+    assert len(calls) == 30
 
 
 # -- the signature loop and the Gebauer-Moeller oracle against every pair ------

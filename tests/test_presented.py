@@ -6,6 +6,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import defring.polys as polys
 import defring.presented as presented
-from defring.cli import main
+from defring.cli import _presentation_from, main, parse_job_blocks
 from defring.polys import Poly, mono_mul, parse_poly
 from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
 from defring.presented import (IntegralityObstruction,
@@ -682,10 +683,99 @@ def test_mult_table_matches_normal_forms_on_random_presentations(seed):
     _assert_mult_table_matches_normal_forms(_random_presentation(random.Random(seed)))
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _job_presentation(name):
+    """The presentation of a fixed job of the benchmark corpus."""
+    text = (PERFBENCH / "jobs" / name).read_text()
+    return _presentation_from(parse_job_blocks(text), "presentation")
+
+
+def _seeded_quadrics(seed):
+    """The presentations of the benchmark's seeded `fiber` systems at a seed."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import corpus
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    rng = random.Random(seed)
+    return [_pres(2, list(corpus.QUADRIC_VARS), corpus.quadric_relations(rng))
+            for _ in range(corpus.QUADRICS_PER_SEED)]
+
+
+@pytest.mark.parametrize("job", ["katsura4.job", "cubics_dim27.job", "quintics_p5.job"])
+def test_mult_table_matches_normal_forms_on_the_fixed_fiber_jobs(job):
+    _assert_mult_table_matches_normal_forms(_job_presentation(job))
+
+
+@pytest.mark.parametrize("seed", [2, 5, 37, 97, 131, 301])
+def test_mult_table_matches_normal_forms_on_the_seeded_quadrics(seed):
+    for pres in _seeded_quadrics(seed):
+        _assert_mult_table_matches_normal_forms(pres)
+
+
+@pytest.mark.parametrize("pres", [KATSURA3, NONREDUCED["cubics"][0],
+                                  _pres(2, ["X", "Y"], ["X^2 - Y", "Y^2 - 2"])],
+                         ids=["katsura-3", "cubics", "X^2 - Y, Y^2 - 2"])
+def test_a_basis_that_is_not_monic_gives_the_same_table(pres):
+    # the base case divides by the leading coefficient of g's primitive
+    # integer form, whatever multiple of g the basis holds
+    gb = presented.groebner_basis(pres)
+    scaled = [g.scale(c) for g, c in zip(gb, itertools.cycle([3, Fraction(-2, 5), -1, 7]))]
+    assert scaled != gb
+    A, B = q_fiber(pres, gb=gb), q_fiber(pres, gb=scaled)
+    assert B.basis == A.basis
+    for i, j in itertools.product(range(A.dim), repeat=2):
+        assert B.mult_int_coords(i, j) == A.mult_int_coords(i, j), (i, j)
+    assert trace_form(B) == trace_form(A)
+
+
+def _unreduced_basis(pres):
+    """The reduced basis of pres with its largest element replaced by the sum
+    of it and the smallest: the leading monomials stay, but the tail of the
+    sum holds the smaller leading monomial, outside the standard monomials."""
+    gb = presented.groebner_basis(pres)
+    order = sorted(range(len(gb)), key=lambda k: polys.grevlex_key(gb[k].leading_monomial()))
+    out = list(gb)
+    out[order[-1]] = gb[order[-1]] + gb[order[0]]
+    return out
+
+
+def test_a_basis_that_is_not_reduced_raises_the_named_error():
+    gb = _unreduced_basis(KATSURA3)
+    A = q_fiber(KATSURA3, gb=gb)
+    assert A.basis == q_fiber(KATSURA3).basis
+    with pytest.raises(InternalInconsistencyError, match="not reduced"):
+        trace_form(A)
+
+
+def test_a_basis_that_is_not_reduced_is_a_json_error_of_etale_check(tmp_path, capsys,
+                                                                  monkeypatch):
+    gb = _unreduced_basis(KATSURA3)
+    monkeypatch.setattr(presented, "groebner_basis", lambda pres: gb)
+    job = tmp_path / "job.txt"
+    job.write_text((PERFBENCH / "jobs" / "katsura3.job").read_text())
+    assert _job_presentation("katsura3.job").relations == KATSURA3.relations
+    assert main(["etale-check", str(job), "--no-cache"]) == 1
+    assert "not reduced" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_a_monomial_outside_the_basis_below_every_leading_monomial_is_refused():
+    # the standard monomials 1, X with the basis X^3 - 2X: X^2 is neither a
+    # basis monomial nor a leading monomial nor a proper multiple of one
+    pres = _pres(2, ["X"], ["X^2 - 2"])
+    A = presented.QFiberAlgebra(pres, [parse_poly("X^3 - 2*X", ["X"])], [(0,), (1,)])
+    with pytest.raises(InternalInconsistencyError, match="neither a leading monomial"):
+        A.mult_int_coords(1, 1)
+
+
 def test_fiber_reaches_the_traced_module_functions(monkeypatch):
     # per-layer tracing wraps polys.normal_form and polys.s_polynomial by
     # replacing every defring module attribute bound to them, so Buchberger
-    # and the fiber must look both names up at call time
+    # and the fiber must look both names up at call time.  The multiplication
+    # table divides nothing, so the fiber's normal forms are those of
+    # omega_rank's int_coords (det J, or the partial derivatives)
     calls = {"normal_form": 0, "s_polynomial": 0}
     for name in calls:
         original = getattr(polys, name)
@@ -700,8 +790,11 @@ def test_fiber_reaches_the_traced_module_functions(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     gb = presented.groebner_basis(KATSURA3)
     assert calls["s_polynomial"] > 0 and calls["normal_form"] > 0
+    A = q_fiber(KATSURA3, gb=gb)
     before = calls["normal_form"]
-    trace_form(q_fiber(KATSURA3, gb=gb))
+    trace_form(A)
+    assert calls["normal_form"] == before
+    omega_rank(KATSURA3, A)
     assert calls["normal_form"] > before
     assert etale_check(KATSURA3).verdict == "PASS"
 
