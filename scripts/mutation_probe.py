@@ -145,6 +145,14 @@ MUTANTS = (
            " None)\n            if g is not None and any(e and mo[:v] + (e - 1,) + mo[v + 1:]"
            " in self._pos for v, e in enumerate(mo)):",
            ("tests/test_presented.py",)),
+    Mutant("_kernel_basis: the denominator's sign not normalised", PRESENTED,
+           "            if t < 0:\n                t, s = -t, -s",
+           "            if False:\n                t, s = -t, -s",
+           ("tests/test_presented.py",)),
+    Mutant("render: a coefficient not put in lowest terms", POLYS,
+           "            g = gcd(c, den)\n            num, d = abs(c) // g, den // g",
+           "            g = 1\n            num, d = abs(c) // g, den // g",
+           ("tests/test_polys.py",)),
     Mutant("_conjugate_in_place: a = c takes the a != c update", REPRESENTATION,
            "    if a == c:\n        u = ring.one + x",
            "    if False:\n        u = ring.one + x",

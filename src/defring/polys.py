@@ -3,12 +3,12 @@
 Monomials are exponent tuples.  A polynomial is held over Z: integer
 numerators over one canonical denominator (`Poly.den`, `Poly.nums`), and
 every operation, division and S-polynomials included, works on that pair
-and divides the content out once (`primitive`).  Fractions are built only
-where a reader asks for them (`Poly.terms`, `render`) or a cap must be
-decided in lowest terms.  Division reduces by each divisor's primitive
-integer multiple, so no step normalises a Fraction; the caps on a division
-are still defined on the coefficients in lowest terms.  Division and Gröbner
-bases use one fixed order, degrevlex (`grevlex_key`).
+and divides the content out once (`primitive`).  Only the constructor
+`Poly(nvars, terms)` builds Fractions, from the rationals it is given; a
+coefficient in lowest terms (for `render`, `max_coeff_bits` and the caps on
+a division) costs one gcd with the denominator.  Division reduces by each
+divisor's primitive integer multiple, so no step normalises a Fraction.
+Division and Gröbner bases use one fixed order, degrevlex (`grevlex_key`).
 
 Gröbner bases are computed by a signature-based loop (`buchberger`): the
 generators are added one at a time, each polynomial carries a signature,
@@ -94,9 +94,8 @@ class Poly:
     Every operation builds its result through `from_z`, which divides the
     content out.  The pair is never mutated after construction, so the
     leading monomial and the divisor form that `normal_form` reduces by are
-    computed once and cached.
-    `terms` is a Fraction view for readers such as `render`; no arithmetic
-    reads it.
+    computed once and cached.  A coefficient in lowest terms is
+    nums[m]/den with their gcd divided out.
     """
 
     __slots__ = ("nvars", "den", "nums", "_divisor", "_lm")
@@ -120,11 +119,6 @@ class Poly:
         out._divisor = out._lm = None
         return out
 
-    @property
-    def terms(self) -> Dict[Monomial, Fraction]:
-        """The coefficients in lowest terms, in the order of `nums` (a new dict)."""
-        return {m: Fraction(c, self.den) for m, c in self.nums.items()}
-
     def _divisor_form(self) -> Tuple[Monomial, int, List[Tuple[Monomial, int]], tuple]:
         """(lm, L, tail, ()): the primitive integer multiple of self, as
         L*lm - sum(c*m for m, c in tail) with L > 0, which `normal_form`
@@ -145,8 +139,8 @@ class Poly:
         return cls(nvars)
 
     @classmethod
-    def constant(cls, nvars: int, c) -> "Poly":
-        return cls(nvars, {(0,) * nvars: c})
+    def constant(cls, nvars: int, c: int) -> "Poly":
+        return cls.from_z(nvars, 1, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
@@ -191,16 +185,6 @@ class Poly:
                 else:
                     del out[m]
         return Poly.from_z(self.nvars, self.den * other.den, out)
-
-    def scale(self, c) -> "Poly":
-        return self.mul_term((0,) * self.nvars, c)
-
-    def mul_term(self, mono: Monomial, c) -> "Poly":
-        c = Fraction(c)
-        if not c:
-            return Poly(self.nvars)
-        return Poly.from_z(self.nvars, self.den * c.denominator,
-                           {mono_mul(m, mono): v * c.numerator for m, v in self.nums.items()})
 
     def __pow__(self, e: int) -> "Poly":
         out = Poly.from_z(self.nvars, 1, {(0,) * self.nvars: 1})
@@ -252,20 +236,20 @@ class Poly:
         return Poly.from_z(nv, out.den * self.den, out.nums)
 
     def max_coeff_bits(self) -> int:
-        bits = 0
-        for c in self.terms.values():
-            bits = max(bits, c.numerator.bit_length(), c.denominator.bit_length())
+        """The largest bit length of a numerator or denominator in lowest terms."""
+        den, bits = self.den, 0
+        for c in self.nums.values():
+            g = gcd(c, den)
+            bits = max(bits, (c // g).bit_length(), (den // g).bit_length())
         return bits
 
-    def sorted_terms(self):
-        """The terms, descending in degrevlex."""
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
-
     def render(self, names: Sequence[str]) -> str:
+        """The terms descending in degrevlex, coefficients in lowest terms."""
         if self.is_zero():
             return "0"
+        den = self.den
         parts = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.nums.items(), key=lambda t: grevlex_key(t[0]), reverse=True):
             factors = []
             for i, e in enumerate(m):
                 if e == 1:
@@ -273,12 +257,15 @@ class Poly:
                 elif e > 1:
                     factors.append(f"{names[i]}^{e}")
             mono = "*".join(factors)
+            g = gcd(c, den)
+            num, d = abs(c) // g, den // g
+            coeff = str(num) if d == 1 else f"{num}/{d}"
             if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
+                body = coeff
+            elif num == d == 1:
                 body = mono
             else:
-                body = f"{abs(c)}*{mono}"
+                body = f"{coeff}*{mono}"
             parts.append(("- " if c < 0 else "+ ") + body)
         s = " ".join(parts)
         return s[2:] if s.startswith("+ ") else ("-" + s[2:])
@@ -566,7 +553,7 @@ def _check_step(work: Dict[Monomial, int], remainder: Dict[Monomial, int], den: 
     When the sufficient test fails, the content (the gcd of den and every
     numerator of work and remainder) is divided out and the test is run
     again; when it still fails, the changed coefficients are checked in
-    lowest terms.
+    lowest terms, one gcd with den each.
     """
     if _fits(den, (work[m] for m in changed), deny_denominator_prime, bit_cap):
         return den
@@ -579,18 +566,19 @@ def _check_step(work: Dict[Monomial, int], remainder: Dict[Monomial, int], den: 
             remainder[k] //= content
         if _fits(den, (work[m] for m in changed), deny_denominator_prime, bit_cap):
             return den
-    coeffs = [Fraction(work[m], den) for m in changed]
+    coeffs = []
+    for m in changed:
+        g = gcd(work[m], den)
+        coeffs.append((work[m] // g, den // g))
     if deny_denominator_prime is not None:
-        for c in coeffs:
-            if c.denominator % deny_denominator_prime == 0:
-                raise IntegralityError(
-                    f"denominator divisible by p={deny_denominator_prime} "
-                    "in an intermediate normal form")
+        if any(d % deny_denominator_prime == 0 for _, d in coeffs):
+            raise IntegralityError(
+                f"denominator divisible by p={deny_denominator_prime} "
+                "in an intermediate normal form")
     if bit_cap is not None:
-        for c in coeffs:
-            if c.numerator.bit_length() > bit_cap or c.denominator.bit_length() > bit_cap:
-                raise CoefficientSwellError(
-                    f"coefficient exceeds {bit_cap}-bit cap during reduction")
+        if any(n.bit_length() > bit_cap or d.bit_length() > bit_cap for n, d in coeffs):
+            raise CoefficientSwellError(
+                f"coefficient exceeds {bit_cap}-bit cap during reduction")
     return den
 
 

@@ -20,7 +20,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .polys import (DEFAULT_DIMENSION_GUARD, CoefficientSwellError, IntegralityError,
@@ -45,29 +45,7 @@ def groebner_basis(pres: IntegerPolynomialPresentation) -> List[Poly]:
     return buchberger(list(pres.relations))
 
 
-# -- rational linear algebra helpers ---------------------------------------------
-
-
-def _echelon(mat: Sequence[Sequence[Fraction]]
-             ) -> Tuple[List[List[int]], List[int], Fraction]:
-    """Fraction-free (Bareiss) forward elimination of a rational matrix.
-
-    Each row is first multiplied by the lcm of its denominators, which keeps
-    the rank and the row space and scales the determinant by that lcm; the
-    integer rows then go to `_bareiss`.
-
-    Returns the nonzero echelon rows, their pivot columns (the rank is their
-    number) and, for a square matrix, its determinant: the signed last pivot
-    divided by the row scalings, or 0 below full rank.
-    """
-    rows = []
-    scale = 1
-    for r in mat:
-        m = lcm(*(x.denominator for x in r))
-        scale *= m
-        rows.append([x.numerator * (m // x.denominator) for x in r])
-    ech, pivots, det = _bareiss(rows)
-    return ech, pivots, Fraction(det, scale)
+# -- integer linear algebra helpers -----------------------------------------------
 
 
 def _bareiss(rows: List[List[int]]) -> Tuple[List[List[int]], List[int], int]:
@@ -222,21 +200,31 @@ def _kernel_certified(rows: Sequence[Sequence[int]], ech: Sequence[Sequence[int]
 
 
 def _kernel_basis(ech: Sequence[Sequence[int]], pivots: Sequence[int],
-                  n: int) -> Iterator[List[Fraction]]:
-    """Basis of the right kernel of a matrix with n columns, from the echelon
-    rows and pivot columns `_echelon` gave for it: one vector per free column.
+                  n: int) -> Iterator[IntCoords]:
+    """Basis of the right kernel of a matrix with n columns, from the integer
+    echelon rows and pivot columns `_bareiss` gave for it: one vector per
+    free column, as (D, {column: numerator}).
 
     Each vector sets its free variable to 1 and the others to 0 and solves
-    for the pivot variables by back-substitution, so it is the vector read
-    off the reduced row echelon form.
+    for the pivot variables by back-substitution over one denominator D > 0,
+    with one gcd per pivot, so it is the vector read off the reduced row
+    echelon form.
     """
     for free in (j for j in range(n) if j not in pivots):
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
+        den, vec = 1, {free: 1}
         for row, pc in reversed(list(zip(ech, pivots))):
-            vec[pc] = -sum((row[j] * vec[j] for j in range(pc + 1, n)),
-                           Fraction(0)) / row[pc]
-        yield vec
+            s = sum(row[j] * x for j, x in vec.items())
+            if not s:
+                continue
+            p = row[pc]
+            g = gcd(s, p)
+            t = p // g
+            if t < 0:
+                t, s = -t, -s
+            den *= t
+            vec = {j: x * t for j, x in vec.items()}
+            vec[pc] = -s // g
+        yield den, vec
 
 
 # -- the rational fiber -------------------------------------------------------------
@@ -257,8 +245,8 @@ class QFiberAlgebra:
     Faugere, Gianni, Lazard and Mora 1993): a leading monomial's row is its
     basis element's tail, and every other row a sum of earlier rows in the
     term order.  `_leading` maps each leading monomial to its element.
-    `trace_form` fills `_trace` and keeps the echelon rows and pivot columns
-    of the Gram matrix in `_gram_echelon`, which `nilpotent_witness` reads.
+    `trace_form` keeps the Gram determinant in `_trace` and its integer
+    echelon rows and pivot columns in `_gram_echelon`, for `nilpotent_witness`.
     """
 
     pres: IntegerPolynomialPresentation
@@ -266,7 +254,7 @@ class QFiberAlgebra:
     basis: List[Monomial]
     _nf: Dict[Monomial, IntCoords] = field(default_factory=dict)
     _mult: Dict[Tuple[int, int], IntCoords] = field(default_factory=dict)
-    _trace: Optional[Tuple[List[List[Fraction]], Fraction]] = None
+    _trace: Optional[Fraction] = None
     _gram_echelon: Optional[Tuple[List[List[int]], List[int]]] = None
 
     def __post_init__(self):
@@ -280,22 +268,11 @@ class QFiberAlgebra:
     def normal_form(self, f: Poly) -> Poly:
         return normal_form(f, self.gb)
 
-    def coords(self, f: Poly) -> Dict[int, Fraction]:
-        """The nonzero coordinates of the normal form of f on the basis."""
-        return {self._pos[mo]: c for mo, c in self.normal_form(f).terms.items()}
-
     def int_coords(self, f: Poly) -> IntCoords:
         """The coordinates of the normal form of f, as integer numerators
         over its denominator, without content."""
         nf = self.normal_form(f)
         return nf.den, {self._pos[mo]: c for mo, c in nf.nums.items()}
-
-    def element(self, vec: Sequence[Fraction]) -> Poly:
-        out = Poly.zero(self.pres.nvars)
-        for c, mo in zip(vec, self.basis):
-            if c:
-                out = out + Poly(self.pres.nvars, {mo: c})
-        return out
 
     def _monomial_coords(self, mo: Monomial) -> IntCoords:
         """Integer coordinates of the normal form of the monomial mo, memoised,
@@ -411,13 +388,15 @@ def q_fiber(pres: IntegerPolynomialPresentation,
     return QFiberAlgebra(pres, gb, basis)
 
 
-def trace_form(A: QFiberAlgebra) -> Tuple[List[List[Fraction]], Fraction]:
-    """Gram matrix T_ij = trace(mult by b_i*b_j) and its exact determinant.
+def trace_form(A: QFiberAlgebra) -> Fraction:
+    """The exact determinant of the Gram matrix T_ij = trace(mult by b_i*b_j).
 
     The traces of the basis elements are integers over one common
-    denominator, so each Gram entry is one integer sum made a Fraction once.
-    Computed once per algebra; later calls return the same pair.  The
-    echelon form of the Gram matrix is kept for `nilpotent_witness`.
+    denominator, so each Gram entry is an integer sum over an integer, in
+    lowest terms by one gcd.  Each row times the lcm of its denominators
+    goes to `_bareiss`, and the determinant is Bareiss's over the product of
+    those lcms.  Computed once per algebra; later calls return the same
+    Fraction.  The Gram matrix's echelon form is kept for `nilpotent_witness`.
     """
     if A._trace is not None:
         return A._trace
@@ -434,14 +413,22 @@ def trace_form(A: QFiberAlgebra) -> Tuple[List[List[Fraction]], Fraction]:
         diagonals.append(diag)
     trace_den = lcm(*(den for diag in diagonals for den, _ in diag))
     traces = [sum(x * (trace_den // den) for den, x in diag) for diag in diagonals]
-    gram = [[Fraction(0)] * n for _ in range(n)]
+    gram = [[(0, 1)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             den, nums = A.mult_int_coords(i, j)
-            gram[i][j] = gram[j][i] = Fraction(
-                sum(x * traces[u] for u, x in nums.items()), den * trace_den)
-    ech, pivots, det = _echelon(gram)
-    A._trace = gram, det
+            num = sum(x * traces[u] for u, x in nums.items())
+            den *= trace_den
+            g = gcd(num, den)
+            gram[i][j] = gram[j][i] = num // g, den // g
+    rows = []
+    scale = 1
+    for r in gram:
+        m = lcm(*(d for _, d in r))
+        scale *= m
+        rows.append([x * (m // d) for x, d in r])
+    ech, pivots, det = _bareiss(rows)
+    A._trace = Fraction(det, scale)
     A._gram_echelon = ech, pivots
     return A._trace
 
@@ -540,11 +527,10 @@ def _multiplication_rows(A: QFiberAlgebra, factors: Sequence[IntCoords]
 
 def nilpotent_witness(A: QFiberAlgebra) -> Tuple[Poly, int]:
     """A nonzero nilpotent element (from the trace-form radical) with its vanishing power."""
-    det = trace_form(A)[1]
-    if det != 0:
+    if trace_form(A) != 0:
         raise ValueError("algebra is reduced; it has no nonzero nilpotents")
-    for vec in _kernel_basis(*A._gram_echelon, A.dim):
-        x = A.element(vec)
+    for den, vec in _kernel_basis(*A._gram_echelon, A.dim):
+        x = Poly.from_z(A.pres.nvars, den, {A.basis[j]: c for j, c in vec.items()})
         power = x
         for e in range(2, A.dim + 1):
             power = A.normal_form(power * x)
@@ -599,7 +585,7 @@ def etale_check(pres: IntegerPolynomialPresentation) -> EtaleReport:
             omega_rank=None, reduced=None, verdict="FAIL_NOT_FINITE",
             groebner=gb_strs,
             note="some variable has no pure power among the leading terms")
-    gram, det = trace_form(A)
+    det = trace_form(A)
     om = omega_rank(pres, A)
     reduced = det != 0
     if reduced != (om == 0):
@@ -616,7 +602,7 @@ def etale_check(pres: IntegerPolynomialPresentation) -> EtaleReport:
         return EtaleReport(True, A.dim, det, om, True, "PASS", None, gb_strs)
     wit, power = nilpotent_witness(A)
     # independent certification: verify the vanishing power by normal form
-    acc = Poly.constant(pres.nvars, Fraction(1))
+    acc = Poly.constant(pres.nvars, 1)
     for _ in range(power):
         acc = A.normal_form(acc * wit)
     if not acc.is_zero():

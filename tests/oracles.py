@@ -6,14 +6,18 @@ and checks that only tests ask for.
 spans all products of two module bases, which `m_adic_filtration` builds
 from the generators of m; `buchberger_gebauer_moeller` is the S-pair loop
 with the Gebauer–Möller criteria that `polys.buchberger`'s signature loop
-replaced.
+replaced.  `fraction_terms`, `scale`, `mul_term` and `fiber_coords` are
+the Fraction views and multiples that `Poly` and `QFiberAlgebra` no longer
+offer, and `render_by_fractions` and `max_coeff_bits_by_fractions` the
+former `Poly.render` and `Poly.max_coeff_bits`, which read those views.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heappop, heappush
 from operator import le
-from typing import Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import defring.polys as polys
 from defring.errors import InternalInconsistencyError
@@ -22,6 +26,7 @@ from defring.local_ring import (DEFAULT_MAP_CAP, Ideal, NonUnitError,
 from defring.matrices import Matrix
 from defring.polys import Monomial, Poly, grevlex_key, mono_divides, mono_lcm, mono_mul
 from defring.presentations import IntegerPolynomialPresentation
+from defring.presented import QFiberAlgebra
 from defring.representation import DefSet, Representation, def_set
 
 
@@ -57,6 +62,60 @@ def is_invertible(M: Matrix) -> bool:
         return True
     except NonUnitError:
         return False
+
+
+def fraction_terms(f: Poly) -> Dict[Monomial, Fraction]:
+    """The coefficients of f in lowest terms, in the order of `nums`."""
+    return {m: Fraction(c, f.den) for m, c in f.nums.items()}
+
+
+def mul_term(f: Poly, mono: Monomial, c) -> Poly:
+    """c * mono * f, for anything `Fraction` accepts as c."""
+    c = Fraction(c)
+    if not c:
+        return Poly(f.nvars)
+    return Poly.from_z(f.nvars, f.den * c.denominator,
+                       {mono_mul(m, mono): v * c.numerator for m, v in f.nums.items()})
+
+
+def scale(f: Poly, c) -> Poly:
+    return mul_term(f, (0,) * f.nvars, c)
+
+
+def fiber_coords(A: QFiberAlgebra, f: Poly) -> Dict[int, Fraction]:
+    """The nonzero coordinates of the normal form of f on A's basis."""
+    return {A._pos[mo]: c for mo, c in fraction_terms(A.normal_form(f)).items()}
+
+
+def max_coeff_bits_by_fractions(f: Poly) -> int:
+    bits = 0
+    for c in fraction_terms(f).values():
+        bits = max(bits, c.numerator.bit_length(), c.denominator.bit_length())
+    return bits
+
+
+def render_by_fractions(f: Poly, names: Sequence[str]) -> str:
+    if f.is_zero():
+        return "0"
+    parts = []
+    for m, c in sorted(fraction_terms(f).items(), key=lambda t: grevlex_key(t[0]),
+                       reverse=True):
+        factors = []
+        for i, e in enumerate(m):
+            if e == 1:
+                factors.append(names[i])
+            elif e > 1:
+                factors.append(f"{names[i]}^{e}")
+        mono = "*".join(factors)
+        if not mono:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = mono
+        else:
+            body = f"{abs(c)}*{mono}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    s = " ".join(parts)
+    return s[2:] if s.startswith("+ ") else ("-" + s[2:])
 
 
 def buchberger_gebauer_moeller(gens: Iterable[Poly], bit_cap: int = 4096) -> List[Poly]:

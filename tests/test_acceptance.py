@@ -124,7 +124,7 @@ def test_acceptance_2_dual_route_cross_validation():
     for _ in range(55):
         pres, A = _random_finite_presentation(rng)
         etale_check(pres)  # raises InternalInconsistencyError on disagreement
-        _gram, det = trace_form(A)
+        det = trace_form(A)
         if (det != 0) != (omega_rank(pres, A) == 0):
             ok = False
         checked += 1
@@ -136,7 +136,7 @@ def test_acceptance_2_dual_route_cross_validation():
         A = q_fiber(pres)
         if A is None or A.dim == 0:
             continue
-        _g, det = trace_form(A)
+        det = trace_form(A)
         if (det != 0) != _univariate_squarefree(coeffs):
             ok = False
         gcd_checked += 1

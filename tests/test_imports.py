@@ -75,7 +75,12 @@ def unread_public_definitions(sources, readers):
     library module, by an import in `__init__.py` (an export), or by a
     load, an import or a string constant in `readers` (the texts of the
     scripts and of perfbench, whose tracer names what it wraps by
-    strings)."""
+    strings).  Reads are matched by bare name, not by owner, so a method
+    that only tests read goes unseen while anything outside the tests reads
+    another definition of that name (`Poly.scale` went unseen behind
+    `Matrix.scale`, and `QFiberAlgebra.coords` behind `Layer.coords`), and
+    a method read only by such a method counts as read (`Poly.mul_term`,
+    read only by `Poly.scale`)."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     read = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees.values() for node in ast.walk(tree)

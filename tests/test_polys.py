@@ -20,12 +20,13 @@ from defring.polys import (CoefficientSwellError, IntegralityError, Poly,
                            s_polynomial)
 from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
 from defring.presented import etale_check
-from oracles import buchberger_gebauer_moeller
+from oracles import (buchberger_gebauer_moeller, fraction_terms, max_coeff_bits_by_fractions,
+                     mul_term, render_by_fractions, scale)
 
 
 def _to_sympy(f: Poly, syms):
     expr = sympy.Integer(0)
-    for mono, c in f.terms.items():
+    for mono, c in fraction_terms(f).items():
         term = sympy.Rational(c.numerator, c.denominator)
         for s, e in zip(syms, mono):
             term *= s ** e
@@ -35,13 +36,13 @@ def _to_sympy(f: Poly, syms):
 
 def test_parse_basic():
     f = parse_poly("X^2 + 3*X*Y - 7", ["X", "Y"])
-    assert f.terms == {(2, 0): Fraction(1), (1, 1): Fraction(3),
+    assert fraction_terms(f) == {(2, 0): Fraction(1), (1, 1): Fraction(3),
                        (0, 0): Fraction(-7)}
 
 
 def test_parse_implicit_product_and_powers():
     f = parse_poly("(X + Y)^2 - X^2 - Y^2", ["X", "Y"])
-    assert f.terms == {(1, 1): Fraction(2)}
+    assert fraction_terms(f) == {(1, 1): Fraction(2)}
 
 
 def test_parse_errors_report_position():
@@ -64,7 +65,7 @@ def test_parse_refuses_powers_above_the_dimension_guard():
         parse_poly("(X^10 + 1)^101", ["X"])
     with pytest.raises(PolyParseError, match="a power of degree 1002"):
         parse_poly("(X*Y - 2)^501", ["X", "Y"])
-    assert parse_poly("(2*X^3)^5000", ["X"]).terms == {(15000,): Fraction(2) ** 5000}
+    assert fraction_terms(parse_poly("(2*X^3)^5000", ["X"])) == {(15000,): Fraction(2) ** 5000}
 
 
 def test_parse_refuses_powers_with_more_terms_than_the_dimension_guard():
@@ -180,8 +181,8 @@ def _s_polynomial_by_fractions(f, g):
     """The former `s_polynomial`: two shifted Fraction multiples, subtracted."""
     lmf, lmg = f.leading_monomial(), g.leading_monomial()
     l = polys.mono_lcm(lmf, lmg)
-    return (f.mul_term(mono_div(l, lmf), Fraction(1) / f.terms[lmf])
-            - g.mul_term(mono_div(l, lmg), Fraction(1) / g.terms[lmg]))
+    return (mul_term(f, mono_div(l, lmf), Fraction(1) / fraction_terms(f)[lmf])
+            - mul_term(g, mono_div(l, lmg), Fraction(1) / fraction_terms(g)[lmg]))
 
 
 @st.composite
@@ -207,7 +208,7 @@ def test_s_polynomial_matches_fraction_oracle(pair):
     s = s_polynomial(f, g)
     assert s.den > 0 and gcd(s.den, *s.nums.values()) == 1
     assert ([(m, Fraction(c, s.den)) for m, c in s.nums.items()]
-            == list(_s_polynomial_by_fractions(f, g).terms.items()))
+            == list(fraction_terms(_s_polynomial_by_fractions(f, g)).items()))
 
 
 # -- the integer representation against the former Fraction Poly ---------------
@@ -328,7 +329,7 @@ def _representation_cases(draw):
 
 def _same(p, oracle):
     # the same coefficients in the same order, and the canonical pair
-    assert list(p.terms.items()) == list(oracle.terms.items())
+    assert list(fraction_terms(p).items()) == list(oracle.terms.items())
     assert p.den > 0 and gcd(p.den, *p.nums.values()) == 1 and all(p.nums.values())
 
 
@@ -343,8 +344,8 @@ def test_poly_matches_fraction_oracle(case):
     _same(f - g, of - og)
     _same(f * g, of * og)
     _same(f ** e, of ** e)
-    _same(f.scale(c), of.scale(c))
-    _same(f.mul_term(mono, c), of.mul_term(mono, c))
+    _same(scale(f, c), of.scale(c))
+    _same(mul_term(f, mono, c), of.mul_term(mono, c))
     _same(f.monic(), of.monic())
     _same(f.derivative(i), of.derivative(i))
     _same(f.substitute([Poly(nv, t) for t in images]),
@@ -353,14 +354,54 @@ def test_poly_matches_fraction_oracle(case):
     if f == g:
         assert hash(f) == hash(g)
     # the same polynomial built with its terms in the reverse order
-    rev = Poly(nvars, dict(reversed(list(f.terms.items()))))
+    rev = Poly(nvars, dict(reversed(list(fraction_terms(f).items()))))
     assert rev == f and hash(rev) == hash(f)
 
 
+_view_coeffs = st.one_of(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 3)]),
+                        st.integers(-50, 50),
+                        st.builds(Fraction, st.integers(-2 ** 40, 2 ** 40),
+                                  st.integers(1, 2 ** 20)))
+
+
+@st.composite
+def _view_cases(draw):
+    """Polynomials in 1 to 3 variables with coefficients +-1, integers and
+    non-integers, constant terms (the zero monomial) in about half of them,
+    and sometimes zero."""
+    nvars = draw(st.integers(1, 3))
+    monos = st.tuples(*[st.integers(0, 3)] * nvars)
+    terms = draw(st.dictionaries(monos, _view_coeffs, max_size=5))
+    if draw(st.booleans()):
+        terms[(0,) * nvars] = draw(_view_coeffs)
+    return Poly(nvars, terms)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_view_cases())
+def test_render_and_max_coeff_bits_match_fraction_oracle(f):
+    # the integer views read nums/den with one gcd per coefficient; the
+    # oracles read every coefficient as a Fraction in lowest terms
+    names = ["X", "Y", "Z"][:f.nvars]
+    assert f.render(names) == render_by_fractions(f, names)
+    assert f.max_coeff_bits() == max_coeff_bits_by_fractions(f)
+
+
+def test_render_pins():
+    names = ["X", "Y"]
+    f = Poly(2, {(2, 0): Fraction(1, 2), (1, 1): -1, (0, 1): Fraction(-4, 6), (0, 0): 3})
+    assert f.den == 6 and f.nums[(2, 0)] == 3
+    assert f.render(names) == "1/2*X^2 - X*Y - 2/3*Y + 3"
+    assert Poly(2, {(0, 0): Fraction(-2, 4)}).render(names) == "-1/2"
+    assert Poly(2, {(1, 0): -1, (0, 0): -1}).render(names) == "-X - 1"
+    assert Poly(2).render(names) == "0"
+    assert Poly(2, {(1, 0): Fraction(2 ** 40, 3)}).max_coeff_bits() == 41
+
+
 def test_buchberger_builds_no_fraction_on_katsura4(monkeypatch):
-    # no arithmetic reads the Fraction view, so the Groebner basis is
-    # computed without building one Fraction; calls are counted by replacing
-    # the module attribute, as the tracer counts calls
+    # no arithmetic builds a Fraction, so the Groebner basis is computed
+    # without one; calls are counted by replacing the module attribute, as
+    # the tracer counts calls
     calls = []
     original = polys.Fraction
 
@@ -433,26 +474,26 @@ def _normal_form_by_rebuilding(f, basis, deny_denominator_prime=None, bit_cap=No
     lms = [(g.leading_monomial(), Fraction(g.nums[g.leading_monomial()], g.den), g)
            for g in basis if not g.is_zero()]
     remainder = {}
-    work = Poly(f.nvars, dict(f.terms))
+    work = Poly(f.nvars, fraction_terms(f))
 
     def check(poly):
         if deny_denominator_prime is not None:
-            for c in poly.terms.values():
+            for c in fraction_terms(poly).values():
                 if c.denominator % deny_denominator_prime == 0:
                     raise IntegralityError(
                         f"denominator divisible by p={deny_denominator_prime} "
                         "in an intermediate normal form")
-        if bit_cap is not None and poly.max_coeff_bits() > bit_cap:
+        if bit_cap is not None and max_coeff_bits_by_fractions(poly) > bit_cap:
             raise CoefficientSwellError(
                 f"coefficient exceeds {bit_cap}-bit cap during reduction")
 
     check(work)
     while not work.is_zero():
         lt_m = work.leading_monomial()
-        lt_c = work.terms[lt_m]
+        lt_c = fraction_terms(work)[lt_m]
         for lm, lc, g in lms:
             if mono_divides(lm, lt_m):
-                work = work - g.mul_term(mono_div(lt_m, lm), lt_c / lc)
+                work = work - mul_term(g, mono_div(lt_m, lm), lt_c / lc)
                 check(work)
                 break
         else:
@@ -487,7 +528,7 @@ def _division_problems(draw):
 
 def _outcome(nf, f, basis, **caps):
     try:
-        return list(nf(f, basis, **caps).terms.items())
+        return list(fraction_terms(nf(f, basis, **caps)).items())
     except (IntegralityError, CoefficientSwellError) as exc:
         return type(exc), str(exc)
 
@@ -629,7 +670,7 @@ def _generator_systems(draw):
 
 
 def _terms_in_order(basis):
-    return [list(g.terms.items()) for g in basis]
+    return [list(fraction_terms(g).items()) for g in basis]
 
 
 @settings(max_examples=150, deadline=None)

@@ -22,7 +22,7 @@ from defring.presented import (IntegralityObstruction,
                                nilpotent_witness, omega_rank, q_fiber,
                                trace_form, verify_presented_hom,
                                w_membership_check)
-from oracles import buchberger_gebauer_moeller
+from oracles import buchberger_gebauer_moeller, fiber_coords, fraction_terms, scale
 from test_polys import KATSURA3 as KATSURA3_RELATIONS
 from test_polys import KATSURA4
 
@@ -126,8 +126,8 @@ def _random_presentation(rng: random.Random) -> IntegerPolynomialPresentation:
 def test_buchberger_matches_gebauer_moeller_on_random_presentations(seed):
     # the signature loop's reduced basis is the oracle's, term for term
     relations = _random_presentation(random.Random(seed)).relations
-    assert ([list(g.terms.items()) for g in polys.buchberger(relations)]
-            == [list(g.terms.items()) for g in buchberger_gebauer_moeller(relations)])
+    assert ([list(fraction_terms(g).items()) for g in polys.buchberger(relations)]
+            == [list(fraction_terms(g).items()) for g in buchberger_gebauer_moeller(relations)])
 
 
 def test_trace_and_jacobian_routes_agree_on_random_presentations():
@@ -136,7 +136,7 @@ def test_trace_and_jacobian_routes_agree_on_random_presentations():
         pres = _random_presentation(rng)
         rep = etale_check(pres)  # raises InternalInconsistencyError on mismatch
         A = q_fiber(pres)
-        _gram, det = trace_form(A)
+        det = trace_form(A)
         assert (det != 0) == (omega_rank(pres, A) == 0)
         assert rep.reduced == (det != 0)
 
@@ -150,7 +150,7 @@ def test_univariate_gcd_criterion_agrees():
         A = q_fiber(pres)
         if A is None or A.dim == 0:
             continue
-        _g, det = trace_form(A)
+        det = trace_form(A)
         # Euclidean gcd(f, f') over Q
         def poly_gcd(u, v):
             u, v = list(u), list(v)
@@ -212,7 +212,8 @@ def test_quotient_monotonicity_on_pass_presentations():
 # -- one elimination against the Fraction Gauss-Jordan oracles ----------------
 #
 # The three eliminations below are the former library routines, kept as
-# oracles for the fraction-free `_echelon` and the back-substitution kernel.
+# oracles for `_bareiss` on rational rows scaled to integers, and for the
+# back-substitution kernel read off its echelon rows.
 
 
 def _row_reduce(rows):
@@ -310,17 +311,41 @@ def _matrices(draw, square=False):
              for j in range(n)] for i in range(m)]
 
 
+def _integer_rows(mat):
+    """The rows of a rational matrix, each multiplied by the lcm of its
+    denominators, and the product of those lcms."""
+    rows, scaling = [], 1
+    for r in mat:
+        m = math.lcm(*(x.denominator for x in r))
+        scaling *= m
+        rows.append([x.numerator * (m // x.denominator) for x in r])
+    return rows, scaling
+
+
+def _echelon(mat):
+    """`_bareiss` on the integer rows of mat, with the determinant of mat."""
+    rows, scaling = _integer_rows(mat)
+    ech, pivots, det = presented._bareiss(rows)
+    return ech, pivots, Fraction(det, scaling)
+
+
 def _kernel_basis(mat):
-    """The library kernel basis of mat, read off its `_echelon` form."""
-    ech, pivots, _det = presented._echelon(mat)
-    return list(presented._kernel_basis(ech, pivots, len(mat[0]) if mat else 0))
+    """The library kernel basis of mat, read off its `_bareiss` form, as
+    Fraction vectors; each denominator must be positive."""
+    ncols = len(mat[0]) if mat else 0
+    ech, pivots, _det = _echelon(mat)
+    out = []
+    for den, vec in presented._kernel_basis(ech, pivots, ncols):
+        assert den > 0 and all(vec.values())
+        out.append([Fraction(vec.get(j, 0), den) for j in range(ncols)])
+    return out
 
 
 @settings(max_examples=200, deadline=None)
 @given(_matrices())
 def test_echelon_rank_and_pivots_match_gauss_jordan(mat):
     rank, reduced = _row_reduce([list(r) for r in mat])
-    ech, pivots, _det = presented._echelon(mat)
+    ech, pivots, _det = _echelon(mat)
     assert len(pivots) == rank == len(ech)
     assert pivots == [next(j for j, x in enumerate(r) if x) for r in reduced]
 
@@ -328,7 +353,7 @@ def test_echelon_rank_and_pivots_match_gauss_jordan(mat):
 @settings(max_examples=200, deadline=None)
 @given(_matrices(square=True))
 def test_echelon_determinant_matches_gauss_jordan(mat):
-    assert presented._echelon(mat)[2] == _determinant(mat)
+    assert _echelon(mat)[2] == _determinant(mat)
 
 
 @settings(max_examples=200, deadline=None)
@@ -360,7 +385,7 @@ def _omega_rank_by_normal_forms(pres, A):
             row = []
             for g in partials:
                 block = [Fraction(0)] * n
-                for u, c in A.coords(g * bm).items():
+                for u, c in fiber_coords(A, g * bm).items():
                     block[u] = c
                 row.extend(block)
             rows.append(row)
@@ -379,7 +404,7 @@ def _jacobian_rows_by_fractions(pres, A):
     t, n = pres.nvars, A.dim
     rows = []
     for f in pres.relations:
-        partials = [A.coords(f.derivative(i)) for i in range(t)]
+        partials = [fiber_coords(A, f.derivative(i)) for i in range(t)]
         for j in range(n):
             row = [Fraction(0)] * (t * n)
             for i, g in enumerate(partials):
@@ -406,7 +431,10 @@ def _assert_integer_tables_match_fractions(pres):
     assert [[Fraction(x, den) for x in row]
             for den, row in presented._jacobian_rows(pres, A)] == oracle_rows
     assert omega_rank(pres, A) == A.dim * pres.nvars - _row_reduce(oracle_rows)[0]
-    assert trace_form(A) == _trace_form_by_fractions(A)
+    gram, det = _trace_form_by_fractions(A)
+    assert trace_form(A) == det
+    # the echelon form kept for the witness is that of the oracle's Gram matrix
+    assert A._gram_echelon == presented._bareiss(_integer_rows(gram)[0])[:2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -562,7 +590,7 @@ def test_non_square_presentations_skip_the_determinant_route(monkeypatch):
 def test_dual_route_disagreement_is_still_raised_after_the_determinant_route(monkeypatch):
     # the determinant route proves the module of katsura-3 zero; a trace form
     # claimed degenerate must then stop the run
-    monkeypatch.setattr(presented, "trace_form", lambda A: ([], Fraction(0)))
+    monkeypatch.setattr(presented, "trace_form", lambda A: Fraction(0))
     with pytest.raises(InternalInconsistencyError, match="disagree on reducedness"):
         etale_check(KATSURA3)
 
@@ -613,7 +641,7 @@ def _square_presentations(draw):
         return _random_presentation(random.Random(draw(st.integers(0, 2**32 - 1))))
     a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
     X, Y = Poly.variable(2, 0), Poly.variable(2, 1)
-    u = X + Y.scale(c)
+    u = X + scale(Y, c)
     rels = (u * u * (u - Poly.constant(2, a)), Y * Y - Poly.constant(2, b))
     return IntegerPolynomialPresentation(draw(st.sampled_from([2, 3, 5])), ("X", "Y"), rels)
 
@@ -647,6 +675,26 @@ def test_exact_eliminations_on_katsura4_and_nonreduced_cubics(monkeypatch):
     assert row_counts == [27]
 
 
+@pytest.mark.parametrize("name", ["katsura-4", "cubics"])
+def test_etale_check_builds_one_fraction_the_trace_determinant(name, monkeypatch):
+    # the fiber holds every rational number as integer numerators over a
+    # denominator; only the reported trace determinant is a Fraction.  The
+    # presentation is parsed first, and calls are counted by replacing the
+    # module attributes, as the tracer counts calls
+    pres = (_pres(2, list("ABCDE"), KATSURA4) if name == "katsura-4"
+            else NONREDUCED["cubics"][0])
+    calls = []
+    for module in (polys, presented):
+        def counting(*args, _original=module.Fraction):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(module, "Fraction", counting)
+    rep = etale_check(pres)
+    assert rep.verdict == ("PASS" if name == "katsura-4" else "FAIL_NOT_REDUCED")
+    assert len(calls) == 1 and rep.trace_det == Fraction(*calls[0])
+
+
 @pytest.mark.parametrize("name", NONREDUCED)
 def test_nonreduced_witnesses_unchanged(name):
     pres, witness = NONREDUCED[name]
@@ -660,7 +708,7 @@ KATSURA3 = _pres(2, list("ABCD"), KATSURA3_RELATIONS)
 
 def _mult_coords_by_normal_form(A, i, j):
     """The former multiplication table: the normal form of each product b_i * b_j."""
-    return A.coords(Poly.from_monomial(A.pres.nvars, mono_mul(A.basis[i], A.basis[j])))
+    return fiber_coords(A, Poly.from_monomial(A.pres.nvars, mono_mul(A.basis[i], A.basis[j])))
 
 
 def _assert_mult_table_matches_normal_forms(pres):
@@ -722,7 +770,7 @@ def test_a_basis_that_is_not_monic_gives_the_same_table(pres):
     # the base case divides by the leading coefficient of g's primitive
     # integer form, whatever multiple of g the basis holds
     gb = presented.groebner_basis(pres)
-    scaled = [g.scale(c) for g, c in zip(gb, itertools.cycle([3, Fraction(-2, 5), -1, 7]))]
+    scaled = [scale(g, c) for g, c in zip(gb, itertools.cycle([3, Fraction(-2, 5), -1, 7]))]
     assert scaled != gb
     A, B = q_fiber(pres, gb=gb), q_fiber(pres, gb=scaled)
     assert B.basis == A.basis
@@ -898,8 +946,7 @@ def test_w_membership_report_dict():
 def test_a_radical_without_nilpotents_is_a_json_error(monkeypatch, tmp_path, capsys):
     # the trace form's kernel is made to offer only the unity, which is not
     # nilpotent, so the search for a witness must stop the run
-    monkeypatch.setattr(presented, "_kernel_basis",
-                        lambda *args: [[Fraction(1)] + [Fraction(0)] * (args[-1] - 1)])
+    monkeypatch.setattr(presented, "_kernel_basis", lambda *args: [(1, {0: 1})])
     message = "trace form is degenerate but no kernel element is nilpotent"
     with pytest.raises(InternalInconsistencyError, match=f"^{message}$"):
         etale_check(_pres(2, ["X"], ["X^2"]))

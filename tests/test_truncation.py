@@ -25,7 +25,7 @@ from defring.local_ring import (Layer, NotFiniteAtCapError, _truncation_form,
                                 quotient_ring, ring_from_truncated_presentation)
 from defring.polys import grlex_key, mono_mul
 from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
-from oracles import ideal_product
+from oracles import fraction_terms, ideal_product
 from test_local_ring import ORACLE_RINGS, QUOTIENT_BASES, _element
 
 
@@ -54,7 +54,7 @@ def truncation_form_from_scratch(pres, W, degree_cap):
         for f in pres.relations:
             for mu in monomials_upto(d - f.degree()):
                 row = [W.zero] * len(cols)
-                for mo, c in f.terms.items():
+                for mo, c in fraction_terms(f).items():
                     j = col_index[mono_mul(mu, mo)]
                     row[j] = W.add(row[j], W.from_int(c.numerator))
                 rows.append(row)
