@@ -157,10 +157,22 @@ MUTANTS = (
            "    if a == c:\n        u = ring.one + x",
            "    if False:\n        u = ring.one + x",
            ("tests/test_lift_oracles.py", "tests/test_representation.py")),
-    Mutant("_hom_from_generators: the generator test skipped", LOCAL_RING,
-           "    if hom.verify() and all(hom.apply(g) == z for g, z in zip(source.generators, images)):",
-           "    if hom.verify():",
+    Mutant("_hom_defects: the generator test f(g_v) = z_v dropped", LOCAL_RING,
+           "        for g, z in zip(source.generators, images)]",
+           "        for g, z in zip(source.generators, images) if False]",
            ("tests/test_local_ring.py",)),
+    Mutant("hom_enumerate: the final check deleted", LOCAL_RING,
+           "        if not (hom.verify() and all(hom.apply(g) == z for g, z in zip(source.generators, zs))):",
+           "        if False:",
+           ("tests/test_lift_oracles.py",)),
+    Mutant("defects: only the first spanning generator read", LOCAL_RING,
+           "        for g in S._spanning:",
+           "        for g in S._spanning[:1]:",
+           ("tests/test_lift_oracles.py",)),
+    Mutant("Layer.solutions: the kernel dropped, only the particular solution kept", LOCAL_RING,
+           "                            for z in kernel])",
+           "                            for z in kernel[:1]])",
+           ("tests/test_lift_oracles.py",)),
 )
 
 

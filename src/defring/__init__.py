@@ -29,12 +29,10 @@ from .presented import (EtaleReport, QFiberAlgebra, etale_check, groebner_basis,
                         nilpotent_witness, omega_rank, q_fiber, trace_form,
                         verify_presented_hom, w_membership_check)
 from .representation import (DefSet, Lift, MarandaCertificate, Representation,
-                             are_strictly_equivalent, def_set, derivation_check,
-                             enumerate_lifts, hom_family, hom_vs_derivation,
+                             are_strictly_equivalent, def_set, enumerate_lifts,
                              kernel_group, maranda_average, maranda_decide,
                              normalize_intertwiner, residual_rep,
-                             square_zero_extension, trivial_residual_rep,
-                             unique_deformation_check)
+                             trivial_residual_rep, unique_deformation_check)
 from .udr import (FinitenessBoundReport, NecessaryConditionVerdict,
                   OneDimCrosscheckReport, OrderBoundError, OrderBoundResult,
                   finiteness_bound_check, necessary_condition,

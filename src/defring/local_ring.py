@@ -21,7 +21,7 @@ Two modes, fixed when a ring is built:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import cycle, product
 from math import prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -204,6 +204,7 @@ class FiniteLocalRing:
         self._max_ideal: Optional[Ideal] = None
         self._layers: Optional[List[Layer]] = None
         self._residue_ring: Optional[FiniteLocalRing] = None
+        self._spanning = self._spanning_generators()
         if validate:
             self._validate()
 
@@ -433,7 +434,7 @@ class FiniteLocalRing:
         red = self._residue
         if red(one) != k.one:
             raise RingConstructionError("reduction does not send 1 to 1")
-        for g in self._spanning_generators():
+        for g in self._spanning:
             ge = [self._times_basis(g.flat, i) for i in range(N)]
             for i in range(N):
                 for j in range(i + 1, N):
@@ -451,7 +452,8 @@ class FiniteLocalRing:
                     "the ring is not local with the claimed residue field")
 
     def _spanning_generators(self) -> List[RingElement]:
-        """Elements whose left-nested products with 1 span R as a W-module.
+        """Elements whose left-nested products with 1 span R as a W-module;
+        the ring finds them once, as `_spanning`, when it is built.
 
         The designated generators, when every basis monomial X^mu is 1 (for
         mu = 0) or the product X_v * X^(mu - e_v) of a generator and another
@@ -491,7 +493,7 @@ class FiniteLocalRing:
         k, J = ker(red).
         """
         out = []
-        for x in self._spanning_generators():
+        for x in self._spanning:
             y = x - self.unity_lift(self.reduce_element(x))
             if not y.is_zero():
                 out.append(y)
@@ -677,12 +679,21 @@ def m_adic_filtration(ring: FiniteLocalRing) -> List[Ideal]:
 
 def m_adic_layers(ring: FiniteLocalRing) -> List["Layer"]:
     """The `Layer` m^i / m^{i+1} for each step of `m_adic_filtration`, built
-    once per ring for its readers: `enumerate_lifts` and `_layer_generators`
-    in `def_set`, `fingerprint` and `_hom_levels`."""
+    once per ring for its readers: `Layer.solutions` for `enumerate_lifts`
+    and `_hom_levels`, `_layer_generators` in `def_set`, and `fingerprint`."""
     if ring._layers is None:
         filtration = m_adic_filtration(ring)
         ring._layers = [Layer(upper, lower) for upper, lower in zip(filtration, filtration[1:])]
     return ring._layers
+
+
+def _span(W: GaloisRing, gens: Sequence[Sequence[GRElt]], size: int) -> List[List[GRElt]]:
+    """Every W-linear combination of gens, vectors of the given length, W a field."""
+    out = [[W.zero] * size]
+    for z in gens:
+        out = [[W.add(x, W.mul(c, y)) for x, y in zip(v, z)]
+               for v in out for c in W.elements()]
+    return out
 
 
 class Layer:
@@ -758,6 +769,24 @@ class Layer:
                 out[at] = tuple([c % p for c in q])
         return out
 
+    def solutions(self, solver: LinearMapSolver, kernel: Sequence[Sequence[GRElt]],
+                  delta: Sequence[Sequence[GRElt]]) -> List[List[int]]:
+        """The offsets X_u = sum_j s(x_j[u]) b_j of the unknowns u, flat and
+        one after another, that clear defects affine in them: delta_j +
+        E(x_j) on the b_j-coordinates, delta the `coords` of the defects at
+        X = 0, E the map `solver` solves and `kernel` its kernel, listed."""
+        ring, k = self.ring, self.ring.residue_field
+        options = []
+        for j, multiples in enumerate(self.multiples):
+            x = solver.solve([k.neg(c[j]) for c in delta])
+            if x is None:
+                return []
+            # the flat coordinates of the s(x_j[u]) b_j, x_j = x + z, z in the kernel
+            options.append([[v for a, c in zip(x, z) for v in multiples[k.add(a, c)].flat]
+                            for z in kernel])
+        return [[sum(t) % md for t, md in zip(zip(*choice), cycle(ring._mods))]
+                for choice in product(*options)]
+
     def offsets(self) -> List[RingElement]:
         """The q^d sums s(c_1) b_1 + ... + s(c_d) b_d, c in k^d: one
         representative of each coset of lower in upper."""
@@ -820,22 +849,28 @@ class RingHom:
     def __call__(self, x: RingElement) -> RingElement:
         return self.apply(x)
 
-    def verify(self) -> bool:
-        """Unital, multiplicative on basis pairs, well-defined on torsion."""
+    def defects(self) -> List[Tuple[int, ...]]:
+        """The flat target coordinates of p^{c_i} f(e_i) for each i, of
+        f(1) - 1, and of f(g e_j) - f(g) f(e_j) for g over the source's
+        `_spanning_generators` and every j: t N products, not N^2.  They are
+        all zero iff f is a homomorphism, by Light's argument as in
+        `FiniteLocalRing._validate`: the x with f(x y) = f(x) f(y) for all y
+        form a W-submodule closed under products, which contains 1."""
         S, T = self.source, self.target
-        p = S.base.p
-        for i in range(S.N):
-            if not self.basis_images[i].scale_int(p ** S.orders[i]).is_zero():
-                return False
-        if self.apply(S.one) != T.one:
-            return False
-        products = S._basis_products()
-        for i in range(S.N):
-            for j in range(i, S.N):
-                lhs = self.basis_images[i] * self.basis_images[j]
-                if lhs.flat != self._image(products[i][j]):
-                    return False
-        return True
+        p, mods = S.base.p, T._mods
+        images = [x.flat for x in self.basis_images]
+        pairs = [(self._image(S.one.flat), T.one.flat)]
+        for g in S._spanning:
+            fg = self._image(g.flat)
+            pairs += [(self._image(S._times_basis(g.flat, j)), T._mul(fg, y))
+                      for j, y in enumerate(images)]
+        return ([tuple([p ** c * y % md for y, md in zip(img, mods)])
+                 for c, img in zip(S.orders, images)]
+                + [tuple([(a - b) % md for a, b, md in zip(x, y, mods)]) for x, y in pairs])
+
+    def verify(self) -> bool:
+        """Unital, multiplicative, well defined on torsion: all `defects` zero."""
+        return not any(any(d) for d in self.defects())
 
     def __eq__(self, other):
         return (isinstance(other, RingHom) and self.source is other.source
@@ -1257,15 +1292,10 @@ def fingerprint(ring: FiniteLocalRing, cap: int = DEFAULT_ELEMENT_CAP) -> RingFi
 # -- homomorphism enumeration -----------------------------------------------------------
 
 
-def _hom_from_generators(source: FiniteLocalRing, target: FiniteLocalRing,
-                         images: Sequence[RingElement]) -> Optional[RingHom]:
-    """The homomorphism sending the designated generators to `images`, or None.
-
-    The basis images are the generators' monomial expressions evaluated at
-    `images`; the map must pass `RingHom.verify` and send each generator to
-    its image, which enforces the generator relations and avoids counting a
-    map twice.
-    """
+def _generator_map(source: FiniteLocalRing, target: FiniteLocalRing,
+                   images: Sequence[RingElement]) -> RingHom:
+    """The map sending each basis monomial X^mu to z^mu, z the `images`
+    of the designated generators."""
     basis_images = []
     for mo in source.basis_monos:
         img = target.one
@@ -1273,47 +1303,54 @@ def _hom_from_generators(source: FiniteLocalRing, target: FiniteLocalRing,
             if e:
                 img = img * (z ** e)
         basis_images.append(img)
-    hom = RingHom(source, target, basis_images)
-    if hom.verify() and all(hom.apply(g) == z for g, z in zip(source.generators, images)):
-        return hom
-    return None
+    return RingHom(source, target, basis_images)
+
+
+def _hom_defects(source: FiniteLocalRing, target: FiniteLocalRing,
+                 images: Sequence[RingElement]) -> List[Tuple[int, ...]]:
+    """`RingHom.defects` of the `_generator_map`, then f(g_v) - z_v."""
+    hom, mods = _generator_map(source, target, images), target._mods
+    return hom.defects() + [
+        tuple([(a - b) % md for a, b, md in zip(hom._image(g.flat), z.flat, mods)])
+        for g, z in zip(source.generators, images)]
 
 
 def _hom_levels(source: FiniteLocalRing, target: FiniteLocalRing
-                ) -> Iterator[List[Tuple[Tuple[RingElement, ...], RingHom]]]:
+                ) -> Iterator[List[Tuple[RingElement, ...]]]:
     """The search of `hom_enumerate`, one level of [m, m^2, ..., m^L = 0] at a time.
 
-    Level i yields the generator tuples z in T whose images in T/m^i pass
-    `_hom_from_generators`, each with that homomorphism S -> T/m^i; level L
-    works in T itself.  Level 1 tests the unity lifts of the generators'
-    residues; level i + 1 adds to each survivor of level i every tuple of
-    the `Layer.offsets` of m^i / m^{i+1}, T/m^{i+1} built from the layer's
-    lower ideal.  The search stops after an empty level.
+    Level i yields the generator tuples z with `_hom_defects` in m^i, the
+    maps S -> T/m^i: at level 1 the unity lifts z0 of the residues, if they
+    pass.  Offsets in m^i move each defect, modulo m^{i+1}, by its
+    derivative at z, whose residue is fixed by z0, as m m^i lies in m^{i+1}.
+    So on each b_j-coordinate of a layer the defects are delta_j + E(x_j),
+    x_j the offsets' coordinates on b_j, with one E for every layer and
+    survivor: column v is the change of the b_1-coordinates on the first
+    layer when z0_v moves by b_1.  `Layer.solutions` lists the offsets.
     """
-    t = len(source.generators)
-    survivors = [tuple(target.unity_lift(source.reduce_element(g))
-                       for g in source.generators)]
-    ideal = maximal_ideal(target)
-    for layer in [None, *m_adic_layers(target)]:
-        candidates = survivors
-        if layer is not None:
-            offsets, ideal = layer.offsets(), layer.lower
-            candidates = [tuple(z + o for z, o in zip(zs, choice))
-                          for zs in survivors for choice in product(offsets, repeat=t)]
-        ring, project = target, None
-        if not ideal.is_zero():
-            surjection = quotient_ring(target, ideal)
-            ring, project = surjection.target, surjection.project
-        level = []
-        for zs in candidates:
-            hom = _hom_from_generators(
-                source, ring, zs if project is None else [project(z) for z in zs])
-            if hom is not None:
-                level.append((zs, hom))
-        yield level
-        if not level:
+    k, mods = target.residue_field, target._mods
+    z0 = tuple(target.unity_lift(source.reduce_element(g)) for g in source.generators)
+    d0 = _hom_defects(source, target, z0)
+    survivors = [] if any(any(target._residue(d)) for d in d0) else [z0]
+    yield survivors
+    layers = m_adic_layers(target)
+    if not (survivors and layers):
+        return
+    first, b = layers[0], layers[0].basis[0]
+    columns = [[first.coords(tuple([(x - y) % md for x, y, md in zip(a, c, mods)]))[0]
+                for a, c in zip(_hom_defects(source, target, z0[:v] + (z + b,) + z0[v + 1:]), d0)]
+               for v, z in enumerate(z0)]
+    solver = LinearMapSolver(k, columns, len(d0))
+    kernel, w = _span(k, solver.kernel_generators(), len(z0)), len(mods)
+    for layer in layers:
+        survivors = [tuple(z + RingElement._canonical(target, tuple(X[u:u + w]), z.prec)
+                           for z, u in zip(zs, range(0, len(X), w)))
+                     for zs in survivors
+                     for X in layer.solutions(solver, kernel, [
+                         layer.coords(d) for d in _hom_defects(source, target, zs)])]
+        yield survivors
+        if not survivors:
             return
-        survivors = [zs for zs, _ in level]
 
 
 def hom_enumerate(source: FiniteLocalRing, target: FiniteLocalRing,
@@ -1324,13 +1361,14 @@ def hom_enumerate(source: FiniteLocalRing, target: FiniteLocalRing,
     designated generators.  Homomorphisms exist only when the target
     characteristic divides the source characteristic.
 
-    The maps are the tuples z in (unity lift + m_T)^t, t generators, that
-    pass `_hom_from_generators`.  A homomorphism S -> T reduces to one
-    S -> T/m^i, and each element of m_T is one sum of layer offsets, so
-    `_hom_levels` finds exactly these tuples while pruning every partial
-    tuple that fails modulo some m^i (Mazur 1989, 1.2, for lifts over
-    small extensions).  The cap bounds the candidate space |m_T|^t; m_T
-    itself is never listed.
+    The maps are the tuples z in (unity lift + m_T)^t, t generators, whose
+    `_generator_map` is a homomorphism sending each generator to its image.
+    A homomorphism S -> T reduces to one S -> T/m^i, and `_hom_levels`
+    solves for the tuples over each small extension T/m^{i+1} -> T/m^i
+    (Mazur 1989, 1.2), as `enumerate_lifts` does for lifts.  Every final
+    map is checked by `RingHom.verify` and on the generators, which do not
+    read the solve.  The cap bounds the candidate space |m_T|^t; m_T itself
+    is never listed.
     """
     if source.basis_monos is None:
         raise ValueError("source ring carries no generator expressions for its basis")
@@ -1344,8 +1382,10 @@ def hom_enumerate(source: FiniteLocalRing, target: FiniteLocalRing,
         raise CapExceededError(
             f"{mt.size ** t} candidate maps exceed the cap {cap}",
             cap="cap_maps", needed=mt.size ** t, limit=cap)
-    homs: List[RingHom] = []
-    for level in _hom_levels(source, target):
-        homs = [hom for _, hom in level]
+    *_, final = _hom_levels(source, target)
+    homs = [_generator_map(source, target, zs) for zs in final]
+    for hom, zs in zip(homs, final):
+        if not (hom.verify() and all(hom.apply(g) == z for g, z in zip(source.generators, zs))):
+            raise InternalInconsistencyError(f"solved map fails the homomorphism check: {hom!r}")
     homs.sort(key=lambda h: h.key())
     return homs

@@ -19,7 +19,7 @@ precision and therefore requires a precision-model ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle, product
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError
@@ -27,9 +27,9 @@ from .groups import FiniteGroup, extend_and_verify_hom, p_part
 from .galois import GRElt
 from .linalg import HowellForm, LinearMapSolver
 from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, CapExceededError,
-                         FiniteLocalRing, Ideal, RingElement, RingHom,
-                         RingSurjection, exact_divide, m_adic_layers,
-                         maximal_ideal, quotient_ring, scale_ideal)
+                         FiniteLocalRing, Ideal, RingElement, RingSurjection,
+                         _span, exact_divide, m_adic_layers, maximal_ideal,
+                         quotient_ring, scale_ideal)
 from .matrices import Matrix
 
 
@@ -156,15 +156,6 @@ def kernel_group(ring: FiniteLocalRing, n: int,
             for combo in product(maximal_ideal(ring).enumerate_elements(), repeat=n * n)]
 
 
-def _span(W, gens: Sequence[List[GRElt]], size: int) -> List[List[GRElt]]:
-    """Every W-linear combination of gens, vectors of the given length, W a field."""
-    out = [[W.zero] * size]
-    for z in gens:
-        out = [[W.add(x, W.mul(c, y)) for x, y in zip(v, z)]
-               for v in out for c in W.elements()]
-    return out
-
-
 def _edge_defects(G: FiniteGroup, one: Matrix, gens: Sequence[Matrix]) -> List[Matrix]:
     """phi(a) phi(g) - phi(ag) on the edges off the tree, phi built along it."""
     table = [one] * G.n
@@ -186,7 +177,8 @@ def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
     `_cocycle_system` and delta_j the b_j-coordinate (`Layer.coords`) of
     P's defect on the non-tree Cayley edges.  So P lifts iff every -delta_j
     is in the image of E, and then its lifts are a particular solution plus
-    Z^1 in each coordinate, their entries read off `Layer.multiples`.  Every
+    Z^1 in each coordinate (`Layer.solutions`, which `hom_enumerate` shares,
+    with entries generator-major and row-major).  Every
     final lift is built and checked on every Cayley edge by
     `extend_and_verify_hom`.  The cap bounds |M_n(m)|^ngen, the candidate
     space the lifts lie in.
@@ -199,7 +191,7 @@ def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
             f"{fiber_size ** ngen} candidate lifts exceed the cap {cap}",
             cap="cap_maps", needed=fiber_size ** ngen, limit=cap)
     k = rhobar.ring.base
-    nn, D = n * n, ngen * n * n
+    D = ngen * n * n
     rows = _cocycle_system(rhobar)
     solver = LinearMapSolver(k, [[row[u] for row in rows] for u in range(D)], len(rows))
     cocycles = _span(k, solver.kernel_generators(), D)
@@ -214,21 +206,9 @@ def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
             # per equation, the d coordinates of the defect entry
             delta = [layer.coords(c) for M in _edge_defects(G, one, gens)
                      for c in M.entry_coeffs()]
-            options = []
-            for j, multiples in enumerate(layer.multiples):
-                x = solver.solve([k.neg(c[j]) for c in delta])
-                if x is None:
-                    break
-                # the flat coordinates of the entries s(x_j[u]) b_j of each
-                # solution x_j = x + z, z in Z^1, generator-major and row-major
-                options.append([[v for a, c in zip(x, z) for v in multiples[k.add(a, c)].flat]
-                                for z in cocycles])
-            else:
-                for choice in product(*options):
-                    # entry u of X is sum_j s(x_j[u]) b_j
-                    X = [sum(t) % md for t, md in zip(zip(*choice), cycle(ring._mods))]
-                    lifted.append([M + Matrix._adopt(ring, n, tuple(X[u:u + size]), M.prec)
-                                   for M, u in zip(gens, range(0, len(X), size))])
+            for X in layer.solutions(solver, cocycles, delta):
+                lifted.append([M + Matrix._adopt(ring, n, tuple(X[u:u + size]), M.prec)
+                               for M, u in zip(gens, range(0, len(X), size))])
         partial = lifted
     lifts = []
     for gens in partial:
@@ -617,112 +597,3 @@ def normalize_intertwiner(rho1: Representation, rho2: Representation,
     if any(e.is_unit() for row in (B0 - Matrix.identity(ring, n)).rows for e in row):
         raise InternalInconsistencyError("normalization left I_n + M_n(m_R); bug")
     return u, B0
-
-
-# -- derivations and square-zero extensions ---------------------------------------------------
-
-
-def _check_square_zero(ideal: Ideal) -> None:
-    if not all((a * b).is_zero() for a in ideal.module_basis for b in ideal.module_basis):
-        raise ValueError("ideal is not square-zero")
-
-
-def derivation_check(f: RingHom, ideal: Ideal,
-                     values: Sequence[RingElement]) -> bool:
-    """Is the base-linear map D (given on the source basis) an f-derivation into I?
-
-    Leibniz: D(xy) = f(x) D(y) + D(x) f(y), checked on all basis pairs; the
-    square-zero hypothesis on the ideal is verified, not assumed.
-    """
-    S, T = f.source, f.target
-    if ideal.ring is not T:
-        raise ValueError("ideal must live in the target ring")
-    _check_square_zero(ideal)
-    if not all(ideal.contains(v) for v in values):
-        return False
-    D = RingHom(S, T, values).apply  # base-linear, given on the basis
-    basis = S.basis
-    return all(D(basis[i] * basis[j]) == f.apply(basis[i]) * values[j]
-               + values[i] * f.apply(basis[j]) for i in range(S.N) for j in range(i, S.N))
-
-
-def hom_vs_derivation(f: RingHom, g_images: Sequence[RingElement],
-                      ideal: Ideal) -> Tuple[bool, bool]:
-    """(g is a homomorphism, g - f is a derivation) for g congruent to f mod I.
-
-    The two booleans must agree whenever the congruence precondition holds;
-    any disagreement is an implementation bug caught by the property tests.
-    """
-    _check_square_zero(ideal)
-    diffs = [g - fi for g, fi in zip(g_images, f.basis_images)]
-    if not all(ideal.contains(d) for d in diffs):
-        raise ValueError("g is not congruent to f modulo the ideal")
-    return (RingHom(f.source, f.target, g_images).verify(),
-            derivation_check(f, ideal, diffs))
-
-
-def square_zero_extension(ring: FiniteLocalRing, ann: Ideal
-                          ) -> Tuple[FiniteLocalRing, RingHom, List[RingElement]]:
-    """S = R + eps*(R/ann) with eps^2 = 0; returns (S, inclusion, eps-part basis).
-
-    The module part is the cyclic module R/ann; its canonical coordinate basis
-    becomes extra ring basis elements that multiply to zero with each other.
-    """
-    if ann.ring is not ring:
-        raise ValueError("annihilator ideal must live in the base ring")
-    W, N, live = ring.base, ring.N, ann.form.live
-    NM = len(live)
-    qorders = ann.form.quotient_orders()
-    orders = list(ring.orders) + [qorders[j] for j in live]
-
-    zeroN = [W.zero] * N
-    zeroM = [W.zero] * NM
-    # basis vector i of S is e_i of R for i < N and eps * e_live[i - N] after
-    idx = list(range(N)) + list(live)
-    mul_table = []
-    for i in range(N + NM):
-        row = []
-        for j in range(N + NM):
-            if i >= N and j >= N:
-                row.append(zeroN + zeroM)
-                continue
-            prod_r = ring.basis_element(idx[i]) * ring.basis_element(idx[j])
-            row.append(prod_r.coefficients() + zeroM if max(i, j) < N
-                       else zeroN + ann.form.live_coords(prod_r.coefficients()))
-        mul_table.append(row)
-    one_coeffs = ring.one.coefficients() + zeroM
-    residue_coeffs = list(ring.residue_coeffs) + [ring.residue_field.zero] * NM
-    gen_coeffs = [g.coefficients() + zeroM for g in ring.generators]
-    names = list(ring.basis_names) + [f"eps*{ring.basis_names[j]}" for j in live]
-    S = FiniteLocalRing(
-        base=W, orders=orders, mul_table=mul_table, one_coeffs=one_coeffs,
-        residue_coeffs=residue_coeffs, generators=gen_coeffs,
-        basis_names=names, basis_monos=None, mode="finite",
-        label=f"{ring.label}[+eps*(module of size "
-              f"{ring.size // ann.size})]")
-    incl = RingHom(ring, S, [S.element(ring.basis_element(i).coefficients() + zeroM)
-                             for i in range(N)])
-    if not incl.verify():
-        raise InternalInconsistencyError("inclusion into the extension is not a ring map")
-    eps_basis = [S.basis_element(N + a) for a in range(NM)]
-    return S, incl, eps_basis
-
-
-def hom_family(incl: RingHom, d_values: Sequence[RingElement],
-               scalars: Sequence[RingElement]
-               ) -> Tuple[List[RingHom], int]:
-    """The maps x -> x + C*d(x) for scalars C; each verified as a homomorphism.
-
-    Returns the verified family and the number of pairwise distinct members.
-    """
-    S = incl.target
-    out = []
-    for C in scalars:
-        cs = S.element(C.coefficients() + [S.base.zero] * (S.N - incl.source.N)) \
-            if C.ring is incl.source else C
-        hom = RingHom(incl.source, S,
-                      [fi + cs * d for fi, d in zip(incl.basis_images, d_values)])
-        if not hom.verify():
-            raise InternalInconsistencyError("family member failed homomorphism verification; bug")
-        out.append(hom)
-    return out, len({h.key() for h in out})

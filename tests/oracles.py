@@ -10,6 +10,11 @@ replaced.  `fraction_terms`, `scale`, `mul_term` and `fiber_coords` are
 the Fraction views and multiples that `Poly` and `QFiberAlgebra` no longer
 offer, and `render_by_fractions` and `max_coeff_bits_by_fractions` the
 former `Poly.render` and `Poly.max_coeff_bits`, which read those views.
+`derivation_check`, `hom_vs_derivation`, `square_zero_extension` and
+`hom_family` check the homomorphism-derivation correspondence over
+square-zero extensions for the acceptance suite; `derivation_check` tests
+Leibniz on all basis pairs, a route of its own to the linearization that
+`hom_enumerate` solves.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import defring.polys as polys
 from defring.errors import InternalInconsistencyError
-from defring.local_ring import (DEFAULT_MAP_CAP, Ideal, NonUnitError,
-                                ring_from_truncated_presentation)
+from defring.local_ring import (DEFAULT_MAP_CAP, FiniteLocalRing, Ideal, NonUnitError,
+                                RingElement, RingHom, ring_from_truncated_presentation)
 from defring.matrices import Matrix
 from defring.polys import Monomial, Poly, grevlex_key, mono_divides, mono_lcm, mono_mul
 from defring.presentations import IntegerPolynomialPresentation
@@ -196,3 +201,109 @@ def buchberger_gebauer_moeller(gens: Iterable[Poly], bit_cap: int = 4096) -> Lis
             reduced.append(r.monic())
     reduced.sort(key=lambda g: grevlex_key(g.leading_monomial()))
     return reduced
+
+
+def _check_square_zero(ideal: Ideal) -> None:
+    if not all((a * b).is_zero() for a in ideal.module_basis for b in ideal.module_basis):
+        raise ValueError("ideal is not square-zero")
+
+
+def derivation_check(f: RingHom, ideal: Ideal,
+                     values: Sequence[RingElement]) -> bool:
+    """Is the base-linear map D (given on the source basis) an f-derivation into I?
+
+    Leibniz: D(xy) = f(x) D(y) + D(x) f(y), checked on all basis pairs; the
+    square-zero hypothesis on the ideal is verified, not assumed.
+    """
+    S, T = f.source, f.target
+    if ideal.ring is not T:
+        raise ValueError("ideal must live in the target ring")
+    _check_square_zero(ideal)
+    if not all(ideal.contains(v) for v in values):
+        return False
+    D = RingHom(S, T, values).apply  # base-linear, given on the basis
+    basis = S.basis
+    return all(D(basis[i] * basis[j]) == f.apply(basis[i]) * values[j]
+               + values[i] * f.apply(basis[j]) for i in range(S.N) for j in range(i, S.N))
+
+
+def hom_vs_derivation(f: RingHom, g_images: Sequence[RingElement],
+                      ideal: Ideal) -> Tuple[bool, bool]:
+    """(g is a homomorphism, g - f is a derivation) for g congruent to f mod I.
+
+    The two booleans must agree whenever the congruence precondition holds;
+    any disagreement is an implementation bug caught by the property tests.
+    """
+    _check_square_zero(ideal)
+    diffs = [g - fi for g, fi in zip(g_images, f.basis_images)]
+    if not all(ideal.contains(d) for d in diffs):
+        raise ValueError("g is not congruent to f modulo the ideal")
+    return (RingHom(f.source, f.target, g_images).verify(),
+            derivation_check(f, ideal, diffs))
+
+
+def square_zero_extension(ring: FiniteLocalRing, ann: Ideal
+                          ) -> Tuple[FiniteLocalRing, RingHom, List[RingElement]]:
+    """S = R + eps*(R/ann) with eps^2 = 0; returns (S, inclusion, eps-part basis).
+
+    The module part is the cyclic module R/ann; its canonical coordinate basis
+    becomes extra ring basis elements that multiply to zero with each other.
+    """
+    if ann.ring is not ring:
+        raise ValueError("annihilator ideal must live in the base ring")
+    W, N, live = ring.base, ring.N, ann.form.live
+    NM = len(live)
+    qorders = ann.form.quotient_orders()
+    orders = list(ring.orders) + [qorders[j] for j in live]
+
+    zeroN = [W.zero] * N
+    zeroM = [W.zero] * NM
+    # basis vector i of S is e_i of R for i < N and eps * e_live[i - N] after
+    idx = list(range(N)) + list(live)
+    mul_table = []
+    for i in range(N + NM):
+        row = []
+        for j in range(N + NM):
+            if i >= N and j >= N:
+                row.append(zeroN + zeroM)
+                continue
+            prod_r = ring.basis_element(idx[i]) * ring.basis_element(idx[j])
+            row.append(prod_r.coefficients() + zeroM if max(i, j) < N
+                       else zeroN + ann.form.live_coords(prod_r.coefficients()))
+        mul_table.append(row)
+    one_coeffs = ring.one.coefficients() + zeroM
+    residue_coeffs = list(ring.residue_coeffs) + [ring.residue_field.zero] * NM
+    gen_coeffs = [g.coefficients() + zeroM for g in ring.generators]
+    names = list(ring.basis_names) + [f"eps*{ring.basis_names[j]}" for j in live]
+    S = FiniteLocalRing(
+        base=W, orders=orders, mul_table=mul_table, one_coeffs=one_coeffs,
+        residue_coeffs=residue_coeffs, generators=gen_coeffs,
+        basis_names=names, basis_monos=None, mode="finite",
+        label=f"{ring.label}[+eps*(module of size "
+              f"{ring.size // ann.size})]")
+    incl = RingHom(ring, S, [S.element(ring.basis_element(i).coefficients() + zeroM)
+                             for i in range(N)])
+    if not incl.verify():
+        raise InternalInconsistencyError("inclusion into the extension is not a ring map")
+    eps_basis = [S.basis_element(N + a) for a in range(NM)]
+    return S, incl, eps_basis
+
+
+def hom_family(incl: RingHom, d_values: Sequence[RingElement],
+               scalars: Sequence[RingElement]
+               ) -> Tuple[List[RingHom], int]:
+    """The maps x -> x + C*d(x) for scalars C; each verified as a homomorphism.
+
+    Returns the verified family and the number of pairwise distinct members.
+    """
+    S = incl.target
+    out = []
+    for C in scalars:
+        cs = S.element(C.coefficients() + [S.base.zero] * (S.N - incl.source.N)) \
+            if C.ring is incl.source else C
+        hom = RingHom(incl.source, S,
+                      [fi + cs * d for fi, d in zip(incl.basis_images, d_values)])
+        if not hom.verify():
+            raise InternalInconsistencyError("family member failed homomorphism verification; bug")
+        out.append(hom)
+    return out, len({h.key() for h in out})

@@ -21,13 +21,13 @@ from defring.matrices import Matrix
 from defring.polys import Poly, parse_poly
 from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
 from defring.presented import (etale_check, omega_rank, q_fiber, trace_form)
-from defring.representation import (Lift, Representation, def_set, hom_family,
-                                    hom_vs_derivation, kernel_group,
+from defring.representation import (Lift, Representation, def_set, kernel_group,
                                     maranda_average, maranda_decide,
-                                    square_zero_extension, trivial_residual_rep)
+                                    trivial_residual_rep)
 from defring.udr import one_dim_udr_crosscheck, order_lower_bound
 
-from oracles import is_invertible, tangent_space
+from oracles import (hom_family, hom_vs_derivation, is_invertible, square_zero_extension,
+                     tangent_space)
 
 
 def _pres(p, names, rels, r=1):

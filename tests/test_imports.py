@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
 private function, method or class of the package is read somewhere in it,
-and every public one is read outside the tests.
+and every public one is read outside the tests or stands on `PUBLIC_API`
+with its reason.
 
 `__init__.py` is skipped by the import check: its imports are the package's
 public names.
@@ -17,6 +18,21 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "defring"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 READERS = sorted([*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+# The public definitions that only tests read, each kept with its reason;
+# the rest of ROADMAP item 22 moves them into the tests, gives them a CLI
+# route or script, or states here why they stay.
+PENDING = "pending ROADMAP item 22"
+PUBLIC_API = {
+    "from_cayley_table": PENDING,
+    "one_dim_udr_crosscheck": PENDING,
+    "finiteness_bound_check": PENDING,
+    "are_strictly_equivalent": PENDING,
+    "unique_deformation_check": PENDING,
+    "normalize_intertwiner": PENDING,
+    "ideal_span": PENDING,
+    "identity_hom": PENDING,
+    "is_zero_divisor": PENDING,
+}
 
 
 def _imported(tree: ast.AST):
@@ -72,10 +88,10 @@ def unread_public_definitions(sources, readers):
     function, method or class in `sources` (module name -> text, the
     library's modules with `__init__.py`) that nothing outside the tests
     reads.  A definition is read by an ast.Name or ast.Attribute load in a
-    library module, by an import in `__init__.py` (an export), or by a
-    load, an import or a string constant in `readers` (the texts of the
-    scripts and of perfbench, whose tracer names what it wraps by
-    strings).  Reads are matched by bare name, not by owner, so a method
+    library module, or by a load, an import or a string constant in
+    `readers` (the texts of the scripts and of perfbench, whose tracer
+    names what it wraps by strings); an import in `__init__.py`, an export,
+    is not a read.  Reads are matched by bare name, not by owner, so a method
     that only tests read goes unseen while anything outside the tests reads
     another definition of that name (`Poly.scale` went unseen behind
     `Matrix.scale`, and `QFiberAlgebra.coords` behind `Layer.coords`), and
@@ -86,8 +102,6 @@ def unread_public_definitions(sources, readers):
             for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))
             and isinstance(node.ctx, ast.Load)}
-    read |= {alias.name for node in ast.walk(trees.get("__init__.py", ast.Module([], [])))
-             if isinstance(node, ast.ImportFrom) for alias in node.names}
     for text in readers:
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Name):
@@ -142,7 +156,8 @@ def test_scanner_sees_unread_private_definitions():
 
 def test_no_public_definition_only_tests_read():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
-    assert unread_public_definitions(sources, [p.read_text() for p in READERS]) == []
+    unread = unread_public_definitions(sources, [p.read_text() for p in READERS])
+    assert sorted(name for _, name, _ in unread) == sorted(PUBLIC_API)
 
 
 def test_scanner_sees_public_definitions_only_tests_read():
@@ -163,7 +178,8 @@ def test_scanner_sees_public_definitions_only_tests_read():
     readers = ["from defring.a import Unread\n"
                "Unread().scripted()\n"
                "TARGETS = [(Unread, 'wrapped')]\n"]
-    assert unread_public_definitions(sources, readers) == [("a.py", "test_only", 10)]
+    assert unread_public_definitions(sources, readers) == [
+        ("a.py", "exported", 3), ("a.py", "test_only", 10)]
     assert unread_public_definitions(sources, []) == [
-        ("a.py", "Unread", 5), ("a.py", "scripted", 6), ("a.py", "wrapped", 8),
-        ("a.py", "test_only", 10)]
+        ("a.py", "exported", 3), ("a.py", "Unread", 5), ("a.py", "scripted", 6),
+        ("a.py", "wrapped", 8), ("a.py", "test_only", 10)]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -30,17 +30,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import defring.local_ring as local_ring
 import defring.representation as representation
 from defring.cli import main
 from defring.errors import InternalInconsistencyError
 from defring.groups import (build_group, cyclic, dihedral, extend_and_verify_hom,
                             quaternion8, symmetric)
-from defring.local_ring import (RingHom, _hom_levels, build_galois_ring,
+from defring.local_ring import (RingHom, _hom_defects, _hom_levels, build_galois_ring,
                                 hom_enumerate, ideal_span, m_adic_filtration,
-                                maximal_ideal, quotient_ring,
+                                m_adic_layers, maximal_ideal, quotient_ring,
                                 ring_from_truncated_presentation)
 from defring.matrices import Matrix
-from defring.presentations import IntegerPolynomialPresentation
+from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
 from defring.representation import (DefSet, Lift, Representation,
                                     RepresentationError, are_strictly_equivalent,
                                     def_set, enumerate_lifts, kernel_conjugator,
@@ -806,16 +807,86 @@ def test_flat_apply_matches_reference(case, data):
 def test_hom_levels_prune_partial_maps():
     # X -> z with z^2 = 2 in (Z/2^6)[X]/(X^2 - 2): m^i = (X^i), so each layer
     # adds one coordinate over F_2 and each survivor of level i has two
-    # candidates at level i + 1.  Level 2 keeps z = 0 and z = X; at level 3,
+    # offsets at level i + 1.  Level 2 keeps z = 0 and z = X; at level 3,
     # modulo m^3 = (2X), z = 0 and z = 2 die (z^2 = 0 or 4, not 2) while X
-    # and 2 + X live on; from level 8 on, 16 of the 32 candidates die each time
+    # and 2 + X live on; from level 8 on, 16 of the 32 offsets die each time
     R = _truncated(2, ["X"], ["X^2 - 2"], 6)
     filtration = m_adic_filtration(R)
     assert [I.size for I in filtration] == [2 ** (11 - i) for i in range(12)]
     levels = list(_hom_levels(R, R))
-    counts = [len(level) for level in levels]
-    assert counts == [1, 2, 2, 4, 4, 8, 16, 16, 16, 16, 16, 16]
-    tested = [1] + [2 * n for n in counts[:-1]]
-    assert sum(tested) == 203 and tested[2] == 4 and counts[2] == 2
-    assert sorted(h.key() for _, h in levels[-1]) == \
-        [h.key() for h in hom_enumerate(R, R)] == candidate_homs(R, R)
+    assert [len(level) for level in levels] == [1, 2, 2, 4, 4, 8, 16, 16, 16, 16, 16, 16]
+    homs = hom_enumerate(R, R)
+    assert sorted(tuple(z.key() for z in zs) for zs in levels[-1]) == \
+        sorted(tuple(h.apply(g).key() for g in R.generators) for h in homs)
+    assert [h.key() for h in homs] == candidate_homs(R, R)
+
+
+def _all_survive(target_rels):
+    """r_alpha(1) over F_2, whose relations have degree at least 4, and
+    F_2[X, Y] modulo target_rels, in which (X, Y)^3 = 0: every pair of
+    images in m_T is a homomorphism."""
+    source = ring_from_truncated_presentation(r_alpha_presentation(1, 2), 1)
+    return source, _truncated(2, ["X", "Y"], target_rels, 1)
+
+
+def test_every_generator_tuple_survives_into_a_cube_zero_target():
+    source, target = _all_survive(["X^3", "X^2*Y", "X*Y^2", "Y^3"])
+    assert maximal_ideal(target).size == 32
+    homs = hom_enumerate(source, target)
+    assert len(homs) == 1024 == len({h.key() for h in homs})
+    assert [len(level) for level in _hom_levels(source, target)] == [1, 16, 1024]
+
+
+def test_every_generator_tuple_survives_into_a_square_zero_target():
+    source, target = _all_survive(["X^2", "X*Y", "Y^2"])
+    homs = [h.key() for h in hom_enumerate(source, target)]
+    assert len(homs) == 16 and homs == candidate_homs(source, target)
+
+
+def _minus(ring, a, b):
+    return tuple([(x - y) % md for x, y, md in zip(a, b, ring._mods)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(hom_problems(), st.data())
+def test_hom_defects_are_affine_in_the_layer_offsets(case, data):
+    # the identity the layered hom search solves: for a survivor z of level i
+    # and z' = z + s(x_v) b on generator v, b the layer's basis element j,
+    # the layer coordinates of the defects move by E x at coordinate j only,
+    # with E read once, on the first layer at the unity lifts z0
+    source, target = case
+    assume(source.base.m >= target.base.m)
+    layers = m_adic_layers(target)
+    assume(layers)
+    i = data.draw(st.integers(0, len(layers) - 1))
+    levels = list(islice(_hom_levels(source, target), i + 1))
+    assume(len(levels) == i + 1 and levels[i])
+    k = target.residue_field
+    z0 = levels[0][0]
+    d0 = _hom_defects(source, target, z0)
+    b1 = layers[0].basis[0]
+    E = [[layers[0].coords(_minus(target, a, c))[0]
+          for a, c in zip(_hom_defects(source, target, z0[:v] + (z + b1,) + z0[v + 1:]), d0)]
+         for v, z in enumerate(z0)]
+    zs, layer = data.draw(st.sampled_from(levels[i])), layers[i]
+    j = data.draw(st.integers(0, len(layer.basis) - 1))
+    x = data.draw(st.lists(st.sampled_from(list(k.elements())), min_size=len(zs), max_size=len(zs)))
+    moved = tuple(z + layer.multiples[j][c] for z, c in zip(zs, x))
+    before = [layer.coords(d) for d in _hom_defects(source, target, zs)]
+    after = [layer.coords(d) for d in _hom_defects(source, target, moved)]
+    for row, old, new in zip(zip(*E) if E else [()] * len(before), before, after):
+        change = k.zero
+        for e, c in zip(row, x):
+            change = k.add(change, k.mul(e, c))
+        assert new == [k.add(c, change) if l == j else c for l, c in enumerate(old)]
+
+
+def test_a_map_the_solve_gets_wrong_is_caught_by_the_final_check(monkeypatch):
+    # with every layer coordinate read as zero, the solve keeps all offsets,
+    # as the candidate product does, and X -> 0 fails the check
+    R = _truncated(2, ["X"], ["X^2 - 2"], 3)
+    monkeypatch.setattr(local_ring.Layer, "coords",
+                        lambda self, flat: [R.residue_field.zero] * len(self.basis))
+    with pytest.raises(InternalInconsistencyError, match=(
+            r"^solved map fails the homomorphism check: RingHom\(1 -> 1, X -> 0\)$")):
+        hom_enumerate(R, R)

@@ -28,9 +28,9 @@ from defring.local_ring import (DEFAULT_ELEMENT_CAP, CapExceededError,
 from defring.matrices import Matrix
 from defring.polys import Poly
 from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
-from defring.representation import def_set, square_zero_extension, trivial_residual_rep
+from defring.representation import def_set, trivial_residual_rep
 
-from oracles import ideal_product
+from oracles import ideal_product, square_zero_extension
 
 
 def _pres(p, names, rels, r=1):
@@ -180,8 +180,8 @@ def test_quotient_by_unit_ideal_rejected():
 
 def test_every_quotient_the_fixed_jobs_build_passes_validate(tmp_path, monkeypatch):
     # quotient_ring skips `_validate`, as its docstring argues it may; every
-    # quotient the fixed benchmark jobs build must pass it all the same: the
-    # 11 of the Z2[sqrt 2] hom-count's `_hom_levels` and one per Maranda job
+    # quotient the fixed benchmark jobs build must pass it all the same: one
+    # per Maranda job (the hom search solves over the layers, with none)
     from test_fixed_reports import CORPUS
     built = {}
     original = local_ring.quotient_ring
@@ -196,7 +196,7 @@ def test_every_quotient_the_fixed_jobs_build_passes_validate(tmp_path, monkeypat
     for job in CORPUS.FIXED:
         cli.main(job.argv(str(tmp_path / "report.json"), cache=False))
     assert {name: len(qs) for name, qs in built.items()} == {
-        "hom-count-z64-sqrt2": 11, "maranda-c2-equivalent": 1, "maranda-c2-inequivalent": 1}
+        "maranda-c2-equivalent": 1, "maranda-c2-inequivalent": 1}
     for quotients in built.values():
         for Q in quotients:
             Q._validate()

@@ -20,16 +20,16 @@ from defring.presentations import IntegerPolynomialPresentation
 from defring.representation import (Lift, MarandaPreconditionError,
                                     Representation, RepresentationError,
                                     are_strictly_equivalent, def_set,
-                                    derivation_check, enumerate_lifts,
-                                    hom_family, hom_vs_derivation, kernel_group,
+                                    enumerate_lifts, kernel_group,
                                     maranda_average, maranda_decide,
                                     normalize_intertwiner, order_ideal,
-                                    residual_rep,
-                                    square_zero_extension, tangent_dimension,
+                                    residual_rep, tangent_dimension,
                                     trivial_residual_rep,
                                     unique_deformation_check)
 
-from oracles import is_invertible, tangent_space
+import oracles
+from oracles import (derivation_check, hom_family, hom_vs_derivation, is_invertible,
+                     square_zero_extension, tangent_space)
 from test_lift_oracles import candidate_lifts
 
 
@@ -545,14 +545,14 @@ def test_a_wrong_unit_is_caught_by_the_normalization_check(monkeypatch):
 def test_a_wrong_inclusion_is_caught_by_the_ring_map_check(monkeypatch):
     # the inclusion R -> R + eps (R/ann) is built with eps in place of the
     # image of 1, which is no unital map; no CLI route builds extensions
-    ring_hom = representation.RingHom
+    ring_hom = oracles.RingHom
 
     def shifted(source, target, images):
         if source.N < target.N:
             images = [target.basis_element(target.N - 1), *images[1:]]
         return ring_hom(source, target, images)
 
-    monkeypatch.setattr(representation, "RingHom", shifted)
+    monkeypatch.setattr(oracles, "RingHom", shifted)
     R = zmod(2, 3)
     with pytest.raises(InternalInconsistencyError,
                        match="^inclusion into the extension is not a ring map$"):
