@@ -306,13 +306,13 @@ def run_job(spec: JobSpec) -> Tuple[Dict, int]:
             "lift_count": ds.total_lifts,
             "class_count": ds.class_count,
             "orbit_sizes": ds.orbit_sizes,
+            # each class by its first generator's image; [] for a group
+            # without generators
             "representatives": [
-                [[list(e.flat) for e in row]
-                 for row in l.rep.gen_matrices[0].rows]
-                if ring.N == 1 else
-                [[ring.describe_element(e) for e in row]
-                 for row in l.rep.gen_matrices[0].rows]
-                for l in ds.representatives],
+                [[list(e.flat) for e in row] for row in rows] if ring.N == 1 else
+                [[ring.describe_element(e) for e in row] for row in rows]
+                for rows in (l.rep.gen_matrices[0].rows if l.rep.gen_matrices else ()
+                             for l in ds.representatives)],
         }
         return _report(spec, "deformation classes are kernel-conjugation "
                              "orbits of lifts", result), 0

@@ -9,7 +9,7 @@ reproducible.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .galois import is_prime
 
@@ -64,8 +64,7 @@ class FiniteGroup:
         a, b, (x (ab)) y = ((xa) b) y = (xa)(by) = x (a (by)) = x ((ab) y).
         Right multiplication by S reaches every element from the identity (the
         word table checks this first), so every element associates.  S is a
-        greedy subset of the generators, which `from_cayley_table` defaults to
-        all elements.
+        greedy subset of the generators, which may be all elements.
         """
         t = self.table
         gens, _ = greedy_generators(self.generators, self.identity,
@@ -119,17 +118,6 @@ class FiniteGroup:
         if len(words) != self.n:
             raise GroupConstructionError("generators do not generate the group")
         return tuple(words[x] for x in range(self.n)), tuple(tree), tuple(sorted(edges))
-
-    # -- group operations ------------------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
-    def elements(self) -> range:
-        return range(self.n)
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.n})"
@@ -232,13 +220,6 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(table, gens, name=f"{G.name}x{H.name}", element_names=names)
 
 
-def from_cayley_table(table: Sequence[Sequence[int]],
-                      generators: Optional[Sequence[int]] = None,
-                      name: str = "") -> FiniteGroup:
-    gens = list(generators) if generators is not None else list(range(len(table)))
-    return FiniteGroup(table, gens, name=name or "custom")
-
-
 def build_group(kind: str, params: Sequence[int] = ()) -> FiniteGroup:
     kind = kind.lower()
     if kind in ("quaternion8", "q8"):
@@ -266,87 +247,6 @@ def p_part(G: FiniteGroup, p: int) -> Tuple[int, int]:
         s //= p
         r += 1
     return r, s
-
-
-def commutator_subgroup(G: FiniteGroup) -> frozenset:
-    comms = {G.table[G.table[a][b]][G.table[G.inverse[a]][G.inverse[b]]]
-             for a in range(G.n) for b in range(G.n)}
-    _, closure = greedy_generators(sorted(comms), G.identity, lambda x, s: G.table[x][s])
-    return frozenset(closure)
-
-
-def abelianization(G: FiniteGroup) -> List[int]:
-    """Invariant factors d_1 | d_2 | ... of G/[G,G] (trivial group gives [])."""
-    H = commutator_subgroup(G)
-    # cosets of H, with induced multiplication
-    coset_of: Dict[int, int] = {}
-    reps: List[int] = []
-    for x in range(G.n):
-        if x in coset_of:
-            continue
-        r = len(reps)
-        reps.append(x)
-        for h in H:
-            coset_of[G.table[x][h]] = r
-    k = len(reps)
-    mul = [[coset_of[G.table[reps[a]][reps[b]]] for b in range(k)] for a in range(k)]
-    ident = coset_of[G.identity]
-
-    def order_in_quotient(a: int) -> int:
-        e, x = 1, a
-        while x != ident:
-            x = mul[x][a]
-            e += 1
-        return e
-
-    orders = [order_in_quotient(a) for a in range(k)]
-    # per-prime elementary divisors via counts of elements of order dividing p^j
-    factors_by_prime: Dict[int, List[int]] = {}
-    size = k
-    d = 2
-    nn = size
-    primes = []
-    while d * d <= nn:
-        if nn % d == 0:
-            primes.append(d)
-            while nn % d == 0:
-                nn //= d
-        d += 1
-    if nn > 1:
-        primes.append(nn)
-    for p in primes:
-        counts = [1]  # counts[j] = #{x : x^(p^j) = 1}
-        j = 1
-        while True:
-            Nj = sum(1 for o in orders if p ** j % o == 0)
-            counts.append(Nj)
-            if Nj == counts[-2]:
-                break
-            j += 1
-        # a[j-1] = number of cyclic p-factors with exponent >= j
-        a = []
-        for j in range(1, len(counts)):
-            ratio = counts[j] // counts[j - 1]
-            e = 0
-            while ratio > 1:
-                ratio //= p
-                e += 1
-            a.append(e)
-        divisors = []
-        for j, aj in enumerate(a, start=1):
-            nxt = a[j] if j < len(a) else 0
-            divisors.extend([p ** j] * (aj - nxt))
-        factors_by_prime[p] = sorted(divisors, reverse=True)
-    # combine prime-power lists into invariant factors (largest first, then reverse)
-    width = max((len(v) for v in factors_by_prime.values()), default=0)
-    invariants = []
-    for i in range(width):
-        f = 1
-        for p, lst in factors_by_prime.items():
-            if i < len(lst):
-                f *= lst[i]
-        invariants.append(f)
-    return sorted(invariants)
 
 
 def greedy_generators(elements: Iterable, one, mul: Callable) -> Tuple[list, set]:

@@ -379,7 +379,9 @@ class FiniteLocalRing:
     # -- enumeration ---------------------------------------------------------
 
     def enumerate_elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> List[RingElement]:
-        """All elements in coefficient-vector lexicographic order."""
+        """All elements in coefficient-vector lexicographic order.
+        Only perfbench's micro-benchmark and the tests list a ring; it stays
+        here because `perfbench/tracing.py` calls it."""
         if self.size > cap:
             raise CapExceededError(
                 f"ring has {self.size} elements, above the cap {cap}",
@@ -557,15 +559,8 @@ class Ideal:
     def contains(self, x: RingElement) -> bool:
         return self.form.contains(x.coefficients())
 
-    def reduce(self, x: RingElement) -> RingElement:
-        """Canonical coset representative of x modulo the ideal."""
-        return self.ring.element(self.form.reduce(x.coefficients()), x.prec)
-
     def is_proper(self) -> bool:
         return not self.contains(self.ring.one)
-
-    def is_zero(self) -> bool:
-        return self.size == 1
 
     def elements(self) -> Iterator[RingElement]:
         """All ideal elements, streamed in no particular order.
@@ -610,10 +605,6 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal(size={self.size} in {self.ring.label})"
-
-
-def ideal_span(ring: FiniteLocalRing, generators: Sequence[RingElement]) -> Ideal:
-    return Ideal(ring, generators)
 
 
 def scale_ideal(n: int, ideal: Ideal) -> Ideal:
@@ -889,10 +880,6 @@ class RingHom:
         return f"RingHom({imgs})"
 
 
-def identity_hom(ring: FiniteLocalRing) -> RingHom:
-    return RingHom(ring, ring, ring.basis)
-
-
 # -- constructors ------------------------------------------------------------------
 
 
@@ -1148,11 +1135,6 @@ def _mult_map_solver(a: RingElement) -> LinearMapSolver:
     images = [(ring.basis_element(i) * a).coefficients() for i in range(ring.N)]
     return LinearMapSolver(ring.base, images, ring.N,
                            image_orders=ring.orders, domain_orders=ring.orders)
-
-
-def is_zero_divisor(a: RingElement) -> bool:
-    """Rank test on the multiplication-by-a matrix (no enumeration)."""
-    return _mult_map_solver(a).has_nonzero_kernel()
 
 
 def exact_divide(b: RingElement, a: RingElement) -> RingElement:

@@ -281,15 +281,6 @@ def kernel_conjugator(ring: FiniteLocalRing, n: int, gens1: Sequence[Matrix],
     return K
 
 
-def are_strictly_equivalent(l1: Lift, l2: Lift) -> Tuple[bool, Optional[Matrix]]:
-    """The first K of the kernel group with rho1 = K rho2 K^{-1}, i.e. rho1 K = K rho2."""
-    if l1.rep.ring is not l2.rep.ring:
-        raise ValueError("lifts live over different rings")
-    K = kernel_conjugator(l1.rep.ring, l1.rep.n, l1.rep.gen_matrices,
-                          l2.rep.gen_matrices)
-    return K is not None, K
-
-
 @dataclass
 class DefSet:
     """Orbit decomposition of the lift set under kernel-group conjugation."""
@@ -411,14 +402,6 @@ def def_set(rhobar: Representation, ring: FiniteLocalRing,
     if sum(sizes) != len(lifts):
         raise InternalInconsistencyError("orbit sizes do not add up to the lift count")
     return DefSet(reps, sizes, len(lifts))
-
-
-def unique_deformation_check(rhobar: Representation, ring: FiniteLocalRing,
-                             **caps) -> bool:
-    """For p not dividing |G| there is exactly one deformation class."""
-    if rhobar.group.n % ring.base.p == 0:
-        raise ValueError("the uniqueness statement requires p not dividing |G|")
-    return def_set(rhobar, ring, **caps).class_count == 1
 
 
 def _cocycle_system(rhobar: Representation) -> List[List[GRElt]]:
@@ -570,30 +553,3 @@ def maranda_decide(l1: Lift, l2: Lift,
         return False, None
     A = witness.transfer(l1.rep.ring, surj.section)
     return True, maranda_average(l1.rep, l2.rep, A, surj.kernel)
-
-
-def normalize_intertwiner(rho1: Representation, rho2: Representation,
-                          B: Matrix) -> Tuple[RingElement, Matrix]:
-    """Factor an exact intertwiner with scalar nonzero reduction as B = u * B0.
-
-    Returns the unit u and B0 in I_n + M_n(m_R) with rho1 = B0 rho2 B0^{-1}.
-    The scalar-reduction hypothesis is checked, never assumed.
-    """
-    ring, G = rho1.ring, rho1.group
-    for g in G.generators:
-        if rho1.matrix(g) * B != B * rho2.matrix(g):
-            raise ValueError("B is not an exact intertwiner")
-    k, n = ring.residue_field, B.n
-    c = ring.reduce_element(B.rows[0][0])
-    if c == k.zero:
-        raise ValueError("reduction of B is zero on the diagonal; hypothesis violated")
-    if any(ring.reduce_element(B.rows[i][j]) != (c if i == j else k.zero)
-           for i in range(n) for j in range(n)):
-        raise ValueError("reduction of B is not a scalar matrix; hypothesis violated")
-    # the corner entry is a unit with the right reduction; factoring it out
-    # pins B0's corner to exactly 1
-    u = B.rows[0][0]
-    B0 = B.scale(ring.invert(u))
-    if any(e.is_unit() for row in (B0 - Matrix.identity(ring, n)).rows for e in row):
-        raise InternalInconsistencyError("normalization left I_n + M_n(m_R); bug")
-    return u, B0

@@ -1,5 +1,5 @@
-"""Theorem-level checks: the finite-etale necessary condition, order lower
-bounds from distinct homomorphisms, and cross-checks against known examples.
+"""Theorem-level checks: the finite-etale necessary condition and order lower
+bounds from distinct homomorphisms.
 
 These are one-sided procedures: a FAIL comes with a machine-checkable
 certificate, while a PASS only says the necessary condition holds — it never
@@ -9,18 +9,14 @@ certifies that a ring actually occurs as a universal deformation ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .errors import InternalInconsistencyError
-from .groups import FiniteGroup, abelianization, p_part
-from .local_ring import (DEFAULT_DEGREE_CAP, DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP,
-                         FiniteLocalRing, RingElement, maximal_ideal, quotient_ring,
+from .local_ring import (DEFAULT_DEGREE_CAP, FiniteLocalRing, RingElement, maximal_ideal,
                          ring_from_truncated_presentation, scale_ideal)
 from .polys import Poly
 from .presentations import IntegerPolynomialPresentation
 from .presented import EtaleReport, etale_check, q_fiber, verify_presented_hom
-from .representation import Lift, Representation, def_set, maranda_decide, order_ideal
 
 INTERPRET_FAIL = "NOT a universal deformation ring (nor a quotient-class member)"
 INTERPRET_PASS = "necessary condition satisfied - universality unknown"
@@ -157,92 +153,3 @@ def order_lower_bound(pres: IntegerPolynomialPresentation,
         precision += 1
         if precision > 16:
             raise OrderBoundError("congruence level exceeds the supported depth")
-
-
-# -- representability cross-checks ------------------------------------------------------------
-
-
-@dataclass
-class OneDimCrosscheckReport:
-    predicted: int
-    computed: int
-    agree: bool
-    p_part_invariants: List[int]
-
-    def as_dict(self) -> Dict:
-        return {
-            "predicted": self.predicted,
-            "computed": self.computed,
-            "agree": self.agree,
-            "p_part_invariants": self.p_part_invariants,
-        }
-
-
-def one_dim_udr_crosscheck(G: FiniteGroup, rhobar: Representation,
-                           ring: FiniteLocalRing,
-                           cap_elements: int = DEFAULT_ELEMENT_CAP,
-                           cap_maps: int = DEFAULT_MAP_CAP) -> OneDimCrosscheckReport:
-    """One-dimensional deformations against the predicted point count.
-
-    For a rank-1 residual representation the deformation classes over R are
-    the R-points of a product of truncated multiplicative groups: one factor
-    #{x in R : x^(p^k) = 1} for each p-power invariant factor p^k of the
-    abelianization.
-    """
-    if rhobar.n != 1:
-        raise ValueError("crosscheck applies to one-dimensional representations")
-    p = ring.base.p
-    invariants = abelianization(G)
-    p_invs = []
-    for d in invariants:
-        k = 0
-        while d % p == 0:
-            d //= p
-            k += 1
-        if k:
-            p_invs.append(p ** k)
-    predicted = 1
-    elems = ring.enumerate_elements(cap_elements)
-    for pk in p_invs:
-        predicted *= sum(1 for x in elems if (x ** pk) == ring.one)
-    ds = def_set(rhobar, ring, cap_maps)
-    return OneDimCrosscheckReport(
-        predicted=predicted, computed=ds.class_count,
-        agree=predicted == ds.class_count, p_part_invariants=p_invs)
-
-
-@dataclass
-class FinitenessBoundReport:
-    bound: int  # |Def(R/J)|, a certified upper bound for |Def(R)|
-    p_exponent: int
-    pairs_checked: int
-
-    def as_dict(self) -> Dict:
-        return {
-            "bound": self.bound,
-            "p_exponent": self.p_exponent,
-            "pairs_checked": self.pairs_checked,
-        }
-
-
-def finiteness_bound_check(rhobar: Representation, ring: FiniteLocalRing,
-                           lifts: Sequence[Lift] = (),
-                           cap_maps: int = DEFAULT_MAP_CAP) -> FinitenessBoundReport:
-    """|Def(R/J)| bounds |Def(R)| because reduction mod J = |G| m_R is injective
-    on deformation classes (the averaging argument of `maranda_average`).
-
-    Each pair of supplied lifts is decided by `maranda_decide` over R/J, which
-    certifies a positive answer by averaging and raises if that fails.  No
-    decision over R itself is compared with it: what "equal over R" means
-    at working precision is not settled, so injectivity is argued, not
-    tested on the instances.
-    """
-    G = rhobar.group
-    r, _ = p_part(G, ring.base.p)
-    surj = quotient_ring(ring, order_ideal(ring, G))
-    ds_bar = def_set(rhobar, surj.target, cap_maps)
-    pairs = list(combinations(lifts, 2))
-    for l1, l2 in pairs:
-        maranda_decide(l1, l2, surj)
-    return FinitenessBoundReport(bound=ds_bar.class_count, p_exponent=r,
-                                 pairs_checked=len(pairs))

@@ -15,24 +15,41 @@ former `Poly.render` and `Poly.max_coeff_bits`, which read those views.
 square-zero extensions for the acceptance suite; `derivation_check` tests
 Leibniz on all basis pairs, a route of its own to the linearization that
 `hom_enumerate` solves.
+
+`one_dim_udr_crosscheck` lists every element of R to count the points of
+the truncated multiplicative groups that the abelianization predicts, and
+compares them with `def_set`'s class count; `abelianization` and
+`commutator_subgroup` give it the invariant factors of G/[G,G].
+`finiteness_bound_check` bounds |Def(R)| by |Def(R/J)| and decides every
+pair of the given lifts by `maranda_decide`.  `unique_deformation_check`
+tests that one class remains when p does not divide |G|.
+`normalize_intertwiner` factors an exact intertwiner with scalar reduction
+as a unit times one in I_n + M_n(m_R).  `is_zero_divisor` is the rank test
+on the multiplication map that `exact_divide` runs before it divides.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import combinations
 from operator import le
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import defring.polys as polys
 from defring.errors import InternalInconsistencyError
-from defring.local_ring import (DEFAULT_MAP_CAP, FiniteLocalRing, Ideal, NonUnitError,
-                                RingElement, RingHom, ring_from_truncated_presentation)
+from defring.groups import FiniteGroup, greedy_generators, p_part
+from defring.local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, FiniteLocalRing,
+                                Ideal, NonUnitError, RingElement, RingHom,
+                                _mult_map_solver, quotient_ring,
+                                ring_from_truncated_presentation)
 from defring.matrices import Matrix
 from defring.polys import Monomial, Poly, grevlex_key, mono_divides, mono_lcm, mono_mul
 from defring.presentations import IntegerPolynomialPresentation
 from defring.presented import QFiberAlgebra
-from defring.representation import DefSet, Representation, def_set
+from defring.representation import (DefSet, Lift, Representation, def_set,
+                                    maranda_decide, order_ideal)
 
 
 def tangent_space(rhobar: Representation,
@@ -307,3 +324,210 @@ def hom_family(incl: RingHom, d_values: Sequence[RingElement],
             raise InternalInconsistencyError("family member failed homomorphism verification; bug")
         out.append(hom)
     return out, len({h.key() for h in out})
+
+
+def commutator_subgroup(G: FiniteGroup) -> frozenset:
+    comms = {G.table[G.table[a][b]][G.table[G.inverse[a]][G.inverse[b]]]
+             for a in range(G.n) for b in range(G.n)}
+    _, closure = greedy_generators(sorted(comms), G.identity, lambda x, s: G.table[x][s])
+    return frozenset(closure)
+
+
+def abelianization(G: FiniteGroup) -> List[int]:
+    """Invariant factors d_1 | d_2 | ... of G/[G,G] (trivial group gives [])."""
+    H = commutator_subgroup(G)
+    # cosets of H, with induced multiplication
+    coset_of: Dict[int, int] = {}
+    reps: List[int] = []
+    for x in range(G.n):
+        if x in coset_of:
+            continue
+        r = len(reps)
+        reps.append(x)
+        for h in H:
+            coset_of[G.table[x][h]] = r
+    k = len(reps)
+    mul = [[coset_of[G.table[reps[a]][reps[b]]] for b in range(k)] for a in range(k)]
+    ident = coset_of[G.identity]
+
+    def order_in_quotient(a: int) -> int:
+        e, x = 1, a
+        while x != ident:
+            x = mul[x][a]
+            e += 1
+        return e
+
+    orders = [order_in_quotient(a) for a in range(k)]
+    # per-prime elementary divisors via counts of elements of order dividing p^j
+    factors_by_prime: Dict[int, List[int]] = {}
+    size = k
+    d = 2
+    nn = size
+    primes = []
+    while d * d <= nn:
+        if nn % d == 0:
+            primes.append(d)
+            while nn % d == 0:
+                nn //= d
+        d += 1
+    if nn > 1:
+        primes.append(nn)
+    for p in primes:
+        counts = [1]  # counts[j] = #{x : x^(p^j) = 1}
+        j = 1
+        while True:
+            Nj = sum(1 for o in orders if p ** j % o == 0)
+            counts.append(Nj)
+            if Nj == counts[-2]:
+                break
+            j += 1
+        # a[j-1] = number of cyclic p-factors with exponent >= j
+        a = []
+        for j in range(1, len(counts)):
+            ratio = counts[j] // counts[j - 1]
+            e = 0
+            while ratio > 1:
+                ratio //= p
+                e += 1
+            a.append(e)
+        divisors = []
+        for j, aj in enumerate(a, start=1):
+            nxt = a[j] if j < len(a) else 0
+            divisors.extend([p ** j] * (aj - nxt))
+        factors_by_prime[p] = sorted(divisors, reverse=True)
+    # combine prime-power lists into invariant factors (largest first, then reverse)
+    width = max((len(v) for v in factors_by_prime.values()), default=0)
+    invariants = []
+    for i in range(width):
+        f = 1
+        for p, lst in factors_by_prime.items():
+            if i < len(lst):
+                f *= lst[i]
+        invariants.append(f)
+    return sorted(invariants)
+
+
+@dataclass
+class OneDimCrosscheckReport:
+    predicted: int
+    computed: int
+    agree: bool
+    p_part_invariants: List[int]
+
+    def as_dict(self) -> Dict:
+        return {
+            "predicted": self.predicted,
+            "computed": self.computed,
+            "agree": self.agree,
+            "p_part_invariants": self.p_part_invariants,
+        }
+
+
+def one_dim_udr_crosscheck(G: FiniteGroup, rhobar: Representation,
+                           ring: FiniteLocalRing,
+                           cap_elements: int = DEFAULT_ELEMENT_CAP,
+                           cap_maps: int = DEFAULT_MAP_CAP) -> OneDimCrosscheckReport:
+    """One-dimensional deformations against the predicted point count.
+
+    For a rank-1 residual representation the deformation classes over R are
+    the R-points of a product of truncated multiplicative groups: one factor
+    #{x in R : x^(p^k) = 1} for each p-power invariant factor p^k of the
+    abelianization.
+    """
+    if rhobar.n != 1:
+        raise ValueError("crosscheck applies to one-dimensional representations")
+    p = ring.base.p
+    invariants = abelianization(G)
+    p_invs = []
+    for d in invariants:
+        k = 0
+        while d % p == 0:
+            d //= p
+            k += 1
+        if k:
+            p_invs.append(p ** k)
+    predicted = 1
+    elems = ring.enumerate_elements(cap_elements)
+    for pk in p_invs:
+        predicted *= sum(1 for x in elems if (x ** pk) == ring.one)
+    ds = def_set(rhobar, ring, cap_maps)
+    return OneDimCrosscheckReport(
+        predicted=predicted, computed=ds.class_count,
+        agree=predicted == ds.class_count, p_part_invariants=p_invs)
+
+
+@dataclass
+class FinitenessBoundReport:
+    bound: int  # |Def(R/J)|, a certified upper bound for |Def(R)|
+    p_exponent: int
+    pairs_checked: int
+
+    def as_dict(self) -> Dict:
+        return {
+            "bound": self.bound,
+            "p_exponent": self.p_exponent,
+            "pairs_checked": self.pairs_checked,
+        }
+
+
+def finiteness_bound_check(rhobar: Representation, ring: FiniteLocalRing,
+                           lifts: Sequence[Lift] = (),
+                           cap_maps: int = DEFAULT_MAP_CAP) -> FinitenessBoundReport:
+    """|Def(R/J)| bounds |Def(R)| because reduction mod J = |G| m_R is injective
+    on deformation classes (the averaging argument of `maranda_average`).
+
+    Each pair of supplied lifts is decided by `maranda_decide` over R/J, which
+    certifies a positive answer by averaging and raises if that fails.  No
+    decision over R itself is compared with it: what "equal over R" means
+    at working precision is not settled, so injectivity is argued, not
+    tested on the instances.
+    """
+    G = rhobar.group
+    r, _ = p_part(G, ring.base.p)
+    surj = quotient_ring(ring, order_ideal(ring, G))
+    ds_bar = def_set(rhobar, surj.target, cap_maps)
+    pairs = list(combinations(lifts, 2))
+    for l1, l2 in pairs:
+        maranda_decide(l1, l2, surj)
+    return FinitenessBoundReport(bound=ds_bar.class_count, p_exponent=r,
+                                 pairs_checked=len(pairs))
+
+
+def unique_deformation_check(rhobar: Representation, ring: FiniteLocalRing,
+                             **caps) -> bool:
+    """For p not dividing |G| there is exactly one deformation class."""
+    if rhobar.group.n % ring.base.p == 0:
+        raise ValueError("the uniqueness statement requires p not dividing |G|")
+    return def_set(rhobar, ring, **caps).class_count == 1
+
+
+def normalize_intertwiner(rho1: Representation, rho2: Representation,
+                          B: Matrix) -> Tuple[RingElement, Matrix]:
+    """Factor an exact intertwiner with scalar nonzero reduction as B = u * B0.
+
+    Returns the unit u and B0 in I_n + M_n(m_R) with rho1 = B0 rho2 B0^{-1}.
+    The scalar-reduction hypothesis is checked, never assumed.
+    """
+    ring, G = rho1.ring, rho1.group
+    for g in G.generators:
+        if rho1.matrix(g) * B != B * rho2.matrix(g):
+            raise ValueError("B is not an exact intertwiner")
+    k, n = ring.residue_field, B.n
+    c = ring.reduce_element(B.rows[0][0])
+    if c == k.zero:
+        raise ValueError("reduction of B is zero on the diagonal; hypothesis violated")
+    if any(ring.reduce_element(B.rows[i][j]) != (c if i == j else k.zero)
+           for i in range(n) for j in range(n)):
+        raise ValueError("reduction of B is not a scalar matrix; hypothesis violated")
+    # the corner entry is a unit with the right reduction; factoring it out
+    # pins B0's corner to exactly 1
+    u = B.rows[0][0]
+    B0 = B.scale(ring.invert(u))
+    if any(e.is_unit() for row in (B0 - Matrix.identity(ring, n)).rows for e in row):
+        raise InternalInconsistencyError("normalization left I_n + M_n(m_R); bug")
+    return u, B0
+
+
+def is_zero_divisor(a: RingElement) -> bool:
+    """Rank test on the multiplication-by-a matrix (no enumeration)."""
+    return _mult_map_solver(a).has_nonzero_kernel()

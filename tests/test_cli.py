@@ -148,6 +148,18 @@ def test_defcount_job():
     assert report["result"]["class_count"] == 4  # C2 over Z/8
 
 
+@pytest.mark.parametrize("family", ["cyclic", "symmetric"])
+def test_defcount_on_a_group_without_generators(tmp_path, family):
+    # the trivial group has no generator images to list for its one class
+    code, text = _main_run(tmp_path, "defcount", (
+        "ring {\n  p = 2\n  precision = 2\n  vars = X\n  relations = X^2\n}\n"
+        f"group {{\n  family = {family}\n  param = 1\n}}\n"))
+    assert code == 0
+    result = json.loads(text)["result"]
+    assert (result["lift_count"], result["class_count"]) == (1, 1)
+    assert result["representatives"] == [[]]
+
+
 def test_order_bound_job():
     report, code = _run("order-bound", ORDER_BOUND_JOB)
     assert code == 0

@@ -18,21 +18,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "defring"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 READERS = sorted([*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
-# The public definitions that only tests read, each kept with its reason;
-# the rest of ROADMAP item 22 moves them into the tests, gives them a CLI
-# route or script, or states here why they stay.
-PENDING = "pending ROADMAP item 22"
-PUBLIC_API = {
-    "from_cayley_table": PENDING,
-    "one_dim_udr_crosscheck": PENDING,
-    "finiteness_bound_check": PENDING,
-    "are_strictly_equivalent": PENDING,
-    "unique_deformation_check": PENDING,
-    "normalize_intertwiner": PENDING,
-    "ideal_span": PENDING,
-    "identity_hom": PENDING,
-    "is_zero_divisor": PENDING,
-}
+# The public definitions that only tests read, each kept with a one-line
+# reason; checks that only tests ask for live in tests/oracles.py instead.
+PUBLIC_API = {}
 
 
 def _imported(tree: ast.AST):
@@ -94,9 +82,13 @@ def unread_public_definitions(sources, readers):
     is not a read.  Reads are matched by bare name, not by owner, so a method
     that only tests read goes unseen while anything outside the tests reads
     another definition of that name (`Poly.scale` went unseen behind
-    `Matrix.scale`, and `QFiberAlgebra.coords` behind `Layer.coords`), and
-    a method read only by such a method counts as read (`Poly.mul_term`,
-    read only by `Poly.scale`)."""
+    `Matrix.scale`, and `QFiberAlgebra.coords` behind `Layer.coords`;
+    nothing at all called `FiniteGroup.mul`, `FiniteGroup.inv` or
+    `FiniteGroup.elements`, hidden behind `GaloisRing.mul`, `GaloisRing.inv`
+    and `GaloisRing.elements`, nor `Ideal.reduce` or `Ideal.is_zero`, hidden
+    behind `HowellForm.reduce` and `RingElement.is_zero`), and a method
+    read only by such a method counts as read (`Poly.mul_term`, read only
+    by `Poly.scale`)."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     read = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees.values() for node in ast.walk(tree)

@@ -36,14 +36,13 @@ from defring.cli import main
 from defring.errors import InternalInconsistencyError
 from defring.groups import (build_group, cyclic, dihedral, extend_and_verify_hom,
                             quaternion8, symmetric)
-from defring.local_ring import (RingHom, _hom_defects, _hom_levels, build_galois_ring,
-                                hom_enumerate, ideal_span, m_adic_filtration,
+from defring.local_ring import (Ideal, RingHom, _hom_defects, _hom_levels,
+                                build_galois_ring, hom_enumerate, m_adic_filtration,
                                 m_adic_layers, maximal_ideal, quotient_ring,
                                 ring_from_truncated_presentation)
 from defring.matrices import Matrix
 from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
-from defring.representation import (DefSet, Lift, Representation,
-                                    RepresentationError, are_strictly_equivalent,
+from defring.representation import (DefSet, Lift, Representation, RepresentationError,
                                     def_set, enumerate_lifts, kernel_conjugator,
                                     kernel_group, order_ideal, residual_rep,
                                     trivial_residual_rep)
@@ -257,7 +256,7 @@ def test_orbit_search_agrees_beyond_one_prime_layer(group, ring, images, orbit_s
 
 
 def test_strict_equivalence_matches_orbits():
-    """are_strictly_equivalent(l1, l2) holds exactly when l1, l2 share an orbit."""
+    """kernel_conjugator finds a K exactly when l1, l2 share an orbit."""
     ring = build_galois_ring(2, 2, 1)
     rhobar = _rhobar(cyclic(4), ring.residue_ring, 2, [[1, 1, 0, 1]])
     lifts = enumerate_lifts(rhobar, ring)
@@ -267,9 +266,9 @@ def test_strict_equivalence_matches_orbits():
         orbit_of[l.key()] = min(l.rep.conjugate(K).key() for K in kg)
     for l1 in lifts:
         for l2 in lifts:
-            same, K = are_strictly_equivalent(l1, l2)
-            assert same == (orbit_of[l1.key()] == orbit_of[l2.key()])
-            if same:
+            K = kernel_conjugator(ring, 2, l1.rep.gen_matrices, l2.rep.gen_matrices)
+            assert (K is not None) == (orbit_of[l1.key()] == orbit_of[l2.key()])
+            if K is not None:
                 assert l2.rep.conjugate(K) == l1.rep
 
 
@@ -339,7 +338,7 @@ def test_partial_lift_dies_at_a_layer():
     R = _truncated(2, ["t"], ["t^3"], 1)
     t = R.generators[0]
     x = R.one + t
-    mod_t2 = quotient_ring(R, ideal_span(R, [t * t]))
+    mod_t2 = quotient_ring(R, Ideal(R, [t * t]))
     assert mod_t2.project(x * x) == mod_t2.target.one
     assert x * x == R.one + t * t
     rhobar = trivial_residual_rep(cyclic(2), R.residue_ring)
@@ -471,10 +470,9 @@ def test_strict_equivalence_of_conjugated_lifts_matches_the_scan(index, data):
         l2 = Lift(l1.rep.conjugate(_random_gamma(data.draw, ring, 2)), l1.rhobar)
     else:
         l2 = data.draw(st.sampled_from(lifts))
-    same, K = are_strictly_equivalent(l1, l2)
+    K = kernel_conjugator(ring, 2, l1.rep.gen_matrices, l2.rep.gen_matrices)
     assert K == _kernel_conjugator_by_scan(ring, 2, l1.rep.gen_matrices,
                                            l2.rep.gen_matrices)
-    assert same == (K is not None)
 
 
 ORBIT_WALK_RINGS = [  # Z/4, (Z/8)[X]/(X^2 - 2), GR(4, 2) with r = 2, a precision model

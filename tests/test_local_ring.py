@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import defring.local_ring as local_ring
 import defring.representation as representation
-import defring.udr as udr
 from defring import cli
 from defring.errors import InternalInconsistencyError
 from defring.galois import GaloisRing
@@ -21,8 +20,7 @@ from defring.local_ring import (DEFAULT_ELEMENT_CAP, CapExceededError,
                                 NonUnitError, NotFiniteAtCapError,
                                 PrecisionExhaustedError, RingConstructionError,
                                 RingElement, ZeroDivisorError, build_galois_ring,
-                                exact_divide, fingerprint, hom_enumerate,
-                                ideal_span, identity_hom, is_zero_divisor,
+                                RingHom, exact_divide, fingerprint, hom_enumerate,
                                 m_adic_filtration, maximal_ideal, quotient_ring,
                                 ring_from_truncated_presentation, scale_ideal)
 from defring.matrices import Matrix
@@ -30,7 +28,7 @@ from defring.polys import Poly
 from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
 from defring.representation import def_set, trivial_residual_rep
 
-from oracles import ideal_product, square_zero_extension
+from oracles import ideal_product, is_zero_divisor, square_zero_extension
 
 
 def _pres(p, names, rels, r=1):
@@ -145,7 +143,7 @@ def test_maximal_ideal_is_the_nonunits():
 def test_ideal_size_and_membership():
     R = z4_eps()
     e = R.generators[0]
-    I = ideal_span(R, [e])
+    I = Ideal(R, [e])
     assert I.size == 4  # {0, e, 2e, 3e} -- wait: (e) = Z/4 * e
     assert I.contains(e.scale_int(3))
     assert not I.contains(R.from_int(2))
@@ -164,7 +162,7 @@ def test_ideal_product_matches_power():
 def test_quotient_ring_roundtrip():
     R = z4_eps()
     e = R.generators[0]
-    surj = quotient_ring(R, ideal_span(R, [e]))
+    surj = quotient_ring(R, Ideal(R, [e]))
     Q = surj.target
     assert Q.size == 4
     assert surj.project(e).is_zero()
@@ -175,7 +173,7 @@ def test_quotient_ring_roundtrip():
 def test_quotient_by_unit_ideal_rejected():
     R = z4()
     with pytest.raises(ValueError):
-        quotient_ring(R, ideal_span(R, [R.one]))
+        quotient_ring(R, Ideal(R, [R.one]))
 
 
 def test_every_quotient_the_fixed_jobs_build_passes_validate(tmp_path, monkeypatch):
@@ -191,7 +189,7 @@ def test_every_quotient_the_fixed_jobs_build_passes_validate(tmp_path, monkeypat
         built.setdefault(job.name, []).append(surjection.target)
         return surjection
 
-    for module in (local_ring, representation, udr):
+    for module in (local_ring, representation):
         monkeypatch.setattr(module, "quotient_ring", recording)
     for job in CORPUS.FIXED:
         cli.main(job.argv(str(tmp_path / "report.json"), cache=False))
@@ -356,7 +354,7 @@ def test_layer_rejects_a_gap_of_two_p_powers():
     # so m / 0 = Z/4 is not a k-vector space
     R = build_galois_ring(2, 3, 1)
     with pytest.raises(InternalInconsistencyError, match="not a k-vector space"):
-        Layer(maximal_ideal(R), ideal_span(R, [R.zero]))
+        Layer(maximal_ideal(R), Ideal(R, [R.zero]))
 
 
 def test_layer_rejects_a_lower_ideal_outside_the_upper():
@@ -365,7 +363,7 @@ def test_layer_rejects_a_lower_ideal_outside_the_upper():
     R = ring_from_truncated_presentation(_pres(2, ["X"], ["X^3"]), 1)
     X = R.generators[0]
     with pytest.raises(InternalInconsistencyError, match="does not span"):
-        Layer(ideal_span(R, [X * X]), ideal_span(R, [X]))
+        Layer(Ideal(R, [X * X]), Ideal(R, [X]))
 
 
 @pytest.mark.parametrize("name, sizes", [
@@ -471,7 +469,7 @@ def test_hom_count_reads_no_element_cap_on_the_maximal_ideal():
 
 def test_identity_hom_verifies():
     for R in (z4(), z4_eps()):
-        h = identity_hom(R)
+        h = RingHom(R, R, R.basis)
         assert h.verify()
         x = R.from_int(3)
         assert h(x) == x
@@ -630,7 +628,7 @@ def test_fingerprint_of_random_quotients_matches_oracle(name, data):
     # quotients by random ideals give rings with mixed additive orders
     R = oracle_ring(name)
     gens = [_element(R, data.draw) for _ in range(data.draw(st.integers(1, 2)))]
-    I = ideal_span(R, [g for g in gens if not g.is_unit()] or [R.zero])
+    I = Ideal(R, [g for g in gens if not g.is_unit()] or [R.zero])
     Q = quotient_ring(R, I).target
     fp = fingerprint(Q)
     oracle = fingerprint_oracle(Q)
@@ -644,7 +642,7 @@ def test_fingerprint_of_random_quotients_matches_oracle(name, data):
 def test_ideal_enumeration_matches_membership_filter(name, data):
     R = oracle_ring(name)
     gens = [_element(R, data.draw) for _ in range(data.draw(st.integers(0, 2)))]
-    I = ideal_span(R, gens)
+    I = Ideal(R, gens)
     expected = [x for x in R.enumerate_elements() if I.contains(x)]
     assert [x.key() for x in I.enumerate_elements()] == [x.key() for x in expected]
 
@@ -691,7 +689,7 @@ def validate_oracle(ring: FiniteLocalRing) -> None:
             lhs = k.mul(ring.reduce_element(basis[i]), ring.reduce_element(basis[j]))
             if lhs != ring.reduce_element(basis[i] * basis[j]):
                 raise RingConstructionError("reduction is not multiplicative")
-    for g in ideal_span(ring, maximal_ideal(ring).module_basis).module_basis:
+    for g in Ideal(ring, maximal_ideal(ring).module_basis).module_basis:
         if not ring._is_nilpotent(g):
             raise RingConstructionError("kernel of reduction is not nilpotent")
 
@@ -906,7 +904,7 @@ def test_m_adic_filtration_of_random_presentations_matches_ideal_products(pres_m
 @given(st.sampled_from(sorted(ORACLE_RINGS)), st.data())
 def test_ideal_product_matches_ideal_generated_by_products(name, data):
     R = oracle_ring(name)
-    I, J = (ideal_span(R, [_element(R, data.draw)
+    I, J = (Ideal(R, [_element(R, data.draw)
                            for _ in range(data.draw(st.integers(0, 2)))])
             for _ in range(2))
     fast = ideal_product(I, J)
@@ -922,7 +920,7 @@ def test_maximal_ideal_is_the_ideal_its_generators_generate(name):
     m = maximal_ideal(R)
     assert m.generators[0] == R.from_int(R.base.p)
     assert len(m.generators) <= 1 + len(R._spanning_generators())
-    slow = ideal_span(R, m.generators)
+    slow = Ideal(R, m.generators)
     assert [x.flat for x in m.module_basis] == [x.flat for x in slow.module_basis]
 
 

@@ -9,27 +9,23 @@ import pytest
 import defring.representation as representation
 from defring.cli import main
 from defring.errors import InternalInconsistencyError
-from defring.groups import (abelianization, cyclic, dihedral, direct_product,
-                            quaternion8, symmetric)
-from defring.local_ring import (DEFAULT_ELEMENT_CAP, CapExceededError,
-                                build_galois_ring, ideal_span, identity_hom,
-                                maximal_ideal, quotient_ring,
+from defring.groups import cyclic, dihedral, direct_product, quaternion8, symmetric
+from defring.local_ring import (DEFAULT_ELEMENT_CAP, CapExceededError, Ideal, RingHom,
+                                build_galois_ring, maximal_ideal, quotient_ring,
                                 ring_from_truncated_presentation)
 from defring.matrices import Matrix
 from defring.presentations import IntegerPolynomialPresentation
 from defring.representation import (Lift, MarandaPreconditionError,
-                                    Representation, RepresentationError,
-                                    are_strictly_equivalent, def_set,
-                                    enumerate_lifts, kernel_group,
-                                    maranda_average, maranda_decide,
-                                    normalize_intertwiner, order_ideal,
+                                    Representation, RepresentationError, def_set,
+                                    enumerate_lifts, kernel_conjugator, kernel_group,
+                                    maranda_average, maranda_decide, order_ideal,
                                     residual_rep, tangent_dimension,
-                                    trivial_residual_rep,
-                                    unique_deformation_check)
+                                    trivial_residual_rep)
 
 import oracles
-from oracles import (derivation_check, hom_family, hom_vs_derivation, is_invertible,
-                     square_zero_extension, tangent_space)
+from oracles import (abelianization, derivation_check, hom_family, hom_vs_derivation,
+                     is_invertible, normalize_intertwiner, square_zero_extension,
+                     tangent_space, unique_deformation_check)
 from test_lift_oracles import candidate_lifts
 
 
@@ -121,7 +117,8 @@ def test_strict_equivalence_on_c1_returns_the_identity():
     for n in (1, 2):
         rhobar = Representation(G, k, n, [Matrix.identity(k, n)])
         lift = Lift(Representation(G, R, n, [Matrix.identity(R, n)]), rhobar)
-        assert are_strictly_equivalent(lift, lift) == (True, Matrix.identity(R, n))
+        gens = lift.rep.gen_matrices
+        assert kernel_conjugator(R, n, gens, gens) == Matrix.identity(R, n)
         eq, cert = maranda_decide(lift, lift)
         assert eq and cert.B0 == Matrix.identity(R, n)
 
@@ -191,8 +188,9 @@ def test_def_set_reads_no_kernel_group_cap():
     ds = def_set(trivial_residual_rep(cyclic(2), R, 2), R)
     assert (ds.total_lifts, ds.class_count) == (6176, 56)
     l1, l2 = ds.representatives[:2]
-    assert are_strictly_equivalent(l1, l2) == (False, None)
-    assert are_strictly_equivalent(l1, l1) == (True, Matrix.identity(R, 2))
+    gens1, gens2 = l1.rep.gen_matrices, l2.rep.gen_matrices
+    assert kernel_conjugator(R, 2, gens1, gens2) is None
+    assert kernel_conjugator(R, 2, gens1, gens1) == Matrix.identity(R, 2)
 
 
 # -- tangent spaces ----------------------------------------------------------
@@ -426,9 +424,9 @@ def test_normalize_intertwiner_rejects_non_scalar_reduction():
 
 def test_derivation_check_on_z4_eps():
     R = ring_from_truncated_presentation(_pres(2, ["X"], ["X^2"]), 2)
-    f = identity_hom(R)
+    f = RingHom(R, R, R.basis)
     x = R.generators[0]
-    I = ideal_span(R, [x.scale_int(2)])  # (2X): square-zero
+    I = Ideal(R, [x.scale_int(2)])  # (2X): square-zero
     # D(1) = 0, D(X) = 2X is the derivation d/dX scaled into the ideal
     assert derivation_check(f, I, [R.zero, x.scale_int(2)])
     # D(1) = 2X is not a derivation (Leibniz fails at 1*1)
@@ -437,9 +435,9 @@ def test_derivation_check_on_z4_eps():
 
 def test_hom_vs_derivation_booleans_agree():
     R = ring_from_truncated_presentation(_pres(2, ["X"], ["X^2"]), 2)
-    f = identity_hom(R)
+    f = RingHom(R, R, R.basis)
     x = R.generators[0]
-    I = ideal_span(R, [x.scale_int(2)])
+    I = Ideal(R, [x.scale_int(2)])
     for vals in ([R.zero, R.zero], [R.zero, x.scale_int(2)],
                  [x.scale_int(2), R.zero], [x.scale_int(2), x.scale_int(2)]):
         g_images = [fi + v for fi, v in zip(f.basis_images, vals)]
@@ -450,7 +448,7 @@ def test_hom_vs_derivation_booleans_agree():
 def test_square_zero_extension_and_family():
     # S = Z/8 + eps*(Z/8): the family x + C*eps*x over the truncated Witt ring
     R = zmod(2, 3)
-    S, incl, eps_basis = square_zero_extension(R, ideal_span(R, []))
+    S, incl, eps_basis = square_zero_extension(R, Ideal(R, []))
     assert S.size == 8 * 8
     eps = eps_basis[0]
     assert (eps * eps).is_zero()
@@ -463,11 +461,11 @@ def test_hom_family_with_nonzero_derivation():
     # R = (Z/8)[X]/(X^2): maps x + eps*y -> x + C*eps*y realized as
     # basis {1, X}, derivation D(1) = 0, D(X) = eps*X-part
     R = ring_from_truncated_presentation(_pres(2, ["X"], ["X^2"]), 3)
-    ann = ideal_span(R, [R.generators[0]])  # R/(X) = Z/8
+    ann = Ideal(R, [R.generators[0]])  # R/(X) = Z/8
     S, incl, eps_basis = square_zero_extension(R, ann)
     # D kills 1 and sends X to eps (the generator of the module part)
     d_values = [S.zero, eps_basis[0]]
-    assert derivation_check(incl, ideal_span(S, eps_basis), d_values)
+    assert derivation_check(incl, Ideal(S, eps_basis), d_values)
     scalars = [R.from_int(c) for c in (1, 3, 5, 7)]
     homs, distinct = hom_family(incl, d_values, scalars)
     assert len(homs) == 4
@@ -556,14 +554,14 @@ def test_a_wrong_inclusion_is_caught_by_the_ring_map_check(monkeypatch):
     R = zmod(2, 3)
     with pytest.raises(InternalInconsistencyError,
                        match="^inclusion into the extension is not a ring map$"):
-        square_zero_extension(R, ideal_span(R, []))
+        square_zero_extension(R, Ideal(R, []))
 
 
 def test_a_family_from_a_non_derivation_is_caught_by_the_hom_check():
     # d(1) = eps is no derivation, since every derivation kills 1, so
     # x -> x + C d(x) sends 1 to 1 + C eps and is not unital
     R = zmod(2, 3)
-    S, incl, eps_basis = square_zero_extension(R, ideal_span(R, []))
+    S, incl, eps_basis = square_zero_extension(R, Ideal(R, []))
     with pytest.raises(InternalInconsistencyError,
                        match="^family member failed homomorphism verification; bug$"):
         hom_family(incl, [eps_basis[0]], [R.one])

@@ -14,8 +14,8 @@ from pathlib import Path
 import defring.representation as representation
 from defring.groups import cyclic
 from defring.local_ring import build_galois_ring
-from defring.representation import (are_strictly_equivalent, def_set,
-                                    enumerate_lifts, trivial_residual_rep)
+from defring.representation import (def_set, enumerate_lifts, kernel_conjugator,
+                                    trivial_residual_rep)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -52,6 +52,7 @@ def test_no_library_route_lists_the_kernel_group(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(representation, "kernel_group", counting)
-    assert are_strictly_equivalent(lifts[0], lifts[1])[0] is False
+    assert kernel_conjugator(R, 1, lifts[0].rep.gen_matrices,
+                             lifts[1].rep.gen_matrices) is None
     assert def_set(trivial_residual_rep(cyclic(2), R, 2), R).class_count == 56
     assert calls == []

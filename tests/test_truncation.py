@@ -20,9 +20,9 @@ import defring.local_ring as local_ring
 from defring.errors import DefringError
 from defring.galois import GaloisRing
 from defring.linalg import HowellForm
-from defring.local_ring import (Layer, NotFiniteAtCapError, _truncation_form,
-                                ideal_span, m_adic_filtration, maximal_ideal,
-                                quotient_ring, ring_from_truncated_presentation)
+from defring.local_ring import (Ideal, Layer, NotFiniteAtCapError, _truncation_form,
+                                m_adic_filtration, maximal_ideal, quotient_ring,
+                                ring_from_truncated_presentation)
 from defring.polys import grlex_key, mono_mul
 from defring.presentations import IntegerPolynomialPresentation, r_alpha_presentation
 from oracles import fraction_terms, ideal_product
@@ -234,7 +234,7 @@ def test_layer_basis_matches_greedy_oracle(source, quotient, data):
         filtration = m_adic_filtration(R)
     if quotient and source in QUOTIENT_BASES:
         gens = [_element(R, data.draw) for _ in range(data.draw(st.integers(1, 2)))]
-        R = quotient_ring(R, ideal_span(R, [g for g in gens if not g.is_unit()]
+        R = quotient_ring(R, Ideal(R, [g for g in gens if not g.is_unit()]
                                         or [R.zero])).target
         filtration = m_adic_filtration(R)
     if data.draw(st.booleans()) and len(filtration) > 1:
@@ -242,7 +242,7 @@ def test_layer_basis_matches_greedy_oracle(source, quotient, data):
         upper, lower = filtration[i], filtration[i + 1]
     else:
         gens = [_element(R, data.draw) for _ in range(data.draw(st.integers(1, 2)))]
-        upper = ideal_span(R, [g for g in gens if not g.is_unit()] or [R.zero])
+        upper = Ideal(R, [g for g in gens if not g.is_unit()] or [R.zero])
         lower = ideal_product(upper, maximal_ideal(R))
     _check_layer(upper, lower, data.draw)
 

@@ -7,7 +7,6 @@ import pytest
 
 import defring.representation as representation
 import defring.udr as udr
-
 from defring.cli import main
 from defring.errors import InternalInconsistencyError
 from defring.groups import cyclic, symmetric
@@ -18,8 +17,10 @@ from defring.presentations import IntegerPolynomialPresentation, r_alpha_present
 from defring.representation import (Lift, Representation, enumerate_lifts,
                                     residual_rep, trivial_residual_rep)
 from defring.udr import (INTERPRET_FAIL, INTERPRET_PASS, OrderBoundError,
-                         finiteness_bound_check, necessary_condition,
-                         one_dim_udr_crosscheck, order_lower_bound)
+                         necessary_condition, order_lower_bound)
+
+import oracles
+from oracles import finiteness_bound_check, one_dim_udr_crosscheck
 
 
 def _pres(p, names, rels, r=1):
@@ -165,7 +166,7 @@ def test_finiteness_bound_builds_r_mod_j_once(monkeypatch):
             calls[_name] += 1
             return _original(*args)
 
-        for module in (representation, udr):
+        for module in (representation, oracles):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
     rep = finiteness_bound_check(*_c2_over_z16())
