@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
     equivalent: Optional[str] = None  # why the mutant computes the same, if it does
 
 
+LINALG = "src/defring/linalg.py"
 LOCAL_RING = "src/defring/local_ring.py"
 POLYS = "src/defring/polys.py"
 PRESENTED = "src/defring/presented.py"
@@ -173,6 +174,14 @@ MUTANTS = (
            "                            for z in kernel])",
            "                            for z in kernel[:1]])",
            ("tests/test_lift_oracles.py",)),
+    Mutant("HowellForm: a canonicalised pivot row's Y^u terms not recomputed", LINALG,
+           "            if changed:\n                terms[j] = _terms(W, row, r * j)",
+           "            if changed:\n                pass",
+           ("tests/test_linalg.py",)),
+    Mutant("HowellForm: an installed pivot row not scaled by its unit's inverse", LINALG,
+           "            if u != W.one:\n                row[:] = W.scale(W.inv(u), row)",
+           "            if False:\n                row[:] = W.scale(W.inv(u), row)",
+           ("tests/test_linalg.py",)),
 )
 
 

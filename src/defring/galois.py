@@ -125,6 +125,8 @@ class GaloisRing:
         self.one: GRElt = (1,) + (0,) * (r - 1)
         # Y, the residue generator; equals 0 when r == 1 (h = Y)
         self.gen: GRElt = ((0, 1) + (0,) * (r - 2)) if r >= 2 else (0,)
+        # Y^0, ..., Y^{r-1}: the coordinates of an element
+        self.monos = tuple(tuple(int(t == u) for t in range(r)) for u in range(r))
         self._residue: Optional[GaloisRing] = None
 
     # -- construction ------------------------------------------------------
@@ -151,10 +153,6 @@ class GaloisRing:
         q = self.q
         return tuple((x - y) % q for x, y in zip(a, b))
 
-    def neg(self, a: GRElt) -> GRElt:
-        q = self.q
-        return tuple((-x) % q for x in a)
-
     def mul(self, a: GRElt, b: GRElt) -> GRElt:
         r, q = self.r, self.q
         if r == 1:
@@ -174,6 +172,24 @@ class GaloisRing:
                     prod[off + j] -= c * h[j]
             prod[i] = 0
         return tuple(c % q for c in prod[:r])
+
+    def scale(self, c: GRElt, vec: Sequence[int]) -> Tuple[int, ...]:
+        """c times the vector over W with these flat coordinates, entry j at
+        r*j ... r*j + r - 1 (the layout of `RingElement.flat` and of the
+        Howell rows), canonical: c Y^u once for each u < r, then one integer
+        multiply-add per nonzero coordinate of vec and coefficient of c Y^u."""
+        r, q = self.r, self.q
+        if r == 1:
+            c0 = c[0]
+            return tuple([c0 * x % q for x in vec])
+        cy = [self.mul(c, y) for y in self.monos]
+        out = [0] * len(vec)
+        for I, x in enumerate(vec):
+            if x:
+                u = I % r
+                for K, s in enumerate(cy[u], I - u):
+                    out[K] += x * s
+        return tuple([v % q for v in out])
 
     def pow(self, a: GRElt, e: int) -> GRElt:
         res = self.one
@@ -202,13 +218,6 @@ class GaloisRing:
                     if best == 0:
                         return 0
         return best
-
-    def divide_by_p_power(self, a: GRElt, v: int) -> GRElt:
-        """Coefficient-wise exact division by p^v; requires p^v | a."""
-        pv = self.p ** v
-        if any(c % pv for c in a):
-            raise ValueError("element not divisible by requested power of p")
-        return tuple(c // pv for c in a)
 
     def is_unit(self, a: GRElt) -> bool:
         return self.val(a) == 0
@@ -246,18 +255,5 @@ class GaloisRing:
             raise InternalInconsistencyError("Newton iteration did not reach the inverse")
         return y
 
-    def unit_part(self, a: GRElt) -> Tuple[int, GRElt]:
-        """Write a = p^v * u with u a unit; returns (v, u).  a must be nonzero."""
-        v = self.val(a)
-        if v == self.m:
-            raise ValueError("zero element has no unit part")
-        return v, self.divide_by_p_power(a, v)
-
     def __repr__(self):
         return f"GR({self.p}^{self.m}, {self.r})"
-
-    def __eq__(self, other):
-        return isinstance(other, GaloisRing) and self.spec == other.spec
-
-    def __hash__(self):
-        return hash(self.spec)

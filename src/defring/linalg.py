@@ -1,4 +1,4 @@
-"""Howell normal forms over GR(p^m, r).
+"""Howell normal forms over GR(p^m, r), on flat integer rows.
 
 GR(p^m, r) is a chain ring, so submodules of a finite module admit a canonical
 echelon ("Howell") basis: every column has at most one pivot, pivot entries are
@@ -8,32 +8,49 @@ computation and exact division uniform linear algebra.
 
 The ambient module is a direct sum of W/p^{c_j} for per-column order exponents
 c_j <= m; torsion columns are handled by adjoining the rows p^{c_j} e_j.
+
+A vector of n entries over W is one flat list of n*r integers in [0, p^m):
+entry j is its coefficients on 1, Y, ..., Y^{r-1} at the positions r*j ...
+r*j + r - 1, the layout of `RingElement.flat` and `Matrix.flat`.  Rows go in
+and come out in that layout; only the renderers read per-entry coefficients.
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .galois import GaloisRing, GRElt
+from .galois import GaloisRing
 
-Vec = List[GRElt]
+Vec = List[int]
+# for each u < r, the nonzero flat coordinates (K, c) of Y^u times a pivot row
+Terms = Tuple[Tuple[Tuple[int, int], ...], ...]
+
+
+def _terms(W: GaloisRing, row: Sequence[int], J: int) -> Terms:
+    """The `Terms` of a row whose coordinates before J are zero."""
+    tail = row[J:]
+    return tuple(tuple([(K, c) for K, c in enumerate(y_tail, J) if c])
+                 for y_tail in [tail] + [W.scale(y, tail) for y in W.monos[1:]])
 
 
 class HowellForm:
     """Canonical basis of the span of `rows` inside (W/p^{c_1}) x ... x (W/p^{c_n}).
 
-    Entries are canonical coefficient tuples, integers in [0, p^m).  Each
-    pivot row keeps the list of its nonzero entries, and a row operation runs
-    over that list only: the zero entries of a pivot row, most of them in the
-    sparse rows of a presentation, cost nothing.
+    Rows are flat (see the module docstring).  A pivot row at column j has
+    the entry exactly p^v there, and keeps in `terms[j]`, for each u < r, the
+    nonzero flat coordinates of Y^u times itself, compiled when it is
+    installed; Y^u times the row is p^v at coordinate r*j + u alone in column
+    j.  So clearing an entry p^v q, q = sum q_u Y^u, reads q_u one coordinate
+    at a time and subtracts q_u (Y^u row): integer multiply-adds over the
+    nonzero coordinates of the pivot row, with no product in W.
 
     `size` is the span's cardinality.  The quotient module by the span has the
-    coordinates `live_coords` on the `live` columns, of order exponents
-    `quotient_orders()`.
+    coordinates `live_coords` on the `live` columns (the flat coordinates
+    `live_flat`), of order exponents `quotient_orders()`.
     """
 
-    def __init__(self, ring: GaloisRing, rows: Sequence[Sequence[GRElt]], ncols: int,
+    def __init__(self, ring: GaloisRing, rows: Sequence[Sequence[int]], ncols: int,
                  ambient_orders: Optional[Sequence[int]] = None):
         self.ring = ring
         self.ncols = ncols
@@ -43,55 +60,55 @@ class HowellForm:
 
     def _compute(self, pending: List[Vec]) -> None:
         W = self.ring
-        m, p, zero = W.m, W.p, W.zero
-        mul, sub = W.mul, W.sub
-        n = self.ncols
+        m, p, r, pm = W.m, W.p, W.r, W.q
+        width = self.ncols * r
         for j, c in enumerate(self.ambient_orders):
             if c < m:
-                row = [zero] * n
-                row[j] = W.from_int(p ** c)
+                row = [0] * width
+                row[r * j] = p ** c
                 pending.append(row)
-        pivots: dict[int, Vec] = {}
-        pivval: dict[int, int] = {}
-        # the nonzero entries (k, e) of each pivot row, k ascending
-        support: dict[int, List[Tuple[int, GRElt]]] = {}
+        pivots: Dict[int, Vec] = {}
+        pivval: Dict[int, int] = {}
+        terms: Dict[int, Terms] = {}
 
         def install(row: Vec, j: int, v: int) -> None:
-            _, u = W.unit_part(row[j])
-            nz = [(k, row[k]) for k in range(j, n) if row[k] != zero]
+            pv = p ** v
+            u = tuple([c // pv for c in row[r * j:r * j + r]])
             if u != W.one:
-                ui = W.inv(u)
-                nz = [(k, mul(ui, e)) for k, e in nz]
-                for k, e in nz:
-                    row[k] = e
+                row[:] = W.scale(W.inv(u), row)
             pivots[j] = row
             pivval[j] = v
-            support[j] = nz
+            terms[j] = _terms(W, row, r * j)
             if v > 0:
-                extra = W.from_int(p ** (m - v))
-                multiple = [zero] * n
-                for k, e in nz:
-                    multiple[k] = mul(extra, e)
+                extra = p ** (m - v)
+                multiple = [0] * width
+                for K, c in terms[j][0]:
+                    multiple[K] = c * extra % pm
                 pending.append(multiple)
 
         while pending:
             row = pending.pop()
-            j = 0
-            while j < n:
-                e = row[j]
-                if e == zero:
-                    j += 1
+            I = 0
+            while I < width:
+                if not row[I]:
+                    I += 1
                     continue
-                v = W.val(e)
-                if j not in pivots:
+                j = I // r
+                J = r * j
+                v = W.val(row[J:J + r])
+                vj = pivval.get(j)
+                if vj is None:
                     install(row, j, v)
                     break
-                vj = pivval[j]
                 if v >= vj:
-                    q = W.divide_by_p_power(e, vj)
-                    for k, pe in support[j]:
-                        row[k] = sub(row[k], mul(q, pe))
-                    # row[j] is now zero; rescan the same column index
+                    pv = p ** vj
+                    for K0, ts in enumerate(terms[j], J):
+                        q = row[K0] // pv
+                        if q:
+                            for K, c in ts:
+                                row[K] = (row[K] - q * c) % pm
+                    # entry j is now zero
+                    I = J + r
                 else:
                     old = pivots[j]
                     install(row, j, v)
@@ -99,32 +116,36 @@ class HowellForm:
                     break
 
         # canonicalize pivot rows against each other: row j is reduced by the
-        # rows after it, which are not yet changed, so their supports hold
+        # rows after it, which are not yet changed, so their steps hold.  A
+        # reduction's steps are, in column order, each pivot coordinate
+        # r*j + u with p^v and the terms of Y^u times the pivot row
         cols = sorted(pivots)
+
+        def reduction_steps() -> List[Tuple[int, int, Tuple]]:
+            return [(K0, p ** pivval[j], ts) for j in cols
+                    for K0, ts in enumerate(terms[j], r * j)]
+        steps = reduction_steps()
         for i, j in enumerate(cols):
             row = pivots[j]
             changed = False
-            for j2 in cols[i + 1:]:
-                e = row[j2]
-                if e == zero:
-                    continue
-                pv = p ** pivval[j2]
-                q = tuple(c // pv for c in e)
-                if q == zero:
-                    continue
-                for k, pe in support[j2]:
-                    row[k] = sub(row[k], mul(q, pe))
-                changed = True
+            for K0, pv, ts in steps[r * (i + 1):]:
+                q = row[K0] // pv
+                if q:
+                    for K, c in ts:
+                        row[K] = (row[K] - q * c) % pm
+                    changed = True
             if changed:
-                support[j] = [(k, row[k]) for k in range(j, n) if row[k] != zero]
+                terms[j] = _terms(W, row, r * j)
         self.pivot_cols: Tuple[int, ...] = tuple(cols)
-        self.pivot_vals: dict[int, int] = pivval
+        self.pivot_vals: Dict[int, int] = pivval
         self.rows: List[Vec] = [pivots[j] for j in cols]
-        self._support = support
+        self.terms: Dict[int, Terms] = terms
+        self._steps = reduction_steps()
         # the quotient's coordinates: the columns of nonzero order; a column
         # without a pivot has the full order m
-        self.live: Tuple[int, ...] = tuple([j for j in range(n)
+        self.live: Tuple[int, ...] = tuple([j for j in range(self.ncols)
                                             if j not in pivval or pivval[j] > 0])
+        self.live_flat = [r * j + u for j in self.live for u in range(r)]
         self.size = self.size_from(0)
 
     def size_from(self, col: int) -> int:
@@ -134,33 +155,25 @@ class HowellForm:
         return prod([(W.p ** (self.ambient_orders[j] - self.pivot_vals[j])) ** W.r
                      for j in self.pivot_cols if j >= col])
 
-    def reduce(self, vec: Sequence[GRElt]) -> Vec:
+    def reduce(self, vec: Sequence[int]) -> Vec:
         """Canonical representative of vec modulo the span (and ambient orders)."""
-        W = self.ring
-        p, zero = W.p, W.zero
-        mul, sub = W.mul, W.sub
+        pm = self.ring.q
         out = list(vec)
-        for j in self.pivot_cols:
-            e = out[j]
-            if e == zero:
-                continue
-            pv = p ** self.pivot_vals[j]
-            q = tuple(c // pv for c in e)
-            if q == zero:
-                continue
-            for k, pe in self._support[j]:
-                out[k] = sub(out[k], mul(q, pe))
+        for K0, pv, ts in self._steps:
+            q = out[K0] // pv
+            if q:
+                for K, c in ts:
+                    out[K] = (out[K] - q * c) % pm
         return out
 
-    def live_coords(self, vec: Sequence[GRElt]) -> Vec:
+    def live_coords(self, vec: Sequence[int]) -> Vec:
         """Coordinates of vec in the quotient module: its canonical
         representative on the live columns (the others reduce to zero)."""
         red = self.reduce(vec)
-        return [red[j] for j in self.live]
+        return [red[K] for K in self.live_flat]
 
-    def contains(self, vec: Sequence[GRElt]) -> bool:
-        zero = self.ring.zero
-        return all(e == zero for e in self.reduce(vec))
+    def contains(self, vec: Sequence[int]) -> bool:
+        return not any(self.reduce(vec))
 
     def quotient_orders(self) -> Tuple[int, ...]:
         """Order exponent of each coordinate in the quotient module."""
@@ -171,55 +184,44 @@ class HowellForm:
 class LinearMapSolver:
     """Solve a*x = b and compute kernels for a W-linear map between torsion modules.
 
-    The map is given by `images`: the image vector of each domain coordinate
-    generator.  Internally works on augmented rows [image | domain coordinate].
+    The map is given by `images`: the flat image vector of each domain
+    coordinate generator.  Internally works on augmented rows [image | domain
+    coordinate]; solutions and kernel vectors are flat domain vectors.
     """
 
-    def __init__(self, ring: GaloisRing, images: Sequence[Sequence[GRElt]],
+    def __init__(self, ring: GaloisRing, images: Sequence[Sequence[int]],
                  image_ncols: int, image_orders: Optional[Sequence[int]] = None,
                  domain_orders: Optional[Sequence[int]] = None):
-        W = ring
-        self.ring = W
+        W = self.ring = ring
+        r = W.r
         self.nd = len(images)
         self.ni = image_ncols
         self.domain_orders = tuple(domain_orders) if domain_orders is not None \
             else (W.m,) * self.nd
+        self._mods = tuple(W.p ** c for c in self.domain_orders for _ in range(r))
         img_orders = tuple(image_orders) if image_orders is not None else (W.m,) * image_ncols
         rows = []
         for i, img in enumerate(images):
-            aug = [W.zero] * self.nd
-            aug[i] = W.one
+            aug = [0] * (self.nd * r)
+            aug[r * i] = 1
             rows.append(list(img) + aug)
         # augmented ambient: image torsion applies, domain coefficients are free
         self.form = HowellForm(W, rows, image_ncols + self.nd,
                                list(img_orders) + [W.m] * self.nd)
 
-    def solve(self, b: Sequence[GRElt]) -> Optional[Vec]:
+    def solve(self, b: Sequence[int]) -> Optional[Vec]:
         """A particular x with a*x = b in the image module, or None."""
-        W = self.ring
-        res = self.form.reduce(list(b) + [W.zero] * self.nd)
-        if any(e != W.zero for e in res[:self.ni]):
+        w = self.ni * self.ring.r
+        res = self.form.reduce(list(b) + [0] * len(self._mods))
+        if any(res[:w]):
             return None
-        x = [W.neg(e) for e in res[self.ni:]]
-        return self._canon_domain(x)
+        return [-x % md for x, md in zip(res[w:], self._mods)]
 
     def kernel_generators(self) -> List[Vec]:
         """Generators of {x : a*x = 0}, as domain vectors (may include torsion-trivial ones)."""
-        W = self.ring
-        gens = []
-        for row in self.form.rows:
-            if all(e == W.zero for e in row[:self.ni]):
-                gens.append(self._canon_domain(row[self.ni:]))
-        return gens
+        w = self.ni * self.ring.r
+        return [[x % md for x, md in zip(row[w:], self._mods)]
+                for row in self.form.rows if not any(row[:w])]
 
     def has_nonzero_kernel(self) -> bool:
-        zero = self.ring.zero
-        return any(any(e != zero for e in g) for g in self.kernel_generators())
-
-    def _canon_domain(self, x: Sequence[GRElt]) -> Vec:
-        p = self.ring.p
-        out = []
-        for e, c in zip(x, self.domain_orders):
-            pc = p ** c
-            out.append(tuple(v % pc for v in e))
-        return out
+        return any(any(g) for g in self.kernel_generators())

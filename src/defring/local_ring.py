@@ -8,8 +8,9 @@ plain linear algebra over the chain ring W.
 
 An element is one flat integer tuple (`RingElement.flat`, coordinate r*i + u on
 Y^u e_i, reduced mod p^{c_i} by `FiniteLocalRing._canon`, the one
-canonicalisation); its per-basis coefficients in W are a view for the
-renderers and the Howell forms (`RingElement.coefficients`).
+canonicalisation).  The Howell forms, the solvers and the constructor's
+tables take vectors over W in the same layout, entry j at r*j ... r*j + r - 1;
+per-basis coefficients (`RingElement.coefficients`) are for the renderers.
 
 Two modes, fixed when a ring is built:
   * "finite": an honest finite ring; everything is exact.
@@ -27,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DefringError, InternalInconsistencyError
 from .galois import GaloisRing, GRElt
-from .linalg import HowellForm, LinearMapSolver
+from .linalg import HowellForm, LinearMapSolver, Terms
 from .polys import Monomial, grlex_key, mono_mul
 from .presentations import IntegerPolynomialPresentation
 
@@ -75,7 +76,8 @@ class RingElement:
     """Element of a FiniteLocalRing: a flat tuple of canonical integer
     coordinates and a precision.  `flat[r*i + u]` is the coordinate on Y^u e_i,
     reduced mod `ring._mods[r*i + u]` = p^{c_i} (the layout of `_table` and
-    `Matrix.flat`); `coefficients()` is the per-basis view in W.
+    `Matrix.flat`); `coefficients()` is the per-basis view in W, which only
+    the renderers and `fingerprint`'s characteristic read.
     """
 
     __slots__ = ("ring", "flat", "prec")
@@ -159,7 +161,8 @@ class RingElement:
         return self.flat
 
     def coefficients(self) -> List[GRElt]:
-        """The N per-basis coefficients, each an element of W, in a new list."""
+        """The N per-basis coefficients, each an element of W, in a new list:
+        a view for the renderers; the library's arithmetic reads `flat`."""
         r, flat = self.ring.base.r, self.flat
         return [flat[u:u + r] for u in range(0, len(flat), r)]
 
@@ -168,13 +171,15 @@ class RingElement:
 
 
 class FiniteLocalRing:
-    """Finite local ring (or precision-m model of a characteristic-zero local ring)."""
+    """Finite local ring (or precision-m model of a characteristic-zero local ring).
+    `mul_table[i][j]` (e_i e_j), `one_coeffs` and `generators` are flat
+    vectors over W; `residue_coeffs` are the residues of the e_j, in k."""
 
     def __init__(self, base: GaloisRing, orders: Sequence[int],
-                 mul_table: Sequence[Sequence[Sequence[GRElt]]],
-                 one_coeffs: Sequence[GRElt],
+                 mul_table: Sequence[Sequence[Sequence[int]]],
+                 one_coeffs: Sequence[int],
                  residue_coeffs: Sequence[GRElt],
-                 generators: Sequence[Sequence[GRElt]],
+                 generators: Sequence[Sequence[int]],
                  basis_names: Sequence[str],
                  basis_monos: Optional[Sequence[Monomial]] = None,
                  mode: str = "finite",
@@ -197,10 +202,10 @@ class FiniteLocalRing:
         self.mode = mode
         self._compile()
         self._set_residue(residue_coeffs)
-        self.one = self.element(one_coeffs)
+        self.one = RingElement(self, one_coeffs)
         self.zero = RingElement._canonical(self, (0,) * len(self._mods), base.m)
         self.generators: Tuple[RingElement, ...] = tuple(
-            self.element(g) for g in generators)
+            RingElement(self, g) for g in generators)
         self._max_ideal: Optional[Ideal] = None
         self._layers: Optional[List[Layer]] = None
         self._residue_ring: Optional[FiniteLocalRing] = None
@@ -219,23 +224,22 @@ class FiniteLocalRing:
         (the module generator Y^u e_i): `_table[I][J]` lists the (K, s) with
         s != 0 and Y^u e_i * Y^v e_j = sum s * Y^w e_k, K = r*k + w.  A product
         is then integer multiply-adds, reduced once per output coordinate
-        modulo `_mods[K]` = p^{c_k}; `_monos[u]` is Y^u in W."""
+        modulo `_mods[K]` = p^{c_k}."""
         W = self.base
         r = W.r
-        monos = self._monos = [tuple(int(t == u) for t in range(r)) for u in range(r)]
         n = self.N * r
-        table = [[[] for _ in range(n)] for _ in range(n)]
+        table = [[()] * n for _ in range(n)]
         for i, row in enumerate(self.mul_table):
             for j, vec in enumerate(row):
-                for k, s in enumerate(vec):
-                    if s == W.zero:
-                        continue
+                if any(vec):
+                    # Y^w e_i e_j for w < 2r - 1, as Y^u e_i * Y^v e_j = Y^(u+v) e_i e_j
+                    ys = [[c % W.q for c in vec]]
+                    for _ in range(2 * r - 2):
+                        ys.append(W.scale(W.gen, ys[-1]))
+                    terms = [tuple([(K, c) for K, c in enumerate(y) if c]) for y in ys]
                     for u in range(r):
-                        for v in range(r):
-                            t = W.mul(W.mul(monos[u], monos[v]), s)
-                            table[r * i + u][r * j + v].extend(
-                                (r * k + w, c) for w, c in enumerate(t) if c)
-        self._table = tuple(tuple(tuple(e) for e in row) for row in table)
+                        table[r * i + u][r * j:r * j + r] = terms[u:u + r]
+        self._table = tuple(tuple(row) for row in table)
         self._mods = tuple(W.p ** c for c in self.orders for _ in range(r))
         self._pair_products: Optional[Tuple[Tuple[Tuple[int, ...], ...], ...]] = None
         self._matrix_tables: Dict[int, Tuple[tuple, Tuple[int, ...]]] = {}
@@ -311,13 +315,8 @@ class FiniteLocalRing:
 
     # -- element constructors ----------------------------------------------
 
-    def element(self, coeffs: Sequence[GRElt], prec: Optional[int] = None) -> RingElement:
-        """The element with these N per-basis coefficients in W."""
-        return RingElement(self, [c for a in coeffs for c in a], prec)
-
     def from_base(self, c: GRElt, prec: Optional[int] = None) -> RingElement:
-        W = self.base
-        return self.element([W.mul(c, x) for x in self.one.coefficients()], prec)
+        return RingElement(self, self.base.scale(c, self.one.flat), prec)
 
     def from_int(self, n: int, prec: Optional[int] = None) -> RingElement:
         return self.from_base(self.base.from_int(n), prec)
@@ -352,7 +351,7 @@ class FiniteLocalRing:
         k = self.residue_field
         self.residue_coeffs = tuple(residue_coeffs)
         self._functional = tuple(k.mul(mono, lam) for lam in self.residue_coeffs
-                                 for mono in self._monos)
+                                 for mono in k.monos)
 
     def _residue(self, flat: Sequence[int]) -> GRElt:
         """The reduction to F_{p^r} of the element with these flat coordinates."""
@@ -374,7 +373,7 @@ class FiniteLocalRing:
         x's precision."""
         if not x.is_unit():
             raise NonUnitError(f"{self.describe_element(x)} is not a unit")
-        return self.element(_mult_map_solver(x).solve(self.one.coefficients()), x.prec)
+        return RingElement(self, _mult_map_solver(x).solve(self.one.flat), x.prec)
 
     # -- enumeration ---------------------------------------------------------
 
@@ -535,29 +534,28 @@ class Ideal:
     def __init__(self, ring: FiniteLocalRing, generators: Sequence[RingElement]):
         """The ideal generated by `generators`: the W-span of the e_i * g."""
         basis = ring.basis
-        self._span(ring, generators,
-                   [(b * g).coefficients() for g in generators for b in basis])
+        self._span(ring, generators, [(b * g).flat for g in generators for b in basis])
 
     @classmethod
     def _module_span(cls, ring: FiniteLocalRing, elements: Sequence[RingElement]) -> "Ideal":
         """The W-span of `elements`, which the caller knows to be an ideal."""
         ideal = cls.__new__(cls)
-        ideal._span(ring, elements, [x.coefficients() for x in elements])
+        ideal._span(ring, elements, [x.flat for x in elements])
         return ideal
 
     def _span(self, ring: FiniteLocalRing, generators: Sequence[RingElement],
-              rows: Sequence[Sequence[GRElt]]) -> None:
-        """Generators as given, and the Howell form of the coefficient
-        vectors `rows`, which span the ideal as a W-module."""
+              rows: Sequence[Sequence[int]]) -> None:
+        """Generators as given, and the Howell form of the flat vectors
+        `rows`, which span the ideal as a W-module."""
         self.ring = ring
         self.generators = tuple(generators)
         self.form = HowellForm(ring.base, rows, ring.N, ring.orders)
         self.module_basis: Tuple[RingElement, ...] = tuple(
-            ring.element(row) for row in self.form.rows)
+            RingElement(ring, row) for row in self.form.rows)
         self.size = self.form.size
 
     def contains(self, x: RingElement) -> bool:
-        return self.form.contains(x.coefficients())
+        return self.form.contains(x.flat)
 
     def is_proper(self) -> bool:
         return not self.contains(self.ring.one)
@@ -576,8 +574,7 @@ class Ideal:
             span = W.p ** (ring.orders[j] - self.form.pivot_vals[j])
             multiples = []
             for q in product(range(span), repeat=W.r):
-                flat = [c for a in row for c in W.mul(q, a)]
-                multiples.append([c % md for c, md in zip(flat, mods)])
+                multiples.append([c % md for c, md in zip(W.scale(q, row), mods)])
             layers.append(multiples)
         prec = W.m
 
@@ -616,22 +613,20 @@ def maximal_ideal(ring: FiniteLocalRing) -> Ideal:
 
     x is in the kernel iff its coefficients reduce into the kernel of the
     k-linear map (y_j) -> sum y_j * lambda_j, so the kernel is the W-span of
-    the lifts of that map's kernel and of the p * e_j, whose Howell form is
-    the ideal's.  The reduction is a ring map, so the span is an ideal, and
-    its `generators` are p and the t `FiniteLocalRing._maximal_generators`,
+    that map's kernel, its flat vectors read in W, and of the p * e_j, whose
+    Howell form is the ideal's.  The reduction is a ring map, so the span is
+    an ideal, and its `generators` are p and the t `FiniteLocalRing._maximal_generators`,
     which generate it as an ideal: `_validate` proves them nilpotent and
     `m_adic_filtration` multiplies by them.
     """
     if ring._max_ideal is not None:
         return ring._max_ideal
     W = ring.base
-    k = ring.residue_field
-    solver = LinearMapSolver(k, [[lam] for lam in ring.residue_coeffs], 1)
-    rows = [[W.lift(e) for e in vec] for vec in solver.kernel_generators()
-            if any(e != k.zero for e in vec)]
+    solver = LinearMapSolver(ring.residue_field, ring.residue_coeffs, 1)
+    rows = [vec for vec in solver.kernel_generators() if any(vec)]
     for j in range(ring.N):
-        row = [W.zero] * ring.N
-        row[j] = W.from_int(W.p)
+        row = [0] * len(ring._mods)
+        row[W.r * j] = W.p % W.q
         rows.append(row)
     ideal = Ideal.__new__(Ideal)
     ideal._span(ring, [ring.one.scale_int(W.p), *ring._maximal_generators()], rows)
@@ -678,12 +673,12 @@ def m_adic_layers(ring: FiniteLocalRing) -> List["Layer"]:
     return ring._layers
 
 
-def _span(W: GaloisRing, gens: Sequence[Sequence[GRElt]], size: int) -> List[List[GRElt]]:
-    """Every W-linear combination of gens, vectors of the given length, W a field."""
-    out = [[W.zero] * size]
+def _span(W: GaloisRing, gens: Sequence[Sequence[int]], size: int) -> List[List[int]]:
+    """Every W-linear combination of gens, flat vectors of `size` entries, W a field."""
+    out = [[0] * (size * W.r)]
     for z in gens:
-        out = [[W.add(x, W.mul(c, y)) for x, y in zip(v, z)]
-               for v in out for c in W.elements()]
+        multiples = [W.scale(c, z) for c in W.elements()]
+        out = [[(x + y) % W.q for x, y in zip(v, cz)] for v in out for cz in multiples]
     return out
 
 
@@ -702,35 +697,29 @@ class Layer:
     to the number of jumps, they are the k-basis `basis`.  `multiples[j][c]`
     is s(c) b_j, s the unity lift of the residue field.  The reductions run
     on flat coordinates: q times a row is the sum of the q_u times the flat
-    coordinates of Y^u times it.
+    coordinates of Y^u times it, the `HowellForm.terms` of the two forms.
     """
 
     def __init__(self, upper: Ideal, lower: Ideal):
         ring = self.ring = upper.ring
         self.upper, self.lower = upper, lower
         W, k = ring.base, ring.residue_field
-        lower_rows = dict(zip(lower.form.pivot_cols, lower.form.rows))
-        # pivot column -> (p^v, for each u the nonzero flat coordinates (K, c)
-        # of Y^u times the pivot row, coordinate or None)
-        self._reducers: Dict[int, Tuple[int, List[Tuple[Tuple[int, int], ...]],
-                                        Optional[int]]] = {}
+        # pivot column -> (p^v, the pivot row's `HowellForm.terms`, coordinate or None)
+        self._reducers: Dict[int, Tuple[int, Terms, Optional[int]]] = {}
         self.basis: List[RingElement] = []
-        for j, row, b in zip(upper.form.pivot_cols, upper.form.rows, upper.module_basis):
+        for j, b in zip(upper.form.pivot_cols, upper.module_basis):
             v = upper.form.pivot_vals[j]
             w = lower.form.pivot_vals.get(j, ring.orders[j])
             if w == v:
-                row, at = lower_rows[j], None
+                terms, at = lower.form.terms[j], None
             elif w == v + 1:
-                at = len(self.basis)
+                terms, at = upper.form.terms[j], len(self.basis)
                 self.basis.append(b)
             else:
                 raise InternalInconsistencyError(
                     "m^(i+1) does not lie between p * m^i and m^i, so m^i / m^(i+1) "
                     "is not a k-vector space")
-            self._reducers[j] = (W.p ** v, [
-                tuple((W.r * t + w, c) for t, e in enumerate(row) if e != W.zero
-                      for w, c in enumerate(W.mul(mono, e)) if c)
-                for mono in ring._monos], at)
+            self._reducers[j] = (W.p ** v, terms, at)
         if lower.size * k.size ** len(self.basis) != upper.size:
             raise InternalInconsistencyError("layer basis does not span m^i / m^(i+1)")
         self.multiples: List[Dict[GRElt, RingElement]] = [
@@ -760,20 +749,24 @@ class Layer:
                 out[at] = tuple([c % p for c in q])
         return out
 
-    def solutions(self, solver: LinearMapSolver, kernel: Sequence[Sequence[GRElt]],
+    def solutions(self, solver: LinearMapSolver, kernel: Sequence[Sequence[int]],
                   delta: Sequence[Sequence[GRElt]]) -> List[List[int]]:
         """The offsets X_u = sum_j s(x_j[u]) b_j of the unknowns u, flat and
         one after another, that clear defects affine in them: delta_j +
         E(x_j) on the b_j-coordinates, delta the `coords` of the defects at
-        X = 0, E the map `solver` solves and `kernel` its kernel, listed."""
+        X = 0, E the map `solver` solves and `kernel` its kernel, listed
+        (flat vectors over k, as `solver` takes and returns them)."""
         ring, k = self.ring, self.ring.residue_field
+        q, r = k.q, k.r
         options = []
         for j, multiples in enumerate(self.multiples):
-            x = solver.solve([k.neg(c[j]) for c in delta])
+            x = solver.solve([-c % q for cs in delta for c in cs[j]])
             if x is None:
                 return []
             # the flat coordinates of the s(x_j[u]) b_j, x_j = x + z, z in the kernel
-            options.append([[v for a, c in zip(x, z) for v in multiples[k.add(a, c)].flat]
+            options.append([[v for y in zip(*[[(a + c) % q for a, c in zip(x[u::r], z[u::r])]
+                                              for u in range(r)])
+                             for v in multiples[y].flat]
                             for z in kernel])
         return [[sum(t) % md for t, md in zip(zip(*choice), cycle(ring._mods))]
                 for choice in product(*options)]
@@ -812,8 +805,8 @@ class RingHom:
         vector given on the flat coordinates I = r*i + u.
 
         The map is compiled on first use: row I lists the nonzero flat
-        coordinates (K, c) of Y^u * img_i, which W scales coefficient by
-        coefficient.  A W_S-coordinate maps to W_T by reduction mod p^{m_T},
+        coordinates (K, c) of Y^u * img_i (`GaloisRing.scale` of img_i's
+        flat coordinates).  A W_S-coordinate maps to W_T by reduction mod p^{m_T},
         which every target modulus p^{c_k} divides, so integer multiply-adds
         and one reduction per output coordinate give the image, as in
         `FiniteLocalRing._mul`.
@@ -823,8 +816,8 @@ class RingHom:
             W = T.base
             rows = []
             for img in self.basis_images:
-                for mono in T._monos:
-                    y = T._canon([c for a in img.coefficients() for c in W.mul(mono, a)])
+                for mono in W.monos:
+                    y = T._canon(W.scale(mono, img.flat))
                     rows.append(tuple((K, c) for K, c in enumerate(y) if c))
             self._rows = tuple(rows)
         acc = [0] * len(T._mods)
@@ -863,14 +856,6 @@ class RingHom:
         """Unital, multiplicative, well defined on torsion: all `defects` zero."""
         return not any(any(d) for d in self.defects())
 
-    def __eq__(self, other):
-        return (isinstance(other, RingHom) and self.source is other.source
-                and self.target is other.target
-                and self.basis_images == other.basis_images)
-
-    def __hash__(self):
-        return hash(tuple(x.flat for x in self.basis_images))
-
     def key(self):
         return tuple(x.key() for x in self.basis_images)
 
@@ -892,8 +877,8 @@ def build_galois_ring(p: int, m: int, r: int,
     k = W.residue_field
     ring = FiniteLocalRing(
         base=W, orders=[m],
-        mul_table=[[[W.one]]],
-        one_coeffs=[W.one],
+        mul_table=[[W.one]],
+        one_coeffs=W.one,
         residue_coeffs=[k.one],
         generators=[],
         basis_names=["1"],
@@ -932,12 +917,11 @@ def _truncation_form(pres: IntegerPolynomialPresentation, W: GaloisRing,
     canonical, so it equals the form of all multiples of degree <= d, row for
     row.  The previous rows come last, so that they are installed first.
     """
-    t = pres.nvars
+    t, r = pres.nvars, W.r
     rels = []
     for f in pres.relations:
         # presentations guarantee integer coefficients
-        rels.append((f.degree(), [(mo, W.from_int(c)) for mo, c in f.nums.items()]))
-    zero = W.zero
+        rels.append((f.degree(), [(mo, c % W.q) for mo, c in f.nums.items()]))
     cols: List[Monomial] = []
     lo = 0  # the least degree not yet among the columns
     d = max(max((fd for fd, _ in rels), default=0), 1)
@@ -952,13 +936,13 @@ def _truncation_form(pres: IntegerPolynomialPresentation, W: GaloisRing,
         for fd, terms in rels:
             for e in range(max(lo - fd, 0), d - fd + 1):
                 for mu in _monomials_of_degree(t, e):
-                    row = [zero] * len(cols)
+                    row = [0] * (r * len(cols))
                     for mo, c in terms:
-                        row[col_index[mono_mul(mu, mo)]] = c
+                        row[r * col_index[mono_mul(mu, mo)]] = c
                     rows.append(row)
         if form is not None:
-            pad = [zero] * len(new)
-            rows.extend(pad + r for r in form.rows)
+            pad = [0] * (r * len(new))
+            rows.extend(pad + row for row in form.rows)
         form = HowellForm(W, rows, len(cols))
         if not form.live:
             raise RingConstructionError(
@@ -1009,12 +993,16 @@ def ring_from_truncated_presentation(
     orders = [qorders[j] for j in reversed(form.live)]
     N = len(basis_monos)
 
-    def nf_coeffs(vec_cols: List[GRElt]) -> List[GRElt]:
-        return form.live_coords(vec_cols)[::-1]
+    # the basis's flat coordinates among the columns': the live ones, reversed
+    coords = [W.r * j + u for j in reversed(form.live) for u in range(W.r)]
 
-    def mono_vec(mo: Monomial) -> List[GRElt]:
-        v = [W.zero] * len(cols)
-        v[col_index[mo]] = W.one
+    def nf_coeffs(vec_cols: List[int]) -> List[int]:
+        red = form.reduce(vec_cols)
+        return [red[K] for K in coords]
+
+    def mono_vec(mo: Monomial) -> List[int]:
+        v = [0] * (W.r * len(cols))
+        v[W.r * col_index[mo]] = 1
         return v
 
     def names_of(mo: Monomial) -> str:
@@ -1076,8 +1064,8 @@ class RingSurjection:
     """A quotient ring R/I, the natural surjection and a canonical section.
 
     The coordinates of R/I are those of R on the live columns of the Howell
-    form of the kernel I, so `project` reads only the coefficients of its
-    argument.
+    form of the kernel I, so `project` reads only the flat coordinates of
+    its argument.
     """
 
     source: FiniteLocalRing
@@ -1085,13 +1073,13 @@ class RingSurjection:
     kernel: Ideal
 
     def project(self, x: RingElement) -> RingElement:
-        return self.target.element(self.kernel.form.live_coords(x.coefficients()))
+        return RingElement(self.target, self.kernel.form.live_coords(x.flat))
 
     def section(self, xbar: RingElement) -> RingElement:
-        full = [self.source.base.zero] * self.source.N
-        for c, j in zip(xbar.coefficients(), self.kernel.form.live):
-            full[j] = c
-        return self.source.element(full)
+        full = [0] * len(self.source._mods)
+        for K, c in zip(self.kernel.form.live_flat, xbar.flat):
+            full[K] = c
+        return RingElement(self.source, full)
 
 
 def quotient_ring(ring: FiniteLocalRing, ideal: Ideal) -> RingSurjection:
@@ -1111,14 +1099,12 @@ def quotient_ring(ring: FiniteLocalRing, ideal: Ideal) -> RingSurjection:
     live = form.live
     orders = form.quotient_orders()
     pairs = ring._basis_products()
-    m = ring.base.m
     target = FiniteLocalRing(
         base=ring.base, orders=[orders[j] for j in live],
-        mul_table=[[form.live_coords(RingElement._canonical(ring, pairs[i][j], m)
-                                     .coefficients()) for j in live] for i in live],
-        one_coeffs=form.live_coords(ring.one.coefficients()),
+        mul_table=[[form.live_coords(pairs[i][j]) for j in live] for i in live],
+        one_coeffs=form.live_coords(ring.one.flat),
         residue_coeffs=[ring._residue(ring._unit(j)) for j in live],
-        generators=[form.live_coords(g.coefficients()) for g in ring.generators],
+        generators=[form.live_coords(g.flat) for g in ring.generators],
         basis_names=[ring.basis_names[j] for j in live],
         basis_monos=([ring.basis_monos[j] for j in live]
                      if ring.basis_monos is not None else None),
@@ -1132,7 +1118,7 @@ def quotient_ring(ring: FiniteLocalRing, ideal: Ideal) -> RingSurjection:
 
 def _mult_map_solver(a: RingElement) -> LinearMapSolver:
     ring = a.ring
-    images = [(ring.basis_element(i) * a).coefficients() for i in range(ring.N)]
+    images = [(ring.basis_element(i) * a).flat for i in range(ring.N)]
     return LinearMapSolver(ring.base, images, ring.N,
                            image_orders=ring.orders, domain_orders=ring.orders)
 
@@ -1146,17 +1132,17 @@ def exact_divide(b: RingElement, a: RingElement) -> RingElement:
     ring = a.ring
     if ring.mode == "precision":
         W = ring.base
-        s = min(W.val(c) for c in a.coefficients())
+        s = W.val(a.flat)
         if s >= min(a.prec, W.m):
             raise PrecisionExhaustedError("divisor is zero at working precision")
-        unit = ring.element([W.divide_by_p_power(c, s) for c in a.coefficients()], a.prec)
+        pk = W.p ** s
+        unit = RingElement(ring, [x // pk for x in a.flat], a.prec)
         if not unit.is_unit():
             raise ZeroDivisorError(
                 "divisor is not p^s * unit; cannot divide in the precision model")
-        pk = W.p ** s
         if any(x % pk for x in b.flat):
             raise ZeroDivisorError("dividend is not divisible by the divisor")
-        shifted = ring.element([W.divide_by_p_power(c, s) for c in b.coefficients()], b.prec)
+        shifted = RingElement(ring, [x // pk for x in b.flat], b.prec)
         out = shifted * ring.invert(unit)
         prec = min(a.prec, b.prec) - s
         if prec < 1:
@@ -1167,10 +1153,10 @@ def exact_divide(b: RingElement, a: RingElement) -> RingElement:
     if solver.has_nonzero_kernel():
         raise ZeroDivisorError(
             f"{ring.describe_element(a)} is a zero-divisor; exact division undefined")
-    x = solver.solve(b.coefficients())
+    x = solver.solve(b.flat)
     if x is None:
         raise ZeroDivisorError("dividend is not divisible by the divisor")
-    out = ring.element(x)
+    out = RingElement(ring, x)
     if a * out != b:
         raise InternalInconsistencyError("exact quotient does not multiply back")
     return out
@@ -1319,8 +1305,8 @@ def _hom_levels(source: FiniteLocalRing, target: FiniteLocalRing
     if not (survivors and layers):
         return
     first, b = layers[0], layers[0].basis[0]
-    columns = [[first.coords(tuple([(x - y) % md for x, y, md in zip(a, c, mods)]))[0]
-                for a, c in zip(_hom_defects(source, target, z0[:v] + (z + b,) + z0[v + 1:]), d0)]
+    columns = [[e for a, c in zip(_hom_defects(source, target, z0[:v] + (z + b,) + z0[v + 1:]), d0)
+                for e in first.coords(tuple([(x - y) % md for x, y, md in zip(a, c, mods)]))[0]]
                for v, z in enumerate(z0)]
     solver = LinearMapSolver(k, columns, len(d0))
     kernel, w = _span(k, solver.kernel_generators(), len(z0)), len(mods)

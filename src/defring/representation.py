@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError
 from .groups import FiniteGroup, extend_and_verify_hom, p_part
-from .galois import GRElt
 from .linalg import HowellForm, LinearMapSolver
 from .local_ring import (DEFAULT_ELEMENT_CAP, DEFAULT_MAP_CAP, CapExceededError,
                          FiniteLocalRing, Ideal, RingElement, RingSurjection,
@@ -193,7 +192,8 @@ def enumerate_lifts(rhobar: Representation, ring: FiniteLocalRing,
     k = rhobar.ring.base
     D = ngen * n * n
     rows = _cocycle_system(rhobar)
-    solver = LinearMapSolver(k, [[row[u] for row in rows] for u in range(D)], len(rows))
+    solver = LinearMapSolver(k, [[c for row in rows for c in row[k.r * u:k.r * u + k.r]]
+                                 for u in range(D)], len(rows))
     cocycles = _span(k, solver.kernel_generators(), D)
     one = Matrix.identity(ring, n)
     size = len(one.flat)
@@ -232,10 +232,10 @@ def _conjugation_form(ring: FiniteLocalRing, n: int, gens1: Sequence[Matrix],
     module basis by default).  By the Howell property the rows whose image part
     is zero span the kernel V of phi.  As phi(beta E_ij)_st = [t = j] beta a_si
     - [s = i] beta b_jt, each beta costs one product per distinct entry."""
-    W, N, nn = ring.base, ring.N, n * n
+    N, nn = ring.N, n * n
     pairs = [(a.rows, b.rows) for a, b in zip(gens1, gens2)]
     ni = len(pairs) * nn * N
-    blank = [(W.zero,) * N] * nn
+    blank = [ring.zero.flat] * nn
     rows = []
     distinct = {x for M in (*gens1, *gens2) for row in M.rows for x in row}
     for beta in maximal_ideal(ring).module_basis if entries is None else entries:
@@ -246,14 +246,14 @@ def _conjugation_form(ring: FiniteLocalRing, n: int, gens1: Sequence[Matrix],
             for a, b in pairs:
                 block = blank[:]
                 for t in range(n):
-                    block[t * n + j] = times[a[t][i]].coefficients()
-                    block[i * n + t] = minus[b[j][t]].coefficients()
-                block[i * n + j] = (times[a[i][i]] + minus[b[j][j]]).coefficients()
+                    block[t * n + j] = times[a[t][i]].flat
+                    block[i * n + t] = minus[b[j][t]].flat
+                block[i * n + j] = (times[a[i][i]] + minus[b[j][j]]).flat
                 row.extend(c for e in block for c in e)
             y = blank[:]
-            y[i * n + j] = beta.coefficients()
+            y[i * n + j] = beta.flat
             rows.append(row + [c for e in y for c in e])
-    return HowellForm(W, rows, ni + nn * N, ring.orders * (len(pairs) + 1) * nn), ni
+    return HowellForm(ring.base, rows, ni + nn * N, ring.orders * (len(pairs) + 1) * nn), ni
 
 
 def kernel_conjugator(ring: FiniteLocalRing, n: int, gens1: Sequence[Matrix],
@@ -268,14 +268,13 @@ def kernel_conjugator(ring: FiniteLocalRing, n: int, gens1: Sequence[Matrix],
     Y + V in `kernel_group`'s order.  n is explicit for groups without generators.
     """
     form, ni = _conjugation_form(ring, n, gens1, gens2)
-    zero, N = ring.base.zero, ring.N
-    red = form.reduce([c for a, b in zip(gens1, gens2) for row in (a - b).rows
-                       for e in row for c in e.coefficients()] + [zero] * (n * n * N))
-    if any(e != zero for e in red[:ni]):
+    w = ni * ring.base.r
+    red = form.reduce([c for a, b in zip(gens1, gens2) for c in (a - b).flat]
+                      + [0] * (n * n * len(ring._mods)))
+    if any(red[:w]):
         return None
-    K = Matrix.identity(ring, n) + Matrix(ring, [
-        [ring.element(red[ni + u * N:ni + (u + 1) * N]) for u in range(i, i + n)]
-        for i in range(0, n * n, n)])
+    # the Y part's ambient orders are R's, so its reduced coordinates are canonical
+    K = Matrix.identity(ring, n) + Matrix._adopt(ring, n, tuple(red[w:]), ring.base.m)
     if not all(a * K == K * b for a, b in zip(gens1, gens2)):
         raise InternalInconsistencyError("the solved conjugator K fails a K = K b")
     return K
@@ -304,7 +303,7 @@ def _layer_generators(ring: FiniteLocalRing, n: int) -> List[Tuple[int, int, Rin
     1 + M_n(m^i) onto the F_p-space M_n(m^i / m^{i+1}) with kernel Gamma_{i+1},
     which they span, so by downward induction on i they generate each Gamma_i."""
     return [(a, c, multiples[y]) for layer in m_adic_layers(ring)
-            for multiples in layer.multiples for y in ring._monos
+            for multiples in layer.multiples for y in ring.base.monos
             for a, c in product(range(n), repeat=2)]
 
 
@@ -404,7 +403,7 @@ def def_set(rhobar: Representation, ring: FiniteLocalRing,
     return DefSet(reps, sizes, len(lifts))
 
 
-def _cocycle_system(rhobar: Representation) -> List[List[GRElt]]:
+def _cocycle_system(rhobar: Representation) -> List[List[int]]:
     """The Cayley-edge equations of Z^1(G, ad rhobar), over k.
 
     A lift s(rhobar(g)) + X_g over a square-zero layer is a homomorphism iff
@@ -412,39 +411,40 @@ def _cocycle_system(rhobar: Representation) -> List[List[GRElt]]:
     X_y are built along the group's spanning tree as linear forms in the
     ngen * n^2 entries of the generator unknowns, so the tree edges hold by
     construction.  Returns, per edge (a, generator index) of `G.edges`, the
-    n^2 rows of X_a rhobar(g) + rhobar(a) X_g - X_ag, row-major.
+    n^2 rows of X_a rhobar(g) + rhobar(a) X_g - X_ag, row-major, each a flat
+    vector over k of D = ngen * n^2 entries.
     """
     G, n, W = rhobar.group, rhobar.n, rhobar.ring.base
-    add, sub, mul, zero = W.add, W.sub, W.mul, W.zero
+    r, q = W.r, W.q
     nn, D = n * n, len(G.generators) * n * n
     mats = [[[e.flat for e in row] for row in M.rows]
             for M in rhobar.matrices]
 
-    def edge(Xa: List[List], a: int, gi: int) -> List[List]:
+    def edge(Xa: List[List[int]], a: int, gi: int) -> List[List[int]]:
         """Entries of X_a rhobar(g) + rhobar(a) U_gi, row-major, as linear forms."""
         A, B = mats[a], mats[G.generators[gi]]
         out = []
         for i in range(n):
             for j in range(n):
-                form = [zero] * D
+                form = [0] * (D * r)
                 for k in range(n):
-                    if B[k][j] != zero:
-                        form = [add(x, mul(B[k][j], y))
-                                for x, y in zip(form, Xa[i * n + k])]
+                    if any(B[k][j]):
+                        form = [x + y for x, y in zip(form, W.scale(B[k][j], Xa[i * n + k]))]
                 for k in range(n):
-                    col = gi * nn + k * n + j
-                    form[col] = add(form[col], A[i][k])
-                out.append(form)
+                    col = r * (gi * nn + k * n + j)
+                    for u, c in enumerate(A[i][k], col):
+                        form[u] += c
+                out.append([x % q for x in form])
         return out
 
-    X: List[Optional[List[List]]] = [None] * G.n
-    X[G.identity] = [[zero] * D for _ in range(nn)]
+    X: List[Optional[List[List[int]]]] = [None] * G.n
+    X[G.identity] = [[0] * (D * r) for _ in range(nn)]
     for y, parent, gi in G.tree:
         X[y] = edge(X[parent], parent, gi)
     rows = []
     for a, gi in G.edges:
         for lhs, rhs in zip(edge(X[a], a, gi), X[G.table[a][G.generators[gi]]]):
-            rows.append([sub(x, y) for x, y in zip(lhs, rhs)])
+            rows.append([(x - y) % q for x, y in zip(lhs, rhs)])
     return rows
 
 

@@ -273,8 +273,8 @@ def square_zero_extension(ring: FiniteLocalRing, ann: Ideal
     qorders = ann.form.quotient_orders()
     orders = list(ring.orders) + [qorders[j] for j in live]
 
-    zeroN = [W.zero] * N
-    zeroM = [W.zero] * NM
+    zeroN = [0] * (N * W.r)
+    zeroM = [0] * (NM * W.r)
     # basis vector i of S is e_i of R for i < N and eps * e_live[i - N] after
     idx = list(range(N)) + list(live)
     mul_table = []
@@ -285,12 +285,12 @@ def square_zero_extension(ring: FiniteLocalRing, ann: Ideal
                 row.append(zeroN + zeroM)
                 continue
             prod_r = ring.basis_element(idx[i]) * ring.basis_element(idx[j])
-            row.append(prod_r.coefficients() + zeroM if max(i, j) < N
-                       else zeroN + ann.form.live_coords(prod_r.coefficients()))
+            row.append(list(prod_r.flat) + zeroM if max(i, j) < N
+                       else zeroN + ann.form.live_coords(prod_r.flat))
         mul_table.append(row)
-    one_coeffs = ring.one.coefficients() + zeroM
+    one_coeffs = list(ring.one.flat) + zeroM
     residue_coeffs = list(ring.residue_coeffs) + [ring.residue_field.zero] * NM
-    gen_coeffs = [g.coefficients() + zeroM for g in ring.generators]
+    gen_coeffs = [list(g.flat) + zeroM for g in ring.generators]
     names = list(ring.basis_names) + [f"eps*{ring.basis_names[j]}" for j in live]
     S = FiniteLocalRing(
         base=W, orders=orders, mul_table=mul_table, one_coeffs=one_coeffs,
@@ -298,7 +298,7 @@ def square_zero_extension(ring: FiniteLocalRing, ann: Ideal
         basis_names=names, basis_monos=None, mode="finite",
         label=f"{ring.label}[+eps*(module of size "
               f"{ring.size // ann.size})]")
-    incl = RingHom(ring, S, [S.element(ring.basis_element(i).coefficients() + zeroM)
+    incl = RingHom(ring, S, [RingElement(S, list(ring.basis_element(i).flat) + zeroM)
                              for i in range(N)])
     if not incl.verify():
         raise InternalInconsistencyError("inclusion into the extension is not a ring map")
@@ -316,7 +316,7 @@ def hom_family(incl: RingHom, d_values: Sequence[RingElement],
     S = incl.target
     out = []
     for C in scalars:
-        cs = S.element(C.coefficients() + [S.base.zero] * (S.N - incl.source.N)) \
+        cs = RingElement(S, list(C.flat) + [0] * (len(S._mods) - len(C.flat))) \
             if C.ring is incl.source else C
         hom = RingHom(incl.source, S,
                       [fi + cs * d for fi, d in zip(incl.basis_images, d_values)])

@@ -49,21 +49,6 @@ def test_galois_ring_gr_4_2():
         assert W.mul(a, W.inv(a)) == W.one
 
 
-def test_unit_part_factorization():
-    W = GaloisRing(3, 3, 1)  # Z/27
-    for n in range(1, 27):
-        v, u = W.unit_part(W.from_int(n))
-        assert W.is_unit(u)
-        assert W.mul(W.from_int(3 ** v), u) == W.from_int(n)
-
-
-def test_divide_by_p_power_requires_divisibility():
-    W = GaloisRing(2, 3, 1)
-    assert W.divide_by_p_power(W.from_int(4), 2) == W.one
-    with pytest.raises(ValueError):
-        W.divide_by_p_power(W.from_int(2), 2)
-
-
 def test_reduce_lift_roundtrip():
     W = GaloisRing(5, 2, 1)
     k = W.residue_field

@@ -36,7 +36,7 @@ from defring.cli import main
 from defring.errors import InternalInconsistencyError
 from defring.groups import (build_group, cyclic, dihedral, extend_and_verify_hom,
                             quaternion8, symmetric)
-from defring.local_ring import (Ideal, RingHom, _hom_defects, _hom_levels,
+from defring.local_ring import (Ideal, RingElement, RingHom, _hom_defects, _hom_levels,
                                 build_galois_ring, hom_enumerate, m_adic_filtration,
                                 m_adic_layers, maximal_ideal, quotient_ring,
                                 ring_from_truncated_presentation)
@@ -386,8 +386,8 @@ GAMMA_CAP = 1024  # |Gamma| = |m|^(n^2), so n <= 3 where |m| = 2
 
 def _random_element(draw, ring):
     W = ring.base
-    return ring.element([tuple(draw(st.integers(0, W.q - 1)) for _ in range(W.r))
-                         for _ in range(ring.N)])
+    return RingElement(ring, [draw(st.integers(0, W.q - 1))
+                              for _ in range(ring.N) for _ in range(W.r)])
 
 
 def _random_matrix(draw, ring, n, lift_like):
@@ -549,7 +549,8 @@ def test_a_wrong_solved_conjugator_is_caught_by_the_product_check(monkeypatch, c
 
         def shifted(vec):
             red = reduce(vec)
-            red[ni + ring.N] = ring.base.add(red[ni + ring.N], ring.base.one)
+            e0 = (ni + ring.N) * ring.base.r  # the flat coordinate of e_0 in Y_01
+            red[e0] = (red[e0] + 1) % ring.base.q
             return red
         form.reduce = shifted
         return form, ni
@@ -655,7 +656,7 @@ def reference_apply(hom, x):
     out = T.zero
     for c, img in zip(x.coefficients(), hom.basis_images):
         out = out + img * T.from_base(tuple(v % T.base.q for v in c))
-    return T.element(out.coefficients(), x.prec)
+    return RingElement(T, out.flat, x.prec)
 
 
 def reference_verify(hom):
@@ -792,7 +793,8 @@ def test_flat_apply_matches_reference(case, data):
         coeff = st.integers(0, ring.base.q - 1)
         coeffs = data.draw(st.lists(st.tuples(*[coeff] * ring.base.r),
                                     min_size=ring.N, max_size=ring.N))
-        return ring.element(coeffs, data.draw(st.integers(1, ring.base.m)))
+        return RingElement(ring, [c for a in coeffs for c in a],
+                           data.draw(st.integers(1, ring.base.m)))
 
     hom = RingHom(source, target, [element(target) for _ in range(source.N)])
     for _ in range(3):

@@ -84,7 +84,8 @@ def _rows(ring: FiniteLocalRing, n: int, draw):
     coeff = st.integers(0, W.q - 1)
     prec = st.integers(1, W.m) if ring.mode == "precision" else st.none()
     vec = st.lists(st.tuples(*[coeff] * W.r), min_size=ring.N, max_size=ring.N)
-    return [[ring.element(draw(vec), draw(prec)) for _ in range(n)] for _ in range(n)]
+    return [[RingElement(ring, [c for a in draw(vec) for c in a], draw(prec)) for _ in range(n)]
+            for _ in range(n)]
 
 
 def _coeffs(rows):
@@ -120,7 +121,7 @@ def test_product_matches_entry_by_entry_oracle(name, n, data):
 
 def test_mixed_entry_precisions_give_the_least():
     R = product_ring("(Z/2^6)[X]/(X^2-2), precision")
-    x, y = R.from_int(3, 5), R.element([(1,), (2,)], 2)
+    x, y = R.from_int(3, 5), RingElement(R, [1, 2], 2)
     M = Matrix(R, [[x, R.one], [R.zero, y]])
     assert M.prec == 2 and [a.prec for row in M.rows for a in row] == [2] * 4
     assert (M * Matrix.identity(R, 2)).prec == 2 and (M + M).prec == 2

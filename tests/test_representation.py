@@ -10,8 +10,8 @@ import defring.representation as representation
 from defring.cli import main
 from defring.errors import InternalInconsistencyError
 from defring.groups import cyclic, dihedral, direct_product, quaternion8, symmetric
-from defring.local_ring import (DEFAULT_ELEMENT_CAP, CapExceededError, Ideal, RingHom,
-                                build_galois_ring, maximal_ideal, quotient_ring,
+from defring.local_ring import (DEFAULT_ELEMENT_CAP, CapExceededError, Ideal, RingElement,
+                                RingHom, build_galois_ring, maximal_ideal, quotient_ring,
                                 ring_from_truncated_presentation)
 from defring.matrices import Matrix
 from defring.presentations import IntegerPolynomialPresentation
@@ -375,8 +375,8 @@ def test_quotient_by_order_ideal_does_not_depend_on_mode():
     assert surj.target.label == twin.target.label
     assert surj.target.orders == twin.target.orders == (2, 1)
     for a, b in product(range(8), repeat=2):
-        x = R.element([(a,), (b,)])
-        assert surj.project(x).flat == twin.project(Rf.element(x.coefficients())).flat
+        x = RingElement(R, [a, b])
+        assert surj.project(x).flat == twin.project(RingElement(Rf, x.flat)).flat
     for xbar in surj.target.enumerate_elements():
         lifted = surj.section(xbar)
         assert lifted.ring is R and surj.project(lifted) == xbar

@@ -53,10 +53,10 @@ def truncation_form_from_scratch(pres, W, degree_cap):
         rows = []
         for f in pres.relations:
             for mu in monomials_upto(d - f.degree()):
-                row = [W.zero] * len(cols)
+                row = [0] * (W.r * len(cols))
                 for mo, c in fraction_terms(f).items():
-                    j = col_index[mono_mul(mu, mo)]
-                    row[j] = W.add(row[j], W.from_int(c.numerator))
+                    j = W.r * col_index[mono_mul(mu, mo)]
+                    row[j] = (row[j] + c.numerator) % W.q
                 rows.append(row)
         form = local_ring.HowellForm(W, rows, len(cols))
         if not form.live:
@@ -166,14 +166,14 @@ def test_truncation_hands_the_forms_only_the_new_multiples(monkeypatch):
 
 def layer_basis_greedy(upper, lower):
     ring = upper.ring
-    rows = [x.coefficients() for x in lower.module_basis]
+    rows = [x.flat for x in lower.module_basis]
     size = lower.size
     basis = []
     for b in upper.module_basis:
-        grown = HowellForm(ring.base, rows + [b.coefficients()], ring.N, ring.orders).size
+        grown = HowellForm(ring.base, rows + [b.flat], ring.N, ring.orders).size
         if grown > size:
             basis.append(b)
-            rows.append(b.coefficients())
+            rows.append(b.flat)
             size = grown
     assert size == upper.size
     return basis
@@ -203,7 +203,7 @@ def _check_layer(upper, lower, draw):
     R = upper.ring
     W, k = R.base, R.residue_field
     layer = Layer(upper, lower)
-    rows = [list(r) for r in lower.form.rows] + [b.coefficients() for b in layer.basis]
+    rows = [list(r) for r in lower.form.rows] + [b.flat for b in layer.basis]
     assert HowellForm(W, rows, R.N, R.orders).rows == upper.form.rows
     assert len(layer.basis) == len(layer_basis_greedy(upper, lower))
     elt = st.tuples(*[st.integers(0, k.q - 1)] * k.r)
